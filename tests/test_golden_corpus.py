@@ -1,0 +1,110 @@
+"""Byte-identity gate: replay a stored corpus of in-process CLI calls.
+
+Each entry of ``tests/data/cli_corpus.json`` holds an argv for
+``ecpsim.cli.main``, the exit code it returned (or the class of the
+exception it raised) and the sha256 of everything it wrote to stdout.  A
+refactor that claims to change no number must leave every entry as stored.
+
+The deep-round entries (``--rounds 8``) pin the current numbers, known
+wrong where late rounds lose mass to absolute pruning; a change that mends
+them regenerates the corpus and says so.  Regenerate with
+
+    PYTHONPATH=src python tests/test_golden_corpus.py --write
+
+``verify`` is left out: its detail lines are not byte-stable across
+processes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
+from pathlib import Path
+
+from ecpsim.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "data" / "cli_corpus.json"
+CIRCUITS = "{circuits}"  # stands for the shipped circuits directory in an argv
+
+
+def corpus_argvs() -> list[list[str]]:
+    argvs = []
+    for protocol in ("ecp1", "ecp2"):
+        for pol in (["--gamma-sq", "0.3"], []):
+            for accounting in ("branch", "joint"):
+                for a2 in ("0.3", "0.6", "0.9"):
+                    for eta in ("1.0", "0.8"):
+                        base = [
+                            "run", "--protocol", protocol, "--alpha-sq", a2, *pol,
+                            "--accounting", accounting, "--eta", eta,
+                        ]
+                        if protocol == "ecp1":
+                            argvs.append(base)
+                        else:
+                            argvs.extend(base + ["--rounds", r] for r in ("1", "3", "8"))
+    for accounting in ("branch", "joint"):
+        argvs.append([
+            "run", "--alpha-sq", "0.6", "--gamma-sq", "0.3", "--t1", "0.3",
+            "--t2", "0.7", "--accounting", accounting,
+        ])
+        for name, extra in (
+            ("ecp1", ["--gamma-sq", "0.3"]),
+            ("ecp2", ["--gamma-sq", "0.3", "--rounds", "3"]),
+            ("ecp1_stripped", []),
+            ("ecp2_stripped", ["--rounds", "3"]),
+        ):
+            argvs.append([
+                "run", "--circuit", f"{CIRCUITS}/{name}.ecp", "--alpha-sq", "0.6",
+                *extra, "--accounting", accounting, "--eta", "0.8",
+            ])
+    argvs.append([
+        "run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "3",
+        "--eta", "0.8", "--engine", "monte_carlo", "--trials", "10000", "--seed", "7",
+    ])
+    argvs.append([
+        "sweep", "--rounds", "3", "--eta", "0.8", "--trials", "10000", "--seed", "1",
+    ])
+    return argvs
+
+
+def replay(argv: list[str]) -> dict:
+    """Call ``main`` in-process and record what a byte-identity check needs."""
+    circuits = str(resources.files("ecpsim").joinpath("circuits"))
+    resolved = [a.replace(CIRCUITS, circuits) for a in argv]
+    out = io.StringIO()
+    code, raised = None, None
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(resolved)
+        except Exception as exc:  # recorded, not judged: the corpus pins behaviour
+            raised = type(exc).__name__
+    return {
+        "argv": argv,
+        "exit": code,
+        "raises": raised,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+def test_corpus_covers_the_grid():
+    stored = json.loads(CORPUS.read_text())
+    assert [e["argv"] for e in stored] == corpus_argvs()
+
+
+def test_corpus_replays_byte_for_byte():
+    stored = json.loads(CORPUS.read_text())
+    changed = [e["argv"] for e in stored if replay(e["argv"]) != e]
+    assert not changed, f"{len(changed)} of {len(stored)} entries changed: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_corpus.py --write")
+    CORPUS.parent.mkdir(exist_ok=True)
+    entries = [replay(argv) for argv in corpus_argvs()]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} entries to {CORPUS}")
