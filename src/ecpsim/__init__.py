@@ -19,15 +19,12 @@ from .fock import (
     PhotonBudgetError,
     State,
     V,
-    add,
     apply_mode_transform,
-    canonical_text,
     fidelity,
     inner,
     mode,
     single_photon,
     tensor,
-    vacuum,
 )
 from .elements import (
     PortContractError,
@@ -44,8 +41,6 @@ from .measurement import (
     IDEAL_DETECTORS,
     herald,
     qnd_component,
-    qnd_select,
-    success_outcomes,
 )
 from .params import (
     EntanglementParams,
@@ -60,7 +55,6 @@ from .formulas import (
     joint_total_one_round,
     qnd_round_success,
     round_success_series,
-    series_partial_sums,
 )
 from .dsl import (
     BindingError,
@@ -77,7 +71,6 @@ from .engine import (
     TopologyError,
     analyze,
     execute,
-    prepare_initial,
     run_ecp1,
     run_ecp2,
 )
@@ -117,7 +110,6 @@ __all__ = [
     "State",
     "TopologyError",
     "V",
-    "add",
     "analyze",
     "apply_bs",
     "apply_mode_transform",
@@ -129,7 +121,6 @@ __all__ = [
     "branch_success_plus",
     "builtin_doc",
     "builtin_text",
-    "canonical_text",
     "claimed_total",
     "corrupted_coupler",
     "estimate_series_total",
@@ -142,21 +133,16 @@ __all__ = [
     "oracle_ecp1",
     "oracle_ecp2",
     "parse",
-    "prepare_initial",
     "qnd_component",
     "qnd_round_success",
-    "qnd_select",
     "round_success_series",
     "run_checks",
     "run_ecp1",
     "run_ecp2",
     "run_monte_carlo",
     "serialize",
-    "series_partial_sums",
     "single_photon",
-    "success_outcomes",
     "tensor",
-    "vacuum",
     "validate",
     "vbs_schedule",
 ]

@@ -1,12 +1,12 @@
-"""Builtin concentration circuits, programmatic and on-disk forms.
+"""Builtin concentration circuits, shipped as ``.ecp`` files.
 
-The builders here are the source of truth; the ``.ecp`` files shipped next
-to this module are their canonical serializations (tests hold the two
-byte-identical).  Mode naming follows the wiring diagrams: ``a1`` is the
-kept spectator mode, ``b1`` the far-end signal input split by polarization
-into ``b2``/``b3``, each arm consumes an auxiliary photon through a
-variable coupler, and ``b10`` is the recombined output.  ``d*`` are
-detectors.
+The files next to this module in ``circuits/`` are the one source of the
+shipped layouts; ``builtin_doc`` parses one on first use and hands out the
+same immutable document afterwards.  Mode naming follows the wiring
+diagrams: ``a1`` is the kept spectator mode, ``b1`` the far-end signal
+input split by polarization into ``b2``/``b3``, each arm consumes an
+auxiliary photon through a variable coupler, and ``b10`` is the recombined
+output.  ``d*`` are detectors.
 
 Four documents:
 
@@ -20,155 +20,24 @@ Four documents:
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
-from .dsl import (
-    BsDecl,
-    CircuitDoc,
-    DetectDecl,
-    FlipDecl,
-    ModeDecl,
-    OutputDecl,
-    PbsMergeDecl,
-    PbsSplitDecl,
-    QndDecl,
-    SourceDecl,
-    VbsDecl,
-    parse,
-)
+from .dsl import CircuitDoc, parse
 
 BUILTIN_NAMES = ("ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped")
 
 
-def _modes(*names: str) -> list[ModeDecl]:
-    return [ModeDecl(n) for n in names]
-
-
-def _polarized_sources() -> list[SourceDecl]:
-    return [
-        SourceDecl("a1", "H", "alpha*gamma", "signal"),
-        SourceDecl("a1", "V", "alpha*delta", "signal"),
-        SourceDecl("b1", "H", "beta*gamma", "signal"),
-        SourceDecl("b1", "V", "beta*delta", "signal"),
-    ]
-
-
-def build_ecp1() -> CircuitDoc:
-    statements = (
-        *_modes(
-            "a1", "b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b9", "b10",
-            "d1", "d2", "d3", "d4",
-        ),
-        *_polarized_sources(),
-        SourceDecl("b4", "V", "1"),
-        SourceDecl("b7", "H", "1"),
-        PbsSplitDecl("b1", out_h="b3", out_v="b2"),
-        VbsDecl("b4", reflect="b5", transmit="b6", t="t1"),
-        VbsDecl("b7", reflect="b8", transmit="b9", t="t2"),
-        BsDecl("b2", "b5", "d1", "d2"),
-        BsDecl("b3", "b8", "d3", "d4"),
-        DetectDecl("v_arm", ("d1", "d2")),
-        DetectDecl("h_arm", ("d3", "d4")),
-        FlipDecl("b6", when="d2"),
-        FlipDecl("b9", when="d4"),
-        PbsMergeDecl(in_h="b9", in_v="b6", out="b10"),
-        OutputDecl(("a1", "b10")),
-    )
-    return CircuitDoc("ecp1", ("alpha", "beta", "gamma", "delta", "t1", "t2"), statements)
-
-
-def build_ecp2() -> CircuitDoc:
-    statements = (
-        *_modes(
-            "a1", "b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "b9", "b10",
-            "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8",
-        ),
-        *_polarized_sources(),
-        SourceDecl("b4", "V", "1"),
-        SourceDecl("b7", "H", "1"),
-        PbsSplitDecl("b1", out_h="b3", out_v="b2"),
-        VbsDecl("b4", reflect="b5", transmit="b6", t="t_plus"),
-        VbsDecl("b7", reflect="b8", transmit="b9", t="t_minus"),
-        QndDecl("b2", "b5", select=1),
-        QndDecl("b3", "b8", select=1),
-        BsDecl("b2", "b5", "d1", "d2"),
-        BsDecl("b3", "b8", "d5", "d6"),
-        BsDecl("b5", "b6", "d3", "d4"),
-        BsDecl("b8", "b9", "d7", "d8"),
-        DetectDecl("v_arm", ("d1", "d2")),
-        DetectDecl("h_arm", ("d5", "d6")),
-        DetectDecl("v_recycle", ("d3", "d4"), eta=1.0),
-        DetectDecl("h_recycle", ("d7", "d8"), eta=1.0),
-        FlipDecl("b6", when="d2"),
-        FlipDecl("b9", when="d6"),
-        FlipDecl("b2", when="d4"),
-        FlipDecl("b3", when="d8"),
-        PbsMergeDecl(in_h="b9", in_v="b6", out="b10"),
-        OutputDecl(("a1", "b10")),
-    )
-    return CircuitDoc(
-        "ecp2", ("alpha", "beta", "gamma", "delta", "t_plus", "t_minus"), statements
-    )
-
-
-def build_ecp1_stripped() -> CircuitDoc:
-    statements = (
-        *_modes("a1", "b2", "b4", "b5", "b6", "d1", "d2"),
-        SourceDecl("a1", "V", "alpha", "signal"),
-        SourceDecl("b2", "V", "beta", "signal"),
-        SourceDecl("b4", "V", "1"),
-        VbsDecl("b4", reflect="b5", transmit="b6", t="t1"),
-        BsDecl("b2", "b5", "d1", "d2"),
-        DetectDecl("v_arm", ("d1", "d2")),
-        FlipDecl("b6", when="d2"),
-        OutputDecl(("a1", "b6")),
-    )
-    return CircuitDoc("ecp1_stripped", ("alpha", "beta", "t1"), statements)
-
-
-def build_ecp2_stripped() -> CircuitDoc:
-    statements = (
-        *_modes("a1", "b2", "b4", "b5", "b6", "d1", "d2", "d3", "d4"),
-        SourceDecl("a1", "V", "alpha", "signal"),
-        SourceDecl("b2", "V", "beta", "signal"),
-        SourceDecl("b4", "V", "1"),
-        VbsDecl("b4", reflect="b5", transmit="b6", t="t_plus"),
-        QndDecl("b2", "b5", select=1),
-        BsDecl("b2", "b5", "d1", "d2"),
-        BsDecl("b5", "b6", "d3", "d4"),
-        DetectDecl("v_arm", ("d1", "d2")),
-        DetectDecl("v_recycle", ("d3", "d4"), eta=1.0),
-        FlipDecl("b6", when="d2"),
-        FlipDecl("b2", when="d4"),
-        OutputDecl(("a1", "b6")),
-    )
-    return CircuitDoc("ecp2_stripped", ("alpha", "beta", "t_plus"), statements)
-
-
-_BUILDERS = {
-    "ecp1": build_ecp1,
-    "ecp2": build_ecp2,
-    "ecp1_stripped": build_ecp1_stripped,
-    "ecp2_stripped": build_ecp2_stripped,
-}
-
-
+@functools.cache
 def builtin_doc(name: str) -> CircuitDoc:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"no builtin circuit {name!r}; have {BUILTIN_NAMES}") from None
+    """The parsed shipped layout (cached: documents are immutable)."""
+    return parse(builtin_text(name))
 
 
 def builtin_text(name: str) -> str:
     """Content of the shipped ``.ecp`` file for a builtin circuit."""
-    if name not in _BUILDERS:
+    if name not in BUILTIN_NAMES:
         raise KeyError(f"no builtin circuit {name!r}; have {BUILTIN_NAMES}")
     return (
         resources.files(__package__).joinpath("circuits").joinpath(f"{name}.ecp").read_text()
     )
-
-
-def load_builtin(name: str) -> CircuitDoc:
-    """Parse the shipped file (tests pin this equal to the builder output)."""
-    return parse(builtin_text(name))

@@ -23,12 +23,9 @@ polarization but never rotates it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
 
 from .fock import (
     Mode,
-    Pattern,
     State,
     POLARIZATIONS,
     apply_mode_transform,
@@ -135,29 +132,3 @@ def apply_phase_flip(state: State, spatial: str) -> State:
         photon_cap=state.photon_cap,
     )
 
-
-@dataclass(frozen=True)
-class ElementSpec:
-    """A placed element: kind plus named spatial-port bindings.
-
-    ``kind`` is one of ``pbs``, ``pbs_merge``, ``bs``, ``vbs``, ``flip``.
-    ``t`` is meaningful for ``vbs`` only.
-    """
-
-    kind: str
-    ports: Mapping[str, str] = field(default_factory=dict)
-    t: float = 0.0
-
-    def apply(self, state: State) -> State:
-        p = self.ports
-        if self.kind == "pbs":
-            return apply_pbs(state, p["in"], p["out_h"], p["out_v"])
-        if self.kind == "pbs_merge":
-            return apply_pbs_merge(state, p["in_h"], p["in_v"], p["out"])
-        if self.kind == "bs":
-            return apply_bs(state, p["in1"], p["in2"], p["out1"], p["out2"])
-        if self.kind == "vbs":
-            return apply_vbs(state, p["in"], p["reflect"], p["transmit"], self.t)
-        if self.kind == "flip":
-            return apply_phase_flip(state, p["mode"])
-        raise ValueError(f"unknown element kind {self.kind!r}")

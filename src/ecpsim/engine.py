@@ -24,6 +24,11 @@ Two accounting conventions are supported:
   requires every arm's detector group to click in the same run, with the
   detector efficiency raised to the number of groups.
 
+Both go through one round loop, ``_run_chain``: branch accounting runs it
+once per arm, joint accounting once with all arms.  Arms without a
+nondemolition comparison pass the whole state on to their heralding
+coupler.
+
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds rebuild the auxiliary photon, rebind the
 coupler transmittance from the doubling schedule, and continue on the
@@ -62,7 +67,14 @@ from .formulas import (
     qnd_round_success,
     round_success_series,
 )
-from .measurement import DetectorGroup, DetectorModel, IDEAL_DETECTORS, herald, qnd_component
+from .measurement import (
+    DetectorGroup,
+    DetectorModel,
+    HeraldOutcome,
+    IDEAL_DETECTORS,
+    herald,
+    qnd_component,
+)
 from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
@@ -275,26 +287,6 @@ def _source_state(sources: list[SourceDecl], bindings: dict[str, complex]) -> St
     )
 
 
-def prepare_initial(
-    ent: EntanglementParams, pol: PolarizationParams | None = None
-) -> State:
-    """The shared input photon before any optics.
-
-    Polarized: four components over the two spatial modes; stripped (no
-    polarization parameters): two V components.
-    """
-    if pol is None:
-        return single_photon([("a1", "V", ent.alpha), ("b2", "V", ent.beta)])
-    return single_photon(
-        [
-            ("a1", "H", ent.alpha * pol.gamma),
-            ("a1", "V", ent.alpha * pol.delta),
-            ("b1", "H", ent.beta * pol.gamma),
-            ("b1", "V", ent.beta * pol.delta),
-        ]
-    )
-
-
 def _detector_group(g: DetectDecl) -> DetectorGroup:
     return DetectorGroup(g.group, g.modes, g.require, g.eta)
 
@@ -326,240 +318,129 @@ def _target_state(outputs: tuple[str, ...], pol: PolarizationParams | None) -> S
 
 
 # ---------------------------------------------------------------------------
-# per-arm branch propagation
+# recycling chain
 
 @dataclass
-class _ArmRound:
-    t: float
+class _ChainRound:
     p_success: float
     p_recycle: float
     success_raws: list[State]
     recycle_next: State = dc_field(default_factory=State)
 
 
-def _run_arm(
-    arm: ArmPlan,
-    input_raw: State,
-    ts: list[float],
+def _successes(
+    state: State,
+    couplers: list[BsDecl],
+    groups: list[DetectorGroup],
+    flips: dict[str, str],
+    model: DetectorModel,
+) -> list[HeraldOutcome]:
+    for bs in couplers:
+        state = apply_bs(state, bs.in1, bs.in2, bs.out1, bs.out2)
+    return [o for o in herald(state, groups, model, flips) if o.success]
+
+
+def _run_chain(
+    arms: list[ArmPlan],
+    current: State,
+    schedules: list[list[float]],
     bindings: dict[str, complex],
     model: DetectorModel,
-) -> list[_ArmRound]:
+) -> list[_ChainRound]:
+    """Run every round of ``arms`` together on one state.
+
+    Each round attaches every arm's auxiliary photon at the arm's scheduled
+    transmittance, then splits by the nondemolition comparisons of the arms
+    that have one: class 1 on all of them goes on to the heralding couplers,
+    class 0 on all of them to the recycling couplers.  Success needs every
+    arm's group to click at once; the combined recycle continuation is the
+    next round's input.
+    """
+    success = (
+        [a.success_bs for a in arms],
+        [_detector_group(a.success_group) for a in arms],
+        {d: m for a in arms for d, m in a.flips.items()},
+    )
+    recycles = all(a.recycle_bs for a in arms)
+    if recycles:
+        recycle = (
+            [a.recycle_bs for a in arms],
+            [_detector_group(a.recycle_group) for a in arms],
+            {d: m for a in arms for d, m in a.recycle_flips.items()},
+        )
     results = []
-    current = input_raw
-    for t in ts:
+    for k in range(len(schedules[0])):
         if current.is_empty:
-            results.append(_ArmRound(t, 0.0, 0.0, []))
+            results.append(_ChainRound(0.0, 0.0, []))
             continue
-        aux = _source_state(arm.aux_sources, bindings)
-        aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
-        work = tensor(current, aux)
-        if arm.qnd is not None:
-            kept = qnd_component(work, arm.qnd.a, arm.qnd.b, 1)
-            dropped = qnd_component(work, arm.qnd.a, arm.qnd.b, 0)
-        else:
-            kept, dropped = work, None
-        p_succ = 0.0
-        raws: list[State] = []
-        if not kept.is_empty:
-            after = apply_bs(
-                kept,
-                arm.success_bs.in1,
-                arm.success_bs.in2,
-                arm.success_bs.out1,
-                arm.success_bs.out2,
+        work = current
+        for arm, ts in zip(arms, schedules):
+            aux = _source_state(arm.aux_sources, bindings)
+            aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, ts[k])
+            work = tensor(work, aux)
+        kept = dropped = work
+        for arm in arms:
+            if arm.qnd is not None:
+                kept = qnd_component(kept, arm.qnd.a, arm.qnd.b, 1)
+                dropped = qnd_component(dropped, arm.qnd.a, arm.qnd.b, 0)
+        wins = [] if kept.is_empty else _successes(kept, *success, model)
+        p_rec, nxt = 0.0, State()
+        if recycles and not dropped.is_empty:
+            again = _successes(dropped, *recycle, model)
+            p_rec = sum((o.weight for o in again), 0.0)
+            nxt = _combine_recycle([o.corrected_raw() for o in again])
+        results.append(
+            _ChainRound(
+                sum((o.probability for o in wins), 0.0),
+                p_rec,
+                [o.corrected_raw() for o in wins],
+                nxt,
             )
-            for o in herald(after, [_detector_group(arm.success_group)], model, arm.flips):
-                if o.success:
-                    p_succ += o.probability
-                    raws.append(o.corrected_raw())
-        p_rec = 0.0
-        nxt = State()
-        if arm.recycle_bs is not None and dropped is not None and not dropped.is_empty:
-            rec = apply_bs(
-                dropped,
-                arm.recycle_bs.in1,
-                arm.recycle_bs.in2,
-                arm.recycle_bs.out1,
-                arm.recycle_bs.out2,
-            )
-            rec_raws = []
-            for o in herald(
-                rec, [_detector_group(arm.recycle_group)], model, arm.recycle_flips
-            ):
-                if o.success:
-                    p_rec += o.weight
-                    rec_raws.append(o.corrected_raw())
-            nxt = _combine_recycle(rec_raws)
-        results.append(_ArmRound(t, p_succ, p_rec, raws, nxt))
+        )
         current = nxt
     return results
 
 
-def _merge_pair(merge: PbsMergeDecl | None, raw_plus: State, raw_minus: State | None) -> State:
-    if merge is None or raw_minus is None:
-        return raw_plus
+def _run_arm(
+    arm: ArmPlan,
+    current: State,
+    ts: list[float],
+    bindings: dict[str, complex],
+    model: DetectorModel,
+) -> list[_ChainRound]:
+    return _run_chain([arm], current, [ts], bindings, model)
+
+
+def _merge_pair(merge: PbsMergeDecl, raw_plus: State, raw_minus: State) -> State:
     a = apply_pbs_merge(raw_plus, merge.in_h, merge.in_v, merge.out)
     b = apply_pbs_merge(raw_minus, merge.in_h, merge.in_v, merge.out)
-    terms: dict = {}
-    for p, amp in a.items():
-        terms[p] = [amp, None]
+    combined = dict(a.items())
     for p, amp in b.items():
-        terms.setdefault(p, [None, None])[1] = amp
-    combined = {}
-    for p, (x, y) in terms.items():
-        if x is None:
-            combined[p] = y
-        elif y is None:
-            combined[p] = x
-        else:
-            # both arms carry the signal-at-home component; the published
-            # recombination counts it once, so shared amplitudes average
-            combined[p] = 0.5 * (x + y)
+        # both arms carry the signal-at-home component; the published
+        # recombination counts it once, so shared amplitudes average
+        combined[p] = 0.5 * (combined[p] + amp) if p in combined else amp
     return State(combined)
 
 
-def _branch_rounds(
-    plan: Plan,
-    bindings: dict[str, complex],
-    ts_plus: list[float],
-    ts_minus: list[float],
-    model: DetectorModel,
-    target: State,
-) -> tuple[list[RoundResult], dict[str, list[float]]]:
-    signal = _source_state(plan.signal_sources, bindings)
-    if plan.split is not None:
-        signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
-    arm_inputs = []
-    for arm in plan.arms:
-        others = [a.signal_mode for a in plan.arms if a is not arm]
-        arm_inputs.append(
-            signal.filtered(lambda p: all(pattern_count(p, m) == 0 for m in others))
-        )
-    schedules = {"plus": ts_plus, "minus": ts_minus}
-    arm_results = [
-        _run_arm(arm, inp, schedules[arm.label], bindings, model)
-        for arm, inp in zip(plan.arms, arm_inputs)
-    ]
-    rounds = []
-    per_arm_p1 = {arm.label: res[0].p_success for arm, res in zip(plan.arms, arm_results)}
-    for k in range(len(ts_plus)):
-        p_succ = sum(res[k].p_success for res in arm_results)
-        p_rec = sum(res[k].p_recycle for res in arm_results)
-        fids = []
-        plus_raws = arm_results[0][k].success_raws
-        if len(plan.arms) == 2:
-            minus_raws = arm_results[1][k].success_raws
-            for rp in plus_raws:
-                for rm in minus_raws:
-                    fids.append(fidelity(_merge_pair(plan.merge, rp, rm), target))
-        else:
-            for rp in plus_raws:
-                fids.append(fidelity(_merge_pair(plan.merge, rp, None), target))
-        rounds.append(
-            RoundResult(
-                k=k + 1,
-                t=ts_plus[k],
-                p_success=p_succ,
-                p_fail_recyclable=p_rec,
-                heralded_fidelity=min(fids) if fids else None,
-            )
-        )
-    return rounds, per_arm_p1
-
-
-def _joint_rounds(
-    plan: Plan,
-    bindings: dict[str, complex],
-    ts_plus: list[float],
-    ts_minus: list[float],
-    model: DetectorModel,
+def _rounds(
+    ts: list[float],
+    chains: list[list[_ChainRound]],
+    heralded: list[list[State]],
     target: State,
 ) -> list[RoundResult]:
-    signal = _source_state(plan.signal_sources, bindings)
-    if plan.split is not None:
-        signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
-    schedules = {"plus": ts_plus, "minus": ts_minus}
-    current = signal
+    """Round results summed over ``chains``; fidelity is the worst heralded state."""
     rounds = []
-    for k in range(len(ts_plus)):
-        if current.is_empty:
-            rounds.append(RoundResult(k + 1, ts_plus[k], 0.0, 0.0, None))
-            continue
-        work = current
-        for arm in plan.arms:
-            t = schedules[arm.label][k]
-            aux = _source_state(arm.aux_sources, bindings)
-            aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
-            work = tensor(work, aux)
-        kept = work
-        dropped = work if plan.protocol == "ecp2" else None
-        if plan.protocol == "ecp2":
-            for arm in plan.arms:
-                kept = qnd_component(kept, arm.qnd.a, arm.qnd.b, 1)
-                dropped = qnd_component(dropped, arm.qnd.a, arm.qnd.b, 0)
-        else:
-            dropped = None
-        p_succ = 0.0
-        fids = []
-        if not kept.is_empty:
-            after = kept
-            corrections: dict[str, str] = {}
-            groups = []
-            for arm in plan.arms:
-                after = apply_bs(
-                    after,
-                    arm.success_bs.in1,
-                    arm.success_bs.in2,
-                    arm.success_bs.out1,
-                    arm.success_bs.out2,
-                )
-                corrections.update(arm.flips)
-                groups.append(_detector_group(arm.success_group))
-            for o in herald(after, groups, model, corrections):
-                if o.success:
-                    p_succ += o.probability
-                    raw = o.corrected_raw()
-                    if plan.merge is not None:
-                        raw = apply_pbs_merge(
-                            raw, plan.merge.in_h, plan.merge.in_v, plan.merge.out
-                        )
-                    fids.append(fidelity(raw, target))
-        p_rec = 0.0
-        nxt = State()
-        if (
-            plan.has_recycling
-            and dropped is not None
-            and not dropped.is_empty
-        ):
-            rec = dropped
-            corrections = {}
-            groups = []
-            for arm in plan.arms:
-                rec = apply_bs(
-                    rec,
-                    arm.recycle_bs.in1,
-                    arm.recycle_bs.in2,
-                    arm.recycle_bs.out1,
-                    arm.recycle_bs.out2,
-                )
-                corrections.update(arm.recycle_flips)
-                groups.append(_detector_group(arm.recycle_group))
-            rec_raws = []
-            for o in herald(rec, groups, model, corrections):
-                if o.success:
-                    p_rec += o.weight
-                    rec_raws.append(o.corrected_raw())
-            nxt = _combine_recycle(rec_raws)
+    for k, t in enumerate(ts):
+        fids = [fidelity(s, target) for s in heralded[k]]
         rounds.append(
             RoundResult(
                 k=k + 1,
-                t=ts_plus[k],
-                p_success=p_succ,
-                p_fail_recyclable=p_rec,
+                t=t,
+                p_success=sum(c[k].p_success for c in chains),
+                p_fail_recyclable=sum(c[k].p_recycle for c in chains),
                 heralded_fidelity=min(fids) if fids else None,
             )
         )
-        current = nxt
     return rounds
 
 
@@ -644,15 +525,39 @@ def execute(
     eff_plus, eff_minus = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
     target = _target_state(plan.outputs, pol)
+    signal = _source_state(plan.signal_sources, bindings)
+    if plan.split is not None:
+        signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
+    schedules = [eff_plus if arm.label == "plus" else eff_minus for arm in plan.arms]
     per_arm_p1: dict[str, float] = {}
     if accounting == "branch":
-        round_results, per_arm_p1 = _branch_rounds(
-            plan, bindings, eff_plus, eff_minus, model, target
-        )
+        # each arm acts only on the component where the signal is not in
+        # the other arm
+        chains = []
+        for arm, ts in zip(plan.arms, schedules):
+            others = [a.signal_mode for a in plan.arms if a is not arm]
+            inp = signal.filtered(lambda p: all(pattern_count(p, m) == 0 for m in others))
+            chains.append(_run_arm(arm, inp, ts, bindings, model))
+            per_arm_p1[arm.label] = chains[-1][0].p_success
         eta_exponent = 1
     else:
-        round_results = _joint_rounds(plan, bindings, eff_plus, eff_minus, model, target)
+        chains = [_run_chain(plan.arms, signal, schedules, bindings, model)]
         eta_exponent = len(plan.arms)
+    merge = plan.merge
+    if len(chains) == 2:
+        heralded = [
+            [_merge_pair(merge, rp, rm) for rp in p.success_raws for rm in m.success_raws]
+            for p, m in zip(*chains)
+        ]
+    else:
+        heralded = [
+            [
+                raw if merge is None else apply_pbs_merge(raw, merge.in_h, merge.in_v, merge.out)
+                for raw in r.success_raws
+            ]
+            for r in chains[0]
+        ]
+    round_results = _rounds(eff_plus, chains, heralded, target)
 
     p_total = sum(r.p_success for r in round_results)
     schedule_out = {

@@ -181,10 +181,6 @@ class State:
         )
 
 
-def vacuum(photon_cap: int = DEFAULT_PHOTON_CAP) -> State:
-    return State({(): 1.0 + 0j}, photon_cap=photon_cap)
-
-
 def single_photon(
     components: Iterable[tuple[str, str, complex]],
     photon_cap: int = DEFAULT_PHOTON_CAP,
@@ -195,18 +191,6 @@ def single_photon(
         p = make_pattern({mode(spatial, pol): 1})
         terms[p] = terms.get(p, 0j) + complex(amp)
     return State(terms, photon_cap=photon_cap)
-
-
-def add(states: Sequence[State]) -> State:
-    """Plain linear combination (no renormalization)."""
-    if not states:
-        return State()
-    cap = states[0].photon_cap
-    terms: dict[Pattern, complex] = {}
-    for s in states:
-        for p, a in s.items():
-            terms[p] = terms.get(p, 0j) + a
-    return State(terms, photon_cap=cap)
 
 
 def tensor(a: State, b: State) -> State:
@@ -335,37 +319,8 @@ def apply_mode_transform(
     return State(out, photon_cap=state.photon_cap)
 
 
-def project_occupation(
-    state: State, predicate: Callable[[Pattern], bool]
-) -> tuple[float, State]:
-    """Measure whether the occupation pattern satisfies ``predicate``.
-
-    For a normalized input the returned float is the outcome probability
-    (the squared norm of the satisfying component); the returned state is
-    the renormalized collapse, or an empty state when the probability is
-    numerically zero.
-    """
-    kept = state.filtered(predicate)
-    prob = kept.norm_sq()
-    if prob <= PRUNE_EPS**2 or kept.is_empty:
-        return 0.0, State(photon_cap=state.photon_cap)
-    return prob, kept.scaled(1.0 / math.sqrt(prob))
-
-
 def format_pattern(pattern: Pattern) -> str:
     if not pattern:
         return "vac"
     return " ".join(f"{sp}.{pol}:{n}" for (sp, pol), n in pattern)
 
-
-def canonical_text(state: State) -> str:
-    """Deterministic text rendering: one term per line, patterns sorted.
-
-    Amplitudes are printed with 17 significant digits so the round trip
-    through text is bit-exact for doubles; equal states (same dict of
-    amplitudes) always produce identical bytes.
-    """
-    lines = []
-    for pattern, amp in sorted(state.items()):
-        lines.append(f"{amp.real:.16e} {amp.imag:.16e} {format_pattern(pattern)}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -78,14 +78,3 @@ def round_success_series(
         values.append(math.exp(log_pk) if log_pk > -745.0 else 0.0)
     return tuple(values)
 
-
-def series_partial_sums(
-    alpha_sq: float, eta_p: float = 1.0, max_rounds: int = 1
-) -> tuple[float, ...]:
-    """Cumulative totals sum_{j<=k} P_j of the recycling series."""
-    out = []
-    acc = 0.0
-    for p in round_success_series(alpha_sq, eta_p, max_rounds):
-        acc += p
-        out.append(acc)
-    return tuple(out)

@@ -8,9 +8,10 @@ residual together with any feed-forward phase correction the pattern calls
 for.  Probabilities are squared norms, so feeding an unnormalized branch
 component yields absolute branch probabilities directly.
 
-Detector inefficiency enters in one of two ways: as an analytic factor
-``eta_p`` per required click multiplied onto success probabilities, or as
-per-photon Bernoulli thinning inside the Monte Carlo sampler (not here).
+Detector inefficiency enters here as an analytic factor ``eta_p`` per
+required click multiplied onto success probabilities; per-photon Bernoulli
+thinning lives in the Monte Carlo sampler, which starts from ideal-detector
+runs.
 
 The nondemolition comparison projects onto classes of the absolute photon
 number difference between two spatial modes, modeling a dispersive probe
@@ -35,28 +36,17 @@ from .elements import apply_phase_flip
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """How detector efficiency is accounted for.
+    """Per-photon detection efficiency ``eta_p``.
 
-    ``eta_p`` is the per-photon detection efficiency.  ``mode`` selects the
-    bookkeeping: ``analytic`` multiplies success probabilities by
-    ``eta_p**clicks`` (clicks = number of required detections in the
-    outcome), ``bernoulli`` defers to per-photon sampling and leaves exact
-    probabilities untouched here.
+    Heralding multiplies success probabilities by ``eta_p`` once per
+    detector group that must click (a group's own ``eta`` replaces it).
     """
 
     eta_p: float = 1.0
-    mode: str = "analytic"
 
     def __post_init__(self):
         if not 0.0 <= self.eta_p <= 1.0:
             raise ValueError(f"eta_p must lie in [0, 1], got {self.eta_p}")
-        if self.mode not in ("analytic", "bernoulli"):
-            raise ValueError(f"unknown detector model mode {self.mode!r}")
-
-    def success_factor(self, required_clicks: int) -> float:
-        if self.mode == "analytic":
-            return self.eta_p**required_clicks
-        return 1.0
 
 
 IDEAL_DETECTORS = DetectorModel(eta_p=1.0)
@@ -157,8 +147,7 @@ def herald(
             in_group = {d: counts.get(d, 0) for d in g.modes}
             if sum(in_group.values()) != 1:
                 success = False
-            if model.mode == "analytic":
-                factor *= model.eta_p if g.eta is None else g.eta
+            factor *= model.eta_p if g.eta is None else g.eta
         corr = tuple(
             sorted(corrections[d] for d, _ in sig if d in corrections)
         )
@@ -188,33 +177,8 @@ def herald(
     return outcomes
 
 
-def success_outcomes(outcomes: Sequence[HeraldOutcome]) -> list[HeraldOutcome]:
-    return [o for o in outcomes if o.success]
-
-
-def qnd_select(state: State, mode_a: str, mode_b: str, cls: int) -> tuple[float, State]:
-    """Project onto |n_a - n_b| == cls over two spatial modes.
-
-    Returns (probability, collapsed state); the collapse is renormalized and
-    empty when the class has no support.  Probabilities over all classes
-    partition the squared norm of the input.  The comparison cannot
-    distinguish +d from -d, so both sign branches survive coherently.
-    """
-    if cls < 0:
-        raise ValueError("photon number difference class must be nonnegative")
-
-    def in_class(pattern: Pattern) -> bool:
-        return abs(pattern_count(pattern, mode_a) - pattern_count(pattern, mode_b)) == cls
-
-    kept = state.filtered(in_class)
-    prob = kept.norm_sq()
-    if prob <= PRUNE_EPS**2 or kept.is_empty:
-        return 0.0, State(photon_cap=state.photon_cap)
-    return prob, kept.scaled(1.0 / math.sqrt(prob))
-
-
 def qnd_component(state: State, mode_a: str, mode_b: str, cls: int) -> State:
-    """Unnormalized restriction to a |n_a - n_b| class (branch bookkeeping)."""
+    """Unnormalized restriction to |n_a - n_b| == cls; both signs survive coherently."""
 
     def in_class(pattern: Pattern) -> bool:
         return abs(pattern_count(pattern, mode_a) - pattern_count(pattern, mode_b)) == cls

@@ -196,7 +196,9 @@ def _merge_arm_pair(vec_plus: dict, vec_minus: dict) -> dict:
     a = _merge_to_b10(vec_plus)
     b = _merge_to_b10(vec_minus)
     out = {}
-    for k in set(a) | set(b):
+    # iterate in insertion order: a set's order follows the hash seed, and
+    # the fidelity sum over ``out`` must not
+    for k in {**a, **b}:
         if k in a and k in b:
             # the signal-at-home component is shared between the two arm
             # books and must be counted once

@@ -1,28 +1,14 @@
-"""Shipped circuit documents: builders, packaged files, structure."""
+"""Shipped circuit documents: packaged files, structure, the README example."""
+
+import re
+from pathlib import Path
 
 import pytest
 
-from ecpsim.circuits import (
-    BUILTIN_NAMES,
-    build_ecp1,
-    build_ecp1_stripped,
-    build_ecp2,
-    build_ecp2_stripped,
-    builtin_doc,
-    builtin_text,
-)
+from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, QndDecl, parse, serialize, validate
 
-
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_packaged_text_matches_builder(name):
-    builders = {
-        "ecp1": build_ecp1,
-        "ecp2": build_ecp2,
-        "ecp1_stripped": build_ecp1_stripped,
-        "ecp2_stripped": build_ecp2_stripped,
-    }
-    assert builtin_text(name) == serialize(builders[name]())
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -73,3 +59,13 @@ def test_stripped_structure(name):
     assert doc.output_modes() == ("a1", "b6")
     sources = [s for s in doc.statements if type(s).__name__ == "SourceDecl"]
     assert all(s.pol == "V" for s in sources)
+
+
+def test_builtin_doc_is_parsed_once():
+    assert builtin_doc("ecp2") is builtin_doc("ecp2")
+
+
+def test_readme_circuit_example_is_the_shipped_layout():
+    section = README.read_text(encoding="utf-8").split("## Circuit files", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert parse(block) == builtin_doc("ecp1_stripped")

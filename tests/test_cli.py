@@ -99,6 +99,27 @@ def test_run_custom_circuit_file(tmp_path, capsys):
     assert json.loads(out)["p_total"] == pytest.approx(0.48, abs=1e-12)
 
 
+def test_qnd_on_one_arm_runs_under_joint_accounting(tmp_path, capsys):
+    from ecpsim.circuits import builtin_text
+    from ecpsim.formulas import joint_total_one_round
+
+    # a nondemolition comparison on the plus arm only; one click on that
+    # arm already implies |n_b2 - n_b5| = 1, so the joint total is unchanged
+    text = builtin_text("ecp1").replace(
+        "bs in1=b2 in2=b5", "qnd a=b2 b=b5 select=1\nbs in1=b2 in2=b5", 1
+    )
+    path = tmp_path / "mixed.ecp"
+    path.write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys, "run", "--circuit", str(path), "--alpha-sq", "0.6",
+        "--gamma-sq", "0.5", "--accounting", "joint",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["p_total"] == pytest.approx(joint_total_one_round(0.6), abs=1e-12)
+    assert payload["rounds"][0]["heralded_fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_malformed_circuit_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.ecp"
     path.write_text("circuit oops\nnot a statement\n", encoding="utf-8")

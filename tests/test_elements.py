@@ -5,7 +5,6 @@ import pytest
 
 from ecpsim import elements
 from ecpsim.elements import (
-    ElementSpec,
     PortContractError,
     apply_bs,
     apply_pbs,
@@ -180,18 +179,6 @@ class TestPhaseFlip:
     def test_involution(self, seed):
         s = random_two_mode_state(seed, spatials=("b6", "a1"))
         assert apply_phase_flip(apply_phase_flip(s, "b6"), "b6") == s
-
-
-class TestElementSpec:
-    def test_dispatch(self):
-        s = single_photon([("b4", "V", 1.0)])
-        spec = ElementSpec("vbs", {"in": "b4", "reflect": "b5", "transmit": "b6"}, t=0.6)
-        direct = apply_vbs(s, "b4", "b5", "b6", 0.6)
-        assert spec.apply(s) == direct
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ElementSpec("prism", {}).apply(single_photon([("x", "H", 1.0)]))
 
 
 class TestFaultHook:

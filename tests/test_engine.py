@@ -9,9 +9,9 @@ from ecpsim.dsl import parse
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
+    _source_state,
     analyze,
     execute,
-    prepare_initial,
     run_ecp1,
     run_ecp2,
 )
@@ -144,6 +144,30 @@ def test_literal_transmittance_is_authoritative():
     assert report.p_total == pytest.approx(0.5, abs=1e-12)
 
 
+def test_one_arm_merge_applies_under_both_accountings():
+    # the heralded state leaves through the merge output named in the
+    # document, so both accountings must pass it through the merge
+    text = (
+        "circuit onearm\nparam alpha\nparam beta\nparam t1\n"
+        "mode a1\nmode b1\nmode b2\nmode b3\nmode b4\nmode b5\nmode b6\n"
+        "mode b10\nmode d1\nmode d2\n"
+        "source a1 pol=V amp=alpha photon=signal\n"
+        "source b1 pol=V amp=beta photon=signal\n"
+        "source b4 pol=V amp=1\n"
+        "pbs in=b1 outH=b3 outV=b2\n"
+        "vbs in=b4 reflect=b5 transmit=b6 t=t1\n"
+        "bs in1=b2 in2=b5 out1=d1 out2=d2\n"
+        "detect group=v_arm modes=d1,d2\n"
+        "flip mode=b6 when=d2\n"
+        "pbs inH=b3 inV=b6 out=b10\n"
+        "output a1,b10\n"
+    )
+    for accounting in ("branch", "joint"):
+        report = execute(parse(text), ENT, accounting=accounting)
+        assert report.p_total == pytest.approx(0.48, abs=1e-12)
+        assert report.rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_custom_transmittance_overrides():
     r = run_ecp1(ENT, POL, t1=0.3, t2=0.7)
     assert r.schedule == {"plus": [0.3], "minus": [0.7]}
@@ -159,10 +183,11 @@ def test_detector_model_efficiency_scales_success():
 
 
 def test_prepare_initial_shapes():
-    polarized = prepare_initial(ENT, POL)
+    bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": POL.gamma, "delta": POL.delta}
+    polarized = _source_state(analyze(builtin_doc("ecp1")).signal_sources, bindings)
     assert polarized.num_terms == 4
     assert polarized.norm_sq() == pytest.approx(1.0)
-    stripped = prepare_initial(ENT)
+    stripped = _source_state(analyze(builtin_doc("ecp1_stripped")).signal_sources, bindings)
     assert stripped.num_terms == 2
     assert {m for (m, _p) in stripped.modes()} == {"a1", "b2"}
 

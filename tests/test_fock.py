@@ -10,21 +10,18 @@ from ecpsim.fock import (
     ModeCollisionError,
     PhotonBudgetError,
     State,
-    add,
     apply_mode_transform,
-    canonical_text,
     fidelity,
     inner,
     make_pattern,
     pattern_count,
     pattern_photons,
-    project_occupation,
     single_photon,
     tensor,
-    vacuum,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+VACUUM = State({(): 1})
 
 
 def ket(*occ):
@@ -103,7 +100,7 @@ class TestTensor:
 
     def test_vacuum_is_identity(self):
         a = single_photon([("a1", "H", 1.0)])
-        assert tensor(a, vacuum()) == a
+        assert tensor(a, VACUUM) == a
 
 
 def coupler_rules(in1, in2, out1, out2):
@@ -154,8 +151,8 @@ class TestModeTransform:
             apply_mode_transform(s, rules)
 
     def test_vacuum_invariant(self):
-        out = apply_mode_transform(vacuum(), coupler_rules("b2", "b5", "d1", "d2"))
-        assert out == vacuum()
+        out = apply_mode_transform(VACUUM, coupler_rules("b2", "b5", "d1", "d2"))
+        assert out == VACUUM
 
     def test_isometry_violation_rejected(self):
         bad = {("b2", "V"): [(("d1", "V"), 1.0), (("d2", "V"), 1.0)]}
@@ -216,28 +213,31 @@ class TestModeTransform:
 
 
 class TestProjection:
+    """``State.filtered`` is the unnormalized projection every measurement uses."""
+
     def test_collapse_and_probability(self):
         s = single_photon([("d1", "V", INV_SQRT2), ("d2", "V", -INV_SQRT2)])
-        prob, collapsed = project_occupation(s, lambda p: pattern_count(p, "d1") == 1)
-        assert prob == pytest.approx(0.5)
-        assert collapsed.amplitude(make_pattern({("d1", "V"): 1})) == pytest.approx(1.0)
+        collapsed = s.filtered(lambda p: pattern_count(p, "d1") == 1)
+        assert collapsed.norm_sq() == pytest.approx(0.5)
+        assert collapsed.amplitude(make_pattern({("d1", "V"): 1})) == pytest.approx(INV_SQRT2)
+        assert collapsed.num_terms == 1
 
     def test_complement_probabilities_sum_to_one(self):
         s = single_photon([("d1", "V", 0.6), ("d2", "V", 0.8j)])
-        p1, _ = project_occupation(s, lambda p: pattern_count(p, "d1") == 1)
-        p2, _ = project_occupation(s, lambda p: pattern_count(p, "d1") != 1)
+        p1 = s.filtered(lambda p: pattern_count(p, "d1") == 1).norm_sq()
+        p2 = s.filtered(lambda p: pattern_count(p, "d1") != 1).norm_sq()
         assert p1 + p2 == pytest.approx(1.0)
 
     def test_empty_outcome(self):
         s = single_photon([("d1", "V", 1.0)])
-        prob, collapsed = project_occupation(s, lambda p: pattern_count(p, "d9") == 1)
-        assert prob == 0.0
+        collapsed = s.filtered(lambda p: pattern_count(p, "d9") == 1)
+        assert collapsed.norm_sq() == 0.0
         assert collapsed.is_empty
 
     def test_collapse_preserves_relative_phase(self):
         s = single_photon([("d1", "V", 0.5), ("d1", "H", 0.5j), ("d2", "V", INV_SQRT2)])
-        prob, collapsed = project_occupation(s, lambda p: pattern_count(p, "d1") == 1)
-        assert prob == pytest.approx(0.5)
+        collapsed = s.filtered(lambda p: pattern_count(p, "d1") == 1)
+        assert collapsed.norm_sq() == pytest.approx(0.5)
         a_v = collapsed.amplitude(make_pattern({("d1", "V"): 1}))
         a_h = collapsed.amplitude(make_pattern({("d1", "H"): 1}))
         assert a_h / a_v == pytest.approx(1j)
@@ -267,35 +267,3 @@ class TestInnerAndFidelity:
         with pytest.raises(DegenerateStateError):
             fidelity(State(), single_photon([("a1", "H", 1.0)]))
 
-
-class TestCanonicalText:
-    def test_insertion_order_irrelevant(self):
-        p1 = make_pattern({("a1", "H"): 1})
-        p2 = make_pattern({("b2", "V"): 1})
-        s1 = State([(p1, 0.6), (p2, 0.8)])
-        s2 = State([(p2, 0.8), (p1, 0.6)])
-        assert canonical_text(s1) == canonical_text(s2)
-
-    def test_roundtrip_precision(self):
-        amp = 1.0 / 3.0 + (1.0 / 7.0) * 1j
-        s = State({make_pattern({("a1", "H"): 1}): amp})
-        line = canonical_text(s).strip()
-        re_s, im_s, rest = line.split(" ", 2)
-        assert float(re_s) == amp.real
-        assert float(im_s) == amp.imag
-        assert rest == "a1.H:1"
-
-    def test_vacuum_rendering(self):
-        assert canonical_text(vacuum()).strip() == "1.0000000000000000e+00 0.0000000000000000e+00 vac"
-
-    def test_empty_state(self):
-        assert canonical_text(State()) == ""
-
-
-class TestAdd:
-    def test_linear_combination(self):
-        a = single_photon([("a1", "H", 0.5)])
-        b = single_photon([("a1", "H", 0.25), ("b2", "V", 1.0)])
-        s = add([a, b])
-        assert s.amplitude(make_pattern({("a1", "H"): 1})) == pytest.approx(0.75)
-        assert s.amplitude(make_pattern({("b2", "V"): 1})) == pytest.approx(1.0)

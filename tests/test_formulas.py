@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -9,7 +10,6 @@ from ecpsim.formulas import (
     joint_total_one_round,
     qnd_round_success,
     round_success_series,
-    series_partial_sums,
 )
 
 
@@ -104,7 +104,7 @@ class TestSeries:
 
     def test_partial_sums(self):
         p = round_success_series(0.6, 1.0, 5)
-        s = series_partial_sums(0.6, 1.0, 5)
+        s = list(accumulate(p))
         assert s[0] == pytest.approx(p[0])
         assert s[-1] == pytest.approx(sum(p))
         assert all(s[i] <= s[i + 1] for i in range(len(s) - 1))

@@ -10,11 +10,13 @@ from ecpsim.measurement import (
     DetectorModel,
     herald,
     qnd_component,
-    qnd_select,
-    success_outcomes,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def successes(outcomes):
+    return [o for o in outcomes if o.success]
 
 
 def plus_arm_state(alpha_sq=0.6, gamma_sq=0.5, t=None):
@@ -39,13 +41,6 @@ class TestQnd:
         assert c1.norm_sq() == pytest.approx(0.36, abs=1e-12)
         assert c0.norm_sq() == pytest.approx(s.norm_sq() - 0.36, abs=1e-12)
 
-    def test_select_normalizes(self):
-        s = plus_arm_state(0.6, 0.5)
-        total = s.norm_sq()
-        prob, kept = qnd_select(s.normalized(), "b2", "b5", 1)
-        assert prob == pytest.approx(0.36 / total, abs=1e-12)
-        assert kept.norm_sq() == pytest.approx(1.0)
-
     def test_classes_partition(self):
         rng = np.random.default_rng(7)
         terms = {}
@@ -54,24 +49,20 @@ class TestQnd:
                 amp = complex(rng.normal(), rng.normal())
                 terms[make_pattern({("x", "V"): na, ("y", "V"): nb})] = amp
         s = State(terms).normalized()
-        probs = [qnd_select(s, "x", "y", c)[0] for c in range(4)]
+        probs = [qnd_component(s, "x", "y", c).norm_sq() for c in range(4)]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_sign_of_difference_not_resolved(self):
         s = single_photon([("x", "V", INV_SQRT2), ("y", "V", INV_SQRT2)])
-        prob, kept = qnd_select(s, "x", "y", 1)
-        assert prob == pytest.approx(1.0)
+        kept = qnd_component(s, "x", "y", 1)
+        assert kept.norm_sq() == pytest.approx(1.0)
         # both orderings survive coherently
         assert kept.num_terms == 2
 
-    def test_negative_class_rejected(self):
-        with pytest.raises(ValueError):
-            qnd_select(single_photon([("x", "V", 1.0)]), "x", "y", -1)
-
     def test_empty_class(self):
         s = single_photon([("x", "V", 1.0)])
-        prob, kept = qnd_select(s, "x", "y", 3)
-        assert prob == 0.0
+        kept = qnd_component(s, "x", "y", 3)
+        assert kept.norm_sq() == 0.0
         assert kept.is_empty
 
 
@@ -100,13 +91,13 @@ class TestHerald:
     def test_single_click_probability(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = success_outcomes(herald(after, [DetectorGroup("g", ("d1", "d2"))]))
+        outs = successes(herald(after, [DetectorGroup("g", ("d1", "d2"))]))
         assert sum(o.probability for o in outs) == pytest.approx(0.36, abs=1e-12)
 
     def test_correction_restores_minus_outcome(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = success_outcomes(
+        outs = successes(
             herald(after, [DetectorGroup("g", ("d1", "d2"))], corrections={"d2": "b6"})
         )
         by_clicks = {o.clicks: o for o in outs}
@@ -140,7 +131,7 @@ class TestHerald:
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
         model = DetectorModel(eta_p=0.8)
-        outs = success_outcomes(
+        outs = successes(
             herald(after, [DetectorGroup("g", ("d1", "d2"), eta=1.0)], model=model)
         )
         assert sum(o.probability for o in outs) == pytest.approx(0.36, abs=1e-12)
@@ -172,17 +163,10 @@ class TestHerald:
         outs = herald(s, [DetectorGroup("g", ("d1", "d2"))])
         assert outs[0].residual == State({(): 1.0})
 
-    def test_bernoulli_model_leaves_probabilities_exact(self):
-        s = plus_arm_state(0.6, 0.5)
-        after = apply_bs(s, "b2", "b5", "d1", "d2")
-        model = DetectorModel(eta_p=0.8, mode="bernoulli")
-        outs = success_outcomes(herald(after, [DetectorGroup("g", ("d1", "d2"))], model=model))
-        assert sum(o.probability for o in outs) == pytest.approx(0.36, abs=1e-12)
-
     def test_corrected_raw_keeps_weight(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = success_outcomes(
+        outs = successes(
             herald(after, [DetectorGroup("g", ("d1", "d2"))], corrections={"d2": "b6"})
         )
         for o in outs:
@@ -195,10 +179,6 @@ class TestDetectorModel:
             DetectorModel(eta_p=1.2)
         with pytest.raises(ValueError):
             DetectorModel(eta_p=-0.1)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            DetectorModel(mode="poisson")
 
     def test_group_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,10 @@
 """Path-sum oracle: self-contained anchors and engine agreement."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ecpsim.engine import run_ecp1, run_ecp2
@@ -89,3 +94,22 @@ def test_oracle_catches_a_corrupted_coupler():
         o["fidelity"], abs=1e-12
     )
     assert abs(broken.rounds[0].heralded_fidelity - o["fidelity"]) > 0.1
+
+
+def test_oracle_does_not_depend_on_the_hash_seed():
+    # the arm merge once iterated over a set, so the last digit of this
+    # fidelity followed PYTHONHASHSEED
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "from ecpsim.oracle import oracle_ecp1; "
+        "print(repr(oracle_ecp1(0.077531, 0.072901)['fidelity']))"
+    )
+    seen = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        seen.add(proc.stdout)
+    assert len(seen) == 1, seen
