@@ -10,12 +10,12 @@ sampled detector-loss chain are built on top.
 """
 
 from .fock import (
-    DEFAULT_PHOTON_CAP,
     DegenerateStateError,
     FockError,
     H,
     IsometryError,
     ModeCollisionError,
+    PHOTON_CAP,
     PhotonBudgetError,
     State,
     V,
@@ -89,7 +89,6 @@ __all__ = [
     "CircuitError",
     "CircuitParseError",
     "ConfigError",
-    "DEFAULT_PHOTON_CAP",
     "DegenerateStateError",
     "DetectorGroup",
     "DetectorModel",
@@ -101,6 +100,7 @@ __all__ = [
     "IDEAL_DETECTORS",
     "IsometryError",
     "ModeCollisionError",
+    "PHOTON_CAP",
     "ParameterError",
     "PhotonBudgetError",
     "PolarizationParams",

@@ -23,15 +23,10 @@ import numpy as np
 
 from .circuits import builtin_doc
 from .dsl import CircuitError, parse
-from .engine import ConfigError, execute, run_ecp2
+from .engine import ConfigError, execute
 from .formulas import round_success_series
 from .measurement import DetectorModel
-from .montecarlo import (
-    DEFAULT_TRIALS,
-    run_monte_carlo,
-    sample_chain,
-    tables_from_report,
-)
+from .montecarlo import DEFAULT_TRIALS, estimate_series_total, run_monte_carlo
 from .params import EntanglementParams, ParameterError, PolarizationParams
 from .verify import all_passed, run_checks, summary
 
@@ -196,8 +191,6 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_eta(args.eta)
     seed = args.seed if args.seed is not None else _env_seed()
-    if args.rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {args.rounds}")
     try:
         values = [float(x) for x in args.alpha_sq_list.split(",") if x.strip()]
     except ValueError:
@@ -207,14 +200,9 @@ def _cmd_sweep(args) -> int:
     children = np.random.SeedSequence(seed).spawn(len(values))
     rows = []
     for a2, child in zip(values, children):
-        ent = EntanglementParams.from_alpha_sq(a2)
-        ent.require_nondegenerate()
-        exact = run_ecp2(ent, rounds=args.rounds, model=DetectorModel(eta_p=1.0))
-        tables = tables_from_report(exact)
-        rng = np.random.default_rng(child)
-        succ, _ = sample_chain(tables, args.eta, args.trials, rng)
-        p_sim = sum(succ) / args.trials
-        stderr = math.sqrt(max(p_sim * (1.0 - p_sim), 0.0) / args.trials)
+        p_sim, stderr, _ = estimate_series_total(
+            a2, args.rounds, args.eta, trials=args.trials, seed=child
+        )
         p_formula = sum(round_success_series(a2, args.eta, args.rounds))
         rows.append(
             [math.sqrt(a2), a2, args.eta, args.rounds, p_formula, p_sim, stderr]

@@ -11,17 +11,19 @@ Statement forms:
     pbs inH=<id> inV=<id> out=<id>
     vbs in=<id> reflect=<id> transmit=<id> t=<expr>
     bs in1=<id> in2=<id> out1=<id> out2=<id>
-    qnd a=<id> b=<id> select=<0|1>
+    qnd a=<id> b=<id> select=1
     flip mode=<id> when=<detector-id>
-    detect group=<name> modes=<id,...> require=exactly_one [eta=<float>]
+    detect group=<name> modes=<id,...> [require=exactly_one] [eta=<float>]
     output <id,...>
 
 The two ``pbs`` field sets select the splitting or merging orientation of
-the same element.  ``photon=`` tags group source lines describing components
-of one photon (a superposed input spans several spatial modes); untagged
-sources each stand alone.  Expressions are whitespace-free arithmetic over
-declared parameters: numbers, identifiers, ``+ - * /``, parentheses and
-``sqrt(...)``.
+the same element.  ``select=1`` (keep the one-photon difference class) and
+``require=exactly_one`` (one click per group) are the only values accepted,
+because the engine implements no other.  ``photon=`` tags group source lines
+describing components of one photon (a superposed input spans several
+spatial modes); untagged sources each stand alone.  Expressions are
+whitespace-free arithmetic over declared parameters: numbers, identifiers,
+``+ - * /``, parentheses and ``sqrt(...)``.
 
 Statement order is execution order.  Documents are validated on parse:
 modes must be declared before use, each mode is produced by at most one
@@ -36,7 +38,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 
 class CircuitError(Exception):
@@ -294,7 +296,6 @@ class BsDecl:
 class QndDecl:
     a: str
     b: str
-    select: int
 
 
 @dataclass(frozen=True)
@@ -307,7 +308,6 @@ class FlipDecl:
 class DetectDecl:
     group: str
     modes: tuple[str, ...]
-    require: str = "exactly_one"
     eta: float | None = None
 
 
@@ -335,20 +335,6 @@ class CircuitDoc:
     name: str = "unnamed"
     params: tuple[str, ...] = ()
     statements: tuple[Statement, ...] = ()
-
-    def element_outputs(self) -> Iterator[tuple[Statement, str]]:
-        for st in self.statements:
-            if isinstance(st, PbsSplitDecl):
-                yield st, st.out_h
-                yield st, st.out_v
-            elif isinstance(st, PbsMergeDecl):
-                yield st, st.out
-            elif isinstance(st, VbsDecl):
-                yield st, st.reflect
-                yield st, st.transmit
-            elif isinstance(st, BsDecl):
-                yield st, st.out1
-                yield st, st.out2
 
     def detector_modes(self) -> set[str]:
         out: set[str] = set()
@@ -594,11 +580,9 @@ def parse(text: str) -> CircuitDoc:
                     raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
                 vals[key] = v
             scol, sel = fields["select"]
-            if sel not in ("0", "1"):
-                raise CircuitParseError(
-                    f"select must be 0 or 1, got {sel!r}", lineno, scol
-                )
-            statements.append(QndDecl(vals["a"], vals["b"], int(sel)))
+            if sel != "1":
+                raise CircuitParseError(f"select must be 1, got {sel!r}", lineno, scol)
+            statements.append(QndDecl(vals["a"], vals["b"]))
 
         elif kw == "flip":
             if positional:
@@ -623,7 +607,6 @@ def parse(text: str) -> CircuitDoc:
             for m in modes:
                 if m not in declared:
                     raise CircuitParseError(f"undeclared mode {m!r}", lineno, mcol)
-            require = "exactly_one"
             if "require" in fields:
                 rcol, require = fields["require"]
                 if require != "exactly_one":
@@ -641,7 +624,7 @@ def parse(text: str) -> CircuitDoc:
                     raise CircuitParseError(
                         f"eta={eta} outside [0, 1]", lineno, ecol
                     )
-            statements.append(DetectDecl(gname, modes, require, eta))
+            statements.append(DetectDecl(gname, modes, eta))
 
         elif kw == "output":
             if len(positional) != 1 or fields:
@@ -673,16 +656,6 @@ def _check_expr_params(
 
 def validate(doc: CircuitDoc) -> None:
     """Document-level consistency; raised errors carry no position."""
-    producers: dict[str, Statement] = {}
-    for st, out_mode in doc.element_outputs():
-        if out_mode in producers:
-            raise CircuitError(f"mode {out_mode!r} produced by more than one element")
-        producers[out_mode] = st
-    for st in doc.statements:
-        if isinstance(st, SourceDecl) and st.mode in producers:
-            raise CircuitError(
-                f"mode {st.mode!r} is both a source target and an element output"
-            )
     outputs = [st for st in doc.statements if isinstance(st, OutputDecl)]
     if not outputs:
         raise CircuitError("missing output statement")
@@ -729,13 +702,11 @@ def _serialize_statement(st: Statement) -> str:
     if isinstance(st, BsDecl):
         return f"bs in1={st.in1} in2={st.in2} out1={st.out1} out2={st.out2}"
     if isinstance(st, QndDecl):
-        return f"qnd a={st.a} b={st.b} select={st.select}"
+        return f"qnd a={st.a} b={st.b} select=1"
     if isinstance(st, FlipDecl):
         return f"flip mode={st.mode} when={st.when}"
     if isinstance(st, DetectDecl):
         parts = [f"detect group={st.group}", "modes=" + ",".join(st.modes)]
-        if st.require != "exactly_one":
-            parts.append(f"require={st.require}")
         if st.eta is not None:
             parts.append(f"eta={st.eta!r}")
         return " ".join(parts)

@@ -125,10 +125,6 @@ def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> 
 def apply_phase_flip(state: State, spatial: str) -> State:
     """Negate every term holding an odd photon count in ``spatial``."""
     return State(
-        {
-            p: (-a if pattern_count(p, spatial) % 2 else a)
-            for p, a in state.items()
-        },
-        photon_cap=state.photon_cap,
+        {p: (-a if pattern_count(p, spatial) % 2 else a) for p, a in state.items()}
     )
 

@@ -8,9 +8,11 @@ of variable coupler + optional nondemolition comparison + heralding coupler
 is recognized from the wiring.  The nondemolition comparison makes parts of
 the mesh conditional (the kept component moves on to the heralding coupler,
 the rejected component to the recycling coupler), which is why the document
-cannot simply be folded left to right.  Documents with only sources and an
-output run as trivial pass-throughs; anything else that does not fit the
-concentration shape is rejected.
+cannot simply be folded left to right.  A document that does not fit the
+concentration shape, including one with no variable coupler arm, is
+rejected.  A layout is scored against the published ECP1 closed forms when
+no arm has a nondemolition comparison, against the ECP2 ones when every arm
+has one, and against none (protocol ``custom``) otherwise.
 
 Two accounting conventions are supported:
 
@@ -86,7 +88,7 @@ class TopologyError(CircuitError):
 
 
 class ConfigError(ValueError):
-    """Run configuration inconsistent with the circuit (rounds, schedule)."""
+    """Run configuration inconsistent with the circuit (rounds, couplers)."""
 
 
 @dataclass
@@ -107,9 +109,7 @@ class ArmPlan:
 @dataclass
 class Plan:
     doc: CircuitDoc
-    trivial: bool
     signal_sources: list[SourceDecl]
-    photon_groups: list[list[SourceDecl]]
     split: PbsSplitDecl | None
     arms: list[ArmPlan]
     merge: PbsMergeDecl | None
@@ -117,7 +117,10 @@ class Plan:
 
     @property
     def protocol(self) -> str:
-        return "ecp2" if any(a.qnd for a in self.arms) else "ecp1"
+        with_qnd = sum(a.qnd is not None for a in self.arms)
+        if with_qnd == 0:
+            return "ecp1"
+        return "ecp2" if with_qnd == len(self.arms) else "custom"
 
     @property
     def has_recycling(self) -> bool:
@@ -146,11 +149,7 @@ def analyze(doc: CircuitDoc) -> Plan:
     outputs = doc.output_modes()
 
     if not vbs_list:
-        if bs_list or qnd_list or detect_list or splits or merges:
-            raise TopologyError(
-                "circuit has optical elements but no variable coupler arms"
-            )
-        return Plan(doc, True, [s for g in groups for s in g], groups, None, [], None, outputs)
+        raise TopologyError("circuit has no variable coupler arms")
 
     # attach one auxiliary photon to each coupler arm
     remaining = list(groups)
@@ -262,7 +261,7 @@ def analyze(doc: CircuitDoc) -> Plan:
     if len(set(recycling)) != 1:
         raise TopologyError("either every arm recycles or none does")
 
-    return Plan(doc, False, signal_sources, groups, split, arms, merge, outputs)
+    return Plan(doc, signal_sources, split, arms, merge, outputs)
 
 
 def _group_for(
@@ -288,7 +287,7 @@ def _source_state(sources: list[SourceDecl], bindings: dict[str, complex]) -> St
 
 
 def _detector_group(g: DetectDecl) -> DetectorGroup:
-    return DetectorGroup(g.group, g.modes, g.require, g.eta)
+    return DetectorGroup(g.group, g.modes, g.eta)
 
 
 def _combine_recycle(raws: list[State]) -> State:
@@ -457,62 +456,41 @@ def execute(
     model: DetectorModel | None = None,
     t1: float | None = None,
     t2: float | None = None,
-    schedule: tuple[float, ...] | None = None,
 ) -> ProtocolReport:
-    """Run a circuit document exactly and assemble the full report."""
+    """Run a circuit document exactly and assemble the full report.
+
+    ``t1`` and ``t2`` set the first-round transmittance parameters of the
+    plus and minus arms of a layout without recycling; recycling layouts
+    follow ``vbs_schedule`` and reject both, and a one-arm layout rejects
+    ``t2``.
+    """
     if accounting not in ("branch", "joint"):
         raise ConfigError(f"unknown accounting mode {accounting!r}")
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     model = model or IDEAL_DETECTORS
     plan = analyze(doc)
+    if ent is None:
+        raise ConfigError("entanglement parameters are required for this circuit")
 
-    alpha_sq = ent.alpha_sq if ent is not None else None
-    gamma_sq = pol.gamma_sq if pol is not None else None
-
-    bindings: dict[str, complex] = {}
-    if ent is not None:
-        bindings["alpha"] = ent.alpha
-        bindings["beta"] = ent.beta
+    bindings: dict[str, complex] = {"alpha": ent.alpha, "beta": ent.beta}
     if pol is not None:
         bindings["gamma"] = pol.gamma
         bindings["delta"] = pol.delta
 
-    if plan.trivial:
-        state = None
-        for group in plan.photon_groups:
-            s = _source_state(group, bindings)
-            state = s if state is None else tensor(state, s)
-        fid = 1.0 if state is not None and not state.is_empty else None
-        return ProtocolReport(
-            protocol="ecp1",
-            accounting=accounting,
-            alpha_sq=alpha_sq,
-            gamma_sq=gamma_sq,
-            eta_p=model.eta_p,
-            schedule={"plus": [], "minus": []},
-            rounds=[RoundResult(1, None, 1.0, 0.0, fid)],
-            p_total=1.0,
-            engine=EngineInfo("exact", 0),
-        )
-
-    if ent is None:
-        raise ConfigError("entanglement parameters are required for this circuit")
-
     if plan.has_recycling:
-        if schedule is None:
-            ts = list(vbs_schedule(ent, rounds))
-        else:
-            if len(schedule) < rounds:
-                raise ConfigError(
-                    f"schedule has {len(schedule)} entries, {rounds} rounds requested"
-                )
-            ts = list(schedule[:rounds])
-        ts_plus = ts
-        ts_minus = list(ts)
+        if t1 is not None or t2 is not None:
+            raise ConfigError(
+                "t1 and t2 do not apply to a recycling layout; "
+                "its couplers follow the doubling schedule"
+            )
+        ts_plus = list(vbs_schedule(ent, rounds))
+        ts_minus = list(ts_plus)
     else:
         if rounds != 1:
             raise ConfigError("circuit has no recycling path; rounds must be 1")
+        if t2 is not None and len(plan.arms) == 1:
+            raise ConfigError("t2 sets the second arm's coupler; this circuit has one arm")
         default_t = ent.alpha_sq
         ts_plus = [default_t if t1 is None else t1]
         ts_minus = [default_t if t2 is None else t2]
@@ -567,8 +545,8 @@ def execute(
     report = ProtocolReport(
         protocol=plan.protocol,
         accounting=accounting,
-        alpha_sq=alpha_sq,
-        gamma_sq=gamma_sq,
+        alpha_sq=ent.alpha_sq,
+        gamma_sq=pol.gamma_sq if pol is not None else None,
         eta_p=model.eta_p,
         schedule=schedule_out,
         rounds=round_results,
@@ -625,6 +603,8 @@ def _comparison(
     n_rounds = len(report.rounds)
     stripped = pol is None
 
+    if plan.protocol == "custom":
+        return out
     if plan.protocol == "ecp1":
         if not stripped and report.accounting == "branch":
             d2 = pol.delta_sq
@@ -699,17 +679,8 @@ def run_ecp2(
     rounds: int = 1,
     accounting: str = "branch",
     model: DetectorModel | None = None,
-    schedule: tuple[float, ...] | None = None,
 ) -> ProtocolReport:
     """Nondemolition-assisted concentration with recycling rounds."""
     ent.require_nondegenerate()
     doc = builtin_doc("ecp2" if pol is not None else "ecp2_stripped")
-    return execute(
-        doc,
-        ent,
-        pol,
-        rounds=rounds,
-        accounting=accounting,
-        model=model,
-        schedule=schedule,
-    )
+    return execute(doc, ent, pol, rounds=rounds, accounting=accounting, model=model)

@@ -9,8 +9,9 @@ A state is a sparse complex superposition of such patterns.
 Conventions used throughout:
 
 * amplitudes below ``PRUNE_EPS`` in magnitude are dropped on construction;
-* the total photon number of any stored pattern must stay at or below the
-  state's photon cap (few-photon regime, default ``DEFAULT_PHOTON_CAP``);
+* the total photon number of any stored pattern must stay at or below
+  ``PHOTON_CAP`` (few-photon regime: the supported layouts hold at most a
+  signal photon and one auxiliary photon per arm);
 * states are immutable once built -- every operation returns a new state;
 * linear-optics transforms act by substitution on creation operators with
   exact ``sqrt(n!)`` bookkeeping, so bosonic interference (bunching) comes
@@ -32,7 +33,7 @@ POLARIZATIONS = (H, V)
 PRUNE_EPS = 1e-15
 NORM_TOL = 1e-12
 ISOMETRY_TOL = 1e-12
-DEFAULT_PHOTON_CAP = 6
+PHOTON_CAP = 6
 
 Mode = tuple[str, str]
 Pattern = tuple[tuple[Mode, int], ...]
@@ -49,7 +50,7 @@ class ModeCollisionError(FockError):
 
 
 class PhotonBudgetError(FockError):
-    """A pattern exceeds the configured photon cap."""
+    """A pattern exceeds ``PHOTON_CAP``."""
 
 
 class DegenerateStateError(FockError):
@@ -90,13 +91,11 @@ def pattern_count(pattern: Pattern, spatial: str) -> int:
 class State:
     """Immutable sparse superposition of occupation patterns."""
 
-    __slots__ = ("_terms", "photon_cap")
+    __slots__ = ("_terms",)
 
     def __init__(
         self,
         terms: Mapping[Pattern, complex] | Iterable[tuple[Pattern, complex]] = (),
-        *,
-        photon_cap: int = DEFAULT_PHOTON_CAP,
     ):
         if isinstance(terms, Mapping):
             items: Iterable[tuple[Pattern, complex]] = terms.items()
@@ -108,14 +107,13 @@ class State:
             if abs(a) < PRUNE_EPS:
                 continue
             total = pattern_photons(pattern)
-            if total > photon_cap:
+            if total > PHOTON_CAP:
                 raise PhotonBudgetError(
-                    f"pattern holds {total} photons, cap is {photon_cap}"
+                    f"pattern holds {total} photons, cap is {PHOTON_CAP}"
                 )
             kept[pattern] = kept.get(pattern, 0j) + a
         # a cancellation during accumulation can re-create a negligible term
         self._terms = {p: a for p, a in kept.items() if abs(a) >= PRUNE_EPS}
-        self.photon_cap = photon_cap
 
     # -- basic queries ----------------------------------------------------
 
@@ -162,10 +160,7 @@ class State:
     # -- elementwise helpers ---------------------------------------------
 
     def scaled(self, factor: complex) -> "State":
-        return State(
-            {p: a * factor for p, a in self._terms.items()},
-            photon_cap=self.photon_cap,
-        )
+        return State({p: a * factor for p, a in self._terms.items()})
 
     def normalized(self, tol: float = NORM_TOL) -> "State":
         n2 = self.norm_sq()
@@ -175,22 +170,16 @@ class State:
 
     def filtered(self, predicate: Callable[[Pattern], bool]) -> "State":
         """Unnormalized restriction to patterns satisfying ``predicate``."""
-        return State(
-            {p: a for p, a in self._terms.items() if predicate(p)},
-            photon_cap=self.photon_cap,
-        )
+        return State({p: a for p, a in self._terms.items() if predicate(p)})
 
 
-def single_photon(
-    components: Iterable[tuple[str, str, complex]],
-    photon_cap: int = DEFAULT_PHOTON_CAP,
-) -> State:
+def single_photon(components: Iterable[tuple[str, str, complex]]) -> State:
     """One photon superposed over ``(spatial, pol, amplitude)`` components."""
     terms: dict[Pattern, complex] = {}
     for spatial, pol, amp in components:
         p = make_pattern({mode(spatial, pol): 1})
         terms[p] = terms.get(p, 0j) + complex(amp)
-    return State(terms, photon_cap=photon_cap)
+    return State(terms)
 
 
 def tensor(a: State, b: State) -> State:
@@ -202,14 +191,13 @@ def tensor(a: State, b: State) -> State:
     shared = a.modes() & b.modes()
     if shared:
         raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
-    cap = max(a.photon_cap, b.photon_cap)
     terms: dict[Pattern, complex] = {}
     for pa, aa in a.items():
         for pb, ab in b.items():
             merged = dict(pa)
             merged.update(pb)
             terms[make_pattern(merged)] = aa * ab
-    return State(terms, photon_cap=cap)
+    return State(terms)
 
 
 def inner(a: State, b: State) -> complex:
@@ -253,15 +241,12 @@ def _check_isometry(rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]) -> Non
 def apply_mode_transform(
     state: State,
     rules: Mapping[Mode, Sequence[tuple[Mode, complex]]],
-    *,
-    check: bool = True,
 ) -> State:
     """Apply a linear-optics transform given as creation-operator rules.
 
     ``rules`` maps each input mode to its expansion ``[(out_mode, coeff), ...]``;
     modes absent from ``rules`` pass through untouched.  The coefficient matrix
-    must be an isometry (orthonormal columns) within ``ISOMETRY_TOL`` unless
-    ``check`` is disabled.
+    must be an isometry (orthonormal columns) within ``ISOMETRY_TOL``.
 
     Each term is expanded photon by photon, which accumulates the multinomial
     coefficients of the operator polynomial; amplitudes then pick up
@@ -273,8 +258,7 @@ def apply_mode_transform(
     (that would stimulate rather than transform, and norm preservation would
     silently break); such terms raise ModeCollisionError.
     """
-    if check:
-        _check_isometry(rules)
+    _check_isometry(rules)
     out_modes = {mo for expansion in rules.values() for mo, _ in expansion}
     out: dict[Pattern, complex] = {}
     for pattern, amp in state.items():
@@ -316,7 +300,7 @@ def apply_mode_transform(
                 norm_out *= _FACTORIALS[n]
             p2 = make_pattern(counts)
             out[p2] = out.get(p2, 0j) + coeff * math.sqrt(norm_out) / sqrt_norm_in
-    return State(out, photon_cap=state.photon_cap)
+    return State(out)
 
 
 def format_pattern(pattern: Pattern) -> str:

@@ -1,8 +1,8 @@
 """Photon-number detection, heralding, and nondemolition comparison.
 
 Heralding enumerates the distinct detector click patterns a state supports,
-tags each as success or failure against the per-group requirement (currently
-``exactly_one``: a single photon at a single detector of the group, none at
+tags each as success or failure against the one per-group requirement,
+``exactly_one`` (a single photon at a single detector of the group, none at
 the others; a two-photon bunch is a failure), and returns the collapsed
 residual together with any feed-forward phase correction the pattern calls
 for.  Probabilities are squared norms, so feeding an unnormalized branch
@@ -54,7 +54,7 @@ IDEAL_DETECTORS = DetectorModel(eta_p=1.0)
 
 @dataclass(frozen=True)
 class DetectorGroup:
-    """A named set of detectors with a joint click requirement.
+    """A named set of detectors that succeeds on exactly one click.
 
     ``eta`` overrides the run-level detector efficiency for this group when
     set (the recycling detectors of the nondemolition protocol are modeled
@@ -63,12 +63,9 @@ class DetectorGroup:
 
     name: str
     modes: tuple[str, ...]
-    require: str = "exactly_one"
     eta: float | None = None
 
     def __post_init__(self):
-        if self.require != "exactly_one":
-            raise ValueError(f"unsupported click requirement {self.require!r}")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError(f"detector group {self.name!r} repeats a mode")
 
@@ -121,8 +118,8 @@ def herald(
 ) -> list[HeraldOutcome]:
     """Enumerate click patterns over the union of detector groups.
 
-    An outcome is a success when every group individually meets its
-    requirement.  ``corrections`` maps a detector mode to the spatial mode
+    An outcome is a success when every group individually sees exactly one
+    click.  ``corrections`` maps a detector mode to the spatial mode
     that needs a phase flip when that detector fires.  Outcomes are sorted
     by click signature; their weights partition the input's squared norm.
     """
@@ -136,7 +133,7 @@ def herald(
         buckets.setdefault(sig, {})[pattern] = amp
     outcomes = []
     for sig in sorted(buckets):
-        component = State(buckets[sig], photon_cap=state.photon_cap)
+        component = State(buckets[sig])
         weight = component.norm_sq()
         if weight <= PRUNE_EPS**2:
             continue
@@ -158,11 +155,7 @@ def herald(
                 (m, n) for (m, n) in pattern if m[0] not in all_detectors
             )
             residual_terms[kept] = residual_terms.get(kept, 0j) + amp
-        residual = State(residual_terms, photon_cap=state.photon_cap)
-        if residual.is_empty:
-            residual_norm = State(photon_cap=state.photon_cap)
-        else:
-            residual_norm = residual.scaled(1.0 / math.sqrt(weight))
+        residual = State(residual_terms).scaled(1.0 / math.sqrt(weight))
         probability = weight * (factor if success else 1.0)
         outcomes.append(
             HeraldOutcome(
@@ -171,7 +164,7 @@ def herald(
                 probability=probability,
                 success=success,
                 correction=corr if success else (),
-                residual=residual_norm,
+                residual=residual,
             )
         )
     return outcomes

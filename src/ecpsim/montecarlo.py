@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ConfigError, run_ecp1, run_ecp2
-from .measurement import DetectorModel
+from .circuits import builtin_doc
+from .engine import ConfigError, execute, run_ecp2
 from .params import EntanglementParams, PolarizationParams
 from .report import EngineInfo, ProtocolReport, RoundResult
 
@@ -93,6 +93,23 @@ def sample_chain(
     return succ_counts, rec_counts
 
 
+def _estimate(
+    tables: ChainTables,
+    eta_p: float,
+    trials: int,
+    seed: int | np.random.SeedSequence,
+) -> tuple[list[int], list[int], float, float]:
+    """Sampled per-round counts, the success estimate and its standard error."""
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    succ_counts, rec_counts = sample_chain(
+        tables, eta_p, trials, np.random.default_rng(seed)
+    )
+    p_hat = sum(succ_counts) / trials
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+    return succ_counts, rec_counts, p_hat, stderr
+
+
 def run_monte_carlo(
     protocol: str,
     ent: EntanglementParams,
@@ -105,32 +122,28 @@ def run_monte_carlo(
     seed: int = 0,
     t1: float | None = None,
     t2: float | None = None,
-    schedule: tuple[float, ...] | None = None,
 ) -> ProtocolReport:
     """Full protocol report with sampled round statistics.
 
     The schedule, per-round herald weights, and chain structure come from
-    an exact ideal-detector run; detection is then simulated per trial.
-    Heralded fidelities are not estimated by sampling and stay null.
+    an exact ideal-detector run of the builtin layout, checked exactly as
+    ``execute`` checks it; detection is then simulated per trial.  Heralded
+    fidelities are not estimated by sampling and stay null.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
-    ideal = DetectorModel(eta_p=1.0)
-    if protocol == "ecp1":
-        exact = run_ecp1(ent, pol, t1=t1, t2=t2, accounting=accounting, model=ideal)
-    elif protocol == "ecp2":
-        exact = run_ecp2(
-            ent, pol, rounds=rounds, accounting=accounting, model=ideal,
-            schedule=schedule,
-        )
-    else:
+    if protocol not in ("ecp1", "ecp2"):
         raise ConfigError(f"unknown protocol {protocol!r}")
+    ent.require_nondegenerate()
+    exact = execute(
+        builtin_doc(protocol if pol is not None else protocol + "_stripped"),
+        ent,
+        pol,
+        rounds=rounds,
+        accounting=accounting,
+        t1=t1,
+        t2=t2,
+    )
     tables = tables_from_report(exact)
-    rng = np.random.default_rng(seed)
-    succ_counts, rec_counts = sample_chain(tables, eta_p, trials, rng)
-    total = sum(succ_counts)
-    p_hat = total / trials
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+    succ_counts, rec_counts, p_hat, stderr = _estimate(tables, eta_p, trials, seed)
     mc_rounds = [
         RoundResult(
             k=r.k,
@@ -162,14 +175,10 @@ def estimate_series_total(
     rounds: int,
     eta_p: float,
     trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
+    seed: int | np.random.SeedSequence = 0,
 ) -> tuple[float, float, float]:
     """(estimate, stderr, analytic) for the single-arm recycling chain."""
-    ent = EntanglementParams.from_alpha_sq(alpha_sq)
-    exact = run_ecp2(ent, rounds=rounds, model=DetectorModel(eta_p=1.0))
+    exact = run_ecp2(EntanglementParams.from_alpha_sq(alpha_sq), rounds=rounds)
     tables = tables_from_report(exact)
-    rng = np.random.default_rng(seed)
-    succ_counts, _ = sample_chain(tables, eta_p, trials, rng)
-    p_hat = sum(succ_counts) / trials
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+    _, _, p_hat, stderr = _estimate(tables, eta_p, trials, seed)
     return p_hat, stderr, tables.analytic_total(eta_p)

@@ -110,14 +110,19 @@ def test_qnd_on_one_arm_runs_under_joint_accounting(tmp_path, capsys):
     )
     path = tmp_path / "mixed.ecp"
     path.write_text(text, encoding="utf-8")
-    code, out, _ = run_cli(
-        capsys, "run", "--circuit", str(path), "--alpha-sq", "0.6",
-        "--gamma-sq", "0.5", "--accounting", "joint",
-    )
+    args = ("run", "--circuit", str(path), "--alpha-sq", "0.6", "--gamma-sq", "0.5")
+    code, out, _ = run_cli(capsys, *args, "--accounting", "joint")
     assert code == 0
     payload = json.loads(out)
     assert payload["p_total"] == pytest.approx(joint_total_one_round(0.6), abs=1e-12)
     assert payload["rounds"][0]["heralded_fidelity"] == pytest.approx(1.0, abs=1e-12)
+    # neither protocol's closed forms describe a comparison on one arm only
+    for accounting in ("joint", "branch"):
+        code, out, _ = run_cli(capsys, *args, "--accounting", accounting)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["protocol"] == "custom"
+        assert payload["paper_comparison"] == {}
 
 
 def test_malformed_circuit_exits_2(tmp_path, capsys):
@@ -142,6 +147,48 @@ def test_bad_configuration_exits_3(capsys):
         capsys, "run", "--engine", "monte_carlo", "--protocol", "ecp2"
     )
     assert code == 3
+
+
+SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
+    f"source m{i} pol=H amp=1\n" for i in range(7)
+) + "output m0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2",
+          "--t1", "0.3"), 3),
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2",
+          "--t1", "0.3", "--engine", "monte_carlo", "--trials", "1000"), 3),
+        (("run", "--protocol", "ecp1", "--alpha-sq", "0.6", "--t2", "0.3"), 3),
+        (("run", "--protocol", "ecp1", "--alpha-sq", "0.6", "--rounds", "3",
+          "--engine", "monte_carlo", "--trials", "1000"), 3),
+        (("sweep", "--alpha-sq-list", "0.5", "--trials", "0"), 3),
+        (("run", "--circuit", "{select0}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{sources_only}", "--alpha-sq", "0.6"), 2),
+    ],
+    ids=[
+        "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
+        "sweep-no-trials", "qnd-select-0", "sources-only",
+    ],
+)
+def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
+    from ecpsim.circuits import builtin_text
+
+    files = {
+        "select0": builtin_text("ecp2_stripped").replace("select=1", "select=0"),
+        "sources_only": SOURCES_ONLY,
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.ecp"
+        paths[name].write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 def test_bad_flag_exits_3(tmp_path):

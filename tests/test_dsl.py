@@ -148,6 +148,11 @@ def test_photon_tag_round_trips():
             "unsupported requirement",
             3,
         ),
+        (
+            "mode a1\nmode b1\nqnd a=a1 b=b1 select=0\noutput a1",
+            "select must be 1",
+            3,
+        ),
     ],
 )
 def test_positioned_parse_errors(text, fragment, line):

@@ -26,7 +26,6 @@ POL = PolarizationParams.from_gamma_sq(0.5)
 
 def test_analyze_recognizes_two_arm_layout():
     plan = analyze(builtin_doc("ecp1"))
-    assert not plan.trivial
     assert plan.protocol == "ecp1"
     assert not plan.has_recycling
     assert [a.label for a in plan.arms] == ["plus", "minus"]
@@ -55,6 +54,8 @@ def test_analyze_single_arm_stripped():
 
 
 def test_trivial_document():
+    # sources and an output alone do no concentration, so there is nothing
+    # to report
     doc = parse(
         "circuit passthrough\n"
         "mode a1\nmode b1\n"
@@ -62,12 +63,10 @@ def test_trivial_document():
         "source b1 pol=V amp=1/sqrt(2) photon=s\n"
         "output a1,b1\n"
     )
-    plan = analyze(doc)
-    assert plan.trivial
-    report = execute(doc)
-    assert report.p_total == 1.0
-    assert report.rounds[0].t is None
-    assert report.engine.eta_exponent == 0
+    with pytest.raises(TopologyError, match="no variable coupler arms"):
+        analyze(doc)
+    with pytest.raises(TopologyError, match="no variable coupler arms"):
+        execute(doc, ENT)
 
 
 def test_unmatched_coupler_is_a_topology_error():
@@ -104,11 +103,6 @@ def test_vbs_without_dedicated_photon_is_rejected():
 def test_rounds_require_a_recycling_path():
     with pytest.raises(ConfigError):
         execute(builtin_doc("ecp1"), ENT, POL, rounds=2)
-
-
-def test_short_schedule_rejected():
-    with pytest.raises(ConfigError):
-        run_ecp2(ENT, POL, rounds=3, schedule=(0.6,))
 
 
 def test_bad_accounting_rejected():

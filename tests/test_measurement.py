@@ -183,5 +183,3 @@ class TestDetectorModel:
     def test_group_validation(self):
         with pytest.raises(ValueError):
             DetectorGroup("g", ("d1", "d1"))
-        with pytest.raises(ValueError):
-            DetectorGroup("g", ("d1",), require="at_least_one")
