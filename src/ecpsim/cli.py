@@ -19,8 +19,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .circuits import builtin_doc
 from .dsl import CircuitError, parse
 from .engine import ConfigError, execute
@@ -197,6 +195,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad entanglement grid {args.alpha_sq_list!r}")
     if not values:
         raise ConfigError("empty entanglement grid")
+    import numpy as np  # only the sampler needs numpy; exact runs skip its import
+
     children = np.random.SeedSequence(seed).spawn(len(values))
     rows = []
     for a2, child in zip(values, children):

@@ -36,6 +36,7 @@ serialization is idempotent.
 from __future__ import annotations
 
 import cmath
+import functools
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -159,6 +160,8 @@ class _ExprParser:
         return ("var", tok)
 
 
+# the engine evaluates the same few amplitude and coupler texts every round
+@functools.lru_cache(maxsize=256)
 def parse_expr(text: str, line: int = 0, col: int = 1) -> Expr:
     return _ExprParser(text, line, col).parse()
 

@@ -22,14 +22,15 @@ polarization but never rotates it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .fock import (
     Mode,
     State,
     POLARIZATIONS,
+    CheckedRules,
     apply_mode_transform,
-    pattern_count,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -54,14 +55,21 @@ def _require_distinct(kind: str, **ports: str) -> None:
         seen[name] = spatial
 
 
+# The fixed transforms are built and isometry-checked once per port tuple
+# (and coupler matrix); the variable coupler's rules depend on ``t`` and are
+# checked on every call.
+@functools.lru_cache(maxsize=256)
+def _pbs_rules(h_in: str, h_out: str, v_in: str, v_out: str) -> CheckedRules:
+    """H photons of ``h_in`` to ``h_out``, V photons of ``v_in`` to ``v_out``."""
+    return CheckedRules(
+        {(h_in, "H"): [((h_out, "H"), 1.0)], (v_in, "V"): [((v_out, "V"), 1.0)]}
+    )
+
+
 def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
     """Polarizing splitter: H component of ``inp`` to ``out_h``, V to ``out_v``."""
     _require_distinct("pbs", inp=inp, out_h=out_h, out_v=out_v)
-    rules: dict[Mode, list[tuple[Mode, complex]]] = {
-        (inp, "H"): [((out_h, "H"), 1.0)],
-        (inp, "V"): [((out_v, "V"), 1.0)],
-    }
-    return apply_mode_transform(state, rules)
+    return apply_mode_transform(state, _pbs_rules(inp, out_h, inp, out_v))
 
 
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:
@@ -81,11 +89,7 @@ def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:
                 raise PortContractError(
                     f"pbs merge: input {in_v!r} carries H amplitude"
                 )
-    rules: dict[Mode, list[tuple[Mode, complex]]] = {
-        (in_h, "H"): [((out, "H"), 1.0)],
-        (in_v, "V"): [((out, "V"), 1.0)],
-    }
-    return apply_mode_transform(state, rules)
+    return apply_mode_transform(state, _pbs_rules(in_h, out, in_v, out))
 
 
 def bs_matrix() -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -97,16 +101,21 @@ def bs_matrix() -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     )
 
 
-def apply_bs(state: State, in1: str, in2: str, out1: str, out2: str) -> State:
-    """Balanced coupler on two spatial modes, polarization preserved."""
+@functools.lru_cache(maxsize=256)
+def _bs_rules(in1: str, in2: str, out1: str, out2: str, matrix) -> CheckedRules:
     if in1 == in2 or out1 == out2:
         raise PortContractError("bs: input ports and output ports must each be distinct")
-    (r11, r12), (r21, r22) = bs_matrix()
+    (r11, r12), (r21, r22) = matrix
     rules: dict[Mode, list[tuple[Mode, complex]]] = {}
     for pol in POLARIZATIONS:
         rules[(in1, pol)] = [((out1, pol), r11), ((out2, pol), r12)]
         rules[(in2, pol)] = [((out1, pol), r21), ((out2, pol), r22)]
-    return apply_mode_transform(state, rules)
+    return CheckedRules(rules)
+
+
+def apply_bs(state: State, in1: str, in2: str, out1: str, out2: str) -> State:
+    """Balanced coupler on two spatial modes, polarization preserved."""
+    return apply_mode_transform(state, _bs_rules(in1, in2, out1, out2, bs_matrix()))
 
 
 def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> State:
@@ -124,7 +133,7 @@ def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> 
 
 def apply_phase_flip(state: State, spatial: str) -> State:
     """Negate every term holding an odd photon count in ``spatial``."""
-    return State(
-        {p: (-a if pattern_count(p, spatial) % 2 else a) for p, a in state.items()}
-    )
-
+    return State._trusted({
+        p: -a if sum(n for (sp, _), n in p if sp == spatial) % 2 else a
+        for p, a in state.items()
+    })

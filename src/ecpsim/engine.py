@@ -58,6 +58,8 @@ from .dsl import (
     VbsDecl,
     evaluate_expr,
     evaluate_real,
+    expr_variables,
+    parse_expr,
 )
 from .elements import apply_bs, apply_pbs, apply_pbs_merge, apply_vbs
 from .fock import State, fidelity, pattern_count, single_photon, tensor
@@ -462,7 +464,10 @@ def execute(
     ``t1`` and ``t2`` set the first-round transmittance parameters of the
     plus and minus arms of a layout without recycling; recycling layouts
     follow ``vbs_schedule`` and reject both, and a one-arm layout rejects
-    ``t2``.
+    ``t2``.  An option the document never reads is rejected too: ``t1``
+    (``t2``) when no coupler expression reads ``t1``/``t_plus``
+    (``t2``/``t_minus``), ``pol`` when no expression reads ``gamma`` or
+    ``delta``.  Degenerate entanglement parameters raise ParameterError.
     """
     if accounting not in ("branch", "joint"):
         raise ConfigError(f"unknown accounting mode {accounting!r}")
@@ -472,11 +477,17 @@ def execute(
     plan = analyze(doc)
     if ent is None:
         raise ConfigError("entanglement parameters are required for this circuit")
+    ent.require_nondegenerate()
 
     bindings: dict[str, complex] = {"alpha": ent.alpha, "beta": ent.beta}
     if pol is not None:
         bindings["gamma"] = pol.gamma
         bindings["delta"] = pol.delta
+
+    coupler_reads = _reads(arm.vbs.t for arm in plan.arms)
+    reads = coupler_reads | _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
+    if pol is not None and not {"gamma", "delta"} & reads:
+        raise ConfigError("polarization is given but no expression in the circuit reads gamma or delta")
 
     if plan.has_recycling:
         if t1 is not None or t2 is not None:
@@ -491,6 +502,10 @@ def execute(
             raise ConfigError("circuit has no recycling path; rounds must be 1")
         if t2 is not None and len(plan.arms) == 1:
             raise ConfigError("t2 sets the second arm's coupler; this circuit has one arm")
+        if t1 is not None and not {"t1", "t_plus"} & coupler_reads:
+            raise ConfigError("t1 is given but no coupler expression reads t1 or t_plus")
+        if t2 is not None and not {"t2", "t_minus"} & coupler_reads:
+            raise ConfigError("t2 is given but no coupler expression reads t2 or t_minus")
         default_t = ent.alpha_sq
         ts_plus = [default_t if t1 is None else t1]
         ts_minus = [default_t if t2 is None else t2]
@@ -557,6 +572,11 @@ def execute(
         plan, report, ent, pol, model, eff_plus, per_arm_p1
     )
     return report
+
+
+def _reads(texts) -> set[str]:
+    """Parameters that any of the expression ``texts`` reads."""
+    return set().union(*(expr_variables(parse_expr(t)) for t in texts))
 
 
 def _effective_schedule(
@@ -665,7 +685,6 @@ def run_ecp1(
     model: DetectorModel | None = None,
 ) -> ProtocolReport:
     """Single-round linear-optics concentration (polarized or stripped)."""
-    ent.require_nondegenerate()
     doc = builtin_doc("ecp1" if pol is not None else "ecp1_stripped")
     return execute(
         doc, ent, pol, rounds=1, accounting=accounting, model=model, t1=t1, t2=t2
@@ -681,6 +700,5 @@ def run_ecp2(
     model: DetectorModel | None = None,
 ) -> ProtocolReport:
     """Nondemolition-assisted concentration with recycling rounds."""
-    ent.require_nondegenerate()
     doc = builtin_doc("ecp2" if pol is not None else "ecp2_stripped")
     return execute(doc, ent, pol, rounds=rounds, accounting=accounting, model=model)

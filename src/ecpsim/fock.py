@@ -8,10 +8,16 @@ A state is a sparse complex superposition of such patterns.
 
 Conventions used throughout:
 
-* amplitudes below ``PRUNE_EPS`` in magnitude are dropped on construction;
+* amplitudes below ``PRUNE_EPS`` in magnitude are dropped whenever a state
+  is built;
 * the total photon number of any stored pattern must stay at or below
   ``PHOTON_CAP`` (few-photon regime: the supported layouts hold at most a
-  signal photon and one auxiliary photon per arm);
+  signal photon and one auxiliary photon per arm).  The public ``State(...)``
+  checks it, so ``single_photon`` and ``tensor``, the only operations that
+  add photons, raise ``PhotonBudgetError`` past it.  Results that conserve
+  or remove photons and hold distinct patterns (``scaled``, ``filtered``,
+  transforms, phase flips, heralding) go through the private
+  ``State._trusted``, which only prunes;
 * states are immutable once built -- every operation returns a new state;
 * linear-optics transforms act by substitution on creation operators with
   exact ``sqrt(n!)`` bookkeeping, so bosonic interference (bunching) comes
@@ -97,7 +103,7 @@ class State:
         self,
         terms: Mapping[Pattern, complex] | Iterable[tuple[Pattern, complex]] = (),
     ):
-        if isinstance(terms, Mapping):
+        if isinstance(terms, dict) or isinstance(terms, Mapping):
             items: Iterable[tuple[Pattern, complex]] = terms.items()
         else:
             items = terms
@@ -114,6 +120,13 @@ class State:
             kept[pattern] = kept.get(pattern, 0j) + a
         # a cancellation during accumulation can re-create a negligible term
         self._terms = {p: a for p, a in kept.items() if abs(a) >= PRUNE_EPS}
+
+    @classmethod
+    def _trusted(cls, terms: dict[Pattern, complex]) -> "State":
+        """Prune only: the caller guarantees distinct, within-cap patterns and complex amplitudes."""
+        state = object.__new__(cls)
+        state._terms = {p: a for p, a in terms.items() if abs(a) >= PRUNE_EPS}
+        return state
 
     # -- basic queries ----------------------------------------------------
 
@@ -160,7 +173,7 @@ class State:
     # -- elementwise helpers ---------------------------------------------
 
     def scaled(self, factor: complex) -> "State":
-        return State({p: a * factor for p, a in self._terms.items()})
+        return State._trusted({p: a * factor for p, a in self._terms.items()})
 
     def normalized(self, tol: float = NORM_TOL) -> "State":
         n2 = self.norm_sq()
@@ -170,7 +183,7 @@ class State:
 
     def filtered(self, predicate: Callable[[Pattern], bool]) -> "State":
         """Unnormalized restriction to patterns satisfying ``predicate``."""
-        return State({p: a for p, a in self._terms.items() if predicate(p)})
+        return State._trusted({p: a for p, a in self._terms.items() if predicate(p)})
 
 
 def single_photon(components: Iterable[tuple[str, str, complex]]) -> State:
@@ -238,6 +251,20 @@ def _check_isometry(rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]) -> Non
                 )
 
 
+class CheckedRules(dict):
+    """Transform rules checked once; ``apply_mode_transform`` reuses them unchecked.
+
+    Raises IsometryError when the coefficient matrix is not an isometry.
+    """
+
+    __slots__ = ("out_modes",)
+
+    def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]):
+        _check_isometry(rules)
+        super().__init__(rules)
+        self.out_modes = frozenset(mo for expansion in rules.values() for mo, _ in expansion)
+
+
 def apply_mode_transform(
     state: State,
     rules: Mapping[Mode, Sequence[tuple[Mode, complex]]],
@@ -258,33 +285,35 @@ def apply_mode_transform(
     (that would stimulate rather than transform, and norm preservation would
     silently break); such terms raise ModeCollisionError.
     """
-    _check_isometry(rules)
-    out_modes = {mo for expansion in rules.values() for mo, _ in expansion}
+    if not isinstance(rules, CheckedRules):
+        rules = CheckedRules(rules)
+    out_modes = rules.out_modes
     out: dict[Pattern, complex] = {}
     for pattern, amp in state.items():
-        moving = [(m, n) for m, n in pattern if m in rules]
-        if not moving:
-            if any(m in out_modes for m, _ in pattern):
+        moving = []
+        base = {}
+        norm_in = 1
+        for m, n in pattern:
+            norm_in *= _FACTORIALS[n]
+            if m in rules:
+                moving.append((m, n))
+            elif m in out_modes:
                 raise ModeCollisionError(
                     "transform output mode already occupied by an untouched photon"
                 )
+            else:
+                base[m] = n
+        if not moving:
             out[pattern] = out.get(pattern, 0j) + amp
             continue
-        base = {m: n for m, n in pattern if m not in rules}
-        if any(m in out_modes for m in base):
-            raise ModeCollisionError(
-                "transform output mode already occupied by an untouched photon"
-            )
-        norm_in = 1
-        for _, n in pattern:
-            norm_in *= _FACTORIALS[n]
         # polynomial over multisets of output modes, one photon at a time
         poly: dict[tuple[Mode, ...], complex] = {(): amp}
         for m, n in moving:
+            expansion = rules[m]
             for _ in range(n):
                 grown: dict[tuple[Mode, ...], complex] = {}
                 for key, coeff in poly.items():
-                    for mo, c in rules[m]:
+                    for mo, c in expansion:
                         k2 = tuple(sorted(key + (mo,)))
                         grown[k2] = grown.get(k2, 0j) + coeff * c
                 poly = grown
@@ -298,9 +327,9 @@ def apply_mode_transform(
             norm_out = 1
             for n in counts.values():
                 norm_out *= _FACTORIALS[n]
-            p2 = make_pattern(counts)
+            p2 = tuple(sorted(counts.items()))
             out[p2] = out.get(p2, 0j) + coeff * math.sqrt(norm_out) / sqrt_norm_in
-    return State(out)
+    return State._trusted(out)
 
 
 def format_pattern(pattern: Pattern) -> str:

@@ -25,12 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .fock import (
-    PRUNE_EPS,
-    Pattern,
-    State,
-    pattern_count,
-)
+from .fock import PRUNE_EPS, Pattern, State
 from .elements import apply_phase_flip
 
 
@@ -101,15 +96,6 @@ class HeraldOutcome:
         return self.corrected_residual().scaled(math.sqrt(self.weight))
 
 
-def _click_signature(pattern: Pattern, detectors: Sequence[str]) -> tuple[tuple[str, int], ...]:
-    sig = []
-    for d in detectors:
-        n = pattern_count(pattern, d)
-        if n:
-            sig.append((d, n))
-    return tuple(sig)
-
-
 def herald(
     state: State,
     groups: Sequence[DetectorGroup],
@@ -127,14 +113,24 @@ def herald(
     all_detectors: list[str] = []
     for g in groups:
         all_detectors.extend(g.modes)
-    buckets: dict[tuple[tuple[str, int], ...], dict[Pattern, complex]] = {}
+    index = {d: i for i, d in enumerate(all_detectors)}
+    # click signature -> [(residual pattern, amplitude), ...] in state order
+    buckets: dict[tuple[tuple[str, int], ...], list[tuple[Pattern, complex]]] = {}
     for pattern, amp in state.items():
-        sig = _click_signature(pattern, all_detectors)
-        buckets.setdefault(sig, {})[pattern] = amp
+        clicks = [0] * len(all_detectors)
+        kept = []
+        for entry in pattern:  # ((spatial, pol), count)
+            i = index.get(entry[0][0])
+            if i is None:
+                kept.append(entry)
+            else:
+                clicks[i] += entry[1]
+        sig = tuple((d, n) for d, n in zip(all_detectors, clicks) if n)
+        buckets.setdefault(sig, []).append((tuple(kept), amp))
     outcomes = []
     for sig in sorted(buckets):
-        component = State(buckets[sig])
-        weight = component.norm_sq()
+        component = buckets[sig]
+        weight = sum(abs(a) ** 2 for _, a in component)
         if weight <= PRUNE_EPS**2:
             continue
         counts = dict(sig)
@@ -148,14 +144,11 @@ def herald(
         corr = tuple(
             sorted(corrections[d] for d, _ in sig if d in corrections)
         )
-        # strip detected photons from the residual
-        residual_terms = {}
-        for pattern, amp in component.items():
-            kept = tuple(
-                (m, n) for (m, n) in pattern if m[0] not in all_detectors
-            )
+        # the residual keeps what the detectors did not absorb
+        residual_terms: dict[Pattern, complex] = {}
+        for kept, amp in component:
             residual_terms[kept] = residual_terms.get(kept, 0j) + amp
-        residual = State(residual_terms).scaled(1.0 / math.sqrt(weight))
+        residual = State._trusted(residual_terms).scaled(1.0 / math.sqrt(weight))
         probability = weight * (factor if success else 1.0)
         outcomes.append(
             HeraldOutcome(
@@ -172,8 +165,14 @@ def herald(
 
 def qnd_component(state: State, mode_a: str, mode_b: str, cls: int) -> State:
     """Unnormalized restriction to |n_a - n_b| == cls; both signs survive coherently."""
-
-    def in_class(pattern: Pattern) -> bool:
-        return abs(pattern_count(pattern, mode_a) - pattern_count(pattern, mode_b)) == cls
-
-    return state.filtered(in_class)
+    kept = {}
+    for pattern, amp in state.items():
+        diff = 0
+        for (sp, _), n in pattern:
+            if sp == mode_a:
+                diff += n
+            if sp == mode_b:
+                diff -= n
+        if abs(diff) == cls:
+            kept[pattern] = amp
+    return State._trusted(kept)

@@ -167,10 +167,15 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("sweep", "--alpha-sq-list", "0.5", "--trials", "0"), 3),
         (("run", "--circuit", "{select0}", "--alpha-sq", "0.6"), 2),
         (("run", "--circuit", "{sources_only}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{stripped}", "--alpha-sq", "0.6", "--gamma-sq", "0.5"), 3),
+        (("run", "--circuit", "{literal_t}", "--alpha-sq", "0.6", "--t1", "0.3"), 3),
+        (("run", "--alpha-sq", "1.0"), 3),
+        (("run", "--alpha-sq", "0.0"), 3),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
-        "sweep-no-trials", "qnd-select-0", "sources-only",
+        "sweep-no-trials", "qnd-select-0", "sources-only", "stripped-gamma",
+        "literal-t-t1", "alpha-sq-1", "alpha-sq-0",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -179,6 +184,8 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
     files = {
         "select0": builtin_text("ecp2_stripped").replace("select=1", "select=0"),
         "sources_only": SOURCES_ONLY,
+        "stripped": builtin_text("ecp1_stripped"),
+        "literal_t": builtin_text("ecp1_stripped").replace("t=t1", "t=1/2"),
     }
     paths = {}
     for name, text in files.items():
@@ -189,6 +196,19 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_exact_runs_do_not_import_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "import ecpsim, ecpsim.cli\n"
+        "after_import = 'numpy' in sys.modules\n"
+        "rc = ecpsim.cli.main(['run', '--alpha-sq', '0.6'])\n"
+        "print(after_import, 'numpy' in sys.modules, rc, file=sys.stderr)\n"
+    )
+    proc = run_checkout(tmp_path, "-c", code)
+    assert proc.returncode == 0
+    assert proc.stderr.split() == ["False", "False", "0"]
 
 
 def test_bad_flag_exits_3(tmp_path):

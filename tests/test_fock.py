@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -60,6 +61,15 @@ class TestStateBasics:
         with pytest.raises(PhotonBudgetError):
             State({make_pattern({("a1", "H"): 7}): 1.0})
 
+    def test_plain_mapping_matches_dict(self):
+        terms = {
+            make_pattern({("a1", "H"): 1}): 0.6,
+            make_pattern({("b2", "V"): 1}): 0.8j,
+            make_pattern({("b3", "V"): 1}): 1e-16,
+        }
+        assert State(types.MappingProxyType(terms)) == State(terms)
+        assert State(types.MappingProxyType(terms)).num_terms == 2
+
     def test_norm_and_normalize(self):
         s = single_photon([("a1", "H", 3.0), ("b2", "V", 4.0)])
         assert s.norm_sq() == pytest.approx(25.0)
@@ -98,6 +108,11 @@ class TestTensor:
     def test_vacuum_is_identity(self):
         a = single_photon([("a1", "H", 1.0)])
         assert tensor(a, VACUUM) == a
+
+    def test_photon_cap_enforced(self):
+        full = State({make_pattern({("a1", "H"): fock.PHOTON_CAP}): 1.0})
+        with pytest.raises(PhotonBudgetError):
+            tensor(full, single_photon([("b2", "V", 1.0)]))
 
 
 def coupler_rules(in1, in2, out1, out2):
@@ -153,8 +168,9 @@ class TestModeTransform:
 
     def test_isometry_violation_rejected(self):
         bad = {("b2", "V"): [(("d1", "V"), 1.0), (("d2", "V"), 1.0)]}
-        with pytest.raises(IsometryError):
-            apply_mode_transform(single_photon([("b2", "V", 1.0)]), bad)
+        for _ in range(2):  # a failed check is never remembered as passed
+            with pytest.raises(IsometryError):
+                apply_mode_transform(single_photon([("b2", "V", 1.0)]), bad)
 
     def test_nonorthogonal_columns_rejected(self):
         r = INV_SQRT2

@@ -177,3 +177,16 @@ def test_round_and_schedule_lengths_agree():
     assert len(r.schedule["minus"]) == 3
     assert [x.k for x in r.rounds] == [1, 2, 3]
     assert [x.t for x in r.rounds] == r.schedule["plus"]
+
+
+def test_planted_fault_is_caught_after_clean_runs():
+    # clean runs build the fixed coupler transforms first; the planted
+    # phase fault must still reach every coupler, and leave none behind
+    from ecpsim.verify import run_checks
+
+    run_ecp1(ENT, POL)
+    run_ecp2(ENT, POL, rounds=2)
+    results = {r.name: r.passed for r in run_checks(trials=2000, inject_fault=True)}
+    assert results["ecp1_heralded_fidelity"] is False
+    assert results["ecp2_heralded_fidelity"] is False
+    assert run_ecp1(ENT, POL).rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
