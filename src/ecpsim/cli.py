@@ -21,7 +21,9 @@ import sys
 
 from .circuits import builtin_doc
 from .dsl import CircuitError, parse
+from .elements import PortContractError
 from .engine import ConfigError, execute
+from .fock import DegenerateStateError, FockError
 from .formulas import round_success_series
 from .measurement import DetectorModel
 from .montecarlo import DEFAULT_TRIALS, estimate_series_total, run_monte_carlo
@@ -242,12 +244,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CircuitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CIRCUIT
-    except (ConfigError, ParameterError) as exc:
+    except (ConfigError, ParameterError, DegenerateStateError) as exc:
+        # a state that fades to zero over the rounds is, for now, an input
+        # the engine cannot carry: reported like a bad argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (CircuitError, FockError, PortContractError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CIRCUIT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

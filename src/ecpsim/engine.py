@@ -83,6 +83,7 @@ from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 RECYCLE_AGREEMENT_TOL = 1e-9
+MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
 
 
 class TopologyError(CircuitError):
@@ -473,6 +474,8 @@ def execute(
         raise ConfigError(f"unknown accounting mode {accounting!r}")
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
+    if rounds > MAX_ROUNDS:
+        raise ConfigError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
     model = model or IDEAL_DETECTORS
     plan = analyze(doc)
     if ent is None:

@@ -70,11 +70,16 @@ def round_success_series(
     log_eta = math.log(eta_p) if eta_p > 0.0 else -math.inf
     values = []
     log_denom = 0.0
-    for k in range(1, max_rounds + 1):
+    # P_{k+1} <= P_k / 2, so once P_k underflows every later round does too;
+    # past round 1024 (where 2.0**k overflows) P_k <= 2^-1025 reads 0 as well
+    for k in range(1, min(max_rounds, 1024) + 1):
         if k >= 2:
             e = 2.0 ** (k - 1)
             log_denom += _logaddexp(e * la, e * lb)
         log_pk = math.log(2.0) + 2.0 ** (k - 1) * (la + lb) + log_eta - log_denom
         values.append(math.exp(log_pk) if log_pk > -745.0 else 0.0)
+        if values[-1] == 0.0:
+            break
+    values.extend([0.0] * (max_rounds - len(values)))
     return tuple(values)
 

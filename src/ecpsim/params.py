@@ -90,4 +90,9 @@ def vbs_schedule(ent: EntanglementParams, max_rounds: int) -> tuple[float, ...]:
         x = (2.0**k) * log_ratio
         # exp underflow (x very negative) gives exactly t = 1, as it should
         entries.append(0.0 if x > 700.0 else 1.0 / (1.0 + math.exp(x)))
+        # |x| only grows with k, so a t of 0 or 1 (or 1/2 at alpha^2 = 1/2) is
+        # final; stopping here also keeps 2.0**k below its overflow at k = 1024
+        if log_ratio == 0.0 or entries[-1] in (0.0, 1.0):
+            break
+    entries.extend(entries[-1:] * (max_rounds - len(entries)))
     return tuple(entries)

@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from ecpsim import cli
 from ecpsim.cli import main
+from ecpsim.elements import PortContractError
+from ecpsim.fock import (
+    DegenerateStateError,
+    FockError,
+    IsometryError,
+    ModeCollisionError,
+    PhotonBudgetError,
+)
 
 CSV_HEADER = "alpha,alpha_sq,eta,k,p_total_formula,p_total_sim,stderr"
 
@@ -171,11 +180,21 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{literal_t}", "--alpha-sq", "0.6", "--t1", "0.3"), 3),
         (("run", "--alpha-sq", "1.0"), 3),
         (("run", "--alpha-sq", "0.0"), 3),
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--gamma-sq", "0.3",
+          "--accounting", "joint", "--rounds", "8"), 3),
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.999999", "--rounds", "3"), 3),
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.5", "--rounds", "100000"), 3),
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "100001"), 3),
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--engine", "monte_carlo",
+          "--trials", str(10**15 + 1)), 3),
+        (("sweep", "--alpha-sq-list", "0.5", "--trials", str(10**20)), 3),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
         "sweep-no-trials", "qnd-select-0", "sources-only", "stripped-gamma",
-        "literal-t-t1", "alpha-sq-1", "alpha-sq-0",
+        "literal-t-t1", "alpha-sq-1", "alpha-sq-0", "joint-degenerate-state",
+        "alpha-sq-near-1-degenerate-state", "rounds-100000-balanced",
+        "rounds-over-bound", "run-trials-over-bound", "sweep-trials-over-bound",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -196,6 +215,38 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (DegenerateStateError, 3),
+        (FockError, 2),
+        (ModeCollisionError, 2),
+        (PhotonBudgetError, 2),
+        (IsometryError, 2),
+        (PortContractError, 2),
+    ],
+)
+def test_engine_errors_never_exit_1(monkeypatch, capsys, exc, code):
+    # exit 1 means "verify failed"; an engine error gets its own code and one line
+    def fail(*args, **kwargs):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, "execute", fail)
+    got, out, err = run_cli(capsys, "run", "--alpha-sq", "0.6")
+    assert (got, out, err) == (code, "", "error: planted\n")
+
+
+def test_run_past_the_doubling_overflow(capsys):
+    # 2.0**k overflows at k = 1024 in the schedule and in the series
+    code, out, _ = run_cli(
+        capsys, "run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2000"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["rounds"]) == 2000
+    assert payload["schedule"]["plus"][-1] == 1.0
 
 
 def test_exact_runs_do_not_import_numpy(tmp_path):

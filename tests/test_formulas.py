@@ -102,6 +102,14 @@ class TestSeries:
         assert all(0.0 <= x <= 1.0 for x in p)
         assert p[-1] >= 0.0
 
+    @pytest.mark.parametrize("a2", [0.05, 0.5, 0.6])
+    def test_series_past_the_doubling_overflow(self, a2):
+        # 2.0**k overflows from k = 1024; the underflowed tail reads 0
+        p = round_success_series(a2, 0.8, 100_000)
+        assert len(p) == 100_000
+        assert p[:30] == round_success_series(a2, 0.8, 30)
+        assert set(p[1023:]) == {0.0}
+
     def test_partial_sums(self):
         p = round_success_series(0.6, 1.0, 5)
         s = list(accumulate(p))

@@ -1,6 +1,8 @@
 """Sampled detector-loss chains: tables, determinism, statistics."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from ecpsim.engine import ConfigError, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.montecarlo import (
+    MAX_TRIALS,
     ChainTables,
     estimate_series_total,
     run_monte_carlo,
@@ -78,6 +81,56 @@ def test_same_seed_same_counts():
     assert a != c
 
 
+def _sampleable_tables():
+    ent = EntanglementParams.from_alpha_sq(0.6)
+    stripped = run_ecp2(ent, rounds=5)
+    joint = run_ecp2(ent, PolarizationParams.from_gamma_sq(0.3), rounds=3, accounting="joint")
+    return {"stripped": tables_from_report(stripped), "joint": tables_from_report(joint)}
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8])
+@pytest.mark.parametrize("layout", ["stripped", "joint"])
+def test_round_counts_follow_their_binomial_marginals(layout, eta):
+    tables = _sampleable_tables()[layout]
+    trials = 10**9
+    succ, rec = sample_chain(tables, eta, trials, np.random.default_rng(2024))
+    m = tables.detected_photons
+    for k, (ws, wr) in enumerate(zip(tables.w_success, tables.w_recycle)):
+        for count, p in ((succ[k], ws * eta**m), (rec[k], wr)):
+            sigma = math.sqrt(trials * p * (1.0 - p))
+            assert abs(count - trials * p) <= 5.0 * sigma, f"round {k + 1}"
+
+
+def test_memory_does_not_grow_with_trials():
+    tables = _sampleable_tables()["joint"]
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        succ, _ = sample_chain(tables, 0.8, 10**12, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert sum(succ) > 0
+
+
+def test_tolerated_excess_mass_recycles_every_unheralded_trial():
+    tables = ChainTables(w_success=(0.5,), w_recycle=(0.5 + 1e-10,), detected_photons=1)
+    tables.validate()
+    succ, rec = sample_chain(tables, 1.0, 10_000, np.random.default_rng(3))
+    assert succ[0] + rec[0] == 10_000
+
+
+def test_rounds_after_the_mass_is_gone_are_zero():
+    tables = ChainTables(
+        w_success=(0.5, 0.5, 0.0), w_recycle=(0.5, 0.0, 0.0), detected_photons=1
+    )
+    tables.validate()
+    succ, rec = sample_chain(tables, 0.8, 10**6, np.random.default_rng(4))
+    assert succ[1] > 0 and rec[1] == 0  # round 2 heralds every survivor
+    assert (succ[2], rec[2]) == (0, 0)
+
+
 def test_estimates_track_the_analytic_total():
     for k in (1, 3, 5):
         est, err, exact = estimate_series_total(
@@ -115,6 +168,10 @@ def test_trial_count_must_be_positive():
         run_monte_carlo("ecp2", ent, rounds=2, eta_p=0.8, trials=0, seed=1)
     with pytest.raises(ConfigError):
         run_monte_carlo("nope", ent, rounds=2, eta_p=0.8, trials=10, seed=1)
+    with pytest.raises(ConfigError, match="at most"):
+        run_monte_carlo("ecp2", ent, rounds=2, eta_p=0.8, trials=MAX_TRIALS + 1, seed=1)
+    at_bound = run_monte_carlo("ecp2", ent, rounds=2, eta_p=0.8, trials=MAX_TRIALS, seed=1)
+    assert at_bound.trials == MAX_TRIALS
 
 
 def test_validate_rejects_inconsistent_tables():

@@ -86,6 +86,19 @@ class TestSchedule:
         assert ts[0] < ts[1] < ts[2]
         assert ts[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("a2", [0.01, 0.5, 0.6, 0.9999])
+    def test_schedule_saturates_without_overflow(self, a2):
+        # 2.0**k overflows from k = 1024; the schedule must stop needing it
+        e = EntanglementParams.from_alpha_sq(a2)
+        ts = vbs_schedule(e, 100_000)
+        assert len(ts) == 100_000
+        log_ratio = math.log(abs(e.beta)) - math.log(abs(e.alpha))
+        for k, t in enumerate(ts[:40], start=1):
+            x = (2.0**k) * log_ratio
+            assert t == (0.0 if x > 700.0 else 1.0 / (1.0 + math.exp(x)))
+        assert set(ts[40:]) == {ts[39]}
+        assert ts[-1] in (0.0, 0.5, 1.0)
+
     def test_degenerate_rejected(self):
         with pytest.raises(ParameterError):
             vbs_schedule(EntanglementParams.from_alpha_sq(0.0), 3)
