@@ -163,6 +163,254 @@ def test_positioned_parse_errors(text, fragment, line):
     assert err.value.col >= 1
 
 
+# one malformed document per positioned error raised while parsing, and
+# lines with several faults, where the first fault in check order wins:
+# fields present, declared modes, t/select values, then claimed outputs
+PRE = "param x\nmode a\nmode b\nmode c\nmode d\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (PRE + 'source a pol=H amp=1$+2\noutput a',
+         "line 6, column 21: bad character '$' in expression"),
+        (PRE + 'source a pol=H amp=1$\noutput a',
+         "line 6, column 21: bad character '$' in expression"),
+        (PRE + 'source a pol=H amp=1)\noutput a',
+         "line 6, column 21: unexpected token ')'"),
+        (PRE + 'source a pol=H amp=(1\noutput a',
+         "line 6, column 22: expected ')'"),
+        (PRE + 'source a pol=H amp=sqrt(1\noutput a',
+         "line 6, column 26: expected ')'"),
+        (PRE + 'source a pol=H amp=*1\noutput a',
+         "line 6, column 21: unexpected token '*'"),
+        (PRE + 'source a pol=H amp=foo(1)\noutput a',
+         "line 6, column 23: unknown function 'foo'"),
+        (PRE + 'source a pol=H amp=x*\noutput a',
+         'line 6, column 22: unexpected end of expression'),
+        (PRE + 'source a pol=H amp=y\noutput a',
+         "line 6, column 20: undeclared parameter 'y' in expression"),
+        (PRE + 'vbs in=a reflect=b transmit=c t=x+\noutput a',
+         'line 6, column 35: unexpected end of expression'),
+        (PRE + 'vbs in=a reflect=b transmit=c t=y\noutput a',
+         "line 6, column 33: undeclared parameter 'y' in expression"),
+        (PRE + 'vbs in=a reflect=b transmit=c t=1.5\noutput a',
+         'line 6, column 33: transmittance t=1.5 outside [0, 1]'),
+        (PRE + 'bs in1= in2=b out1=c out2=d\noutput a',
+         "line 6, column 4: malformed field 'in1='"),
+        (PRE + 'bs =a in2=b out1=c out2=d\noutput a',
+         "line 6, column 4: malformed field '=a'"),
+        (PRE + 'bs in1=a in1=b out1=c out2=d\noutput a',
+         "line 6, column 10: duplicate field 'in1'"),
+        (PRE + 'source a pol=H amp=1 extra\noutput a',
+         "line 6, column 22: positional argument 'extra' after keyword fields"),
+        ('circuit x\ncircuit y\nmode a\noutput a',
+         'line 2, column 1: duplicate circuit statement'),
+        ('mode a\ncircuit x\noutput a',
+         'line 2, column 1: circuit statement must come first'),
+        ('circuit\nmode a\noutput a',
+         'line 1, column 1: circuit takes exactly one name'),
+        ('circuit x y\nmode a\noutput a',
+         'line 1, column 1: circuit takes exactly one name'),
+        ('circuit 1x\nmode a\noutput a',
+         "line 1, column 9: circuit name must be an identifier, got '1x'"),
+        ('param\nmode a\noutput a',
+         'line 1, column 1: param takes exactly one name'),
+        ('param 9\nmode a\noutput a',
+         "line 1, column 7: parameter must be an identifier, got '9'"),
+        ('param x\nparam x\nmode a\noutput a',
+         "line 2, column 7: duplicate parameter 'x'"),
+        ('mode\noutput a',
+         'line 1, column 1: mode takes exactly one name'),
+        ('mode a b\noutput a',
+         'line 1, column 1: mode takes exactly one name'),
+        ('mode a k=1\noutput a',
+         'line 1, column 1: mode takes exactly one name'),
+        ('mode 1a\noutput a',
+         "line 1, column 6: mode must be an identifier, got '1a'"),
+        ('mode a\nmode a\noutput a',
+         "line 2, column 6: duplicate mode 'a'"),
+        (PRE + 'source pol=H\noutput a',
+         'line 6, column 1: source takes one positional mode'),
+        (PRE + 'source a b pol=H\noutput a',
+         'line 6, column 1: source takes one positional mode'),
+        (PRE + 'source a amp=1\noutput a',
+         "line 6, column 1: source: missing field 'pol'"),
+        (PRE + 'source a pol=H eta=1\noutput a',
+         "line 6, column 20: source: unknown field 'eta'"),
+        (PRE + 'source z pol=H\noutput a',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'source a pol=Q\noutput a',
+         "line 6, column 14: pol must be H or V, got 'Q'"),
+        (PRE + 'source a pol=H photon=1t\noutput a',
+         "line 6, column 23: photon tag must be an identifier, got '1t'"),
+        (PRE + 'bs in1=a in2=b out1=c out2=d\nsource c pol=H\noutput a',
+         "line 7, column 8: mode 'c' is both a source target and an element output"),
+        (PRE + 'source c pol=H\nbs in1=a in2=b out1=c out2=d\noutput a',
+         "line 7, column 21: mode 'c' is both a source target and an element output"),
+        (PRE + 'pbs a in=a outH=b outV=c\noutput a',
+         'line 6, column 1: pbs takes keyword fields only'),
+        (PRE + 'pbs in=a outH=b\noutput a',
+         "line 6, column 1: pbs (split): missing field 'outV'"),
+        (PRE + 'pbs in=a outH=b outV=c t=1\noutput a',
+         "line 6, column 26: pbs (split): unknown field 't'"),
+        (PRE + 'pbs in=z outH=b outV=c\noutput a',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'pbs in=a outH=z outV=c\noutput a',
+         "line 6, column 15: undeclared mode 'z'"),
+        (PRE + 'pbs in=a outH=b outV=z\noutput a',
+         "line 6, column 22: undeclared mode 'z'"),
+        (PRE + 'pbs in=a outH=b outV=b\noutput a',
+         "line 6, column 22: mode 'b' produced by more than one element"),
+        (PRE + 'source b pol=H\npbs in=a outH=c outV=b\noutput a',
+         "line 7, column 22: mode 'b' is both a source target and an element output"),
+        (PRE + 'pbs inH=a inV=b\noutput a',
+         "line 6, column 1: pbs (merge): missing field 'out'"),
+        (PRE + 'pbs inV=b out=c\noutput a',
+         "line 6, column 1: pbs (merge): missing field 'inH'"),
+        (PRE + 'pbs in=a out=c\noutput a',
+         "line 6, column 1: pbs (merge): missing field 'inH'"),
+        (PRE + 'pbs inH=a inV=b out=c in=d\noutput a',
+         "line 6, column 26: pbs (merge): unknown field 'in'"),
+        (PRE + 'pbs inH=z inV=b out=c\noutput a',
+         "line 6, column 9: undeclared mode 'z'"),
+        (PRE + 'pbs inH=a inV=z out=c\noutput a',
+         "line 6, column 15: undeclared mode 'z'"),
+        (PRE + 'pbs inH=a inV=b out=z\noutput a',
+         "line 6, column 21: undeclared mode 'z'"),
+        (PRE + 'pbs in=a outH=c outV=d\npbs inH=a inV=b out=c\noutput a',
+         "line 7, column 21: mode 'c' produced by more than one element"),
+        (PRE + 'source c pol=H\npbs inH=a inV=b out=c\noutput a',
+         "line 7, column 21: mode 'c' is both a source target and an element output"),
+        (PRE + 'vbs a in=a reflect=b transmit=c t=1\noutput a',
+         'line 6, column 1: vbs takes keyword fields only'),
+        (PRE + 'vbs in=a reflect=b transmit=c\noutput a',
+         "line 6, column 1: vbs: missing field 't'"),
+        (PRE + 'vbs in=a reflect=b t=1\noutput a',
+         "line 6, column 1: vbs: missing field 'transmit'"),
+        (PRE + 'vbs in=a reflect=b transmit=c t=1 pol=H\noutput a',
+         "line 6, column 39: vbs: unknown field 'pol'"),
+        (PRE + 'vbs in=z reflect=b transmit=c t=1\noutput a',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'vbs in=a reflect=b transmit=z t=1\noutput a',
+         "line 6, column 29: undeclared mode 'z'"),
+        (PRE + 'vbs in=a reflect=b transmit=b t=1\noutput a',
+         "line 6, column 29: mode 'b' produced by more than one element"),
+        (PRE + 'source c pol=H\nvbs in=a reflect=b transmit=c t=1\noutput a',
+         "line 7, column 29: mode 'c' is both a source target and an element output"),
+        (PRE + 'bs a in1=a in2=b out1=c out2=d\noutput a',
+         'line 6, column 1: bs takes keyword fields only'),
+        (PRE + 'bs in1=a in2=b out1=c\noutput a',
+         "line 6, column 1: bs: missing field 'out2'"),
+        (PRE + 'bs in1=a in2=b out1=c out2=d t=1\noutput a',
+         "line 6, column 32: bs: unknown field 't'"),
+        (PRE + 'bs in1=a in2=z out1=c out2=d\noutput a',
+         "line 6, column 14: undeclared mode 'z'"),
+        (PRE + 'bs in1=a in2=b out1=c out2=z\noutput a',
+         "line 6, column 28: undeclared mode 'z'"),
+        (PRE + 'bs in1=a in2=b out1=c out2=c\noutput a',
+         "line 6, column 28: mode 'c' produced by more than one element"),
+        (PRE + 'qnd a a=a b=b select=1\noutput a',
+         'line 6, column 1: qnd takes keyword fields only'),
+        (PRE + 'qnd a=a b=b\noutput a',
+         "line 6, column 1: qnd: missing field 'select'"),
+        (PRE + 'qnd a=a select=1\noutput a',
+         "line 6, column 1: qnd: missing field 'b'"),
+        (PRE + 'qnd a=a b=b select=1 c=c\noutput a',
+         "line 6, column 24: qnd: unknown field 'c'"),
+        (PRE + 'qnd a=z b=b select=1\noutput a',
+         "line 6, column 7: undeclared mode 'z'"),
+        (PRE + 'qnd a=a b=b select=0\noutput a',
+         "line 6, column 20: select must be 1, got '0'"),
+        (PRE + 'flip a mode=a when=b\noutput a',
+         'line 6, column 1: flip takes keyword fields only'),
+        (PRE + 'flip mode=a\noutput a',
+         "line 6, column 1: flip: missing field 'when'"),
+        (PRE + 'flip mode=a when=b if=c\noutput a',
+         "line 6, column 23: flip: unknown field 'if'"),
+        (PRE + 'flip mode=z when=b\noutput a',
+         "line 6, column 11: undeclared mode 'z'"),
+        (PRE + 'flip mode=a when=z\noutput a',
+         "line 6, column 18: undeclared mode 'z'"),
+        (PRE + 'detect g group=g modes=a\noutput a',
+         'line 6, column 1: detect takes keyword fields only'),
+        (PRE + 'detect group=g\noutput a',
+         "line 6, column 1: detect: missing field 'modes'"),
+        (PRE + 'detect group=g modes=a mode=b\noutput a',
+         "line 6, column 29: detect: unknown field 'mode'"),
+        (PRE + 'detect group=1g modes=a\noutput a',
+         "line 6, column 14: group name must be an identifier, got '1g'"),
+        (PRE + 'detect group=g modes=a,,b\noutput a',
+         "line 6, column 22: bad mode name '' in list"),
+        (PRE + 'detect group=g modes=a,z\noutput a',
+         "line 6, column 22: undeclared mode 'z'"),
+        (PRE + 'detect group=g modes=a require=at_least_one\noutput b',
+         "line 6, column 32: unsupported requirement 'at_least_one'"),
+        (PRE + 'detect group=g modes=a eta=high\noutput b',
+         "line 6, column 28: bad eta 'high'"),
+        (PRE + 'detect group=g modes=a eta=1.5\noutput b',
+         'line 6, column 28: eta=1.5 outside [0, 1]'),
+        (PRE + 'output',
+         'line 6, column 1: output takes one comma-separated mode list'),
+        (PRE + 'output a b',
+         'line 6, column 1: output takes one comma-separated mode list'),
+        (PRE + 'output a k=1',
+         'line 6, column 1: output takes one comma-separated mode list'),
+        (PRE + 'output a,1b',
+         "line 6, column 8: bad mode name '1b' in list"),
+        (PRE + 'output a,z',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'frobnicate x=1\noutput a',
+         "line 6, column 1: unknown statement kind 'frobnicate'"),
+        (PRE + 'pbs_merge x=1\noutput a',
+         "line 6, column 1: unknown statement kind 'pbs_merge'"),
+        (PRE + 'pbs_split in=a outH=b outV=c\noutput a',
+         "line 6, column 1: unknown statement kind 'pbs_split'"),
+        (PRE + 'pbs_merge inH=a inV=b out=c\noutput a',
+         "line 6, column 1: unknown statement kind 'pbs_merge'"),
+        (PRE + 'pbs inH=z inV=b\noutput a',
+         "line 6, column 1: pbs (merge): missing field 'out'"),
+        (PRE + 'pbs inH=a inV=b out=c extra=1 outH=z\noutput a',
+         "line 6, column 29: pbs (merge): unknown field 'extra'"),
+        (PRE + 'vbs in=z reflect=b transmit=c t=y\noutput a',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'vbs in=a reflect=b transmit=b t=y\noutput a',
+         "line 6, column 33: undeclared parameter 'y' in expression"),
+        (PRE + 'vbs in=a reflect=b transmit=b t=2\noutput a',
+         'line 6, column 33: transmittance t=2.0 outside [0, 1]'),
+        (PRE + 'vbs in=a reflect=z transmit=c t=1+\noutput a',
+         "line 6, column 18: undeclared mode 'z'"),
+        (PRE + 'vbs in=a reflect=b transmit=c t=1+ q=1\noutput a',
+         "line 6, column 38: vbs: unknown field 'q'"),
+        (PRE + 'bs in1=z in2=b out1=c out2=c\noutput a',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'bs in1=a in2=b out1=c out2=c x=1\noutput a',
+         "line 6, column 32: bs: unknown field 'x'"),
+        (PRE + 'qnd a=z b=b select=0\noutput a',
+         "line 6, column 7: undeclared mode 'z'"),
+        (PRE + 'qnd a=a b=b select=0 c=1\noutput a',
+         "line 6, column 24: qnd: unknown field 'c'"),
+        (PRE + 'flip mode=z when=y k=1\noutput a',
+         "line 6, column 22: flip: unknown field 'k'"),
+        (PRE + 'source z pol=Q amp=y\noutput a',
+         "line 6, column 8: undeclared mode 'z'"),
+        (PRE + 'source a pol=Q amp=y photon=1\noutput a',
+         "line 6, column 14: pol must be H or V, got 'Q'"),
+        (PRE + 'source a pol=H amp=y photon=1\noutput a',
+         "line 6, column 20: undeclared parameter 'y' in expression"),
+        (PRE + 'detect group=1g modes=z eta=9 require=any\noutput b',
+         "line 6, column 14: group name must be an identifier, got '1g'"),
+        (PRE + 'detect group=g modes=z eta=9\noutput b',
+         "line 6, column 22: undeclared mode 'z'"),
+
+    ],
+)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(CircuitParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_source_cannot_target_element_output():
     text = (
         "mode a1\nmode x1\nmode b1\nmode c1\n"

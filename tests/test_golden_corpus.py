@@ -11,8 +11,8 @@ them regenerates the corpus and says so.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden_corpus.py --write
 
-``verify`` is left out: its detail lines are not byte-stable across
-processes.
+``verify`` entries pin the check lines, which are byte-stable across
+processes and hash seeds.
 """
 
 from __future__ import annotations
@@ -67,6 +67,13 @@ def corpus_argvs() -> list[list[str]]:
     ])
     argvs.append([
         "sweep", "--rounds", "3", "--eta", "0.8", "--trials", "10000", "--seed", "1",
+    ])
+    argvs.extend([
+        ["verify"],
+        ["verify", "--inject"],
+        ["verify", "--rounds", "8"],
+        ["verify", "--rounds", "8", "--alpha-sq", "0.9"],
+        ["verify", "--eta", "0.8", "--rounds", "5"],
     ])
     return argvs
 
