@@ -62,7 +62,6 @@ from .dsl import (
     CircuitError,
     CircuitParseError,
     parse,
-    serialize,
     validate,
 )
 from .circuits import BUILTIN_NAMES, builtin_doc, builtin_text
@@ -140,7 +139,6 @@ __all__ = [
     "run_ecp1",
     "run_ecp2",
     "run_monte_carlo",
-    "serialize",
     "single_photon",
     "tensor",
     "validate",

@@ -6,31 +6,27 @@ Statement forms:
     circuit <name>
     param <id>
     mode <id>
-    source <mode> pol=<H|V> amp=<expr> [photon=<tag>]
-    pbs in=<id> outH=<id> outV=<id>
-    pbs inH=<id> inV=<id> out=<id>
-    vbs in=<id> reflect=<id> transmit=<id> t=<expr>
-    bs in1=<id> in2=<id> out1=<id> out2=<id>
-    qnd a=<id> b=<id> select=1
-    flip mode=<id> when=<detector-id>
+    source <mode> pol=<H|V> [amp=<expr>] [photon=<tag>]
+    <element> <field>=<value> ...
     detect group=<name> modes=<id,...> [require=exactly_one] [eta=<float>]
     output <id,...>
 
-The two ``pbs`` field sets select the splitting or merging orientation of
-the same element.  ``select=1`` (keep the one-photon difference class) and
+The element statements ``pbs``, ``vbs``, ``bs``, ``qnd`` and ``flip`` take
+exactly the keyword fields their row of ``_ELEMENTS`` lists.  ``pbs`` has two
+rows: ``in outH outV`` splits by polarization and ``inH inV out`` merges.
+``select=1`` (keep the one-photon difference class) and
 ``require=exactly_one`` (one click per group) are the only values accepted,
 because the engine implements no other.  ``photon=`` tags group source lines
 describing components of one photon (a superposed input spans several
 spatial modes); untagged sources each stand alone.  Expressions are
 whitespace-free arithmetic over declared parameters: numbers, identifiers,
-``+ - * /``, parentheses and ``sqrt(...)``.
+``+ - * /``, parentheses and ``sqrt(...)``; declarations keep their text as
+written.
 
 Statement order is execution order.  Documents are validated on parse:
 modes must be declared before use, each mode is produced by at most one
 element output, detector modes cannot be circuit outputs, and exactly one
-``output`` statement must be present.  Parsing and serialization are
-mutually inverse on canonical form: ``parse(serialize(doc)) == doc`` and
-serialization is idempotent.
+``output`` statement must be present.
 """
 
 from __future__ import annotations
@@ -164,40 +160,6 @@ class _ExprParser:
 @functools.lru_cache(maxsize=256)
 def parse_expr(text: str, line: int = 0, col: int = 1) -> Expr:
     return _ExprParser(text, line, col).parse()
-
-
-_PRECEDENCE = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3}
-
-
-def unparse_expr(node: Expr) -> str:
-    kind = node[0]
-    if kind == "num":
-        v = node[1]
-        return repr(int(v)) if float(v).is_integer() and abs(v) < 1e15 else repr(v)
-    if kind == "var":
-        return node[1]
-    if kind == "sqrt":
-        return f"sqrt({unparse_expr(node[1])})"
-    if kind == "neg":
-        inner = unparse_expr(node[1])
-        if node[1][0] in ("add", "sub", "mul", "div", "neg"):
-            inner = f"({inner})"
-        return f"-{inner}"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-    prec = _PRECEDENCE[kind]
-    left, right = node[1], node[2]
-    ls = unparse_expr(left)
-    rs = unparse_expr(right)
-    if left[0] in _PRECEDENCE and _PRECEDENCE[left[0]] < prec:
-        ls = f"({ls})"
-    # an equal-precedence right child keeps its parens: a-(b-c), a/(b*c)
-    if right[0] in _PRECEDENCE and _PRECEDENCE[right[0]] <= prec and right[0] != "neg":
-        rs = f"({rs})"
-    return f"{ls}{sym}{rs}"
-
-
-def canonical_expr(text: str, line: int = 0, col: int = 1) -> str:
-    return unparse_expr(parse_expr(text, line, col))
 
 
 def expr_variables(node: Expr) -> set[str]:
@@ -359,6 +321,20 @@ class CircuitDoc:
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
+# Element statements, keyed by the label their field errors carry: the
+# declaration they build, the mode fields in check order, the other fields,
+# and the mode fields the element produces.  Both pbs rows have the keyword
+# ``pbs``; a line with any merge field is a merge.
+_ELEMENTS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+    "pbs (split)": (PbsSplitDecl, ("in", "outH", "outV"), (), ("outH", "outV")),
+    "pbs (merge)": (PbsMergeDecl, ("inH", "inV", "out"), (), ("out",)),
+    "vbs": (VbsDecl, ("in", "reflect", "transmit"), ("t",), ("reflect", "transmit")),
+    "bs": (BsDecl, ("in1", "in2", "out1", "out2"), (), ("out1", "out2")),
+    "qnd": (QndDecl, ("a", "b"), ("select",), ()),
+    "flip": (FlipDecl, ("mode", "when"), (), ()),
+}
+
+
 def _split_fields(
     tokens: list[tuple[int, str]], line: int
 ) -> tuple[list[tuple[int, str]], dict[str, tuple[int, str]]]:
@@ -388,20 +364,25 @@ def _need(
     col: int,
     kind: str,
     optional: Sequence[str] = (),
-) -> dict[str, tuple[int, str]]:
+) -> None:
     for n in names:
         if n not in fields:
             raise CircuitParseError(f"{kind}: missing field {n!r}", line, col)
     for k, (c, _) in fields.items():
         if k not in names and k not in optional:
             raise CircuitParseError(f"{kind}: unknown field {k!r}", line, c)
-    return fields
 
 
 def _ident(value: str, line: int, col: int, what: str) -> str:
     if not _IDENT_RE.fullmatch(value):
         raise CircuitParseError(f"{what} must be an identifier, got {value!r}", line, col)
     return value
+
+
+def _declared(name: str, line: int, col: int, declared: set[str]) -> str:
+    if name not in declared:
+        raise CircuitParseError(f"undeclared mode {name!r}", line, col)
+    return name
 
 
 def _mode_list(value: str, line: int, col: int) -> tuple[str, ...]:
@@ -485,8 +466,7 @@ def parse(text: str) -> CircuitDoc:
                 raise CircuitParseError("source takes one positional mode", lineno, col0)
             _need(fields, ("pol",), lineno, col0, "source", optional=("amp", "photon"))
             mcol, mname = positional[0]
-            if mname not in declared:
-                raise CircuitParseError(f"undeclared mode {mname!r}", lineno, mcol)
+            _declared(mname, lineno, mcol, declared)
             if mname in produced:
                 raise CircuitParseError(
                     f"mode {mname!r} is both a source target and an element output",
@@ -497,107 +477,41 @@ def parse(text: str) -> CircuitDoc:
             pcol, pol = fields["pol"]
             if pol not in ("H", "V"):
                 raise CircuitParseError(f"pol must be H or V, got {pol!r}", lineno, pcol)
+            amp = "1"
             if "amp" in fields:
-                acol, amp_text = fields["amp"]
-                amp = canonical_expr(amp_text, lineno, acol)
-                _check_expr_params(amp_text, params, lineno, acol)
-            else:
-                amp = "1"
+                acol, amp = fields["amp"]
+                _check_expr_params(amp, params, lineno, acol)
             photon = None
             if "photon" in fields:
                 tcol, tag = fields["photon"]
                 photon = _ident(tag, lineno, tcol, "photon tag")
             statements.append(SourceDecl(mname, pol, amp, photon))
 
-        elif kw == "pbs":
+        elif kw == "pbs" or kw in _ELEMENTS:
             if positional:
-                raise CircuitParseError("pbs takes keyword fields only", lineno, col0)
-            if "out" in fields or "inH" in fields or "inV" in fields:
-                _need(fields, ("inH", "inV", "out"), lineno, col0, "pbs (merge)")
-                vals = {}
-                for key in ("inH", "inV", "out"):
-                    c, v = fields[key]
-                    if v not in declared:
-                        raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
-                    vals[key] = v
-                claim_output(vals["out"], lineno, fields["out"][0])
-                statements.append(PbsMergeDecl(vals["inH"], vals["inV"], vals["out"]))
-            else:
-                _need(fields, ("in", "outH", "outV"), lineno, col0, "pbs (split)")
-                vals = {}
-                for key in ("in", "outH", "outV"):
-                    c, v = fields[key]
-                    if v not in declared:
-                        raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
-                    vals[key] = v
-                claim_output(vals["outH"], lineno, fields["outH"][0])
-                claim_output(vals["outV"], lineno, fields["outV"][0])
-                statements.append(PbsSplitDecl(vals["in"], vals["outH"], vals["outV"]))
-
-        elif kw == "vbs":
-            if positional:
-                raise CircuitParseError("vbs takes keyword fields only", lineno, col0)
-            _need(fields, ("in", "reflect", "transmit", "t"), lineno, col0, "vbs")
-            vals = {}
-            for key in ("in", "reflect", "transmit"):
-                c, v = fields[key]
-                if v not in declared:
-                    raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
-                vals[key] = v
-            tcol, t_text = fields["t"]
-            t_expr = canonical_expr(t_text, lineno, tcol)
-            _check_expr_params(t_text, params, lineno, tcol)
-            node = parse_expr(t_text, lineno, tcol)
-            if node[0] == "num" and not 0.0 <= node[1] <= 1.0:
-                raise CircuitParseError(
-                    f"transmittance t={node[1]} outside [0, 1]", lineno, tcol
-                )
-            claim_output(vals["reflect"], lineno, fields["reflect"][0])
-            claim_output(vals["transmit"], lineno, fields["transmit"][0])
-            statements.append(
-                VbsDecl(vals["in"], vals["reflect"], vals["transmit"], t_expr)
-            )
-
-        elif kw == "bs":
-            if positional:
-                raise CircuitParseError("bs takes keyword fields only", lineno, col0)
-            _need(fields, ("in1", "in2", "out1", "out2"), lineno, col0, "bs")
-            vals = {}
-            for key in ("in1", "in2", "out1", "out2"):
-                c, v = fields[key]
-                if v not in declared:
-                    raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
-                vals[key] = v
-            claim_output(vals["out1"], lineno, fields["out1"][0])
-            claim_output(vals["out2"], lineno, fields["out2"][0])
-            statements.append(BsDecl(vals["in1"], vals["in2"], vals["out1"], vals["out2"]))
-
-        elif kw == "qnd":
-            if positional:
-                raise CircuitParseError("qnd takes keyword fields only", lineno, col0)
-            _need(fields, ("a", "b", "select"), lineno, col0, "qnd")
-            vals = {}
-            for key in ("a", "b"):
-                c, v = fields[key]
-                if v not in declared:
-                    raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
-                vals[key] = v
-            scol, sel = fields["select"]
-            if sel != "1":
-                raise CircuitParseError(f"select must be 1, got {sel!r}", lineno, scol)
-            statements.append(QndDecl(vals["a"], vals["b"]))
-
-        elif kw == "flip":
-            if positional:
-                raise CircuitParseError("flip takes keyword fields only", lineno, col0)
-            _need(fields, ("mode", "when"), lineno, col0, "flip")
-            vals = {}
-            for key in ("mode", "when"):
-                c, v = fields[key]
-                if v not in declared:
-                    raise CircuitParseError(f"undeclared mode {v!r}", lineno, c)
-                vals[key] = v
-            statements.append(FlipDecl(vals["mode"], vals["when"]))
+                raise CircuitParseError(f"{kw} takes keyword fields only", lineno, col0)
+            if kw == "pbs":
+                merge = fields.keys() & set(_ELEMENTS["pbs (merge)"][1])
+                kw = "pbs (merge)" if merge else "pbs (split)"
+            decl, mode_keys, extra_keys, out_keys = _ELEMENTS[kw]
+            _need(fields, mode_keys + extra_keys, lineno, col0, kw)
+            args = [
+                _declared(fields[k][1], lineno, fields[k][0], declared) for k in mode_keys
+            ]
+            for key in extra_keys:
+                fcol, value = fields[key]
+                if key == "t":
+                    node = _check_expr_params(value, params, lineno, fcol)
+                    if node[0] == "num" and not 0.0 <= node[1] <= 1.0:
+                        raise CircuitParseError(
+                            f"transmittance t={node[1]} outside [0, 1]", lineno, fcol
+                        )
+                    args.append(value)
+                elif value != "1":
+                    raise CircuitParseError(f"select must be 1, got {value!r}", lineno, fcol)
+            for k in out_keys:
+                claim_output(fields[k][1], lineno, fields[k][0])
+            statements.append(decl(*args))
 
         elif kw == "detect":
             if positional:
@@ -608,8 +522,7 @@ def parse(text: str) -> CircuitDoc:
             mcol, modes_text = fields["modes"]
             modes = _mode_list(modes_text, lineno, mcol)
             for m in modes:
-                if m not in declared:
-                    raise CircuitParseError(f"undeclared mode {m!r}", lineno, mcol)
+                _declared(m, lineno, mcol, declared)
             if "require" in fields:
                 rcol, require = fields["require"]
                 if require != "exactly_one":
@@ -637,8 +550,7 @@ def parse(text: str) -> CircuitDoc:
             mcol, modes_text = positional[0]
             modes = _mode_list(modes_text, lineno, mcol)
             for m in modes:
-                if m not in declared:
-                    raise CircuitParseError(f"undeclared mode {m!r}", lineno, mcol)
+                _declared(m, lineno, mcol, declared)
             statements.append(OutputDecl(modes))
 
         else:
@@ -651,10 +563,12 @@ def parse(text: str) -> CircuitDoc:
 
 def _check_expr_params(
     text: str, params: Sequence[str], line: int, col: int
-) -> None:
-    for v in sorted(expr_variables(parse_expr(text, line, col))):
+) -> Expr:
+    node = parse_expr(text, line, col)
+    for v in sorted(expr_variables(node)):
         if v not in params:
             raise CircuitParseError(f"undeclared parameter {v!r} in expression", line, col)
+    return node
 
 
 def validate(doc: CircuitDoc) -> None:
@@ -683,44 +597,3 @@ def validate(doc: CircuitDoc) -> None:
             raise CircuitError(
                 f"flip condition {st.when!r} is not a detector mode"
             )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def _serialize_statement(st: Statement) -> str:
-    if isinstance(st, ModeDecl):
-        return f"mode {st.name}"
-    if isinstance(st, SourceDecl):
-        parts = [f"source {st.mode}", f"pol={st.pol}", f"amp={st.amp}"]
-        if st.photon is not None:
-            parts.append(f"photon={st.photon}")
-        return " ".join(parts)
-    if isinstance(st, PbsSplitDecl):
-        return f"pbs in={st.inp} outH={st.out_h} outV={st.out_v}"
-    if isinstance(st, PbsMergeDecl):
-        return f"pbs inH={st.in_h} inV={st.in_v} out={st.out}"
-    if isinstance(st, VbsDecl):
-        return f"vbs in={st.inp} reflect={st.reflect} transmit={st.transmit} t={st.t}"
-    if isinstance(st, BsDecl):
-        return f"bs in1={st.in1} in2={st.in2} out1={st.out1} out2={st.out2}"
-    if isinstance(st, QndDecl):
-        return f"qnd a={st.a} b={st.b} select=1"
-    if isinstance(st, FlipDecl):
-        return f"flip mode={st.mode} when={st.when}"
-    if isinstance(st, DetectDecl):
-        parts = [f"detect group={st.group}", "modes=" + ",".join(st.modes)]
-        if st.eta is not None:
-            parts.append(f"eta={st.eta!r}")
-        return " ".join(parts)
-    if isinstance(st, OutputDecl):
-        return "output " + ",".join(st.modes)
-    raise CircuitError(f"cannot serialize {st!r}")
-
-
-def serialize(doc: CircuitDoc) -> str:
-    """Canonical text form; parse(serialize(doc)) == doc."""
-    lines = [f"circuit {doc.name}"]
-    lines.extend(f"param {p}" for p in doc.params)
-    lines.extend(_serialize_statement(st) for st in doc.statements)
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Run results and their stable serialized form.
+"""Run results and their stable JSON form.
 
 The JSON document has a fixed field order and uses Python's shortest float
 repr, so identical runs produce identical bytes; tests and the command line
@@ -55,6 +55,8 @@ def comparison_entry(paper_value: float, simulated_value: float) -> dict[str, fl
     }
 
 
+# The field order of ProtocolReport, RoundResult and EngineInfo is the JSON
+# key order of the report: ``to_json`` writes each object's fields as declared.
 @dataclass
 class ProtocolReport:
     protocol: str
@@ -72,41 +74,4 @@ class ProtocolReport:
     paper_comparison: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {
-            "protocol": self.protocol,
-            "accounting": self.accounting,
-            "alpha_sq": self.alpha_sq,
-            "gamma_sq": self.gamma_sq,
-            "eta_p": self.eta_p,
-            "schedule": {
-                "plus": list(self.schedule.get("plus", [])),
-                "minus": list(self.schedule.get("minus", [])),
-            },
-            "rounds": [
-                {
-                    "k": r.k,
-                    "t": r.t,
-                    "p_success": r.p_success,
-                    "p_fail_recyclable": r.p_fail_recyclable,
-                    "heralded_fidelity": r.heralded_fidelity,
-                }
-                for r in self.rounds
-            ],
-            "p_total": self.p_total,
-            "engine": {
-                "kind": self.engine.kind,
-                "eta_exponent": self.engine.eta_exponent,
-            },
-            "seed": self.seed,
-            "trials": self.trials,
-            "stderr": self.stderr,
-            "paper_comparison": {
-                name: {
-                    "paper_value": entry["paper_value"],
-                    "simulated_value": entry["simulated_value"],
-                    "delta": entry["delta"],
-                }
-                for name, entry in self.paper_comparison.items()
-            },
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(self, indent=2, default=vars) + "\n"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ecpsim.circuits import builtin_doc
+from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import parse
 from ecpsim.engine import (
     ConfigError,
@@ -70,9 +70,7 @@ def test_trivial_document():
 
 
 def test_unmatched_coupler_is_a_topology_error():
-    from ecpsim.dsl import serialize
-
-    lines = serialize(builtin_doc("ecp1_stripped")).splitlines()
+    lines = builtin_text("ecp1_stripped").splitlines()
     lines.insert(-1, "mode x1")
     lines.insert(-1, "mode x2")
     lines.insert(-1, "mode x3")
@@ -190,8 +188,6 @@ def test_prepare_initial_shapes():
 
 @pytest.mark.parametrize("accounting", ("branch", "joint"))
 def test_shipped_document_reproduces_native_ecp1(accounting):
-    from ecpsim.circuits import builtin_text
-
     doc = parse(builtin_text("ecp1"))
     via_doc = execute(doc, ENT, POL, accounting=accounting)
     native = run_ecp1(ENT, POL, accounting=accounting)
@@ -200,8 +196,6 @@ def test_shipped_document_reproduces_native_ecp1(accounting):
 
 @pytest.mark.parametrize("accounting", ("branch", "joint"))
 def test_shipped_document_reproduces_native_ecp2(accounting):
-    from ecpsim.circuits import builtin_text
-
     doc = parse(builtin_text("ecp2_stripped"))
     via_doc = execute(doc, ENT, rounds=3, accounting=accounting)
     native = run_ecp2(ENT, rounds=3, accounting=accounting)
