@@ -164,24 +164,28 @@ def _checks(alpha_sq, gamma_sq, eta_p, rounds, trials, seed) -> list[CheckResult
     )
 
     # the independent path-sum bookkeeping must agree with the engine
-    o1 = oracle_ecp1(alpha_sq, gamma_sq, eta=eta_p)
-    o1j = oracle_ecp1(alpha_sq, gamma_sq, accounting="joint", eta=eta_p)
-    o2 = oracle_ecp2(alpha_sq, rounds=rounds, eta=eta_p)
-    oracle_deltas = [
-        abs(r1.p_total - o1["p_total"]),
-        abs(r1j.p_total - o1j["p_total"]),
-        abs((r1.rounds[0].heralded_fidelity or 0.0) - (o1["fidelity"] or 0.0)),
-        abs((r1j.rounds[0].heralded_fidelity or 0.0) - (o1j["fidelity"] or 0.0)),
-    ]
-    oracle_deltas.extend(
-        abs(r.p_success - ob["p_success"])
-        for r, ob in zip(rs.rounds, o2["rounds"])
-    )
-    check(
-        "oracle_agreement",
-        max(oracle_deltas) <= ORACLE_TOL,
-        f"worst engine-versus-oracle delta {max(oracle_deltas):.3e}",
-    )
+    try:
+        o1 = oracle_ecp1(alpha_sq, gamma_sq, eta=eta_p)
+        o1j = oracle_ecp1(alpha_sq, gamma_sq, accounting="joint", eta=eta_p)
+        o2 = oracle_ecp2(alpha_sq, rounds=rounds, eta=eta_p)
+    except ValueError as exc:
+        check("oracle_agreement", False, f"oracle could not evaluate this point: {exc}")
+    else:
+        oracle_deltas = [
+            abs(r1.p_total - o1["p_total"]),
+            abs(r1j.p_total - o1j["p_total"]),
+            abs((r1.rounds[0].heralded_fidelity or 0.0) - (o1["fidelity"] or 0.0)),
+            abs((r1j.rounds[0].heralded_fidelity or 0.0) - (o1j["fidelity"] or 0.0)),
+        ]
+        oracle_deltas.extend(
+            abs(r.p_success - ob["p_success"])
+            for r, ob in zip(rs.rounds, o2["rounds"])
+        )
+        check(
+            "oracle_agreement",
+            max(oracle_deltas) <= ORACLE_TOL,
+            f"worst engine-versus-oracle delta {max(oracle_deltas):.3e}",
+        )
 
     # trial-level detector loss against the analytic factor
     eta_mc = eta_p if eta_p < 1.0 else 0.8

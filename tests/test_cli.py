@@ -339,6 +339,18 @@ def test_verify_catches_the_planted_fault(capsys):
     assert "FAIL" in out
 
 
+def test_verify_reports_an_oracle_failure_as_a_failed_check(capsys):
+    # deep rounds at alpha^2 = 0.9 leave the oracle no amplitude to compare
+    code, out, err = run_cli(capsys, "verify", "--rounds", "8", "--alpha-sq", "0.9")
+    assert code == 1
+    assert err == ""
+    assert (
+        "FAIL oracle_agreement: oracle could not evaluate this point: "
+        "fidelity of an empty amplitude vector"
+    ) in out.splitlines()
+    assert out.endswith("6 passed, 2 failed\n")
+
+
 def test_console_script_entry_point(tmp_path):
     """The ``[project.scripts]`` target behaves as an installed ``ecpsim``.
 
