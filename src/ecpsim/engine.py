@@ -403,16 +403,6 @@ def _run_chain(
     return results
 
 
-def _run_arm(
-    arm: ArmPlan,
-    current: State,
-    ts: list[float],
-    bindings: dict[str, complex],
-    model: DetectorModel,
-) -> list[_ChainRound]:
-    return _run_chain([arm], current, [ts], bindings, model)
-
-
 def _merge_pair(merge: PbsMergeDecl, raw_plus: State, raw_minus: State) -> State:
     a = apply_pbs_merge(raw_plus, merge.in_h, merge.in_v, merge.out)
     b = apply_pbs_merge(raw_minus, merge.in_h, merge.in_v, merge.out)
@@ -533,7 +523,7 @@ def execute(
         for arm, ts in zip(plan.arms, schedules):
             others = [a.signal_mode for a in plan.arms if a is not arm]
             inp = signal.filtered(lambda p: all(pattern_count(p, m) == 0 for m in others))
-            chains.append(_run_arm(arm, inp, ts, bindings, model))
+            chains.append(_run_chain([arm], inp, [ts], bindings, model))
             per_arm_p1[arm.label] = chains[-1][0].p_success
         eta_exponent = 1
     else:

@@ -15,7 +15,7 @@ from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
 from ecpsim.cli import main
 from ecpsim.dsl import parse
 from ecpsim.elements import apply_pbs, apply_vbs
-from ecpsim.engine import _run_arm, _source_state, analyze, execute, run_ecp1, run_ecp2
+from ecpsim.engine import _run_chain, _source_state, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.fock import fidelity, pattern_count, single_photon, tensor
 from ecpsim.formulas import round_success_series
 from ecpsim.measurement import DetectorModel, qnd_component
@@ -153,8 +153,8 @@ def test_criterion_04_recycling_recursion():
             inp = _split_signal(ent, pol).filtered(
                 lambda p: pattern_count(p, "b3") == 0
             )
-            results = _run_arm(
-                arm, inp, list(vbs_schedule(ent, 5)), _bindings(ent, pol),
+            results = _run_chain(
+                [arm], inp, [list(vbs_schedule(ent, 5))], _bindings(ent, pol),
                 DetectorModel(),
             )
             for k, res in enumerate(results, start=1):
