@@ -14,7 +14,8 @@ Statement forms:
 The element statements ``pbs``, ``vbs``, ``bs``, ``qnd`` and ``flip`` take
 exactly the keyword fields their row of ``_ELEMENTS`` lists.  ``pbs`` has two
 rows: ``in outH outV`` splits by polarization and ``inH inV out`` merges.
-``select=1`` (keep the one-photon difference class) and
+The ``vbs`` field ``t`` is an expression; the ``flip`` field ``when`` names a
+detector mode.  ``select=1`` (keep the one-photon difference class) and
 ``require=exactly_one`` (one click per group) are the only values accepted,
 because the engine implements no other.  ``photon=`` tags group source lines
 describing components of one photon (a superposed input spans several
@@ -490,11 +491,12 @@ def parse(text: str) -> CircuitDoc:
         elif kw == "pbs" or kw in _ELEMENTS:
             if positional:
                 raise CircuitParseError(f"{kw} takes keyword fields only", lineno, col0)
+            label = kw
             if kw == "pbs":
                 merge = fields.keys() & set(_ELEMENTS["pbs (merge)"][1])
-                kw = "pbs (merge)" if merge else "pbs (split)"
-            decl, mode_keys, extra_keys, out_keys = _ELEMENTS[kw]
-            _need(fields, mode_keys + extra_keys, lineno, col0, kw)
+                label = "pbs (merge)" if merge else "pbs (split)"
+            decl, mode_keys, extra_keys, out_keys = _ELEMENTS[label]
+            _need(fields, mode_keys + extra_keys, lineno, col0, label)
             args = [
                 _declared(fields[k][1], lineno, fields[k][0], declared) for k in mode_keys
             ]
