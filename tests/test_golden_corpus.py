@@ -75,6 +75,20 @@ def corpus_argvs() -> list[list[str]]:
         ["verify", "--rounds", "8", "--alpha-sq", "0.9"],
         ["verify", "--eta", "0.8", "--rounds", "5"],
     ])
+    # one literal point per bench exact_grid configuration, at eta 0.8
+    weights = iter(("0.17", "0.42", "0.58", "0.83") * 5)
+    for protocol, depths in (("ecp1", (None,)), ("ecp2", ("1", "3", "5", "8"))):
+        for pol in ([], ["--gamma-sq", "0.71"]):
+            for accounting in ("branch", "joint"):
+                for r in depths:
+                    argvs.append([
+                        "run", "--protocol", protocol, "--alpha-sq", next(weights), *pol,
+                        "--accounting", accounting, "--eta", "0.8",
+                        *(["--rounds", r] if r else []),
+                    ])
+    # deep chains, past the rounds where the mass runs out
+    for pol in ([], ["--gamma-sq", "0.3"]):
+        argvs.append(["run", "--protocol", "ecp2", "--alpha-sq", "0.6", *pol, "--rounds", "1000"])
     return argvs
 
 
