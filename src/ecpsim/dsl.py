@@ -38,6 +38,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+from .params import ParameterError
+
 
 class CircuitError(Exception):
     """Any failure to assemble or resolve a circuit document."""
@@ -199,6 +201,8 @@ def evaluate_expr(text: str, bindings: Mapping[str, complex]) -> complex:
         if kind == "mul":
             return left * right
         if kind == "div":
+            if right == 0:
+                raise ParameterError(f"expression {text!r} divides by zero")
             return left / right
         raise CircuitError(f"unknown expression node {kind!r}")
 
@@ -503,10 +507,10 @@ def parse(text: str) -> CircuitDoc:
             for key in extra_keys:
                 fcol, value = fields[key]
                 if key == "t":
-                    node = _check_expr_params(value, params, lineno, fcol)
-                    if node[0] == "num" and not 0.0 <= node[1] <= 1.0:
+                    t = _check_expr_params(value, params, lineno, fcol, evaluate_real)
+                    if t is not None and not 0.0 <= t <= 1.0:
                         raise CircuitParseError(
-                            f"transmittance t={node[1]} outside [0, 1]", lineno, fcol
+                            f"transmittance t={t} outside [0, 1]", lineno, fcol
                         )
                     args.append(value)
                 elif value != "1":
@@ -563,14 +567,18 @@ def parse(text: str) -> CircuitDoc:
     return doc
 
 
-def _check_expr_params(
-    text: str, params: Sequence[str], line: int, col: int
-) -> Expr:
-    node = parse_expr(text, line, col)
-    for v in sorted(expr_variables(node)):
+def _check_expr_params(text: str, params: Sequence[str], line: int, col: int, evaluate=evaluate_expr):
+    """Check what an expression reads; evaluate it if it reads no parameter."""
+    names = expr_variables(parse_expr(text, line, col))
+    for v in sorted(names):
         if v not in params:
             raise CircuitParseError(f"undeclared parameter {v!r} in expression", line, col)
-    return node
+    if names:
+        return None
+    try:
+        return evaluate(text, {})
+    except (BindingError, ParameterError) as exc:
+        raise CircuitParseError(str(exc), line, col) from None
 
 
 def validate(doc: CircuitDoc) -> None:

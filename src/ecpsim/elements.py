@@ -24,13 +24,16 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Mapping
 
 from .fock import (
     Mode,
+    PatternTable,
     State,
     POLARIZATIONS,
     CheckedRules,
     apply_mode_transform,
+    pattern_count,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -48,16 +51,16 @@ class PortContractError(ValueError):
 
 
 def _require_distinct(kind: str, **ports: str) -> None:
-    seen: dict[str, str] = {}
-    for name, spatial in ports.items():
-        if spatial in seen.values():
+    seen: set[str] = set()
+    for spatial in ports.values():
+        if spatial in seen:
             raise PortContractError(f"{kind}: ports must be distinct, {spatial!r} repeats")
-        seen[name] = spatial
+        seen.add(spatial)
 
 
 # The fixed transforms are built and isometry-checked once per port tuple
 # (and coupler matrix); the variable coupler's rules depend on ``t`` and are
-# checked on every call.
+# checked on every call.  The ``*_rules`` builders also check the ports.
 @functools.lru_cache(maxsize=256)
 def _pbs_rules(h_in: str, h_out: str, v_in: str, v_out: str) -> CheckedRules:
     """H photons of ``h_in`` to ``h_out``, V photons of ``v_in`` to ``v_out``."""
@@ -72,24 +75,24 @@ def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
     return apply_mode_transform(state, _pbs_rules(inp, out_h, inp, out_v))
 
 
+def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v: str, out: str):
+    """``apply_pbs_merge`` on ``tab``'s ids."""
+    _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
+    for p in terms:
+        for (sp, pol), _n in tab.patterns[p]:
+            if (sp, pol) in ((in_h, "V"), (in_v, "H")):
+                raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
+    return tab.transform(terms, _pbs_rules(in_h, out, in_v, out), tab.stage("pbs", in_h, in_v, out))
+
+
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:
     """Polarizing combiner: H from ``in_h`` and V from ``in_v`` into ``out``.
 
     Raises PortContractError if the state carries V amplitude on ``in_h`` or
     H amplitude on ``in_v``; those photons would exit the unmonitored port.
     """
-    _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
-    for pattern, _ in state.items():
-        for (sp, pol), _n in pattern:
-            if sp == in_h and pol == "V":
-                raise PortContractError(
-                    f"pbs merge: input {in_h!r} carries V amplitude"
-                )
-            if sp == in_v and pol == "H":
-                raise PortContractError(
-                    f"pbs merge: input {in_v!r} carries H amplitude"
-                )
-    return apply_mode_transform(state, _pbs_rules(in_h, out, in_v, out))
+    tab = PatternTable()
+    return tab.state(merge_terms(tab, tab.of(state), in_h, in_v, out))
 
 
 def bs_matrix() -> tuple[tuple[complex, complex], tuple[complex, complex]]:
@@ -113,13 +116,17 @@ def _bs_rules(in1: str, in2: str, out1: str, out2: str, matrix) -> CheckedRules:
     return CheckedRules(rules)
 
 
+def bs_rules(in1: str, in2: str, out1: str, out2: str) -> CheckedRules:
+    """The balanced coupler at the matrix in force now (see ``BS_IN2_PHASE``)."""
+    return _bs_rules(in1, in2, out1, out2, bs_matrix())
+
+
 def apply_bs(state: State, in1: str, in2: str, out1: str, out2: str) -> State:
     """Balanced coupler on two spatial modes, polarization preserved."""
-    return apply_mode_transform(state, _bs_rules(in1, in2, out1, out2, bs_matrix()))
+    return apply_mode_transform(state, bs_rules(in1, in2, out1, out2))
 
 
-def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> State:
-    """Variable coupler: sqrt(1-t) to ``reflect``, sqrt(t) to ``transmit``."""
+def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"vbs transmittance must lie in [0, 1], got {t}")
     _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
@@ -128,12 +135,16 @@ def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> 
     rules: dict[Mode, list[tuple[Mode, complex]]] = {}
     for pol in POLARIZATIONS:
         rules[(inp, pol)] = [((reflect, pol), r), ((transmit, pol), s)]
-    return apply_mode_transform(state, rules)
+    return CheckedRules(rules)
+
+
+def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> State:
+    """Variable coupler: sqrt(1-t) to ``reflect``, sqrt(t) to ``transmit``."""
+    return apply_mode_transform(state, vbs_rules(inp, reflect, transmit, t))
 
 
 def apply_phase_flip(state: State, spatial: str) -> State:
     """Negate every term holding an odd photon count in ``spatial``."""
     return State._trusted({
-        p: -a if sum(n for (sp, _), n in p if sp == spatial) % 2 else a
-        for p, a in state.items()
+        p: -a if pattern_count(p, spatial) % 2 else a for p, a in state.items()
     })

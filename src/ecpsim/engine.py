@@ -29,7 +29,14 @@ Two accounting conventions are supported:
 Both go through one round loop, ``_run_chain``: branch accounting runs it
 once per arm, joint accounting once with all arms.  Arms without a
 nondemolition comparison pass the whole state on to their heralding
-coupler.
+coupler.  ``analyze`` is cached per document, and each plan carries one
+``fock.PatternTable`` compiled lazily: the first time a pattern id meets a
+stage (auxiliary photon through its coupler, tensor product, nondemolition
+class, coupler expansion, click signature and verdict, flip parity,
+polarizing merge), its entry is derived and kept, keyed on the id and the
+stage's ports, never on alpha, gamma, t or a result.  Rounds and the
+merge/fidelity tail run on ``{id: amplitude}`` dicts with the ``State``
+kernels' operations, in the same order, pruned at the same points.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds rebuild the auxiliary photon, rebind the
@@ -41,6 +48,7 @@ chain rather than a branching tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -61,8 +69,16 @@ from .dsl import (
     expr_variables,
     parse_expr,
 )
-from .elements import apply_bs, apply_pbs, apply_pbs_merge, apply_vbs
-from .fock import State, fidelity, pattern_count, single_photon, tensor
+from .elements import apply_pbs, bs_rules, merge_terms, vbs_rules
+from .fock import (
+    PatternTable,
+    State,
+    pattern_count,
+    prune,
+    single_photon,
+    terms_fidelity,
+    terms_norm_sq,
+)
 from .formulas import (
     branch_success_minus,
     branch_success_plus,
@@ -74,10 +90,11 @@ from .formulas import (
 from .measurement import (
     DetectorGroup,
     DetectorModel,
-    HeraldOutcome,
     IDEAL_DETECTORS,
-    herald,
-    qnd_component,
+    detection_factor,
+    herald_terms,
+    qnd_class,
+    residual,
 )
 from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
@@ -107,6 +124,7 @@ class ArmPlan:
     recycle_bs: BsDecl | None = None
     recycle_group: DetectDecl | None = None
     recycle_flips: dict[str, str] = dc_field(default_factory=dict)
+    tables: PatternTable | None = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -139,8 +157,13 @@ def _photon_groups(doc: CircuitDoc) -> list[list[SourceDecl]]:
     return list(groups.values())
 
 
+@functools.lru_cache(maxsize=32)
 def analyze(doc: CircuitDoc) -> Plan:
-    """Recognize the concentration topology; raise TopologyError otherwise."""
+    """Recognize the concentration topology; raise TopologyError otherwise.
+
+    Cached per document, so runs share the plan and its ``PatternTable``.
+    """
+    tables = PatternTable()
     groups = _photon_groups(doc)
     vbs_list = [st for st in doc.statements if isinstance(st, VbsDecl)]
     bs_list = [st for st in doc.statements if isinstance(st, BsDecl)]
@@ -224,6 +247,7 @@ def analyze(doc: CircuitDoc) -> Plan:
             success_bs=sbs,
             success_group=sgroup,
             flips=flips,
+            tables=tables,
         )
         if recycle:
             rj, rbs = recycle[0]
@@ -293,21 +317,6 @@ def _detector_group(g: DetectDecl) -> DetectorGroup:
     return DetectorGroup(g.group, g.modes, g.eta)
 
 
-def _combine_recycle(raws: list[State]) -> State:
-    """Collapse equivalent recycle continuations into one weighted state."""
-    if not raws:
-        return State()
-    first = raws[0]
-    for other in raws[1:]:
-        if fidelity(first, other) < 1.0 - RECYCLE_AGREEMENT_TOL:
-            raise RuntimeError(
-                "recycle click patterns disagree after correction; "
-                "feed-forward rules are inconsistent with the coupler convention"
-            )
-    total = sum(r.norm_sq() for r in raws)
-    return first.scaled(math.sqrt(total / first.norm_sq()))
-
-
 def _target_state(outputs: tuple[str, ...], pol: PolarizationParams | None) -> State:
     comps = []
     for m in outputs:
@@ -322,24 +331,48 @@ def _target_state(outputs: tuple[str, ...], pol: PolarizationParams | None) -> S
 # ---------------------------------------------------------------------------
 # recycling chain
 
+def _successes(tab: PatternTable, terms, couplers, groups, flips, factor: float):
+    """The couplers, then per success ``(weight, probability, raw)``: the
+    normalized residual, phase-flipped, scaled back by ``sqrt(weight)``."""
+    for bs in couplers:
+        ports = (bs.in1, bs.in2, bs.out1, bs.out2)
+        terms = tab.transform(terms, bs_rules(*ports), tab.stage("bs", *ports))
+    wins = []
+    for _, weight, success, corr, component in herald_terms(tab, terms, groups, flips):
+        if success:
+            odd = tab.stage("flip", *corr)
+            up = math.sqrt(weight)
+            raw = {}
+            for q, a in residual(component, weight).items():
+                if q not in odd:
+                    odd[q] = sum(pattern_count(tab.patterns[q], m) for m in corr) % 2
+                raw[q] = (-a if odd[q] else a) * up
+            wins.append((weight, weight * factor, prune(raw)))
+    return wins
+
+
+def _combine_recycle(raws: list[dict[int, complex]]) -> dict[int, complex]:
+    """Collapse equivalent recycle continuations into one weighted component."""
+    if not raws:
+        return {}
+    first = raws[0]
+    for other in raws[1:]:
+        if terms_fidelity(first, other) < 1.0 - RECYCLE_AGREEMENT_TOL:
+            raise RuntimeError(
+                "recycle click patterns disagree after correction; "
+                "feed-forward rules are inconsistent with the coupler convention"
+            )
+    total = sum(terms_norm_sq(r) for r in raws)
+    scale = math.sqrt(total / terms_norm_sq(first))
+    return prune({p: a * scale for p, a in first.items()})
+
+
 @dataclass
 class _ChainRound:
     p_success: float
     p_recycle: float
-    success_raws: list[State]
-    recycle_next: State = dc_field(default_factory=State)
-
-
-def _successes(
-    state: State,
-    couplers: list[BsDecl],
-    groups: list[DetectorGroup],
-    flips: dict[str, str],
-    model: DetectorModel,
-) -> list[HeraldOutcome]:
-    for bs in couplers:
-        state = apply_bs(state, bs.in1, bs.in2, bs.out1, bs.out2)
-    return [o for o in herald(state, groups, model, flips) if o.success]
+    wins: list[dict[int, complex]]  # corrected heralded components, by pattern id
+    recycle_next: State
 
 
 def _run_chain(
@@ -356,8 +389,9 @@ def _run_chain(
     that have one: class 1 on all of them goes on to the heralding couplers,
     class 0 on all of them to the recycling couplers.  Success needs every
     arm's group to click at once; the combined recycle continuation is the
-    next round's input.
+    next round's input.  Rounds run on the plan's ``PatternTable``.
     """
+    tab = arms[0].tables
     success = (
         [a.success_bs for a in arms],
         [_detector_group(a.success_group) for a in arms],
@@ -370,60 +404,61 @@ def _run_chain(
             [_detector_group(a.recycle_group) for a in arms],
             {d: m for a in arms for d, m in a.recycle_flips.items()},
         )
+    factor = detection_factor(success[1], model)
+    qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
+    classes = tab.stage("qnd", *(a.label for a in arms))  # id -> (kept, dropped)
+    auxes: list[dict[int, complex] | None] = [None] * len(arms)
+    current = tab.of(current)
     results = []
     for k in range(len(schedules[0])):
-        if current.is_empty:
-            results.append(_ChainRound(0.0, 0.0, []))
+        if not current:
+            results.append(_ChainRound(0.0, 0.0, [], State()))
             continue
         work = current
-        for arm, ts in zip(arms, schedules):
-            aux = _source_state(arm.aux_sources, bindings)
-            aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, ts[k])
-            work = tensor(work, aux)
-        kept = dropped = work
-        for arm in arms:
-            if arm.qnd is not None:
-                kept = qnd_component(kept, arm.qnd.a, arm.qnd.b, 1)
-                dropped = qnd_component(dropped, arm.qnd.a, arm.qnd.b, 0)
-        wins = [] if kept.is_empty else _successes(kept, *success, model)
-        p_rec, nxt = 0.0, State()
-        if recycles and not dropped.is_empty:
-            again = _successes(dropped, *recycle, model)
-            p_rec = sum((o.weight for o in again), 0.0)
-            nxt = _combine_recycle([o.corrected_raw() for o in again])
-        results.append(
-            _ChainRound(
-                sum((o.probability for o in wins), 0.0),
-                p_rec,
-                [o.corrected_raw() for o in wins],
-                nxt,
-            )
-        )
+        for i, (arm, ts) in enumerate(zip(arms, schedules)):
+            if auxes[i] is None:  # the same photon every round
+                auxes[i] = tab.of(_source_state(arm.aux_sources, bindings))
+            ports = (arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit)
+            aux = tab.transform(auxes[i], vbs_rules(*ports, ts[k]), tab.stage("vbs", *ports))
+            work = tab.tensor(work, aux)
+        for p in work.keys() - classes.keys():
+            cs = {qnd_class(tab.patterns[p], qa, qb) for qa, qb in qnds}
+            classes[p] = (cs <= {1}, cs <= {0})
+        kept = {p: a for p, a in work.items() if classes[p][0]}
+        dropped = {p: a for p, a in work.items() if classes[p][1]}
+        wins = _successes(tab, kept, *success, factor) if kept else []
+        p_rec, nxt = 0.0, {}
+        if recycles and dropped:
+            again = _successes(tab, dropped, *recycle, 1.0)
+            p_rec = sum((w for w, _, _ in again), 0.0)
+            nxt = _combine_recycle([raw for _, _, raw in again])
+        p_win = sum((p for _, p, _ in wins), 0.0)
+        results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], tab.state(nxt)))
         current = nxt
     return results
 
 
-def _merge_pair(merge: PbsMergeDecl, raw_plus: State, raw_minus: State) -> State:
-    a = apply_pbs_merge(raw_plus, merge.in_h, merge.in_v, merge.out)
-    b = apply_pbs_merge(raw_minus, merge.in_h, merge.in_v, merge.out)
-    combined = dict(a.items())
+def _merge_pair(tab: PatternTable, merge: PbsMergeDecl, raw_plus: dict, raw_minus: dict) -> dict:
+    a = merge_terms(tab, raw_plus, merge.in_h, merge.in_v, merge.out)
+    b = merge_terms(tab, raw_minus, merge.in_h, merge.in_v, merge.out)
+    combined = dict(a)
     for p, amp in b.items():
         # both arms carry the signal-at-home component; the published
         # recombination counts it once, so shared amplitudes average
         combined[p] = 0.5 * (combined[p] + amp) if p in combined else amp
-    return State(combined)
+    return tab.admit(combined)
 
 
 def _rounds(
     ts: list[float],
     chains: list[list[_ChainRound]],
-    heralded: list[list[State]],
-    target: State,
+    heralded: list[list[dict[int, complex]]],
+    target: dict[int, complex],
 ) -> list[RoundResult]:
     """Round results summed over ``chains``; fidelity is the worst heralded state."""
     rounds = []
     for k, t in enumerate(ts):
-        fids = [fidelity(s, target) for s in heralded[k]]
+        fids = [terms_fidelity(s, target) for s in heralded[k]]
         rounds.append(
             RoundResult(
                 k=k + 1,
@@ -510,7 +545,8 @@ def execute(
     # schedule only feeds their transmittance parameters
     eff_plus, eff_minus = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
-    target = _target_state(plan.outputs, pol)
+    tab = plan.arms[0].tables
+    target = tab.of(_target_state(plan.outputs, pol))
     signal = _source_state(plan.signal_sources, bindings)
     if plan.split is not None:
         signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
@@ -532,14 +568,14 @@ def execute(
     merge = plan.merge
     if len(chains) == 2:
         heralded = [
-            [_merge_pair(merge, rp, rm) for rp in p.success_raws for rm in m.success_raws]
+            [_merge_pair(tab, merge, rp, rm) for rp in p.wins for rm in m.wins]
             for p, m in zip(*chains)
         ]
     else:
         heralded = [
             [
-                raw if merge is None else apply_pbs_merge(raw, merge.in_h, merge.in_v, merge.out)
-                for raw in r.success_raws
+                raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out)
+                for raw in r.wins
             ]
             for r in chains[0]
         ]

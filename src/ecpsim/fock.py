@@ -25,6 +25,13 @@ Conventions used throughout:
 
 Norms are not enforced: intermediate protocol states are deliberately kept
 unnormalized so that squared norms compose into branch probabilities.
+
+Every kernel runs on a ``PatternTable`` (patterns interned to ids, states
+as ``{id: amplitude}`` dicts), which keeps what each term turns into; the
+``State`` operations use a throwaway one, the engine one per plan.
+Coefficients are read when a kernel runs.  Results are pruned where built:
+``State(...)``/``PatternTable.admit`` (prune, photon cap, accumulate,
+prune) and ``prune`` for every other kernel.
 """
 
 from __future__ import annotations
@@ -103,29 +110,13 @@ class State:
         self,
         terms: Mapping[Pattern, complex] | Iterable[tuple[Pattern, complex]] = (),
     ):
-        if isinstance(terms, dict) or isinstance(terms, Mapping):
-            items: Iterable[tuple[Pattern, complex]] = terms.items()
-        else:
-            items = terms
-        kept: dict[Pattern, complex] = {}
-        for pattern, amp in items:
-            a = complex(amp)
-            if abs(a) < PRUNE_EPS:
-                continue
-            total = pattern_photons(pattern)
-            if total > PHOTON_CAP:
-                raise PhotonBudgetError(
-                    f"pattern holds {total} photons, cap is {PHOTON_CAP}"
-                )
-            kept[pattern] = kept.get(pattern, 0j) + a
-        # a cancellation during accumulation can re-create a negligible term
-        self._terms = {p: a for p, a in kept.items() if abs(a) >= PRUNE_EPS}
+        self._terms = _admit(terms.items() if isinstance(terms, Mapping) else terms, pattern_photons)
 
     @classmethod
     def _trusted(cls, terms: dict[Pattern, complex]) -> "State":
         """Prune only: the caller guarantees distinct, within-cap patterns and complex amplitudes."""
         state = object.__new__(cls)
-        state._terms = {p: a for p, a in terms.items() if abs(a) >= PRUNE_EPS}
+        state._terms = prune(terms)
         return state
 
     # -- basic queries ----------------------------------------------------
@@ -148,7 +139,7 @@ class State:
         return not self._terms
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._terms.values())
+        return terms_norm_sq(self._terms)
 
     def spatial_modes(self) -> set[str]:
         return {sp for p in self._terms for (sp, _) in p}
@@ -195,44 +186,59 @@ def single_photon(components: Iterable[tuple[str, str, complex]]) -> State:
     return State(terms)
 
 
-def tensor(a: State, b: State) -> State:
-    """Tensor product of states on disjoint mode sets.
-
-    Raises ModeCollisionError if any mode appears on both sides; the
-    product of an n-term and an m-term state has at most n*m terms.
-    """
-    shared = a.modes() & b.modes()
-    if shared:
-        raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
-    terms: dict[Pattern, complex] = {}
-    for pa, aa in a.items():
-        for pb, ab in b.items():
-            merged = dict(pa)
-            merged.update(pb)
-            terms[make_pattern(merged)] = aa * ab
-    return State(terms)
+def prune(terms: Mapping) -> dict:
+    """The terms of magnitude at least ``PRUNE_EPS``, in order."""
+    return {p: a for p, a in terms.items() if abs(a) >= PRUNE_EPS}
 
 
-def inner(a: State, b: State) -> complex:
-    """Hermitian inner product <a|b> over the shared pattern support."""
-    if a.num_terms > b.num_terms:
-        return inner(b, a).conjugate()
+def _admit(items: Iterable[tuple], photons: Callable) -> dict:
+    """``State(...)``: prune, hold the photon cap, accumulate, prune."""
+    kept: dict = {}
+    for key, amp in items:
+        a = complex(amp)
+        if abs(a) < PRUNE_EPS:
+            continue
+        total = photons(key)
+        if total > PHOTON_CAP:
+            raise PhotonBudgetError(f"pattern holds {total} photons, cap is {PHOTON_CAP}")
+        kept[key] = kept.get(key, 0j) + a
+    # a cancellation during accumulation can re-create a negligible term
+    return prune(kept)
+
+
+# plain ``{key: amplitude}`` dicts: states over patterns or pattern ids
+def terms_norm_sq(terms: Mapping) -> float:
+    return sum(abs(a) ** 2 for a in terms.values())
+
+
+def terms_inner(a: Mapping, b: Mapping) -> complex:
+    if len(a) > len(b):
+        return terms_inner(b, a).conjugate()
     total = 0j
     for p, aa in a.items():
-        ab = b.amplitude(p)
+        ab = b.get(p, 0j)
         if ab:
             total += aa.conjugate() * ab
     return total
 
 
-def fidelity(a: State, b: State) -> float:
-    """|<a|b>|^2 for the normalized versions of both states."""
-    na = a.norm_sq()
-    nb = b.norm_sq()
+def terms_fidelity(a: Mapping, b: Mapping) -> float:
+    na = terms_norm_sq(a)
+    nb = terms_norm_sq(b)
     if na <= NORM_TOL**2 or nb <= NORM_TOL**2:
         raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
-    val = abs(inner(a, b)) ** 2 / (na * nb)
+    val = abs(terms_inner(a, b)) ** 2 / (na * nb)
     return min(val, 1.0)
+
+
+def inner(a: State, b: State) -> complex:
+    """Hermitian inner product <a|b> over the shared pattern support."""
+    return terms_inner(a._terms, b._terms)
+
+
+def fidelity(a: State, b: State) -> float:
+    """|<a|b>|^2 for the normalized versions of both states."""
+    return terms_fidelity(a._terms, b._terms)
 
 
 def _check_isometry(rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]) -> None:
@@ -254,15 +260,141 @@ def _check_isometry(rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]) -> Non
 class CheckedRules(dict):
     """Transform rules checked once; ``apply_mode_transform`` reuses them unchecked.
 
-    Raises IsometryError when the coefficient matrix is not an isometry.
-    """
+    ``coef`` maps each input mode to its coefficients in expansion order.
+    Raises IsometryError when the coefficient matrix is not an isometry."""
 
-    __slots__ = ("out_modes",)
+    __slots__ = ("out_modes", "coef")
 
     def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]):
         _check_isometry(rules)
         super().__init__(rules)
         self.out_modes = frozenset(mo for expansion in rules.values() for mo, _ in expansion)
+        self.coef = {m: [c for _, c in expansion] for m, expansion in rules.items()}
+
+
+class PatternTable:
+    """Interned patterns, the kernels on their ids, and ``stage`` tables:
+    lazily filled, one per use of an element, keyed by pattern id."""
+
+    def __init__(self):
+        self.patterns: list[Pattern] = []
+        self.photons: list[int] = []
+        self.ids: dict[Pattern, int] = {}
+        self.stages: dict[tuple, dict] = {}
+
+    def intern(self, pattern: Pattern) -> int:
+        pid = self.ids.get(pattern)
+        if pid is None:
+            pid = self.ids[pattern] = len(self.patterns)
+            self.patterns.append(pattern)
+            self.photons.append(pattern_photons(pattern))
+        return pid
+
+    def of(self, state: State) -> dict[int, complex]:
+        return {self.intern(p): a for p, a in state.items()}
+
+    def state(self, terms: Mapping[int, complex]) -> State:
+        return State._trusted({self.patterns[p]: a for p, a in terms.items()})
+
+    def stage(self, *key) -> dict:
+        return self.stages.setdefault(key, {})
+
+    def admit(self, terms: Mapping[int, complex]) -> dict[int, complex]:
+        return _admit(terms.items(), self.photons.__getitem__)
+
+    def tensor(self, a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, complex]:
+        products = self.stage("tensor")
+        terms = {}
+        for ia, aa in a.items():
+            row = products.setdefault(ia, {})
+            for ib, ab in b.items():
+                pid = row.get(ib, -1)
+                if pid == -1:
+                    pa, pb = dict(self.patterns[ia]), dict(self.patterns[ib])
+                    pid = row[ib] = None if pa.keys() & pb else self.intern(make_pattern(pa | pb))
+                if pid is None:
+                    shared = self.state(a).modes() & self.state(b).modes()
+                    raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
+                terms[pid] = aa * ab
+        return self.admit(terms)
+
+    def transform(self, terms: Mapping[int, complex], rules: CheckedRules, programs: dict):
+        """``apply_mode_transform``; ``programs`` keeps each term's expansion."""
+        out: dict[int, complex] = {}
+        for p, amp in terms.items():
+            program = programs.get(p)
+            if program is None:
+                program = programs[p] = self._program(self.patterns[p], rules)
+            layers, finals, sqrt_norm_in = program
+            if layers is None:  # no photon of this term moves
+                out[finals] = out.get(finals, 0j) + amp
+                continue
+            vals = [amp]
+            for m, ops, size in layers:
+                cs = rules.coef[m]
+                grown = [0j] * size
+                for src, j, dst in ops:
+                    grown[dst] += vals[src] * cs[j]
+                vals = grown
+            for slot, key, sqrt_norm_out in finals:
+                c = vals[slot]
+                if c:
+                    out[key] = out.get(key, 0j) + c * sqrt_norm_out / sqrt_norm_in
+        return prune(out)
+
+    def _program(self, pattern: Pattern, rules: CheckedRules):
+        """``(layers, finals, sqrt(prod n_in!))`` of one term under ``rules``, any coefficients:
+        layer ``(m, ops, size)`` moves a photon of mode ``m`` by ``(src, j, dst)``
+        slot moves (``j`` indexes ``rules[m]``), ``finals`` holds ``(slot, output
+        id, sqrt(prod N_out!))``.  An unmoved term is ``(None, its id, None)``."""
+        moving = []
+        base = {}
+        norm_in = 1
+        for m, n in pattern:
+            norm_in *= _FACTORIALS[n]
+            if m in rules:
+                moving.append((m, n))
+            elif m in rules.out_modes:
+                raise ModeCollisionError(
+                    "transform output mode already occupied by an untouched photon"
+                )
+            else:
+                base[m] = n
+        if not moving:
+            return None, self.intern(pattern), None
+        # multisets of output modes, one photon at a time
+        slots: dict[tuple[Mode, ...], int] = {(): 0}
+        layers = []
+        for m, n in moving:
+            outs = [mo for mo, _ in rules[m]]
+            for _ in range(n):
+                grown: dict[tuple[Mode, ...], int] = {}
+                ops = []
+                for key, src in slots.items():
+                    for j, mo in enumerate(outs):
+                        ops.append((src, j, grown.setdefault(tuple(sorted(key + (mo,))), len(grown))))
+                layers.append((m, tuple(ops), len(grown)))
+                slots = grown
+        finals = []
+        for key, slot in slots.items():
+            counts = dict(base)
+            for mo in key:
+                counts[mo] = counts.get(mo, 0) + 1
+            norm_out = 1
+            for n in counts.values():
+                norm_out *= _FACTORIALS[n]
+            finals.append((slot, self.intern(tuple(sorted(counts.items()))), math.sqrt(norm_out)))
+        return tuple(layers), tuple(finals), math.sqrt(norm_in)
+
+
+def tensor(a: State, b: State) -> State:
+    """Tensor product of states on disjoint mode sets.
+
+    Raises ModeCollisionError if any mode appears on both sides; the
+    product of an n-term and an m-term state has at most n*m terms.
+    """
+    tab = PatternTable()
+    return tab.state(tab.tensor(tab.of(a), tab.of(b)))
 
 
 def apply_mode_transform(
@@ -287,49 +419,8 @@ def apply_mode_transform(
     """
     if not isinstance(rules, CheckedRules):
         rules = CheckedRules(rules)
-    out_modes = rules.out_modes
-    out: dict[Pattern, complex] = {}
-    for pattern, amp in state.items():
-        moving = []
-        base = {}
-        norm_in = 1
-        for m, n in pattern:
-            norm_in *= _FACTORIALS[n]
-            if m in rules:
-                moving.append((m, n))
-            elif m in out_modes:
-                raise ModeCollisionError(
-                    "transform output mode already occupied by an untouched photon"
-                )
-            else:
-                base[m] = n
-        if not moving:
-            out[pattern] = out.get(pattern, 0j) + amp
-            continue
-        # polynomial over multisets of output modes, one photon at a time
-        poly: dict[tuple[Mode, ...], complex] = {(): amp}
-        for m, n in moving:
-            expansion = rules[m]
-            for _ in range(n):
-                grown: dict[tuple[Mode, ...], complex] = {}
-                for key, coeff in poly.items():
-                    for mo, c in expansion:
-                        k2 = tuple(sorted(key + (mo,)))
-                        grown[k2] = grown.get(k2, 0j) + coeff * c
-                poly = grown
-        sqrt_norm_in = math.sqrt(norm_in)
-        for key, coeff in poly.items():
-            if not coeff:
-                continue
-            counts = dict(base)
-            for mo in key:
-                counts[mo] = counts.get(mo, 0) + 1
-            norm_out = 1
-            for n in counts.values():
-                norm_out *= _FACTORIALS[n]
-            p2 = tuple(sorted(counts.items()))
-            out[p2] = out.get(p2, 0j) + coeff * math.sqrt(norm_out) / sqrt_norm_in
-    return State._trusted(out)
+    tab = PatternTable()
+    return tab.state(tab.transform(tab.of(state), rules, {}))
 
 
 def format_pattern(pattern: Pattern) -> str:

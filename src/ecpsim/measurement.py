@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .fock import PRUNE_EPS, Pattern, State
-from .elements import apply_phase_flip
+from .fock import PRUNE_EPS, Pattern, PatternTable, State, prune
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,62 @@ class HeraldOutcome:
     correction: tuple[str, ...] = ()
     residual: State = field(default_factory=State)
 
-    def corrected_residual(self) -> State:
-        s = self.residual
-        for m in self.correction:
-            s = apply_phase_flip(s, m)
-        return s
 
-    def corrected_raw(self) -> State:
-        """Correction applied to the unnormalized component (weight kept)."""
-        return self.corrected_residual().scaled(math.sqrt(self.weight))
+def detection_factor(groups: Sequence[DetectorGroup], model: DetectorModel) -> float:
+    """The efficiency factor of a success: one per group that must click."""
+    factor = 1.0
+    for g in groups:
+        factor *= model.eta_p if g.eta is None else g.eta
+    return factor
+
+
+def herald_terms(tab: PatternTable, terms, groups, corrections) -> list[tuple]:
+    """``herald`` on ``tab``'s ids, which keeps each term's and signature's verdict:
+    ``(clicks, weight, success, correction, component)`` per signature, in
+    order; ``component`` lists ``(residual id, amplitude)`` for ``residual``."""
+    detectors = [d for g in groups for d in g.modes]
+    index = {d: i for i, d in enumerate(detectors)}
+    names = tuple(g.name for g in groups)
+    splits = tab.stage("clicks", *names)
+    verdicts = tab.stage("verdict", *names)
+    buckets: dict[tuple[tuple[str, int], ...], list[tuple[int, complex]]] = {}
+    for p, amp in terms.items():
+        split = splits.get(p)
+        if split is None:
+            clicks = [0] * len(detectors)
+            kept = []
+            for entry in tab.patterns[p]:  # ((spatial, pol), count)
+                i = index.get(entry[0][0])
+                if i is None:
+                    kept.append(entry)
+                else:
+                    clicks[i] += entry[1]
+            sig = tuple((d, n) for d, n in zip(detectors, clicks) if n)
+            split = splits[p] = (sig, tab.intern(tuple(kept)))
+        buckets.setdefault(split[0], []).append((split[1], amp))
+    outcomes = []
+    for sig in sorted(buckets):
+        component = buckets[sig]
+        weight = sum(abs(a) ** 2 for _, a in component)
+        if weight <= PRUNE_EPS**2:
+            continue
+        verdict = verdicts.get(sig)
+        if verdict is None:
+            counts = dict(sig)
+            success = all(sum(counts.get(d, 0) for d in g.modes) == 1 for g in groups)
+            corr = sorted(corrections[d] for d, _ in sig if d in corrections) if success else ()
+            verdict = verdicts[sig] = (success, tuple(corr))
+        outcomes.append((sig, weight, *verdict, component))
+    return outcomes
+
+
+def residual(component: list[tuple[int, complex]], weight: float) -> dict[int, complex]:
+    """What the detectors did not absorb, normalized: ``HeraldOutcome.residual``."""
+    terms: dict[int, complex] = {}
+    for q, amp in component:
+        terms[q] = terms.get(q, 0j) + amp
+    down = 1.0 / math.sqrt(weight)
+    return prune({q: a * down for q, a in prune(terms).items()})
 
 
 def herald(
@@ -109,70 +155,25 @@ def herald(
     that needs a phase flip when that detector fires.  Outcomes are sorted
     by click signature; their weights partition the input's squared norm.
     """
-    corrections = corrections or {}
-    all_detectors: list[str] = []
-    for g in groups:
-        all_detectors.extend(g.modes)
-    index = {d: i for i, d in enumerate(all_detectors)}
-    # click signature -> [(residual pattern, amplitude), ...] in state order
-    buckets: dict[tuple[tuple[str, int], ...], list[tuple[Pattern, complex]]] = {}
-    for pattern, amp in state.items():
-        clicks = [0] * len(all_detectors)
-        kept = []
-        for entry in pattern:  # ((spatial, pol), count)
-            i = index.get(entry[0][0])
-            if i is None:
-                kept.append(entry)
-            else:
-                clicks[i] += entry[1]
-        sig = tuple((d, n) for d, n in zip(all_detectors, clicks) if n)
-        buckets.setdefault(sig, []).append((tuple(kept), amp))
-    outcomes = []
-    for sig in sorted(buckets):
-        component = buckets[sig]
-        weight = sum(abs(a) ** 2 for _, a in component)
-        if weight <= PRUNE_EPS**2:
-            continue
-        counts = dict(sig)
-        success = True
-        factor = 1.0
-        for g in groups:
-            in_group = {d: counts.get(d, 0) for d in g.modes}
-            if sum(in_group.values()) != 1:
-                success = False
-            factor *= model.eta_p if g.eta is None else g.eta
-        corr = tuple(
-            sorted(corrections[d] for d, _ in sig if d in corrections)
-        )
-        # the residual keeps what the detectors did not absorb
-        residual_terms: dict[Pattern, complex] = {}
-        for kept, amp in component:
-            residual_terms[kept] = residual_terms.get(kept, 0j) + amp
-        residual = State._trusted(residual_terms).scaled(1.0 / math.sqrt(weight))
-        probability = weight * (factor if success else 1.0)
-        outcomes.append(
-            HeraldOutcome(
-                clicks=sig,
-                weight=weight,
-                probability=probability,
-                success=success,
-                correction=corr if success else (),
-                residual=residual,
-            )
-        )
-    return outcomes
+    factor = detection_factor(groups, model)
+    tab = PatternTable()
+    return [
+        HeraldOutcome(sig, w, w * (factor if ok else 1.0), ok, corr, tab.state(residual(comp, w)))
+        for sig, w, ok, corr, comp in herald_terms(tab, tab.of(state), groups, corrections or {})
+    ]
+
+
+def qnd_class(pattern: Pattern, mode_a: str, mode_b: str) -> int:
+    """|n_a - n_b| of one term."""
+    diff = 0
+    for (sp, _), n in pattern:
+        if sp == mode_a:
+            diff += n
+        if sp == mode_b:
+            diff -= n
+    return abs(diff)
 
 
 def qnd_component(state: State, mode_a: str, mode_b: str, cls: int) -> State:
     """Unnormalized restriction to |n_a - n_b| == cls; both signs survive coherently."""
-    kept = {}
-    for pattern, amp in state.items():
-        diff = 0
-        for (sp, _), n in pattern:
-            if sp == mode_a:
-                diff += n
-            if sp == mode_b:
-                diff -= n
-        if abs(diff) == cls:
-            kept[pattern] = amp
-    return State._trusted(kept)
+    return state.filtered(lambda p: qnd_class(p, mode_a, mode_b) == cls)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-NORM_TOL = 1e-12
+from .fock import NORM_TOL
 
 
 class ParameterError(ValueError):

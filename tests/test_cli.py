@@ -188,6 +188,11 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--engine", "monte_carlo",
           "--trials", str(10**15 + 1)), 3),
         (("sweep", "--alpha-sq-list", "0.5", "--trials", str(10**20)), 3),
+        (("run", "--circuit", "{negative_t}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{product_t}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{divide_t}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{divide_amp}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{divide_at_run}", "--alpha-sq", "0.6"), 3),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -195,6 +200,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "literal-t-t1", "alpha-sq-1", "alpha-sq-0", "joint-degenerate-state",
         "alpha-sq-near-1-degenerate-state", "rounds-100000-balanced",
         "rounds-over-bound", "run-trials-over-bound", "sweep-trials-over-bound",
+        "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -205,6 +211,11 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
         "sources_only": SOURCES_ONLY,
         "stripped": builtin_text("ecp1_stripped"),
         "literal_t": builtin_text("ecp1_stripped").replace("t=t1", "t=1/2"),
+        "negative_t": builtin_text("ecp1_stripped").replace("t=t1", "t=-1"),
+        "product_t": builtin_text("ecp1_stripped").replace("t=t1", "t=0.5*3"),
+        "divide_t": builtin_text("ecp1_stripped").replace("t=t1", "t=1/0"),
+        "divide_amp": builtin_text("ecp1_stripped").replace("amp=1", "amp=1/0"),
+        "divide_at_run": builtin_text("ecp1_stripped").replace("t=t1", "t=t1/(t1-t1)"),
     }
     paths = {}
     for name, text in files.items():

@@ -371,6 +371,16 @@ PRE = "param x\nmode a\nmode b\nmode c\nmode d\n"
          "line 6, column 33: undeclared parameter 'y' in expression"),
         (PRE + 'vbs in=a reflect=b transmit=b t=2\noutput a',
          'line 6, column 33: transmittance t=2.0 outside [0, 1]'),
+        (PRE + 'vbs in=a reflect=b transmit=c t=-1\noutput a',
+         'line 6, column 33: transmittance t=-1.0 outside [0, 1]'),
+        (PRE + 'vbs in=a reflect=b transmit=c t=0.5*3\noutput a',
+         'line 6, column 33: transmittance t=1.5 outside [0, 1]'),
+        (PRE + 'vbs in=a reflect=b transmit=c t=1/0\noutput a',
+         "line 6, column 33: expression '1/0' divides by zero"),
+        (PRE + 'vbs in=a reflect=b transmit=c t=sqrt(0-1)\noutput a',
+         "line 6, column 33: expression 'sqrt(0-1)' evaluated to a complex value 1j"),
+        (PRE + 'source a pol=H amp=1/(2-2)\noutput a',
+         "line 6, column 20: expression '1/(2-2)' divides by zero"),
         (PRE + 'vbs in=a reflect=z transmit=c t=1+\noutput a',
          "line 6, column 18: undeclared mode 'z'"),
         (PRE + 'vbs in=a reflect=b transmit=c t=1+ q=1\noutput a',

@@ -1,6 +1,7 @@
 """Engine: topology recognition, document execution, configuration errors."""
 
 import json
+import random
 
 import pytest
 
@@ -215,3 +216,56 @@ def test_report_json_field_order():
     ]
     for entry in doc["paper_comparison"].values():
         assert list(entry) == ["paper_value", "simulated_value", "delta"]
+
+
+# -- compiled stage tables ------------------------------------------------
+
+def _table_keys(tab):
+    """Every key of a plan's pattern table: interned patterns, stages, entries."""
+    keys = list(tab.ids)
+    for stage, table in tab.stages.items():
+        keys.append(stage)
+        for key, entry in table.items():
+            keys.append(key)
+            if isinstance(entry, dict):  # tensor rows
+                keys.extend(entry)
+    return keys
+
+
+def _holds_float(key):
+    if isinstance(key, tuple):
+        return any(_holds_float(k) for k in key)
+    return isinstance(key, (float, complex))
+
+
+def _run_batch(name, seed):
+    """Twenty points of one shipped layout: alpha^2, gamma^2, eta, rounds <= 5."""
+    rng = random.Random(seed)
+    for i in range(20):
+        polarized = not name.endswith("_stripped")
+        execute(
+            builtin_doc(name),
+            EntanglementParams.from_alpha_sq(rng.uniform(0.25, 0.75)),
+            PolarizationParams.from_gamma_sq(rng.uniform(0.05, 0.95)) if polarized else None,
+            rounds=i % 5 + 1 if name.startswith("ecp2") else 1,
+            accounting=("branch", "joint")[i % 2],
+            model=DetectorModel(eta_p=rng.choice((1.0, 0.8, 0.5))),
+        )
+
+
+@pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
+def test_stage_tables_are_keyed_on_structure_only(name):
+    tab = analyze(builtin_doc(name)).arms[0].tables
+    _run_batch(name, seed=1)
+    warm = _table_keys(tab)
+    _run_batch(name, seed=2)
+    assert _table_keys(tab) == warm  # new parameter values add no entry
+    assert not any(_holds_float(k) for k in warm)
+    # bounded by the layout's reachable patterns, not by the points run
+    assert len(tab.patterns) <= 128 and len(warm) <= 512
+
+
+def test_plans_and_their_tables_are_cached_per_document():
+    doc = builtin_doc("ecp2")
+    assert analyze(doc) is analyze(parse(builtin_text("ecp2")))
+    assert analyze.cache_info().maxsize is not None

@@ -180,13 +180,29 @@ def test_round_and_schedule_lengths_agree():
 
 
 def test_planted_fault_is_caught_after_clean_runs():
-    # clean runs build the fixed coupler transforms first; the planted
-    # phase fault must still reach every coupler, and leave none behind
-    from ecpsim.verify import run_checks
+    # clean runs fill the plan's tables first (joint runs too); the planted
+    # phase fault is read when a coupler is evaluated, so it must still
+    # reach every coupler, and leave none behind
+    from ecpsim.verify import corrupted_coupler, run_checks
+
+    def joint_fidelities():
+        return [
+            r.heralded_fidelity
+            for report in (
+                run_ecp1(ENT, POL, accounting="joint"),
+                run_ecp2(ENT, POL, rounds=2, accounting="joint"),
+            )
+            for r in report.rounds
+        ]
 
     run_ecp1(ENT, POL)
     run_ecp2(ENT, POL, rounds=2)
+    clean = joint_fidelities()
+    assert clean == pytest.approx([1.0] * 3, abs=1e-12)
     results = {r.name: r.passed for r in run_checks(trials=2000, inject_fault=True)}
     assert results["ecp1_heralded_fidelity"] is False
     assert results["ecp2_heralded_fidelity"] is False
+    with corrupted_coupler():
+        assert all(f < 0.9 for f in joint_fidelities())
     assert run_ecp1(ENT, POL).rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
+    assert joint_fidelities() == clean
