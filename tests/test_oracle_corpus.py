@@ -1,0 +1,78 @@
+"""Pin the path-sum oracle: replay stored calls and compare their ``repr``.
+
+Each entry of ``tests/data/oracle_corpus.json`` holds the shared arguments
+of one grid point and, for each call in ``VARIANTS`` made there, either the
+``repr`` of what ``oracle_ecp1``/``oracle_ecp2`` returned or the class and
+message of what it raised.  A change that claims to move no oracle number
+must leave every entry as stored.  Regenerate with
+
+    PYTHONPATH=src python tests/test_oracle_corpus.py --write
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+from ecpsim import oracle
+
+CORPUS = Path(__file__).resolve().parent / "data" / "oracle_corpus.json"
+
+ALPHA_SQ = (0.077531, 0.3, 0.5, 0.6, 0.83, 0.9, 0.999)
+GAMMA_SQ = (None, 0.0, 0.072901, 0.5, 1.0)
+VARIANTS = (
+    ("oracle_ecp1", {}),
+    ("oracle_ecp1", {"t1": 0.3, "t2": 0.7}),
+    *(("oracle_ecp2", {"rounds": r}) for r in (1, 3, 8, 12)),
+)
+
+
+def grid() -> list[tuple[float, float | None, str, float]]:
+    return [
+        (a2, g2, accounting, eta)
+        for a2 in ALPHA_SQ
+        for g2 in GAMMA_SQ
+        for accounting in ("branch", "joint")
+        for eta in (1.0, 0.7)
+    ]
+
+
+def point_text(a2, g2, accounting, eta) -> str:
+    return f"{a2!r}, {g2!r}, accounting={accounting!r}, eta={eta!r}"
+
+
+def outcome(name: str, a2, g2, accounting, eta, extra: dict) -> str:
+    try:
+        fn = getattr(oracle, name)
+        return repr(fn(a2, g2, accounting=accounting, eta=eta, **extra))
+    except Exception as exc:  # recorded, not judged: the corpus pins behaviour
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+def replay(point: tuple) -> dict:
+    return {
+        "point": point_text(*point),
+        "outcomes": [outcome(name, *point, extra) for name, extra in VARIANTS],
+    }
+
+
+def test_corpus_covers_the_grid():
+    stored = json.loads(CORPUS.read_text())
+    assert [e["point"] for e in stored] == [point_text(*p) for p in grid()]
+    assert all(len(e["outcomes"]) == len(VARIANTS) for e in stored)
+
+
+def test_corpus_replays_repr_for_repr():
+    stored = json.loads(CORPUS.read_text())
+    changed = [e["point"] for e, p in zip(stored, grid()) if replay(p) != e]
+    assert not changed, f"{len(changed)} of {len(stored)} points changed: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_oracle_corpus.py --write")
+    CORPUS.parent.mkdir(exist_ok=True)
+    entries = [replay(p) for p in grid()]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} points to {CORPUS}")
