@@ -25,9 +25,9 @@ whitespace-free arithmetic over declared parameters: numbers, identifiers,
 written.
 
 Statement order is execution order.  Documents are validated on parse:
-modes must be declared before use, each mode is produced by at most one
-element output, detector modes cannot be circuit outputs, and exactly one
-``output`` statement must be present.
+modes must be declared before use, a mode list names each mode once, each
+mode is produced by at most one element output, detector modes cannot be
+circuit outputs, and exactly one ``output`` statement must be present.
 """
 
 from __future__ import annotations
@@ -396,6 +396,9 @@ def _mode_list(value: str, line: int, col: int) -> tuple[str, ...]:
     for n in names:
         if not _IDENT_RE.fullmatch(n):
             raise CircuitParseError(f"bad mode name {n!r} in list", line, col)
+        if n in out:
+            at = col + sum(len(m) + 1 for m in out)
+            raise CircuitParseError(f"mode {n!r} repeats in list", line, at)
         out.append(n)
     return tuple(out)
 

@@ -69,10 +69,17 @@ def _pbs_rules(h_in: str, h_out: str, v_in: str, v_out: str) -> CheckedRules:
     )
 
 
+def split_terms(tab: PatternTable, terms: Mapping[int, complex], inp: str, out_h: str, out_v: str):
+    """``apply_pbs`` on ``tab``'s ids."""
+    _require_distinct("pbs", inp=inp, out_h=out_h, out_v=out_v)
+    rules = _pbs_rules(inp, out_h, inp, out_v)
+    return tab.transform(terms, rules, tab.stage("pbs split", inp, out_h, out_v))
+
+
 def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
     """Polarizing splitter: H component of ``inp`` to ``out_h``, V to ``out_v``."""
-    _require_distinct("pbs", inp=inp, out_h=out_h, out_v=out_v)
-    return apply_mode_transform(state, _pbs_rules(inp, out_h, inp, out_v))
+    tab = PatternTable()
+    return tab.state(split_terms(tab, tab.of(state), inp, out_h, out_v))
 
 
 def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v: str, out: str):
@@ -82,7 +89,8 @@ def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v
         for (sp, pol), _n in tab.patterns[p]:
             if (sp, pol) in ((in_h, "V"), (in_v, "H")):
                 raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
-    return tab.transform(terms, _pbs_rules(in_h, out, in_v, out), tab.stage("pbs", in_h, in_v, out))
+    rules = _pbs_rules(in_h, out, in_v, out)
+    return tab.transform(terms, rules, tab.stage("pbs merge", in_h, in_v, out))
 
 
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:

@@ -69,7 +69,7 @@ from .dsl import (
     expr_variables,
     parse_expr,
 )
-from .elements import apply_pbs, bs_rules, merge_terms, vbs_rules
+from .elements import bs_rules, merge_terms, split_terms, vbs_rules
 from .fock import (
     PatternTable,
     State,
@@ -549,7 +549,8 @@ def execute(
     target = tab.of(_target_state(plan.outputs, pol))
     signal = _source_state(plan.signal_sources, bindings)
     if plan.split is not None:
-        signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
+        split = plan.split
+        signal = tab.state(split_terms(tab, tab.of(signal), split.inp, split.out_h, split.out_v))
     schedules = [eff_plus if arm.label == "plus" else eff_minus for arm in plan.arms]
     per_arm_p1: dict[str, float] = {}
     if accounting == "branch":

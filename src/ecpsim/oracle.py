@@ -4,13 +4,19 @@ Everything here is derived a second time from first principles: photons are
 enumerated as individual path alternatives, joint amplitudes are products of
 single-photon transfer amplitudes with an explicit bosonic factor for
 repeated landing sites, and detector statistics come from classifying the
-final landing multiset.  The module imports nothing from the operator-based
+final landing multiset.  The module imports only the parser (``dsl``) and
+the shipped documents (``circuits``), nothing from the operator-based
 simulation core, so agreement between the two is a meaningful consistency
 check rather than the same code talking to itself.
 
-Layouts for the two concentration protocols are hard-coded to mirror the
-shipped circuit documents.  Only the built-in protocols are covered; custom
-meshes are the engine's job.
+The wiring comes from the circuit document: ``_wiring`` reads each arm's
+auxiliary photon, heralding and recycling couplers, signal mode and QND
+flag, and the signal sources, split, merge, outputs and flips, from the
+statements of a parsed ``.ecp`` file.  The physics stays here: the coupler
+matrix, the path sums and the doubling schedule are this module's own.
+``oracle_ecp1`` and ``oracle_ecp2`` run the shipped documents through one
+round loop, ``_run_chain``; branch accounting runs it per arm, joint
+accounting once with every arm.
 """
 
 from __future__ import annotations
@@ -18,6 +24,20 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from typing import NamedTuple
+
+from .circuits import builtin_doc
+from .dsl import (
+    BsDecl,
+    CircuitDoc,
+    FlipDecl,
+    PbsMergeDecl,
+    PbsSplitDecl,
+    QndDecl,
+    SourceDecl,
+    VbsDecl,
+    evaluate_real,
+)
 
 _R = 0.7071067811865476  # 1 / sqrt(2)
 
@@ -118,83 +138,80 @@ def _schedule(alpha_sq: float, rounds: int) -> list[float]:
     return out
 
 
-class _Arm:
-    def __init__(
-        self,
-        signal_mode,
-        reflect,
-        transmit,
-        success_d,
-        success_flip,
-        recycle_d=None,
-        recycle_flip=None,
-        qnd=False,
-    ):
-        self.signal_mode = signal_mode
-        self.reflect = reflect
-        self.transmit = transmit
-        self.success_d = success_d
-        self.success_flip = success_flip  # (detector, spatial mode to flip)
-        self.recycle_d = recycle_d
-        self.recycle_flip = recycle_flip
-        self.qnd = qnd
+class _ArmWiring(NamedTuple):
+    aux: list[SourceDecl]  # the auxiliary photon on the variable coupler's input
+    vbs: VbsDecl
+    signal: str  # the heralding coupler's input that is not ``vbs.reflect``
+    qnd: bool
+    herald: BsDecl
+    recycle: BsDecl | None
 
 
-ECP1_PLUS = _Arm("b2", "b5", "b6", ("d1", "d2"), ("d2", "b6"))
-ECP1_MINUS = _Arm("b3", "b8", "b9", ("d3", "d4"), ("d4", "b9"))
-ECP2_PLUS = _Arm(
-    "b2", "b5", "b6", ("d1", "d2"), ("d2", "b6"), ("d3", "d4"), ("d4", "b2"), qnd=True
-)
-ECP2_MINUS = _Arm(
-    "b3", "b8", "b9", ("d5", "d6"), ("d6", "b9"), ("d7", "d8"), ("d8", "b3"), qnd=True
-)
+def _wiring(doc: CircuitDoc):
+    """Arms in document order, signal sources, split, merge, outputs, flips.
 
-_AUX_POL = {"b2": "V", "b3": "H"}
+    An arm is a variable coupler; its heralding coupler takes the reflected
+    mode but not the transmitted one, its recycling coupler takes both.
+    """
+    def of(kind):
+        return [st for st in doc.statements if isinstance(st, kind)]
 
-
-def _post_vbs_aux(arm: _Arm, t: float):
-    pol = _AUX_POL[arm.signal_mode]
-    return [
-        (math.sqrt(1.0 - t), arm.reflect, pol),
-        (math.sqrt(t), arm.transmit, pol),
-    ]
-
-
-def _signal_alternatives(alpha, beta, gamma, delta, polarized: bool):
-    if not polarized:
-        return [(alpha, "a1", "V"), (beta, "b2", "V")]
-    # the polarizing split routes the away-side H to b3 and V to b2
-    return [
-        (alpha * gamma, "a1", "H"),
-        (alpha * delta, "a1", "V"),
-        (beta * gamma, "b3", "H"),
-        (beta * delta, "b2", "V"),
-    ]
-
-
-def _target(polarized: bool, gamma, delta, merged: bool):
-    away = "b10" if merged else "b6"
-    if not polarized:
-        return {("a1", "V"): _R, (away, "V"): _R}
-    return {
-        ("a1", "H"): _R * gamma,
-        ("a1", "V"): _R * delta,
-        (away, "H"): _R * gamma,
-        (away, "V"): _R * delta,
-    }
+    sources, couplers = of(SourceDecl), of(BsDecl)
+    arms = []
+    for v in of(VbsDecl):
+        touching = [b for b in couplers if v.reflect in (b.in1, b.in2)]
+        herald = next(b for b in touching if v.transmit not in (b.in1, b.in2))
+        recycle = next((b for b in touching if v.transmit in (b.in1, b.in2)), None)
+        signal = herald.in2 if herald.in1 == v.reflect else herald.in1
+        arms.append(_ArmWiring(
+            aux=[s for s in sources if s.mode == v.inp],
+            vbs=v,
+            signal=signal,
+            qnd=any({q.a, q.b} == {signal, v.reflect} for q in of(QndDecl)),
+            herald=herald,
+            recycle=recycle,
+        ))
+    aux_modes = {a.vbs.inp for a in arms}
+    return (
+        arms,
+        [s for s in sources if s.mode not in aux_modes],
+        next(iter(of(PbsSplitDecl)), None),
+        next(iter(of(PbsMergeDecl)), None),
+        doc.output_modes(),
+        {f.when: f.mode for f in of(FlipDecl)},
+    )
 
 
-def _merge_to_b10(vec: dict) -> dict:
+def _aux_alternatives(arm: _ArmWiring, t: float, bindings) -> list:
+    out = []
+    for s in arm.aux:
+        amp = evaluate_real(s.amp, bindings)
+        out.append((amp * math.sqrt(1.0 - t), arm.vbs.reflect, s.pol))
+        out.append((amp * math.sqrt(t), arm.vbs.transmit, s.pol))
+    return out
+
+
+def _signal_alternatives(sources, split, bindings) -> list:
+    out = []
+    for s in sources:
+        mode = s.mode
+        if split is not None and mode == split.inp:
+            mode = split.out_h if s.pol == "H" else split.out_v
+        out.append((evaluate_real(s.amp, bindings), mode, s.pol))
+    return out
+
+
+def _merged(vec: dict, merge: PbsMergeDecl) -> dict:
     out: dict = {}
     for (m, p), a in vec.items():
-        key = ("b10", p) if m in ("b6", "b9") else (m, p)
+        key = (merge.out, p) if m in (merge.in_h, merge.in_v) else (m, p)
         out[key] = out.get(key, 0j) + a
     return out
 
 
-def _merge_arm_pair(vec_plus: dict, vec_minus: dict) -> dict:
-    a = _merge_to_b10(vec_plus)
-    b = _merge_to_b10(vec_minus)
+def _merge_arm_pair(vec_plus: dict, vec_minus: dict, merge: PbsMergeDecl) -> dict:
+    a = _merged(vec_plus, merge)
+    b = _merged(vec_minus, merge)
     out = {}
     # iterate in insertion order: a set's order follows the hash seed, and
     # the fidelity sum over ``out`` must not
@@ -243,70 +260,94 @@ def _combine_recycle(per_click: dict):
     return {k: a * scale for k, a in vecs[0].items()}, weight
 
 
-def _run_round(arms, photon_alternatives, eta: float):
+def _herald(arms, photons, couplers, want: int, flips: dict) -> dict:
+    """The arms' QND stages, then ``couplers``; corrected residuals by clicks.
+
+    ``want`` is the QND class kept: 1 on the success side, 0 on the recycle
+    side.  Each coupler's two outputs form one detector group.
+    """
+    qnd = [("qnd", a.signal, a.vbs.reflect) for a in arms if a.qnd]
+    stages = qnd + [("map", _coupler_rules(b.in1, b.in2, b.out1, b.out2)) for b in couplers]
+    paths = [_propagate(p, stages) for p in photons]
+    buckets = _buckets(paths, [(i, a, b) for i, (_q, a, b) in enumerate(qnd)])
+    groups = [{b.out1, b.out2} for b in couplers]
+    return _collect_heralded(
+        buckets, set().union(*groups), tuple(want for _ in qnd), groups, flips
+    )
+
+
+def _run_round(arms, photons, eta: float, flips: dict):
     """One heralding round over the given arms, evolved coherently.
 
     Returns (success residual vectors by click signature, success
     probability with the analytic detector factor, combined recycle
     continuation or None, recycle weight).  Recycle detectors are ideal.
     """
-    qnd_stages = []
-    qnd_idx = []
-    for arm in arms:
-        if arm.qnd:
-            qnd_idx.append((len(qnd_stages), arm.signal_mode, arm.reflect))
-            qnd_stages.append(("qnd", arm.signal_mode, arm.reflect))
-    succ_stages = list(qnd_stages)
-    detectors = set()
-    for arm in arms:
-        succ_stages.append(
-            ("map", _coupler_rules(arm.signal_mode, arm.reflect, *arm.success_d))
-        )
-        detectors |= set(arm.success_d)
-    paths = [_propagate(p, succ_stages) for p in photon_alternatives]
-    buckets = _buckets(paths, qnd_idx)
-    want = tuple(1 for a in arms if a.qnd)
-    corrected = _collect_heralded(
-        buckets,
-        detectors,
-        want,
-        [set(a.success_d) for a in arms],
-        {a.success_flip[0]: a.success_flip[1] for a in arms},
-    )
+    corrected = _herald(arms, photons, [a.herald for a in arms], 1, flips)
     p_success = sum(_vec_norm_sq(v) for v in corrected.values()) * eta ** len(arms)
-    recycle_vec = None
-    p_recycle = 0.0
-    if arms[0].recycle_d is not None:
-        rec_stages = list(qnd_stages)
-        rec_detectors = set()
-        for arm in arms:
-            rec_stages.append(
-                ("map", _coupler_rules(arm.reflect, arm.transmit, *arm.recycle_d))
-            )
-            rec_detectors |= set(arm.recycle_d)
-        rpaths = [_propagate(p, rec_stages) for p in photon_alternatives]
-        rbuckets = _buckets(rpaths, qnd_idx)
-        per_click = _collect_heralded(
-            rbuckets,
-            rec_detectors,
-            tuple(0 for a in arms if a.qnd),
-            [set(a.recycle_d) for a in arms],
-            {a.recycle_flip[0]: a.recycle_flip[1] for a in arms},
-        )
-        recycle_vec, p_recycle = _combine_recycle(per_click)
-    return corrected, p_success, recycle_vec, p_recycle
+    if arms[0].recycle is None:
+        return corrected, p_success, None, 0.0
+    per_click = _herald(arms, photons, [a.recycle for a in arms], 0, flips)
+    return (corrected, p_success, *_combine_recycle(per_click))
 
 
-def _arm_filtered(signal, arms, arm):
-    return [
-        (a, m, p)
-        for (a, m, p) in signal
-        if all(m != other.signal_mode for other in arms if other is not arm)
-    ]
+def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings, pol):
+    """Rounds of ``doc`` with arm ``i`` at transmittances ``schedules[i]``.
+
+    Branch accounting runs one chain per arm, on the signal components not
+    in another arm; joint accounting one chain with every arm.  ``pol`` is
+    ``(gamma, delta)`` for a polarized target, or None.  Returns per round
+    the success probability of each chain, keyed by its arm's signal mode
+    (None when joint), and the round's book.
+    """
+    arms, sources, split, merge, outputs, flips = _wiring(doc)
+    signal = _signal_alternatives(sources, split, bindings)
+    comps = [("V", 1.0)] if pol is None else [("H", pol[0]), ("V", pol[1])]
+    target = {(m, p): _R * c for m in outputs for p, c in comps}
+    if accounting == "branch":
+        chains = []
+        for arm, ts in zip(arms, schedules):
+            others = {o.signal for o in arms if o is not arm}
+            chains.append(([arm], [ts], [s for s in signal if s[1] not in others]))
+    else:
+        chains = [(arms, schedules, signal)]
+    out = []
+    for k in range(len(schedules[0])):
+        per_chain, p_round, p_rec_round, books, nexts = {}, 0.0, 0.0, [], []
+        for chain_arms, chain_ts, current in chains:
+            label = chain_arms[0].signal if accounting == "branch" else None
+            rv, p, pr, corrected = None, 0.0, 0.0, {}
+            if current:
+                aux = [_aux_alternatives(a, ts[k], bindings) for a, ts in zip(chain_arms, chain_ts)]
+                corrected, p, rv, pr = _run_round(chain_arms, [current] + aux, eta, flips)
+                p_round += p
+                p_rec_round += pr
+            per_chain[label] = p
+            books.append(list(corrected.values()))
+            continuation = [(amp, *key) for key, amp in (rv or {}).items()]
+            nexts.append((chain_arms, chain_ts, continuation))
+        if len(books) == 2:
+            vecs = [_merge_arm_pair(vp, vm, merge) for vp in books[0] for vm in books[1]]
+        else:
+            vecs = [v if merge is None else _merged(v, merge) for v in books[0]]
+        fids = [_vec_fidelity(v, target) for v in vecs]
+        out.append((per_chain, {
+            "p_success": p_round,
+            "p_recycle": p_rec_round,
+            "fidelity": min(fids) if fids else None,
+        }))
+        chains = nexts
+    return out
 
 
-def _vec_to_alternatives(vec):
-    return [(a, m, p) for (m, p), a in vec.items()] if vec else []
+def _point(alpha_sq: float, gamma_sq: float | None):
+    """Document suffix, parameter bindings and target polarization."""
+    bindings = {"alpha": math.sqrt(alpha_sq), "beta": math.sqrt(1.0 - alpha_sq)}
+    if gamma_sq is None:
+        return "_stripped", bindings, None
+    pol = (math.sqrt(gamma_sq), math.sqrt(1.0 - gamma_sq))
+    bindings["gamma"], bindings["delta"] = pol
+    return "", bindings, pol
 
 
 def oracle_ecp1(
@@ -317,45 +358,18 @@ def oracle_ecp1(
     accounting: str = "branch",
     eta: float = 1.0,
 ) -> dict:
-    alpha = math.sqrt(alpha_sq)
-    beta = math.sqrt(1.0 - alpha_sq)
-    polarized = gamma_sq is not None
-    gamma = math.sqrt(gamma_sq) if polarized else None
-    delta = math.sqrt(1.0 - gamma_sq) if polarized else None
-    t_plus = alpha_sq if t1 is None else t1
-    t_minus = alpha_sq if t2 is None else t2
-    signal = _signal_alternatives(alpha, beta, gamma, delta, polarized)
-    arms = [ECP1_PLUS, ECP1_MINUS] if polarized else [ECP1_PLUS]
-    target = _target(polarized, gamma, delta, merged=polarized)
-    ts = {"b2": t_plus, "b3": t_minus}
+    suffix, bindings, pol = _point(alpha_sq, gamma_sq)
+    schedules = [[alpha_sq if t1 is None else t1], [alpha_sq if t2 is None else t2]]
+    [(per_chain, book)] = _run_chain(
+        builtin_doc("ecp1" + suffix), schedules, accounting, eta, bindings, pol
+    )
     if accounting == "branch":
-        per_arm = {}
-        books = []
-        for arm in arms:
-            alts = _arm_filtered(signal, arms, arm)
-            aux = _post_vbs_aux(arm, ts[arm.signal_mode])
-            corrected, p, _rv, _pr = _run_round([arm], [alts, aux], eta)
-            per_arm[arm.signal_mode] = p
-            books.append(list(corrected.values()))
-        fids = []
-        if polarized:
-            for vp in books[0]:
-                for vm in books[1]:
-                    fids.append(_vec_fidelity(_merge_arm_pair(vp, vm), target))
-        else:
-            fids = [_vec_fidelity(v, target) for v in books[0]]
         return {
-            "p_total": sum(per_arm.values()),
-            "per_arm": per_arm,
-            "fidelity": min(fids) if fids else None,
+            "p_total": sum(per_chain.values()),
+            "per_arm": per_chain,
+            "fidelity": book["fidelity"],
         }
-    aux_alts = [_post_vbs_aux(arm, ts[arm.signal_mode]) for arm in arms]
-    corrected, p, _rv, _pr = _run_round(arms, [signal] + aux_alts, eta)
-    fids = [
-        _vec_fidelity(_merge_to_b10(v) if polarized else v, target)
-        for v in corrected.values()
-    ]
-    return {"p_total": p, "fidelity": min(fids) if fids else None}
+    return {"p_total": book["p_success"], "fidelity": book["fidelity"]}
 
 
 def oracle_ecp2(
@@ -365,74 +379,10 @@ def oracle_ecp2(
     accounting: str = "branch",
     eta: float = 1.0,
 ) -> dict:
-    alpha = math.sqrt(alpha_sq)
-    beta = math.sqrt(1.0 - alpha_sq)
-    polarized = gamma_sq is not None
-    gamma = math.sqrt(gamma_sq) if polarized else None
-    delta = math.sqrt(1.0 - gamma_sq) if polarized else None
-    signal = _signal_alternatives(alpha, beta, gamma, delta, polarized)
-    arms = [ECP2_PLUS, ECP2_MINUS] if polarized else [ECP2_PLUS]
-    target = _target(polarized, gamma, delta, merged=polarized)
+    suffix, bindings, pol = _point(alpha_sq, gamma_sq)
     ts = _schedule(alpha_sq, rounds)
-    round_books = []
-    if accounting == "branch":
-        currents = {
-            arm.signal_mode: _arm_filtered(signal, arms, arm) for arm in arms
-        }
-        for t in ts:
-            p_round = 0.0
-            p_rec_round = 0.0
-            books = []
-            nexts = {}
-            for arm in arms:
-                alts = currents[arm.signal_mode]
-                if not alts:
-                    books.append([])
-                    nexts[arm.signal_mode] = []
-                    continue
-                aux = _post_vbs_aux(arm, t)
-                corrected, p, rv, pr = _run_round([arm], [alts, aux], eta)
-                p_round += p
-                p_rec_round += pr
-                books.append(list(corrected.values()))
-                nexts[arm.signal_mode] = _vec_to_alternatives(rv)
-            fids = []
-            if polarized and books[0] and books[1]:
-                for vp in books[0]:
-                    for vm in books[1]:
-                        fids.append(_vec_fidelity(_merge_arm_pair(vp, vm), target))
-            elif not polarized and books and books[0]:
-                fids = [_vec_fidelity(v, target) for v in books[0]]
-            round_books.append(
-                {
-                    "p_success": p_round,
-                    "p_recycle": p_rec_round,
-                    "fidelity": min(fids) if fids else None,
-                }
-            )
-            currents = nexts
-    else:
-        current = signal
-        for t in ts:
-            if not current:
-                round_books.append(
-                    {"p_success": 0.0, "p_recycle": 0.0, "fidelity": None}
-                )
-                continue
-            aux_alts = [_post_vbs_aux(arm, t) for arm in arms]
-            corrected, p, rv, pr = _run_round(arms, [current] + aux_alts, eta)
-            fids = [
-                _vec_fidelity(_merge_to_b10(v) if polarized else v, target)
-                for v in corrected.values()
-            ]
-            round_books.append(
-                {
-                    "p_success": p,
-                    "p_recycle": pr,
-                    "fidelity": min(fids) if fids else None,
-                }
-            )
-            current = _vec_to_alternatives(rv)
+    chain = _run_chain(builtin_doc("ecp2" + suffix), [ts, ts], accounting, eta, bindings, pol)
+    round_books = [book for _per_chain, book in chain]
     return {
         "rounds": round_books,
         "p_total": sum(r["p_success"] for r in round_books),

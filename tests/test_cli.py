@@ -193,6 +193,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{divide_t}", "--alpha-sq", "0.6"), 2),
         (("run", "--circuit", "{divide_amp}", "--alpha-sq", "0.6"), 2),
         (("run", "--circuit", "{divide_at_run}", "--alpha-sq", "0.6"), 3),
+        (("run", "--circuit", "{repeated_detector}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{repeated_output}", "--alpha-sq", "0.6"), 2),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -201,6 +203,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "alpha-sq-near-1-degenerate-state", "rounds-100000-balanced",
         "rounds-over-bound", "run-trials-over-bound", "sweep-trials-over-bound",
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
+        "repeated-detector", "repeated-output",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -216,6 +219,12 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
         "divide_t": builtin_text("ecp1_stripped").replace("t=t1", "t=1/0"),
         "divide_amp": builtin_text("ecp1_stripped").replace("amp=1", "amp=1/0"),
         "divide_at_run": builtin_text("ecp1_stripped").replace("t=t1", "t=t1/(t1-t1)"),
+        "repeated_detector": builtin_text("ecp1_stripped").replace(
+            "modes=d1,d2", "modes=d1,d2,d1"
+        ),
+        "repeated_output": builtin_text("ecp1_stripped").replace(
+            "output a1,b6", "output a1,b6,a1"
+        ),
     }
     paths = {}
     for name, text in files.items():

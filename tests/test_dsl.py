@@ -405,6 +405,10 @@ PRE = "param x\nmode a\nmode b\nmode c\nmode d\n"
          "line 6, column 14: group name must be an identifier, got '1g'"),
         (PRE + 'detect group=g modes=z eta=9\noutput b',
          "line 6, column 22: undeclared mode 'z'"),
+        (PRE + 'detect group=g modes=a,b,a\noutput c',
+         "line 6, column 26: mode 'a' repeats in list"),
+        (PRE + 'output a,b,a',
+         "line 6, column 12: mode 'a' repeats in list"),
 
     ],
 )

@@ -12,8 +12,10 @@ from ecpsim.elements import (
     apply_phase_flip,
     apply_vbs,
     bs_matrix,
+    merge_terms,
+    split_terms,
 )
-from ecpsim.fock import State, make_pattern, single_photon, tensor
+from ecpsim.fock import PatternTable, State, make_pattern, single_photon, tensor
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -64,6 +66,16 @@ class TestPbs:
         back = apply_pbs_merge(mid, in_h="h", in_v="v", out="y")
         expect = single_photon([("y", "H", 0.6), ("y", "V", 0.8j)])
         assert back == expect
+
+    def test_split_and_merge_on_one_table_keep_their_own_programs(self):
+        # a split x -> (y, z) and a merge (x, y) -> z name the same ports
+        tab = PatternTable()
+        s = single_photon([("x", "H", 0.6), ("x", "V", 0.8)])
+        m = single_photon([("x", "H", 0.6), ("y", "V", 0.8)])
+        split = split_terms(tab, tab.of(s), "x", "y", "z")
+        merged = merge_terms(tab, tab.of(m), "x", "y", "z")
+        assert tab.state(split) == apply_pbs(s, "x", "y", "z")
+        assert tab.state(merged) == apply_pbs_merge(m, "x", "y", "z")
 
 
 class TestBalancedCoupler:

@@ -265,6 +265,13 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     assert len(tab.patterns) <= 128 and len(warm) <= 512
 
 
+def test_split_and_merge_run_on_the_plan_table():
+    tab = analyze(builtin_doc("ecp1")).arms[0].tables
+    _run_batch("ecp1", seed=3)
+    assert tab.stages[("pbs split", "b1", "b3", "b2")]
+    assert tab.stages[("pbs merge", "b9", "b6", "b10")]
+
+
 def test_plans_and_their_tables_are_cached_per_document():
     doc = builtin_doc("ecp2")
     assert analyze(doc) is analyze(parse(builtin_text("ecp2")))

@@ -1,13 +1,18 @@
 """Path-sum oracle: self-contained anchors and engine agreement."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ecpsim.engine import run_ecp1, run_ecp2
+from ecpsim import oracle
+from ecpsim.circuits import BUILTIN_NAMES, builtin_text
+from ecpsim.dsl import parse
+from ecpsim.engine import execute, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.oracle import _schedule, oracle_ecp1, oracle_ecp2
 from ecpsim.params import EntanglementParams, PolarizationParams
@@ -113,3 +118,79 @@ def test_oracle_does_not_depend_on_the_hash_seed():
         )
         seen.add(proc.stdout)
     assert len(seen) == 1, seen
+
+
+def _stdlib(module: str) -> bool:
+    return module.split(".")[0] in sys.stdlib_module_names
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Imports other than the standard library, ``.dsl`` and ``.circuits``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if not _stdlib(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [] if _stdlib(node.module) else [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+            allowed = ("dsl", "circuits") if node.level == 1 else ()
+            found += ["." * node.level + n for n in names if n not in allowed]
+    return found
+
+
+def test_oracle_imports_only_the_parser_and_the_documents():
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert _foreign_imports(source) == []
+    # the check itself sees an import of the operator core, however spelled
+    for planted, name in (
+        ("from .fock import State", ".fock"),
+        ("from . import engine", ".engine"),
+        ("from ..ecpsim import measurement", "..ecpsim"),
+        ("import ecpsim.elements", "ecpsim.elements"),
+        ("from ecpsim import fock", "ecpsim"),
+    ):
+        assert _foreign_imports(source + "\n" + planted + "\n") == [name]
+
+
+def _renamed(text: str) -> tuple[str, dict[str, str]]:
+    """Rename every mode (``b5`` -> ``y5``, which also changes their sort
+    order) and put the ``detect`` and ``flip`` lines in reverse order."""
+    modes = re.findall(r"^mode (\w+)$", text, re.M)
+    new = {m: {"a": "z", "b": "y", "d": "x"}[m[0]] + m[1:] for m in modes}
+    text = re.sub(r"\b\w+\b", lambda t: new.get(t.group(0), t.group(0)), text)
+    old = text.splitlines()
+    lines = list(old)
+    moved = [i for i, line in enumerate(old) if line.startswith(("detect ", "flip "))]
+    for i, j in zip(moved, reversed(moved)):
+        lines[i] = old[j]
+    return "\n".join(lines) + "\n", {v: k for k, v in new.items()}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("accounting", ("branch", "joint"))
+@pytest.mark.parametrize("a2", (0.3, 0.6, 0.9))
+def test_renamed_layout_gives_the_same_numbers(name, accounting, a2):
+    text, back = _renamed(builtin_text(name))
+    shipped, edited = parse(builtin_text(name)), parse(text)
+    assert edited != shipped
+    g2 = None if name.endswith("_stripped") else 0.3
+    rounds = 3 if name.startswith("ecp2") else 1
+    ent = EntanglementParams.from_alpha_sq(a2)
+    pol = PolarizationParams.from_gamma_sq(g2) if g2 is not None else None
+    model = DetectorModel(eta_p=0.8)
+    reports = [
+        execute(doc, ent, pol, rounds=rounds, accounting=accounting, model=model).to_json()
+        for doc in (shipped, edited)
+    ]
+    unmapped = re.sub(r"\b\w+\b", lambda t: back.get(t.group(0), t.group(0)), reports[1])
+    assert unmapped == reports[0]
+
+    _suffix, bindings, target_pol = oracle._point(a2, g2)
+    schedules = [_schedule(a2, rounds), _schedule(1.0 - a2, rounds)]
+    chains = [
+        oracle._run_chain(doc, schedules, accounting, 0.8, bindings, target_pol)
+        for doc in (shipped, edited)
+    ]
+    unmapped = [({back.get(k, k): p for k, p in ps.items()}, book) for ps, book in chains[1]]
+    assert repr(unmapped) == repr(chains[0])
