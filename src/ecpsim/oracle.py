@@ -182,7 +182,7 @@ def _wiring(doc: CircuitDoc):
     )
 
 
-def _aux_alternatives(arm: _ArmWiring, t: float, bindings) -> list:
+def _aux_photon(arm: _ArmWiring, t: float, bindings) -> list:
     out = []
     for s in arm.aux:
         amp = evaluate_real(s.amp, bindings)
@@ -191,7 +191,7 @@ def _aux_alternatives(arm: _ArmWiring, t: float, bindings) -> list:
     return out
 
 
-def _signal_alternatives(sources, split, bindings) -> list:
+def _signal_photon(sources, split, bindings) -> list:
     out = []
     for s in sources:
         mode = s.mode
@@ -301,31 +301,31 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
     (None when joint), and the round's book.
     """
     arms, sources, split, merge, outputs, flips = _wiring(doc)
-    signal = _signal_alternatives(sources, split, bindings)
+    signal = _signal_photon(sources, split, bindings)
     comps = [("V", 1.0)] if pol is None else [("H", pol[0]), ("V", pol[1])]
     target = {(m, p): _R * c for m in outputs for p, c in comps}
     if accounting == "branch":
-        chains = []
-        for arm, ts in zip(arms, schedules):
-            others = {o.signal for o in arms if o is not arm}
-            chains.append(([arm], [ts], [s for s in signal if s[1] not in others]))
+        chains = [([arm], [ts]) for arm, ts in zip(arms, schedules)]
+        currents = [
+            [s for s in signal if s[1] not in {o.signal for o in arms if o is not arm}]
+            for arm in arms
+        ]
     else:
-        chains = [(arms, schedules, signal)]
+        chains, currents = [(arms, schedules)], [signal]
     out = []
     for k in range(len(schedules[0])):
-        per_chain, p_round, p_rec_round, books, nexts = {}, 0.0, 0.0, [], []
-        for chain_arms, chain_ts, current in chains:
+        per_chain, p_round, p_rec_round, books = {}, 0.0, 0.0, []
+        for i, (chain_arms, chain_ts) in enumerate(chains):
             label = chain_arms[0].signal if accounting == "branch" else None
             rv, p, pr, corrected = None, 0.0, 0.0, {}
-            if current:
-                aux = [_aux_alternatives(a, ts[k], bindings) for a, ts in zip(chain_arms, chain_ts)]
-                corrected, p, rv, pr = _run_round(chain_arms, [current] + aux, eta, flips)
+            if currents[i]:
+                aux = [_aux_photon(a, ts[k], bindings) for a, ts in zip(chain_arms, chain_ts)]
+                corrected, p, rv, pr = _run_round(chain_arms, [currents[i]] + aux, eta, flips)
                 p_round += p
                 p_rec_round += pr
             per_chain[label] = p
             books.append(list(corrected.values()))
-            continuation = [(amp, *key) for key, amp in (rv or {}).items()]
-            nexts.append((chain_arms, chain_ts, continuation))
+            currents[i] = [(amp, *key) for key, amp in (rv or {}).items()]
         if len(books) == 2:
             vecs = [_merge_arm_pair(vp, vm, merge) for vp in books[0] for vm in books[1]]
         else:
@@ -336,7 +336,6 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
             "p_recycle": p_rec_round,
             "fidelity": min(fids) if fids else None,
         }))
-        chains = nexts
     return out
 
 
