@@ -1,18 +1,14 @@
 """Protocol execution: one engine path from circuit document to report.
 
-``execute`` lowers a circuit document to a protocol plan by structural
-analysis rather than blind statement-by-statement interpretation: the
-standard concentration topology (optional polarizing split, one or two arms
-of variable coupler + optional nondemolition comparison + heralding coupler
-+ feed-forward flip, optional recycling coupler, optional polarizing merge)
-is recognized from the wiring.  The nondemolition comparison makes parts of
-the mesh conditional (the kept component moves on to the heralding coupler,
-the rejected component to the recycling coupler), which is why the document
-cannot simply be folded left to right.  A document that does not fit the
-concentration shape, including one with no variable coupler arm, is
-rejected.  A layout is scored against the published ECP1 closed forms when
-no arm has a nondemolition comparison, against the ECP2 ones when every arm
-has one, and against none (protocol ``custom``) otherwise.
+``execute`` runs the concentration layout that ``circuits.layout``
+recognizes in a circuit document, rather than interpreting the statements
+one by one: the nondemolition comparison makes parts of the mesh
+conditional (the kept component moves on to the heralding coupler, the
+rejected component to the recycling coupler), so the document cannot
+simply be folded left to right.  A layout is scored against the published
+ECP1 closed forms when no arm has a nondemolition comparison, against the
+ECP2 ones when every arm has one, and against none (protocol ``custom``)
+otherwise.
 
 Two accounting conventions are supported:
 
@@ -29,8 +25,8 @@ Two accounting conventions are supported:
 Both go through one round loop, ``_run_chain``: branch accounting runs it
 once per arm, joint accounting once with all arms.  Arms without a
 nondemolition comparison pass the whole state on to their heralding
-coupler.  ``analyze`` is cached per document, and each plan carries one
-``fock.PatternTable`` compiled lazily: the first time a pattern id meets a
+coupler.  ``analyze`` is cached per document and adds to the layout one
+``fock.PatternTable``, compiled lazily: the first time a pattern id meets a
 stage (auxiliary photon through its coupler, tensor product, nondemolition
 class, coupler expansion, click signature and verdict, flip parity,
 polarizing merge), its entry is derived and kept, keyed on the id and the
@@ -50,20 +46,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field
 
-from .circuits import builtin_doc
+# TopologyError is imported for the callers that catch it as engine.TopologyError
+from .circuits import Arm, Layout, TopologyError, builtin_doc, layout
 from .dsl import (
-    BsDecl,
     CircuitDoc,
-    CircuitError,
     DetectDecl,
-    FlipDecl,
     PbsMergeDecl,
-    PbsSplitDecl,
-    QndDecl,
     SourceDecl,
-    VbsDecl,
     evaluate_expr,
     evaluate_real,
     expr_variables,
@@ -103,205 +94,25 @@ RECYCLE_AGREEMENT_TOL = 1e-9
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
 
 
-class TopologyError(CircuitError):
-    """The document does not describe a supported concentration layout."""
-
-
 class ConfigError(ValueError):
     """Run configuration inconsistent with the circuit (rounds, couplers)."""
 
 
 @dataclass
-class ArmPlan:
-    label: str
-    signal_mode: str
-    aux_sources: list[SourceDecl]
-    vbs: VbsDecl
-    qnd: QndDecl | None
-    success_bs: BsDecl
-    success_group: DetectDecl
-    flips: dict[str, str]
-    recycle_bs: BsDecl | None = None
-    recycle_group: DetectDecl | None = None
-    recycle_flips: dict[str, str] = dc_field(default_factory=dict)
-    tables: PatternTable | None = dc_field(default=None, compare=False, repr=False)
+class Plan(Layout):
+    """A recognized layout and the ``PatternTable`` its runs share."""
 
-
-@dataclass
-class Plan:
-    doc: CircuitDoc
-    signal_sources: list[SourceDecl]
-    split: PbsSplitDecl | None
-    arms: list[ArmPlan]
-    merge: PbsMergeDecl | None
-    outputs: tuple[str, ...]
-
-    @property
-    def protocol(self) -> str:
-        with_qnd = sum(a.qnd is not None for a in self.arms)
-        if with_qnd == 0:
-            return "ecp1"
-        return "ecp2" if with_qnd == len(self.arms) else "custom"
-
-    @property
-    def has_recycling(self) -> bool:
-        return any(a.recycle_bs for a in self.arms)
-
-
-def _photon_groups(doc: CircuitDoc) -> list[list[SourceDecl]]:
-    groups: dict[object, list[SourceDecl]] = {}
-    for i, st in enumerate(doc.statements):
-        if isinstance(st, SourceDecl):
-            key = st.photon if st.photon is not None else ("#anon", i)
-            groups.setdefault(key, []).append(st)
-    return list(groups.values())
+    table: PatternTable = field(default_factory=PatternTable, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=32)
 def analyze(doc: CircuitDoc) -> Plan:
-    """Recognize the concentration topology; raise TopologyError otherwise.
+    """``circuits.layout(doc)`` with a fresh ``PatternTable``; raises
+    TopologyError on a document that is not a concentration layout.
 
-    Cached per document, so runs share the plan and its ``PatternTable``.
+    Cached per document, so runs share the plan and its table.
     """
-    tables = PatternTable()
-    groups = _photon_groups(doc)
-    vbs_list = [st for st in doc.statements if isinstance(st, VbsDecl)]
-    bs_list = [st for st in doc.statements if isinstance(st, BsDecl)]
-    qnd_list = [st for st in doc.statements if isinstance(st, QndDecl)]
-    detect_list = [st for st in doc.statements if isinstance(st, DetectDecl)]
-    flip_list = [st for st in doc.statements if isinstance(st, FlipDecl)]
-    splits = [st for st in doc.statements if isinstance(st, PbsSplitDecl)]
-    merges = [st for st in doc.statements if isinstance(st, PbsMergeDecl)]
-    outputs = doc.output_modes()
-
-    if not vbs_list:
-        raise TopologyError("circuit has no variable coupler arms")
-
-    # attach one auxiliary photon to each coupler arm
-    remaining = list(groups)
-    aux_of: dict[int, list[SourceDecl]] = {}
-    for i, v in enumerate(vbs_list):
-        matches = [g for g in remaining if {s.mode for s in g} == {v.inp}]
-        if len(matches) != 1:
-            raise TopologyError(
-                f"variable coupler on {v.inp!r} needs exactly one dedicated source photon"
-            )
-        aux_of[i] = matches[0]
-        remaining.remove(matches[0])
-    if len(remaining) != 1:
-        raise TopologyError(
-            f"expected exactly one signal photon, found {len(remaining)}"
-        )
-    signal_sources = remaining[0]
-    signal_support = {s.mode for s in signal_sources}
-
-    if len(splits) > 1:
-        raise TopologyError("more than one polarizing split")
-    split = splits[0] if splits else None
-    if split is not None and split.inp not in signal_support:
-        raise TopologyError("polarizing split does not consume the signal photon")
-    if len(merges) > 1:
-        raise TopologyError("more than one polarizing merge")
-    merge = merges[0] if merges else None
-
-    claimed_bs: set[int] = set()
-    claimed_qnd: set[int] = set()
-    claimed_detect: set[int] = set()
-    arms: list[ArmPlan] = []
-    for i, v in enumerate(vbs_list):
-        touching = [
-            (j, b) for j, b in enumerate(bs_list) if v.reflect in (b.in1, b.in2)
-        ]
-        success = [(j, b) for j, b in touching if v.transmit not in (b.in1, b.in2)]
-        recycle = [(j, b) for j, b in touching if v.transmit in (b.in1, b.in2)]
-        if len(success) != 1 or len(recycle) > 1:
-            raise TopologyError(
-                f"arm at coupler {v.inp!r}: expected one heralding coupler "
-                f"and at most one recycling coupler on {v.reflect!r}"
-            )
-        j, sbs = success[0]
-        claimed_bs.add(j)
-        signal_mode = sbs.in2 if sbs.in1 == v.reflect else sbs.in1
-        allowed = {split.out_h, split.out_v} if split else signal_support
-        if signal_mode not in allowed:
-            raise TopologyError(
-                f"heralding coupler input {signal_mode!r} is not a signal-side mode"
-            )
-        qnds = [q for q in qnd_list if {q.a, q.b} == {signal_mode, v.reflect}]
-        if len(qnds) > 1:
-            raise TopologyError(f"duplicate nondemolition comparison on arm {signal_mode!r}")
-        for qi, q in enumerate(qnd_list):
-            if qnds and q is qnds[0]:
-                claimed_qnd.add(qi)
-        qnd = qnds[0] if qnds else None
-        sgroup = _group_for(detect_list, sbs, claimed_detect)
-        flips = {
-            f.when: f.mode for f in flip_list if f.when in sgroup.modes
-        }
-        arm = ArmPlan(
-            label="",
-            signal_mode=signal_mode,
-            aux_sources=aux_of[i],
-            vbs=v,
-            qnd=qnd,
-            success_bs=sbs,
-            success_group=sgroup,
-            flips=flips,
-            tables=tables,
-        )
-        if recycle:
-            rj, rbs = recycle[0]
-            if qnd is None:
-                raise TopologyError(
-                    "recycling coupler requires a nondemolition comparison on the arm"
-                )
-            claimed_bs.add(rj)
-            arm.recycle_bs = rbs
-            arm.recycle_group = _group_for(detect_list, rbs, claimed_detect)
-            arm.recycle_flips = {
-                f.when: f.mode for f in flip_list if f.when in arm.recycle_group.modes
-            }
-        arms.append(arm)
-
-    if len(claimed_bs) != len(bs_list):
-        raise TopologyError("coupler not attached to any arm")
-    if len(claimed_qnd) != len(qnd_list):
-        raise TopologyError("nondemolition comparison not attached to any arm")
-    if len(claimed_detect) != len(detect_list):
-        raise TopologyError("detector group not attached to any arm")
-    if len(arms) > 2:
-        raise TopologyError(f"more than two arms ({len(arms)})")
-    if len(arms) == 2 and split is None:
-        raise TopologyError("two arms need a polarizing split")
-    if len(arms) == 2 and merge is None:
-        raise TopologyError("two arms need a polarizing merge")
-
-    if split is not None and len(arms) == 2:
-        plus = next(a for a in arms if a.signal_mode == split.out_v)
-        minus = next(a for a in arms if a.signal_mode == split.out_h)
-        plus.label, minus.label = "plus", "minus"
-        arms = [plus, minus]
-    else:
-        arms[0].label = "plus"
-
-    recycling = [bool(a.recycle_bs) for a in arms]
-    if len(set(recycling)) != 1:
-        raise TopologyError("either every arm recycles or none does")
-
-    return Plan(doc, signal_sources, split, arms, merge, outputs)
-
-
-def _group_for(
-    detect_list: list[DetectDecl], bs: BsDecl, claimed: set[int]
-) -> DetectDecl:
-    wanted = {bs.out1, bs.out2}
-    for i, g in enumerate(detect_list):
-        if set(g.modes) == wanted:
-            if i in claimed:
-                raise TopologyError(f"detector group {g.group!r} claimed twice")
-            claimed.add(i)
-            return g
-    raise TopologyError(f"no detector group covers coupler outputs {sorted(wanted)}")
+    return Plan(**vars(layout(doc)))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +187,8 @@ class _ChainRound:
 
 
 def _run_chain(
-    arms: list[ArmPlan],
+    tab: PatternTable,
+    arms: list[Arm],
     current: State,
     schedules: list[list[float]],
     bindings: dict[str, complex],
@@ -389,9 +201,8 @@ def _run_chain(
     that have one: class 1 on all of them goes on to the heralding couplers,
     class 0 on all of them to the recycling couplers.  Success needs every
     arm's group to click at once; the combined recycle continuation is the
-    next round's input.  Rounds run on the plan's ``PatternTable``.
+    next round's input.  Rounds run on the plan's ``PatternTable`` ``tab``.
     """
-    tab = arms[0].tables
     success = (
         [a.success_bs for a in arms],
         [_detector_group(a.success_group) for a in arms],
@@ -545,7 +356,7 @@ def execute(
     # schedule only feeds their transmittance parameters
     eff_plus, eff_minus = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
-    tab = plan.arms[0].tables
+    tab = plan.table
     target = tab.of(_target_state(plan.outputs, pol))
     signal = _source_state(plan.signal_sources, bindings)
     if plan.split is not None:
@@ -560,11 +371,11 @@ def execute(
         for arm, ts in zip(plan.arms, schedules):
             others = [a.signal_mode for a in plan.arms if a is not arm]
             inp = signal.filtered(lambda p: all(pattern_count(p, m) == 0 for m in others))
-            chains.append(_run_chain([arm], inp, [ts], bindings, model))
+            chains.append(_run_chain(tab, [arm], inp, [ts], bindings, model))
             per_arm_p1[arm.label] = chains[-1][0].p_success
         eta_exponent = 1
     else:
-        chains = [_run_chain(plan.arms, signal, schedules, bindings, model)]
+        chains = [_run_chain(tab, plan.arms, signal, schedules, bindings, model)]
         eta_exponent = len(plan.arms)
     merge = plan.merge
     if len(chains) == 2:

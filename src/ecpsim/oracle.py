@@ -5,18 +5,18 @@ enumerated as individual path alternatives, joint amplitudes are products of
 single-photon transfer amplitudes with an explicit bosonic factor for
 repeated landing sites, and detector statistics come from classifying the
 final landing multiset.  The module imports only the parser (``dsl``) and
-the shipped documents (``circuits``), nothing from the operator-based
-simulation core, so agreement between the two is a meaningful consistency
-check rather than the same code talking to itself.
+the layout recognizer with the shipped documents (``circuits``), nothing
+from the operator-based simulation core, so agreement between the two is a
+meaningful consistency check rather than the same code talking to itself.
 
-The wiring comes from the circuit document: ``_wiring`` reads each arm's
-auxiliary photon, heralding and recycling couplers, signal mode and QND
-flag, and the signal sources, split, merge, outputs and flips, from the
-statements of a parsed ``.ecp`` file.  The physics stays here: the coupler
-matrix, the path sums and the doubling schedule are this module's own.
-``oracle_ecp1`` and ``oracle_ecp2`` run the shipped documents through one
-round loop, ``_run_chain``; branch accounting runs it per arm, joint
-accounting once with every arm.
+The wiring comes from the ``circuits.Layout`` of the document, the one the
+engine runs too: each arm's auxiliary photon, heralding and recycling
+couplers, signal mode, QND and flips, and the signal sources, split, merge
+and outputs.  The physics stays here: the coupler matrix, the path sums
+and the doubling schedule are this module's own.  ``oracle_ecp1`` and
+``oracle_ecp2`` run the shipped documents through one round loop,
+``_run_chain``; branch accounting runs it per arm, joint accounting once
+with every arm.
 """
 
 from __future__ import annotations
@@ -24,20 +24,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import NamedTuple
 
-from .circuits import builtin_doc
-from .dsl import (
-    BsDecl,
-    CircuitDoc,
-    FlipDecl,
-    PbsMergeDecl,
-    PbsSplitDecl,
-    QndDecl,
-    SourceDecl,
-    VbsDecl,
-    evaluate_real,
-)
+from .circuits import Arm, builtin_doc, layout
+from .dsl import CircuitDoc, PbsMergeDecl, evaluate_real
 
 _R = 0.7071067811865476  # 1 / sqrt(2)
 
@@ -138,53 +127,9 @@ def _schedule(alpha_sq: float, rounds: int) -> list[float]:
     return out
 
 
-class _ArmWiring(NamedTuple):
-    aux: list[SourceDecl]  # the auxiliary photon on the variable coupler's input
-    vbs: VbsDecl
-    signal: str  # the heralding coupler's input that is not ``vbs.reflect``
-    qnd: bool
-    herald: BsDecl
-    recycle: BsDecl | None
-
-
-def _wiring(doc: CircuitDoc):
-    """Arms in document order, signal sources, split, merge, outputs, flips.
-
-    An arm is a variable coupler; its heralding coupler takes the reflected
-    mode but not the transmitted one, its recycling coupler takes both.
-    """
-    def of(kind):
-        return [st for st in doc.statements if isinstance(st, kind)]
-
-    sources, couplers = of(SourceDecl), of(BsDecl)
-    arms = []
-    for v in of(VbsDecl):
-        touching = [b for b in couplers if v.reflect in (b.in1, b.in2)]
-        herald = next(b for b in touching if v.transmit not in (b.in1, b.in2))
-        recycle = next((b for b in touching if v.transmit in (b.in1, b.in2)), None)
-        signal = herald.in2 if herald.in1 == v.reflect else herald.in1
-        arms.append(_ArmWiring(
-            aux=[s for s in sources if s.mode == v.inp],
-            vbs=v,
-            signal=signal,
-            qnd=any({q.a, q.b} == {signal, v.reflect} for q in of(QndDecl)),
-            herald=herald,
-            recycle=recycle,
-        ))
-    aux_modes = {a.vbs.inp for a in arms}
-    return (
-        arms,
-        [s for s in sources if s.mode not in aux_modes],
-        next(iter(of(PbsSplitDecl)), None),
-        next(iter(of(PbsMergeDecl)), None),
-        doc.output_modes(),
-        {f.when: f.mode for f in of(FlipDecl)},
-    )
-
-
-def _aux_photon(arm: _ArmWiring, t: float, bindings) -> list:
+def _aux_photon(arm: Arm, t: float, bindings) -> list:
     out = []
-    for s in arm.aux:
+    for s in arm.aux_sources:
         amp = evaluate_real(s.amp, bindings)
         out.append((amp * math.sqrt(1.0 - t), arm.vbs.reflect, s.pol))
         out.append((amp * math.sqrt(t), arm.vbs.transmit, s.pol))
@@ -266,7 +211,7 @@ def _herald(arms, photons, couplers, want: int, flips: dict) -> dict:
     ``want`` is the QND class kept: 1 on the success side, 0 on the recycle
     side.  Each coupler's two outputs form one detector group.
     """
-    qnd = [("qnd", a.signal, a.vbs.reflect) for a in arms if a.qnd]
+    qnd = [("qnd", a.signal_mode, a.vbs.reflect) for a in arms if a.qnd is not None]
     stages = qnd + [("map", _coupler_rules(b.in1, b.in2, b.out1, b.out2)) for b in couplers]
     paths = [_propagate(p, stages) for p in photons]
     buckets = _buckets(paths, [(i, a, b) for i, (_q, a, b) in enumerate(qnd)])
@@ -283,11 +228,11 @@ def _run_round(arms, photons, eta: float, flips: dict):
     probability with the analytic detector factor, combined recycle
     continuation or None, recycle weight).  Recycle detectors are ideal.
     """
-    corrected = _herald(arms, photons, [a.herald for a in arms], 1, flips)
+    corrected = _herald(arms, photons, [a.success_bs for a in arms], 1, flips)
     p_success = sum(_vec_norm_sq(v) for v in corrected.values()) * eta ** len(arms)
-    if arms[0].recycle is None:
+    if arms[0].recycle_bs is None:
         return corrected, p_success, None, 0.0
-    per_click = _herald(arms, photons, [a.recycle for a in arms], 0, flips)
+    per_click = _herald(arms, photons, [a.recycle_bs for a in arms], 0, flips)
     return (corrected, p_success, *_combine_recycle(per_click))
 
 
@@ -300,14 +245,16 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
     the success probability of each chain, keyed by its arm's signal mode
     (None when joint), and the round's book.
     """
-    arms, sources, split, merge, outputs, flips = _wiring(doc)
-    signal = _signal_photon(sources, split, bindings)
+    lay = layout(doc)
+    arms, merge = lay.arms, lay.merge
+    flips = {d: m for a in arms for d, m in (*a.flips.items(), *a.recycle_flips.items())}
+    signal = _signal_photon(lay.signal_sources, lay.split, bindings)
     comps = [("V", 1.0)] if pol is None else [("H", pol[0]), ("V", pol[1])]
-    target = {(m, p): _R * c for m in outputs for p, c in comps}
+    target = {(m, p): _R * c for m in lay.outputs for p, c in comps}
     if accounting == "branch":
         chains = [([arm], [ts]) for arm, ts in zip(arms, schedules)]
         currents = [
-            [s for s in signal if s[1] not in {o.signal for o in arms if o is not arm}]
+            [s for s in signal if s[1] not in {o.signal_mode for o in arms if o is not arm}]
             for arm in arms
         ]
     else:
@@ -316,7 +263,7 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
     for k in range(len(schedules[0])):
         per_chain, p_round, p_rec_round, books = {}, 0.0, 0.0, []
         for i, (chain_arms, chain_ts) in enumerate(chains):
-            label = chain_arms[0].signal if accounting == "branch" else None
+            label = chain_arms[0].signal_mode if accounting == "branch" else None
             rv, p, pr, corrected = None, 0.0, 0.0, {}
             if currents[i]:
                 aux = [_aux_photon(a, ts[k], bindings) for a, ts in zip(chain_arms, chain_ts)]

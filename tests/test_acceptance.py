@@ -154,7 +154,7 @@ def test_criterion_04_recycling_recursion():
                 lambda p: pattern_count(p, "b3") == 0
             )
             results = _run_chain(
-                [arm], inp, [list(vbs_schedule(ent, 5))], _bindings(ent, pol),
+                plan.table, [arm], inp, [list(vbs_schedule(ent, 5))], _bindings(ent, pol),
                 DetectorModel(),
             )
             for k, res in enumerate(results, start=1):

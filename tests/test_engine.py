@@ -255,7 +255,7 @@ def _run_batch(name, seed):
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_stage_tables_are_keyed_on_structure_only(name):
-    tab = analyze(builtin_doc(name)).arms[0].tables
+    tab = analyze(builtin_doc(name)).table
     _run_batch(name, seed=1)
     warm = _table_keys(tab)
     _run_batch(name, seed=2)
@@ -266,7 +266,7 @@ def test_stage_tables_are_keyed_on_structure_only(name):
 
 
 def test_split_and_merge_run_on_the_plan_table():
-    tab = analyze(builtin_doc("ecp1")).arms[0].tables
+    tab = analyze(builtin_doc("ecp1")).table
     _run_batch("ecp1", seed=3)
     assert tab.stages[("pbs split", "b1", "b3", "b2")]
     assert tab.stages[("pbs merge", "b9", "b6", "b10")]

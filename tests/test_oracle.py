@@ -12,7 +12,7 @@ import pytest
 from ecpsim import circuits, oracle
 from ecpsim.circuits import BUILTIN_NAMES, builtin_text
 from ecpsim.dsl import parse
-from ecpsim.engine import execute, run_ecp1, run_ecp2
+from ecpsim.engine import TopologyError, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.oracle import _schedule, oracle_ecp1, oracle_ecp2
 from ecpsim.params import EntanglementParams, PolarizationParams
@@ -155,6 +155,19 @@ def test_oracle_imports_only_the_parser_and_the_documents():
             ("from ecpsim import fock", "ecpsim"),
         ):
             assert _foreign_imports(source + "\n" + planted + "\n", allowed) == [name]
+
+
+def test_oracle_rejects_a_document_the_engine_rejects():
+    # no heralding coupler: both read the layout through one recognizer, so
+    # the oracle raises the engine's error, not a bare StopIteration
+    lines = builtin_text("ecp1_stripped").splitlines(keepends=True)
+    doc = parse("".join(x for x in lines if not x.startswith(("bs ", "detect ", "flip "))))
+    message = r"^arm at coupler 'b4': expected one heralding coupler"
+    with pytest.raises(TopologyError, match=message):
+        analyze(doc)
+    _suffix, bindings, pol = oracle._point(0.6, None)
+    with pytest.raises(TopologyError, match=message):
+        oracle._run_chain(doc, [[0.6]], "branch", 1.0, bindings, pol)
 
 
 def _renamed(text: str) -> tuple[str, dict[str, str]]:
