@@ -108,7 +108,7 @@ def _vec_norm_sq(vec: dict) -> float:
 def _vec_fidelity(vec: dict, target: dict) -> float:
     n1 = _vec_norm_sq(vec)
     n2 = _vec_norm_sq(target)
-    if n1 <= 0.0 or n2 <= 0.0:
+    if n1 * n2 <= 0.0:  # the product underflows long before either norm
         raise ValueError("fidelity of an empty amplitude vector")
     ip = sum(target[k].conjugate() * a for k, a in vec.items() if k in target)
     return min(abs(ip) ** 2 / (n1 * n2), 1.0)
