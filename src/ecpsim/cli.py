@@ -45,14 +45,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("ECPSIM_SEED")
-    if raw is None:
-        return 0
+def _seed(args) -> int:
+    """``--seed``, else ``ECPSIM_SEED``, else 0; numpy takes no negative seed."""
+    raw = os.environ.get("ECPSIM_SEED", "0") if args.seed is None else args.seed
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"ECPSIM_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _check_eta(eta: float) -> float:
@@ -135,7 +137,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _cmd_run(args) -> int:
     _check_eta(args.eta)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args)
     ent = (
         EntanglementParams.from_alpha_sq(args.alpha_sq)
         if args.alpha_sq is not None
@@ -190,7 +192,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _check_eta(args.eta)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args)
     try:
         values = [float(x) for x in args.alpha_sq_list.split(",") if x.strip()]
     except ValueError:
@@ -225,7 +227,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_eta(args.eta)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args)
     results = run_checks(
         alpha_sq=args.alpha_sq,
         gamma_sq=args.gamma_sq,

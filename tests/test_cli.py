@@ -195,6 +195,9 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{divide_at_run}", "--alpha-sq", "0.6"), 3),
         (("run", "--circuit", "{repeated_detector}", "--alpha-sq", "0.6"), 2),
         (("run", "--circuit", "{repeated_output}", "--alpha-sq", "0.6"), 2),
+        (("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--seed", "-1"), 3),
+        (("sweep", "--seed", "-1"), 3),
+        (("verify", "--seed", "-1"), 3),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -203,7 +206,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "alpha-sq-near-1-degenerate-state", "rounds-100000-balanced",
         "rounds-over-bound", "run-trials-over-bound", "sweep-trials-over-bound",
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
-        "repeated-detector", "repeated-output",
+        "repeated-detector", "repeated-output", "run-negative-seed",
+        "sweep-negative-seed", "verify-negative-seed",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -343,6 +347,10 @@ def test_env_seed_is_the_default(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, *args)
     assert code == 3
     assert "ECPSIM_SEED" in err
+    monkeypatch.setenv("ECPSIM_SEED", "-5")
+    code, out, err = run_cli(capsys, "sweep")
+    assert (code, out) == (3, "")
+    assert err == "error: seed must be a non-negative integer, got -5\n"
 
 
 def test_verify_passes_clean(capsys):
