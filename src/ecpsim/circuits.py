@@ -219,8 +219,10 @@ def layout(doc: CircuitDoc) -> Layout:
         raise TopologyError("two arms need a polarizing merge")
 
     if split is not None and len(arms) == 2:
-        plus = next(a for a in arms if a.signal_mode == split.out_v)
-        minus = next(a for a in arms if a.signal_mode == split.out_h)
+        by_mode = {a.signal_mode: a for a in arms}
+        if by_mode.keys() != {split.out_h, split.out_v}:
+            raise TopologyError("two arms need one polarizing split output each")
+        plus, minus = by_mode[split.out_v], by_mode[split.out_h]
         plus.label, minus.label = "plus", "minus"
         arms = [plus, minus]
     else:

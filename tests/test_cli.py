@@ -198,6 +198,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--seed", "-1"), 3),
         (("sweep", "--seed", "-1"), 3),
         (("verify", "--seed", "-1"), 3),
+        (("run", "--circuit", "{shared_split_output}", "--alpha-sq", "0.6",
+          "--gamma-sq", "0.5"), 2),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -207,7 +209,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "rounds-over-bound", "run-trials-over-bound", "sweep-trials-over-bound",
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
-        "sweep-negative-seed", "verify-negative-seed",
+        "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -228,6 +230,10 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
         ),
         "repeated_output": builtin_text("ecp1_stripped").replace(
             "output a1,b6", "output a1,b6,a1"
+        ),
+        # both heralding couplers on the split's V output
+        "shared_split_output": builtin_text("ecp1").replace(
+            "bs in1=b3 in2=b8", "bs in1=b2 in2=b8"
         ),
     }
     paths = {}
