@@ -88,7 +88,7 @@ class Arm:
 class Layout:
     signal_sources: list[SourceDecl]
     split: PbsSplitDecl | None
-    arms: list[Arm]  # plus first
+    arms: list[Arm]  # the plus arm first
     merge: PbsMergeDecl | None
     outputs: tuple[str, ...]
 
@@ -228,8 +228,7 @@ def layout(doc: CircuitDoc) -> Layout:
     else:
         arms[0].label = "plus"
 
-    recycling = [bool(a.recycle_bs) for a in arms]
-    if len(set(recycling)) != 1:
+    if len({a.recycle_bs is None for a in arms}) != 1:
         raise TopologyError("either every arm recycles or none does")
 
     return Layout(signal_sources, split, arms, merge, outputs)

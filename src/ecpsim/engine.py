@@ -48,8 +48,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-# TopologyError is imported for the callers that catch it as engine.TopologyError
-from .circuits import Arm, Layout, TopologyError, builtin_doc, layout
+from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
 from .dsl import (
     CircuitDoc,
     DetectDecl,
