@@ -182,7 +182,7 @@ class _ChainRound:
     p_success: float
     p_recycle: float
     wins: list[dict[int, complex]]  # corrected heralded components, by pattern id
-    recycle_next: State
+    recycle_next: dict[int, complex]  # the next round's input, by pattern id
 
 
 def _run_chain(
@@ -222,7 +222,7 @@ def _run_chain(
     results = []
     for k in range(len(schedules[0])):
         if not current:
-            results.append(_ChainRound(0.0, 0.0, [], State()))
+            results.append(_ChainRound(0.0, 0.0, [], {}))
             continue
         work = current
         for i, (arm, ts) in enumerate(zip(arms, schedules)):
@@ -243,7 +243,7 @@ def _run_chain(
             p_rec = sum((w for w, _, _ in again), 0.0)
             nxt = _combine_recycle([raw for _, _, raw in again])
         p_win = sum((p for _, p, _ in wins), 0.0)
-        results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], tab.state(nxt)))
+        results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], nxt))
         current = nxt
     return results
 
@@ -486,8 +486,8 @@ def _comparison(
                 joint_total_one_round(a2) * factor, report.p_total
             )
     else:
-        series = round_success_series(a2, eta, n_rounds)
         if stripped:
+            series = round_success_series(a2, eta, n_rounds)
             for k, (pk, r) in enumerate(zip(series, report.rounds), start=1):
                 out[f"series_round_{k}"] = comparison_entry(pk, r.p_success)
             out["series_total"] = comparison_entry(sum(series), report.p_total)

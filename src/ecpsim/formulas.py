@@ -2,15 +2,23 @@
 
 These are the published claims, kept separate from the simulation so the two
 can be compared without either contaminating the other.  The recycling
-series implements the explicit per-round pattern
+series is published as the per-round pattern
 
     P_1 = 2 |alpha beta|^2 eta
     P_k = 2 |alpha beta|^(2^k) eta / prod_{j=2..k} (|alpha|^(2^j) + |beta|^(2^j))
 
-evaluated in the log domain so the doubling exponents stay representable to
-round 30 and beyond.  The series describes the polarization-stripped
-protocol; for the polarized variant the simulated branch values differ, and
-the comparison report is exactly where that shows up.
+With a = max(|alpha|^2, |beta|^2), b = min, r = b/a and d = a - b, the
+product telescopes, prod_{i=1..k-1} (1 + r^(2^i)) = (1 - r^(2^k))/(1 - r^2),
+to P_k = eta d / sinh(2^k artanh d), with limit eta 2^-k at d = 0.  It is
+evaluated without cancellation: d = |1 - 2|alpha|^2| and b are exact near
+balance, the rate is lambda = log1p(d/b) = ln(a/b) = 2 artanh d, and with
+m = 2^(k-1) lambda, P_k = 2 eta d e^-m / -expm1(-2m).  As sinh(2x) >= 2 sinh x,
+P_(k+1) <= P_k / 2, so every round after the first that underflows is 0.
+The rounds sum to eta (1 - d) = 2 eta min(|alpha|^2, |beta|^2), the
+single-copy optimum (G. Vidal, PRL 83, 1046 (1999)).  The series describes
+the polarization-stripped protocol; for the polarized variant the simulated
+branch values differ, and the comparison report is exactly where that shows
+up.
 """
 
 from __future__ import annotations
@@ -47,39 +55,24 @@ def qnd_round_success(alpha_sq: float, delta_sq: float, t: float) -> float:
     return alpha_sq * (1.0 - t) + (1.0 - alpha_sq) * delta_sq * t
 
 
-def _logaddexp(x: float, y: float) -> float:
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
 def round_success_series(
     alpha_sq: float, eta_p: float = 1.0, max_rounds: int = 1
 ) -> tuple[float, ...]:
     """P_k for k = 1..max_rounds of the recycled, polarization-stripped protocol."""
-    if not 0.0 < alpha_sq < 1.0:
-        return tuple(0.0 for _ in range(max_rounds))
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-    beta_sq = 1.0 - alpha_sq
-    la = math.log(alpha_sq)
-    lb = math.log(beta_sq)
-    log_eta = math.log(eta_p) if eta_p > 0.0 else -math.inf
+    if not 0.0 <= eta_p <= 1.0:
+        raise ValueError(f"eta_p must lie in [0, 1], got {eta_p}")
+    if not 0.0 < alpha_sq < 1.0:
+        return (0.0,) * max_rounds
+    d = abs(1.0 - 2.0 * alpha_sq)
+    rate = math.log1p(d / min(alpha_sq, 1.0 - alpha_sq))  # ln(a/b) = 2 artanh d
     values = []
-    log_denom = 0.0
-    # P_{k+1} <= P_k / 2, so once P_k underflows every later round does too;
-    # past round 1024 (where 2.0**k overflows) P_k <= 2^-1025 reads 0 as well
-    for k in range(1, min(max_rounds, 1024) + 1):
-        if k >= 2:
-            e = 2.0 ** (k - 1)
-            log_denom += _logaddexp(e * la, e * lb)
-        log_pk = math.log(2.0) + 2.0 ** (k - 1) * (la + lb) + log_eta - log_denom
-        values.append(math.exp(log_pk) if log_pk > -745.0 else 0.0)
-        if values[-1] == 0.0:
+    for k in range(1, max_rounds + 1):
+        m = math.ldexp(rate, k - 1)
+        pk = 2.0 * eta_p * d * math.exp(-m) / -math.expm1(-2.0 * m) if d else math.ldexp(eta_p, -k)
+        values.append(pk)
+        if pk == 0.0:
             break
     values.extend([0.0] * (max_rounds - len(values)))
     return tuple(values)
-

@@ -167,7 +167,7 @@ def test_criterion_04_recycling_recursion():
                         ("b2", "V", b_scale * pol.delta),
                     ]
                 )
-                worst = min(worst, fidelity(res.recycle_next, expected))
+                worst = min(worst, fidelity(plan.table.state(res.recycle_next), expected))
     _verdict(
         4,
         "failure residual after k rounds",

@@ -269,7 +269,7 @@ def test_engine_errors_never_exit_1(monkeypatch, capsys, exc, code):
 
 
 def test_run_past_the_doubling_overflow(capsys):
-    # 2.0**k overflows at k = 1024 in the schedule and in the series
+    # 2.0**k overflows at k = 1024 in the schedule
     code, out, _ = run_cli(
         capsys, "run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2000"
     )

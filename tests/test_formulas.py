@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 from itertools import accumulate
 
+import mpmath
 import pytest
 
 from ecpsim.formulas import (
@@ -24,6 +26,26 @@ def exact_series(alpha_sq: Fraction, max_rounds: int) -> list[Fraction]:
             denom *= a**e + b**e
         out.append(2 * (a * b) ** (2 ** (k - 1)) / denom)
     return out
+
+
+def mp_series(alpha_sq: float, max_rounds: int) -> list:
+    """50-digit reference for the closed form (eta = 1), P_k = d / sinh(2^(k-1) ln(a/b)).
+
+    The rate is built from ln(a/b), not from artanh(d): at 50 digits
+    1 - 2e-300 rounds to 1, where artanh diverges.  Stops once P_k is below
+    1e-300; every later round is smaller still.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(alpha_sq)
+        a, b = max(x, 1 - x), min(x, 1 - x)
+        d, rate = a - b, mpmath.log(a / b)
+        out = []
+        for k in range(1, max_rounds + 1):
+            pk = mpmath.ldexp(1, -k) if d == 0 else d / mpmath.sinh(mpmath.ldexp(rate, k - 1))
+            if pk <= mpmath.mpf("1e-300"):
+                break
+            out.append(pk)
+        return out
 
 
 class TestBranchForms:
@@ -104,11 +126,31 @@ class TestSeries:
 
     @pytest.mark.parametrize("a2", [0.05, 0.5, 0.6])
     def test_series_past_the_doubling_overflow(self, a2):
-        # 2.0**k overflows from k = 1024; the underflowed tail reads 0
+        # 2.0**k overflows from k = 1024; off balance the tail has long
+        # underflowed to 0, and at balance P_k = eta 2^-k holds to the end
         p = round_success_series(a2, 0.8, 100_000)
         assert len(p) == 100_000
         assert p[:30] == round_success_series(a2, 0.8, 30)
-        assert set(p[1023:]) == {0.0}
+        if a2 == 0.5:
+            assert all(p[k - 1] == math.ldexp(0.8, -k) for k in range(1, len(p) + 1))
+        else:
+            assert set(p[1023:]) == {0.0}
+
+    @pytest.mark.parametrize(
+        "a2", [1e-300, 0.3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.6, 0.9, 1 - 1e-12]
+    )
+    def test_matches_50_digit_closed_form(self, a2):
+        got = round_success_series(a2, 1.0, 1000)
+        want = mp_series(a2, 1000)
+        assert want
+        for k, w in enumerate(want, start=1):
+            assert abs(got[k - 1] - w) <= 1e-13 * w, f"round {k}"
+
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    @pytest.mark.parametrize("a2", [1e-300, 0.05, 0.3, 0.5, 0.6, 0.9, 0.999999])
+    def test_rounds_sum_to_the_vidal_limit(self, a2, eta):
+        total = sum(round_success_series(a2, eta, 200))
+        assert total == pytest.approx(2 * eta * min(a2, 1 - a2), rel=1e-13)
 
     def test_partial_sums(self):
         p = round_success_series(0.6, 1.0, 5)
@@ -119,5 +161,7 @@ class TestSeries:
         assert s[-1] < 1.0
 
     def test_rounds_validated(self):
-        with pytest.raises(ValueError):
-            round_success_series(0.6, 1.0, 0)
+        rows = [(0.6, 1.0, 0), (0.0, 1.0, 0), (0.6, -0.5, 3), (0.6, 1.5, 3), (0.6, math.nan, 2)]
+        for args in rows:
+            with pytest.raises(ValueError):
+                round_success_series(*args)

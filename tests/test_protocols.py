@@ -144,7 +144,7 @@ def test_recycled_residual_tracks_the_squared_ratio():
                 ("b2", "V", bscale * pol.delta),
             ]
         )
-        assert fidelity(res.recycle_next, expected) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(plan.table.state(res.recycle_next), expected) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_joint_recycling_chain():
