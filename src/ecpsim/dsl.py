@@ -306,6 +306,13 @@ class CircuitDoc:
     params: tuple[str, ...] = ()
     statements: tuple[Statement, ...] = ()
 
+    @functools.cached_property
+    def _hash(self) -> int:  # ``engine.analyze`` hashes the document on every run
+        return hash((self.name, self.params, self.statements))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def detector_modes(self) -> set[str]:
         out: set[str] = set()
         for st in self.statements:

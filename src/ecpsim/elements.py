@@ -27,6 +27,8 @@ import math
 from typing import Mapping
 
 from .fock import (
+    ISOMETRY_TOL,
+    IsometryError,
     Mode,
     PatternTable,
     State,
@@ -50,6 +52,7 @@ class PortContractError(ValueError):
     """An element was wired in a way its port contract forbids."""
 
 
+@functools.lru_cache(maxsize=256)  # once per port tuple
 def _require_distinct(kind: str, **ports: str) -> None:
     seen: set[str] = set()
     for spatial in ports.values():
@@ -59,8 +62,8 @@ def _require_distinct(kind: str, **ports: str) -> None:
 
 
 # The fixed transforms are built and isometry-checked once per port tuple
-# (and coupler matrix); the variable coupler's rules depend on ``t`` and are
-# checked on every call.  The ``*_rules`` builders also check the ports.
+# (and coupler matrix); the variable coupler's column norm depends on ``t`` and
+# is checked on every call.  The ``*_rules`` builders also check the ports.
 @functools.lru_cache(maxsize=256)
 def _pbs_rules(h_in: str, h_out: str, v_in: str, v_out: str) -> CheckedRules:
     """H photons of ``h_in`` to ``h_out``, V photons of ``v_in`` to ``v_out``."""
@@ -140,10 +143,10 @@ def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
     _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
     r = math.sqrt(1.0 - t)
     s = math.sqrt(t)
-    rules: dict[Mode, list[tuple[Mode, complex]]] = {}
-    for pol in POLARIZATIONS:
-        rules[(inp, pol)] = [((reflect, pol), r), ((transmit, pol), s)]
-    return CheckedRules(rules)
+    if abs(r * r + s * s - 1.0) > ISOMETRY_TOL:  # the H and V columns share no output
+        raise IsometryError(f"vbs column norm {r * r + s * s}, expected 1")
+    rules = {(inp, pol): [((reflect, pol), r), ((transmit, pol), s)] for pol in POLARIZATIONS}
+    return CheckedRules(rules, checked=True)
 
 
 def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> State:

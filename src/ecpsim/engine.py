@@ -28,11 +28,12 @@ nondemolition comparison pass the whole state on to their heralding
 coupler.  ``analyze`` is cached per document and adds to the layout one
 ``fock.PatternTable``, compiled lazily: the first time a pattern id meets a
 stage (auxiliary photon through its coupler, tensor product, nondemolition
-class, coupler expansion, click signature and verdict, flip parity,
-polarizing merge), its entry is derived and kept, keyed on the id and the
-stage's ports, never on alpha, gamma, t or a result.  Rounds and the
-merge/fidelity tail run on ``{id: amplitude}`` dicts with the ``State``
-kernels' operations, in the same order, pruned at the same points.
+class, polarizing merge, a round's couplers, herald and flips together),
+its entry is derived and kept, keyed on the id and the stage's ports, never
+on alpha, gamma, t or a result.  A round's entry is what the staged kernels
+make of the unit input ``{id: 1}``, kept beside the coupler rules it bakes
+in.  Amplitudes run through the tables as ``{id: amplitude}`` dicts, pruned
+where the ``State`` kernels prune, except that a round prunes at its end.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds rebuild the auxiliary photon, rebind the
@@ -61,6 +62,7 @@ from .dsl import (
 )
 from .elements import bs_rules, merge_terms, split_terms, vbs_rules
 from .fock import (
+    PRUNE_EPS,
     PatternTable,
     State,
     pattern_count,
@@ -84,7 +86,6 @@ from .measurement import (
     detection_factor,
     herald_terms,
     qnd_class,
-    residual,
 )
 from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
@@ -142,23 +143,47 @@ def _target_state(outputs: tuple[str, ...], pol: PolarizationParams | None) -> S
 # recycling chain
 
 def _successes(tab: PatternTable, terms, couplers, groups, flips, factor: float):
-    """The couplers, then per success ``(weight, probability, raw)``: the
-    normalized residual, phase-flipped, scaled back by ``sqrt(weight)``."""
-    for bs in couplers:
-        ports = (bs.in1, bs.in2, bs.out1, bs.out2)
-        terms = tab.transform(terms, bs_rules(*ports), tab.stage("bs", *ports))
+    """A round's couplers, herald and flips, one program per id: per success
+    signature, in order, ``(weight, probability, phase-flipped residual)``."""
+    rules = tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs in couplers)
+    names = tuple(g.name for g in groups)
+    programs = tab.stage("successes", *names)
+    residuals = tab.stage("residuals", *names)  # output id -> residual id
+    acc: dict[tuple, dict[int, complex]] = {}
+    for w, amp in terms.items():
+        entry = programs.get(w)
+        if entry is None or entry[0] != rules:  # never serve another coupler matrix
+            entry = programs[w] = (rules, _program(tab, w, rules, groups, flips, residuals))
+        for sig, outs in entry[1]:
+            out = acc.setdefault(sig, {})
+            for p, c in outs:
+                out[p] = out.get(p, 0j) + amp * c
     wins = []
-    for _, weight, success, corr, component in herald_terms(tab, terms, groups, flips):
-        if success:
-            odd = tab.stage("flip", *corr)
-            up = math.sqrt(weight)
-            raw = {}
-            for q, a in residual(component, weight).items():
-                if q not in odd:
-                    odd[q] = sum(pattern_count(tab.patterns[q], m) for m in corr) % 2
-                raw[q] = (-a if odd[q] else a) * up
+    for sig in sorted(acc):
+        out = prune(acc[sig])  # the outputs the last coupler's transform would keep
+        weight = terms_norm_sq(out)
+        if weight > PRUNE_EPS**2:
+            raw: dict[int, complex] = {}
+            for p, a in out.items():
+                raw[residuals[p]] = raw.get(residuals[p], 0j) + a
             wins.append((weight, weight * factor, prune(raw)))
     return wins
+
+
+def _program(tab: PatternTable, w: int, rules, groups, flips, residuals: dict) -> tuple:
+    """The staged kernels on ``{w: 1}``, one output id at a time: ``(signature, ((output
+    id, flipped coefficient), ...))`` per success; ``residuals`` gets their residual ids."""
+    terms = {w: 1.0}
+    for r in rules:
+        terms = tab.transform(terms, r, {})
+    program: dict[tuple, list] = {}
+    for p, c in terms.items():
+        for sig, _, success, corr, [(q, _)] in herald_terms(tab, {p: c}, groups, flips):
+            if success:
+                residuals[p] = q
+                odd = sum(pattern_count(tab.patterns[q], m) for m in corr) % 2
+                program.setdefault(sig, []).append((p, -c if odd else c))
+    return tuple((sig, tuple(outs)) for sig, outs in program.items())
 
 
 def _combine_recycle(raws: list[dict[int, complex]]) -> dict[int, complex]:

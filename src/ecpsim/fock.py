@@ -28,8 +28,9 @@ unnormalized so that squared norms compose into branch probabilities.
 
 Every kernel runs on a ``PatternTable`` (patterns interned to ids, states
 as ``{id: amplitude}`` dicts), which keeps what each term turns into; the
-``State`` operations use a throwaway one, the engine one per plan.
-Coefficients are read when a kernel runs.  Results are pruned where built:
+``State`` operations use a throwaway one, the engine one per plan.  Kernels
+read coefficients when they run (``engine``'s round programs multiply the
+balanced coupler's in).  Results are pruned where built:
 ``State(...)``/``PatternTable.admit`` (prune, photon cap, accumulate,
 prune) and ``prune`` for every other kernel.
 """
@@ -261,12 +262,13 @@ class CheckedRules(dict):
     """Transform rules checked once; ``apply_mode_transform`` reuses them unchecked.
 
     ``coef`` maps each input mode to its coefficients in expansion order.
-    Raises IsometryError when the coefficient matrix is not an isometry."""
+    Raises IsometryError when the coefficient matrix is not an isometry, unless ``checked``."""
 
     __slots__ = ("out_modes", "coef")
 
-    def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]):
-        _check_isometry(rules)
+    def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]], checked: bool = False):
+        if not checked:
+            _check_isometry(rules)
         super().__init__(rules)
         self.out_modes = frozenset(mo for expansion in rules.values() for mo, _ in expansion)
         self.coef = {m: [c for _, c in expansion] for m, expansion in rules.items()}
@@ -297,7 +299,7 @@ class PatternTable:
         return State._trusted({self.patterns[p]: a for p, a in terms.items()})
 
     def stage(self, *key) -> dict:
-        return self.stages.setdefault(key, {})
+        return self.stages.get(key) or self.stages.setdefault(key, {})
 
     def admit(self, terms: Mapping[int, complex]) -> dict[int, complex]:
         return _admit(terms.items(), self.photons.__getitem__)

@@ -94,42 +94,32 @@ def detection_factor(groups: Sequence[DetectorGroup], model: DetectorModel) -> f
 
 
 def herald_terms(tab: PatternTable, terms, groups, corrections) -> list[tuple]:
-    """``herald`` on ``tab``'s ids, which keeps each term's and signature's verdict:
-    ``(clicks, weight, success, correction, component)`` per signature, in
-    order; ``component`` lists ``(residual id, amplitude)`` for ``residual``."""
+    """``herald`` on ``tab``'s ids: ``(clicks, weight, success, correction, component)``
+    per signature, in order, ``component`` listing ``(residual id, amplitude)``."""
     detectors = [d for g in groups for d in g.modes]
     index = {d: i for i, d in enumerate(detectors)}
-    names = tuple(g.name for g in groups)
-    splits = tab.stage("clicks", *names)
-    verdicts = tab.stage("verdict", *names)
     buckets: dict[tuple[tuple[str, int], ...], list[tuple[int, complex]]] = {}
     for p, amp in terms.items():
-        split = splits.get(p)
-        if split is None:
-            clicks = [0] * len(detectors)
-            kept = []
-            for entry in tab.patterns[p]:  # ((spatial, pol), count)
-                i = index.get(entry[0][0])
-                if i is None:
-                    kept.append(entry)
-                else:
-                    clicks[i] += entry[1]
-            sig = tuple((d, n) for d, n in zip(detectors, clicks) if n)
-            split = splits[p] = (sig, tab.intern(tuple(kept)))
-        buckets.setdefault(split[0], []).append((split[1], amp))
+        clicks = [0] * len(detectors)
+        kept = []
+        for entry in tab.patterns[p]:  # ((spatial, pol), count)
+            i = index.get(entry[0][0])
+            if i is None:
+                kept.append(entry)
+            else:
+                clicks[i] += entry[1]
+        sig = tuple((d, n) for d, n in zip(detectors, clicks) if n)
+        buckets.setdefault(sig, []).append((tab.intern(tuple(kept)), amp))
     outcomes = []
     for sig in sorted(buckets):
         component = buckets[sig]
         weight = sum(abs(a) ** 2 for _, a in component)
         if weight <= PRUNE_EPS**2:
             continue
-        verdict = verdicts.get(sig)
-        if verdict is None:
-            counts = dict(sig)
-            success = all(sum(counts.get(d, 0) for d in g.modes) == 1 for g in groups)
-            corr = sorted(corrections[d] for d, _ in sig if d in corrections) if success else ()
-            verdict = verdicts[sig] = (success, tuple(corr))
-        outcomes.append((sig, weight, *verdict, component))
+        counts = dict(sig)
+        success = all(sum(counts.get(d, 0) for d in g.modes) == 1 for g in groups)
+        corr = sorted(corrections[d] for d, _ in sig if d in corrections) if success else ()
+        outcomes.append((sig, weight, success, tuple(corr), component))
     return outcomes
 
 

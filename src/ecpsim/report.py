@@ -7,8 +7,8 @@ both rely on that.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,10 @@ def comparison_entry(paper_value: float, simulated_value: float) -> dict[str, fl
     }
 
 
+_LITERALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+             "None": "null", "True": "true", "False": "false"}
+
+
 # The field order of ProtocolReport, RoundResult and EngineInfo is the JSON
 # key order of the report: ``to_json`` writes each object's fields as declared.
 @dataclass
@@ -74,4 +78,23 @@ class ProtocolReport:
     paper_comparison: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(self, indent=2, default=vars) + "\n"
+        return _json(self, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    """``json.dumps(obj, indent=2, default=vars)``, which with an indent never
+    takes the C encoder; ``newline`` holds the current indent."""
+    if isinstance(obj, (float, int)) or obj is None:  # bool is an int
+        text = float.__repr__(obj) if isinstance(obj, float) else repr(obj)
+        return _LITERALS.get(text, text)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if not isinstance(obj, (dict, list, tuple)):  # the report dataclasses
+        obj = vars(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + ",".join(items) + newline + "}"
+    return "[" + ",".join([inner + _json(v, inner) for v in obj]) + newline + "]"

@@ -1,22 +1,27 @@
 """Engine: topology recognition, document execution, configuration errors."""
 
 import json
+import math
 import random
 
 import pytest
 
+import ecpsim.engine
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import parse
+from ecpsim.elements import bs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
     _source_state,
+    _successes,
     analyze,
     execute,
     run_ecp1,
     run_ecp2,
 )
-from ecpsim.measurement import DetectorModel
+from ecpsim.fock import pattern_count, prune, single_photon, terms_norm_sq
+from ecpsim.measurement import DetectorModel, herald_terms, residual
 from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams
 
 ENT = EntanglementParams.from_alpha_sq(0.6)
@@ -263,6 +268,63 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     assert not any(_holds_float(k) for k in warm)
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
+
+
+def _staged_successes(tab, terms, couplers, groups, flips, factor):
+    """The round's kernels one stage at a time: couplers, herald, normalized
+    residual, phase flips, rescaled by ``sqrt(weight)``."""
+    for bs in couplers:
+        terms = tab.transform(terms, bs_rules(bs.in1, bs.in2, bs.out1, bs.out2), {})
+    wins = []
+    for _, weight, success, corr, component in herald_terms(tab, terms, groups, flips):
+        if success:
+            raw = {}
+            for q, a in residual(component, weight).items():
+                odd = sum(pattern_count(tab.patterns[q], m) for m in corr) % 2
+                raw[q] = (-a if odd else a) * math.sqrt(weight)
+            wins.append((weight, weight * factor, prune(raw)))
+    return wins
+
+
+@pytest.mark.parametrize("accounting", ["branch", "joint"])
+@pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
+def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch):
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _successes(*args)
+
+    monkeypatch.setattr(ecpsim.engine, "_successes", record)
+    polarized = not name.endswith("_stripped")
+    execute(
+        builtin_doc(name), ENT, POL if polarized else None,
+        rounds=2 if name.startswith("ecp2") else 1, accounting=accounting,
+        model=DetectorModel(eta_p=0.8),
+    )
+    assert calls
+    rng = random.Random(7)
+    compared = 0
+    for tab, recorded, couplers, *rest in calls:
+        # the recorded ids reweighted, and one photon over every coupler input,
+        # whose paths meet in the same click pattern and residual
+        ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) for pol in "HV"]
+        inputs = [{w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in recorded} for _ in range(5)]
+        inputs.append(tab.of(single_photon(
+            [(m, pol, complex(rng.gauss(0, 1), rng.gauss(0, 1))) for m, pol in ports]
+        )))
+        for terms in inputs:
+            got = _successes(tab, terms, couplers, *rest)
+            want = _staged_successes(tab, terms, couplers, *rest)
+            assert len(got) == len(want)
+            for (w1, p1, raw1), (w2, p2, raw2) in zip(got, want):
+                assert w1 == pytest.approx(w2, rel=1e-14)
+                assert p1 == pytest.approx(p2, rel=1e-14)
+                assert raw1.keys() == raw2.keys()
+                scale = math.sqrt(terms_norm_sq(raw2))
+                assert all(abs(raw1[q] - raw2[q]) <= 1e-14 * scale for q in raw2)
+                compared += 1
+    assert compared
 
 
 def test_split_and_merge_run_on_the_plan_table():
