@@ -88,12 +88,14 @@ def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
 def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v: str, out: str):
     """``apply_pbs_merge`` on ``tab``'s ids."""
     _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
+    programs = tab.stage("pbs merge", in_h, in_v, out)
     for p in terms:
+        if p in programs:  # checked before its program was kept
+            continue
         for (sp, pol), _n in tab.patterns[p]:
             if (sp, pol) in ((in_h, "V"), (in_v, "H")):
                 raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
-    rules = _pbs_rules(in_h, out, in_v, out)
-    return tab.transform(terms, rules, tab.stage("pbs merge", in_h, in_v, out))
+    return tab.transform(terms, _pbs_rules(in_h, out, in_v, out), programs)
 
 
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:
@@ -137,7 +139,8 @@ def apply_bs(state: State, in1: str, in2: str, out1: str, out2: str) -> State:
     return apply_mode_transform(state, bs_rules(in1, in2, out1, out2))
 
 
-def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
+def vbs_coefficients(inp: str, reflect: str, transmit: str, t: float) -> tuple[float, float]:
+    """``(sqrt(1-t), sqrt(t))`` once ``t`` and the ports pass the coupler's checks."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"vbs transmittance must lie in [0, 1], got {t}")
     _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
@@ -145,6 +148,11 @@ def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
     s = math.sqrt(t)
     if abs(r * r + s * s - 1.0) > ISOMETRY_TOL:  # the H and V columns share no output
         raise IsometryError(f"vbs column norm {r * r + s * s}, expected 1")
+    return r, s
+
+
+def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
+    r, s = vbs_coefficients(inp, reflect, transmit, t)
     rules = {(inp, pol): [((reflect, pol), r), ((transmit, pol), s)] for pol in POLARIZATIONS}
     return CheckedRules(rules, checked=True)
 

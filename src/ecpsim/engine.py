@@ -26,21 +26,24 @@ Both go through one round loop, ``_run_chain``: branch accounting runs it
 once per arm, joint accounting once with all arms.  Arms without a
 nondemolition comparison pass the whole state on to their heralding
 coupler.  ``analyze`` is cached per document and adds to the layout one
-``fock.PatternTable``, compiled lazily: the first time a pattern id meets a
-stage (auxiliary photon through its coupler, tensor product, nondemolition
-class, polarizing merge, a round's couplers, herald and flips together),
-its entry is derived and kept, keyed on the id and the stage's ports, never
-on alpha, gamma, t or a result.  A round's entry is what the staged kernels
-make of the unit input ``{id: 1}``, kept beside the coupler rules it bakes
-in.  Amplitudes run through the tables as ``{id: amplitude}`` dicts, pruned
-where the ``State`` kernels prune, except that a round prunes at its end.
+``fock.PatternTable``, compiled lazily and keyed on pattern ids and ports,
+never on alpha, gamma, t or a result.  Sources, target, split, branch
+restriction and merge run on its ids.  A round is one multiply-accumulate
+pass over ``("round", *arm labels)`` entries: per input id and auxiliary
+photon ids, the tensor product's nondemolition route and the program the
+staged kernels make of that product (couplers, herald, flips) from the
+unit input, kept beside the coupler rules it bakes in.  A round prunes
+where the kernels it replaces pruned: each auxiliary photon after its
+coupler, the product after each factor, and each click signature's
+outputs, then its residual, at the end.
 
 States stay unnormalized throughout; squared norms are absolute
-probabilities.  Recycling rounds rebuild the auxiliary photon, rebind the
-coupler transmittance from the doubling schedule, and continue on the
+probabilities.  Recycling rounds send the auxiliary photon through its
+coupler at the transmittance of the doubling schedule and continue on the
 corrected residual; the distinct recycle click patterns must agree after
 correction (an internal invariant, checked) so the rounds form a single
-chain rather than a branching tree.
+chain rather than a branching tree.  A round whose input and
+transmittances equal the previous round's repeats its result.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from dataclasses import dataclass, field
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
 from .dsl import (
     CircuitDoc,
-    DetectDecl,
     PbsMergeDecl,
     SourceDecl,
     evaluate_expr,
@@ -60,14 +62,18 @@ from .dsl import (
     expr_variables,
     parse_expr,
 )
-from .elements import bs_rules, merge_terms, split_terms, vbs_rules
+from .elements import bs_rules, merge_terms, split_terms, vbs_coefficients
 from .fock import (
+    NORM_TOL,
+    PHOTON_CAP,
     PRUNE_EPS,
+    DegenerateStateError,
+    ModeCollisionError,
     PatternTable,
-    State,
+    PhotonBudgetError,
+    make_pattern,
     pattern_count,
     prune,
-    single_photon,
     terms_fidelity,
     terms_norm_sq,
 )
@@ -100,8 +106,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class Plan(Layout):
-    """A recognized layout and the ``PatternTable`` its runs share."""
+    """A recognized layout, the parameters its expressions read, and the
+    ``PatternTable`` its runs share."""
 
+    coupler_reads: set[str] = field(default_factory=set)
+    reads: set[str] = field(default_factory=set)  # by couplers and sources
     table: PatternTable = field(default_factory=PatternTable, compare=False, repr=False)
 
 
@@ -112,62 +121,56 @@ def analyze(doc: CircuitDoc) -> Plan:
 
     Cached per document, so runs share the plan and its table.
     """
-    return Plan(**vars(layout(doc)))
+    lay = layout(doc)
+    couplers = _reads(arm.vbs.t for arm in lay.arms)
+    sources = _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
+    return Plan(**vars(lay), coupler_reads=couplers, reads=couplers | sources)
 
 
 # ---------------------------------------------------------------------------
-# state construction
+# states on the plan's pattern ids
 
-def _source_state(sources: list[SourceDecl], bindings: dict[str, complex]) -> State:
-    return single_photon(
-        [(s.mode, s.pol, evaluate_expr(s.amp, bindings)) for s in sources]
-    )
+def _sources(tab: PatternTable, sources: list[SourceDecl], bindings) -> dict[int, complex]:
+    return tab.photon([(s.mode, s.pol, evaluate_expr(s.amp, bindings)) for s in sources])
 
 
-def _detector_group(g: DetectDecl) -> DetectorGroup:
-    return DetectorGroup(g.group, g.modes, g.eta)
+def _target(tab: PatternTable, outputs: tuple[str, ...], pol: PolarizationParams | None):
+    pols = [("V", 1.0)] if pol is None else [("H", pol.gamma), ("V", pol.delta)]
+    terms = tab.photon([(m, p, c) for m in outputs for p, c in pols])
+    n2 = terms_norm_sq(terms)
+    if n2 <= NORM_TOL * NORM_TOL:
+        raise DegenerateStateError("cannot normalize a (near-)zero state")
+    return prune({p: a * (1.0 / math.sqrt(n2)) for p, a in terms.items()})
 
 
-def _target_state(outputs: tuple[str, ...], pol: PolarizationParams | None) -> State:
-    comps = []
-    for m in outputs:
-        if pol is None:
-            comps.append((m, "V", 1.0))
-        else:
-            comps.append((m, "H", pol.gamma))
-            comps.append((m, "V", pol.delta))
-    return single_photon(comps).normalized()
+def _aux(tab: PatternTable, arm: Arm, bindings) -> list[tuple[int, complex, int]]:
+    """The arm's auxiliary photon after its coupler: ``(output id, amplitude, j)``,
+    the amplitude times ``sqrt(1-t)`` when j is 0 (reflected), ``sqrt(t)`` when 1."""
+    out = []
+    for x, a in _sources(tab, arm.aux_sources, bindings).items():
+        [((_, pol), _)] = tab.patterns[x]
+        out += [(tab.intern((((m, pol), 1),)), a, j) for j, m in enumerate((arm.vbs.reflect, arm.vbs.transmit))]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # recycling chain
 
-def _successes(tab: PatternTable, terms, couplers, groups, flips, factor: float):
-    """A round's couplers, herald and flips, one program per id: per success
-    signature, in order, ``(weight, probability, phase-flipped residual)``."""
-    rules = tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs in couplers)
-    names = tuple(g.name for g in groups)
-    programs = tab.stage("successes", *names)
-    residuals = tab.stage("residuals", *names)  # output id -> residual id
-    acc: dict[tuple, dict[int, complex]] = {}
-    for w, amp in terms.items():
-        entry = programs.get(w)
-        if entry is None or entry[0] != rules:  # never serve another coupler matrix
-            entry = programs[w] = (rules, _program(tab, w, rules, groups, flips, residuals))
-        for sig, outs in entry[1]:
-            out = acc.setdefault(sig, {})
-            for p, c in outs:
-                out[p] = out.get(p, 0j) + amp * c
-    wins = []
-    for sig in sorted(acc):
-        out = prune(acc[sig])  # the outputs the last coupler's transform would keep
-        weight = terms_norm_sq(out)
-        if weight > PRUNE_EPS**2:
-            raw: dict[int, complex] = {}
-            for p, a in out.items():
-                raw[residuals[p]] = raw.get(residuals[p], 0j) + a
-            wins.append((weight, weight * factor, prune(raw)))
-    return wins
+def _entry(tab: PatternTable, w: int, xs: tuple[int, ...], qnds, programs) -> tuple:
+    """``(route, program)`` of input id ``w`` with auxiliary photon ids ``xs``: their
+    product's nondemolition route (0 heralds, 1 recycles, None neither) and program."""
+    counts = dict(tab.patterns[w])
+    for x in xs:
+        shared = counts.keys() & {m for m, _ in tab.patterns[x]}
+        if shared:
+            raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
+        counts.update(tab.patterns[x])
+    pid = tab.intern(make_pattern(counts))
+    if tab.photons[pid] > PHOTON_CAP:
+        raise PhotonBudgetError(f"pattern holds {tab.photons[pid]} photons, cap is {PHOTON_CAP}")
+    cs = {qnd_class(tab.patterns[pid], qa, qb) for qa, qb in qnds}
+    route = 0 if cs <= {1} else 1 if cs <= {0} and len(programs) == 2 else None
+    return route, () if route is None else _program(tab, pid, *programs[route])
 
 
 def _program(tab: PatternTable, w: int, rules, groups, flips, residuals: dict) -> tuple:
@@ -186,19 +189,38 @@ def _program(tab: PatternTable, w: int, rules, groups, flips, residuals: dict) -
     return tuple((sig, tuple(outs)) for sig, outs in program.items())
 
 
+def _wins(acc: dict[tuple, dict[int, complex]], residuals: dict, factor: float) -> list:
+    """Per success signature, in order, ``(weight, probability, raw)``: its outputs
+    pruned as the last coupler's transform prunes, weighed, and folded onto their
+    residual ids in one pass; a signature of weight <= ``PRUNE_EPS**2`` is dropped."""
+    wins = []
+    for sig in sorted(acc):
+        squares, raw = [], {}
+        for p, a in acc[sig].items():
+            m = abs(a)
+            if m >= PRUNE_EPS:
+                squares.append(m**2)
+                q = residuals[p]
+                raw[q] = raw.get(q, 0j) + a
+        weight = sum(squares)
+        if weight > PRUNE_EPS**2:
+            wins.append((weight, weight * factor, prune(raw)))
+    return wins
+
+
 def _combine_recycle(raws: list[dict[int, complex]]) -> dict[int, complex]:
     """Collapse equivalent recycle continuations into one weighted component."""
     if not raws:
         return {}
+    norms = [terms_norm_sq(r) for r in raws]
     first = raws[0]
-    for other in raws[1:]:
-        if terms_fidelity(first, other) < 1.0 - RECYCLE_AGREEMENT_TOL:
+    for other, n in zip(raws[1:], norms[1:]):
+        if terms_fidelity(first, other, norms[0], n) < 1.0 - RECYCLE_AGREEMENT_TOL:
             raise RuntimeError(
                 "recycle click patterns disagree after correction; "
                 "feed-forward rules are inconsistent with the coupler convention"
             )
-    total = sum(terms_norm_sq(r) for r in raws)
-    scale = math.sqrt(total / terms_norm_sq(first))
+    scale = math.sqrt(sum(norms) / norms[0])
     return prune({p: a * scale for p, a in first.items()})
 
 
@@ -213,75 +235,109 @@ class _ChainRound:
 def _run_chain(
     tab: PatternTable,
     arms: list[Arm],
-    current: State,
+    current: dict[int, complex],
     schedules: list[list[float]],
     bindings: dict[str, complex],
     model: DetectorModel,
 ) -> list[_ChainRound]:
-    """Run every round of ``arms`` together on one state.
+    """Run every round of ``arms`` together on the input ``current`` (by id).
 
     Each round attaches every arm's auxiliary photon at the arm's scheduled
     transmittance, then splits by the nondemolition comparisons of the arms
     that have one: class 1 on all of them goes on to the heralding couplers,
     class 0 on all of them to the recycling couplers.  Success needs every
     arm's group to click at once; the combined recycle continuation is the
-    next round's input.  Rounds run on the plan's ``PatternTable`` ``tab``.
+    next round's input.  A round whose input and transmittances equal the
+    previous round's repeats that round's result.
     """
-    success = (
-        [a.success_bs for a in arms],
-        [_detector_group(a.success_group) for a in arms],
-        {d: m for a in arms for d, m in a.flips.items()},
-    )
-    recycles = all(a.recycle_bs for a in arms)
-    if recycles:
-        recycle = (
-            [a.recycle_bs for a in arms],
-            [_detector_group(a.recycle_group) for a in arms],
-            {d: m for a in arms for d, m in a.recycle_flips.items()},
-        )
-    factor = detection_factor(success[1], model)
+    sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
+    if all(a.recycle_bs for a in arms):
+        sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
+    programs = []  # per side: (coupler rules, groups, flips, output id -> residual id)
+    for side in sides:
+        groups = [DetectorGroup(g.group, g.modes, g.eta) for _, g, _ in side]
+        programs.append((
+            tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side),
+            groups,
+            {d: m for _, _, flips in side for d, m in flips.items()},
+            tab.stage("residuals", *(g.name for g in groups)),
+        ))
+    rules = tuple(r for side in programs for r in side[0])
+    factor = detection_factor(programs[0][1], model)
     qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
-    classes = tab.stage("qnd", *(a.label for a in arms))  # id -> (kept, dropped)
-    auxes: list[dict[int, complex] | None] = [None] * len(arms)
-    current = tab.of(current)
-    results = []
+    entries = tab.stage("round", *(a.label for a in arms))  # input id -> aux ids -> entry
+    auxes: list[list | None] = [None] * len(arms)
+    results: list[_ChainRound] = []
+    last = None
     for k in range(len(schedules[0])):
+        ts = [s[k] for s in schedules]
+        if last == (current, ts):  # a fixed point: the same round again
+            results.append(results[-1])
+            continue
+        last = (current, ts)
         if not current:
             results.append(_ChainRound(0.0, 0.0, [], {}))
             continue
-        work = current
-        for i, (arm, ts) in enumerate(zip(arms, schedules)):
+        photons = []  # each arm's auxiliary photon after its coupler, pruned
+        for i, (arm, t) in enumerate(zip(arms, ts)):
             if auxes[i] is None:  # the same photon every round
-                auxes[i] = tab.of(_source_state(arm.aux_sources, bindings))
-            ports = (arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit)
-            aux = tab.transform(auxes[i], vbs_rules(*ports, ts[k]), tab.stage("vbs", *ports))
-            work = tab.tensor(work, aux)
-        for p in work.keys() - classes.keys():
-            cs = {qnd_class(tab.patterns[p], qa, qb) for qa, qb in qnds}
-            classes[p] = (cs <= {1}, cs <= {0})
-        kept = {p: a for p, a in work.items() if classes[p][0]}
-        dropped = {p: a for p, a in work.items() if classes[p][1]}
-        wins = _successes(tab, kept, *success, factor) if kept else []
-        p_rec, nxt = 0.0, {}
-        if recycles and dropped:
-            again = _successes(tab, dropped, *recycle, 1.0)
-            p_rec = sum((w for w, _, _ in again), 0.0)
-            nxt = _combine_recycle([raw for _, _, raw in again])
+                auxes[i] = _aux(tab, arm, bindings)
+            rs = vbs_coefficients(arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
+            photons.append([(x, c) for x, a, j in auxes[i] if abs(c := a * rs[j]) >= PRUNE_EPS])
+        accs: tuple[dict, dict] = ({}, {})  # per side: signature -> output id -> amplitude
+        for w, amp in current.items():
+            row = entries.get(w) or entries.setdefault(w, {})
+            terms = [((), amp)]
+            for photon in photons:  # the tensor product, pruned after each factor
+                terms = [
+                    (xs + (x,), v) for xs, a in terms for x, c in photon if abs(v := a * c) >= PRUNE_EPS
+                ]
+            for xs, v in terms:
+                entry = row.get(xs)
+                if entry is None or entry[0] != rules:  # never serve another coupler matrix
+                    entry = row[xs] = (rules, *_entry(tab, w, xs, qnds, programs))
+                if entry[1] is None:
+                    continue
+                acc = accs[entry[1]]
+                for sig, outs in entry[2]:
+                    out = acc.setdefault(sig, {})
+                    for p, c in outs:
+                        out[p] = out.get(p, 0j) + v * c
+        wins = _wins(accs[0], programs[0][3], factor)
+        again = _wins(accs[1], programs[1][3], 1.0) if accs[1] else []
+        p_rec = sum((w for w, _, _ in again), 0.0)
+        current = _combine_recycle([raw for _, _, raw in again])
         p_win = sum((p for _, p, _ in wins), 0.0)
-        results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], nxt))
-        current = nxt
+        results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], current))
     return results
 
 
-def _merge_pair(tab: PatternTable, merge: PbsMergeDecl, raw_plus: dict, raw_minus: dict) -> dict:
-    a = merge_terms(tab, raw_plus, merge.in_h, merge.in_v, merge.out)
-    b = merge_terms(tab, raw_minus, merge.in_h, merge.in_v, merge.out)
-    combined = dict(a)
-    for p, amp in b.items():
+def _heralded(tab: PatternTable, merge: PbsMergeDecl | None, chains) -> list[list[dict]]:
+    """Per round, the heralded states: each raw through the merge once, and with
+    two chains (branch accounting) every plus state paired with every minus one."""
+    out: list[list[dict]] = []
+    for k, books in enumerate(zip(*chains)):
+        if k and all(b is c[k - 1] for b, c in zip(books, chains)):  # a repeated round
+            out.append(out[-1])
+            continue
+        if not all(b.wins for b in books):
+            out.append([])
+            continue
+        merged = [
+            [raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out) for raw in b.wins]
+            for b in books
+        ]
+        out.append(merged[0] if len(merged) == 1 else [_pair(a, b) for a in merged[0] for b in merged[1]])
+    return out
+
+
+def _pair(plus: dict, minus: dict) -> dict:
+    combined = dict(plus)
+    for p, amp in minus.items():
         # both arms carry the signal-at-home component; the published
         # recombination counts it once, so shared amplitudes average
         combined[p] = 0.5 * (combined[p] + amp) if p in combined else amp
-    return tab.admit(combined)
+    return prune(combined)
 
 
 def _rounds(
@@ -291,9 +347,11 @@ def _rounds(
     target: dict[int, complex],
 ) -> list[RoundResult]:
     """Round results summed over ``chains``; fidelity is the worst heralded state."""
+    target_norm = terms_norm_sq(target)
     rounds = []
     for k, t in enumerate(ts):
-        fids = [terms_fidelity(s, target) for s in heralded[k]]
+        if not k or heralded[k] is not heralded[k - 1]:
+            fids = [terms_fidelity(s, target, nb=target_norm) for s in heralded[k]]
         rounds.append(
             RoundResult(
                 k=k + 1,
@@ -347,9 +405,8 @@ def execute(
         bindings["gamma"] = pol.gamma
         bindings["delta"] = pol.delta
 
-    coupler_reads = _reads(arm.vbs.t for arm in plan.arms)
-    reads = coupler_reads | _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
-    if pol is not None and not {"gamma", "delta"} & reads:
+    coupler_reads = plan.coupler_reads
+    if pol is not None and not {"gamma", "delta"} & plan.reads:
         raise ConfigError("polarization is given but no expression in the circuit reads gamma or delta")
 
     if plan.has_recycling:
@@ -381,11 +438,11 @@ def execute(
     eff_plus, eff_minus = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
     tab = plan.table
-    target = tab.of(_target_state(plan.outputs, pol))
-    signal = _source_state(plan.signal_sources, bindings)
+    target = _target(tab, plan.outputs, pol)
+    signal = _sources(tab, plan.signal_sources, bindings)
     if plan.split is not None:
         split = plan.split
-        signal = tab.state(split_terms(tab, tab.of(signal), split.inp, split.out_h, split.out_v))
+        signal = split_terms(tab, signal, split.inp, split.out_h, split.out_v)
     schedules = [eff_plus if arm.label == "plus" else eff_minus for arm in plan.arms]
     per_arm_p1: dict[str, float] = {}
     if accounting == "branch":
@@ -394,27 +451,17 @@ def execute(
         chains = []
         for arm, ts in zip(plan.arms, schedules):
             others = [a.signal_mode for a in plan.arms if a is not arm]
-            inp = signal.filtered(lambda p: all(pattern_count(p, m) == 0 for m in others))
+            inp = {
+                p: a for p, a in signal.items()
+                if all(pattern_count(tab.patterns[p], m) == 0 for m in others)
+            }
             chains.append(_run_chain(tab, [arm], inp, [ts], bindings, model))
             per_arm_p1[arm.label] = chains[-1][0].p_success
         eta_exponent = 1
     else:
         chains = [_run_chain(tab, plan.arms, signal, schedules, bindings, model)]
         eta_exponent = len(plan.arms)
-    merge = plan.merge
-    if len(chains) == 2:
-        heralded = [
-            [_merge_pair(tab, merge, rp, rm) for rp in p.wins for rm in m.wins]
-            for p, m in zip(*chains)
-        ]
-    else:
-        heralded = [
-            [
-                raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out)
-                for raw in r.wins
-            ]
-            for r in chains[0]
-        ]
+    heralded = _heralded(tab, plan.merge, chains)
     round_results = _rounds(eff_plus, chains, heralded, target)
 
     p_total = sum(r.p_success for r in round_results)
@@ -451,22 +498,16 @@ def _effective_schedule(
     ts_minus: list[float],
 ) -> tuple[list[float], list[float]]:
     eff = {"plus": [], "minus": []}
-    for k in range(len(ts_plus)):
-        round_bindings = dict(bindings)
-        round_bindings.update(
-            {
-                "t1": ts_plus[k],
-                "t2": ts_minus[k],
-                "t_plus": ts_plus[k],
-                "t_minus": ts_minus[k],
-            }
-        )
+    for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus)):
+        if k and (plus, minus) == (ts_plus[k - 1], ts_minus[k - 1]):
+            for arm in plan.arms:  # the same bindings give the same values
+                eff[arm.label].append(eff[arm.label][-1])
+            continue
+        round_bindings = {**bindings, "t1": plus, "t2": minus, "t_plus": plus, "t_minus": minus}
         for arm in plan.arms:
             v = evaluate_real(arm.vbs.t, round_bindings)
             if not 0.0 <= v <= 1.0:
-                raise ConfigError(
-                    f"coupler expression {arm.vbs.t!r} gives {v}, outside [0, 1]"
-                )
+                raise ConfigError(f"coupler expression {arm.vbs.t!r} gives {v}, outside [0, 1]")
             eff[arm.label].append(v)
     return eff["plus"], eff["minus"]
 

@@ -26,13 +26,16 @@ Conventions used throughout:
 Norms are not enforced: intermediate protocol states are deliberately kept
 unnormalized so that squared norms compose into branch probabilities.
 
-Every kernel runs on a ``PatternTable`` (patterns interned to ids, states
-as ``{id: amplitude}`` dicts), which keeps what each term turns into; the
-``State`` operations use a throwaway one, the engine one per plan.  Kernels
-read coefficients when they run (``engine``'s round programs multiply the
-balanced coupler's in).  Results are pruned where built:
-``State(...)``/``PatternTable.admit`` (prune, photon cap, accumulate,
-prune) and ``prune`` for every other kernel.
+The kernels (mode transforms here, heralding in ``measurement``) run on a
+``PatternTable`` (patterns interned to ids, states as ``{id: amplitude}``
+dicts), which keeps what each term turns into; the ``State`` operations use
+a throwaway one, the engine one per plan.  Kernels read coefficients when
+they run.  Results are pruned where built: ``State(...)``/``PatternTable.admit``
+(prune, photon cap, accumulate, prune) and ``prune`` for every other kernel.
+The engine's round runs them once per input id and auxiliary photon ids and
+keeps the program; it prunes where they did: each auxiliary photon after
+its coupler, the tensor product after each factor, then each click
+signature's outputs and its residual.
 """
 
 from __future__ import annotations
@@ -180,11 +183,8 @@ class State:
 
 def single_photon(components: Iterable[tuple[str, str, complex]]) -> State:
     """One photon superposed over ``(spatial, pol, amplitude)`` components."""
-    terms: dict[Pattern, complex] = {}
-    for spatial, pol, amp in components:
-        p = make_pattern({mode(spatial, pol): 1})
-        terms[p] = terms.get(p, 0j) + complex(amp)
-    return State(terms)
+    tab = PatternTable()
+    return tab.state(tab.photon(components))
 
 
 def prune(terms: Mapping) -> dict:
@@ -223,9 +223,10 @@ def terms_inner(a: Mapping, b: Mapping) -> complex:
     return total
 
 
-def terms_fidelity(a: Mapping, b: Mapping) -> float:
-    na = terms_norm_sq(a)
-    nb = terms_norm_sq(b)
+def terms_fidelity(a: Mapping, b: Mapping, na: float | None = None, nb: float | None = None) -> float:
+    """``fidelity``; ``na``/``nb`` are the squared norms when the caller holds them."""
+    na = terms_norm_sq(a) if na is None else na
+    nb = terms_norm_sq(b) if nb is None else nb
     if na <= NORM_TOL**2 or nb <= NORM_TOL**2:
         raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
     val = abs(terms_inner(a, b)) ** 2 / (na * nb)
@@ -304,20 +305,12 @@ class PatternTable:
     def admit(self, terms: Mapping[int, complex]) -> dict[int, complex]:
         return _admit(terms.items(), self.photons.__getitem__)
 
-    def tensor(self, a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, complex]:
-        products = self.stage("tensor")
-        terms = {}
-        for ia, aa in a.items():
-            row = products.setdefault(ia, {})
-            for ib, ab in b.items():
-                pid = row.get(ib, -1)
-                if pid == -1:
-                    pa, pb = dict(self.patterns[ia]), dict(self.patterns[ib])
-                    pid = row[ib] = None if pa.keys() & pb else self.intern(make_pattern(pa | pb))
-                if pid is None:
-                    shared = self.state(a).modes() & self.state(b).modes()
-                    raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
-                terms[pid] = aa * ab
+    def photon(self, components: Iterable[tuple[str, str, complex]]) -> dict[int, complex]:
+        """``single_photon`` on ids."""
+        terms: dict[int, complex] = {}
+        for spatial, pol, amp in components:
+            p = self.intern(((mode(spatial, pol), 1),))
+            terms[p] = terms.get(p, 0j) + complex(amp)
         return self.admit(terms)
 
     def transform(self, terms: Mapping[int, complex], rules: CheckedRules, programs: dict):
@@ -395,8 +388,10 @@ def tensor(a: State, b: State) -> State:
     Raises ModeCollisionError if any mode appears on both sides; the
     product of an n-term and an m-term state has at most n*m terms.
     """
-    tab = PatternTable()
-    return tab.state(tab.tensor(tab.of(a), tab.of(b)))
+    shared = a.modes() & b.modes()
+    if shared:
+        raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
+    return State((tuple(sorted(pa + pb)), aa * ab) for pa, aa in a.items() for pb, ab in b.items())
 
 
 def apply_mode_transform(

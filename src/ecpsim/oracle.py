@@ -10,13 +10,13 @@ from the operator-based simulation core, so agreement between the two is a
 meaningful consistency check rather than the same code talking to itself.
 
 The wiring comes from the ``circuits.Layout`` of the document, the one the
-engine runs too: each arm's auxiliary photon, heralding and recycling
-couplers, signal mode, QND and flips, and the signal sources, split, merge
-and outputs.  The physics stays here: the coupler matrix, the path sums
-and the doubling schedule are this module's own.  ``oracle_ecp1`` and
-``oracle_ecp2`` run the shipped documents through one round loop,
-``_run_chain``; branch accounting runs it per arm, joint accounting once
-with every arm.
+engine runs too: each arm's auxiliary photon, coupler ``t=`` expression,
+heralding and recycling couplers, detector ``eta=``, signal mode, QND and
+flips, and the signal sources, split, merge and outputs.  The physics stays
+here: the coupler matrix, the path sums and the doubling schedule are this
+module's own.  ``oracle_ecp1`` and ``oracle_ecp2`` run the shipped
+documents through one round loop, ``_run_chain``; branch accounting runs
+it per arm, joint accounting once with every arm.
 """
 
 from __future__ import annotations
@@ -226,10 +226,14 @@ def _run_round(arms, photons, eta: float, flips: dict):
 
     Returns (success residual vectors by click signature, success
     probability with the analytic detector factor, combined recycle
-    continuation or None, recycle weight).  Recycle detectors are ideal.
+    continuation or None, recycle weight).  Each heralding group counts
+    its own ``eta=`` when it sets one, else ``eta``; recycle detectors are
+    ideal.
     """
     corrected = _herald(arms, photons, [a.success_bs for a in arms], 1, flips)
-    p_success = sum(_vec_norm_sq(v) for v in corrected.values()) * eta ** len(arms)
+    etas = [a.success_group.eta for a in arms]
+    factor = eta ** etas.count(None) * math.prod(e for e in etas if e is not None)
+    p_success = sum(_vec_norm_sq(v) for v in corrected.values()) * factor
     if arms[0].recycle_bs is None:
         return corrected, p_success, None, 0.0
     per_click = _herald(arms, photons, [a.recycle_bs for a in arms], 0, flips)
@@ -237,7 +241,8 @@ def _run_round(arms, photons, eta: float, flips: dict):
 
 
 def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings, pol):
-    """Rounds of ``doc`` with arm ``i`` at transmittances ``schedules[i]``.
+    """Rounds of ``doc``; each coupler reads its ``t=`` with ``t1``/``t_plus`` and
+    ``t2``/``t_minus`` bound to ``schedules[0]`` and ``schedules[-1]``.
 
     Branch accounting runs one chain per arm, on the signal components not
     in another arm; joint accounting one chain with every arm.  ``pol`` is
@@ -252,21 +257,23 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
     comps = [("V", 1.0)] if pol is None else [("H", pol[0]), ("V", pol[1])]
     target = {(m, p): _R * c for m in lay.outputs for p, c in comps}
     if accounting == "branch":
-        chains = [([arm], [ts]) for arm, ts in zip(arms, schedules)]
+        chains = [[arm] for arm in arms]
         currents = [
             [s for s in signal if s[1] not in {o.signal_mode for o in arms if o is not arm}]
             for arm in arms
         ]
     else:
-        chains, currents = [(arms, schedules)], [signal]
+        chains, currents = [arms], [signal]
     out = []
     for k in range(len(schedules[0])):
+        plus, minus = schedules[0][k], schedules[-1][k]
+        round_bindings = {**bindings, "t1": plus, "t_plus": plus, "t2": minus, "t_minus": minus}
         per_chain, p_round, p_rec_round, books = {}, 0.0, 0.0, []
-        for i, (chain_arms, chain_ts) in enumerate(chains):
+        for i, chain_arms in enumerate(chains):
             label = chain_arms[0].signal_mode if accounting == "branch" else None
             rv, p, pr, corrected = None, 0.0, 0.0, {}
             if currents[i]:
-                aux = [_aux_photon(a, ts[k], bindings) for a, ts in zip(chain_arms, chain_ts)]
+                aux = [_aux_photon(a, evaluate_real(a.vbs.t, round_bindings), bindings) for a in chain_arms]
                 corrected, p, rv, pr = _run_round(chain_arms, [currents[i]] + aux, eta, flips)
                 p_round += p
                 p_rec_round += pr

@@ -15,7 +15,7 @@ from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
 from ecpsim.cli import main
 from ecpsim.dsl import parse
 from ecpsim.elements import apply_pbs, apply_vbs
-from ecpsim.engine import _run_chain, _source_state, analyze, execute, run_ecp1, run_ecp2
+from ecpsim.engine import _run_chain, _sources, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.fock import fidelity, pattern_count, single_photon, tensor
 from ecpsim.formulas import round_success_series
 from ecpsim.measurement import DetectorModel, qnd_component
@@ -108,12 +108,13 @@ def _class1_probability(ent, pol, t):
     arm = next(a for a in plan.arms if a.label == "plus")
     others = [a.signal_mode for a in plan.arms if a is not arm]
     bindings = _bindings(ent, pol)
-    signal = _source_state(plan.signal_sources, bindings)
+    tab = plan.table
+    signal = tab.state(_sources(tab, plan.signal_sources, bindings))
     signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
     inp = signal.filtered(
         lambda p: all(pattern_count(p, m) == 0 for m in others)
     )
-    aux = _source_state(arm.aux_sources, bindings)
+    aux = tab.state(_sources(tab, arm.aux_sources, bindings))
     aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
     return qnd_component(tensor(inp, aux), arm.qnd.a, arm.qnd.b, 1).norm_sq()
 
@@ -154,8 +155,8 @@ def test_criterion_04_recycling_recursion():
                 lambda p: pattern_count(p, "b3") == 0
             )
             results = _run_chain(
-                plan.table, [arm], inp, [list(vbs_schedule(ent, 5))], _bindings(ent, pol),
-                DetectorModel(),
+                plan.table, [arm], plan.table.of(inp), [list(vbs_schedule(ent, 5))],
+                _bindings(ent, pol), DetectorModel(),
             )
             for k, res in enumerate(results, start=1):
                 a_scale = ent.alpha_sq ** (2**k / 2)

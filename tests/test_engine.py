@@ -8,20 +8,20 @@ import pytest
 
 import ecpsim.engine
 from ecpsim.circuits import builtin_doc, builtin_text
-from ecpsim.dsl import parse
-from ecpsim.elements import bs_rules
+from ecpsim.dsl import evaluate_expr, parse
+from ecpsim.elements import bs_rules, vbs_coefficients, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
-    _source_state,
-    _successes,
+    _run_chain,
+    _sources,
     analyze,
     execute,
     run_ecp1,
     run_ecp2,
 )
-from ecpsim.fock import pattern_count, prune, single_photon, terms_norm_sq
-from ecpsim.measurement import DetectorModel, herald_terms, residual
+from ecpsim.fock import pattern_count, prune, single_photon, tensor, terms_fidelity, terms_norm_sq
+from ecpsim.measurement import DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
 from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams
 
 ENT = EntanglementParams.from_alpha_sq(0.6)
@@ -182,12 +182,14 @@ def test_detector_model_efficiency_scales_success():
 
 def test_prepare_initial_shapes():
     bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": POL.gamma, "delta": POL.delta}
-    polarized = _source_state(analyze(builtin_doc("ecp1")).signal_sources, bindings)
-    assert polarized.num_terms == 4
-    assert polarized.norm_sq() == pytest.approx(1.0)
-    stripped = _source_state(analyze(builtin_doc("ecp1_stripped")).signal_sources, bindings)
-    assert stripped.num_terms == 2
-    assert {m for (m, _p) in stripped.modes()} == {"a1", "b2"}
+    plan = analyze(builtin_doc("ecp1"))
+    polarized = _sources(plan.table, plan.signal_sources, bindings)
+    assert len(polarized) == 4
+    assert terms_norm_sq(polarized) == pytest.approx(1.0)
+    plan = analyze(builtin_doc("ecp1_stripped"))
+    stripped = _sources(plan.table, plan.signal_sources, bindings)
+    assert len(stripped) == 2
+    assert {m for p in stripped for (m, _p), _n in plan.table.patterns[p]} == {"a1", "b2"}
 
 
 # -- document execution equals the native entry points --------------------
@@ -232,7 +234,7 @@ def _table_keys(tab):
         keys.append(stage)
         for key, entry in table.items():
             keys.append(key)
-            if isinstance(entry, dict):  # tensor rows
+            if isinstance(entry, dict):  # round rows
                 keys.extend(entry)
     return keys
 
@@ -271,8 +273,8 @@ def test_stage_tables_are_keyed_on_structure_only(name):
 
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
-    """The round's kernels one stage at a time: couplers, herald, normalized
-    residual, phase flips, rescaled by ``sqrt(weight)``."""
+    """A round's couplers, herald, normalized residual, phase flips, rescaled
+    by ``sqrt(weight)``, one stage at a time: ``(weight, probability, raw)``."""
     for bs in couplers:
         terms = tab.transform(terms, bs_rules(bs.in1, bs.in2, bs.out1, bs.out2), {})
     wins = []
@@ -286,6 +288,46 @@ def _staged_successes(tab, terms, couplers, groups, flips, factor):
     return wins
 
 
+def _staged_round(tab, arms, current, ts, bindings, model):
+    """One round through the stage kernels: each arm's auxiliary photon through
+    its coupler, tensor products, the nondemolition split, both sides' couplers,
+    herald and flips, and the recycle raws scaled to their summed weight."""
+    work = current
+    for arm, t in zip(arms, ts):
+        aux = tab.of(single_photon([(s.mode, s.pol, evaluate_expr(s.amp, bindings)) for s in arm.aux_sources]))
+        v = arm.vbs
+        aux = tab.transform(aux, vbs_rules(v.inp, v.reflect, v.transmit, t), {})
+        work = tab.of(tensor(tab.state(work), tab.state(aux)))
+    classes = {p: {qnd_class(tab.patterns[p], a.qnd.a, a.qnd.b) for a in arms if a.qnd} for p in work}
+    groups = [DetectorGroup(a.success_group.group, a.success_group.modes, a.success_group.eta) for a in arms]
+    wins = _staged_successes(
+        tab, {p: a for p, a in work.items() if classes[p] <= {1}},
+        [a.success_bs for a in arms], groups, {d: m for a in arms for d, m in a.flips.items()},
+        detection_factor(groups, model),
+    )
+    again, nxt = [], {}
+    if all(a.recycle_bs for a in arms):
+        recycle = [DetectorGroup(a.recycle_group.group, a.recycle_group.modes, a.recycle_group.eta) for a in arms]
+        again = _staged_successes(
+            tab, {p: a for p, a in work.items() if classes[p] <= {0}},
+            [a.recycle_bs for a in arms], recycle,
+            {d: m for a in arms for d, m in a.recycle_flips.items()}, 1.0,
+        )
+    if again:
+        first = again[0][2]
+        for _, _, other in again[1:]:
+            assert terms_fidelity(first, other) == pytest.approx(1.0, abs=1e-9)
+        scale = math.sqrt(sum(w for w, _, _ in again) / terms_norm_sq(first))
+        nxt = prune({q: a * scale for q, a in first.items()})
+    return sum(p for _, p, _ in wins), sum(w for w, _, _ in again), [raw for _, _, raw in wins], nxt
+
+
+def _assert_terms_close(got, want):
+    assert got.keys() == want.keys()
+    scale = math.sqrt(terms_norm_sq(want))
+    assert all(abs(got[q] - want[q]) <= 1e-14 * scale for q in want)
+
+
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch):
@@ -293,36 +335,42 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
 
     def record(*args):
         calls.append(args)
-        return _successes(*args)
+        return _run_chain(*args)
 
-    monkeypatch.setattr(ecpsim.engine, "_successes", record)
+    monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
     polarized = not name.endswith("_stripped")
     execute(
         builtin_doc(name), ENT, POL if polarized else None,
-        rounds=2 if name.startswith("ecp2") else 1, accounting=accounting,
+        rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
         model=DetectorModel(eta_p=0.8),
     )
     assert calls
     rng = random.Random(7)
     compared = 0
-    for tab, recorded, couplers, *rest in calls:
-        # the recorded ids reweighted, and one photon over every coupler input,
-        # whose paths meet in the same click pattern and residual
-        ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) for pol in "HV"]
-        inputs = [{w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in recorded} for _ in range(5)]
-        inputs.append(tab.of(single_photon(
-            [(m, pol, complex(rng.gauss(0, 1), rng.gauss(0, 1))) for m, pol in ports]
-        )))
-        for terms in inputs:
-            got = _successes(tab, terms, couplers, *rest)
-            want = _staged_successes(tab, terms, couplers, *rest)
-            assert len(got) == len(want)
-            for (w1, p1, raw1), (w2, p2, raw2) in zip(got, want):
-                assert w1 == pytest.approx(w2, rel=1e-14)
-                assert p1 == pytest.approx(p2, rel=1e-14)
-                assert raw1.keys() == raw2.keys()
-                scale = math.sqrt(terms_norm_sq(raw2))
-                assert all(abs(raw1[q] - raw2[q]) <= 1e-14 * scale for q in raw2)
+    for tab, arms, current, schedules, bindings, model in calls:
+        aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
+        couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
+        ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) if m not in aux_ports for pol in "HV"]
+        rounds = _run_chain(tab, arms, current, schedules, bindings, model)
+        for k in range(len(schedules[0])):
+            ts = [s[k] for s in schedules]
+            # the recorded ids reweighted, and one photon over every coupler input
+            # that no auxiliary photon occupies, whose paths meet in the same
+            # click pattern and residual
+            recorded = rounds[k - 1].recycle_next if k else current
+            inputs = [{w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in recorded} for _ in range(5)]
+            inputs.append(tab.of(single_photon(
+                [(m, pol, complex(rng.gauss(0, 1), rng.gauss(0, 1))) for m, pol in ports]
+            )))
+            for terms in inputs:
+                [got] = _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model)
+                p_win, p_rec, wins, nxt = _staged_round(tab, arms, terms, ts, bindings, model)
+                assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
+                assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
+                assert len(got.wins) == len(wins)
+                for raw1, raw2 in zip(got.wins, wins):
+                    _assert_terms_close(raw1, raw2)
+                _assert_terms_close(got.recycle_next, nxt)
                 compared += 1
     assert compared
 
@@ -338,3 +386,21 @@ def test_plans_and_their_tables_are_cached_per_document():
     doc = builtin_doc("ecp2")
     assert analyze(doc) is analyze(parse(builtin_text("ecp2")))
     assert analyze.cache_info().maxsize is not None
+
+
+def test_a_deep_chain_does_round_work_only_until_its_fixed_point(monkeypatch):
+    # once t saturates a round returns its own input, so later rounds repeat
+    # it: round work grows with the rounds to saturation, not with --rounds
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return vbs_coefficients(*args)
+
+    monkeypatch.setattr(ecpsim.engine, "vbs_coefficients", counted)
+    report = run_ecp2(ENT, rounds=100_000)
+    assert len(calls) <= 16
+    assert len(report.rounds) == 100_000
+    last = report.rounds[-1]
+    assert (last.k, last.t, last.heralded_fidelity) == (100_000, 1.0, None)
+    assert vars(report.rounds[len(calls)]) | {"k": last.k} == vars(last)

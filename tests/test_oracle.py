@@ -211,3 +211,30 @@ def test_renamed_layout_gives_the_same_numbers(name, accounting, a2):
     ]
     unmapped = [({back.get(k, k): p for k, p in ps.items()}, book) for ps, book in chains[1]]
     assert repr(unmapped) == repr(chains[0])
+
+
+def test_oracle_reads_a_literal_coupler_transmittance():
+    # t=1/2 instead of t=t_plus: both engines apply the document's coupler,
+    # not the doubling schedule that feeds t_plus
+    text = builtin_text("ecp2_stripped").replace("t=t_plus", "t=1/2")
+    assert "t=1/2" in text
+    doc = parse(text)
+    report = execute(doc, EntanglementParams.from_alpha_sq(0.6), rounds=3)
+    _suffix, bindings, pol = oracle._point(0.6, None)
+    ts = _schedule(0.6, 3)
+    books = [book for _, book in oracle._run_chain(doc, [ts, ts], "branch", 1.0, bindings, pol)]
+    for r, book, want in zip(report.rounds, books, (0.5, 0.25, 0.125)):
+        assert r.p_success == pytest.approx(want, rel=1e-12)
+        assert book["p_success"] == pytest.approx(want, rel=1e-12)
+
+
+def test_oracle_counts_a_heralding_group_efficiency():
+    # a heralding group's own eta= replaces the run-level efficiency
+    text = builtin_text("ecp1_stripped").replace("modes=d1,d2", "modes=d1,d2 eta=0.5")
+    assert "eta=0.5" in text
+    doc = parse(text)
+    report = execute(doc, EntanglementParams.from_alpha_sq(0.6), model=DetectorModel(eta_p=0.8))
+    _suffix, bindings, pol = oracle._point(0.6, None)
+    [(per_chain, _book)] = oracle._run_chain(doc, [[0.6], [0.6]], "branch", 0.8, bindings, pol)
+    assert report.p_total == pytest.approx(0.24, rel=1e-12)
+    assert sum(per_chain.values()) == pytest.approx(0.24, rel=1e-12)
