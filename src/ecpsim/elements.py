@@ -28,6 +28,7 @@ from typing import Mapping
 
 from .fock import (
     ISOMETRY_TOL,
+    PRUNE_EPS,
     IsometryError,
     Mode,
     PatternTable,
@@ -86,16 +87,19 @@ def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
 
 
 def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v: str, out: str):
-    """``apply_pbs_merge`` on ``tab``'s ids."""
+    """``apply_pbs_merge`` on ``tab``'s ids as a relabel, each id's ``(merged id, sqrt(N_out!),
+    sqrt(n_in!))`` taken from the transform's program, ports checked, when first seen."""
     _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
-    programs = tab.stage("pbs merge", in_h, in_v, out)
-    for p in terms:
-        if p in programs:  # checked before its program was kept
-            continue
+    relabel = tab.stage("pbs merge", in_h, in_v, out)
+    new = [p for p in terms if p not in relabel]
+    for p in new:
         for (sp, pol), _n in tab.patterns[p]:
             if (sp, pol) in ((in_h, "V"), (in_v, "H")):
                 raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
-    return tab.transform(terms, _pbs_rules(in_h, out, in_v, out), programs)
+    for p in new:
+        layers, finals, norm_in = tab._program(tab.patterns[p], _pbs_rules(in_h, out, in_v, out))
+        relabel[p] = (finals, 1.0, 1.0) if layers is None else (*finals[0][1:], norm_in)
+    return {r[0]: v for p, a in terms.items() if abs(v := a * (r := relabel[p])[1] / r[2]) >= PRUNE_EPS}
 
 
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:

@@ -26,16 +26,17 @@ Both go through one round loop, ``_run_chain``: branch accounting runs it
 once per arm, joint accounting once with all arms.  Arms without a
 nondemolition comparison pass the whole state on to their heralding
 coupler.  ``analyze`` is cached per document and adds to the layout one
-``fock.PatternTable``, compiled lazily and keyed on pattern ids and ports,
-never on alpha, gamma, t or a result.  Sources, target, split, branch
-restriction and merge run on its ids.  A round is one multiply-accumulate
-pass over ``("round", *arm labels)`` entries: per input id and auxiliary
-photon ids, the tensor product's nondemolition route and the program the
-staged kernels make of that product (couplers, herald, flips) from the
-unit input, kept beside the coupler rules it bakes in.  A round prunes
-where the kernels it replaces pruned: each auxiliary photon after its
-coupler, the product after each factor, and each click signature's
-outputs, then its residual, at the end.
+``fock.PatternTable``, compiled lazily and keyed on pattern ids, ports and
+labels, never on alpha, gamma, t or a result.  Sources, target, split and
+branch restriction run on its ids; the merge is a relabel of them.  Each
+chain's setup is built once per arm labels.  A round is one slot program,
+keyed on its surviving products (input id and auxiliary photon ids): each
+output slot sums product amplitudes times the coefficients that the staged
+kernels (couplers, herald, flips) give each product from the unit input,
+and each click signature reads its slots in sorted order.  Programs are
+kept beside the coupler rules they bake in.  A round prunes where the
+kernels it replaces pruned: each auxiliary photon after its coupler, the
+product after each factor, and each signature's outputs.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds send the auxiliary photon through its
@@ -49,7 +50,9 @@ transmittances equal the previous round's repeats its result.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from operator import mul
 from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
@@ -67,10 +70,12 @@ from .fock import (
     NORM_TOL,
     PHOTON_CAP,
     PRUNE_EPS,
+    RECYCLE_AGREEMENT_TOL,
     DegenerateStateError,
     ModeCollisionError,
     PatternTable,
     PhotonBudgetError,
+    PolarizationMixtureError,
     make_pattern,
     pattern_count,
     prune,
@@ -89,6 +94,7 @@ from .measurement import (
     DetectorGroup,
     DetectorModel,
     IDEAL_DETECTORS,
+    MIXTURE,
     detection_factor,
     herald_terms,
     qnd_class,
@@ -96,7 +102,6 @@ from .measurement import (
 from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
-RECYCLE_AGREEMENT_TOL = 1e-9
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
 
 
@@ -156,11 +161,30 @@ def _aux(tab: PatternTable, arm: Arm, bindings) -> list[tuple[int, complex, int]
 # ---------------------------------------------------------------------------
 # recycling chain
 
-def _entry(tab: PatternTable, w: int, xs: tuple[int, ...], qnds, programs) -> tuple:
-    """``(route, program)`` of input id ``w`` with auxiliary photon ids ``xs``: their
+def _chain(tab: PatternTable, arms: list[Arm]) -> tuple:
+    """``(couplers, sides, qnds, programs)`` of a chain of ``arms``, built once per plan and
+    arm labels: each balanced coupler's ports; per side its detector groups, flips and
+    output id -> residual id; the nondemolition pairs; the table of round programs."""
+    labels = tuple(a.label for a in arms)
+    chains = tab.stage("chain")
+    if labels not in chains:
+        sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
+        if all(a.recycle_bs for a in arms):
+            sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
+        groups = [[DetectorGroup(g.group, g.modes, g.eta) for _, g, _ in side] for side in sides]
+        flips = [{d: m for _, _, f in side for d, m in f.items()} for side in sides]
+        setup = [(gs, fs, tab.stage("residuals", *(g.name for g in gs))) for gs, fs in zip(groups, flips)]
+        couplers = tuple((bs.in1, bs.in2, bs.out1, bs.out2) for side in sides for bs, _, _ in side)
+        qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
+        chains[labels] = (couplers, setup, qnds, tab.stage("round", *labels))
+    return chains[labels]
+
+
+def _entry(tab: PatternTable, key: tuple[int, ...], qnds, programs) -> tuple:
+    """``(route, program)`` of input id ``key[0]`` with auxiliary photon ids ``key[1:]``: their
     product's nondemolition route (0 heralds, 1 recycles, None neither) and program."""
-    counts = dict(tab.patterns[w])
-    for x in xs:
+    counts = dict(tab.patterns[key[0]])
+    for x in key[1:]:
         shared = counts.keys() & {m for m, _ in tab.patterns[x]}
         if shared:
             raise ModeCollisionError(f"tensor operands share modes {sorted(shared)}")
@@ -189,38 +213,64 @@ def _program(tab: PatternTable, w: int, rules, groups, flips, residuals: dict) -
     return tuple((sig, tuple(outs)) for sig, outs in program.items())
 
 
-def _wins(acc: dict[tuple, dict[int, complex]], residuals: dict, factor: float) -> list:
-    """Per success signature, in order, ``(weight, probability, raw)``: its outputs
-    pruned as the last coupler's transform prunes, weighed, and folded onto their
-    residual ids in one pass; a signature of weight <= ``PRUNE_EPS**2`` is dropped."""
+def _slots(tab: PatternTable, products: tuple, rules: tuple, chain: tuple) -> tuple:
+    """``(index, coef, spans, sides)`` of a round whose surviving products are ``products``:
+    slot s (an output id of one side) sums ``product[index[j]] * coef[j]`` over j in ``spans[s]``
+    in the order the products reach it; ``sides`` lists per side each signature, sorted, as (itself
+    if two of its outputs share a residual id, else None, its ``(slot, residual id)`` pairs)."""
+    _, sides, qnds, _ = chain
+    n = len(rules) // len(sides)
+    programs = [(rules[i * n:(i + 1) * n], *side) for i, side in enumerate(sides)]
+    slots: dict[tuple, list] = {}  # (route, signature, output id) -> [(product index, coefficient)]
+    for i, key in enumerate(products):
+        route, program = _entry(tab, key, qnds, programs)
+        for sig, outs in program:
+            for p, c in outs:
+                slots.setdefault((route, sig, p), []).append((i, c))
+    pairs: tuple[dict, dict] = ({}, {})  # per route: signature -> [(slot, residual id)]
+    for s, (route, sig, p) in enumerate(slots):
+        pairs[route].setdefault(sig, []).append((s, sides[route][2][p]))
+    flat = [ic for contributions in slots.values() for ic in contributions]
+    ends = list(itertools.accumulate(map(len, slots.values())))
+    return tuple(i for i, _ in flat), tuple(c for _, c in flat), tuple(map(slice, [0, *ends], ends)), tuple(
+        tuple((sig if len({q for _, q in ps}) < len(ps) else None, tuple(ps))
+              for sig, ps in sorted(by_sig.items()))
+        for by_sig in pairs
+    )
+
+
+def _wins(sigs: tuple, values: list, mags: list, factor: float) -> list:
+    """Per success signature, in order, ``(weight, probability, raw)``: its outputs pruned as
+    the last coupler's transform prunes, weighed and relabeled to their residual ids (raising
+    PolarizationMixtureError if two share one); a signature of weight <= ``PRUNE_EPS**2`` is dropped."""
     wins = []
-    for sig in sorted(acc):
+    for sig, pairs in sigs:
         squares, raw = [], {}
-        for p, a in acc[sig].items():
-            m = abs(a)
+        for s, q in pairs:
+            m = mags[s]
             if m >= PRUNE_EPS:
                 squares.append(m**2)
-                q = residuals[p]
-                raw[q] = raw.get(q, 0j) + a
+                raw[q] = values[s]
         weight = sum(squares)
         if weight > PRUNE_EPS**2:
-            wins.append((weight, weight * factor, prune(raw)))
+            if sig is not None and len(raw) < len(squares):
+                raise PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
+            wins.append((weight, weight * factor, raw))
     return wins
 
 
-def _combine_recycle(raws: list[dict[int, complex]]) -> dict[int, complex]:
-    """Collapse equivalent recycle continuations into one weighted component."""
-    if not raws:
+def _combine_recycle(again: list, weight: float) -> dict[int, complex]:
+    """Collapse equivalent recycle continuations ``(weight, _, raw)`` into one of ``weight``."""
+    if not again:
         return {}
-    norms = [terms_norm_sq(r) for r in raws]
-    first = raws[0]
-    for other, n in zip(raws[1:], norms[1:]):
-        if terms_fidelity(first, other, norms[0], n) < 1.0 - RECYCLE_AGREEMENT_TOL:
+    (n0, _, first), *rest = again
+    for n, _, other in rest:
+        if terms_fidelity(first, other, n0, n) < 1.0 - RECYCLE_AGREEMENT_TOL:
             raise RuntimeError(
                 "recycle click patterns disagree after correction; "
                 "feed-forward rules are inconsistent with the coupler convention"
             )
-    scale = math.sqrt(sum(norms) / norms[0])
+    scale = math.sqrt(weight / n0)
     return prune({p: a * scale for p, a in first.items()})
 
 
@@ -250,22 +300,10 @@ def _run_chain(
     next round's input.  A round whose input and transmittances equal the
     previous round's repeats that round's result.
     """
-    sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
-    if all(a.recycle_bs for a in arms):
-        sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
-    programs = []  # per side: (coupler rules, groups, flips, output id -> residual id)
-    for side in sides:
-        groups = [DetectorGroup(g.group, g.modes, g.eta) for _, g, _ in side]
-        programs.append((
-            tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side),
-            groups,
-            {d: m for _, _, flips in side for d, m in flips.items()},
-            tab.stage("residuals", *(g.name for g in groups)),
-        ))
-    rules = tuple(r for side in programs for r in side[0])
-    factor = detection_factor(programs[0][1], model)
-    qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
-    entries = tab.stage("round", *(a.label for a in arms))  # input id -> aux ids -> entry
+    chain = _chain(tab, arms)
+    couplers, sides, _, programs = chain
+    rules = tuple(bs_rules(*ports) for ports in couplers)
+    factor = detection_factor(sides[0][0], model)
     auxes: list[list | None] = [None] * len(arms)
     results: list[_ChainRound] = []
     last = None
@@ -278,35 +316,26 @@ def _run_chain(
         if not current:
             results.append(_ChainRound(0.0, 0.0, [], {}))
             continue
-        photons = []  # each arm's auxiliary photon after its coupler, pruned
+        # the tensor product on (input id, auxiliary photon ids), pruned after each factor
+        products = [((w,), amp) for w, amp in current.items()]
         for i, (arm, t) in enumerate(zip(arms, ts)):
             if auxes[i] is None:  # the same photon every round
                 auxes[i] = _aux(tab, arm, bindings)
             rs = vbs_coefficients(arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
-            photons.append([(x, c) for x, a, j in auxes[i] if abs(c := a * rs[j]) >= PRUNE_EPS])
-        accs: tuple[dict, dict] = ({}, {})  # per side: signature -> output id -> amplitude
-        for w, amp in current.items():
-            row = entries.get(w) or entries.setdefault(w, {})
-            terms = [((), amp)]
-            for photon in photons:  # the tensor product, pruned after each factor
-                terms = [
-                    (xs + (x,), v) for xs, a in terms for x, c in photon if abs(v := a * c) >= PRUNE_EPS
-                ]
-            for xs, v in terms:
-                entry = row.get(xs)
-                if entry is None or entry[0] != rules:  # never serve another coupler matrix
-                    entry = row[xs] = (rules, *_entry(tab, w, xs, qnds, programs))
-                if entry[1] is None:
-                    continue
-                acc = accs[entry[1]]
-                for sig, outs in entry[2]:
-                    out = acc.setdefault(sig, {})
-                    for p, c in outs:
-                        out[p] = out.get(p, 0j) + v * c
-        wins = _wins(accs[0], programs[0][3], factor)
-        again = _wins(accs[1], programs[1][3], 1.0) if accs[1] else []
+            photon = [(x, c) for x, a, j in auxes[i] if abs(c := a * rs[j]) >= PRUNE_EPS]
+            products = [(k + (x,), v) for k, a in products for x, c in photon if abs(v := a * c) >= PRUNE_EPS]
+        keys, vals = zip(*products) if products else ((), ())
+        program = programs.get(keys)
+        if program is None or program[0] != rules:  # never serve another coupler matrix
+            program = programs[keys] = (rules, *_slots(tab, keys, rules, chain))
+        _, index, coef, spans, (won, recycled) = program
+        terms = list(map(mul, map(vals.__getitem__, index), coef))
+        values = list(map(sum, map(terms.__getitem__, spans), itertools.repeat(0j)))
+        mags = list(map(abs, values))
+        wins = _wins(won, values, mags, factor)
+        again = _wins(recycled, values, mags, 1.0)
         p_rec = sum((w for w, _, _ in again), 0.0)
-        current = _combine_recycle([raw for _, _, raw in again])
+        current = _combine_recycle(again, p_rec)  # a raw's weight is its squared norm
         p_win = sum((p for _, p, _ in wins), 0.0)
         results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], current))
     return results
@@ -352,15 +381,9 @@ def _rounds(
     for k, t in enumerate(ts):
         if not k or heralded[k] is not heralded[k - 1]:
             fids = [terms_fidelity(s, target, nb=target_norm) for s in heralded[k]]
-        rounds.append(
-            RoundResult(
-                k=k + 1,
-                t=t,
-                p_success=sum(c[k].p_success for c in chains),
-                p_fail_recyclable=sum(c[k].p_recycle for c in chains),
-                heralded_fidelity=min(fids) if fids else None,
-            )
-        )
+        p_success = sum(c[k].p_success for c in chains)
+        p_recycle = sum(c[k].p_recycle for c in chains)
+        rounds.append(RoundResult(k + 1, t, p_success, p_recycle, min(fids) if fids else None))
     return rounds
 
 

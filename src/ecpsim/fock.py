@@ -31,11 +31,8 @@ The kernels (mode transforms here, heralding in ``measurement``) run on a
 dicts), which keeps what each term turns into; the ``State`` operations use
 a throwaway one, the engine one per plan.  Kernels read coefficients when
 they run.  Results are pruned where built: ``State(...)``/``PatternTable.admit``
-(prune, photon cap, accumulate, prune) and ``prune`` for every other kernel.
-The engine's round runs them once per input id and auxiliary photon ids and
-keeps the program; it prunes where they did: each auxiliary photon after
-its coupler, the tensor product after each factor, then each click
-signature's outputs and its residual.
+(prune, photon cap, accumulate, prune) and ``prune`` for every other kernel;
+the engine's compiled rounds prune where the kernels they replace did.
 """
 
 from __future__ import annotations
@@ -47,9 +44,12 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-PRUNE_EPS = 1e-15
-NORM_TOL = 1e-12
-ISOMETRY_TOL = 1e-12
+PRUNE_EPS = 1e-15  # smallest amplitude magnitude a stored term keeps (absolute)
+NORM_TOL = 1e-12  # a norm at or below it is (numerically) zero; also a unit norm's slack
+ISOMETRY_TOL = 1e-12  # largest deviation of a transform's column overlaps from the identity
+RECYCLE_AGREEMENT_TOL = 1e-9  # largest infidelity between two recycle click patterns' states
+EXACT_TOL = 1e-12  # verify: absolute error of an exact probability or fidelity check
+ORACLE_TOL = 1e-9  # verify: largest absolute engine-oracle difference of a probability or fidelity
 PHOTON_CAP = 6
 
 Mode = tuple[str, str]
@@ -76,6 +76,10 @@ class DegenerateStateError(FockError):
 
 class IsometryError(FockError):
     """A mode transform's coefficient matrix is not an isometry."""
+
+
+class PolarizationMixtureError(FockError):
+    """Heralded outputs differ only in an absorbed photon's polarization: a mixture."""
 
 
 def mode(spatial: str, pol: str) -> Mode:
@@ -209,18 +213,13 @@ def _admit(items: Iterable[tuple], photons: Callable) -> dict:
 
 # plain ``{key: amplitude}`` dicts: states over patterns or pattern ids
 def terms_norm_sq(terms: Mapping) -> float:
-    return sum(abs(a) ** 2 for a in terms.values())
+    return sum([abs(a) ** 2 for a in terms.values()])
 
 
 def terms_inner(a: Mapping, b: Mapping) -> complex:
     if len(a) > len(b):
         return terms_inner(b, a).conjugate()
-    total = 0j
-    for p, aa in a.items():
-        ab = b.get(p, 0j)
-        if ab:
-            total += aa.conjugate() * ab
-    return total
+    return sum([aa.conjugate() * ab for p, aa in a.items() if (ab := b.get(p, 0j))], 0j)
 
 
 def terms_fidelity(a: Mapping, b: Mapping, na: float | None = None, nb: float | None = None) -> float:

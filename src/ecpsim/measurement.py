@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .fock import PRUNE_EPS, Pattern, PatternTable, State, prune
+from .fock import PRUNE_EPS, Pattern, PatternTable, PolarizationMixtureError, State, prune
+
+MIXTURE = "outputs that differ only in an absorbed photon's polarization leave a mixture, not a state"
 
 
 @dataclass(frozen=True)
@@ -124,10 +126,11 @@ def herald_terms(tab: PatternTable, terms, groups, corrections) -> list[tuple]:
 
 
 def residual(component: list[tuple[int, complex]], weight: float) -> dict[int, complex]:
-    """What the detectors did not absorb, normalized: ``HeraldOutcome.residual``."""
-    terms: dict[int, complex] = {}
-    for q, amp in component:
-        terms[q] = terms.get(q, 0j) + amp
+    """What the detectors did not absorb, normalized: ``HeraldOutcome.residual``.
+    Two outputs of one signature with one residual raise PolarizationMixtureError."""
+    terms = dict(component)
+    if len(terms) < len(component):
+        raise PolarizationMixtureError(MIXTURE)
     down = 1.0 / math.sqrt(weight)
     return prune({q: a * down for q, a in prune(terms).items()})
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import elements
 from .engine import run_ecp1, run_ecp2
+from .fock import EXACT_TOL, ORACLE_TOL
 from .formulas import (
     branch_success_minus,
     branch_success_plus,
@@ -34,8 +35,6 @@ from .montecarlo import estimate_series_total
 from .oracle import oracle_ecp1, oracle_ecp2
 from .params import EntanglementParams, PolarizationParams
 
-EXACT_TOL = 1e-12
-ORACLE_TOL = 1e-9
 MC_SIGMAS = 5.0
 
 

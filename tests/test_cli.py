@@ -23,6 +23,22 @@ CSV_HEADER = "alpha,alpha_sq,eta,k,p_total_formula,p_total_sim,stderr"
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the signal's b2 photon in both polarizations: a d1 click from either leaves
+# the auxiliary photon at b6, a mixture over the absorbed polarization
+MIXTURE_LAYOUT = (
+    "circuit mixture\nparam alpha\nparam beta\nparam t1\n"
+    "mode a1\nmode b2\nmode b4\nmode b5\nmode b6\nmode d1\nmode d2\n"
+    "source a1 pol=V amp=alpha photon=signal\n"
+    "source b2 pol=H amp=beta/sqrt(2) photon=signal\n"
+    "source b2 pol=V amp=beta/sqrt(2) photon=signal\n"
+    "source b4 pol=V amp=1\n"
+    "vbs in=b4 reflect=b5 transmit=b6 t=t1\n"
+    "bs in1=b2 in2=b5 out1=d1 out2=d2\n"
+    "detect group=v_arm modes=d1,d2\n"
+    "flip mode=b6 when=d2\n"
+    "output a1,b6\n"
+)
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -200,6 +216,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("verify", "--seed", "-1"), 3),
         (("run", "--circuit", "{shared_split_output}", "--alpha-sq", "0.6",
           "--gamma-sq", "0.5"), 2),
+        (("run", "--circuit", "{mixture}", "--alpha-sq", "0.6"), 2),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -210,6 +227,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
         "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
+        "polarization-mixture",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -235,6 +253,7 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
         "shared_split_output": builtin_text("ecp1").replace(
             "bs in1=b3 in2=b8", "bs in1=b2 in2=b8"
         ),
+        "mixture": MIXTURE_LAYOUT,
     }
     paths = {}
     for name, text in files.items():

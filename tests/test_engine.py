@@ -1,5 +1,6 @@
 """Engine: topology recognition, document execution, configuration errors."""
 
+import hashlib
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 import ecpsim.engine
+import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import evaluate_expr, parse
 from ecpsim.elements import bs_rules, vbs_coefficients, vbs_rules
@@ -15,12 +17,24 @@ from ecpsim.engine import (
     TopologyError,
     _run_chain,
     _sources,
+    _wins,
     analyze,
     execute,
     run_ecp1,
     run_ecp2,
 )
-from ecpsim.fock import pattern_count, prune, single_photon, tensor, terms_fidelity, terms_norm_sq
+from ecpsim.fock import (
+    PRUNE_EPS,
+    CheckedRules,
+    PatternTable,
+    PolarizationMixtureError,
+    pattern_count,
+    prune,
+    single_photon,
+    tensor,
+    terms_fidelity,
+    terms_norm_sq,
+)
 from ecpsim.measurement import DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
 from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams
 
@@ -166,6 +180,18 @@ def test_one_arm_merge_applies_under_both_accountings():
         assert report.rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("accounting", ["branch", "joint"])
+def test_a_herald_blind_to_an_absorbed_polarization_is_rejected(accounting):
+    from test_cli import MIXTURE_LAYOUT
+
+    with pytest.raises(PolarizationMixtureError, match="click signature d1:1"):
+        execute(parse(MIXTURE_LAYOUT), ENT, accounting=accounting)
+    # one polarization of the b2 photon leaves a state again
+    text = MIXTURE_LAYOUT.replace("source b2 pol=H amp=beta/sqrt(2) photon=signal\n", "")
+    report = execute(parse(text.replace("beta/sqrt(2)", "beta")), ENT, accounting=accounting)
+    assert report.rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
 def test_custom_transmittance_overrides():
     r = run_ecp1(ENT, POL, t1=0.3, t2=0.7)
     assert r.schedule == {"plus": [0.3], "minus": [0.7]}
@@ -225,6 +251,37 @@ def test_report_json_field_order():
         assert list(entry) == ["paper_value", "simulated_value", "delta"]
 
 
+# every bench exact_grid configuration: (protocol, polarized, accounting, rounds)
+DIGEST_CONFIGS = [("ecp1", pol, acc, 1) for pol in (False, True) for acc in ("branch", "joint")] + [
+    ("ecp2", pol, acc, r) for pol in (False, True) for acc in ("branch", "joint") for r in (1, 3, 5, 8)
+]
+
+
+def test_reports_of_240_seeded_points_are_pinned():
+    # 12 points per configuration at eta 1 and 0.8, deep rounds included;
+    # a point that raises is hashed by its exception class and message, so a
+    # changed digest is a changed report byte or error
+    rng = random.Random(14)
+    digest = hashlib.sha256()
+    raised = 0
+    for protocol, polarized, accounting, rounds in DIGEST_CONFIGS:
+        for i in range(12):
+            ent = EntanglementParams.from_alpha_sq(rng.uniform(0.05, 0.95))
+            pol = PolarizationParams.from_gamma_sq(rng.uniform(0.05, 0.95)) if polarized else None
+            model = DetectorModel(eta_p=(1.0, 0.8)[i % 2])
+            try:
+                if protocol == "ecp1":
+                    out = run_ecp1(ent, pol, accounting=accounting, model=model).to_json()
+                else:
+                    out = run_ecp2(ent, pol, rounds=rounds, accounting=accounting, model=model).to_json()
+            except ValueError as exc:
+                out = f"{type(exc).__name__}: {exc}"
+                raised += 1
+            digest.update(out.encode())
+    assert raised == 20
+    assert digest.hexdigest() == "029f109b120dc82c8775c1eb25dd1e38347a2c56e812ca407e06f7fb13ea6759"
+
+
 # -- compiled stage tables ------------------------------------------------
 
 def _table_keys(tab):
@@ -248,16 +305,18 @@ def _holds_float(key):
 def _run_batch(name, seed):
     """Twenty points of one shipped layout: alpha^2, gamma^2, eta, rounds <= 5."""
     rng = random.Random(seed)
+    reports = []
     for i in range(20):
         polarized = not name.endswith("_stripped")
-        execute(
+        reports.append(execute(
             builtin_doc(name),
             EntanglementParams.from_alpha_sq(rng.uniform(0.25, 0.75)),
             PolarizationParams.from_gamma_sq(rng.uniform(0.05, 0.95)) if polarized else None,
             rounds=i % 5 + 1 if name.startswith("ecp2") else 1,
             accounting=("branch", "joint")[i % 2],
             model=DetectorModel(eta_p=rng.choice((1.0, 0.8, 0.5))),
-        )
+        ))
+    return reports
 
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
@@ -270,6 +329,37 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     assert not any(_holds_float(k) for k in warm)
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
+
+
+@pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
+def test_report_templates_are_keyed_on_structure_only(name):
+    for report in _run_batch(name, seed=1):
+        report.to_json()
+    warm = set(ecpsim.report._TEMPLATES)
+    for report in _run_batch(name, seed=2):
+        report.to_json()
+    assert set(ecpsim.report._TEMPLATES) == warm  # new parameter values add no template
+    assert not any(_holds_float(k) for k in warm)
+
+
+@pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
+def test_a_warm_point_runs_no_transform_but_the_split(name, monkeypatch):
+    # after warm-up a point runs PatternTable.transform only to split the
+    # signal, and no chain builds CheckedRules or DetectorGroups
+    _run_batch(name, seed=1)
+    counts = {"transform": 0, "rules": 0, "groups": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(PatternTable, "transform", counted("transform", PatternTable.transform))
+    monkeypatch.setattr(CheckedRules, "__init__", counted("rules", CheckedRules.__init__))
+    monkeypatch.setattr(DetectorGroup, "__post_init__", counted("groups", DetectorGroup.__post_init__))
+    _run_batch(name, seed=2)
+    assert counts == {"transform": 0 if name.endswith("_stripped") else 20, "rules": 0, "groups": 0}
 
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
@@ -328,14 +418,28 @@ def _assert_terms_close(got, want):
     assert all(abs(got[q] - want[q]) <= 1e-14 * scale for q in want)
 
 
+def _coefficients(arms, ts, bindings):
+    """Magnitudes of the auxiliary photons' product coefficients of one round."""
+    products = [1.0]
+    for arm, t in zip(arms, ts):
+        aux = [abs(evaluate_expr(s.amp, bindings)) for s in arm.aux_sources]
+        photon = [a * c for a in aux for c in (math.sqrt(1 - t), math.sqrt(t)) if a * c >= PRUNE_EPS]
+        products = [p * c for p in products for c in photon]
+    return products
+
+
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch):
-    calls = []
+    calls, pruned_outputs = [], []
 
     def record(*args):
         calls.append(args)
         return _run_chain(*args)
+
+    def wins(sigs, values, mags, factor):
+        pruned_outputs.extend(mags[s] < PRUNE_EPS for _, pairs in sigs for s, _ in pairs)
+        return _wins(sigs, values, mags, factor)
 
     monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
     polarized = not name.endswith("_stripped")
@@ -344,9 +448,10 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
         model=DetectorModel(eta_p=0.8),
     )
+    monkeypatch.setattr(ecpsim.engine, "_wins", wins)
     assert calls
     rng = random.Random(7)
-    compared = 0
+    compared = mixtures = pruned_products = 0
     for tab, arms, current, schedules, bindings, model in calls:
         aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
         couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
@@ -354,17 +459,31 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         rounds = _run_chain(tab, arms, current, schedules, bindings, model)
         for k in range(len(schedules[0])):
             ts = [s[k] for s in schedules]
-            # the recorded ids reweighted, and one photon over every coupler input
-            # that no auxiliary photon occupies, whose paths meet in the same
-            # click pattern and residual
+            # the recorded ids reweighted; the same with the first id so small that
+            # only its largest product survives, then so small that its products
+            # survive but their coupler outputs do not; and one photon over every
+            # coupler input that no auxiliary photon occupies, in H, in V and in both
             recorded = rounds[k - 1].recycle_next if k else current
             inputs = [{w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in recorded} for _ in range(5)]
-            inputs.append(tab.of(single_photon(
-                [(m, pol, complex(rng.gauss(0, 1), rng.gauss(0, 1))) for m, pol in ports]
-            )))
+            coefs = _coefficients(arms, ts, bindings)
+            for scale in (1.01 * PRUNE_EPS / max(coefs), 1.01 * PRUNE_EPS / min(coefs)):
+                w = next(iter(recorded))
+                inputs.append({**recorded, w: scale * recorded[w] / abs(recorded[w])})
+                pruned_products += sum(abs(inputs[-1][w]) * c < PRUNE_EPS for c in coefs)
+            for pols in ("H", "V", "HV"):
+                inputs.append(tab.of(single_photon(
+                    [(m, pol, complex(rng.gauss(0, 1), rng.gauss(0, 1))) for m, pol in ports if pol in pols]
+                )))
             for terms in inputs:
+                try:
+                    p_win, p_rec, wins, nxt = _staged_round(tab, arms, terms, ts, bindings, model)
+                except PolarizationMixtureError:
+                    # outputs that differ only in an absorbed photon's polarization
+                    with pytest.raises(PolarizationMixtureError, match="click signature d"):
+                        _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model)
+                    mixtures += 1
+                    continue
                 [got] = _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model)
-                p_win, p_rec, wins, nxt = _staged_round(tab, arms, terms, ts, bindings, model)
                 assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
                 assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
                 assert len(got.wins) == len(wins)
@@ -372,7 +491,8 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                     _assert_terms_close(raw1, raw2)
                 _assert_terms_close(got.recycle_next, nxt)
                 compared += 1
-    assert compared
+    assert compared and mixtures
+    assert pruned_products and any(pruned_outputs)
 
 
 def test_split_and_merge_run_on_the_plan_table():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecpsim.elements import apply_bs, apply_phase_flip, apply_vbs
-from ecpsim.fock import State, make_pattern, single_photon, tensor
+from ecpsim.fock import PolarizationMixtureError, State, make_pattern, single_photon, tensor
 from ecpsim.measurement import (
     DetectorGroup,
     DetectorModel,
@@ -192,3 +192,15 @@ class TestDetectorModel:
     def test_group_validation(self):
         with pytest.raises(ValueError):
             DetectorGroup("g", ("d1", "d1"))
+
+
+def test_outcomes_that_differ_only_in_an_absorbed_polarization_are_a_mixture():
+    # d1 absorbs H from b2 or V from b5 and leaves the vacuum either way; the
+    # detector cannot tell them apart, so the two outputs do not add coherently
+    state = apply_bs(single_photon([("b2", "H", 0.6), ("b5", "V", 0.8)]), "b2", "b5", "d1", "d2")
+    with pytest.raises(PolarizationMixtureError):
+        herald(state, [DetectorGroup("g", ("d1", "d2"))])
+    # one polarization per path still heralds normalized residuals
+    state = apply_bs(single_photon([("b2", "V", 0.6), ("b5", "V", 0.8)]), "b2", "b5", "d1", "d2")
+    outcomes = herald(state, [DetectorGroup("g", ("d1", "d2"))])
+    assert [o.residual.norm_sq() for o in outcomes] == pytest.approx([1.0, 1.0])

@@ -72,3 +72,23 @@ def test_to_json_is_json_dumps_on_every_corpus_report(monkeypatch):
     assert len(written) == sum(e["exit"] == 0 for e in runs)
     for report in written:
         assert to_json(report) == _dumps(report)
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the JSON number"
+
+
+def test_to_json_is_json_dumps_on_escaped_keys_and_float_subclasses():
+    # keys with "%" and "{" (placeholders of other templates), NUL (this one's),
+    # non-ASCII and quotes are written as json.dumps writes them; a float
+    # subclass by float.__repr__
+    report = ProtocolReport(
+        protocol="ecp2 %s {0}", accounting="100% joint", alpha_sq=_Float(0.6), gamma_sq=None,
+        eta_p=0.8, schedule={"plus %d": [_Float(0.5), float("nan")], "mïnus {}": []},
+        rounds=[RoundResult(1, None, float("inf"), -0.0, _Float(1.0))], p_total=float("-inf"),
+        engine=EngineInfo("exact", True), seed=2**70, trials=None, stderr=1e-300,
+        paper_comparison={"%%": {"\u00e9\"quoted\"": _Float(1e16)}, "{x}\x00": {}},
+    )
+    assert report.to_json() == _dumps(report)
+    assert report.to_json() == _dumps(report)  # and from the cached template
