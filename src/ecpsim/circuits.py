@@ -238,6 +238,8 @@ def _group_for(detect_list: list[DetectDecl], bs: BsDecl, claimed: set[int]) -> 
     wanted = {bs.out1, bs.out2}
     for i, g in enumerate(detect_list):
         if set(g.modes) == wanted:
+            if len(g.modes) != len(wanted):
+                raise TopologyError(f"detector group {g.group!r} repeats a mode")
             if i in claimed:
                 raise TopologyError(f"detector group {g.group!r} claimed twice")
             claimed.add(i)

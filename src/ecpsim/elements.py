@@ -17,7 +17,10 @@ correction downstream):
   that mode (both polarizations) changes sign.  Self-inverse.
 
 All elements are polarization-preserving except the PBS, which routes on
-polarization but never rotates it.
+polarization but never rotates it.  Both PBS orientations move every photon
+to one mode at coefficient 1, so on a ``PatternTable`` they run as a per-id
+relabel (``split_terms``, ``merge_terms``), compiled once per id from the
+transform's own program; the couplers run as transforms.
 """
 
 from __future__ import annotations
@@ -73,11 +76,21 @@ def _pbs_rules(h_in: str, h_out: str, v_in: str, v_out: str) -> CheckedRules:
     )
 
 
+def _relabel(tab: PatternTable, terms: Mapping[int, complex], stage: dict, rules: CheckedRules):
+    """``tab.transform(terms, rules)`` for ``rules`` that send each moved mode to one mode at
+    coefficient 1, as a per-id relabel: each id's ``(new id, sqrt(N_out!), sqrt(n_in!))``
+    is taken from its program when first seen and kept in ``stage``."""
+    for p in terms:
+        if p not in stage:
+            layers, finals, norm_in = tab._program(tab.patterns[p], rules)
+            stage[p] = (finals, 1.0, 1.0) if layers is None else (*finals[0][1:], norm_in)
+    return {r[0]: v for p, a in terms.items() if abs(v := a * (r := stage[p])[1] / r[2]) >= PRUNE_EPS}
+
+
 def split_terms(tab: PatternTable, terms: Mapping[int, complex], inp: str, out_h: str, out_v: str):
-    """``apply_pbs`` on ``tab``'s ids."""
+    """``apply_pbs`` on ``tab``'s ids, as a relabel."""
     _require_distinct("pbs", inp=inp, out_h=out_h, out_v=out_v)
-    rules = _pbs_rules(inp, out_h, inp, out_v)
-    return tab.transform(terms, rules, tab.stage("pbs split", inp, out_h, out_v))
+    return _relabel(tab, terms, tab.stage("pbs split", inp, out_h, out_v), _pbs_rules(inp, out_h, inp, out_v))
 
 
 def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
@@ -87,19 +100,15 @@ def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
 
 
 def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v: str, out: str):
-    """``apply_pbs_merge`` on ``tab``'s ids as a relabel, each id's ``(merged id, sqrt(N_out!),
-    sqrt(n_in!))`` taken from the transform's program, ports checked, when first seen."""
+    """``apply_pbs_merge`` on ``tab``'s ids, as a relabel; an id's ports are checked when first seen."""
     _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
-    relabel = tab.stage("pbs merge", in_h, in_v, out)
-    new = [p for p in terms if p not in relabel]
-    for p in new:
-        for (sp, pol), _n in tab.patterns[p]:
-            if (sp, pol) in ((in_h, "V"), (in_v, "H")):
-                raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
-    for p in new:
-        layers, finals, norm_in = tab._program(tab.patterns[p], _pbs_rules(in_h, out, in_v, out))
-        relabel[p] = (finals, 1.0, 1.0) if layers is None else (*finals[0][1:], norm_in)
-    return {r[0]: v for p, a in terms.items() if abs(v := a * (r := relabel[p])[1] / r[2]) >= PRUNE_EPS}
+    stage = tab.stage("pbs merge", in_h, in_v, out)
+    for p in terms:
+        if p not in stage:
+            for (sp, pol), _n in tab.patterns[p]:
+                if (sp, pol) in ((in_h, "V"), (in_v, "H")):
+                    raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
+    return _relabel(tab, terms, stage, _pbs_rules(in_h, out, in_v, out))
 
 
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:
@@ -158,7 +167,7 @@ def vbs_coefficients(inp: str, reflect: str, transmit: str, t: float) -> tuple[f
 def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
     r, s = vbs_coefficients(inp, reflect, transmit, t)
     rules = {(inp, pol): [((reflect, pol), r), ((transmit, pol), s)] for pol in POLARIZATIONS}
-    return CheckedRules(rules, checked=True)
+    return CheckedRules(rules)
 
 
 def apply_vbs(state: State, inp: str, reflect: str, transmit: str, t: float) -> State:

@@ -27,16 +27,18 @@ once per arm, joint accounting once with all arms.  Arms without a
 nondemolition comparison pass the whole state on to their heralding
 coupler.  ``analyze`` is cached per document and adds to the layout one
 ``fock.PatternTable``, compiled lazily and keyed on pattern ids, ports and
-labels, never on alpha, gamma, t or a result.  Sources, target, split and
-branch restriction run on its ids; the merge is a relabel of them.  Each
-chain's setup is built once per arm labels.  A round is one slot program,
-keyed on its surviving products (input id and auxiliary photon ids): each
-output slot sums product amplitudes times the coefficients that the staged
-kernels (couplers, herald, flips) give each product from the unit input,
-and each click signature reads its slots in sorted order.  Programs are
-kept beside the coupler rules they bake in.  A round prunes where the
-kernels it replaces pruned: each auxiliary photon after its coupler, the
-product after each factor, and each signature's outputs.
+labels, never on alpha, gamma, t or a result.  Sources, target and branch
+restriction run on its ids; the polarizing split and merge are relabels of
+them.  Each chain's setup is built once per arm labels.  A round is one
+slot program, keyed on its surviving products (input id and auxiliary
+photon ids): each output slot sums product amplitudes times the
+coefficients that the staged kernels (couplers, herald, flips) give each
+product from the unit input, and each click signature reads its slots and
+their residual ids in sorted order.  Programs are kept beside the coupler
+rules they bake in.  A round prunes where the kernels it replaces pruned:
+each auxiliary photon after its coupler, the product after each factor,
+and each signature's outputs.  Each distinct round's heralded states are
+then merged, paired across arms and scored in one pass.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds send the auxiliary photon through its
@@ -91,7 +93,6 @@ from .formulas import (
     round_success_series,
 )
 from .measurement import (
-    DetectorGroup,
     DetectorModel,
     IDEAL_DETECTORS,
     MIXTURE,
@@ -162,27 +163,27 @@ def _aux(tab: PatternTable, arm: Arm, bindings) -> list[tuple[int, complex, int]
 # recycling chain
 
 def _chain(tab: PatternTable, arms: list[Arm]) -> tuple:
-    """``(couplers, sides, qnds, programs)`` of a chain of ``arms``, built once per plan and
-    arm labels: each balanced coupler's ports; per side its detector groups, flips and
-    output id -> residual id; the nondemolition pairs; the table of round programs."""
+    """``(couplers, setup, qnds, programs)`` of a chain of ``arms``, built once per plan and
+    arm labels: per side its balanced couplers' ports, detector groups and flips; the
+    nondemolition pairs; the table of round programs."""
     labels = tuple(a.label for a in arms)
     chains = tab.stage("chain")
     if labels not in chains:
         sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
         if all(a.recycle_bs for a in arms):
             sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
-        groups = [[DetectorGroup(g.group, g.modes, g.eta) for _, g, _ in side] for side in sides]
-        flips = [{d: m for _, _, f in side for d, m in f.items()} for side in sides]
-        setup = [(gs, fs, tab.stage("residuals", *(g.name for g in gs))) for gs, fs in zip(groups, flips)]
-        couplers = tuple((bs.in1, bs.in2, bs.out1, bs.out2) for side in sides for bs, _, _ in side)
+        couplers = tuple(tuple((bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side) for side in sides)
+        setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
         qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
         chains[labels] = (couplers, setup, qnds, tab.stage("round", *labels))
     return chains[labels]
 
 
-def _entry(tab: PatternTable, key: tuple[int, ...], qnds, programs) -> tuple:
-    """``(route, program)`` of input id ``key[0]`` with auxiliary photon ids ``key[1:]``: their
-    product's nondemolition route (0 heralds, 1 recycles, None neither) and program."""
+def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup) -> tuple:
+    """``(route, outputs)`` of input id ``key[0]`` with auxiliary photon ids ``key[1:]``: their
+    product's nondemolition route (0 heralds, 1 recycles, None neither) and the route's side
+    (couplers, herald, flips) on the unit product, ``(signature, output id, residual id,
+    flipped coefficient)`` per success output."""
     counts = dict(tab.patterns[key[0]])
     for x in key[1:]:
         shared = counts.keys() & {m for m, _ in tab.patterns[x]}
@@ -193,24 +194,20 @@ def _entry(tab: PatternTable, key: tuple[int, ...], qnds, programs) -> tuple:
     if tab.photons[pid] > PHOTON_CAP:
         raise PhotonBudgetError(f"pattern holds {tab.photons[pid]} photons, cap is {PHOTON_CAP}")
     cs = {qnd_class(tab.patterns[pid], qa, qb) for qa, qb in qnds}
-    route = 0 if cs <= {1} else 1 if cs <= {0} and len(programs) == 2 else None
-    return route, () if route is None else _program(tab, pid, *programs[route])
-
-
-def _program(tab: PatternTable, w: int, rules, groups, flips, residuals: dict) -> tuple:
-    """The staged kernels on ``{w: 1}``, one output id at a time: ``(signature, ((output
-    id, flipped coefficient), ...))`` per success; ``residuals`` gets their residual ids."""
-    terms = {w: 1.0}
-    for r in rules:
-        terms = tab.transform(terms, r, {})
-    program: dict[tuple, list] = {}
+    route = 0 if cs <= {1} else 1 if cs <= {0} and len(setup) == 2 else None
+    if route is None:
+        return None, []
+    groups, flips = setup[route]
+    terms = {pid: 1.0}
+    for r in rules[route]:
+        terms = tab.transform(terms, r)
+    outs = []
     for p, c in terms.items():
         for sig, _, success, corr, [(q, _)] in herald_terms(tab, {p: c}, groups, flips):
             if success:
-                residuals[p] = q
                 odd = sum(pattern_count(tab.patterns[q], m) for m in corr) % 2
-                program.setdefault(sig, []).append((p, -c if odd else c))
-    return tuple((sig, tuple(outs)) for sig, outs in program.items())
+                outs.append((sig, p, q, -c if odd else c))
+    return route, outs
 
 
 def _slots(tab: PatternTable, products: tuple, rules: tuple, chain: tuple) -> tuple:
@@ -218,18 +215,15 @@ def _slots(tab: PatternTable, products: tuple, rules: tuple, chain: tuple) -> tu
     slot s (an output id of one side) sums ``product[index[j]] * coef[j]`` over j in ``spans[s]``
     in the order the products reach it; ``sides`` lists per side each signature, sorted, as (itself
     if two of its outputs share a residual id, else None, its ``(slot, residual id)`` pairs)."""
-    _, sides, qnds, _ = chain
-    n = len(rules) // len(sides)
-    programs = [(rules[i * n:(i + 1) * n], *side) for i, side in enumerate(sides)]
-    slots: dict[tuple, list] = {}  # (route, signature, output id) -> [(product index, coefficient)]
+    _, setup, qnds, _ = chain
+    slots: dict[tuple, list] = {}  # (route, signature, output id, residual id) -> [(product index, coefficient)]
     for i, key in enumerate(products):
-        route, program = _entry(tab, key, qnds, programs)
-        for sig, outs in program:
-            for p, c in outs:
-                slots.setdefault((route, sig, p), []).append((i, c))
+        route, outs = _outputs(tab, key, qnds, rules, setup)
+        for sig, p, q, c in outs:
+            slots.setdefault((route, sig, p, q), []).append((i, c))
     pairs: tuple[dict, dict] = ({}, {})  # per route: signature -> [(slot, residual id)]
-    for s, (route, sig, p) in enumerate(slots):
-        pairs[route].setdefault(sig, []).append((s, sides[route][2][p]))
+    for s, (route, sig, _, q) in enumerate(slots):
+        pairs[route].setdefault(sig, []).append((s, q))
     flat = [ic for contributions in slots.values() for ic in contributions]
     ends = list(itertools.accumulate(map(len, slots.values())))
     return tuple(i for i, _ in flat), tuple(c for _, c in flat), tuple(map(slice, [0, *ends], ends)), tuple(
@@ -301,9 +295,9 @@ def _run_chain(
     previous round's repeats that round's result.
     """
     chain = _chain(tab, arms)
-    couplers, sides, _, programs = chain
-    rules = tuple(bs_rules(*ports) for ports in couplers)
-    factor = detection_factor(sides[0][0], model)
+    couplers, setup, _, programs = chain
+    rules = tuple(tuple(bs_rules(*ports) for ports in side) for side in couplers)
+    factor = detection_factor(setup[0][0], model)
     auxes: list[list | None] = [None] * len(arms)
     results: list[_ChainRound] = []
     last = None
@@ -313,9 +307,6 @@ def _run_chain(
             results.append(results[-1])
             continue
         last = (current, ts)
-        if not current:
-            results.append(_ChainRound(0.0, 0.0, [], {}))
-            continue
         # the tensor product on (input id, auxiliary photon ids), pruned after each factor
         products = [((w,), amp) for w, amp in current.items()]
         for i, (arm, t) in enumerate(zip(arms, ts)):
@@ -341,25 +332,6 @@ def _run_chain(
     return results
 
 
-def _heralded(tab: PatternTable, merge: PbsMergeDecl | None, chains) -> list[list[dict]]:
-    """Per round, the heralded states: each raw through the merge once, and with
-    two chains (branch accounting) every plus state paired with every minus one."""
-    out: list[list[dict]] = []
-    for k, books in enumerate(zip(*chains)):
-        if k and all(b is c[k - 1] for b, c in zip(books, chains)):  # a repeated round
-            out.append(out[-1])
-            continue
-        if not all(b.wins for b in books):
-            out.append([])
-            continue
-        merged = [
-            [raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out) for raw in b.wins]
-            for b in books
-        ]
-        out.append(merged[0] if len(merged) == 1 else [_pair(a, b) for a in merged[0] for b in merged[1]])
-    return out
-
-
 def _pair(plus: dict, minus: dict) -> dict:
     combined = dict(plus)
     for p, amp in minus.items():
@@ -370,20 +342,30 @@ def _pair(plus: dict, minus: dict) -> dict:
 
 
 def _rounds(
+    tab: PatternTable,
+    merge: PbsMergeDecl | None,
     ts: list[float],
     chains: list[list[_ChainRound]],
-    heralded: list[list[dict[int, complex]]],
     target: dict[int, complex],
 ) -> list[RoundResult]:
-    """Round results summed over ``chains``; fidelity is the worst heralded state."""
+    """Round results summed over ``chains``.  Each distinct round's heralded states are
+    its raws through the merge, with two chains (branch accounting) every plus state
+    paired with every minus one; fidelity is the worst of them against ``target``."""
     target_norm = terms_norm_sq(target)
     rounds = []
-    for k, t in enumerate(ts):
-        if not k or heralded[k] is not heralded[k - 1]:
-            fids = [terms_fidelity(s, target, nb=target_norm) for s in heralded[k]]
-        p_success = sum(c[k].p_success for c in chains)
-        p_recycle = sum(c[k].p_recycle for c in chains)
-        rounds.append(RoundResult(k + 1, t, p_success, p_recycle, min(fids) if fids else None))
+    for k, (t, books) in enumerate(zip(ts, zip(*chains))):
+        if not k or any(b is not c[k - 1] for b, c in zip(books, chains)):  # not a repeated round
+            fid = None
+            if all(b.wins for b in books):
+                merged = [
+                    [raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out) for raw in b.wins]
+                    for b in books
+                ]
+                states = merged[0] if len(merged) == 1 else [_pair(a, b) for a in merged[0] for b in merged[1]]
+                fid = min([terms_fidelity(s, target, nb=target_norm) for s in states])
+        p_success = sum(b.p_success for b in books)
+        p_recycle = sum(b.p_recycle for b in books)
+        rounds.append(RoundResult(k + 1, t, p_success, p_recycle, fid))
     return rounds
 
 
@@ -428,7 +410,6 @@ def execute(
         bindings["gamma"] = pol.gamma
         bindings["delta"] = pol.delta
 
-    coupler_reads = plan.coupler_reads
     if pol is not None and not {"gamma", "delta"} & plan.reads:
         raise ConfigError("polarization is given but no expression in the circuit reads gamma or delta")
 
@@ -438,74 +419,61 @@ def execute(
                 "t1 and t2 do not apply to a recycling layout; "
                 "its couplers follow the doubling schedule"
             )
-        ts_plus = list(vbs_schedule(ent, rounds))
-        ts_minus = list(ts_plus)
+        ts_plus = ts_minus = vbs_schedule(ent, rounds)
     else:
         if rounds != 1:
             raise ConfigError("circuit has no recycling path; rounds must be 1")
         if t2 is not None and len(plan.arms) == 1:
             raise ConfigError("t2 sets the second arm's coupler; this circuit has one arm")
-        if t1 is not None and not {"t1", "t_plus"} & coupler_reads:
+        if t1 is not None and not {"t1", "t_plus"} & plan.coupler_reads:
             raise ConfigError("t1 is given but no coupler expression reads t1 or t_plus")
-        if t2 is not None and not {"t2", "t_minus"} & coupler_reads:
+        if t2 is not None and not {"t2", "t_minus"} & plan.coupler_reads:
             raise ConfigError("t2 is given but no coupler expression reads t2 or t_minus")
-        default_t = ent.alpha_sq
-        ts_plus = [default_t if t1 is None else t1]
-        ts_minus = [default_t if t2 is None else t2]
-    for t in (*ts_plus, *ts_minus):
-        if not 0.0 <= t <= 1.0:
-            raise ConfigError(f"transmittance {t} outside [0, 1]")
+        ts_plus = [ent.alpha_sq if t1 is None else t1]
+        ts_minus = [ent.alpha_sq if t2 is None else t2]
+        for t in (*ts_plus, *ts_minus):
+            if not 0.0 <= t <= 1.0:
+                raise ConfigError(f"transmittance {t} outside [0, 1]")
 
     # the document's coupler expressions are authoritative; the planned
     # schedule only feeds their transmittance parameters
-    eff_plus, eff_minus = _effective_schedule(plan, bindings, ts_plus, ts_minus)
+    schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
     tab = plan.table
     target = _target(tab, plan.outputs, pol)
     signal = _sources(tab, plan.signal_sources, bindings)
     if plan.split is not None:
-        split = plan.split
-        signal = split_terms(tab, signal, split.inp, split.out_h, split.out_v)
-    schedules = [eff_plus if arm.label == "plus" else eff_minus for arm in plan.arms]
-    per_arm_p1: dict[str, float] = {}
+        signal = split_terms(tab, signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
     if accounting == "branch":
         # each arm acts only on the component where the signal is not in
         # the other arm
         chains = []
-        for arm, ts in zip(plan.arms, schedules):
+        for arm in plan.arms:
             others = [a.signal_mode for a in plan.arms if a is not arm]
             inp = {
                 p: a for p, a in signal.items()
                 if all(pattern_count(tab.patterns[p], m) == 0 for m in others)
             }
-            chains.append(_run_chain(tab, [arm], inp, [ts], bindings, model))
-            per_arm_p1[arm.label] = chains[-1][0].p_success
+            chains.append(_run_chain(tab, [arm], inp, [schedule[arm.label]], bindings, model))
         eta_exponent = 1
     else:
+        schedules = [schedule[arm.label] for arm in plan.arms]
         chains = [_run_chain(tab, plan.arms, signal, schedules, bindings, model)]
         eta_exponent = len(plan.arms)
-    heralded = _heralded(tab, plan.merge, chains)
-    round_results = _rounds(eff_plus, chains, heralded, target)
+    round_results = _rounds(tab, plan.merge, schedule["plus"], chains, target)
 
-    p_total = sum(r.p_success for r in round_results)
-    schedule_out = {
-        "plus": list(eff_plus),
-        "minus": list(eff_minus) if len(plan.arms) == 2 else [],
-    }
     report = ProtocolReport(
         protocol=plan.protocol,
         accounting=accounting,
         alpha_sq=ent.alpha_sq,
         gamma_sq=pol.gamma_sq if pol is not None else None,
         eta_p=model.eta_p,
-        schedule=schedule_out,
+        schedule=schedule,
         rounds=round_results,
-        p_total=p_total,
+        p_total=sum(r.p_success for r in round_results),
         engine=EngineInfo("exact", eta_exponent),
     )
-    report.paper_comparison = _comparison(
-        plan, report, ent, pol, model, eff_plus, per_arm_p1
-    )
+    report.paper_comparison = _comparison(plan, report, pol, chains)
     return report
 
 
@@ -519,8 +487,11 @@ def _effective_schedule(
     bindings: dict[str, complex],
     ts_plus: list[float],
     ts_minus: list[float],
-) -> tuple[list[float], list[float]]:
-    eff = {"plus": [], "minus": []}
+) -> dict[str, list[float]]:
+    """The report's ``schedule``: per arm label the transmittance its coupler expression
+    gives in each round, with ``ts_plus``/``ts_minus`` bound to its parameters (``minus``
+    empty on a one-arm layout)."""
+    eff: dict[str, list[float]] = {"plus": [], "minus": []}
     for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus)):
         if k and (plus, minus) == (ts_plus[k - 1], ts_minus[k - 1]):
             for arm in plan.arms:  # the same bindings give the same values
@@ -532,75 +503,50 @@ def _effective_schedule(
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"coupler expression {arm.vbs.t!r} gives {v}, outside [0, 1]")
             eff[arm.label].append(v)
-    return eff["plus"], eff["minus"]
+    return eff
 
 
 def _comparison(
     plan: Plan,
     report: ProtocolReport,
-    ent: EntanglementParams,
     pol: PolarizationParams | None,
-    model: DetectorModel,
-    ts_plus: list[float],
-    per_arm_p1: dict[str, float],
+    chains: list[list[_ChainRound]],
 ) -> dict[str, dict[str, float]]:
-    a2 = ent.alpha_sq
-    eta = model.eta_p
-    m = report.engine.eta_exponent
-    factor = eta**m
+    """The published closed forms against the simulated values.  Two facts decide the
+    entries: a stripped ecp2 run is scored only against its round series, and
+    a polarized branch run adds the per-arm entries of its protocol (one chain per arm)."""
     out: dict[str, dict[str, float]] = {}
-    n_rounds = len(report.rounds)
-    stripped = pol is None
-
     if plan.protocol == "custom":
         return out
-    if plan.protocol == "ecp1":
-        if not stripped and report.accounting == "branch":
-            d2 = pol.delta_sq
-            g2 = pol.gamma_sq
-            out["claimed_success_plus"] = comparison_entry(
-                branch_success_plus(a2, d2) * factor, per_arm_p1.get("plus", 0.0)
-            )
-            out["claimed_success_minus"] = comparison_entry(
-                branch_success_minus(a2, g2) * factor, per_arm_p1.get("minus", 0.0)
-            )
-            out["claimed_branch_sum"] = comparison_entry(
-                3.0 * a2 * (1.0 - a2) * factor, report.p_total
-            )
-        out["claimed_total"] = comparison_entry(
-            claimed_total(a2) * factor, report.p_total
-        )
-        if report.accounting == "joint" and not stripped:
-            out["predicted_joint_total"] = comparison_entry(
-                joint_total_one_round(a2) * factor, report.p_total
-            )
-    else:
-        if stripped:
-            series = round_success_series(a2, eta, n_rounds)
-            for k, (pk, r) in enumerate(zip(series, report.rounds), start=1):
-                out[f"series_round_{k}"] = comparison_entry(pk, r.p_success)
-            out["series_total"] = comparison_entry(sum(series), report.p_total)
+    a2 = report.alpha_sq
+    factor = report.eta_p**report.engine.eta_exponent
+    ecp2 = plan.protocol == "ecp2"
+    if ecp2 and pol is None:
+        series = round_success_series(a2, report.eta_p, len(report.rounds))
+        for k, (pk, r) in enumerate(zip(series, report.rounds), start=1):
+            out[f"series_round_{k}"] = comparison_entry(pk, r.p_success)
+        out["series_total"] = comparison_entry(sum(series), report.p_total)
+        return out
+    if pol is not None and report.accounting == "branch":
+        if ecp2:
+            t1 = report.rounds[0].t
+            arms = {"claimed_round1_plus": qnd_round_success(a2, pol.delta_sq, t1),
+                    "claimed_round1_minus": qnd_round_success(a2, pol.gamma_sq, t1)}
         else:
-            if report.accounting == "branch":
-                d2 = pol.delta_sq
-                g2 = pol.gamma_sq
-                t1 = ts_plus[0]
-                out["claimed_round1_plus"] = comparison_entry(
-                    qnd_round_success(a2, d2, t1) * factor, per_arm_p1.get("plus", 0.0)
-                )
-                out["claimed_round1_minus"] = comparison_entry(
-                    qnd_round_success(a2, g2, t1) * factor, per_arm_p1.get("minus", 0.0)
-                )
-            out["claimed_total"] = comparison_entry(
-                claimed_total(a2) * factor, report.p_total
-            )
-            out["stripped_series_total"] = comparison_entry(
-                sum(round_success_series(a2, factor, n_rounds)), report.p_total
-            )
-            if report.accounting == "joint":
-                out["predicted_joint_total"] = comparison_entry(
-                    joint_total_one_round(a2) * factor, report.p_total
-                )
+            arms = {"claimed_success_plus": branch_success_plus(a2, pol.delta_sq),
+                    "claimed_success_minus": branch_success_minus(a2, pol.gamma_sq)}
+        per_arm = {a.label: c[0].p_success for a, c in zip(plan.arms, chains)}
+        for (name, claimed), label in zip(arms.items(), ("plus", "minus")):
+            out[name] = comparison_entry(claimed * factor, per_arm.get(label, 0.0))
+        if not ecp2:
+            out["claimed_branch_sum"] = comparison_entry(3.0 * a2 * (1.0 - a2) * factor, report.p_total)
+    out["claimed_total"] = comparison_entry(claimed_total(a2) * factor, report.p_total)
+    if ecp2:
+        out["stripped_series_total"] = comparison_entry(
+            sum(round_success_series(a2, factor, len(report.rounds))), report.p_total
+        )
+    if pol is not None and report.accounting == "joint":
+        out["predicted_joint_total"] = comparison_entry(joint_total_one_round(a2) * factor, report.p_total)
     return out
 
 

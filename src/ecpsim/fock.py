@@ -27,12 +27,13 @@ Norms are not enforced: intermediate protocol states are deliberately kept
 unnormalized so that squared norms compose into branch probabilities.
 
 The kernels (mode transforms here, heralding in ``measurement``) run on a
-``PatternTable`` (patterns interned to ids, states as ``{id: amplitude}``
-dicts), which keeps what each term turns into; the ``State`` operations use
-a throwaway one, the engine one per plan.  Kernels read coefficients when
-they run.  Results are pruned where built: ``State(...)``/``PatternTable.admit``
-(prune, photon cap, accumulate, prune) and ``prune`` for every other kernel;
-the engine's compiled rounds prune where the kernels they replace did.
+``PatternTable``: patterns interned to ids, states as ``{id: amplitude}``
+dicts, and stage tables that callers fill with what they compile from ids
+(the polarizing-splitter relabels, the engine's round programs); ``State``
+operations use a throwaway table, the engine one per plan.  Kernels read
+coefficients when they run.  Results are pruned where built: ``State(...)``
+and ``PatternTable.admit`` (prune, photon cap, accumulate, prune), ``prune``
+for every other kernel; compiled rounds prune where their kernels did.
 """
 
 from __future__ import annotations
@@ -262,13 +263,12 @@ class CheckedRules(dict):
     """Transform rules checked once; ``apply_mode_transform`` reuses them unchecked.
 
     ``coef`` maps each input mode to its coefficients in expansion order.
-    Raises IsometryError when the coefficient matrix is not an isometry, unless ``checked``."""
+    Raises IsometryError when the coefficient matrix is not an isometry."""
 
     __slots__ = ("out_modes", "coef")
 
-    def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]], checked: bool = False):
-        if not checked:
-            _check_isometry(rules)
+    def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]):
+        _check_isometry(rules)
         super().__init__(rules)
         self.out_modes = frozenset(mo for expansion in rules.values() for mo, _ in expansion)
         self.coef = {m: [c for _, c in expansion] for m, expansion in rules.items()}
@@ -276,7 +276,7 @@ class CheckedRules(dict):
 
 class PatternTable:
     """Interned patterns, the kernels on their ids, and ``stage`` tables:
-    lazily filled, one per use of an element, keyed by pattern id."""
+    lazily filled by their callers, keyed on ids or labels."""
 
     def __init__(self):
         self.patterns: list[Pattern] = []
@@ -312,14 +312,11 @@ class PatternTable:
             terms[p] = terms.get(p, 0j) + complex(amp)
         return self.admit(terms)
 
-    def transform(self, terms: Mapping[int, complex], rules: CheckedRules, programs: dict):
-        """``apply_mode_transform``; ``programs`` keeps each term's expansion."""
+    def transform(self, terms: Mapping[int, complex], rules: CheckedRules):
+        """``apply_mode_transform`` on ids."""
         out: dict[int, complex] = {}
         for p, amp in terms.items():
-            program = programs.get(p)
-            if program is None:
-                program = programs[p] = self._program(self.patterns[p], rules)
-            layers, finals, sqrt_norm_in = program
+            layers, finals, sqrt_norm_in = self._program(self.patterns[p], rules)
             if layers is None:  # no photon of this term moves
                 out[finals] = out.get(finals, 0j) + amp
                 continue
@@ -416,7 +413,7 @@ def apply_mode_transform(
     if not isinstance(rules, CheckedRules):
         rules = CheckedRules(rules)
     tab = PatternTable()
-    return tab.state(tab.transform(tab.of(state), rules, {}))
+    return tab.state(tab.transform(tab.of(state), rules))
 
 
 def format_pattern(pattern: Pattern) -> str:

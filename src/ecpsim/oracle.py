@@ -171,8 +171,11 @@ def _merge_arm_pair(vec_plus: dict, vec_minus: dict, merge: PbsMergeDecl) -> dic
 
 
 def _collect_heralded(buckets, detectors, want_classes, group_sets, flips):
-    """Corrected residual vector per click signature, one click per group."""
+    """Corrected residual vector per click signature, one click per group; raises
+    ValueError when nonzero finals whose detector landings differ in polarization
+    reach one signature and residual (a mixture over the absorbed polarization)."""
     residuals: dict = {}
+    landings: dict = {}
     for (classes, final), amp in buckets.items():
         if classes != want_classes:
             continue
@@ -182,6 +185,9 @@ def _collect_heralded(buckets, detectors, want_classes, group_sets, flips):
             sum(counts.get(m, 0) for m in group) == 1 for group in group_sets
         ):
             continue
+        landing = [f for f in final if f[0] in detectors]
+        if amp and landings.setdefault((clicks, residual), landing) != landing:
+            raise ValueError(f"click signature {clicks}: absorbed photons of either polarization leave a mixture")
         vec = residuals.setdefault(clicks, {})
         vec[residual[0]] = vec.get(residual[0], 0j) + amp
     corrected = {}

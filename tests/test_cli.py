@@ -217,6 +217,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{shared_split_output}", "--alpha-sq", "0.6",
           "--gamma-sq", "0.5"), 2),
         (("run", "--circuit", "{mixture}", "--alpha-sq", "0.6"), 2),
+        (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t1", "1.5"), 3),
+        (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "-0.5"), 3),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -227,7 +229,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
         "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
-        "polarization-mixture",
+        "polarization-mixture", "t1-over-1", "t2-below-0",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):

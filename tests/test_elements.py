@@ -15,7 +15,7 @@ from ecpsim.elements import (
     merge_terms,
     split_terms,
 )
-from ecpsim.fock import PatternTable, State, make_pattern, single_photon, tensor
+from ecpsim.fock import ModeCollisionError, PatternTable, State, make_pattern, single_photon, tensor
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -76,6 +76,40 @@ class TestPbs:
         merged = merge_terms(tab, tab.of(m), "x", "y", "z")
         assert tab.state(split) == apply_pbs(s, "x", "y", "z")
         assert tab.state(merged) == apply_pbs_merge(m, "x", "y", "z")
+
+    @pytest.mark.parametrize("ports,bystander", [
+        (("x", "h", "x", "v"), ("h", "V")),  # split: H of x to h, V of x to v
+        (("h", "y", "v", "y"), ("a", "V")),  # merge: H of h and V of v to y
+    ])
+    def test_relabels_equal_the_transform(self, ports, bystander):
+        # keys, order and values on multi-photon terms, cold and warm; an
+        # occupied output raises the transform's error
+        h_in, h_out, v_in, v_out = ports
+
+        def relabel(tab, terms):
+            if h_in == v_in:
+                return split_terms(tab, terms, h_in, h_out, v_out)
+            return merge_terms(tab, terms, h_in, v_in, h_out)
+
+        rng = np.random.default_rng(5)
+        patterns = [
+            {(h_in, "H"): 1, (v_in, "V"): 1},
+            {(h_in, "H"): 2},
+            {(v_in, "V"): 2, ("a", "H"): 1},
+            {("a", "H"): 1},  # nothing moves
+            {(h_in, "H"): 1, (v_in, "V"): 1, bystander: 1, ("b", "V"): 2},
+        ]
+        tab = PatternTable()
+        terms = tab.of(State({make_pattern(c): complex(*rng.normal(size=2)) for c in patterns}))
+        want = list(tab.transform(terms, elements._pbs_rules(*ports)).items())
+        assert list(relabel(tab, terms).items()) == want
+        assert list(relabel(tab, terms).items()) == want
+        occupied = tab.of(State({make_pattern({(h_in, "H"): 1, (h_out, "H"): 1}): 1.0}))
+        with pytest.raises(ModeCollisionError) as by_transform:
+            tab.transform(occupied, elements._pbs_rules(*ports))
+        with pytest.raises(ModeCollisionError) as by_relabel:
+            relabel(tab, occupied)
+        assert str(by_relabel.value) == str(by_transform.value)
 
 
 class TestBalancedCoupler:

@@ -1,5 +1,6 @@
 """Engine: topology recognition, document execution, configuration errors."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 import ecpsim.engine
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
-from ecpsim.dsl import evaluate_expr, parse
+from ecpsim.dsl import DetectDecl, evaluate_expr, parse
 from ecpsim.elements import bs_rules, vbs_coefficients, vbs_rules
 from ecpsim.engine import (
     ConfigError,
@@ -114,6 +115,18 @@ def test_vbs_without_dedicated_photon_is_rejected():
     with pytest.raises(TopologyError) as err:
         analyze(parse(text))
     assert "dedicated source photon" in str(err.value)
+
+
+def test_a_detector_group_repeating_a_mode_is_a_topology_error():
+    # the parser rejects the repeat with its position; a document built in
+    # code meets it in the recognizer, before any run
+    doc = builtin_doc("ecp1_stripped")
+    statements = tuple(
+        dataclasses.replace(s, modes=s.modes + s.modes[:1]) if isinstance(s, DetectDecl) else s
+        for s in doc.statements
+    )
+    with pytest.raises(TopologyError, match="detector group 'v_arm' repeats a mode"):
+        analyze(dataclasses.replace(doc, statements=statements))
 
 
 # -- execution semantics --------------------------------------------------
@@ -327,6 +340,7 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     _run_batch(name, seed=2)
     assert _table_keys(tab) == warm  # new parameter values add no entry
     assert not any(_holds_float(k) for k in warm)
+    assert {stage[0] for stage in tab.stages} <= {"chain", "round", "pbs split", "pbs merge"}
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
 
@@ -343,11 +357,12 @@ def test_report_templates_are_keyed_on_structure_only(name):
 
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
-def test_a_warm_point_runs_no_transform_but_the_split(name, monkeypatch):
-    # after warm-up a point runs PatternTable.transform only to split the
-    # signal, and no chain builds CheckedRules or DetectorGroups
+def test_a_warm_point_runs_no_transform(name, monkeypatch):
+    # after warm-up a point compiles nothing: the split and the merge are
+    # relabels, every round a stored program, and no chain builds
+    # CheckedRules or DetectorGroups
     _run_batch(name, seed=1)
-    counts = {"transform": 0, "rules": 0, "groups": 0}
+    counts = {"transform": 0, "program": 0, "rules": 0, "groups": 0}
 
     def counted(key, original):
         def call(*args, **kwargs):
@@ -356,17 +371,18 @@ def test_a_warm_point_runs_no_transform_but_the_split(name, monkeypatch):
         return call
 
     monkeypatch.setattr(PatternTable, "transform", counted("transform", PatternTable.transform))
+    monkeypatch.setattr(PatternTable, "_program", counted("program", PatternTable._program))
     monkeypatch.setattr(CheckedRules, "__init__", counted("rules", CheckedRules.__init__))
     monkeypatch.setattr(DetectorGroup, "__post_init__", counted("groups", DetectorGroup.__post_init__))
     _run_batch(name, seed=2)
-    assert counts == {"transform": 0 if name.endswith("_stripped") else 20, "rules": 0, "groups": 0}
+    assert counts == {"transform": 0, "program": 0, "rules": 0, "groups": 0}
 
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
     """A round's couplers, herald, normalized residual, phase flips, rescaled
     by ``sqrt(weight)``, one stage at a time: ``(weight, probability, raw)``."""
     for bs in couplers:
-        terms = tab.transform(terms, bs_rules(bs.in1, bs.in2, bs.out1, bs.out2), {})
+        terms = tab.transform(terms, bs_rules(bs.in1, bs.in2, bs.out1, bs.out2))
     wins = []
     for _, weight, success, corr, component in herald_terms(tab, terms, groups, flips):
         if success:
@@ -386,7 +402,7 @@ def _staged_round(tab, arms, current, ts, bindings, model):
     for arm, t in zip(arms, ts):
         aux = tab.of(single_photon([(s.mode, s.pol, evaluate_expr(s.amp, bindings)) for s in arm.aux_sources]))
         v = arm.vbs
-        aux = tab.transform(aux, vbs_rules(v.inp, v.reflect, v.transmit, t), {})
+        aux = tab.transform(aux, vbs_rules(v.inp, v.reflect, v.transmit, t))
         work = tab.of(tensor(tab.state(work), tab.state(aux)))
     classes = {p: {qnd_class(tab.patterns[p], a.qnd.a, a.qnd.b) for a in arms if a.qnd} for p in work}
     groups = [DetectorGroup(a.success_group.group, a.success_group.modes, a.success_group.eta) for a in arms]

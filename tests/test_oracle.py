@@ -170,6 +170,23 @@ def test_oracle_rejects_a_document_the_engine_rejects():
         oracle._run_chain(doc, [[0.6]], "branch", 1.0, bindings, pol)
 
 
+@pytest.mark.parametrize("accounting", ("branch", "joint"))
+def test_oracle_rejects_a_herald_blind_to_an_absorbed_polarization(accounting):
+    # the engine raises PolarizationMixtureError here; summing both absorbed
+    # polarizations coherently gave p 0.72 and fidelity 0.971
+    from test_cli import MIXTURE_LAYOUT
+
+    _suffix, bindings, pol = oracle._point(0.6, None)
+    with pytest.raises(ValueError, match=r"^click signature \(\('d1', 1\),\): "):
+        oracle._run_chain(parse(MIXTURE_LAYOUT), [[0.6]], accounting, 1.0, bindings, pol)
+    # with its H component at amplitude 0 the b2 photon leaves a state again
+    text = MIXTURE_LAYOUT.replace("pol=H amp=beta/sqrt(2)", "pol=H amp=0")
+    doc = parse(text.replace("beta/sqrt(2)", "beta"))
+    [(_per_chain, book)] = oracle._run_chain(doc, [[0.6]], accounting, 1.0, bindings, pol)
+    assert book["p_success"] == pytest.approx(0.48, rel=1e-12)
+    assert book["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
 def _renamed(text: str) -> tuple[str, dict[str, str]]:
     """Rename every mode (``b5`` -> ``y5``, which also changes their sort
     order) and put the ``detect`` and ``flip`` lines in reverse order."""
