@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .params import ParameterError
 
@@ -177,36 +178,48 @@ def expr_variables(node: Expr) -> set[str]:
     return vars_
 
 
-def evaluate_expr(text: str, bindings: Mapping[str, complex]) -> complex:
-    def ev(node: Expr) -> complex:
-        kind = node[0]
-        if kind == "num":
-            return complex(node[1])
-        if kind == "var":
-            if node[1] not in bindings:
-                raise BindingError(f"parameter {node[1]!r} has no bound value")
-            return complex(bindings[node[1]])
-        if kind == "neg":
-            return -ev(node[1])
-        if kind == "sqrt":
-            v = ev(node[1])
-            if v.imag == 0 and v.real >= 0:
-                return complex(v.real**0.5)
-            return cmath.sqrt(v)
-        left, right = ev(node[1]), ev(node[2])
-        if kind == "add":
-            return left + right
-        if kind == "sub":
-            return left - right
-        if kind == "mul":
-            return left * right
-        if kind == "div":
-            if right == 0:
-                raise ParameterError(f"expression {text!r} divides by zero")
-            return left / right
-        raise CircuitError(f"unknown expression node {kind!r}")
+def _quotient(a: complex, b: complex, text: str) -> complex:
+    if b == 0:
+        raise ParameterError(f"expression {text!r} divides by zero")
+    return a / b
 
-    return ev(parse_expr(text))
+
+def _compile(node: Expr, text: str) -> Callable[[Mapping[str, complex]], complex]:
+    """The one walk of an expression tree: a function of the bindings that does the
+    evaluation's operations in its order and raises where it raises."""
+    kind, *args = node
+    if kind == "num":
+        value = complex(args[0])
+        return lambda bindings: value
+    if kind == "var":
+        [name] = args
+
+        def var(bindings):
+            if name not in bindings:
+                raise BindingError(f"parameter {name!r} has no bound value")
+            return complex(bindings[name])
+        return var
+    ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "sqrt": lambda v: complex(v.real**0.5) if v.imag == 0 and v.real >= 0 else cmath.sqrt(v)}
+    op = functools.partial(_quotient, text=text) if kind == "div" else ops.get(kind)
+    if op is None:
+        raise CircuitError(f"unknown expression node {kind!r}")
+    fs = [_compile(a, text) for a in args]
+    if len(fs) == 1:
+        [f] = fs
+        return lambda bindings: op(f(bindings))
+    left, right = fs
+    return lambda bindings: op(left(bindings), right(bindings))
+
+
+@functools.lru_cache(maxsize=256)
+def compile_expr(text: str) -> Callable[[Mapping[str, complex]], complex]:
+    """``evaluate_expr(text, ...)`` as a function of the bindings, compiled once per text."""
+    return _compile(parse_expr(text), text)
+
+
+def evaluate_expr(text: str, bindings: Mapping[str, complex]) -> complex:
+    return compile_expr(text)(bindings)
 
 
 def evaluate_real(text: str, bindings: Mapping[str, complex]) -> float:

@@ -23,22 +23,19 @@ Two accounting conventions are supported:
   detector efficiency raised to the number of groups.
 
 Both go through one round loop, ``_run_chain``: branch accounting runs it
-once per arm, joint accounting once with all arms.  Arms without a
-nondemolition comparison pass the whole state on to their heralding
-coupler.  ``analyze`` is cached per document and adds to the layout one
-``fock.PatternTable``, compiled lazily and keyed on pattern ids, ports and
-labels, never on alpha, gamma, t or a result.  Sources, target and branch
-restriction run on its ids; the polarizing split and merge are relabels of
-them.  Each chain's setup is built once per arm labels.  A round is one
-slot program, keyed on its surviving products (input id and auxiliary
-photon ids): each output slot sums product amplitudes times the
-coefficients that the staged kernels (couplers, herald, flips) give each
-product from the unit input, and each click signature reads its slots and
-their residual ids in sorted order.  Programs are kept beside the coupler
-rules they bake in.  A round prunes where the kernels it replaces pruned:
-each auxiliary photon after its coupler, the product after each factor,
-and each signature's outputs.  Each distinct round's heralded states are
-then merged, paired across arms and scored in one pass.
+once per arm, joint accounting once with all arms.  ``analyze`` is cached
+per document and adds one ``fock.PatternTable``, whose stage tables hold
+all that is compiled from pattern ids, ports and labels (never from alpha,
+gamma, t or a result): the sources, target and auxiliary photons as id
+lists, whose amplitudes a point evaluates; per round shape (input ids,
+auxiliary photon ids, surviving products) one slot program, kept beside
+the coupler rules it bakes in, each slot summing product amplitudes times
+the coefficients of the couplers, herald and flips; inside it, per set of
+surviving slots, the round's scoring (each click signature's slots,
+residual ids and merge relabel, the recycle agreement's products); per
+round's win ids, the pairing and the products with the target.  A point
+computes only amplitudes, with the prunes, summation order and errors of
+the dict path these replace.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds send the auxiliary photon through its
@@ -54,56 +51,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import mul
+import operator
+from operator import mul, truediv
 from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
-from .dsl import (
-    CircuitDoc,
-    PbsMergeDecl,
-    SourceDecl,
-    evaluate_expr,
-    evaluate_real,
-    expr_variables,
-    parse_expr,
-)
-from .elements import bs_rules, merge_terms, split_terms, vbs_coefficients
-from .fock import (
-    NORM_TOL,
-    PHOTON_CAP,
-    PRUNE_EPS,
-    RECYCLE_AGREEMENT_TOL,
-    DegenerateStateError,
-    ModeCollisionError,
-    PatternTable,
-    PhotonBudgetError,
-    PolarizationMixtureError,
-    make_pattern,
-    pattern_count,
-    prune,
-    terms_fidelity,
-    terms_norm_sq,
-)
-from .formulas import (
-    branch_success_minus,
-    branch_success_plus,
-    claimed_total,
-    joint_total_one_round,
-    qnd_round_success,
-    round_success_series,
-)
-from .measurement import (
-    DetectorModel,
-    IDEAL_DETECTORS,
-    MIXTURE,
-    detection_factor,
-    herald_terms,
-    qnd_class,
-)
+from .dsl import CircuitDoc, PbsMergeDecl, SourceDecl, compile_expr, evaluate_real, expr_variables, parse_expr
+from .elements import PortContractError, bs_matrix, bs_rules, merge_relabels, split_terms, vbs_coefficients
+from .fock import (NORM_TOL, PHOTON_CAP, PRUNE_EPS, RECYCLE_AGREEMENT_TOL, DegenerateStateError, ModeCollisionError,
+                   PatternTable, PhotonBudgetError, PolarizationMixtureError, make_pattern, mode, pattern_count, prune,
+                   terms_norm_sq)
+from .formulas import (branch_success_minus, branch_success_plus, claimed_total, joint_total_one_round,
+                       qnd_round_success, round_success_series)
+from .measurement import IDEAL_DETECTORS, MIXTURE, DetectorModel, detection_factor, herald_terms, qnd_class
 from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
+_EXACT = functools.lru_cache(maxsize=8)(functools.partial(EngineInfo, "exact"))  # frozen, so reports share one
 
 
 class ConfigError(ValueError):
@@ -122,11 +87,8 @@ class Plan(Layout):
 
 @functools.lru_cache(maxsize=32)
 def analyze(doc: CircuitDoc) -> Plan:
-    """``circuits.layout(doc)`` with a fresh ``PatternTable``; raises
-    TopologyError on a document that is not a concentration layout.
-
-    Cached per document, so runs share the plan and its table.
-    """
+    """``circuits.layout(doc)`` with a fresh ``PatternTable``, cached per document so runs share
+    the plan and its table; raises TopologyError on a document that is not a concentration layout."""
     lay = layout(doc)
     couplers = _reads(arm.vbs.t for arm in lay.arms)
     sources = _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
@@ -136,47 +98,101 @@ def analyze(doc: CircuitDoc) -> Plan:
 # ---------------------------------------------------------------------------
 # states on the plan's pattern ids
 
-def _sources(tab: PatternTable, sources: list[SourceDecl], bindings) -> dict[int, complex]:
-    return tab.photon([(s.mode, s.pol, evaluate_expr(s.amp, bindings)) for s in sources])
+def _photon(tab: PatternTable, sources: list[SourceDecl]) -> tuple:
+    """``tab.photon`` of ``sources`` compiled: amplitude functions, ids (first seen), sources per id."""
+    groups: dict[int, list[int]] = {}
+    for i, s in enumerate(sources):
+        groups.setdefault(tab.intern(((mode(s.mode, s.pol), 1),)), []).append(i)
+    return [compile_expr(s.amp) for s in sources], tuple(groups), tuple(map(tuple, groups.values()))
 
 
-def _target(tab: PatternTable, outputs: tuple[str, ...], pol: PolarizationParams | None):
-    pols = [("V", 1.0)] if pol is None else [("H", pol.gamma), ("V", pol.delta)]
-    terms = tab.photon([(m, p, c) for m in outputs for p, c in pols])
+def _terms(photon: tuple, bindings) -> dict[int, complex]:
+    """A compiled photon at ``bindings``: per id its amplitudes summed from 0j, pruned."""
+    fns, ids, groups = photon
+    amps = [f(bindings) for f in fns]
+    return {p: a for p, g in zip(ids, groups) if abs(a := sum(map(amps.__getitem__, g), 0j)) >= PRUNE_EPS}
+
+
+def _target(photon: tuple, bindings) -> tuple:
+    """``(ids, amplitudes, squared norm)`` of the normalized target."""
+    terms = _terms(photon, bindings)
     n2 = terms_norm_sq(terms)
     if n2 <= NORM_TOL * NORM_TOL:
         raise DegenerateStateError("cannot normalize a (near-)zero state")
-    return prune({p: a * (1.0 / math.sqrt(n2)) for p, a in terms.items()})
+    target = prune({p: a * (1.0 / math.sqrt(n2)) for p, a in terms.items()})
+    return tuple(target), list(target.values()), terms_norm_sq(target)
 
 
-def _aux(tab: PatternTable, arm: Arm, bindings) -> list[tuple[int, complex, int]]:
-    """The arm's auxiliary photon after its coupler: ``(output id, amplitude, j)``,
-    the amplitude times ``sqrt(1-t)`` when j is 0 (reflected), ``sqrt(t)`` when 1."""
-    out = []
-    for x, a in _sources(tab, arm.aux_sources, bindings).items():
-        [((_, pol), _)] = tab.patterns[x]
-        out += [(tab.intern((((m, pol), 1),)), a, j) for j, m in enumerate((arm.vbs.reflect, arm.vbs.transmit))]
-    return out
+def _point(plan: Plan, pol: PolarizationParams | None) -> tuple:
+    """Signal and target photons for points with or without ``pol``; a target without it is kept whole."""
+    points = plan.table.stage("point")
+    key = "V" if pol is None else "HV"
+    if key not in points:
+        amps = {"V": "1"} if pol is None else {"H": "gamma", "V": "delta"}
+        target = _photon(plan.table, [SourceDecl(m, p, amps[p]) for m in plan.outputs for p in key])
+        points[key] = _photon(plan.table, plan.signal_sources), _target(target, {}) if pol is None else target
+    return points[key]
+
+
+def _survivors(amps: list) -> tuple:
+    """``(alive, kept)``: which of ``amps`` the prune keeps (None for all of them) and those."""
+    if not amps or min(map(abs, amps)) >= PRUNE_EPS:
+        return None, amps
+    alive = tuple([abs(a) >= PRUNE_EPS for a in amps])
+    return alive, list(itertools.compress(amps, alive))
+
+
+def _spans(lists) -> tuple:
+    """The slices that cut the concatenation of ``lists`` back into them."""
+    ends = list(itertools.accumulate(map(len, lists)))
+    return tuple(map(slice, [0, *ends], ends))
+
+
+def _aligned(first: list, second: list) -> tuple:
+    """``terms_inner(first, second)``'s products for states listed as ``(position, id)``: the
+    positions of the shared ids, the conjugated factor's first, in the order it takes them."""
+    x, y = (second, first) if len(first) > len(second) else (first, second)
+    at = dict(map(reversed, y))
+    shared = [(i, at[q]) for i, q in x if q in at]
+    return tuple(i for i, _ in shared), tuple(j for _, j in shared)
+
+
+def _inners(values: list, firsts: tuple, seconds: tuple, spans: tuple):
+    """Per span, ``sum(values[i].conjugate() * values[j], 0j)`` over its ``(firsts, seconds)``."""
+    products = list(map(mul, map(complex.conjugate, map(values.__getitem__, firsts)), map(values.__getitem__, seconds)))
+    return map(sum, map(products.__getitem__, spans), itertools.repeat(0j))
 
 
 # ---------------------------------------------------------------------------
 # recycling chain
 
-def _chain(tab: PatternTable, arms: list[Arm]) -> tuple:
-    """``(couplers, setup, qnds, programs)`` of a chain of ``arms``, built once per plan and
-    arm labels: per side its balanced couplers' ports, detector groups and flips; the
-    nondemolition pairs; the table of round programs."""
+def _chain(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None) -> tuple:
+    """``(couplers, setup, qnds, photons, ports, programs)`` of a chain of ``arms``, once per arm
+    labels and merge: per side its couplers' ports, detector groups and flips; the nondemolition
+    pairs; each arm's photon with its ids' (reflected, transmitted) ids; merge ports; programs."""
     labels = tuple(a.label for a in arms)
+    ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
     chains = tab.stage("chain")
-    if labels not in chains:
+    if (labels, ports) not in chains:
         sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
         if all(a.recycle_bs for a in arms):
             sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
         couplers = tuple(tuple((bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side) for side in sides)
         setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
         qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
-        chains[labels] = (couplers, setup, qnds, tab.stage("round", *labels))
-    return chains[labels]
+        photons = []
+        for a in arms:
+            photon = _photon(tab, a.aux_sources)
+            photons.append((photon, {x: tuple(tab.intern((((m, pol), 1),)) for m in (a.vbs.reflect, a.vbs.transmit))
+                                     for x in photon[1] for [((_, pol), _)] in [tab.patterns[x]]}))
+        chains[labels, ports] = (couplers, setup, qnds, photons, ports, tab.stage("round", labels, ports))
+    return chains[labels, ports]
+
+
+@functools.lru_cache(maxsize=64)
+def _rules(couplers: tuple, matrix: tuple) -> tuple:
+    """Each side's balanced couplers at the coupler ``matrix`` in force (``bs_rules`` reads it)."""
+    return tuple(tuple(bs_rules(*ports) for ports in side) for side in couplers)
 
 
 def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup) -> tuple:
@@ -210,95 +226,136 @@ def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup)
     return route, outs
 
 
-def _slots(tab: PatternTable, products: tuple, rules: tuple, chain: tuple) -> tuple:
-    """``(index, coef, spans, sides)`` of a round whose surviving products are ``products``:
-    slot s (an output id of one side) sums ``product[index[j]] * coef[j]`` over j in ``spans[s]``
-    in the order the products reach it; ``sides`` lists per side each signature, sorted, as (itself
-    if two of its outputs share a residual id, else None, its ``(slot, residual id)`` pairs)."""
-    _, setup, qnds, _ = chain
+def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: tuple) -> tuple:
+    """``(index, coef, spans, sides)`` of a round of product ``shape``: slot s (an output id) sums
+    ``product[index[j]] * coef[j]`` over j in ``spans[s]``; the slots run by side, signature (sorted)
+    and first touch, ``sides`` listing each signature and its residual ids."""
+    products = [(w,) for w in shape[0]]
+    for xs, alive in shape[1:]:
+        products = [k + (x,) for k in products for x in xs]
+        products = products if alive is None else list(itertools.compress(products, alive))
     slots: dict[tuple, list] = {}  # (route, signature, output id, residual id) -> [(product index, coefficient)]
     for i, key in enumerate(products):
-        route, outs = _outputs(tab, key, qnds, rules, setup)
+        route, outs = _outputs(tab, key, chain[2], rules, chain[1])
         for sig, p, q, c in outs:
             slots.setdefault((route, sig, p, q), []).append((i, c))
-    pairs: tuple[dict, dict] = ({}, {})  # per route: signature -> [(slot, residual id)]
-    for s, (route, sig, _, q) in enumerate(slots):
-        pairs[route].setdefault(sig, []).append((s, q))
-    flat = [ic for contributions in slots.values() for ic in contributions]
-    ends = list(itertools.accumulate(map(len, slots.values())))
-    return tuple(i for i, _ in flat), tuple(c for _, c in flat), tuple(map(slice, [0, *ends], ends)), tuple(
-        tuple((sig if len({q for _, q in ps}) < len(ps) else None, tuple(ps))
-              for sig, ps in sorted(by_sig.items()))
-        for by_sig in pairs
-    )
+    order = sorted(slots, key=lambda slot: slot[:2])
+    sides: tuple[list, list] = ([], [])
+    for (route, sig), run in itertools.groupby(order, key=lambda slot: slot[:2]):
+        sides[route].append((sig, tuple(q for *_, q in run)))
+    flat = [ic for slot in order for ic in slots[slot]]
+    return (tuple(i for i, _ in flat), tuple(c for _, c in flat),
+            _spans([slots[slot] for slot in order]), tuple(map(tuple, sides)))
 
 
-def _wins(sigs: tuple, values: list, mags: list, factor: float) -> list:
-    """Per success signature, in order, ``(weight, probability, raw)``: its outputs pruned as
-    the last coupler's transform prunes, weighed and relabeled to their residual ids (raising
-    PolarizationMixtureError if two share one); a signature of weight <= ``PRUNE_EPS**2`` is dropped."""
-    wins = []
-    for sig, pairs in sigs:
-        squares, raw = [], {}
-        for s, q in pairs:
-            m = mags[s]
-            if m >= PRUNE_EPS:
-                squares.append(m**2)
-                raw[q] = values[s]
-        weight = sum(squares)
+def _scoring(tab: PatternTable, sides: tuple, alive: tuple | None, ports: tuple) -> tuple:
+    """``(won, recycled, agreements, scale)`` of a round whose slots survive where ``alive`` (None:
+    all): per signature ``(start, stop)`` of them, itself if two share a residual id (a mixture),
+    their residual ids, on the won side merged by ``ports`` (and the merge's ``(type, message)`` if it
+    raises); ``scale``: sqrt(N_out!) and sqrt(n_in!) per won slot, and whether all are 1."""
+    out, at, pos, norms = [], 0, 0, []
+    for route, side in enumerate(sides):
+        sigs = []
+        for sig, qs in side:
+            ids = tuple(q for i, q in enumerate(qs, at) if alive is None or alive[i])
+            at, pos = at + len(qs), pos + len(ids)
+            entry = [pos - len(ids), pos, sig if len(set(ids)) < len(ids) else None, ids, None][:5 - route]
+            if ports and not route:
+                try:
+                    stage = merge_relabels(tab, ids, *ports)
+                    entry[3] = tuple(stage[q][0] for q in ids)
+                except (PortContractError, ModeCollisionError) as exc:
+                    entry[4], stage = (type(exc), str(exc)), dict.fromkeys(ids, (None, 1.0, 1.0))
+                norms += [stage[q][1:] for q in ids]
+            sigs.append(tuple(entry))
+        out.append(tuple(sigs))
+    return (*out, {}, (*(tuple(zip(*norms)) or ((), ())), set(norms) <= {(1.0, 1.0)}) if ports else None)
+
+
+def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports: tuple) -> tuple:
+    """``(p_success, wins, amps, error, p_recycle, recycle_next)`` of a round's slot ``values``: each
+    signature weighs its surviving squares, summed in order; each win merges as ``(a * N) / n``,
+    pruned (``wins`` its ids, ``amps`` its amplitudes, flat); each later recycle signature must agree
+    with the first, which rescales to their summed weight, pruned."""
+    mags = list(map(abs, values))
+    alive = None
+    if mags and min(mags) < PRUNE_EPS:  # the prune after the last coupler
+        alive = tuple([m >= PRUNE_EPS for m in mags])
+        values, mags = list(itertools.compress(values, alive)), list(itertools.compress(mags, alive))
+    scores = program[5]
+    won, recycled, agreement, scale = scores.get(alive) or scores.setdefault(alive, _scoring(tab, program[4], alive, ports))
+    squares = [m**2 for m in mags]
+    merged, pruned = values[:won[-1][1]] if won else [], False
+    if scale is not None:  # the merge, then its prune
+        merged = list(map(truediv, map(mul, merged, scale[0]), scale[1]))
+        pruned = not scale[2] and bool(merged) and min(map(abs, merged)) < PRUNE_EPS  # a unit merge keeps |a|
+    p_win, wins, amps, error, norms = 0.0, [], [], None, [] if scale is None or scale[2] else None
+    for start, stop, mixture, ids, err in won:
+        weight = sum(squares[start:stop])
         if weight > PRUNE_EPS**2:
-            if sig is not None and len(raw) < len(squares):
-                raise PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
-            wins.append((weight, weight * factor, raw))
-    return wins
+            if mixture is not None:
+                raise _mixture(mixture)
+            p_win += weight * factor
+            if err is not None:  # raised where every chain of the round has a win
+                error, ids = error or err, None
+            elif pruned:
+                keep, win = _survivors(merged[start:stop])
+                ids = ids if keep is None else tuple(itertools.compress(ids, keep))
+                amps += win
+            else:
+                amps += merged[start:stop]
+                if norms is not None:  # a unit merge, or none, keeps every magnitude: the norm is the weight
+                    norms.append(weight)
+            wins.append(ids)
+    again = [(w, i) for i, (start, stop, _, _) in enumerate(recycled) if (w := sum(squares[start:stop])) > PRUNE_EPS**2]
+    for _, i in again:
+        if recycled[i][2] is not None:
+            raise _mixture(recycled[i][2])
+    p_rec, nxt = sum([w for w, _ in again], 0.0), {}
+    if again:
+        (n0, i), *rest = again
+        start, stop, _, ids = recycled[i]
+        for n, j in rest:
+            firsts, seconds = agreement.get((i, j)) or agreement.setdefault((i, j), _aligned(
+                list(enumerate(ids, start)), list(enumerate(recycled[j][3], recycled[j][0]))))
+            if n0 <= NORM_TOL**2 or n <= NORM_TOL**2:
+                raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
+            inner = sum(map(mul, map(complex.conjugate, map(values.__getitem__, firsts)), map(values.__getitem__, seconds)), 0j)
+            if min(abs(inner) ** 2 / (n0 * n), 1.0) < 1.0 - RECYCLE_AGREEMENT_TOL:
+                raise RuntimeError("recycle click patterns disagree after correction; "
+                                   "feed-forward rules are inconsistent with the coupler convention")
+        scale = math.sqrt(p_rec / n0)
+        nxt = {q: v for q, a in zip(ids, values[start:stop]) if abs(v := a * scale) >= PRUNE_EPS}
+    return p_win, tuple(wins), amps, error, p_rec, nxt, norms
 
 
-def _combine_recycle(again: list, weight: float) -> dict[int, complex]:
-    """Collapse equivalent recycle continuations ``(weight, _, raw)`` into one of ``weight``."""
-    if not again:
-        return {}
-    (n0, _, first), *rest = again
-    for n, _, other in rest:
-        if terms_fidelity(first, other, n0, n) < 1.0 - RECYCLE_AGREEMENT_TOL:
-            raise RuntimeError(
-                "recycle click patterns disagree after correction; "
-                "feed-forward rules are inconsistent with the coupler convention"
-            )
-    scale = math.sqrt(weight / n0)
-    return prune({p: a * scale for p, a in first.items()})
+def _mixture(sig: tuple) -> PolarizationMixtureError:
+    return PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _ChainRound:
     p_success: float
     p_recycle: float
-    wins: list[dict[int, complex]]  # corrected heralded components, by pattern id
+    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises)
+    amps: list  # their amplitudes, one state after the other
     recycle_next: dict[int, complex]  # the next round's input, by pattern id
+    error: tuple | None  # (type, message) of the first win's merge error
+    norms: list | None  # the wins' squared norms, their weights, when merging kept every magnitude
 
 
-def _run_chain(
-    tab: PatternTable,
-    arms: list[Arm],
-    current: dict[int, complex],
-    schedules: list[list[float]],
-    bindings: dict[str, complex],
-    model: DetectorModel,
-) -> list[_ChainRound]:
-    """Run every round of ``arms`` together on the input ``current`` (by id).
-
-    Each round attaches every arm's auxiliary photon at the arm's scheduled
-    transmittance, then splits by the nondemolition comparisons of the arms
-    that have one: class 1 on all of them goes on to the heralding couplers,
-    class 0 on all of them to the recycling couplers.  Success needs every
-    arm's group to click at once; the combined recycle continuation is the
-    next round's input.  A round whose input and transmittances equal the
-    previous round's repeats that round's result.
-    """
-    chain = _chain(tab, arms)
-    couplers, setup, _, programs = chain
-    rules = tuple(tuple(bs_rules(*ports) for ports in side) for side in couplers)
+def _run_chain(tab: PatternTable, arms: list[Arm], current: dict[int, complex], schedules: list[list[float]],
+               bindings: dict[str, complex], model: DetectorModel, merge: PbsMergeDecl | None = None) -> list:
+    """Run every round of ``arms`` together on the input ``current`` (by id): each attaches every
+    arm's auxiliary photon at its scheduled transmittance; class 1 on every nondemolition pair
+    goes on to the heralding couplers (every group must click; the state then goes through
+    ``merge``), class 0 to the recycling couplers, whose continuation is the next round's input.
+    A round whose input and transmittances equal the previous round's repeats its result."""
+    chain = _chain(tab, arms, merge)
+    couplers, setup, _, photons, ports, programs = chain
+    rules = _rules(couplers, bs_matrix())
     factor = detection_factor(setup[0][0], model)
-    auxes: list[list | None] = [None] * len(arms)
+    auxes: list[tuple | None] = [None] * len(arms)
     results: list[_ChainRound] = []
     last = None
     for k in range(len(schedules[0])):
@@ -307,64 +364,92 @@ def _run_chain(
             results.append(results[-1])
             continue
         last = (current, ts)
-        # the tensor product on (input id, auxiliary photon ids), pruned after each factor
-        products = [((w,), amp) for w, amp in current.items()]
+        # the product with each arm's photon, pruned per factor; shape: ids and survivors per factor
+        shape, vals = [tuple(current)], list(current.values())
         for i, (arm, t) in enumerate(zip(arms, ts)):
-            if auxes[i] is None:  # the same photon every round
-                auxes[i] = _aux(tab, arm, bindings)
+            if auxes[i] is None:  # the same photon every round: its output ids and amplitudes
+                terms = _terms(photons[i][0], bindings)
+                auxes[i] = tuple(x for p in terms for x in photons[i][1][p]), [a for a in terms.values() for _ in "rt"]
             rs = vbs_coefficients(arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
-            photon = [(x, c) for x, a, j in auxes[i] if abs(c := a * rs[j]) >= PRUNE_EPS]
-            products = [(k + (x,), v) for k, a in products for x, c in photon if abs(v := a * c) >= PRUNE_EPS]
-        keys, vals = zip(*products) if products else ((), ())
-        program = programs.get(keys)
+            keep, cs = _survivors(list(map(mul, auxes[i][1], itertools.cycle(rs))))  # sqrt(1-t), sqrt(t)
+            xs = auxes[i][0] if keep is None else tuple(itertools.compress(auxes[i][0], keep))
+            alive, vals = _survivors([a * c for a in vals for c in cs])
+            shape.append((xs, alive))
+        shape = tuple(shape)
+        program = programs.get(shape)
         if program is None or program[0] != rules:  # never serve another coupler matrix
-            program = programs[keys] = (rules, *_slots(tab, keys, rules, chain))
-        _, index, coef, spans, (won, recycled) = program
-        terms = list(map(mul, map(vals.__getitem__, index), coef))
-        values = list(map(sum, map(terms.__getitem__, spans), itertools.repeat(0j)))
-        mags = list(map(abs, values))
-        wins = _wins(won, values, mags, factor)
-        again = _wins(recycled, values, mags, 1.0)
-        p_rec = sum((w for w, _, _ in again), 0.0)
-        current = _combine_recycle(again, p_rec)  # a raw's weight is its squared norm
-        p_win = sum((p for _, p, _ in wins), 0.0)
-        results.append(_ChainRound(p_win, p_rec, [raw for _, _, raw in wins], current))
+            program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
+        terms = list(map(mul, map(vals.__getitem__, program[1]), program[2]))
+        values = list(map(sum, map(terms.__getitem__, program[3]), itertools.repeat(0j)))
+        p_win, wins, amps, error, p_rec, current, norms = _score(tab, program, values, factor, ports)
+        results.append(_ChainRound(p_win, p_rec, wins, amps, current, error, norms))
     return results
 
 
-def _pair(plus: dict, minus: dict) -> dict:
-    combined = dict(plus)
-    for p, amp in minus.items():
-        # both arms carry the signal-at-home component; the published
-        # recombination counts it once, so shared amplitudes average
-        combined[p] = 0.5 * (combined[p] + amp) if p in combined else amp
-    return prune(combined)
+def _pairing(books: tuple) -> tuple:
+    """``(ops, states, masks)`` of a round whose chains' wins hold the ids ``books``: with one chain
+    its wins (``ops`` None); with two every plus win paired with every minus one, plus ids first,
+    shared ids averaged (both arms carry the signal-at-home component, counted once): value j
+    is ``amps[i]`` or ``0.5 * (amps[i] + amps[k])`` for ``ops[j] == (i, k)``; ``states`` lists
+    each state's ids and span; ``masks`` keeps ``_fidelities`` by surviving values."""
+    if len(books) == 1:
+        return None, tuple(zip(books[0], _spans(books[0]))), {}
+    starts = list(itertools.accumulate(map(len, books[0] + books[1]), initial=0))
+    ops, states = [], []
+    for a, plus in enumerate(books[0]):
+        for b, minus in enumerate(books[1], len(books[0])):
+            pair = {q: (i, None) for i, q in enumerate(plus, starts[a])}
+            for j, q in enumerate(minus, starts[b]):
+                pair[q] = (pair[q][0], j) if q in pair else (j, None)
+            states.append((tuple(pair), slice(len(ops), len(ops) + len(pair))))
+            ops += pair.values()
+    return tuple(ops), tuple(states), {}
 
 
-def _rounds(
-    tab: PatternTable,
-    merge: PbsMergeDecl | None,
-    ts: list[float],
-    chains: list[list[_ChainRound]],
-    target: dict[int, complex],
-) -> list[RoundResult]:
-    """Round results summed over ``chains``.  Each distinct round's heralded states are
-    its raws through the merge, with two chains (branch accounting) every plus state
-    paired with every minus one; fidelity is the worst of them against ``target``."""
-    target_norm = terms_norm_sq(target)
-    rounds = []
+def _fidelities(states: tuple, alive: tuple | None, target: tuple) -> tuple:
+    """``(spans, firsts, seconds, products)`` of a round's states whose values survive where
+    ``alive`` (None: all): each state's span of the surviving values and its products with the
+    ``target`` ids (``_aligned``), indexing the surviving values and then the target's."""
+    lists, at = [], 0
+    for ids, span in states:
+        lists.append(list(enumerate([q for j, q in enumerate(ids, span.start) if alive is None or alive[j]], at)))
+        at += len(lists[-1])
+    aligned = [_aligned(pairs, list(enumerate(target, at))) for pairs in lists]
+    return (_spans(lists), tuple(i for a, _ in aligned for i in a), tuple(j for _, b in aligned for j in b),
+            _spans([a for a, _ in aligned]))
+
+
+def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]], target: tuple) -> list[RoundResult]:
+    """Round results summed over ``chains``.  Each distinct round's heralded states are its wins,
+    paired (``_pairing``) and pruned; its fidelity is the worst of theirs against ``target``,
+    ``(ids, amplitudes, squared norm)``, both compiled in the plan table's ``score`` stage."""
+    tids, tamps, tnorm = target
+    table = tab.stage("score")
+    rounds, last = [], None
     for k, (t, books) in enumerate(zip(ts, zip(*chains))):
-        if not k or any(b is not c[k - 1] for b, c in zip(books, chains)):  # not a repeated round
-            fid = None
+        if last is None or not all(map(operator.is_, books, last)):  # not a repeated round
+            last, fid = books, None
             if all(b.wins for b in books):
-                merged = [
-                    [raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out) for raw in b.wins]
-                    for b in books
-                ]
-                states = merged[0] if len(merged) == 1 else [_pair(a, b) for a in merged[0] for b in merged[1]]
-                fid = min([terms_fidelity(s, target, nb=target_norm) for s in states])
-        p_success = sum(b.p_success for b in books)
-        p_recycle = sum(b.p_recycle for b in books)
+                for b in books:
+                    if b.error:
+                        raise b.error[0](b.error[1])
+                key = (*[b.wins for b in books], tids)
+                ops, states, masks = table.get(key) or table.setdefault(key, _pairing(key[:-1]))
+                amps = books[0].amps if len(books) == 1 else books[0].amps + books[1].amps
+                alive = None
+                if ops is not None:  # paired, then pruned
+                    alive, amps = _survivors([amps[i] if j is None else 0.5 * (amps[i] + amps[j]) for i, j in ops])
+                spans, firsts, seconds, products = masks.get(alive) or masks.setdefault(alive, _fidelities(states, alive, tids))
+                norms = books[0].norms if ops is None else None
+                if norms is None:
+                    squares = [abs(a) ** 2 for a in amps]
+                    norms = list(map(sum, map(squares.__getitem__, spans)))
+                if min(norms) <= NORM_TOL**2 or tnorm <= NORM_TOL**2:
+                    raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
+                inners = map(abs, _inners(amps + tamps, firsts, seconds, products))
+                fid = min(min(map(truediv, map(pow, inners, itertools.repeat(2)), map(mul, norms, itertools.repeat(tnorm)))), 1.0)
+            p_success = sum([b.p_success for b in books])
+            p_recycle = sum([b.p_recycle for b in books])
         rounds.append(RoundResult(k + 1, t, p_success, p_recycle, fid))
     return rounds
 
@@ -372,17 +457,9 @@ def _rounds(
 # ---------------------------------------------------------------------------
 # entry points
 
-def execute(
-    doc: CircuitDoc,
-    ent: EntanglementParams | None = None,
-    pol: PolarizationParams | None = None,
-    *,
-    rounds: int = 1,
-    accounting: str = "branch",
-    model: DetectorModel | None = None,
-    t1: float | None = None,
-    t2: float | None = None,
-) -> ProtocolReport:
+def execute(doc: CircuitDoc, ent: EntanglementParams | None = None, pol: PolarizationParams | None = None, *,
+            rounds: int = 1, accounting: str = "branch", model: DetectorModel | None = None,
+            t1: float | None = None, t2: float | None = None) -> ProtocolReport:
     """Run a circuit document exactly and assemble the full report.
 
     ``t1`` and ``t2`` set the first-round transmittance parameters of the
@@ -415,10 +492,7 @@ def execute(
 
     if plan.has_recycling:
         if t1 is not None or t2 is not None:
-            raise ConfigError(
-                "t1 and t2 do not apply to a recycling layout; "
-                "its couplers follow the doubling schedule"
-            )
+            raise ConfigError("t1 and t2 do not apply to a recycling layout; its couplers follow the doubling schedule")
         ts_plus = ts_minus = vbs_schedule(ent, rounds)
     else:
         if rounds != 1:
@@ -440,38 +514,30 @@ def execute(
     schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
     tab = plan.table
-    target = _target(tab, plan.outputs, pol)
-    signal = _sources(tab, plan.signal_sources, bindings)
+    signal, target = _point(plan, pol)
+    target = target if pol is None else _target(target, bindings)
+    signal = _terms(signal, bindings)
     if plan.split is not None:
         signal = split_terms(tab, signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
     if accounting == "branch":
-        # each arm acts only on the component where the signal is not in
-        # the other arm
-        chains = []
-        for arm in plan.arms:
-            others = [a.signal_mode for a in plan.arms if a is not arm]
-            inp = {
-                p: a for p, a in signal.items()
-                if all(pattern_count(tab.patterns[p], m) == 0 for m in others)
-            }
-            chains.append(_run_chain(tab, [arm], inp, [schedule[arm.label]], bindings, model))
+        chains = []  # each arm acts only on the component where the signal is not in the other arm
+        for arm in plan.arms:  # which ids hold no signal photon in another arm, kept per id
+            rows, others = tab.stage("restrict", arm.label), [a.signal_mode for a in plan.arms if a is not arm]
+            for p in signal.keys() - rows.keys():
+                rows[p] = all(pattern_count(tab.patterns[p], m) == 0 for m in others)
+            inp = {p: a for p, a in signal.items() if rows[p]}
+            chains.append(_run_chain(tab, [arm], inp, [schedule[arm.label]], bindings, model, plan.merge))
         eta_exponent = 1
     else:
         schedules = [schedule[arm.label] for arm in plan.arms]
-        chains = [_run_chain(tab, plan.arms, signal, schedules, bindings, model)]
+        chains = [_run_chain(tab, plan.arms, signal, schedules, bindings, model, plan.merge)]
         eta_exponent = len(plan.arms)
-    round_results = _rounds(tab, plan.merge, schedule["plus"], chains, target)
+    round_results = _rounds(tab, schedule["plus"], chains, target)
 
     report = ProtocolReport(
-        protocol=plan.protocol,
-        accounting=accounting,
-        alpha_sq=ent.alpha_sq,
-        gamma_sq=pol.gamma_sq if pol is not None else None,
-        eta_p=model.eta_p,
-        schedule=schedule,
-        rounds=round_results,
-        p_total=sum(r.p_success for r in round_results),
-        engine=EngineInfo("exact", eta_exponent),
+        protocol=plan.protocol, accounting=accounting, alpha_sq=ent.alpha_sq,
+        gamma_sq=pol.gamma_sq if pol is not None else None, eta_p=model.eta_p, schedule=schedule,
+        rounds=round_results, p_total=sum(r.p_success for r in round_results), engine=_EXACT(eta_exponent),
     )
     report.paper_comparison = _comparison(plan, report, pol, chains)
     return report
@@ -482,22 +548,17 @@ def _reads(texts) -> set[str]:
     return set().union(*(expr_variables(parse_expr(t)) for t in texts))
 
 
-def _effective_schedule(
-    plan: Plan,
-    bindings: dict[str, complex],
-    ts_plus: list[float],
-    ts_minus: list[float],
-) -> dict[str, list[float]]:
-    """The report's ``schedule``: per arm label the transmittance its coupler expression
-    gives in each round, with ``ts_plus``/``ts_minus`` bound to its parameters (``minus``
-    empty on a one-arm layout)."""
+def _effective_schedule(plan: Plan, bindings: dict, ts_plus: list[float], ts_minus: list[float]) -> dict:
+    """The report's ``schedule``: per arm label the transmittance its coupler expression gives in
+    each round, ``ts_plus``/``ts_minus`` bound to its parameters (``minus`` empty on one arm)."""
     eff: dict[str, list[float]] = {"plus": [], "minus": []}
+    round_bindings = dict(bindings)
     for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus)):
-        if k and (plus, minus) == (ts_plus[k - 1], ts_minus[k - 1]):
+        if k and plus == ts_plus[k - 1] and minus == ts_minus[k - 1]:
             for arm in plan.arms:  # the same bindings give the same values
                 eff[arm.label].append(eff[arm.label][-1])
             continue
-        round_bindings = {**bindings, "t1": plus, "t2": minus, "t_plus": plus, "t_minus": minus}
+        round_bindings.update(t1=plus, t2=minus, t_plus=plus, t_minus=minus)
         for arm in plan.arms:
             v = evaluate_real(arm.vbs.t, round_bindings)
             if not 0.0 <= v <= 1.0:
@@ -506,28 +567,23 @@ def _effective_schedule(
     return eff
 
 
-def _comparison(
-    plan: Plan,
-    report: ProtocolReport,
-    pol: PolarizationParams | None,
-    chains: list[list[_ChainRound]],
-) -> dict[str, dict[str, float]]:
-    """The published closed forms against the simulated values.  Two facts decide the
-    entries: a stripped ecp2 run is scored only against its round series, and
-    a polarized branch run adds the per-arm entries of its protocol (one chain per arm)."""
+def _comparison(plan: Plan, report: ProtocolReport, pol: PolarizationParams | None, chains: list) -> dict:
+    """The published closed forms against the simulated values.  Two facts decide the entries: a
+    one-arm ecp2 run without polarization is scored only against its round series, and a
+    two-arm polarized branch run adds the per-arm entries of its protocol (one chain per arm)."""
     out: dict[str, dict[str, float]] = {}
-    if plan.protocol == "custom":
+    if report.protocol == "custom":
         return out
     a2 = report.alpha_sq
     factor = report.eta_p**report.engine.eta_exponent
-    ecp2 = plan.protocol == "ecp2"
-    if ecp2 and pol is None:
+    ecp2 = report.protocol == "ecp2"
+    if ecp2 and pol is None and len(plan.arms) == 1:
         series = round_success_series(a2, report.eta_p, len(report.rounds))
         for k, (pk, r) in enumerate(zip(series, report.rounds), start=1):
             out[f"series_round_{k}"] = comparison_entry(pk, r.p_success)
         out["series_total"] = comparison_entry(sum(series), report.p_total)
         return out
-    if pol is not None and report.accounting == "branch":
+    if pol is not None and report.accounting == "branch" and len(plan.arms) == 2:
         if ecp2:
             t1 = report.rounds[0].t
             arms = {"claimed_round1_plus": qnd_round_success(a2, pol.delta_sq, t1),
@@ -542,38 +598,22 @@ def _comparison(
             out["claimed_branch_sum"] = comparison_entry(3.0 * a2 * (1.0 - a2) * factor, report.p_total)
     out["claimed_total"] = comparison_entry(claimed_total(a2) * factor, report.p_total)
     if ecp2:
-        out["stripped_series_total"] = comparison_entry(
-            sum(round_success_series(a2, factor, len(report.rounds))), report.p_total
-        )
+        out["stripped_series_total"] = comparison_entry(sum(round_success_series(a2, factor, len(report.rounds))), report.p_total)
     if pol is not None and report.accounting == "joint":
         out["predicted_joint_total"] = comparison_entry(joint_total_one_round(a2) * factor, report.p_total)
     return out
 
 
-def run_ecp1(
-    ent: EntanglementParams,
-    pol: PolarizationParams | None = None,
-    *,
-    t1: float | None = None,
-    t2: float | None = None,
-    accounting: str = "branch",
-    model: DetectorModel | None = None,
-) -> ProtocolReport:
+
+def run_ecp1(ent: EntanglementParams, pol: PolarizationParams | None = None, *, t1: float | None = None,
+             t2: float | None = None, accounting: str = "branch", model: DetectorModel | None = None) -> ProtocolReport:
     """Single-round linear-optics concentration (polarized or stripped)."""
     doc = builtin_doc("ecp1" if pol is not None else "ecp1_stripped")
-    return execute(
-        doc, ent, pol, rounds=1, accounting=accounting, model=model, t1=t1, t2=t2
-    )
+    return execute(doc, ent, pol, rounds=1, accounting=accounting, model=model, t1=t1, t2=t2)
 
 
-def run_ecp2(
-    ent: EntanglementParams,
-    pol: PolarizationParams | None = None,
-    *,
-    rounds: int = 1,
-    accounting: str = "branch",
-    model: DetectorModel | None = None,
-) -> ProtocolReport:
+def run_ecp2(ent: EntanglementParams, pol: PolarizationParams | None = None, *, rounds: int = 1,
+             accounting: str = "branch", model: DetectorModel | None = None) -> ProtocolReport:
     """Nondemolition-assisted concentration with recycling rounds."""
     doc = builtin_doc("ecp2" if pol is not None else "ecp2_stripped")
     return execute(doc, ent, pol, rounds=rounds, accounting=accounting, model=model)

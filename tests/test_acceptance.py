@@ -15,7 +15,7 @@ from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
 from ecpsim.cli import main
 from ecpsim.dsl import parse
 from ecpsim.elements import apply_pbs, apply_vbs
-from ecpsim.engine import _run_chain, _sources, analyze, execute, run_ecp1, run_ecp2
+from ecpsim.engine import _photon, _run_chain, _terms, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.fock import fidelity, pattern_count, single_photon, tensor
 from ecpsim.formulas import round_success_series
 from ecpsim.measurement import DetectorModel, qnd_component
@@ -109,12 +109,12 @@ def _class1_probability(ent, pol, t):
     others = [a.signal_mode for a in plan.arms if a is not arm]
     bindings = _bindings(ent, pol)
     tab = plan.table
-    signal = tab.state(_sources(tab, plan.signal_sources, bindings))
+    signal = tab.state(_terms(_photon(tab, plan.signal_sources), bindings))
     signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
     inp = signal.filtered(
         lambda p: all(pattern_count(p, m) == 0 for m in others)
     )
-    aux = tab.state(_sources(tab, arm.aux_sources, bindings))
+    aux = tab.state(_terms(_photon(tab, arm.aux_sources), bindings))
     aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
     return qnd_component(tensor(inp, aux), arm.qnd.a, arm.qnd.b, 1).norm_sq()
 

@@ -1,5 +1,8 @@
 """Engine: topology recognition, document execution, configuration errors."""
 
+import cmath
+import collections
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -8,17 +11,23 @@ import random
 
 import pytest
 
+import ecpsim.dsl
+import ecpsim.elements
 import ecpsim.engine
+import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, evaluate_expr, parse
-from ecpsim.elements import bs_rules, vbs_coefficients, vbs_rules
+from ecpsim.elements import bs_rules, merge_terms, vbs_coefficients, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
+    _ChainRound,
+    _photon,
+    _rounds,
     _run_chain,
-    _sources,
-    _wins,
+    _score,
+    _terms,
     analyze,
     execute,
     run_ecp1,
@@ -26,6 +35,8 @@ from ecpsim.engine import (
 )
 from ecpsim.fock import (
     PRUNE_EPS,
+    RECYCLE_AGREEMENT_TOL,
+    DegenerateStateError,
     CheckedRules,
     PatternTable,
     PolarizationMixtureError,
@@ -36,8 +47,9 @@ from ecpsim.fock import (
     terms_fidelity,
     terms_norm_sq,
 )
-from ecpsim.measurement import DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
+from ecpsim.measurement import MIXTURE, DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
 from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams
+from ecpsim.verify import corrupted_coupler
 
 ENT = EntanglementParams.from_alpha_sq(0.6)
 POL = PolarizationParams.from_gamma_sq(0.5)
@@ -169,28 +181,46 @@ def test_literal_transmittance_is_authoritative():
     assert report.p_total == pytest.approx(0.5, abs=1e-12)
 
 
+ONE_ARM = (
+    "circuit onearm\nparam alpha\nparam beta\nparam t1\n"
+    "mode a1\nmode b1\nmode b2\nmode b3\nmode b4\nmode b5\nmode b6\n"
+    "mode b10\nmode d1\nmode d2\n"
+    "source a1 pol=V amp=alpha photon=signal\n"
+    "source b1 pol=V amp=beta photon=signal\n"
+    "source b4 pol=V amp=1\n"
+    "pbs in=b1 outH=b3 outV=b2\n"
+    "vbs in=b4 reflect=b5 transmit=b6 t=t1\n"
+    "bs in1=b2 in2=b5 out1=d1 out2=d2\n"
+    "detect group=v_arm modes=d1,d2\n"
+    "flip mode=b6 when=d2\n"
+    "pbs inH=b3 inV=b6 out=b10\n"
+    "output a1,b10\n"
+)
+
+
 def test_one_arm_merge_applies_under_both_accountings():
     # the heralded state leaves through the merge output named in the
     # document, so both accountings must pass it through the merge
-    text = (
-        "circuit onearm\nparam alpha\nparam beta\nparam t1\n"
-        "mode a1\nmode b1\nmode b2\nmode b3\nmode b4\nmode b5\nmode b6\n"
-        "mode b10\nmode d1\nmode d2\n"
-        "source a1 pol=V amp=alpha photon=signal\n"
-        "source b1 pol=V amp=beta photon=signal\n"
-        "source b4 pol=V amp=1\n"
-        "pbs in=b1 outH=b3 outV=b2\n"
-        "vbs in=b4 reflect=b5 transmit=b6 t=t1\n"
-        "bs in1=b2 in2=b5 out1=d1 out2=d2\n"
-        "detect group=v_arm modes=d1,d2\n"
-        "flip mode=b6 when=d2\n"
-        "pbs inH=b3 inV=b6 out=b10\n"
-        "output a1,b10\n"
-    )
     for accounting in ("branch", "joint"):
-        report = execute(parse(text), ENT, accounting=accounting)
+        report = execute(parse(ONE_ARM), ENT, accounting=accounting)
         assert report.p_total == pytest.approx(0.48, abs=1e-12)
         assert report.rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_closed_forms_are_scored_only_on_the_arms_they_describe():
+    # the round series describes one arm and the per-arm entries two: ecp2.ecp with its
+    # polarization fixed in the sources has two heralding groups, so it is not scored
+    # against the one-arm series, and a one-arm polarized layout gets no per-arm entries
+    lines = [line for line in builtin_text("ecp2").splitlines() if line not in ("param gamma", "param delta")]
+    fixed = "\n".join(lines).replace("*gamma", "*sqrt(1/2)").replace("*delta", "*sqrt(1/2)") + "\n"
+    report = execute(parse(fixed), ENT, rounds=2, accounting="joint", model=DetectorModel(eta_p=0.8))
+    assert report.protocol == "ecp2" and report.rounds[0].p_success == pytest.approx(0.12288, rel=1e-12)
+    assert list(report.paper_comparison) == ["claimed_total", "stripped_series_total"]
+    assert list(run_ecp2(ENT, rounds=2).paper_comparison)[:3] == ["series_round_1", "series_round_2", "series_total"]
+    one_arm = ONE_ARM.replace("amp=alpha photon", "amp=alpha*gamma photon").replace("param t1", "param gamma\nparam t1")
+    report = execute(parse(one_arm.replace("source b1 pol=V amp=beta", "source b1 pol=V amp=beta*gamma")), ENT, POL)
+    assert report.protocol == "ecp1" and list(report.paper_comparison) == ["claimed_total"]
+    assert "claimed_success_minus" in run_ecp1(ENT, POL).paper_comparison
 
 
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
@@ -222,11 +252,11 @@ def test_detector_model_efficiency_scales_success():
 def test_prepare_initial_shapes():
     bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": POL.gamma, "delta": POL.delta}
     plan = analyze(builtin_doc("ecp1"))
-    polarized = _sources(plan.table, plan.signal_sources, bindings)
+    polarized = _terms(_photon(plan.table, plan.signal_sources), bindings)
     assert len(polarized) == 4
     assert terms_norm_sq(polarized) == pytest.approx(1.0)
     plan = analyze(builtin_doc("ecp1_stripped"))
-    stripped = _sources(plan.table, plan.signal_sources, bindings)
+    stripped = _terms(_photon(plan.table, plan.signal_sources), bindings)
     assert len(stripped) == 2
     assert {m for p in stripped for (m, _p), _n in plan.table.patterns[p]} == {"a1", "b2"}
 
@@ -298,14 +328,22 @@ def test_reports_of_240_seeded_points_are_pinned():
 # -- compiled stage tables ------------------------------------------------
 
 def _table_keys(tab):
-    """Every key of a plan's pattern table: interned patterns, stages, entries."""
+    """Every key of a plan's pattern table: interned patterns, stages, and every key of a
+    table inside a stage entry (round programs, their scoring, pairings), at any depth; the
+    coupler rules a program keeps are keyed on modes and not walked."""
     keys = list(tab.ids)
+
+    def walk(entry):
+        if isinstance(entry, dict) and not isinstance(entry, CheckedRules):
+            keys.extend(entry)
+            entry = list(entry.values())
+        if isinstance(entry, (tuple, list)):
+            for item in entry:
+                walk(item)
+
     for stage, table in tab.stages.items():
         keys.append(stage)
-        for key, entry in table.items():
-            keys.append(key)
-            if isinstance(entry, dict):  # round rows
-                keys.extend(entry)
+        walk(table)
     return keys
 
 
@@ -340,7 +378,8 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     _run_batch(name, seed=2)
     assert _table_keys(tab) == warm  # new parameter values add no entry
     assert not any(_holds_float(k) for k in warm)
-    assert {stage[0] for stage in tab.stages} <= {"chain", "round", "pbs split", "pbs merge"}
+    assert {stage[0] for stage in tab.stages} <= {
+        "chain", "round", "pbs split", "pbs merge", "point", "restrict", "score"}
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
 
@@ -359,10 +398,11 @@ def test_report_templates_are_keyed_on_structure_only(name):
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_a_warm_point_runs_no_transform(name, monkeypatch):
     # after warm-up a point compiles nothing: the split and the merge are
-    # relabels, every round a stored program, and no chain builds
-    # CheckedRules or DetectorGroups
+    # relabels, every round and its scoring a stored program, sources and
+    # target compiled id lists, and no chain builds CheckedRules or
+    # DetectorGroups, walks an expression tree or scores through dicts
     _run_batch(name, seed=1)
-    counts = {"transform": 0, "program": 0, "rules": 0, "groups": 0}
+    counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk"), 0)
 
     def counted(key, original):
         def call(*args, **kwargs):
@@ -374,8 +414,13 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(PatternTable, "_program", counted("program", PatternTable._program))
     monkeypatch.setattr(CheckedRules, "__init__", counted("rules", CheckedRules.__init__))
     monkeypatch.setattr(DetectorGroup, "__post_init__", counted("groups", DetectorGroup.__post_init__))
+    monkeypatch.setattr(ecpsim.elements, "merge_terms", counted("merge", ecpsim.elements.merge_terms))
+    monkeypatch.setattr(ecpsim.fock, "terms_fidelity", counted("fidelity", ecpsim.fock.terms_fidelity))
+    monkeypatch.setattr(PatternTable, "photon", counted("photon", PatternTable.photon))
+    monkeypatch.setattr(ecpsim.dsl, "_compile", counted("walk", ecpsim.dsl._compile))
+    assert not {"merge_terms", "terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # none bound here
     _run_batch(name, seed=2)
-    assert counts == {"transform": 0, "program": 0, "rules": 0, "groups": 0}
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
@@ -428,6 +473,12 @@ def _staged_round(tab, arms, current, ts, bindings, model):
     return sum(p for _, p, _ in wins), sum(w for w, _, _ in again), [raw for _, _, raw in wins], nxt
 
 
+def _states(book):
+    """A chain round's heralded states through the merge, as dicts."""
+    amps = iter(book.amps)
+    return [dict(zip(ids, amps)) for ids in book.wins]
+
+
 def _assert_terms_close(got, want):
     assert got.keys() == want.keys()
     scale = math.sqrt(terms_norm_sq(want))
@@ -453,9 +504,9 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         calls.append(args)
         return _run_chain(*args)
 
-    def wins(sigs, values, mags, factor):
-        pruned_outputs.extend(mags[s] < PRUNE_EPS for _, pairs in sigs for s, _ in pairs)
-        return _wins(sigs, values, mags, factor)
+    def score(tab, program, values, factor, ports):
+        pruned_outputs.append(min(map(abs, values), default=1.0) < PRUNE_EPS)
+        return _score(tab, program, values, factor, ports)
 
     monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
     polarized = not name.endswith("_stripped")
@@ -464,15 +515,15 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
         model=DetectorModel(eta_p=0.8),
     )
-    monkeypatch.setattr(ecpsim.engine, "_wins", wins)
+    monkeypatch.setattr(ecpsim.engine, "_score", score)
     assert calls
     rng = random.Random(7)
     compared = mixtures = pruned_products = 0
-    for tab, arms, current, schedules, bindings, model in calls:
+    for tab, arms, current, schedules, bindings, model, merge in calls:
         aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
         couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
         ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) if m not in aux_ports for pol in "HV"]
-        rounds = _run_chain(tab, arms, current, schedules, bindings, model)
+        rounds = _run_chain(tab, arms, current, schedules, bindings, model, merge)
         for k in range(len(schedules[0])):
             ts = [s[k] for s in schedules]
             # the recorded ids reweighted; the same with the first id so small that
@@ -496,19 +547,172 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                 except PolarizationMixtureError:
                     # outputs that differ only in an absorbed photon's polarization
                     with pytest.raises(PolarizationMixtureError, match="click signature d"):
-                        _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model)
+                        _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
                     mixtures += 1
                     continue
-                [got] = _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model)
+                [got] = _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
                 assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
                 assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
                 assert len(got.wins) == len(wins)
-                for raw1, raw2 in zip(got.wins, wins):
-                    _assert_terms_close(raw1, raw2)
+                for state, raw in zip(_states(got), wins):
+                    _assert_terms_close(state, raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out))
                 _assert_terms_close(got.recycle_next, nxt)
                 compared += 1
     assert compared and mixtures
     assert pruned_products and any(pruned_outputs)
+
+
+# the dict path the compiled scoring replaced: merge_terms -> pair -> terms_fidelity per round,
+# each signature's raw state and the recycle agreement on dicts
+
+
+def _dict_wins(sides, values, factor):
+    """Per side, each signature's ``(weight, probability, raw)`` when it weighs more than
+    PRUNE_EPS**2, its slots pruned, relabeled to residual ids, and checked for a mixture."""
+    mags, at, out = list(map(abs, values)), 0, []
+    for route, side in enumerate(sides):
+        wins = []
+        for sig, qs in side:
+            squares, raw = [], {}
+            for s, q in enumerate(qs, at):
+                if mags[s] >= PRUNE_EPS:
+                    squares.append(mags[s] ** 2)
+                    raw[q] = values[s]
+            at += len(qs)
+            weight = sum(squares)
+            if weight > PRUNE_EPS**2:
+                if len(raw) < len(squares):
+                    raise PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
+                wins.append((weight, weight * (1.0 if route else factor), raw))
+        out.append(wins)
+    return out
+
+
+def _dict_combine_recycle(again, weight):
+    if not again:
+        return {}
+    (n0, _, first), *rest = again
+    for n, _, other in rest:
+        if terms_fidelity(first, other, n0, n) < 1.0 - RECYCLE_AGREEMENT_TOL:
+            raise RuntimeError("recycle click patterns disagree after correction; "
+                               "feed-forward rules are inconsistent with the coupler convention")
+    scale = math.sqrt(weight / n0)
+    return prune({p: a * scale for p, a in first.items()})
+
+
+def _dict_score(tab, sides, values, factor, ports):
+    wins, again = _dict_wins(sides, values, factor)
+    merged = [raw if not ports else merge_terms(tab, raw, *ports) for _, _, raw in wins]
+    p_rec = sum((w for w, _, _ in again), 0.0)
+    return sum((p for _, p, _ in wins), 0.0), merged, p_rec, _dict_combine_recycle(again, p_rec)
+
+
+def _dict_pair(plus, minus):
+    combined = dict(plus)
+    for p, amp in minus.items():
+        combined[p] = 0.5 * (combined[p] + amp) if p in combined else amp
+    return prune(combined)
+
+
+def _dict_rounds(ts, chains, target):
+    tdict = dict(zip(*target[:2]))
+    out = []
+    for k, (t, books) in enumerate(zip(ts, zip(*chains))):
+        if not k or any(b is not c[k - 1] for b, c in zip(books, chains)):
+            fid = None
+            if all(b.wins for b in books):
+                merged = [_states(b) for b in books]
+                states = merged[0] if len(merged) == 1 else [_dict_pair(a, b) for a in merged[0] for b in merged[1]]
+                fid = min([terms_fidelity(st, tdict, nb=terms_norm_sq(tdict)) for st in states])
+        out.append((k + 1, t, sum(b.p_success for b in books), sum(b.p_recycle for b in books), fid))
+    return out
+
+
+def _outcome(call):
+    """Its result, or its exception's type and message."""
+    try:
+        return repr(call())
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reweighted(values, rng):
+    """Slot values reweighted at random, then with a slot per five at 1.01 PRUNE_EPS and one at
+    0.99 PRUNE_EPS (pruned), then every fourth at 0.6 PRUNE_EPS (a signature weighing too little)."""
+    out = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) * abs(v) for v in values] for _ in range(3)]
+    for scale, step in ((1.01, 5), (0.99, 5), (0.6, 4)):
+        out.append([v / abs(v) * scale * PRUNE_EPS if abs(v) and i % step == 0 else v for i, v in enumerate(values)])
+    return out
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("accounting", ["branch", "joint"])
+@pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
+def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monkeypatch):
+    # every round's scoring and every point's rounds against the dict path, bit for bit, on
+    # recorded round inputs reweighted at random and with entries at 1.01 PRUNE_EPS, also
+    # under a miswired coupler (where the recycle agreement fails on both paths)
+    scores, rounds = [], []
+    monkeypatch.setattr(ecpsim.engine, "_score", lambda *a: scores.append(a) or _score(*a))
+    monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
+    polarized = not name.endswith("_stripped")
+    with corrupted_coupler() if corrupt else contextlib.nullcontext():
+        for alpha_sq in (0.3, 0.6, 0.9):
+            with contextlib.suppress(RuntimeError, DegenerateStateError):
+                execute(builtin_doc(name), EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None,
+                        rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
+                        model=DetectorModel(eta_p=0.8))
+    assert scores and (rounds or corrupt)
+    rng = random.Random(16)
+    outcomes = collections.Counter()
+    for tab, program, values, factor, ports in scores:
+        for vals in [values, *_reweighted(values, rng)]:
+            got = _outcome(lambda: _score(tab, program, vals, factor, ports))
+            want = _outcome(lambda: _dict_score(tab, program[4], vals, factor, ports))
+            if isinstance(got, str):
+                p_win, wins, amps, error, p_rec, nxt, norms = _score(tab, program, vals, factor, ports)
+                book = _ChainRound(p_win, p_rec, wins, amps, nxt, error, norms)
+                got = repr((p_win, _states(book), p_rec, nxt))
+                if norms is not None:  # kept only when they are the states' squared norms
+                    assert repr(norms) == repr([terms_norm_sq(state) for state in _states(book)])
+            assert got == want
+            outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
+    assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
+    pruned = 0
+    for tab, ts, chains, target in rounds:
+        # the recorded wins, reweighted, and with shared plus and minus ids near cancelling
+        variants = [chains]
+        for scale in (1.0, -1.0 + 1.01 * PRUNE_EPS):
+            variants.append([[dataclasses.replace(b, amps=[a * scale if i else a for a in b.amps], norms=None)
+                              for b in chain] for i, chain in enumerate(chains)])
+        variants.append([[dataclasses.replace(b, amps=[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps],
+                                              norms=None) for b in chain] for chain in chains])
+        for chains in variants:
+            got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(tab, ts, chains, target)])
+            assert got == _outcome(lambda: _dict_rounds(ts, chains, target))
+            pruned += len(chains) == 2 and len(chains[0][0].wins) and any(
+                len(_dict_pair(a, b)) < len(a | b) for a in _states(chains[0][0]) for b in _states(chains[1][0]))
+    assert pruned or accounting == "joint" or not polarized or corrupt
+
+
+def test_the_merge_scale_and_its_prune_match_merge_terms():
+    # two photons in the merged mode: the merge scales by sqrt(N_out!) / sqrt(n_in!) and prunes
+    tab = PatternTable()
+    pair = tab.intern(((("b9", "H"), 2),))
+    mixed = tab.intern(((("b6", "V"), 1), (("b9", "H"), 1)))
+    signature = (("d1", 1),)
+    program = (None, None, None, None, (((signature, (pair, mixed)),), ()), {})  # its sides and scoring
+    ports = ("b9", "b6", "b10")
+    rng = random.Random(5)
+    near = (cmath.rect(PRUNE_EPS * (1 + rng.randrange(64) * 2.0**-52), rng.uniform(0, 2 * math.pi)) for _ in range(10**5))
+    edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # pruned once merged
+    sizes = []
+    for values in ([0.3 + 0.4j, -0.5j], [edge, 0.6 + 0.0j], [0.7 + 0.1j, edge]):
+        p_win, wins, amps, error, p_rec, nxt, norms = _score(tab, program, values, 0.8, ports)
+        book = _ChainRound(p_win, p_rec, wins, amps, nxt, error, norms)
+        assert repr((p_win, _states(book), p_rec, nxt)) == repr(_dict_score(tab, program[4], values, 0.8, ports))
+        sizes.append(len(_states(book)[0]))
+    assert sizes == [2, 1, 2]  # the merge prune drops the edge amplitude on the two-photon id only
 
 
 def test_split_and_merge_run_on_the_plan_table():
