@@ -92,14 +92,14 @@ class Layout:
     merge: PbsMergeDecl | None
     outputs: tuple[str, ...]
 
-    @functools.cached_property
+    @property
     def protocol(self) -> str:
         with_qnd = sum(a.qnd is not None for a in self.arms)
         if with_qnd == 0:
             return "ecp1"
         return "ecp2" if with_qnd == len(self.arms) else "custom"
 
-    @functools.cached_property
+    @property
     def has_recycling(self) -> bool:
         return any(a.recycle_bs for a in self.arms)
 

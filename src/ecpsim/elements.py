@@ -57,9 +57,9 @@ class PortContractError(ValueError):
 
 
 @functools.lru_cache(maxsize=256)  # once per port tuple
-def _require_distinct(kind: str, *ports: str) -> None:
+def _require_distinct(kind: str, **ports: str) -> None:
     seen: set[str] = set()
-    for spatial in ports:
+    for spatial in ports.values():
         if spatial in seen:
             raise PortContractError(f"{kind}: ports must be distinct, {spatial!r} repeats")
         seen.add(spatial)
@@ -89,7 +89,7 @@ def _relabel(tab: PatternTable, terms: Mapping[int, complex], stage: dict, rules
 
 def split_terms(tab: PatternTable, terms: Mapping[int, complex], inp: str, out_h: str, out_v: str):
     """``apply_pbs`` on ``tab``'s ids, as a relabel."""
-    _require_distinct("pbs", inp, out_h, out_v)
+    _require_distinct("pbs", inp=inp, out_h=out_h, out_v=out_v)
     return _relabel(tab, terms, tab.stage("pbs split", inp, out_h, out_v), _pbs_rules(inp, out_h, inp, out_v))
 
 
@@ -102,7 +102,7 @@ def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
 def merge_relabels(tab: PatternTable, ids, in_h: str, in_v: str, out: str) -> dict:
     """The ``pbs merge`` stage, holding the relabel of each of ``ids``; raises as ``merge_terms``
     raises on a state over ``ids``, an id's ports checked when first seen."""
-    _require_distinct("pbs merge", in_h, in_v, out)
+    _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
     stage = tab.stage("pbs merge", in_h, in_v, out)
     for p in ids:
         if p not in stage:
@@ -163,7 +163,7 @@ def vbs_coefficients(inp: str, reflect: str, transmit: str, t: float) -> tuple[f
     """``(sqrt(1-t), sqrt(t))`` once ``t`` and the ports pass the coupler's checks."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"vbs transmittance must lie in [0, 1], got {t}")
-    _require_distinct("vbs", inp, reflect, transmit)
+    _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
     r = math.sqrt(1.0 - t)
     s = math.sqrt(t)
     if abs(r * r + s * s - 1.0) > ISOMETRY_TOL:  # the H and V columns share no output

@@ -51,24 +51,56 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-from operator import mul, truediv
+from operator import is_, mul, truediv
 from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
-from .dsl import CircuitDoc, PbsMergeDecl, SourceDecl, compile_expr, evaluate_real, expr_variables, parse_expr
+from .dsl import (
+    CircuitDoc,
+    PbsMergeDecl,
+    SourceDecl,
+    compile_expr,
+    evaluate_real,
+    expr_variables,
+    parse_expr,
+)
 from .elements import PortContractError, bs_matrix, bs_rules, merge_relabels, split_terms, vbs_coefficients
-from .fock import (NORM_TOL, PHOTON_CAP, PRUNE_EPS, RECYCLE_AGREEMENT_TOL, DegenerateStateError, ModeCollisionError,
-                   PatternTable, PhotonBudgetError, PolarizationMixtureError, make_pattern, mode, pattern_count, prune,
-                   terms_norm_sq)
-from .formulas import (branch_success_minus, branch_success_plus, claimed_total, joint_total_one_round,
-                       qnd_round_success, round_success_series)
-from .measurement import IDEAL_DETECTORS, MIXTURE, DetectorModel, detection_factor, herald_terms, qnd_class
+from .fock import (
+    NORM_TOL,
+    PHOTON_CAP,
+    PRUNE_EPS,
+    RECYCLE_AGREEMENT_TOL,
+    DegenerateStateError,
+    ModeCollisionError,
+    PatternTable,
+    PhotonBudgetError,
+    PolarizationMixtureError,
+    make_pattern,
+    mode,
+    pattern_count,
+    prune,
+    terms_norm_sq,
+)
+from .formulas import (
+    branch_success_minus,
+    branch_success_plus,
+    claimed_total,
+    joint_total_one_round,
+    qnd_round_success,
+    round_success_series,
+)
+from .measurement import (
+    DetectorModel,
+    IDEAL_DETECTORS,
+    MIXTURE,
+    detection_factor,
+    herald_terms,
+    qnd_class,
+)
 from .params import EntanglementParams, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
-_EXACT = functools.lru_cache(maxsize=8)(functools.partial(EngineInfo, "exact"))  # frozen, so reports share one
 
 
 class ConfigError(ValueError):
@@ -87,8 +119,11 @@ class Plan(Layout):
 
 @functools.lru_cache(maxsize=32)
 def analyze(doc: CircuitDoc) -> Plan:
-    """``circuits.layout(doc)`` with a fresh ``PatternTable``, cached per document so runs share
-    the plan and its table; raises TopologyError on a document that is not a concentration layout."""
+    """``circuits.layout(doc)`` with a fresh ``PatternTable``; raises
+    TopologyError on a document that is not a concentration layout.
+
+    Cached per document, so runs share the plan and its table.
+    """
     lay = layout(doc)
     couplers = _reads(arm.vbs.t for arm in lay.arms)
     sources = _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
@@ -230,13 +265,14 @@ def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: tuple) -> tuple
     """``(index, coef, spans, sides)`` of a round of product ``shape``: slot s (an output id) sums
     ``product[index[j]] * coef[j]`` over j in ``spans[s]``; the slots run by side, signature (sorted)
     and first touch, ``sides`` listing each signature and its residual ids."""
+    _, setup, qnds, *_ = chain
     products = [(w,) for w in shape[0]]
     for xs, alive in shape[1:]:
         products = [k + (x,) for k in products for x in xs]
         products = products if alive is None else list(itertools.compress(products, alive))
     slots: dict[tuple, list] = {}  # (route, signature, output id, residual id) -> [(product index, coefficient)]
     for i, key in enumerate(products):
-        route, outs = _outputs(tab, key, chain[2], rules, chain[1])
+        route, outs = _outputs(tab, key, qnds, rules, setup)
         for sig, p, q, c in outs:
             slots.setdefault((route, sig, p, q), []).append((i, c))
     order = sorted(slots, key=lambda slot: slot[:2])
@@ -250,46 +286,53 @@ def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: tuple) -> tuple
 
 def _scoring(tab: PatternTable, sides: tuple, alive: tuple | None, ports: tuple) -> tuple:
     """``(won, recycled, agreements, scale)`` of a round whose slots survive where ``alive`` (None:
-    all): per signature ``(start, stop)`` of them, itself if two share a residual id (a mixture),
-    their residual ids, on the won side merged by ``ports`` (and the merge's ``(type, message)`` if it
-    raises); ``scale``: sqrt(N_out!) and sqrt(n_in!) per won slot, and whether all are 1."""
-    out, at, pos, norms = [], 0, 0, []
+    all).  Per side, each signature's ``(start, stop, mixture, ids, error)``: the span of its
+    surviving slots; itself if two of them share a residual id (a mixture), else None; their
+    residual ids, on the won side merged by ``ports``; and on the won side the merge's
+    ``(type, message)`` if it raises (ids then None).  ``agreements`` is filled by ``_continuation``;
+    ``scale`` holds sqrt(N_out!) and sqrt(n_in!) per won slot (None without a merge)."""
+    out, at, pos, scale = [], 0, 0, []
     for route, side in enumerate(sides):
-        sigs = []
+        entries = []
         for sig, qs in side:
             ids = tuple(q for i, q in enumerate(qs, at) if alive is None or alive[i])
-            at, pos = at + len(qs), pos + len(ids)
-            entry = [pos - len(ids), pos, sig if len(set(ids)) < len(ids) else None, ids, None][:5 - route]
-            if ports and not route:
+            start, at, pos = pos, at + len(qs), pos + len(ids)
+            mixture = sig if len(set(ids)) < len(ids) else None
+            error = None
+            if ports and route == 0:
                 try:
                     stage = merge_relabels(tab, ids, *ports)
-                    entry[3] = tuple(stage[q][0] for q in ids)
                 except (PortContractError, ModeCollisionError) as exc:
-                    entry[4], stage = (type(exc), str(exc)), dict.fromkeys(ids, (None, 1.0, 1.0))
-                norms += [stage[q][1:] for q in ids]
-            sigs.append(tuple(entry))
-        out.append(tuple(sigs))
-    return (*out, {}, (*(tuple(zip(*norms)) or ((), ())), set(norms) <= {(1.0, 1.0)}) if ports else None)
+                    error, stage = (type(exc), str(exc)), dict.fromkeys(ids, (None, 1.0, 1.0))
+                scale += [stage[q][1:] for q in ids]
+                ids = None if error else tuple(stage[q][0] for q in ids)
+            entries.append((start, pos, mixture, ids, error))
+        out.append(tuple(entries))
+    won, recycled = out
+    return won, recycled, {}, (tuple(zip(*scale)) or ((), ())) if ports else None
 
 
 def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports: tuple) -> tuple:
     """``(p_success, wins, amps, error, p_recycle, recycle_next)`` of a round's slot ``values``: each
     signature weighs its surviving squares, summed in order; each win merges as ``(a * N) / n``,
-    pruned (``wins`` its ids, ``amps`` its amplitudes, flat); each later recycle signature must agree
-    with the first, which rescales to their summed weight, pruned."""
+    pruned (``wins`` its ids, ``amps`` its amplitudes, one state after the other); the recycle
+    signatures give the next round's input (``_continuation``)."""
+    *_, sides, scores = program
     mags = list(map(abs, values))
     alive = None
     if mags and min(mags) < PRUNE_EPS:  # the prune after the last coupler
         alive = tuple([m >= PRUNE_EPS for m in mags])
         values, mags = list(itertools.compress(values, alive)), list(itertools.compress(mags, alive))
-    scores = program[5]
-    won, recycled, agreement, scale = scores.get(alive) or scores.setdefault(alive, _scoring(tab, program[4], alive, ports))
+    scoring = scores.get(alive)
+    if scoring is None:
+        scoring = scores[alive] = _scoring(tab, sides, alive, ports)
+    won, recycled, agreements, scale = scoring
     squares = [m**2 for m in mags]
     merged, pruned = values[:won[-1][1]] if won else [], False
     if scale is not None:  # the merge, then its prune
         merged = list(map(truediv, map(mul, merged, scale[0]), scale[1]))
-        pruned = not scale[2] and bool(merged) and min(map(abs, merged)) < PRUNE_EPS  # a unit merge keeps |a|
-    p_win, wins, amps, error, norms = 0.0, [], [], None, [] if scale is None or scale[2] else None
+        pruned = bool(merged) and min(map(abs, merged)) < PRUNE_EPS
+    p_win, wins, amps, error = 0.0, [], [], None
     for start, stop, mixture, ids, err in won:
         weight = sum(squares[start:stop])
         if weight > PRUNE_EPS**2:
@@ -297,36 +340,50 @@ def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports
                 raise _mixture(mixture)
             p_win += weight * factor
             if err is not None:  # raised where every chain of the round has a win
-                error, ids = error or err, None
+                error = error or err
             elif pruned:
                 keep, win = _survivors(merged[start:stop])
                 ids = ids if keep is None else tuple(itertools.compress(ids, keep))
                 amps += win
             else:
                 amps += merged[start:stop]
-                if norms is not None:  # a unit merge, or none, keeps every magnitude: the norm is the weight
-                    norms.append(weight)
             wins.append(ids)
-    again = [(w, i) for i, (start, stop, _, _) in enumerate(recycled) if (w := sum(squares[start:stop])) > PRUNE_EPS**2]
-    for _, i in again:
-        if recycled[i][2] is not None:
-            raise _mixture(recycled[i][2])
-    p_rec, nxt = sum([w for w, _ in again], 0.0), {}
-    if again:
-        (n0, i), *rest = again
-        start, stop, _, ids = recycled[i]
-        for n, j in rest:
-            firsts, seconds = agreement.get((i, j)) or agreement.setdefault((i, j), _aligned(
-                list(enumerate(ids, start)), list(enumerate(recycled[j][3], recycled[j][0]))))
-            if n0 <= NORM_TOL**2 or n <= NORM_TOL**2:
-                raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
-            inner = sum(map(mul, map(complex.conjugate, map(values.__getitem__, firsts)), map(values.__getitem__, seconds)), 0j)
-            if min(abs(inner) ** 2 / (n0 * n), 1.0) < 1.0 - RECYCLE_AGREEMENT_TOL:
-                raise RuntimeError("recycle click patterns disagree after correction; "
-                                   "feed-forward rules are inconsistent with the coupler convention")
-        scale = math.sqrt(p_rec / n0)
-        nxt = {q: v for q, a in zip(ids, values[start:stop]) if abs(v := a * scale) >= PRUNE_EPS}
-    return p_win, tuple(wins), amps, error, p_rec, nxt, norms
+    again = []  # (weight, index) of each recycle signature that weighs enough
+    for i, (start, stop, mixture, _, _) in enumerate(recycled):
+        weight = sum(squares[start:stop])
+        if weight > PRUNE_EPS**2:
+            if mixture is not None:
+                raise _mixture(mixture)
+            again.append((weight, i))
+    p_rec = sum([w for w, _ in again], 0.0)
+    return p_win, tuple(wins), amps, error, p_rec, _continuation(values, recycled, agreements, again, p_rec)
+
+
+def _continuation(values: list, recycled: tuple, agreements: dict, again: list, weight: float) -> dict:
+    """The next round's input: the first of the recycle signatures ``again`` rescaled to ``weight``
+    and pruned, once every later one agrees with it after correction (its products with the
+    first, ``_aligned``, kept in ``agreements`` per pair of signatures)."""
+    if not again:
+        return {}
+    (n0, i), *rest = again
+    start, stop, _, ids, _ = recycled[i]
+    for n, j in rest:
+        aligned = agreements.get((i, j))
+        if aligned is None:
+            other = recycled[j]
+            aligned = agreements[i, j] = _aligned(list(enumerate(ids, start)), list(enumerate(other[3], other[0])))
+        if n0 <= NORM_TOL**2 or n <= NORM_TOL**2:
+            raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
+        firsts, seconds = aligned
+        conjugates = map(complex.conjugate, map(values.__getitem__, firsts))
+        inner = sum(map(mul, conjugates, map(values.__getitem__, seconds)), 0j)
+        if min(abs(inner) ** 2 / (n0 * n), 1.0) < 1.0 - RECYCLE_AGREEMENT_TOL:
+            raise RuntimeError(
+                "recycle click patterns disagree after correction; "
+                "feed-forward rules are inconsistent with the coupler convention"
+            )
+    scale = math.sqrt(weight / n0)
+    return {q: v for q, a in zip(ids, values[start:stop]) if abs(v := a * scale) >= PRUNE_EPS}
 
 
 def _mixture(sig: tuple) -> PolarizationMixtureError:
@@ -341,16 +398,28 @@ class _ChainRound:
     amps: list  # their amplitudes, one state after the other
     recycle_next: dict[int, complex]  # the next round's input, by pattern id
     error: tuple | None  # (type, message) of the first win's merge error
-    norms: list | None  # the wins' squared norms, their weights, when merging kept every magnitude
 
 
-def _run_chain(tab: PatternTable, arms: list[Arm], current: dict[int, complex], schedules: list[list[float]],
-               bindings: dict[str, complex], model: DetectorModel, merge: PbsMergeDecl | None = None) -> list:
-    """Run every round of ``arms`` together on the input ``current`` (by id): each attaches every
-    arm's auxiliary photon at its scheduled transmittance; class 1 on every nondemolition pair
-    goes on to the heralding couplers (every group must click; the state then goes through
-    ``merge``), class 0 to the recycling couplers, whose continuation is the next round's input.
-    A round whose input and transmittances equal the previous round's repeats its result."""
+def _run_chain(
+    tab: PatternTable,
+    arms: list[Arm],
+    current: dict[int, complex],
+    schedules: list[list[float]],
+    bindings: dict[str, complex],
+    model: DetectorModel,
+    merge: PbsMergeDecl | None,
+) -> list[_ChainRound]:
+    """Run every round of ``arms`` together on the input ``current`` (by id).
+
+    Each round attaches every arm's auxiliary photon at the arm's scheduled
+    transmittance, then splits by the nondemolition comparisons of the arms
+    that have one: class 1 on all of them goes on to the heralding couplers,
+    class 0 on all of them to the recycling couplers.  Success needs every
+    arm's group to click at once, and the heralded state then goes through
+    ``merge``; the combined recycle continuation is the next round's input.
+    A round whose input and transmittances equal the previous round's
+    repeats that round's result.
+    """
     chain = _chain(tab, arms, merge)
     couplers, setup, _, photons, ports, programs = chain
     rules = _rules(couplers, bs_matrix())
@@ -379,10 +448,11 @@ def _run_chain(tab: PatternTable, arms: list[Arm], current: dict[int, complex], 
         program = programs.get(shape)
         if program is None or program[0] != rules:  # never serve another coupler matrix
             program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
-        terms = list(map(mul, map(vals.__getitem__, program[1]), program[2]))
-        values = list(map(sum, map(terms.__getitem__, program[3]), itertools.repeat(0j)))
-        p_win, wins, amps, error, p_rec, current, norms = _score(tab, program, values, factor, ports)
-        results.append(_ChainRound(p_win, p_rec, wins, amps, current, error, norms))
+        _, index, coef, spans, _, _ = program
+        terms = list(map(mul, map(vals.__getitem__, index), coef))
+        values = list(map(sum, map(terms.__getitem__, spans), itertools.repeat(0j)))
+        p_win, wins, amps, error, p_rec, current = _score(tab, program, values, factor, ports)
+        results.append(_ChainRound(p_win, p_rec, wins, amps, current, error))
     return results
 
 
@@ -419,7 +489,12 @@ def _fidelities(states: tuple, alive: tuple | None, target: tuple) -> tuple:
             _spans([a for a, _ in aligned]))
 
 
-def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]], target: tuple) -> list[RoundResult]:
+def _rounds(
+    tab: PatternTable,
+    ts: list[float],
+    chains: list[list[_ChainRound]],
+    target: tuple,
+) -> list[RoundResult]:
     """Round results summed over ``chains``.  Each distinct round's heralded states are its wins,
     paired (``_pairing``) and pruned; its fidelity is the worst of theirs against ``target``,
     ``(ids, amplitudes, squared norm)``, both compiled in the plan table's ``score`` stage."""
@@ -427,27 +502,31 @@ def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]],
     table = tab.stage("score")
     rounds, last = [], None
     for k, (t, books) in enumerate(zip(ts, zip(*chains))):
-        if last is None or not all(map(operator.is_, books, last)):  # not a repeated round
+        if last is None or not all(map(is_, books, last)):  # not a repeated round
             last, fid = books, None
             if all(b.wins for b in books):
                 for b in books:
                     if b.error:
                         raise b.error[0](b.error[1])
                 key = (*[b.wins for b in books], tids)
-                ops, states, masks = table.get(key) or table.setdefault(key, _pairing(key[:-1]))
+                pairing = table.get(key)
+                if pairing is None:
+                    pairing = table[key] = _pairing(key[:-1])
+                ops, states, masks = pairing
                 amps = books[0].amps if len(books) == 1 else books[0].amps + books[1].amps
                 alive = None
                 if ops is not None:  # paired, then pruned
                     alive, amps = _survivors([amps[i] if j is None else 0.5 * (amps[i] + amps[j]) for i, j in ops])
-                spans, firsts, seconds, products = masks.get(alive) or masks.setdefault(alive, _fidelities(states, alive, tids))
-                norms = books[0].norms if ops is None else None
-                if norms is None:
-                    squares = [abs(a) ** 2 for a in amps]
-                    norms = list(map(sum, map(squares.__getitem__, spans)))
+                fidelities = masks.get(alive)
+                if fidelities is None:
+                    fidelities = masks[alive] = _fidelities(states, alive, tids)
+                spans, firsts, seconds, products = fidelities
+                squares = [abs(a) ** 2 for a in amps]
+                norms = list(map(sum, map(squares.__getitem__, spans)))
                 if min(norms) <= NORM_TOL**2 or tnorm <= NORM_TOL**2:
                     raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
-                inners = map(abs, _inners(amps + tamps, firsts, seconds, products))
-                fid = min(min(map(truediv, map(pow, inners, itertools.repeat(2)), map(mul, norms, itertools.repeat(tnorm)))), 1.0)
+                inners = _inners(amps + tamps, firsts, seconds, products)
+                fid = min(min([abs(v) ** 2 / (n * tnorm) for v, n in zip(inners, norms)]), 1.0)
             p_success = sum([b.p_success for b in books])
             p_recycle = sum([b.p_recycle for b in books])
         rounds.append(RoundResult(k + 1, t, p_success, p_recycle, fid))
@@ -457,9 +536,17 @@ def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]],
 # ---------------------------------------------------------------------------
 # entry points
 
-def execute(doc: CircuitDoc, ent: EntanglementParams | None = None, pol: PolarizationParams | None = None, *,
-            rounds: int = 1, accounting: str = "branch", model: DetectorModel | None = None,
-            t1: float | None = None, t2: float | None = None) -> ProtocolReport:
+def execute(
+    doc: CircuitDoc,
+    ent: EntanglementParams | None = None,
+    pol: PolarizationParams | None = None,
+    *,
+    rounds: int = 1,
+    accounting: str = "branch",
+    model: DetectorModel | None = None,
+    t1: float | None = None,
+    t2: float | None = None,
+) -> ProtocolReport:
     """Run a circuit document exactly and assemble the full report.
 
     ``t1`` and ``t2`` set the first-round transmittance parameters of the
@@ -492,7 +579,10 @@ def execute(doc: CircuitDoc, ent: EntanglementParams | None = None, pol: Polariz
 
     if plan.has_recycling:
         if t1 is not None or t2 is not None:
-            raise ConfigError("t1 and t2 do not apply to a recycling layout; its couplers follow the doubling schedule")
+            raise ConfigError(
+                "t1 and t2 do not apply to a recycling layout; "
+                "its couplers follow the doubling schedule"
+            )
         ts_plus = ts_minus = vbs_schedule(ent, rounds)
     else:
         if rounds != 1:
@@ -520,12 +610,15 @@ def execute(doc: CircuitDoc, ent: EntanglementParams | None = None, pol: Polariz
     if plan.split is not None:
         signal = split_terms(tab, signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
     if accounting == "branch":
-        chains = []  # each arm acts only on the component where the signal is not in the other arm
-        for arm in plan.arms:  # which ids hold no signal photon in another arm, kept per id
-            rows, others = tab.stage("restrict", arm.label), [a.signal_mode for a in plan.arms if a is not arm]
-            for p in signal.keys() - rows.keys():
-                rows[p] = all(pattern_count(tab.patterns[p], m) == 0 for m in others)
-            inp = {p: a for p, a in signal.items() if rows[p]}
+        # each arm acts only on the component where the signal is not in
+        # the other arm
+        chains = []
+        for arm in plan.arms:
+            others = [a.signal_mode for a in plan.arms if a is not arm]
+            inp = {
+                p: a for p, a in signal.items()
+                if all(pattern_count(tab.patterns[p], m) == 0 for m in others)
+            }
             chains.append(_run_chain(tab, [arm], inp, [schedule[arm.label]], bindings, model, plan.merge))
         eta_exponent = 1
     else:
@@ -535,9 +628,15 @@ def execute(doc: CircuitDoc, ent: EntanglementParams | None = None, pol: Polariz
     round_results = _rounds(tab, schedule["plus"], chains, target)
 
     report = ProtocolReport(
-        protocol=plan.protocol, accounting=accounting, alpha_sq=ent.alpha_sq,
-        gamma_sq=pol.gamma_sq if pol is not None else None, eta_p=model.eta_p, schedule=schedule,
-        rounds=round_results, p_total=sum(r.p_success for r in round_results), engine=_EXACT(eta_exponent),
+        protocol=plan.protocol,
+        accounting=accounting,
+        alpha_sq=ent.alpha_sq,
+        gamma_sq=pol.gamma_sq if pol is not None else None,
+        eta_p=model.eta_p,
+        schedule=schedule,
+        rounds=round_results,
+        p_total=sum(r.p_success for r in round_results),
+        engine=EngineInfo("exact", eta_exponent),
     )
     report.paper_comparison = _comparison(plan, report, pol, chains)
     return report
@@ -548,9 +647,15 @@ def _reads(texts) -> set[str]:
     return set().union(*(expr_variables(parse_expr(t)) for t in texts))
 
 
-def _effective_schedule(plan: Plan, bindings: dict, ts_plus: list[float], ts_minus: list[float]) -> dict:
-    """The report's ``schedule``: per arm label the transmittance its coupler expression gives in
-    each round, ``ts_plus``/``ts_minus`` bound to its parameters (``minus`` empty on one arm)."""
+def _effective_schedule(
+    plan: Plan,
+    bindings: dict[str, complex],
+    ts_plus: list[float],
+    ts_minus: list[float],
+) -> dict[str, list[float]]:
+    """The report's ``schedule``: per arm label the transmittance its coupler expression
+    gives in each round, with ``ts_plus``/``ts_minus`` bound to its parameters (``minus``
+    empty on a one-arm layout)."""
     eff: dict[str, list[float]] = {"plus": [], "minus": []}
     round_bindings = dict(bindings)
     for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus)):
@@ -567,7 +672,12 @@ def _effective_schedule(plan: Plan, bindings: dict, ts_plus: list[float], ts_min
     return eff
 
 
-def _comparison(plan: Plan, report: ProtocolReport, pol: PolarizationParams | None, chains: list) -> dict:
+def _comparison(
+    plan: Plan,
+    report: ProtocolReport,
+    pol: PolarizationParams | None,
+    chains: list[list[_ChainRound]],
+) -> dict[str, dict[str, float]]:
     """The published closed forms against the simulated values.  Two facts decide the entries: a
     one-arm ecp2 run without polarization is scored only against its round series, and a
     two-arm polarized branch run adds the per-arm entries of its protocol (one chain per arm)."""
@@ -598,22 +708,38 @@ def _comparison(plan: Plan, report: ProtocolReport, pol: PolarizationParams | No
             out["claimed_branch_sum"] = comparison_entry(3.0 * a2 * (1.0 - a2) * factor, report.p_total)
     out["claimed_total"] = comparison_entry(claimed_total(a2) * factor, report.p_total)
     if ecp2:
-        out["stripped_series_total"] = comparison_entry(sum(round_success_series(a2, factor, len(report.rounds))), report.p_total)
+        out["stripped_series_total"] = comparison_entry(
+            sum(round_success_series(a2, factor, len(report.rounds))), report.p_total
+        )
     if pol is not None and report.accounting == "joint":
         out["predicted_joint_total"] = comparison_entry(joint_total_one_round(a2) * factor, report.p_total)
     return out
 
 
-
-def run_ecp1(ent: EntanglementParams, pol: PolarizationParams | None = None, *, t1: float | None = None,
-             t2: float | None = None, accounting: str = "branch", model: DetectorModel | None = None) -> ProtocolReport:
+def run_ecp1(
+    ent: EntanglementParams,
+    pol: PolarizationParams | None = None,
+    *,
+    t1: float | None = None,
+    t2: float | None = None,
+    accounting: str = "branch",
+    model: DetectorModel | None = None,
+) -> ProtocolReport:
     """Single-round linear-optics concentration (polarized or stripped)."""
     doc = builtin_doc("ecp1" if pol is not None else "ecp1_stripped")
-    return execute(doc, ent, pol, rounds=1, accounting=accounting, model=model, t1=t1, t2=t2)
+    return execute(
+        doc, ent, pol, rounds=1, accounting=accounting, model=model, t1=t1, t2=t2
+    )
 
 
-def run_ecp2(ent: EntanglementParams, pol: PolarizationParams | None = None, *, rounds: int = 1,
-             accounting: str = "branch", model: DetectorModel | None = None) -> ProtocolReport:
+def run_ecp2(
+    ent: EntanglementParams,
+    pol: PolarizationParams | None = None,
+    *,
+    rounds: int = 1,
+    accounting: str = "branch",
+    model: DetectorModel | None = None,
+) -> ProtocolReport:
     """Nondemolition-assisted concentration with recycling rounds."""
     doc = builtin_doc("ecp2" if pol is not None else "ecp2_stripped")
     return execute(doc, ent, pol, rounds=rounds, accounting=accounting, model=model)

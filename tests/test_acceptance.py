@@ -156,7 +156,7 @@ def test_criterion_04_recycling_recursion():
             )
             results = _run_chain(
                 plan.table, [arm], plan.table.of(inp), [list(vbs_schedule(ent, 5))],
-                _bindings(ent, pol), DetectorModel(),
+                _bindings(ent, pol), DetectorModel(), plan.merge,
             )
             for k, res in enumerate(results, start=1):
                 a_scale = ent.alpha_sq ** (2**k / 2)

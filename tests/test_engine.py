@@ -379,7 +379,7 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     assert _table_keys(tab) == warm  # new parameter values add no entry
     assert not any(_holds_float(k) for k in warm)
     assert {stage[0] for stage in tab.stages} <= {
-        "chain", "round", "pbs split", "pbs merge", "point", "restrict", "score"}
+        "chain", "round", "pbs split", "pbs merge", "point", "score"}
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
 
@@ -670,11 +670,9 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
             got = _outcome(lambda: _score(tab, program, vals, factor, ports))
             want = _outcome(lambda: _dict_score(tab, program[4], vals, factor, ports))
             if isinstance(got, str):
-                p_win, wins, amps, error, p_rec, nxt, norms = _score(tab, program, vals, factor, ports)
-                book = _ChainRound(p_win, p_rec, wins, amps, nxt, error, norms)
+                p_win, wins, amps, error, p_rec, nxt = _score(tab, program, vals, factor, ports)
+                book = _ChainRound(p_win, p_rec, wins, amps, nxt, error)
                 got = repr((p_win, _states(book), p_rec, nxt))
-                if norms is not None:  # kept only when they are the states' squared norms
-                    assert repr(norms) == repr([terms_norm_sq(state) for state in _states(book)])
             assert got == want
             outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
@@ -683,10 +681,10 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
         # the recorded wins, reweighted, and with shared plus and minus ids near cancelling
         variants = [chains]
         for scale in (1.0, -1.0 + 1.01 * PRUNE_EPS):
-            variants.append([[dataclasses.replace(b, amps=[a * scale if i else a for a in b.amps], norms=None)
+            variants.append([[dataclasses.replace(b, amps=[a * scale if i else a for a in b.amps])
                               for b in chain] for i, chain in enumerate(chains)])
-        variants.append([[dataclasses.replace(b, amps=[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps],
-                                              norms=None) for b in chain] for chain in chains])
+        variants.append([[dataclasses.replace(b, amps=[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps])
+                          for b in chain] for chain in chains])
         for chains in variants:
             got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(tab, ts, chains, target)])
             assert got == _outcome(lambda: _dict_rounds(ts, chains, target))
@@ -708,8 +706,8 @@ def test_the_merge_scale_and_its_prune_match_merge_terms():
     edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # pruned once merged
     sizes = []
     for values in ([0.3 + 0.4j, -0.5j], [edge, 0.6 + 0.0j], [0.7 + 0.1j, edge]):
-        p_win, wins, amps, error, p_rec, nxt, norms = _score(tab, program, values, 0.8, ports)
-        book = _ChainRound(p_win, p_rec, wins, amps, nxt, error, norms)
+        p_win, wins, amps, error, p_rec, nxt = _score(tab, program, values, 0.8, ports)
+        book = _ChainRound(p_win, p_rec, wins, amps, nxt, error)
         assert repr((p_win, _states(book), p_rec, nxt)) == repr(_dict_score(tab, program[4], values, 0.8, ports))
         sizes.append(len(_states(book)[0]))
     assert sizes == [2, 1, 2]  # the merge prune drops the edge amplitude on the two-photon id only

@@ -133,7 +133,7 @@ def test_recycled_residual_tracks_the_squared_ratio():
     arm = plan.arms[0]
     arm_input = split.filtered(lambda p: pattern_count(p, "b3") == 0)
     ts = list(vbs_schedule(ent, 5))
-    results = _run_chain(plan.table, [arm], plan.table.of(arm_input), [ts], bindings, DetectorModel())
+    results = _run_chain(plan.table, [arm], plan.table.of(arm_input), [ts], bindings, DetectorModel(), plan.merge)
     for k, res in enumerate(results, start=1):
         scale = ent.alpha_sq ** (2 ** k / 2)  # alpha to the 2^k
         bscale = ent.beta_sq ** (2 ** k / 2)
