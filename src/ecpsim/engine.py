@@ -194,7 +194,8 @@ def _aligned(first: list, second: list) -> tuple:
 
 def _inners(values: list, firsts: tuple, seconds: tuple, spans: tuple):
     """Per span, ``sum(values[i].conjugate() * values[j], 0j)`` over its ``(firsts, seconds)``."""
-    products = list(map(mul, map(complex.conjugate, map(values.__getitem__, firsts)), map(values.__getitem__, seconds)))
+    conjugates = map(complex.conjugate, map(values.__getitem__, firsts))
+    products = list(map(mul, conjugates, map(values.__getitem__, seconds)))
     return map(sum, map(products.__getitem__, spans), itertools.repeat(0j))
 
 
@@ -217,9 +218,11 @@ def _chain(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None) -> tu
         qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
         photons = []
         for a in arms:
-            photon = _photon(tab, a.aux_sources)
-            photons.append((photon, {x: tuple(tab.intern((((m, pol), 1),)) for m in (a.vbs.reflect, a.vbs.transmit))
-                                     for x in photon[1] for [((_, pol), _)] in [tab.patterns[x]]}))
+            photon, outputs = _photon(tab, a.aux_sources), {}
+            for x in photon[1]:
+                [((_, pol), _)] = tab.patterns[x]
+                outputs[x] = tuple(tab.intern((((m, pol), 1),)) for m in (a.vbs.reflect, a.vbs.transmit))
+            photons.append((photon, outputs))
         chains[labels, ports] = (couplers, setup, qnds, photons, ports, tab.stage("round", labels, ports))
     return chains[labels, ports]
 
@@ -309,14 +312,25 @@ def _scoring(tab: PatternTable, sides: tuple, alive: tuple | None, ports: tuple)
             entries.append((start, pos, mixture, ids, error))
         out.append(tuple(entries))
     won, recycled = out
-    return won, recycled, {}, (tuple(zip(*scale)) or ((), ())) if ports else None
+    if not ports:
+        return won, recycled, {}, None
+    return won, recycled, {}, tuple(zip(*scale)) or ((), ())
 
 
-def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports: tuple) -> tuple:
-    """``(p_success, wins, amps, error, p_recycle, recycle_next)`` of a round's slot ``values``: each
-    signature weighs its surviving squares, summed in order; each win merges as ``(a * N) / n``,
-    pruned (``wins`` its ids, ``amps`` its amplitudes, one state after the other); the recycle
-    signatures give the next round's input (``_continuation``)."""
+@dataclass(slots=True)
+class _ChainRound:
+    p_success: float
+    p_recycle: float
+    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises)
+    amps: list  # their amplitudes, one state after the other
+    recycle_next: dict[int, complex]  # the next round's input, by pattern id
+    error: tuple | None  # (type, message) of the first win's merge error
+
+
+def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports: tuple) -> _ChainRound:
+    """The round of slot ``values``: each signature weighs its surviving squares, summed in order;
+    each win merges as ``(a * N) / n``, pruned; the recycle signatures give the next round's input
+    (``_continuation``)."""
     *_, sides, scores = program
     mags = list(map(abs, values))
     alive = None
@@ -356,7 +370,8 @@ def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports
                 raise _mixture(mixture)
             again.append((weight, i))
     p_rec = sum([w for w, _ in again], 0.0)
-    return p_win, tuple(wins), amps, error, p_rec, _continuation(values, recycled, agreements, again, p_rec)
+    recycle_next = _continuation(values, recycled, agreements, again, p_rec)
+    return _ChainRound(p_win, p_rec, tuple(wins), amps, recycle_next, error)
 
 
 def _continuation(values: list, recycled: tuple, agreements: dict, again: list, weight: float) -> dict:
@@ -370,8 +385,8 @@ def _continuation(values: list, recycled: tuple, agreements: dict, again: list, 
     for n, j in rest:
         aligned = agreements.get((i, j))
         if aligned is None:
-            other = recycled[j]
-            aligned = agreements[i, j] = _aligned(list(enumerate(ids, start)), list(enumerate(other[3], other[0])))
+            other_start, _, _, other_ids, _ = recycled[j]
+            aligned = agreements[i, j] = _aligned(list(enumerate(ids, start)), list(enumerate(other_ids, other_start)))
         if n0 <= NORM_TOL**2 or n <= NORM_TOL**2:
             raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
         firsts, seconds = aligned
@@ -388,16 +403,6 @@ def _continuation(values: list, recycled: tuple, agreements: dict, again: list, 
 
 def _mixture(sig: tuple) -> PolarizationMixtureError:
     return PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
-
-
-@dataclass(slots=True)
-class _ChainRound:
-    p_success: float
-    p_recycle: float
-    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises)
-    amps: list  # their amplitudes, one state after the other
-    recycle_next: dict[int, complex]  # the next round's input, by pattern id
-    error: tuple | None  # (type, message) of the first win's merge error
 
 
 def _run_chain(
@@ -437,8 +442,9 @@ def _run_chain(
         shape, vals = [tuple(current)], list(current.values())
         for i, (arm, t) in enumerate(zip(arms, ts)):
             if auxes[i] is None:  # the same photon every round: its output ids and amplitudes
-                terms = _terms(photons[i][0], bindings)
-                auxes[i] = tuple(x for p in terms for x in photons[i][1][p]), [a for a in terms.values() for _ in "rt"]
+                photon, outputs = photons[i]
+                terms = _terms(photon, bindings)
+                auxes[i] = tuple(x for p in terms for x in outputs[p]), [a for a in terms.values() for _ in "rt"]
             rs = vbs_coefficients(arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
             keep, cs = _survivors(list(map(mul, auxes[i][1], itertools.cycle(rs))))  # sqrt(1-t), sqrt(t)
             xs = auxes[i][0] if keep is None else tuple(itertools.compress(auxes[i][0], keep))
@@ -451,8 +457,8 @@ def _run_chain(
         _, index, coef, spans, _, _ = program
         terms = list(map(mul, map(vals.__getitem__, index), coef))
         values = list(map(sum, map(terms.__getitem__, spans), itertools.repeat(0j)))
-        p_win, wins, amps, error, p_rec, current = _score(tab, program, values, factor, ports)
-        results.append(_ChainRound(p_win, p_rec, wins, amps, current, error))
+        results.append(_score(tab, program, values, factor, ports))
+        current = results[-1].recycle_next
     return results
 
 

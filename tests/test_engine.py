@@ -22,7 +22,6 @@ from ecpsim.elements import bs_rules, merge_terms, vbs_coefficients, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
-    _ChainRound,
     _photon,
     _rounds,
     _run_chain,
@@ -670,9 +669,8 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
             got = _outcome(lambda: _score(tab, program, vals, factor, ports))
             want = _outcome(lambda: _dict_score(tab, program[4], vals, factor, ports))
             if isinstance(got, str):
-                p_win, wins, amps, error, p_rec, nxt = _score(tab, program, vals, factor, ports)
-                book = _ChainRound(p_win, p_rec, wins, amps, nxt, error)
-                got = repr((p_win, _states(book), p_rec, nxt))
+                book = _score(tab, program, vals, factor, ports)
+                got = repr((book.p_success, _states(book), book.p_recycle, book.recycle_next))
             assert got == want
             outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
@@ -706,9 +704,9 @@ def test_the_merge_scale_and_its_prune_match_merge_terms():
     edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # pruned once merged
     sizes = []
     for values in ([0.3 + 0.4j, -0.5j], [edge, 0.6 + 0.0j], [0.7 + 0.1j, edge]):
-        p_win, wins, amps, error, p_rec, nxt = _score(tab, program, values, 0.8, ports)
-        book = _ChainRound(p_win, p_rec, wins, amps, nxt, error)
-        assert repr((p_win, _states(book), p_rec, nxt)) == repr(_dict_score(tab, program[4], values, 0.8, ports))
+        book = _score(tab, program, values, 0.8, ports)
+        got = (book.p_success, _states(book), book.p_recycle, book.recycle_next)
+        assert repr(got) == repr(_dict_score(tab, program[4], values, 0.8, ports))
         sizes.append(len(_states(book)[0]))
     assert sizes == [2, 1, 2]  # the merge prune drops the edge amplitude on the two-photon id only
 
