@@ -26,9 +26,7 @@ from .engine import ConfigError, execute
 from .fock import DegenerateStateError, FockError
 from .formulas import round_success_series
 from .measurement import DetectorModel
-from .montecarlo import DEFAULT_TRIALS, estimate_series_total, run_monte_carlo
-from .params import EntanglementParams, ParameterError, PolarizationParams
-from .verify import all_passed, run_checks, summary
+from .params import DEFAULT_TRIALS, EntanglementParams, ParameterError, PolarizationParams
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -149,6 +147,8 @@ def _cmd_run(args) -> int:
         else None
     )
     if args.engine == "monte_carlo":
+        from .montecarlo import run_monte_carlo  # the sampler loads only for sampled runs
+
         if args.circuit:
             raise ConfigError("sampled runs use the built-in layouts")
         if ent is None:
@@ -201,6 +201,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("empty entanglement grid")
     import numpy as np  # only the sampler needs numpy; exact runs skip its import
 
+    from .montecarlo import estimate_series_total
+
     children = np.random.SeedSequence(seed).spawn(len(values))
     rows = []
     for a2, child in zip(values, children):
@@ -226,6 +228,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import all_passed, run_checks, summary
+
     _check_eta(args.eta)
     seed = _seed(args)
     results = run_checks(

@@ -31,11 +31,12 @@ lists, whose amplitudes a point evaluates; per round shape (input ids,
 auxiliary photon ids, surviving products) one slot program, kept beside
 the coupler rules it bakes in, each slot summing product amplitudes times
 the coefficients of the couplers, herald and flips; inside it, per set of
-surviving slots, the round's scoring (each click signature's slots,
-residual ids and merge relabel, the recycle agreement's products); per
-round's win ids, the pairing and the products with the target.  A point
-computes only amplitudes, with the prunes, summation order and errors of
-the dict path these replace.
+surviving slots, the whole round as one generated function (``_kernel``)
+that sums the slots, weighs each click signature, merges the wins and
+checks and rescales the recycle continuation as straight-line code on
+locals; per round's win ids, the pairing and the products with the
+target.  A point computes only amplitudes, with the prunes, summation
+order and errors of the dict path these replace.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds send the auxiliary photon through its
@@ -51,7 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import is_, mul, truediv
+from operator import is_, mul
 from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
@@ -265,8 +266,8 @@ def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup)
 
 
 def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: tuple) -> tuple:
-    """``(index, coef, spans, sides)`` of a round of product ``shape``: slot s (an output id) sums
-    ``product[index[j]] * coef[j]`` over j in ``spans[s]``; the slots run by side, signature (sorted)
+    """``(products, slots, sides)`` of a round of product ``shape``: slot s (an output id) sums its
+    ``(product index, coefficient)`` pairs ``slots[s]``; the slots run by side, signature (sorted)
     and first touch, ``sides`` listing each signature and its residual ids."""
     _, setup, qnds, *_ = chain
     products = [(w,) for w in shape[0]]
@@ -282,39 +283,7 @@ def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: tuple) -> tuple
     sides: tuple[list, list] = ([], [])
     for (route, sig), run in itertools.groupby(order, key=lambda slot: slot[:2]):
         sides[route].append((sig, tuple(q for *_, q in run)))
-    flat = [ic for slot in order for ic in slots[slot]]
-    return (tuple(i for i, _ in flat), tuple(c for _, c in flat),
-            _spans([slots[slot] for slot in order]), tuple(map(tuple, sides)))
-
-
-def _scoring(tab: PatternTable, sides: tuple, alive: tuple | None, ports: tuple) -> tuple:
-    """``(won, recycled, agreements, scale)`` of a round whose slots survive where ``alive`` (None:
-    all).  Per side, each signature's ``(start, stop, mixture, ids, error)``: the span of its
-    surviving slots; itself if two of them share a residual id (a mixture), else None; their
-    residual ids, on the won side merged by ``ports``; and on the won side the merge's
-    ``(type, message)`` if it raises (ids then None).  ``agreements`` is filled by ``_continuation``;
-    ``scale`` holds sqrt(N_out!) and sqrt(n_in!) per won slot (None without a merge)."""
-    out, at, pos, scale = [], 0, 0, []
-    for route, side in enumerate(sides):
-        entries = []
-        for sig, qs in side:
-            ids = tuple(q for i, q in enumerate(qs, at) if alive is None or alive[i])
-            start, at, pos = pos, at + len(qs), pos + len(ids)
-            mixture = sig if len(set(ids)) < len(ids) else None
-            error = None
-            if ports and route == 0:
-                try:
-                    stage = merge_relabels(tab, ids, *ports)
-                except (PortContractError, ModeCollisionError) as exc:
-                    error, stage = (type(exc), str(exc)), dict.fromkeys(ids, (None, 1.0, 1.0))
-                scale += [stage[q][1:] for q in ids]
-                ids = None if error else tuple(stage[q][0] for q in ids)
-            entries.append((start, pos, mixture, ids, error))
-        out.append(tuple(entries))
-    won, recycled = out
-    if not ports:
-        return won, recycled, {}, None
-    return won, recycled, {}, tuple(zip(*scale)) or ((), ())
+    return len(products), tuple(tuple(slots[slot]) for slot in order), tuple(map(tuple, sides))
 
 
 @dataclass(slots=True)
@@ -327,78 +296,116 @@ class _ChainRound:
     error: tuple | None  # (type, message) of the first win's merge error
 
 
-def _score(tab: PatternTable, program: tuple, values: list, factor: float, ports: tuple) -> _ChainRound:
-    """The round of slot ``values``: each signature weighs its surviving squares, summed in order;
-    each win merges as ``(a * N) / n``, pruned; the recycle signatures give the next round's input
-    (``_continuation``)."""
-    *_, sides, scores = program
-    mags = list(map(abs, values))
-    alive = None
-    if mags and min(mags) < PRUNE_EPS:  # the prune after the last coupler
-        alive = tuple([m >= PRUNE_EPS for m in mags])
-        values, mags = list(itertools.compress(values, alive)), list(itertools.compress(mags, alive))
-    scoring = scores.get(alive)
-    if scoring is None:
-        scoring = scores[alive] = _scoring(tab, sides, alive, ports)
-    won, recycled, agreements, scale = scoring
-    squares = [m**2 for m in mags]
-    merged, pruned = values[:won[-1][1]] if won else [], False
-    if scale is not None:  # the merge, then its prune
-        merged = list(map(truediv, map(mul, merged, scale[0]), scale[1]))
-        pruned = bool(merged) and min(map(abs, merged)) < PRUNE_EPS
-    p_win, wins, amps, error = 0.0, [], [], None
-    for start, stop, mixture, ids, err in won:
-        weight = sum(squares[start:stop])
-        if weight > PRUNE_EPS**2:
-            if mixture is not None:
-                raise _mixture(mixture)
-            p_win += weight * factor
-            if err is not None:  # raised where every chain of the round has a win
-                error = error or err
-            elif pruned:
-                keep, win = _survivors(merged[start:stop])
-                ids = ids if keep is None else tuple(itertools.compress(ids, keep))
-                amps += win
-            else:
-                amps += merged[start:stop]
-            wins.append(ids)
-    again = []  # (weight, index) of each recycle signature that weighs enough
-    for i, (start, stop, mixture, _, _) in enumerate(recycled):
-        weight = sum(squares[start:stop])
-        if weight > PRUNE_EPS**2:
-            if mixture is not None:
-                raise _mixture(mixture)
-            again.append((weight, i))
-    p_rec = sum([w for w, _ in again], 0.0)
-    recycle_next = _continuation(values, recycled, agreements, again, p_rec)
-    return _ChainRound(p_win, p_rec, tuple(wins), amps, recycle_next, error)
+def _round_kernel(tab: PatternTable, program: tuple, ports: tuple, alive: tuple | None):
+    """``program``'s round function for the slots that survive where ``alive`` (None: all of
+    them), generated (``_kernel``) once per program and key."""
+    kernels = program[-1]
+    kernel = kernels.get(alive)
+    if kernel is None:
+        kernel = kernels[alive] = _kernel(tab, program, alive, ports)
+    return kernel
 
 
-def _continuation(values: list, recycled: tuple, agreements: dict, again: list, weight: float) -> dict:
-    """The next round's input: the first of the recycle signatures ``again`` rescaled to ``weight``
-    and pruned, once every later one agrees with it after correction (its products with the
-    first, ``_aligned``, kept in ``agreements`` per pair of signatures)."""
-    if not again:
-        return {}
-    (n0, i), *rest = again
-    start, stop, _, ids, _ = recycled[i]
-    for n, j in rest:
-        aligned = agreements.get((i, j))
-        if aligned is None:
-            other_start, _, _, other_ids, _ = recycled[j]
-            aligned = agreements[i, j] = _aligned(list(enumerate(ids, start)), list(enumerate(other_ids, other_start)))
-        if n0 <= NORM_TOL**2 or n <= NORM_TOL**2:
-            raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
-        firsts, seconds = aligned
-        conjugates = map(complex.conjugate, map(values.__getitem__, firsts))
-        inner = sum(map(mul, conjugates, map(values.__getitem__, seconds)), 0j)
-        if min(abs(inner) ** 2 / (n0 * n), 1.0) < 1.0 - RECYCLE_AGREEMENT_TOL:
-            raise RuntimeError(
-                "recycle click patterns disagree after correction; "
-                "feed-forward rules are inconsistent with the coupler convention"
-            )
-    scale = math.sqrt(weight / n0)
-    return {q: v for q, a in zip(ids, values[start:stop]) if abs(v := a * scale) >= PRUNE_EPS}
+def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple):
+    """``kernel(products, factor) -> _ChainRound``: ``program``'s round, its slots surviving where
+    ``alive``, written out as straight-line Python and compiled.  Slot s is ``0j + p*c + ...`` in
+    the order of ``slots[s]``; with ``alive`` None a slot under PRUNE_EPS hands the products to
+    the function of the slots that survive.  Each signature weighs its surviving squares; one that
+    weighs more than PRUNE_EPS**2 raises if two of its slots share a residual id (a mixture), else
+    a win adds ``weight * factor`` and its state, merged by ``ports`` as ``(a * N) / n`` and
+    pruned, or keeps the merge's ``(type, message)``; the first recycle signature that weighs
+    enough, once each later one agrees with it after correction (``_aligned``), is rescaled to
+    their summed weight and pruned: the next round's input.  Coefficients, scales and ids are
+    bound by name in a closure, never printed; no source is kept."""
+    _, products, slots, sides, _ = program
+    consts = {"TAB": tab, "PROGRAM": program, "PORTS": ports, "EPS2": PRUNE_EPS**2,
+              "NORM2": NORM_TOL**2, "AGREE": 1.0 - RECYCLE_AGREEMENT_TOL}
+
+    def const(value) -> str:
+        consts[name := f"k{len(consts)}"] = value
+        return name
+
+    live = [s for s in range(len(slots)) if alive is None or alive[s]]
+    code = [f"{''.join(f'p{i}, ' for i in range(products))}= v"] if products else []
+    for s in live:
+        code += [f"s{s} = 0j{''.join(f' + p{i} * {const(c)}' for i, c in slots[s])}", f"m{s} = abs(s{s})"]
+    if alive is None and live:
+        code += [f"if {' or '.join(f'm{s} < PRUNE_EPS' for s in live)}:  # the prune after the last coupler",
+                 f"    alive = tuple([m >= PRUNE_EPS for m in ({''.join(f'm{s}, ' for s in live)})])",
+                 "    return _round_kernel(TAB, PROGRAM, PORTS, alive)(v, factor)"]
+    signatures, at = [], 0  # per side, each signature's (signature, [(slot, residual id)] surviving)
+    for side in sides:
+        signatures.append([])
+        for sig, qs in side:
+            signatures[-1].append((sig, [(s, q) for s, q in enumerate(qs, at) if alive is None or alive[s]]))
+            at += len(qs)
+    code.append("p_win, wins, amps, error = 0.0, [], [], None")
+    for sig, kept in signatures[0]:
+        ids = tuple(q for _, q in kept)
+        error = None
+        if ports:
+            try:
+                stage = merge_relabels(tab, ids, *ports)
+            except (PortContractError, ModeCollisionError) as exc:
+                error = (type(exc), str(exc))
+        if not kept:
+            continue
+        w = f"w{kept[0][0]}"
+        code += [f"{w} = {' + '.join(f'm{s}**2' for s, _ in kept)}", f"if {w} > EPS2:"]
+        if len(set(ids)) < len(ids):
+            code.append(f"    raise _mixture({const(sig)})")
+            continue
+        code.append(f"    p_win += {w} * factor")
+        if error:  # raised where every chain of the round has a win
+            code += [f"    error = error or {const(error)}", "    wins.append(None)"]
+        elif ports:  # the merge, then its prune
+            us = "".join(f"u{s}, " for s, _ in kept)
+            merged = const(tuple(stage[q][0] for q in ids))
+            code += [f"    u{s} = (s{s} * {const(stage[q][1])}) / {const(stage[q][2])}" for s, q in kept]
+            code += [f"    if {' and '.join(f'abs(u{s}) >= PRUNE_EPS' for s, _ in kept)}:",
+                     f"        wins.append({merged})",
+                     f"        amps += ({us})",
+                     "    else:",
+                     f"        keep, win = _survivors([{us}])",
+                     f"        wins.append(tuple(itertools.compress({merged}, keep)))",
+                     "        amps += win"]
+        else:
+            code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in kept)})"]
+    again = []  # each recycle signature that can continue: its weight's name and surviving slots
+    for sig, kept in signatures[1]:
+        if not kept:
+            continue
+        r = f"r{kept[0][0]}"
+        code.append(f"{r} = {' + '.join(f'm{s}**2' for s, _ in kept)}")
+        if len({q for _, q in kept}) < len(kept):
+            code.append(f"if {r} > EPS2: raise _mixture({const(sig)})")
+        else:
+            again.append((r, kept))
+    for i, (r, kept) in enumerate(again):  # the first that weighs enough continues
+        code += [f"{'elif' if i else 'if'} {r} > EPS2:", f"    p_rec = 0.0 + {r}"]
+        for other, other_kept in again[i + 1:]:
+            firsts, seconds = _aligned(kept, other_kept)
+            code += [f"    if {other} > EPS2:",
+                     f"        p_rec += {other}",
+                     f"        if {r} <= NORM2 or {other} <= NORM2:",
+                     "            raise DegenerateStateError('fidelity of a (near-)zero state is undefined')",
+                     f"        inner = 0j{''.join(f' + s{a}.conjugate() * s{b}' for a, b in zip(firsts, seconds))}",
+                     f"        if min(abs(inner) ** 2 / ({r} * {other}), 1.0) < AGREE:",
+                     "            raise RuntimeError(_DISAGREE)"]
+        code += [f"    scale = math.sqrt(p_rec / {r})", "    nxt = {}"]
+        for s, q in kept:
+            code += [f"    x = s{s} * scale", f"    if abs(x) >= PRUNE_EPS: nxt[{const(q)}] = x"]
+    code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]
+    code.append("return _ChainRound(p_win, p_rec, tuple(wins), amps, nxt, error)")
+    source = (f"def make({', '.join(consts)}):\n    def kernel(v, factor):\n"
+              + "".join(f"        {line}\n" for line in code) + "    return kernel\n")
+    namespace: dict = {}
+    exec(compile(source, "<round kernel>", "exec"), globals(), namespace)
+    return namespace["make"](**consts)
+
+
+_DISAGREE = ("recycle click patterns disagree after correction; "
+             "feed-forward rules are inconsistent with the coupler convention")
 
 
 def _mixture(sig: tuple) -> PolarizationMixtureError:
@@ -454,10 +461,7 @@ def _run_chain(
         program = programs.get(shape)
         if program is None or program[0] != rules:  # never serve another coupler matrix
             program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
-        _, index, coef, spans, _, _ = program
-        terms = list(map(mul, map(vals.__getitem__, index), coef))
-        values = list(map(sum, map(terms.__getitem__, spans), itertools.repeat(0j)))
-        results.append(_score(tab, program, values, factor, ports))
+        results.append(_round_kernel(tab, program, ports, None)(vals, factor))
         current = results[-1].recycle_next
     return results
 

@@ -26,13 +26,12 @@ from typing import TYPE_CHECKING
 
 from .circuits import builtin_doc
 from .engine import ConfigError, execute, run_ecp2
-from .params import EntanglementParams, PolarizationParams
+from .params import DEFAULT_TRIALS, EntanglementParams, PolarizationParams
 from .report import EngineInfo, ProtocolReport, RoundResult
 
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_TRIALS = 100_000
 MAX_TRIALS = 10**15  # keeps every count well inside numpy's int64 binomial
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 from .fock import NORM_TOL
 
+DEFAULT_TRIALS = 100_000  # sampled trials per run when none are given
+
 
 class ParameterError(ValueError):
     pass

@@ -301,16 +301,22 @@ def test_run_past_the_doubling_overflow(capsys):
 
 
 def test_exact_runs_do_not_import_numpy(tmp_path):
+    # nor does building the shipped circuits load the engine, or an exact run the oracle or
+    # the checks: each command imports only what it uses
     code = (
         "import sys\n"
-        "import ecpsim, ecpsim.cli\n"
+        "import ecpsim\n"
+        "docs = [ecpsim.builtin_doc(name) for name in ecpsim.BUILTIN_NAMES]\n"
+        "engine = 'ecpsim.engine' in sys.modules\n"
+        "import ecpsim.cli\n"
         "after_import = 'numpy' in sys.modules\n"
         "rc = ecpsim.cli.main(['run', '--alpha-sq', '0.6'])\n"
-        "print(after_import, 'numpy' in sys.modules, rc, file=sys.stderr)\n"
+        "checks = {'ecpsim.oracle', 'ecpsim.verify'} & sys.modules.keys()\n"
+        "print(after_import, 'numpy' in sys.modules, rc, engine, sorted(checks), file=sys.stderr)\n"
     )
     proc = run_checkout(tmp_path, "-c", code)
     assert proc.returncode == 0
-    assert proc.stderr.split() == ["False", "False", "0"]
+    assert proc.stderr.split() == ["False", "False", "0", "False", "[]"]
 
 
 def test_bad_flag_exits_3(tmp_path):

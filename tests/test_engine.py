@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import linecache
 import math
 import random
 
@@ -23,9 +24,9 @@ from ecpsim.engine import (
     ConfigError,
     TopologyError,
     _photon,
+    _round_kernel,
     _rounds,
     _run_chain,
-    _score,
     _terms,
     analyze,
     execute,
@@ -328,8 +329,8 @@ def test_reports_of_240_seeded_points_are_pinned():
 
 def _table_keys(tab):
     """Every key of a plan's pattern table: interned patterns, stages, and every key of a
-    table inside a stage entry (round programs, their scoring, pairings), at any depth; the
-    coupler rules a program keeps are keyed on modes and not walked."""
+    table inside a stage entry (round programs, their round functions by surviving slots,
+    pairings), at any depth; the coupler rules a program keeps are keyed on modes and not walked."""
     keys = list(tab.ids)
 
     def walk(entry):
@@ -344,6 +345,12 @@ def _table_keys(tab):
         keys.append(stage)
         walk(table)
     return keys
+
+
+def _kernels(tab):
+    """Each round program's generated functions, by program and surviving-slot key."""
+    return {(shape, alive): kernel for stage, table in tab.stages.items() if stage[0] == "round"
+            for shape, program in table.items() for alive, kernel in program[-1].items()}
 
 
 def _holds_float(key):
@@ -374,8 +381,11 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     tab = analyze(builtin_doc(name)).table
     _run_batch(name, seed=1)
     warm = _table_keys(tab)
+    kernels = _kernels(tab)
     _run_batch(name, seed=2)
     assert _table_keys(tab) == warm  # new parameter values add no entry
+    assert _kernels(tab) == kernels and any(alive is None for _, alive in kernels)  # nor a round function
+    assert "<round kernel>" not in linecache.cache  # whose source is not kept
     assert not any(_holds_float(k) for k in warm)
     assert {stage[0] for stage in tab.stages} <= {
         "chain", "round", "pbs split", "pbs merge", "point", "score"}
@@ -397,11 +407,11 @@ def test_report_templates_are_keyed_on_structure_only(name):
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_a_warm_point_runs_no_transform(name, monkeypatch):
     # after warm-up a point compiles nothing: the split and the merge are
-    # relabels, every round and its scoring a stored program, sources and
+    # relabels, every round a stored program and generated function, sources and
     # target compiled id lists, and no chain builds CheckedRules or
     # DetectorGroups, walks an expression tree or scores through dicts
     _run_batch(name, seed=1)
-    counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk"), 0)
+    counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk", "kernel"), 0)
 
     def counted(key, original):
         def call(*args, **kwargs):
@@ -417,6 +427,7 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(ecpsim.fock, "terms_fidelity", counted("fidelity", ecpsim.fock.terms_fidelity))
     monkeypatch.setattr(PatternTable, "photon", counted("photon", PatternTable.photon))
     monkeypatch.setattr(ecpsim.dsl, "_compile", counted("walk", ecpsim.dsl._compile))
+    monkeypatch.setattr(ecpsim.engine, "_kernel", counted("kernel", ecpsim.engine._kernel))
     assert not {"merge_terms", "terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # none bound here
     _run_batch(name, seed=2)
     assert counts == dict.fromkeys(counts, 0)
@@ -503,9 +514,9 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         calls.append(args)
         return _run_chain(*args)
 
-    def score(tab, program, values, factor, ports):
-        pruned_outputs.append(min(map(abs, values), default=1.0) < PRUNE_EPS)
-        return _score(tab, program, values, factor, ports)
+    def kernel(tab, program, ports, alive):
+        pruned_outputs.append(alive is not None)
+        return _round_kernel(tab, program, ports, alive)
 
     monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
     polarized = not name.endswith("_stripped")
@@ -514,7 +525,7 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
         model=DetectorModel(eta_p=0.8),
     )
-    monkeypatch.setattr(ecpsim.engine, "_score", score)
+    monkeypatch.setattr(ecpsim.engine, "_round_kernel", kernel)
     assert calls
     rng = random.Random(7)
     compared = mixtures = pruned_products = 0
@@ -644,15 +655,46 @@ def _reweighted(values, rng):
     return out
 
 
+def _dict_slots(slots, products):
+    """The slot gather the round functions replaced: per slot its products times coefficients,
+    summed from 0j."""
+    return [sum([products[i] * c for i, c in terms], 0j) for terms in slots]
+
+
+def _identity(sides, count):
+    """A program of ``sides`` whose slot s is product s (times 1.0)."""
+    return (None, count, tuple(((s, 1.0),) for s in range(count)), sides, {})
+
+
+def _scored(tab, program, products, factor, ports):
+    """The round function's result as ``_outcome(_dict_score)`` gives it: a repr, or the error's
+    type and message, where a merge error is kept in the round rather than raised."""
+    try:
+        book = _round_kernel(tab, program, ports, None)(products, factor)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    if book.error:
+        return book.error[0].__name__, book.error[1]
+    return repr((book.p_success, _states(book), book.p_recycle, book.recycle_next))
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monkeypatch):
-    # every round's scoring and every point's rounds against the dict path, bit for bit, on
-    # recorded round inputs reweighted at random and with entries at 1.01 PRUNE_EPS, also
+    # every round function against the slot gather and the dict path, bit for bit, on the recorded
+    # products and, through a program of the same signatures whose slot s is product s, on the
+    # recorded slot values, each reweighted at random and with entries at 1.01 PRUNE_EPS; also
     # under a miswired coupler (where the recycle agreement fails on both paths)
-    scores, rounds = [], []
-    monkeypatch.setattr(ecpsim.engine, "_score", lambda *a: scores.append(a) or _score(*a))
+    calls, rounds = [], []
+
+    def record(tab, program, ports, alive):
+        kernel = _round_kernel(tab, program, ports, alive)
+        if alive is not None:  # a prune's hand-over, recorded as the call it came from
+            return kernel
+        return lambda products, factor: calls.append((tab, program, ports, products, factor)) or kernel(products, factor)
+
+    monkeypatch.setattr(ecpsim.engine, "_round_kernel", record)
     monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
     polarized = not name.endswith("_stripped")
     with corrupted_coupler() if corrupt else contextlib.nullcontext():
@@ -661,17 +703,17 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                 execute(builtin_doc(name), EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None,
                         rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
                         model=DetectorModel(eta_p=0.8))
-    assert scores and (rounds or corrupt)
+    assert calls and (rounds or corrupt)
     rng = random.Random(16)
     outcomes = collections.Counter()
-    for tab, program, values, factor, ports in scores:
-        for vals in [values, *_reweighted(values, rng)]:
-            got = _outcome(lambda: _score(tab, program, vals, factor, ports))
-            want = _outcome(lambda: _dict_score(tab, program[4], vals, factor, ports))
-            if isinstance(got, str):
-                book = _score(tab, program, vals, factor, ports)
-                got = repr((book.p_success, _states(book), book.p_recycle, book.recycle_next))
-            assert got == want
+    for tab, program, ports, products, factor in calls:
+        values = _dict_slots(program[2], products)
+        identity = _identity(program[3], len(values))
+        cases = [(program, vals) for vals in [products, *_reweighted(products, rng)]]
+        cases += [(identity, vals) for vals in [values, *_reweighted(values, rng)]]
+        for prog, vals in cases:
+            got = _scored(tab, prog, vals, factor, ports)
+            assert got == _outcome(lambda: _dict_score(tab, prog[3], _dict_slots(prog[2], vals), factor, ports))
             outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
     pruned = 0
@@ -692,23 +734,55 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
 
 
 def test_the_merge_scale_and_its_prune_match_merge_terms():
-    # two photons in the merged mode: the merge scales by sqrt(N_out!) / sqrt(n_in!) and prunes
+    # two photons in the merged mode: the merge scales by sqrt(N_out!) / sqrt(n_in!) and prunes;
+    # V on the merge's H input is the merge error, kept in the round
     tab = PatternTable()
     pair = tab.intern(((("b9", "H"), 2),))
     mixed = tab.intern(((("b6", "V"), 1), (("b9", "H"), 1)))
-    signature = (("d1", 1),)
-    program = (None, None, None, None, (((signature, (pair, mixed)),), ()), {})  # its sides and scoring
+    wrong = tab.intern(((("b9", "V"), 1),))
+    won = (((("d1", 1),), (pair, mixed)), ((("d2", 1),), (wrong,)))
     ports = ("b9", "b6", "b10")
     rng = random.Random(5)
     near = (cmath.rect(PRUNE_EPS * (1 + rng.randrange(64) * 2.0**-52), rng.uniform(0, 2 * math.pi)) for _ in range(10**5))
     edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # pruned once merged
     sizes = []
     for values in ([0.3 + 0.4j, -0.5j], [edge, 0.6 + 0.0j], [0.7 + 0.1j, edge]):
-        book = _score(tab, program, values, 0.8, ports)
-        got = (book.p_success, _states(book), book.p_recycle, book.recycle_next)
-        assert repr(got) == repr(_dict_score(tab, program[4], values, 0.8, ports))
-        sizes.append(len(_states(book)[0]))
+        program = _identity((won[:1], ()), 2)
+        assert _scored(tab, program, values, 0.8, ports) == _outcome(lambda: _dict_score(tab, program[3], values, 0.8, ports))
+        sizes.append(len(_states(_round_kernel(tab, program, ports, None)(values, 0.8))[0]))
+        program = _identity((won, ()), 3)
+        got = _scored(tab, program, [*values, 0.1j], 0.8, ports)
+        assert got == _outcome(lambda: _dict_score(tab, program[3], [*values, 0.1j], 0.8, ports))
+        assert got == ("PortContractError", "pbs merge: input 'b9' carries V amplitude")
     assert sizes == [2, 1, 2]  # the merge prune drops the edge amplitude on the two-photon id only
+
+
+def test_a_signature_weighing_prune_eps_squared_is_dropped():
+    # a slot at exactly PRUNE_EPS survives the prune, but alone it weighs PRUNE_EPS**2: too little
+    tab = PatternTable()
+    ids = tuple(tab.intern(((("b1", pol), 1),)) for pol in "HV")
+    won, recycled = (((("d1", 1),), ids[:1]),), (((("d2", 1),), ids[1:]),)
+    program = _identity((won, recycled), 2)
+    for values in ([PRUNE_EPS + 0j, 0.6 + 0j], [0.6 + 0j, PRUNE_EPS + 0j], [PRUNE_EPS + 0j] * 2):
+        got = _scored(tab, program, values, 0.8, ())
+        assert got == _outcome(lambda: _dict_score(tab, program[3], values, 0.8, ()))
+        assert "e-15" not in got and "e-30" not in got
+
+
+def test_a_slot_sums_its_products_from_0j_in_order():
+    # no shipped layout compiles a slot of more than one product: here each slot sums several,
+    # in the order it lists them, so 1e16 + 3 - 1e16 rounds as the slot gather rounds it
+    tab = PatternTable()
+    ids = tuple(tab.intern(((("b1", pol), 1),)) for pol in "HV")
+    rng = random.Random(17)
+    slots = (((0, 1.0), (1, 1.0), (2, 1.0)), tuple((i, rng.uniform(-2.0, 2.0)) for i in (4, 3, 0, 1)))
+    program = (None, 5, slots, ((((("d1", 1),), ids),), ()), {})
+    cases = [[1e16 + 1e16j, 3 + 5j, -1e16 - 1e16j, 0.1 + 0j, 0.2j]]
+    cases += [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(5)] for _ in range(20)]
+    for products in cases:
+        book = _round_kernel(tab, program, (), None)(products, 1.0)
+        assert repr(book.amps) == repr(_dict_slots(slots, products))
+    assert _round_kernel(tab, program, (), None)(cases[0], 1.0).amps[0] not in (3 + 5j, 0j)  # the order shows
 
 
 def test_split_and_merge_run_on_the_plan_table():
