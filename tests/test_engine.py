@@ -647,8 +647,8 @@ def _outcome(call):
 
 
 def _reweighted(values, rng):
-    """Slot values reweighted at random, then with a slot per five at 1.01 PRUNE_EPS and one at
-    0.99 PRUNE_EPS (pruned), then every fourth at 0.6 PRUNE_EPS (a signature weighing too little)."""
+    """Slot values (or products) reweighted at random, then with one per five at 1.01 PRUNE_EPS and
+    one at 0.99 PRUNE_EPS (pruned), then every fourth at 0.6 PRUNE_EPS (a signature weighing too little)."""
     out = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) * abs(v) for v in values] for _ in range(3)]
     for scale, step in ((1.01, 5), (0.99, 5), (0.6, 4)):
         out.append([v / abs(v) * scale * PRUNE_EPS if abs(v) and i % step == 0 else v for i, v in enumerate(values)])
