@@ -159,16 +159,27 @@ def apply_bs(state: State, in1: str, in2: str, out1: str, out2: str) -> State:
     return apply_mode_transform(state, bs_rules(in1, in2, out1, out2))
 
 
-def vbs_coefficients(inp: str, reflect: str, transmit: str, t: float) -> tuple[float, float]:
-    """``(sqrt(1-t), sqrt(t))`` once ``t`` and the ports pass the coupler's checks."""
+def vbs_pair(t: float) -> tuple[float, float]:
+    """``(sqrt(1-t), sqrt(t))`` once ``t`` passes the coupler's range and isometry checks."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"vbs transmittance must lie in [0, 1], got {t}")
-    _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
     r = math.sqrt(1.0 - t)
     s = math.sqrt(t)
     if abs(r * r + s * s - 1.0) > ISOMETRY_TOL:  # the H and V columns share no output
         raise IsometryError(f"vbs column norm {r * r + s * s}, expected 1")
     return r, s
+
+
+def vbs_ports(inp: str, reflect: str, transmit: str) -> None:
+    """The variable coupler's port check: the three ports are distinct."""
+    _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
+
+
+def vbs_coefficients(inp: str, reflect: str, transmit: str, t: float) -> tuple[float, float]:
+    """``vbs_pair(t)`` once the ports pass ``vbs_ports`` too."""
+    pair = vbs_pair(t)
+    vbs_ports(inp, reflect, transmit)
+    return pair
 
 
 def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:

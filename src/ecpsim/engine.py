@@ -34,9 +34,13 @@ the coefficients of the couplers, herald and flips; inside it, per set of
 surviving slots, the whole round as one generated function (``_kernel``)
 that sums the slots, weighs each click signature, merges the wins and
 checks and rescales the recycle continuation as straight-line code on
-locals; per round's win ids, the pairing and the products with the
-target.  A point computes only amplitudes, with the prunes, summation
-order and errors of the dict path these replace.
+locals.  Where every product survives, the function first forms the
+products from the input, auxiliary and coupler amplitudes, and is kept per
+chain by input ids; a pruned product hands the round to the masked path
+(``_masked``).  Per round's win ids, one generated scorer (``_scoring``)
+pairs the wins, prunes, and scores them against the target.  A point
+computes only amplitudes, with the prunes, summation order and errors of
+the dict path these replace.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds send the auxiliary photon through its
@@ -52,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from operator import is_, mul
+from operator import is_
 from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
@@ -65,7 +69,7 @@ from .dsl import (
     expr_variables,
     parse_expr,
 )
-from .elements import PortContractError, bs_matrix, bs_rules, merge_relabels, split_terms, vbs_coefficients
+from .elements import PortContractError, bs_matrix, bs_rules, merge_relabels, split_terms, vbs_pair, vbs_ports
 from .fock import (
     NORM_TOL,
     PHOTON_CAP,
@@ -160,13 +164,21 @@ def _target(photon: tuple, bindings) -> tuple:
 
 
 def _point(plan: Plan, pol: PolarizationParams | None) -> tuple:
-    """Signal and target photons for points with or without ``pol``; a target without it is kept whole."""
-    points = plan.table.stage("point")
+    """Signal and target photons for points with or without ``pol`` (a target without it kept
+    whole), and per arm the signal ids, after the split, that hold no photon in another arm's
+    signal mode: the input of the arm's branch chain."""
+    tab, points = plan.table, plan.table.stage("point")
     key = "V" if pol is None else "HV"
     if key not in points:
         amps = {"V": "1"} if pol is None else {"H": "gamma", "V": "delta"}
-        target = _photon(plan.table, [SourceDecl(m, p, amps[p]) for m in plan.outputs for p in key])
-        points[key] = _photon(plan.table, plan.signal_sources), _target(target, {}) if pol is None else target
+        target = _photon(tab, [SourceDecl(m, p, amps[p]) for m in plan.outputs for p in key])
+        signal = _photon(tab, plan.signal_sources)
+        ids = dict.fromkeys(signal[1], 1.0)  # one-photon ids: the split keeps each at 1.0
+        if plan.split is not None:
+            ids = split_terms(tab, ids, plan.split.inp, plan.split.out_h, plan.split.out_v)
+        branches = tuple(frozenset(p for p in ids if not any(
+            pattern_count(tab.patterns[p], a.signal_mode) for a in plan.arms if a is not arm)) for arm in plan.arms)
+        points[key] = signal, _target(target, {}) if pol is None else target, branches
     return points[key]
 
 
@@ -178,39 +190,47 @@ def _survivors(amps: list) -> tuple:
     return alive, list(itertools.compress(amps, alive))
 
 
-def _spans(lists) -> tuple:
-    """The slices that cut the concatenation of ``lists`` back into them."""
-    ends = list(itertools.accumulate(map(len, lists)))
-    return tuple(map(slice, [0, *ends], ends))
+def _kept(names: list) -> str:
+    """Source of ``_survivors``' test that every one of ``names`` survives the prune."""
+    least = f"min({', '.join(f'abs({x})' for x in names)})" if len(names) > 1 else f"abs({names[0]})"
+    return f"{least} >= PRUNE_EPS"
 
 
 def _aligned(first: list, second: list) -> tuple:
-    """``terms_inner(first, second)``'s products for states listed as ``(position, id)``: the
-    positions of the shared ids, the conjugated factor's first, in the order it takes them."""
+    """``terms_inner(first, second)``'s products for states listed as ``(name, id)``: the
+    names of the shared ids, the conjugated factor's first, in the order it takes them."""
     x, y = (second, first) if len(first) > len(second) else (first, second)
     at = dict(map(reversed, y))
     shared = [(i, at[q]) for i, q in x if q in at]
     return tuple(i for i, _ in shared), tuple(j for _, j in shared)
 
 
-def _inners(values: list, firsts: tuple, seconds: tuple, spans: tuple):
-    """Per span, ``sum(values[i].conjugate() * values[j], 0j)`` over its ``(firsts, seconds)``."""
-    conjugates = map(complex.conjugate, map(values.__getitem__, firsts))
-    products = list(map(mul, conjugates, map(values.__getitem__, seconds)))
-    return map(sum, map(products.__getitem__, spans), itertools.repeat(0j))
+def _compiled(params: str, code: list, consts: dict, filename: str):
+    """``def f(params): code`` as a function, ``consts`` bound by name in a closure (never
+    printed into the source), compiled the way ``dataclasses`` builds ``__init__``; no source is
+    kept (no ``linecache`` entry)."""
+    source = (f"def make({', '.join(consts)}):\n    def f({params}):\n"
+              + "".join(f"        {line}\n" for line in code) + "    return f\n")
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["make"](**consts)
 
 
 # ---------------------------------------------------------------------------
 # recycling chain
 
 def _chain(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None) -> tuple:
-    """``(couplers, setup, qnds, photons, ports, programs)`` of a chain of ``arms``, once per arm
-    labels and merge: per side its couplers' ports, detector groups and flips; the nondemolition
-    pairs; each arm's photon with its ids' (reflected, transmitted) ids; merge ports; programs."""
+    """``(couplers, setup, qnds, photons, ports, programs, formed)`` of a chain of ``arms``, once
+    per arm labels and merge (each variable coupler's ports checked then): per side its couplers'
+    ports, detector groups and flips; the nondemolition pairs; each arm's photon with its ids'
+    (reflected, transmitted) ids; merge ports; programs; per auxiliary ids, the coupler rules
+    and the round functions that form their products, by input ids."""
     labels = tuple(a.label for a in arms)
     ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
     chains = tab.stage("chain")
     if (labels, ports) not in chains:
+        for a in arms:
+            vbs_ports(a.vbs.inp, a.vbs.reflect, a.vbs.transmit)
         sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
         if all(a.recycle_bs for a in arms):
             sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
@@ -224,7 +244,7 @@ def _chain(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None) -> tu
                 [((_, pol), _)] = tab.patterns[x]
                 outputs[x] = tuple(tab.intern((((m, pol), 1),)) for m in (a.vbs.reflect, a.vbs.transmit))
             photons.append((photon, outputs))
-        chains[labels, ports] = (couplers, setup, qnds, photons, ports, tab.stage("round", labels, ports))
+        chains[labels, ports] = (couplers, setup, qnds, photons, ports, tab.stage("round", labels, ports), {})
     return chains[labels, ports]
 
 
@@ -306,17 +326,19 @@ def _round_kernel(tab: PatternTable, program: tuple, ports: tuple, alive: tuple 
     return kernel
 
 
-def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple):
+def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple, form: tuple | None = None):
     """``kernel(products, factor) -> _ChainRound``: ``program``'s round, its slots surviving where
-    ``alive``, written out as straight-line Python and compiled.  Slot s is ``0j + p*c + ...`` in
-    the order of ``slots[s]``; with ``alive`` None a slot under PRUNE_EPS hands the products to
-    the function of the slots that survive.  Each signature weighs its surviving squares; one that
-    weighs more than PRUNE_EPS**2 raises if two of its slots share a residual id (a mixture), else
-    a win adds ``weight * factor`` and its state, merged by ``ports`` as ``(a * N) / n`` and
-    pruned, or keeps the merge's ``(type, message)``; the first recycle signature that weighs
-    enough, once each later one agrees with it after correction (``_aligned``), is rescaled to
-    their summed weight and pruned: the next round's input.  Coefficients, scales and ids are
-    bound by name in a closure, never printed; no source is kept."""
+    ``alive``, written out as straight-line Python and compiled.  With ``form`` (the input and
+    each arm's auxiliary amplitude counts of a round whose products all survive) it is
+    ``kernel(inputs, factor, auxes, pairs)`` and forms the products first (``_products``),
+    returning None where one is pruned.  Slot s is ``0j + p*c + ...`` in the order of
+    ``slots[s]``; with ``alive`` None a slot under PRUNE_EPS hands the products to the function
+    of the slots that survive.  Each signature weighs its surviving squares; one that weighs more
+    than PRUNE_EPS**2 raises if two of its slots share a residual id (a mixture), else a win adds
+    ``weight * factor`` and its state, merged by ``ports`` as ``(a * N) / n`` and pruned, or
+    keeps the merge's ``(type, message)``; the first recycle signature that weighs enough, once
+    each later one agrees with it after correction (``_aligned``), is rescaled to their summed
+    weight and pruned: the next round's input.  Coefficients, scales and ids are bound by name."""
     _, products, slots, sides, _ = program
     consts = {"TAB": tab, "PROGRAM": program, "PORTS": ports, "EPS2": PRUNE_EPS**2,
               "NORM2": NORM_TOL**2, "AGREE": 1.0 - RECYCLE_AGREEMENT_TOL}
@@ -326,13 +348,16 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         return name
 
     live = [s for s in range(len(slots)) if alive is None or alive[s]]
-    code = [f"{''.join(f'p{i}, ' for i in range(products))}= v"] if products else []
+    if form is None:
+        code, handed = [f"{''.join(f'p{i}, ' for i in range(products))}= v"] if products else [], "v"
+    else:
+        code, handed = _products(*form), f"({''.join(f'p{i}, ' for i in range(products))})"
     for s in live:
         code += [f"s{s} = 0j{''.join(f' + p{i} * {const(c)}' for i, c in slots[s])}", f"m{s} = abs(s{s})"]
     if alive is None and live:
         code += [f"if {' or '.join(f'm{s} < PRUNE_EPS' for s in live)}:  # the prune after the last coupler",
                  f"    alive = tuple([m >= PRUNE_EPS for m in ({''.join(f'm{s}, ' for s in live)})])",
-                 "    return _round_kernel(TAB, PROGRAM, PORTS, alive)(v, factor)"]
+                 f"    return _round_kernel(TAB, PROGRAM, PORTS, alive)({handed}, factor)"]
     signatures, at = [], 0  # per side, each signature's (signature, [(slot, residual id)] surviving)
     for side in sides:
         signatures.append([])
@@ -397,11 +422,28 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
             code += [f"    x = s{s} * scale", f"    if abs(x) >= PRUNE_EPS: nxt[{const(q)}] = x"]
     code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]
     code.append("return _ChainRound(p_win, p_rec, tuple(wins), amps, nxt, error)")
-    source = (f"def make({', '.join(consts)}):\n    def kernel(v, factor):\n"
-              + "".join(f"        {line}\n" for line in code) + "    return kernel\n")
-    namespace: dict = {}
-    exec(compile(source, "<round kernel>", "exec"), globals(), namespace)
-    return namespace["make"](**consts)
+    return _compiled("v, factor" if form is None else "v, factor, a, c", code, consts, "<round kernel>")
+
+
+def _products(inputs: int, form: tuple) -> list:
+    """Lines that form a round's products from ``v`` (the input amplitudes), ``a`` (every arm's
+    auxiliary amplitudes) and ``c`` (each arm's coupler pair ``(sqrt(1-t), sqrt(t))``), as the
+    masked path (``_masked``) forms them: per arm its factors ``aux * r`` and ``aux * s``, then
+    the products input-major, ``(v * f1) * f2``; where a factor's or a product's ``_survivors``
+    test fails, the function returns None."""
+    code = [f"{''.join(f'v{i}, ' for i in range(inputs))}= v"] if inputs else []
+    code += [f"{''.join(f'a{j}, ' for j in range(sum(form)))}= a"] if sum(form) else []
+    code.append(f"{''.join(f'(r{i}, s{i}), ' for i in range(len(form)))}= c")
+    level, at = [f"v{i}" for i in range(inputs)], 0
+    for i, n in enumerate(form):
+        factors = [f"f{i}_{x}" for x in range(2 * n)]
+        code += [f"{f} = a{at + x // 2} * {'rs'[x % 2]}{i}" for x, f in enumerate(factors)]
+        at += n
+        names = [f"p{x}" if i == len(form) - 1 else f"q{i}_{x}" for x in range(len(level) * len(factors))]
+        code += [f"{x} = {u} * {f}" for x, (u, f) in zip(names, itertools.product(level, factors))]
+        code += [f"if not {_kept(values)}: return None" for values in (factors, names) if values]
+        level = names
+    return code
 
 
 _DISAGREE = ("recycle click patterns disagree after correction; "
@@ -433,10 +475,17 @@ def _run_chain(
     repeats that round's result.
     """
     chain = _chain(tab, arms, merge)
-    couplers, setup, _, photons, ports, programs = chain
+    couplers, setup, *_, formed = chain
     rules = _rules(couplers, bs_matrix())
     factor = detection_factor(setup[0][0], model)
-    auxes: list[tuple | None] = [None] * len(arms)
+    auxes = []  # each arm's photon: its output ids (reflected, transmitted per id) and amplitudes
+    for photon, outputs in chain[3]:
+        terms = _terms(photon, bindings)
+        auxes.append((tuple(x for p in terms for x in outputs[p]), list(terms.values())))
+    key = tuple(xs for xs, _ in auxes)
+    if formed.get(key, (None,))[0] != rules:  # never serve another coupler matrix
+        formed[key] = (rules, {})
+    kernels, amps = formed[key][1], [a for _, aux in auxes for a in aux]
     results: list[_ChainRound] = []
     last = None
     for k in range(len(schedules[0])):
@@ -445,58 +494,100 @@ def _run_chain(
             results.append(results[-1])
             continue
         last = (current, ts)
-        # the product with each arm's photon, pruned per factor; shape: ids and survivors per factor
-        shape, vals = [tuple(current)], list(current.values())
-        for i, (arm, t) in enumerate(zip(arms, ts)):
-            if auxes[i] is None:  # the same photon every round: its output ids and amplitudes
-                photon, outputs = photons[i]
-                terms = _terms(photon, bindings)
-                auxes[i] = tuple(x for p in terms for x in outputs[p]), [a for a in terms.values() for _ in "rt"]
-            rs = vbs_coefficients(arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
-            keep, cs = _survivors(list(map(mul, auxes[i][1], itertools.cycle(rs))))  # sqrt(1-t), sqrt(t)
-            xs = auxes[i][0] if keep is None else tuple(itertools.compress(auxes[i][0], keep))
-            alive, vals = _survivors([a * c for a in vals for c in cs])
-            shape.append((xs, alive))
-        shape = tuple(shape)
-        program = programs.get(shape)
-        if program is None or program[0] != rules:  # never serve another coupler matrix
-            program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
-        results.append(_round_kernel(tab, program, ports, None)(vals, factor))
-        current = results[-1].recycle_next
+        pairs = list(map(vbs_pair, ts))
+        kernel = kernels.get(tuple(current))
+        result = None if kernel is None else kernel(list(current.values()), factor, amps, pairs)
+        if result is None:  # input ids not seen yet, or a pruned product
+            result = _masked(tab, chain, rules, kernels, current, auxes, pairs, factor)
+        results.append(result)
+        current = result.recycle_next
     return results
 
 
-def _pairing(books: tuple) -> tuple:
-    """``(ops, states, masks)`` of a round whose chains' wins hold the ids ``books``: with one chain
-    its wins (``ops`` None); with two every plus win paired with every minus one, plus ids first,
-    shared ids averaged (both arms carry the signal-at-home component, counted once): value j
-    is ``amps[i]`` or ``0.5 * (amps[i] + amps[k])`` for ``ops[j] == (i, k)``; ``states`` lists
-    each state's ids and span; ``masks`` keeps ``_fidelities`` by surviving values."""
-    if len(books) == 1:
-        return None, tuple(zip(books[0], _spans(books[0]))), {}
-    starts = list(itertools.accumulate(map(len, books[0] + books[1]), initial=0))
-    ops, states = [], []
-    for a, plus in enumerate(books[0]):
-        for b, minus in enumerate(books[1], len(books[0])):
-            pair = {q: (i, None) for i, q in enumerate(plus, starts[a])}
-            for j, q in enumerate(minus, starts[b]):
-                pair[q] = (pair[q][0], j) if q in pair else (j, None)
-            states.append((tuple(pair), slice(len(ops), len(ops) + len(pair))))
-            ops += pair.values()
-    return tuple(ops), tuple(states), {}
+def _masked(tab: PatternTable, chain: tuple, rules: tuple, kernels: dict, current: dict, auxes: list,
+            pairs: list, factor: float) -> _ChainRound:
+    """A round of ``current`` whose products are formed here, pruned after each factor; their
+    shape (input ids, then per arm the surviving output ids and which products survive, None for
+    all) keys the program, built from the products that survive.  Where nothing is pruned, the
+    round function that forms the products itself is generated and kept in ``kernels`` by input
+    ids."""
+    shape, vals, whole = [tuple(current)], list(current.values()), True
+    for (xs, amps), rs in zip(auxes, pairs):
+        keep, cs = _survivors([a * c for a in amps for c in rs])
+        xs = xs if keep is None else tuple(itertools.compress(xs, keep))
+        alive, vals = _survivors([a * c for a in vals for c in cs])
+        shape.append((xs, alive))
+        whole = whole and keep is None and alive is None
+    shape = tuple(shape)
+    programs, ports = chain[5], chain[4]
+    program = programs.get(shape)
+    if program is None or program[0] != rules:  # never serve another coupler matrix
+        program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
+    if whole:
+        form = len(current), tuple(len(amps) for _, amps in auxes)
+        kernel = kernels[shape[0]] = _kernel(tab, program, None, ports, form)
+        return kernel(list(current.values()), factor, [a for _, aux in auxes for a in aux], pairs)
+    return _round_kernel(tab, program, ports, None)(vals, factor)
 
 
-def _fidelities(states: tuple, alive: tuple | None, target: tuple) -> tuple:
-    """``(spans, firsts, seconds, products)`` of a round's states whose values survive where
-    ``alive`` (None: all): each state's span of the surviving values and its products with the
-    ``target`` ids (``_aligned``), indexing the surviving values and then the target's."""
-    lists, at = [], 0
-    for ids, span in states:
-        lists.append(list(enumerate([q for j, q in enumerate(ids, span.start) if alive is None or alive[j]], at)))
-        at += len(lists[-1])
-    aligned = [_aligned(pairs, list(enumerate(target, at))) for pairs in lists]
-    return (_spans(lists), tuple(i for a, _ in aligned for i in a), tuple(j for _, b in aligned for j in b),
-            _spans([a for a, _ in aligned]))
+def _scorer(table: dict, key: tuple, alive: tuple | None):
+    """The scorer of a round whose chains' wins and target hold the ids ``key``, for the paired
+    values that survive where ``alive`` (None: all of them), generated (``_scoring``) once per key
+    and ``alive`` and kept in ``table``."""
+    scorers = table.get(key) or table.setdefault(key, {})
+    scorer = scorers.get(alive)
+    if scorer is None:
+        scorer = scorers[alive] = _scoring(table, key, alive)
+    return scorer
+
+
+def _scoring(table: dict, key: tuple, alive: tuple | None):
+    """``scorer(target, tnorm, a, b) -> worst fidelity``, written out as straight-line Python and
+    compiled, of a round whose chains' wins hold the ids ``key[:-1]`` (amplitudes ``a`` and, with
+    two chains, ``b``) against the target ids ``key[-1]``.  With one chain its wins are the states;
+    with two every plus win is paired with every minus one, plus ids first, shared ids averaged as
+    ``0.5 * (plus + minus)`` (both arms carry the signal-at-home component, counted once), and
+    with ``alive`` None a paired value under PRUNE_EPS hands the amplitudes to the scorer of
+    those that survive.  A state's squared norm is ``sum`` of its squares, a (near-)zero one
+    raises, and its fidelity is ``|0j + conj(x) * y + ...|**2 / (norm * tnorm)`` over the ids it
+    shares with the target (``_aligned``); the worst, at most 1.0, is returned."""
+    *books, tids = key
+    code, wins = [], []  # per chain, each win's (value name, id) pairs
+    for c, book in enumerate(books):
+        names = iter(f"{'ab'[c]}{n}" for n in itertools.count())
+        wins.append([[(next(names), q) for q in ids] for ids in book])
+        flat = [x for win in wins[-1] for x, _ in win]
+        code += [f"{''.join(f'{x}, ' for x in flat)}= {'ab'[c]}"] if flat else []
+    states = wins[0]
+    if len(books) == 2:
+        states, values = [], []
+        for plus in wins[0]:
+            for minus in wins[1]:
+                pair = {q: x for x, q in plus}
+                for y, q in minus:
+                    pair[q] = f"0.5 * ({pair[q]} + {y})" if q in pair else y
+                states.append([])
+                for q, value in pair.items():
+                    if alive is None or alive[len(values)]:
+                        code.append(f"x{len(values)} = {value}")
+                        states[-1].append((f"x{len(values)}", q))
+                    values.append(f"x{len(values)}")
+        if alive is None and values:
+            code += [f"if not {_kept(values)}:  # the prune after the pairing",
+                     f"    alive = tuple([abs(x) >= PRUNE_EPS for x in ({''.join(f'{x}, ' for x in values)})])",
+                     "    return _scorer(TABLE, KEY, alive)(t, tnorm, a, b)"]
+    targets = [(f"t{n}", q) for n, q in enumerate(tids)]
+    code += [f"{''.join(f'{x}, ' for x, _ in targets)}= t"] if targets else []
+    norms = [f"n{s}" for s in range(len(states))]
+    code += [f"n{s} = sum(({''.join(f'abs({x}) ** 2, ' for x, _ in state)}))" for s, state in enumerate(states)]
+    least = norms[0] if len(norms) == 1 else f"min({', '.join(norms)})"
+    code += [f"if {least} <= NORM2 or tnorm <= NORM2:",
+             "    raise DegenerateStateError('fidelity of a (near-)zero state is undefined')"]
+    for s, state in enumerate(states):
+        firsts, seconds = _aligned(state, targets)
+        code.append(f"i{s} = 0j{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}")
+    code.append(f"return min(min([{', '.join(f'abs(i{s}) ** 2 / (n{s} * tnorm)' for s in range(len(states)))}]), 1.0)")
+    return _compiled("t, tnorm, a, b", code, {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}, "<round scorer>")
 
 
 def _rounds(
@@ -505,9 +596,9 @@ def _rounds(
     chains: list[list[_ChainRound]],
     target: tuple,
 ) -> list[RoundResult]:
-    """Round results summed over ``chains``.  Each distinct round's heralded states are its wins,
-    paired (``_pairing``) and pruned; its fidelity is the worst of theirs against ``target``,
-    ``(ids, amplitudes, squared norm)``, both compiled in the plan table's ``score`` stage."""
+    """Round results summed over ``chains``.  Each distinct round's fidelity is the worst of its
+    paired and pruned wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the
+    round's scorer (``_scorer``) in the plan table's ``score`` stage."""
     tids, tamps, tnorm = target
     table = tab.stage("score")
     rounds, last = [], None
@@ -518,25 +609,8 @@ def _rounds(
                 for b in books:
                     if b.error:
                         raise b.error[0](b.error[1])
-                key = (*[b.wins for b in books], tids)
-                pairing = table.get(key)
-                if pairing is None:
-                    pairing = table[key] = _pairing(key[:-1])
-                ops, states, masks = pairing
-                amps = books[0].amps if len(books) == 1 else books[0].amps + books[1].amps
-                alive = None
-                if ops is not None:  # paired, then pruned
-                    alive, amps = _survivors([amps[i] if j is None else 0.5 * (amps[i] + amps[j]) for i, j in ops])
-                fidelities = masks.get(alive)
-                if fidelities is None:
-                    fidelities = masks[alive] = _fidelities(states, alive, tids)
-                spans, firsts, seconds, products = fidelities
-                squares = [abs(a) ** 2 for a in amps]
-                norms = list(map(sum, map(squares.__getitem__, spans)))
-                if min(norms) <= NORM_TOL**2 or tnorm <= NORM_TOL**2:
-                    raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
-                inners = _inners(amps + tamps, firsts, seconds, products)
-                fid = min(min([abs(v) ** 2 / (n * tnorm) for v, n in zip(inners, norms)]), 1.0)
+                scorer = _scorer(table, (*[b.wins for b in books], tids), None)
+                fid = scorer(tamps, tnorm, books[0].amps, books[-1].amps)
             p_success = sum([b.p_success for b in books])
             p_recycle = sum([b.p_recycle for b in books])
         rounds.append(RoundResult(k + 1, t, p_success, p_recycle, fid))
@@ -614,7 +688,7 @@ def execute(
     schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
     tab = plan.table
-    signal, target = _point(plan, pol)
+    signal, target, branches = _point(plan, pol)
     target = target if pol is None else _target(target, bindings)
     signal = _terms(signal, bindings)
     if plan.split is not None:
@@ -623,12 +697,8 @@ def execute(
         # each arm acts only on the component where the signal is not in
         # the other arm
         chains = []
-        for arm in plan.arms:
-            others = [a.signal_mode for a in plan.arms if a is not arm]
-            inp = {
-                p: a for p, a in signal.items()
-                if all(pattern_count(tab.patterns[p], m) == 0 for m in others)
-            }
+        for arm, ids in zip(plan.arms, branches):
+            inp = {p: a for p, a in signal.items() if p in ids}
             chains.append(_run_chain(tab, [arm], inp, [schedule[arm.label]], bindings, model, plan.merge))
         eta_exponent = 1
     else:

@@ -5,6 +5,7 @@ import collections
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import linecache
 import math
@@ -19,10 +20,12 @@ import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, evaluate_expr, parse
-from ecpsim.elements import bs_rules, merge_terms, vbs_coefficients, vbs_rules
+from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
+    _ChainRound,
+    _masked,
     _photon,
     _round_kernel,
     _rounds,
@@ -348,9 +351,18 @@ def _table_keys(tab):
 
 
 def _kernels(tab):
-    """Each round program's generated functions, by program and surviving-slot key."""
-    return {(shape, alive): kernel for stage, table in tab.stages.items() if stage[0] == "round"
-            for shape, program in table.items() for alive, kernel in program[-1].items()}
+    """Each generated round function: per round program and surviving-slot key, and per chain,
+    auxiliary ids and input ids the one that forms its products."""
+    kernels = {(shape, alive): kernel for stage, table in tab.stages.items() if stage[0] == "round"
+               for shape, program in table.items() for alive, kernel in program[-1].items()}
+    return kernels | {(chain, aux, ids): kernel for chain, entry in tab.stages.get(("chain",), {}).items()
+                      for aux, (_, formed) in entry[-1].items() for ids, kernel in formed.items()}
+
+
+def _scorers(tab):
+    """Each generated scorer, by its round's win and target ids and surviving paired values."""
+    return {(key, alive): scorer for key, scorers in tab.stages.get(("score",), {}).items()
+            for alive, scorer in scorers.items()}
 
 
 def _holds_float(key):
@@ -381,11 +393,15 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     tab = analyze(builtin_doc(name)).table
     _run_batch(name, seed=1)
     warm = _table_keys(tab)
-    kernels = _kernels(tab)
+    kernels, scorers = _kernels(tab), _scorers(tab)
     _run_batch(name, seed=2)
     assert _table_keys(tab) == warm  # new parameter values add no entry
-    assert _kernels(tab) == kernels and any(alive is None for _, alive in kernels)  # nor a round function
-    assert "<round kernel>" not in linecache.cache  # whose source is not kept
+    assert _kernels(tab) == kernels and any(len(key) == 3 for key in kernels)  # nor a round function
+    assert _scorers(tab) == scorers and scorers  # nor a scorer
+    for (*wins, tids), alive in scorers:  # scorers are keyed on ids only
+        assert all(type(q) is int for q in (*tids, *itertools.chain(*itertools.chain(*wins))))
+        assert alive is None or all(type(x) is bool for x in alive)
+    assert not {"<round kernel>", "<round scorer>"} & linecache.cache.keys()  # no generated source is kept
     assert not any(_holds_float(k) for k in warm)
     assert {stage[0] for stage in tab.stages} <= {
         "chain", "round", "pbs split", "pbs merge", "point", "score"}
@@ -411,7 +427,8 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     # target compiled id lists, and no chain builds CheckedRules or
     # DetectorGroups, walks an expression tree or scores through dicts
     _run_batch(name, seed=1)
-    counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk", "kernel"), 0)
+    counts = dict.fromkeys(
+        ("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk", "kernel", "scoring"), 0)
 
     def counted(key, original):
         def call(*args, **kwargs):
@@ -428,6 +445,7 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(PatternTable, "photon", counted("photon", PatternTable.photon))
     monkeypatch.setattr(ecpsim.dsl, "_compile", counted("walk", ecpsim.dsl._compile))
     monkeypatch.setattr(ecpsim.engine, "_kernel", counted("kernel", ecpsim.engine._kernel))
+    monkeypatch.setattr(ecpsim.engine, "_scoring", counted("scoring", ecpsim.engine._scoring))
     assert not {"merge_terms", "terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # none bound here
     _run_batch(name, seed=2)
     assert counts == dict.fromkeys(counts, 0)
@@ -669,8 +687,12 @@ def _identity(sides, count):
 def _scored(tab, program, products, factor, ports):
     """The round function's result as ``_outcome(_dict_score)`` gives it: a repr, or the error's
     type and message, where a merge error is kept in the round rather than raised."""
+    return _book(lambda: _round_kernel(tab, program, ports, None)(products, factor))
+
+
+def _book(call):
     try:
-        book = _round_kernel(tab, program, ports, None)(products, factor)
+        book = call()
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
     if book.error:
@@ -678,23 +700,73 @@ def _scored(tab, program, products, factor, ports):
     return repr((book.p_success, _states(book), book.p_recycle, book.recycle_next))
 
 
+def _dict_products(current, auxes, pairs):
+    """The product stage the round functions replaced: per arm the factors ``aux * r`` and
+    ``aux * s``, pruned, then every product input-major, pruned; the shape of what survives,
+    and whether all of it does."""
+    shape, products, whole = [tuple(current)], list(current.values()), True
+    for (xs, amps), rs in zip(auxes, pairs):
+        factors = [(x, f) for x, f in zip(xs, [a * c for a in amps for c in rs]) if abs(f) >= PRUNE_EPS]
+        products = [v * f for v in products for _, f in factors]
+        alive = tuple(abs(p) >= PRUNE_EPS for p in products)
+        products = [p for p, kept in zip(products, alive) if kept]
+        shape.append((tuple(x for x, _ in factors), alive))
+        whole = whole and len(factors) == len(xs) and all(alive)
+    return tuple(shape), products, whole
+
+
+def _dict_round(tab, arms, current, ts, bindings, model, merge):
+    """One round through the dict path on the engine's slot program of the round's shape:
+    ``(outcome, whole, sides, slot values, factor, merge ports)``, ``whole`` where nothing is pruned."""
+    chain = ecpsim.engine._chain(tab, arms, merge)
+    auxes = []
+    for photon, outputs in chain[3]:
+        terms = _terms(photon, bindings)
+        auxes.append((tuple(x for p in terms for x in outputs[p]), list(terms.values())))
+    shape, products, whole = _dict_products(current, auxes, [(math.sqrt(1.0 - t), math.sqrt(t)) for t in ts])
+    _, slots, sides = ecpsim.engine._slots(tab, shape, ecpsim.engine._rules(chain[0], bs_matrix()), chain)
+    factor, values = detection_factor(chain[1][0][0], model), _dict_slots(slots, products)
+    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain[4])), whole, sides, values, factor, chain[4]
+
+
+def _rescaled(chains, amps):
+    """``chains`` with each round's amplitudes replaced by ``amps(chain index, round)``."""
+    return [[dataclasses.replace(b, amps=amps(i, b)) for b in chain] for i, chain in enumerate(chains)]
+
+
+def _cancelling(chains):
+    """``chains`` with the minus amplitude of the first id each round's first wins share set so
+    that its pair ``0.5 * (plus + minus)`` sits at 0.6 PRUNE_EPS."""
+    rounds = []
+    for plus, minus in zip(*chains):
+        amps = list(minus.amps)
+        shared = [(a, j) for q, a in zip(plus.wins[0], plus.amps) for j, r in enumerate(minus.wins[0]) if r == q]
+        if shared:
+            a, j = shared[0]
+            amps[j] = -a + 1.2 * PRUNE_EPS * a / abs(a)
+        rounds.append(dataclasses.replace(minus, amps=amps))
+    return [chains[0], rounds]
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monkeypatch):
-    # every round function against the slot gather and the dict path, bit for bit, on the recorded
-    # products and, through a program of the same signatures whose slot s is product s, on the
-    # recorded slot values, each reweighted at random and with entries at 1.01 PRUNE_EPS; also
-    # under a miswired coupler (where the recycle agreement fails on both paths)
-    calls, rounds = [], []
+    # every round against the product stage, slot gather and dict path it replaced, bit for bit:
+    # on the recorded inputs, reweighted at random, with entries at 1.01, 0.99 and 0.6 PRUNE_EPS
+    # and with every entry at magnitude 4, each also with the first arm's transmitted factor at
+    # 0.6 PRUNE_EPS (so the round function that forms the products hands over to the masked
+    # path, where a product or a factor is pruned); through a program
+    # of the same signatures whose slot s is product s, on the slot values and their reweightings;
+    # and every scorer against the dict pairing and fidelities.  Also under a miswired coupler
+    # (where the recycle agreement fails on both paths)
+    calls, rounds, handed = [], [], []
 
-    def record(tab, program, ports, alive):
-        kernel = _round_kernel(tab, program, ports, alive)
-        if alive is not None:  # a prune's hand-over, recorded as the call it came from
-            return kernel
-        return lambda products, factor: calls.append((tab, program, ports, products, factor)) or kernel(products, factor)
+    def masked(tab, chain, rules, kernels, current, *rest):
+        handed.append(tuple(current) in kernels)  # True: the round function handed a pruned product over
+        return _masked(tab, chain, rules, kernels, current, *rest)
 
-    monkeypatch.setattr(ecpsim.engine, "_round_kernel", record)
+    monkeypatch.setattr(ecpsim.engine, "_run_chain", lambda *a: calls.append(a) or _run_chain(*a))
     monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
     polarized = not name.endswith("_stripped")
     with corrupted_coupler() if corrupt else contextlib.nullcontext():
@@ -703,34 +775,54 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                 execute(builtin_doc(name), EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None,
                         rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
                         model=DetectorModel(eta_p=0.8))
-    assert calls and (rounds or corrupt)
-    rng = random.Random(16)
-    outcomes = collections.Counter()
-    for tab, program, ports, products, factor in calls:
-        values = _dict_slots(program[2], products)
-        identity = _identity(program[3], len(values))
-        cases = [(program, vals) for vals in [products, *_reweighted(products, rng)]]
-        cases += [(identity, vals) for vals in [values, *_reweighted(values, rng)]]
-        for prog, vals in cases:
-            got = _scored(tab, prog, vals, factor, ports)
-            assert got == _outcome(lambda: _dict_score(tab, prog[3], _dict_slots(prog[2], vals), factor, ports))
-            outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
+        assert calls and (rounds or corrupt)
+        monkeypatch.setattr(ecpsim.engine, "_masked", masked)
+        rng = random.Random(16)
+        outcomes = collections.Counter()
+        for tab, arms, current, schedules, bindings, model, merge in calls:
+            for k in range(len(schedules[0])):
+                ts = [s[k] for s in schedules]
+                inputs = [current] + [dict(zip(current, vals)) for vals in _reweighted(list(current.values()), rng)]
+                inputs.append({w: 4.0 * a / abs(a) for w, a in current.items()})  # 4 * 0.6 PRUNE_EPS survives a pruned factor
+                for i, (terms, t) in enumerate(itertools.product(inputs, (ts, [(0.6 * PRUNE_EPS) ** 2, *ts[1:]]))):
+                    want, whole, sides, values, factor, ports = _dict_round(tab, arms, terms, t, bindings, model, merge)
+                    handed.clear()
+                    assert _book(lambda: _run_chain(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0]) == want
+                    assert handed in ([False], [] if whole else [True])  # new input ids, or the masked path
+                    outcomes["handed"] += handed == [True]
+                    outcomes[want[0] if isinstance(want, tuple) else "scored"] += 1
+                    if i == 0:
+                        identity = _identity(sides, len(values))
+                        for vals in [values, *_reweighted(values, rng)]:
+                            got = _scored(tab, identity, vals, factor, ports)
+                            assert got == _outcome(lambda: _dict_score(tab, sides, vals, factor, ports))
+                            outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
+                try:
+                    [book] = _run_chain(tab, arms, current, [[t] for t in ts], bindings, model, merge)
+                except (RuntimeError, ValueError):
+                    break
+                current = book.recycle_next
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
+    assert outcomes["handed"]
     pruned = 0
     for tab, ts, chains, target in rounds:
-        # the recorded wins, reweighted, and with shared plus and minus ids near cancelling
-        variants = [chains]
+        # the recorded wins; reweighted; with shared plus and minus ids near cancelling, or one
+        # pair at 0.6 PRUNE_EPS; at random; and every amplitude at 0.6 PRUNE_EPS, no state surviving
+        weights = {id(b): _reweighted(b.amps, rng) for chain in chains for b in chain}
+        variants = [chains, *[_rescaled(chains, lambda i, b: weights[id(b)][r]) for r in range(6)]]
         for scale in (1.0, -1.0 + 1.01 * PRUNE_EPS):
-            variants.append([[dataclasses.replace(b, amps=[a * scale if i else a for a in b.amps])
-                              for b in chain] for i, chain in enumerate(chains)])
-        variants.append([[dataclasses.replace(b, amps=[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps])
-                          for b in chain] for chain in chains])
+            variants.append(_rescaled(chains, lambda i, b: [a * scale if i else a for a in b.amps]))
+        variants += [_cancelling(chains)] if len(chains) == 2 else []
+        variants.append(_rescaled(chains, lambda i, b: [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps]))
+        variants.append(_rescaled(chains, lambda i, b: [a / abs(a) * 0.6 * PRUNE_EPS for a in b.amps]))
         for chains in variants:
             got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(tab, ts, chains, target)])
             assert got == _outcome(lambda: _dict_rounds(ts, chains, target))
+            outcomes[got[0] if isinstance(got, tuple) else "rounds"] += 1
             pruned += len(chains) == 2 and len(chains[0][0].wins) and any(
                 len(_dict_pair(a, b)) < len(a | b) for a in _states(chains[0][0]) for b in _states(chains[1][0]))
     assert pruned or accounting == "joint" or not polarized or corrupt
+    assert outcomes["DegenerateStateError"] or corrupt
 
 
 def test_the_merge_scale_and_its_prune_match_merge_terms():
@@ -800,17 +892,28 @@ def test_plans_and_their_tables_are_cached_per_document():
 
 def test_a_deep_chain_does_round_work_only_until_its_fixed_point(monkeypatch):
     # once t saturates a round returns its own input, so later rounds repeat
-    # it: round work grows with the rounds to saturation, not with --rounds
+    # it: round work (rounds computed by a round function) grows with the
+    # rounds to saturation, not with --rounds
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return vbs_coefficients(*args)
+        return _ChainRound(*args)
 
-    monkeypatch.setattr(ecpsim.engine, "vbs_coefficients", counted)
+    monkeypatch.setattr(ecpsim.engine, "_ChainRound", counted)
     report = run_ecp2(ENT, rounds=100_000)
-    assert len(calls) <= 16
+    assert 0 < len(calls) <= 16
     assert len(report.rounds) == 100_000
     last = report.rounds[-1]
     assert (last.k, last.t, last.heralded_fidelity) == (100_000, 1.0, None)
     assert vars(report.rounds[len(calls)]) | {"k": last.k} == vars(last)
+
+
+def test_variable_coupler_ports_are_checked_once_per_chain():
+    # the parser rejects a repeated port, so only a hand-built arm reaches the engine's check
+    plan = analyze(builtin_doc("ecp2_stripped"))
+    [arm] = plan.arms
+    bad = dataclasses.replace(arm, label="bad", vbs=dataclasses.replace(arm.vbs, transmit=arm.vbs.inp))
+    with pytest.raises(PortContractError) as err:
+        ecpsim.engine._chain(PatternTable(), [bad], None)
+    assert str(err.value) == f"vbs: ports must be distinct, {arm.vbs.inp!r} repeats"
