@@ -475,11 +475,11 @@ def _run_chain(
     repeats that round's result.
     """
     chain = _chain(tab, arms, merge)
-    couplers, setup, *_, formed = chain
+    couplers, setup, _, photons, _, _, formed = chain
     rules = _rules(couplers, bs_matrix())
     factor = detection_factor(setup[0][0], model)
     auxes = []  # each arm's photon: its output ids (reflected, transmitted per id) and amplitudes
-    for photon, outputs in chain[3]:
+    for photon, outputs in photons:
         terms = _terms(photon, bindings)
         auxes.append((tuple(x for p in terms for x in outputs[p]), list(terms.values())))
     key = tuple(xs for xs, _ in auxes)
@@ -519,7 +519,7 @@ def _masked(tab: PatternTable, chain: tuple, rules: tuple, kernels: dict, curren
         shape.append((xs, alive))
         whole = whole and keep is None and alive is None
     shape = tuple(shape)
-    programs, ports = chain[5], chain[4]
+    *_, ports, programs, _ = chain
     program = programs.get(shape)
     if program is None or program[0] != rules:  # never serve another coupler matrix
         program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
