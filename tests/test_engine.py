@@ -739,8 +739,9 @@ def _cancelling(chains):
     that its pair ``0.5 * (plus + minus)`` sits at 0.6 PRUNE_EPS."""
     rounds = []
     for plus, minus in zip(*chains):
-        amps = list(minus.amps)
-        shared = [(a, j) for q, a in zip(plus.wins[0], plus.amps) for j, r in enumerate(minus.wins[0]) if r == q]
+        amps, firsts = list(minus.amps), plus.wins[:1] + minus.wins[:1]
+        shared = [] if len(firsts) < 2 or None in firsts else [
+            (a, j) for q, a in zip(firsts[0], plus.amps) for j, r in enumerate(firsts[1]) if r == q]
         if shared:
             a, j = shared[0]
             amps[j] = -a + 1.2 * PRUNE_EPS * a / abs(a)
