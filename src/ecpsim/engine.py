@@ -36,11 +36,15 @@ that sums the slots, weighs each click signature, merges the wins and
 checks and rescales the recycle continuation as straight-line code on
 locals.  Where every product survives, the function first forms the
 products from the input, auxiliary and coupler amplitudes, and is kept per
-chain by input ids; a pruned product hands the round to the masked path
-(``_masked``).  Per round's win ids, one generated scorer (``_scoring``)
-pairs the wins, prunes, and scores them against the target.  A point
-computes only amplitudes, with the prunes, summation order and errors of
-the dict path these replace.
+chain by input ids and which auxiliary factors survive; a pruned product
+hands the round to the masked path (``_masked``).  Per round's win ids, one
+generated scorer (``_scoring``) pairs the wins, prunes, and scores them
+against the target.  A point computes only amplitudes, with the prunes,
+summation order and errors of the dict path these replace.
+
+Amplitudes are floats wherever they are real, so a point at real parameters
+runs in float arithmetic; a complex parameter or coupler phase runs the same
+functions in complex arithmetic, with the same real parts.
 
 States stay unnormalized throughout; squared norms are absolute
 probabilities.  Recycling rounds send the auxiliary photon through its
@@ -119,6 +123,7 @@ class Plan(Layout):
 
     coupler_reads: set[str] = field(default_factory=set)
     reads: set[str] = field(default_factory=set)  # by couplers and sources
+    planned: tuple = field(kw_only=True)  # per arm, 0 where its t is t1/t_plus, 1 where t2/t_minus, else None
     table: PatternTable = field(default_factory=PatternTable, compare=False, repr=False)
 
 
@@ -132,7 +137,12 @@ def analyze(doc: CircuitDoc) -> Plan:
     lay = layout(doc)
     couplers = _reads(arm.vbs.t for arm in lay.arms)
     sources = _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
-    return Plan(**vars(lay), coupler_reads=couplers, reads=couplers | sources)
+    planned = tuple(_PLANNED.get(node[1]) if (node := parse_expr(arm.vbs.t))[0] == "var" else None
+                    for arm in lay.arms)
+    return Plan(**vars(lay), coupler_reads=couplers, reads=couplers | sources, planned=planned)
+
+
+_PLANNED = {"t1": 0, "t_plus": 0, "t2": 1, "t_minus": 1}  # which planned schedule a parameter is
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +156,17 @@ def _photon(tab: PatternTable, sources: list[SourceDecl]) -> tuple:
     return [compile_expr(s.amp) for s in sources], tuple(groups), tuple(map(tuple, groups.values()))
 
 
+def _real(x):
+    """``x`` as a float where its imaginary part is zero."""
+    return x if x.imag else x.real
+
+
 def _terms(photon: tuple, bindings) -> dict[int, complex]:
-    """A compiled photon at ``bindings``: per id its amplitudes summed from 0j, pruned."""
+    """A compiled photon at ``bindings``: per id its amplitudes summed from 0j, pruned, and a float
+    where the sum's imaginary part is zero."""
     fns, ids, groups = photon
     amps = [f(bindings) for f in fns]
-    return {p: a for p, g in zip(ids, groups) if abs(a := sum(map(amps.__getitem__, g), 0j)) >= PRUNE_EPS}
+    return {p: _real(a) for p, g in zip(ids, groups) if abs(a := sum(map(amps.__getitem__, g), 0j)) >= PRUNE_EPS}
 
 
 def _target(photon: tuple, bindings) -> tuple:
@@ -190,10 +206,13 @@ def _survivors(amps: list) -> tuple:
     return alive, list(itertools.compress(amps, alive))
 
 
-def _kept(names: list) -> str:
-    """Source of ``_survivors``' test that every one of ``names`` survives the prune."""
-    least = f"min({', '.join(f'abs({x})' for x in names)})" if len(names) > 1 else f"abs({names[0]})"
-    return f"{least} >= PRUNE_EPS"
+def _kept(names: list, pruned: list = ()) -> str:
+    """Source of ``_survivors``' test that every one of ``names`` survives the prune and none of
+    ``pruned`` does (one of the two lists not empty)."""
+    def magnitude(extreme: str, xs: list) -> str:
+        return f"{extreme}({', '.join(f'abs({x})' for x in xs)})" if len(xs) > 1 else f"abs({xs[0]})"
+    below = [f"{magnitude('max', pruned)} <"] if pruned else []
+    return " ".join([*below, "PRUNE_EPS", *([f"<= {magnitude('min', names)}"] if names else [])])
 
 
 def _aligned(first: list, second: list) -> tuple:
@@ -328,17 +347,18 @@ def _round_kernel(tab: PatternTable, program: tuple, ports: tuple, alive: tuple 
 
 def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple, form: tuple | None = None):
     """``kernel(products, factor) -> _ChainRound``: ``program``'s round, its slots surviving where
-    ``alive``, written out as straight-line Python and compiled.  With ``form`` (the input and
-    each arm's auxiliary amplitude counts of a round whose products all survive) it is
-    ``kernel(inputs, factor, auxes, pairs)`` and forms the products first (``_products``),
-    returning None where one is pruned.  Slot s is ``0j + p*c + ...`` in the order of
-    ``slots[s]``; with ``alive`` None a slot under PRUNE_EPS hands the products to the function
-    of the slots that survive.  Each signature weighs its surviving squares; one that weighs more
-    than PRUNE_EPS**2 raises if two of its slots share a residual id (a mixture), else a win adds
-    ``weight * factor`` and its state, merged by ``ports`` as ``(a * N) / n`` and pruned, or
-    keeps the merge's ``(type, message)``; the first recycle signature that weighs enough, once
-    each later one agrees with it after correction (``_aligned``), is rescaled to their summed
-    weight and pruned: the next round's input.  Coefficients, scales and ids are bound by name."""
+    ``alive``, written out as straight-line Python and compiled.  With ``form`` (for a round whose
+    products all survive: the chain's round functions by input ids and factors, then
+    ``_products``' arguments) it is ``kernel(inputs, factor, auxes, pairs)`` and forms the
+    products first, returning None where one is pruned.  Slot s is ``0.0 + p*c + ...`` in the
+    order of ``slots[s]``; with ``alive`` None a slot under PRUNE_EPS hands the products to the
+    function of the slots that survive.  Each signature weighs its surviving squares; one that
+    weighs more than PRUNE_EPS**2 raises if two of its slots share a residual id (a mixture),
+    else a win adds ``weight * factor`` and its state, merged by ``ports`` as ``(a * N) / n`` and
+    pruned, or keeps the merge's ``(type, message)``; the first recycle signature that weighs
+    enough, once each later one agrees with it after correction (``_aligned``), is rescaled to
+    their summed weight and pruned: the next round's input.  Coefficients, scales and ids are
+    bound by name, a coefficient or scale as a float where its imaginary part is zero."""
     _, products, slots, sides, _ = program
     consts = {"TAB": tab, "PROGRAM": program, "PORTS": ports, "EPS2": PRUNE_EPS**2,
               "NORM2": NORM_TOL**2, "AGREE": 1.0 - RECYCLE_AGREEMENT_TOL}
@@ -351,9 +371,10 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
     if form is None:
         code, handed = [f"{''.join(f'p{i}, ' for i in range(products))}= v"] if products else [], "v"
     else:
-        code, handed = _products(*form), f"({''.join(f'p{i}, ' for i in range(products))})"
+        consts["FORMED"], consts["IDS"] = form[:2]
+        code, handed = _products(*form[1:]), f"({''.join(f'p{i}, ' for i in range(products))})"
     for s in live:
-        code += [f"s{s} = 0j{''.join(f' + p{i} * {const(c)}' for i, c in slots[s])}", f"m{s} = abs(s{s})"]
+        code += [f"s{s} = 0.0{''.join(f' + p{i} * {const(_real(c))}' for i, c in slots[s])}", f"m{s} = abs(s{s})"]
     if alive is None and live:
         code += [f"if {' or '.join(f'm{s} < PRUNE_EPS' for s in live)}:  # the prune after the last coupler",
                  f"    alive = tuple([m >= PRUNE_EPS for m in ({''.join(f'm{s}, ' for s in live)})])",
@@ -386,7 +407,7 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         elif ports:  # the merge, then its prune
             us = "".join(f"u{s}, " for s, _ in kept)
             merged = const(tuple(stage[q][0] for q in ids))
-            code += [f"    u{s} = (s{s} * {const(stage[q][1])}) / {const(stage[q][2])}" for s, q in kept]
+            code += [f"    u{s} = (s{s} * {const(_real(stage[q][1]))}) / {const(_real(stage[q][2]))}" for s, q in kept]
             code += [f"    if {' and '.join(f'abs(u{s}) >= PRUNE_EPS' for s, _ in kept)}:",
                      f"        wins.append({merged})",
                      f"        amps += ({us})",
@@ -414,7 +435,7 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
                      f"        p_rec += {other}",
                      f"        if {r} <= NORM2 or {other} <= NORM2:",
                      "            raise DegenerateStateError('fidelity of a (near-)zero state is undefined')",
-                     f"        inner = 0j{''.join(f' + s{a}.conjugate() * s{b}' for a, b in zip(firsts, seconds))}",
+                     f"        inner = 0.0{''.join(f' + s{a}.conjugate() * s{b}' for a, b in zip(firsts, seconds))}",
                      f"        if min(abs(inner) ** 2 / ({r} * {other}), 1.0) < AGREE:",
                      "            raise RuntimeError(_DISAGREE)"]
         code += [f"    scale = math.sqrt(p_rec / {r})", "    nxt = {}"]
@@ -425,23 +446,33 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
     return _compiled("v, factor" if form is None else "v, factor, a, c", code, consts, "<round kernel>")
 
 
-def _products(inputs: int, form: tuple) -> list:
-    """Lines that form a round's products from ``v`` (the input amplitudes), ``a`` (every arm's
-    auxiliary amplitudes) and ``c`` (each arm's coupler pair ``(sqrt(1-t), sqrt(t))``), as the
-    masked path (``_masked``) forms them: per arm its factors ``aux * r`` and ``aux * s``, then
-    the products input-major, ``(v * f1) * f2``; where a factor's or a product's ``_survivors``
-    test fails, the function returns None."""
-    code = [f"{''.join(f'v{i}, ' for i in range(inputs))}= v"] if inputs else []
-    code += [f"{''.join(f'a{j}, ' for j in range(sum(form)))}= a"] if sum(form) else []
-    code.append(f"{''.join(f'(r{i}, s{i}), ' for i in range(len(form)))}= c")
-    level, at = [f"v{i}" for i in range(inputs)], 0
-    for i, n in enumerate(form):
-        factors = [f"f{i}_{x}" for x in range(2 * n)]
-        code += [f"{f} = a{at + x // 2} * {'rs'[x % 2]}{i}" for x, f in enumerate(factors)]
+def _products(ids: tuple, counts: tuple, mask: tuple) -> list:
+    """Lines that form a round's products from ``v`` (the amplitudes of input ``ids``), ``a``
+    (every arm's auxiliary amplitudes, ``counts`` per arm) and ``c`` (each arm's coupler pair
+    ``(sqrt(1-t), sqrt(t))``), as the masked path (``_masked``) forms them: per arm its factors
+    ``aux * r`` and ``aux * s``, of which those ``mask`` marks survive the prune, then the
+    products of those input-major, ``(v * f1) * f2``.  Where other factors survive, the function
+    hands over to the one of their mask (``FORMED``, by ``IDS`` and mask), or returns None where
+    there is none yet; where a product's ``_survivors`` test fails, it returns None."""
+    code = [f"{''.join(f'v{i}, ' for i in range(len(ids)))}= v"] if ids else []
+    code += [f"{''.join(f'a{j}, ' for j in range(sum(counts)))}= a"] if sum(counts) else []
+    code.append(f"{''.join(f'(r{i}, s{i}), ' for i in range(len(counts)))}= c")
+    factors, at = [f"f{x}" for x in range(len(mask))], 0
+    for i, n in enumerate(counts):
+        code += [f"f{x} = a{x // 2} * {'rs'[x % 2]}{i}" for x in range(2 * at, 2 * (at + n))]
         at += n
-        names = [f"p{x}" if i == len(form) - 1 else f"q{i}_{x}" for x in range(len(level) * len(factors))]
-        code += [f"{x} = {u} * {f}" for x, (u, f) in zip(names, itertools.product(level, factors))]
-        code += [f"if not {_kept(values)}: return None" for values in (factors, names) if values]
+    if factors:
+        kept, pruned = ([f for f, m in zip(factors, mask) if m == keep] for keep in (True, False))
+        code += [f"if not {_kept(kept, pruned)}:  # other factors survive",
+                 f"    kernel = FORMED.get((IDS, tuple([abs(f) >= PRUNE_EPS for f in ({''.join(f'{f}, ' for f in factors)})])))",
+                 "    return None if kernel is None else kernel(v, factor, a, c)"]
+    level, at = [f"v{i}" for i in range(len(ids))], 0
+    for i, n in enumerate(counts):
+        fs = [f"f{x}" for x in range(2 * at, 2 * (at + n)) if mask[x]]
+        at += n
+        names = [f"p{x}" if i == len(counts) - 1 else f"q{i}_{x}" for x in range(len(level) * len(fs))]
+        code += [f"{x} = {u} * {f}" for x, (u, f) in zip(names, itertools.product(level, fs))]
+        code += [f"if not {_kept(names)}: return None"] if names else []
         level = names
     return code
 
@@ -488,44 +519,47 @@ def _run_chain(
     kernels, amps = formed[key][1], [a for _, aux in auxes for a in aux]
     results: list[_ChainRound] = []
     last = None
-    for k in range(len(schedules[0])):
-        ts = [s[k] for s in schedules]
+    for ts in zip(*schedules):
         if last == (current, ts):  # a fixed point: the same round again
             results.append(results[-1])
             continue
         last = (current, ts)
-        pairs = list(map(vbs_pair, ts))
+        pairs = list(map(_pair, ts))
         kernel = kernels.get(tuple(current))
         result = None if kernel is None else kernel(list(current.values()), factor, amps, pairs)
-        if result is None:  # input ids not seen yet, or a pruned product
+        if result is None:  # input ids or surviving factors not seen yet, or a pruned product
             result = _masked(tab, chain, rules, kernels, current, auxes, pairs, factor)
         results.append(result)
         current = result.recycle_next
     return results
 
 
+_pair = functools.lru_cache(maxsize=256)(vbs_pair)  # a coupler pair once per transmittance
+
+
 def _masked(tab: PatternTable, chain: tuple, rules: tuple, kernels: dict, current: dict, auxes: list,
             pairs: list, factor: float) -> _ChainRound:
     """A round of ``current`` whose products are formed here, pruned after each factor; their
     shape (input ids, then per arm the surviving output ids and which products survive, None for
-    all) keys the program, built from the products that survive.  Where nothing is pruned, the
-    round function that forms the products itself is generated and kept in ``kernels`` by input
-    ids."""
-    shape, vals, whole = [tuple(current)], list(current.values()), True
+    all) keys the program, built from the products that survive.  Where every product survives,
+    the round function that forms them itself is generated and kept in ``kernels`` by input ids
+    and which factors survive, and by input ids alone where it is the first for them."""
+    shape, vals, mask = [tuple(current)], list(current.values()), ()
     for (xs, amps), rs in zip(auxes, pairs):
         keep, cs = _survivors([a * c for a in amps for c in rs])
         xs = xs if keep is None else tuple(itertools.compress(xs, keep))
         alive, vals = _survivors([a * c for a in vals for c in cs])
         shape.append((xs, alive))
-        whole = whole and keep is None and alive is None
+        mask += keep or (True,) * len(xs)
     shape = tuple(shape)
     *_, ports, programs, _ = chain
     program = programs.get(shape)
     if program is None or program[0] != rules:  # never serve another coupler matrix
         program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
-    if whole:
-        form = len(current), tuple(len(amps) for _, amps in auxes)
-        kernel = kernels[shape[0]] = _kernel(tab, program, None, ports, form)
+    if all(alive is None for _, alive in shape[1:]):
+        form = kernels, shape[0], tuple(len(amps) for _, amps in auxes), mask
+        kernel = kernels[shape[0], mask] = _kernel(tab, program, None, ports, form)
+        kernels.setdefault(shape[0], kernel)
         return kernel(list(current.values()), factor, [a for _, aux in auxes for a in aux], pairs)
     return _round_kernel(tab, program, ports, None)(vals, factor)
 
@@ -549,7 +583,7 @@ def _scoring(table: dict, key: tuple, alive: tuple | None):
     ``0.5 * (plus + minus)`` (both arms carry the signal-at-home component, counted once), and
     with ``alive`` None a paired value under PRUNE_EPS hands the amplitudes to the scorer of
     those that survive.  A state's squared norm is ``sum`` of its squares, a (near-)zero one
-    raises, and its fidelity is ``|0j + conj(x) * y + ...|**2 / (norm * tnorm)`` over the ids it
+    raises, and its fidelity is ``|0.0 + conj(x) * y + ...|**2 / (norm * tnorm)`` over the ids it
     shares with the target (``_aligned``); the worst, at most 1.0, is returned."""
     *books, tids = key
     code, wins = [], []  # per chain, each win's (value name, id) pairs
@@ -585,7 +619,7 @@ def _scoring(table: dict, key: tuple, alive: tuple | None):
              "    raise DegenerateStateError('fidelity of a (near-)zero state is undefined')"]
     for s, state in enumerate(states):
         firsts, seconds = _aligned(state, targets)
-        code.append(f"i{s} = 0j{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}")
+        code.append(f"i{s} = 0.0{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}")
     code.append(f"return min(min([{', '.join(f'abs(i{s}) ** 2 / (n{s} * tnorm)' for s in range(len(states)))}]), 1.0)")
     return _compiled("t, tnorm, a, b", code, {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}, "<round scorer>")
 
@@ -735,16 +769,23 @@ def _effective_schedule(
 ) -> dict[str, list[float]]:
     """The report's ``schedule``: per arm label the transmittance its coupler expression
     gives in each round, with ``ts_plus``/``ts_minus`` bound to its parameters (``minus``
-    empty on a one-arm layout)."""
+    empty on a one-arm layout).  A coupler that reads one of them bare takes the planned list,
+    as floats (``evaluate_real`` gives ``float(t)``), already checked to lie in [0, 1]."""
     eff: dict[str, list[float]] = {"plus": [], "minus": []}
+    arms = []  # the couplers whose expressions are evaluated round by round
+    for arm, planned in zip(plan.arms, plan.planned):
+        if planned is None:
+            arms.append(arm)
+        else:
+            eff[arm.label] = list(map(float, (ts_plus, ts_minus)[planned]))
     round_bindings = dict(bindings)
-    for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus)):
+    for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus) if arms else ()):
         if k and plus == ts_plus[k - 1] and minus == ts_minus[k - 1]:
-            for arm in plan.arms:  # the same bindings give the same values
+            for arm in arms:  # the same bindings give the same values
                 eff[arm.label].append(eff[arm.label][-1])
             continue
         round_bindings.update(t1=plus, t2=minus, t_plus=plus, t_minus=minus)
-        for arm in plan.arms:
+        for arm in arms:
             v = evaluate_real(arm.vbs.t, round_bindings)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"coupler expression {arm.vbs.t!r} gives {v}, outside [0, 1]")

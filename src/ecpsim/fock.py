@@ -123,7 +123,8 @@ class State:
 
     @classmethod
     def _trusted(cls, terms: dict[Pattern, complex]) -> "State":
-        """Prune only: the caller guarantees distinct, within-cap patterns and complex amplitudes."""
+        """Prune only: the caller guarantees distinct, within-cap patterns and numeric (complex or
+        float) amplitudes."""
         state = object.__new__(cls)
         state._terms = prune(terms)
         return state

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ class EntanglementParams:
     beta: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):  # a NaN norm fails no test below
+            raise ParameterError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n - 1.0) > NORM_TOL:
             raise ParameterError(f"|alpha|^2 + |beta|^2 = {n}, expected 1")
@@ -56,6 +59,8 @@ class PolarizationParams:
     delta: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.gamma) and cmath.isfinite(self.delta)):
+            raise ParameterError(f"gamma and delta must be finite, got {self.gamma}, {self.delta}")
         n = abs(self.gamma) ** 2 + abs(self.delta) ** 2
         if abs(n - 1.0) > NORM_TOL:
             raise ParameterError(f"|gamma|^2 + |delta|^2 = {n}, expected 1")

@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from operator import index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RoundResult:
     """One recycling round (k counts from 1).
 
@@ -30,6 +30,13 @@ class RoundResult:
     p_success: float
     p_fail_recyclable: float
     heralded_fidelity: float | None
+
+    def __init__(self, k, t, p_success, p_fail_recyclable, heralded_fidelity):
+        # the fields go straight into the instance dict, in field order, without the frozen
+        # class's object.__setattr__ per field
+        fields = self.__dict__
+        fields["k"], fields["t"], fields["p_success"] = k, t, p_success
+        fields["p_fail_recyclable"], fields["heralded_fidelity"] = p_fail_recyclable, heralded_fidelity
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import ecpsim.engine
 import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
-from ecpsim.dsl import DetectDecl, evaluate_expr, parse
+from ecpsim.dsl import DetectDecl, evaluate_expr, evaluate_real, parse
 from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_rules
 from ecpsim.engine import (
     ConfigError,
@@ -51,7 +51,7 @@ from ecpsim.fock import (
     terms_norm_sq,
 )
 from ecpsim.measurement import MIXTURE, DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
-from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams
+from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams, vbs_schedule
 from ecpsim.verify import corrupted_coupler
 
 ENT = EntanglementParams.from_alpha_sq(0.6)
@@ -656,12 +656,16 @@ def _dict_rounds(ts, chains, target):
     return out
 
 
-def _outcome(call):
-    """Its result, or its exception's type and message."""
+def _outcome(call, show=repr):
+    """``show`` of its result (its repr by default), or its exception's type and message."""
     try:
-        return repr(call())
+        return show(call())
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def _as_is(value):
+    return value
 
 
 def _reweighted(values, rng):
@@ -684,26 +688,40 @@ def _identity(sides, count):
     return (None, count, tuple(((s, 1.0),) for s in range(count)), sides, {})
 
 
-def _scored(tab, program, products, factor, ports):
+def _scored(tab, program, products, factor, ports, show=repr):
     """The round function's result as ``_outcome(_dict_score)`` gives it: a repr, or the error's
     type and message, where a merge error is kept in the round rather than raised."""
-    return _book(lambda: _round_kernel(tab, program, ports, None)(products, factor))
+    return _book(lambda: _round_kernel(tab, program, ports, None)(products, factor), show)
 
 
-def _book(call):
+def _book(call, show=repr):
     try:
         book = call()
     except (ValueError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
     if book.error:
         return book.error[0].__name__, book.error[1]
-    return repr((book.p_success, _states(book), book.p_recycle, book.recycle_next))
+    return show((book.p_success, _states(book), book.p_recycle, book.recycle_next))
+
+
+def _real_where(value, like):
+    """``value`` with each complex number that sits where ``like`` holds a float replaced by its
+    real part, once its imaginary part is checked to be 0: the dict path sums from 0j, where
+    the engine keeps real amplitudes as floats."""
+    if type(like) is float and type(value) is complex:
+        assert value.imag == 0, (value, like)
+        return value.real
+    if type(value) is type(like) and isinstance(value, (tuple, list)) and len(value) == len(like):
+        return type(value)(map(_real_where, value, like))
+    if type(value) is type(like) is dict and value.keys() == like.keys():
+        return {key: _real_where(v, like[key]) for key, v in value.items()}
+    return value
 
 
 def _dict_products(current, auxes, pairs):
     """The product stage the round functions replaced: per arm the factors ``aux * r`` and
     ``aux * s``, pruned, then every product input-major, pruned; the shape of what survives,
-    and whether all of it does."""
+    and whether every product of the surviving factors does."""
     shape, products, whole = [tuple(current)], list(current.values()), True
     for (xs, amps), rs in zip(auxes, pairs):
         factors = [(x, f) for x, f in zip(xs, [a * c for a in amps for c in rs]) if abs(f) >= PRUNE_EPS]
@@ -711,13 +729,19 @@ def _dict_products(current, auxes, pairs):
         alive = tuple(abs(p) >= PRUNE_EPS for p in products)
         products = [p for p, kept in zip(products, alive) if kept]
         shape.append((tuple(x for x, _ in factors), alive))
-        whole = whole and len(factors) == len(xs) and all(alive)
+        whole = whole and all(alive)
     return tuple(shape), products, whole
+
+
+def _factor_mask(auxes, pairs):
+    """Which of every arm's factors ``aux * r``, ``aux * s`` survive the prune, arm after arm."""
+    return tuple(abs(a * c) >= PRUNE_EPS for (_, amps), rs in zip(auxes, pairs) for a in amps for c in rs)
 
 
 def _dict_round(tab, arms, current, ts, bindings, model, merge):
     """One round through the dict path on the engine's slot program of the round's shape:
-    ``(outcome, whole, sides, slot values, factor, merge ports)``, ``whole`` where nothing is pruned."""
+    ``(outcome, whole, sides, slot values, factor, merge ports)``, the outcome as the result
+    itself or the error's type and message, ``whole`` where no product is pruned."""
     chain = ecpsim.engine._chain(tab, arms, merge)
     auxes = []
     for photon, outputs in chain[3]:
@@ -726,7 +750,7 @@ def _dict_round(tab, arms, current, ts, bindings, model, merge):
     shape, products, whole = _dict_products(current, auxes, [(math.sqrt(1.0 - t), math.sqrt(t)) for t in ts])
     _, slots, sides = ecpsim.engine._slots(tab, shape, ecpsim.engine._rules(chain[0], bs_matrix()), chain)
     factor, values = detection_factor(chain[1][0][0], model), _dict_slots(slots, products)
-    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain[4])), whole, sides, values, factor, chain[4]
+    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain[4]), _as_is), whole, sides, values, factor, chain[4]
 
 
 def _rescaled(chains, amps):
@@ -756,16 +780,19 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
     # every round against the product stage, slot gather and dict path it replaced, bit for bit:
     # on the recorded inputs, reweighted at random, with entries at 1.01, 0.99 and 0.6 PRUNE_EPS
     # and with every entry at magnitude 4, each also with the first arm's transmitted factor at
-    # 0.6 PRUNE_EPS (so the round function that forms the products hands over to the masked
-    # path, where a product or a factor is pruned); through a program
+    # 0.6 PRUNE_EPS (so the round function of the surviving factors runs, or hands over to the
+    # masked path where a product is pruned); through a program
     # of the same signatures whose slot s is product s, on the slot values and their reweightings;
-    # and every scorer against the dict pairing and fidelities.  Also under a miswired coupler
-    # (where the recycle agreement fails on both paths)
+    # and every scorer against the dict pairing and fidelities.  The dict path sums from 0j: where
+    # the round holds a float it is that sum's real part, repr for repr, its imaginary part 0;
+    # fed the recorded inputs as complex(x, 0.0), the round is the dict path's, repr for repr.
+    # Also under a miswired coupler (where the recycle agreement fails on both paths)
     calls, rounds, handed = [], [], []
 
-    def masked(tab, chain, rules, kernels, current, *rest):
-        handed.append(tuple(current) in kernels)  # True: the round function handed a pruned product over
-        return _masked(tab, chain, rules, kernels, current, *rest)
+    def masked(tab, chain, rules, kernels, current, auxes, pairs, factor):
+        # True: the round function of these input ids and surviving factors handed a pruned product over
+        handed.append((tuple(current), _factor_mask(auxes, pairs)) in kernels)
+        return _masked(tab, chain, rules, kernels, current, auxes, pairs, factor)
 
     monkeypatch.setattr(ecpsim.engine, "_run_chain", lambda *a: calls.append(a) or _run_chain(*a))
     monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
@@ -785,30 +812,40 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                 ts = [s[k] for s in schedules]
                 inputs = [current] + [dict(zip(current, vals)) for vals in _reweighted(list(current.values()), rng)]
                 inputs.append({w: 4.0 * a / abs(a) for w, a in current.items()})  # 4 * 0.6 PRUNE_EPS survives a pruned factor
+                inputs += [{w: complex(a, 0.0) for w, a in terms.items()} for terms in (current, inputs[-1])]
                 for i, (terms, t) in enumerate(itertools.product(inputs, (ts, [(0.6 * PRUNE_EPS) ** 2, *ts[1:]]))):
                     want, whole, sides, values, factor, ports = _dict_round(tab, arms, terms, t, bindings, model, merge)
                     handed.clear()
-                    assert _book(lambda: _run_chain(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0]) == want
-                    assert handed in ([False], [] if whole else [True])  # new input ids, or the masked path
+                    got = _book(lambda: _run_chain(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0], _as_is)
+                    complex_input = all(type(a) is complex for a in terms.values())
+                    assert repr(got) == repr(want if complex_input else _real_where(want, got))
+                    outcomes["floats"] += repr(got) != repr(want)
+                    assert handed in ([False], [] if whole else [True])  # new input ids or factors, or the masked path
                     outcomes["handed"] += handed == [True]
-                    outcomes[want[0] if isinstance(want, tuple) else "scored"] += 1
+                    outcomes["pruned factor, generated"] += handed == [] and t[0] != ts[0]
+                    outcomes[want[0] if len(want) == 2 else "scored"] += 1
                     if i == 0:
                         identity = _identity(sides, len(values))
-                        for vals in [values, *_reweighted(values, rng)]:
-                            got = _scored(tab, identity, vals, factor, ports)
-                            assert got == _outcome(lambda: _dict_score(tab, sides, vals, factor, ports))
-                            outcomes[got[0] if isinstance(got, tuple) else "scored"] += 1
+                        cases = [(vals, vals) for vals in [values, *_reweighted(values, rng)]]
+                        if not any(v.imag for v in values):  # the slot values as floats
+                            cases.append(([v.real for v in values], values))
+                        for vals, slots in cases:
+                            got = _scored(tab, identity, vals, factor, ports, _as_is)
+                            want = _outcome(lambda: _dict_score(tab, sides, slots, factor, ports), _as_is)
+                            assert repr(got) == repr(_real_where(want, got) if vals is not slots else want)
+                            outcomes[got[0] if len(got) == 2 else "scored"] += 1
                 try:
                     [book] = _run_chain(tab, arms, current, [[t] for t in ts], bindings, model, merge)
                 except (RuntimeError, ValueError):
                     break
                 current = book.recycle_next
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
-    assert outcomes["handed"]
+    assert outcomes["handed"] and outcomes["pruned factor, generated"] and (outcomes["floats"] or corrupt)
     pruned = 0
     for tab, ts, chains, target in rounds:
         # the recorded wins; reweighted; with shared plus and minus ids near cancelling, or one
-        # pair at 0.6 PRUNE_EPS; at random; and every amplitude at 0.6 PRUNE_EPS, no state surviving
+        # pair at 0.6 PRUNE_EPS; at random; every amplitude at 0.6 PRUNE_EPS, no state surviving;
+        # and as complex(x, 0.0)
         weights = {id(b): _reweighted(b.amps, rng) for chain in chains for b in chain}
         variants = [chains, *[_rescaled(chains, lambda i, b: weights[id(b)][r]) for r in range(6)]]
         for scale in (1.0, -1.0 + 1.01 * PRUNE_EPS):
@@ -816,6 +853,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
         variants += [_cancelling(chains)] if len(chains) == 2 else []
         variants.append(_rescaled(chains, lambda i, b: [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps]))
         variants.append(_rescaled(chains, lambda i, b: [a / abs(a) * 0.6 * PRUNE_EPS for a in b.amps]))
+        variants.append(_rescaled(chains, lambda i, b: [complex(a, 0.0) for a in b.amps]))
         for chains in variants:
             got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(tab, ts, chains, target)])
             assert got == _outcome(lambda: _dict_rounds(ts, chains, target))
@@ -918,3 +956,104 @@ def test_variable_coupler_ports_are_checked_once_per_chain():
     with pytest.raises(PortContractError) as err:
         ecpsim.engine._chain(PatternTable(), [bad], None)
     assert str(err.value) == f"vbs: ports must be distinct, {arm.vbs.inp!r} repeats"
+
+
+# -- real amplitudes as floats --------------------------------------------
+
+SHIPPED = ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"]
+
+
+def _chain_values(books):
+    return [a for b in books for a in (*b.amps, *b.recycle_next.values())]
+
+
+def test_real_points_hold_floats_and_a_miswired_coupler_complex(monkeypatch):
+    # real parameters and couplers keep every amplitude a float, from the photons to the next
+    # round's input; the miswired coupler's 1j phase runs the same round functions on complex
+    books = []
+
+    def record(*args):
+        books.extend(chain := _run_chain(*args))
+        return chain
+
+    monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
+    for name in SHIPPED:
+        _run_batch(name, seed=4)
+    values = _chain_values(books)
+    assert len(values) > 100 and {type(a) for a in values} == {float}
+    books.clear()
+    with corrupted_coupler():
+        for name in SHIPPED:
+            with contextlib.suppress(RuntimeError, DegenerateStateError):
+                _run_batch(name, seed=4)
+    assert any(type(a) is complex for a in _chain_values(books))
+
+
+def _close(x, y, rel):
+    return x == y or (x is not None and y is not None and abs(x - y) <= rel * max(abs(x), abs(y)))
+
+
+@pytest.mark.parametrize("accounting", ["branch", "joint"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_complex_inputs_under_a_global_phase_agree_with_the_real_run(name, accounting):
+    # alpha, beta times e^{0.7i} and gamma, delta times e^{-1.1i} run in complex arithmetic;
+    # a global phase moves no probability and no fidelity
+    rng = random.Random(19)
+    compared = 0
+    for i in range(12):
+        ent = EntanglementParams.from_alpha_sq(rng.uniform(0.1, 0.9))
+        pol = None if name.endswith("_stripped") else PolarizationParams.from_gamma_sq(rng.uniform(0.1, 0.9))
+        phased = (EntanglementParams(ent.alpha * cmath.exp(0.7j), ent.beta * cmath.exp(0.7j)),
+                  pol and PolarizationParams(pol.gamma * cmath.exp(-1.1j), pol.delta * cmath.exp(-1.1j)))
+        options = dict(rounds=i % 5 + 1 if name.startswith("ecp2") else 1, accounting=accounting,
+                       model=DetectorModel(eta_p=(1.0, 0.8)[i % 2]))
+        try:
+            real = execute(builtin_doc(name), ent, pol, **options)
+        except (RuntimeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                execute(builtin_doc(name), *phased, **options)
+            continue
+        report = execute(builtin_doc(name), *phased, **options)
+        assert type(report.rounds[0].p_success) is float
+        assert len(report.rounds) == len(real.rounds)
+        for got, want in zip(report.rounds, real.rounds):
+            for field in ("t", "p_success", "p_fail_recyclable", "heralded_fidelity"):
+                assert _close(getattr(got, field), getattr(want, field), 1e-12), (field, got, want)
+        assert _close(report.p_total, real.p_total, 1e-12)
+        compared += 1
+    assert compared >= 6
+
+
+def test_a_bare_schedule_parameter_reads_the_planned_list():
+    # t=t1 takes the planned value as evaluate_real gives it (an int prints as a float); an
+    # expression of it is evaluated round by round, to the same values
+    for t1 in (1, 0.3):
+        report = execute(parse(ONE_ARM), ENT, t1=t1)
+        assert report.schedule["plus"] == [float(t1)] and type(report.schedule["plus"][0]) is float
+        assert f'"plus": [\n      {float(t1)!r}\n    ]' in report.to_json()
+        evaluated = execute(parse(ONE_ARM.replace("t=t1", "t=1*t1")), ENT, t1=t1)
+        assert evaluated.to_json() == report.to_json()
+    ent = EntanglementParams.from_alpha_sq(0.9)
+    report = run_ecp2(ent, PolarizationParams.from_gamma_sq(0.3), rounds=8, accounting="joint")
+    planned = [evaluate_real("t_plus", {"t_plus": t}) for t in vbs_schedule(ent, 8)]
+    assert report.schedule == {"plus": planned, "minus": planned}
+
+
+def test_late_recycling_rounds_run_in_round_functions(monkeypatch):
+    # at alpha^2 0.9 the schedule reaches t = 1 in round 6, pruning the reflected factor
+    # sqrt(1 - t) of every auxiliary photon; the products of the factors that survive all
+    # survive, so a warm chain runs that round in a round function too, keyed on those factors.
+    # Round 5 (1 - t = 4e-16) still goes through the masked path: its products v * sqrt(1 - t)
+    # fall under PRUNE_EPS
+    ent = EntanglementParams.from_alpha_sq(0.9)
+    for accounting in ("branch", "joint"):
+        run_ecp2(ent, POL, rounds=8, accounting=accounting)
+    masked = []
+    monkeypatch.setattr(ecpsim.engine, "_masked", lambda *args: masked.append(args) or _masked(*args))
+    for accounting in ("branch", "joint"):
+        report = run_ecp2(ent, POL, rounds=8, accounting=accounting)
+        assert max(report.schedule["plus"][:5]) < 1.0 == min(report.schedule["plus"][5:])
+    assert masked
+    for *_, current, auxes, pairs, _ in masked:
+        assert all(r > 0.0 for r, _ in pairs)  # not a round at t = 1
+        assert min(abs(v) for v in current.values()) * min(r for r, _ in pairs) < PRUNE_EPS

@@ -46,6 +46,26 @@ class TestPolarizationParams:
             PolarizationParams(1.0, 0.1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("cls", [EntanglementParams, PolarizationParams])
+@pytest.mark.parametrize("amps", [(NAN, 1.0), (1.0, NAN), (NAN, NAN), (INF, 0.0), (0.0, -INF),
+                                  (complex(0.6, NAN), 0.8), (0.6, complex(INF, 0.0))])
+def test_nan_and_infinite_amplitudes_are_rejected(cls, amps):
+    # a NaN norm fails no tolerance test: without the check (nan, 1.0) is accepted
+    with pytest.raises(ParameterError, match="must be finite"):
+        cls(*amps)
+
+
+def test_a_nan_polarization_is_not_run_as_a_zero():
+    # the engine prunes a NaN term as it prunes a zero one, so a NaN gamma once ran as gamma = 0
+    from ecpsim.engine import run_ecp2
+
+    with pytest.raises(ParameterError, match="gamma and delta must be finite"):
+        run_ecp2(EntanglementParams.from_alpha_sq(0.6), PolarizationParams(NAN, 1.0), rounds=2, accounting="joint")
+
+
 class TestSchedule:
     def test_first_round_is_alpha_sq(self):
         for a2 in (0.1, 0.3, 0.5, 0.6, 0.9):

@@ -1,10 +1,12 @@
 """Report JSON: ``to_json`` writes exactly what ``json.dumps`` would."""
 
+import dataclasses
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecpsim.cli import main
@@ -92,3 +94,21 @@ def test_to_json_is_json_dumps_on_escaped_keys_and_float_subclasses():
     )
     assert report.to_json() == _dumps(report)
     assert report.to_json() == _dumps(report)  # and from the cached template
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.tuples(counts, maybe, numbers, numbers, maybe))
+def test_round_results_are_frozen_hashable_rows_in_field_order(fields):
+    # RoundResult writes its instance dict itself; a row is still the frozen dataclass's:
+    # equal and equally hashed however built, vars() in field order, and no assignment
+    names = [f.name for f in dataclasses.fields(RoundResult)]
+    row, named = RoundResult(*fields), RoundResult(**dict(zip(names, fields)))
+    assert row == named and hash(row) == hash(named) == hash(tuple(fields))
+    assert list(vars(row).items()) == list(zip(names, fields))
+    assert repr(row) == f"RoundResult({', '.join(f'{n}={v!r}' for n, v in zip(names, fields))})"
+    assert dataclasses.replace(row, k=0) == RoundResult(0, *fields[1:])
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.extra = 0
