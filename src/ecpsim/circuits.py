@@ -91,17 +91,8 @@ class Layout:
     arms: list[Arm]  # the plus arm first
     merge: PbsMergeDecl | None
     outputs: tuple[str, ...]
-
-    @property
-    def protocol(self) -> str:
-        with_qnd = sum(a.qnd is not None for a in self.arms)
-        if with_qnd == 0:
-            return "ecp1"
-        return "ecp2" if with_qnd == len(self.arms) else "custom"
-
-    @property
-    def has_recycling(self) -> bool:
-        return any(a.recycle_bs for a in self.arms)
+    protocol: str  # ecp1 where no arm has a nondemolition comparison, ecp2 where all do, else custom
+    has_recycling: bool
 
 
 def _photon_groups(doc: CircuitDoc) -> list[list[SourceDecl]]:
@@ -231,7 +222,9 @@ def layout(doc: CircuitDoc) -> Layout:
     if len({a.recycle_bs is None for a in arms}) != 1:
         raise TopologyError("either every arm recycles or none does")
 
-    return Layout(signal_sources, split, arms, merge, outputs)
+    with_qnd = sum(a.qnd is not None for a in arms)
+    protocol = "ecp1" if not with_qnd else "ecp2" if with_qnd == len(arms) else "custom"
+    return Layout(signal_sources, split, arms, merge, outputs, protocol, arms[0].recycle_bs is not None)
 
 
 def _group_for(detect_list: list[DetectDecl], bs: BsDecl, claimed: set[int]) -> DetectDecl:

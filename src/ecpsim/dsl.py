@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
@@ -167,55 +166,53 @@ def parse_expr(text: str, line: int = 0, col: int = 1) -> Expr:
 
 
 def expr_variables(node: Expr) -> set[str]:
-    kind = node[0]
-    if kind == "var":
-        return {node[1]}
-    if kind == "num":
-        return set()
-    vars_: set[str] = set()
-    for child in node[1:]:
-        vars_ |= expr_variables(child)
-    return vars_
+    if node[0] in ("var", "num"):
+        return {node[1]} if node[0] == "var" else set()
+    return set().union(*map(expr_variables, node[1:]))
 
 
-def _quotient(a: complex, b: complex, text: str) -> complex:
-    if b == 0:
-        raise ParameterError(f"expression {text!r} divides by zero")
-    return a / b
-
-
-def _compile(node: Expr, text: str) -> Callable[[Mapping[str, complex]], complex]:
-    """The one walk of an expression tree: a function of the bindings that does the
-    evaluation's operations in its order and raises where it raises."""
+def _emit(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> str:
+    """The one walk of an expression tree: appends to ``code`` the lines that evaluate it on the
+    bindings ``b`` with the operations of the evaluation in its order, raising where it raises, and
+    returns the name holding its complex value.  Numbers are bound by name in ``consts``, and
+    ``loaded`` names the local of each parameter read so far (read again, it is the same value)."""
     kind, *args = node
     if kind == "num":
-        value = complex(args[0])
-        return lambda bindings: value
+        consts[name := f"k{len(consts)}"] = complex(args[0])
+        return name
     if kind == "var":
-        [name] = args
-
-        def var(bindings):
-            if name not in bindings:
-                raise BindingError(f"parameter {name!r} has no bound value")
-            return complex(bindings[name])
-        return var
-    ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "sqrt": lambda v: complex(v.real**0.5) if v.imag == 0 and v.real >= 0 else cmath.sqrt(v)}
-    op = functools.partial(_quotient, text=text) if kind == "div" else ops.get(kind)
-    if op is None:
+        if args[0] not in loaded:
+            unbound, loaded[args[0]] = f"parameter {args[0]!r} has no bound value", f"e{len(code) + 1}"
+            code += [f"if {args[0]!r} not in b: raise BindingError({unbound!r})", f"e{len(code) + 1} = complex(b[{args[0]!r}])"]
+        return loaded[args[0]]
+    forms = {"neg": "-{0}", "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}", "div": "{0} / {1}",
+             "sqrt": "complex({0}.real ** 0.5) if {0}.imag == 0 and {0}.real >= 0 else cmath.sqrt({0})"}
+    if kind not in forms:
         raise CircuitError(f"unknown expression node {kind!r}")
-    fs = [_compile(a, text) for a in args]
-    if len(fs) == 1:
-        [f] = fs
-        return lambda bindings: op(f(bindings))
-    left, right = fs
-    return lambda bindings: op(left(bindings), right(bindings))
+    xs = [_emit(a, text, code, consts, loaded) for a in args]
+    if kind == "div":
+        code.append(f"if {xs[1]} == 0: raise ParameterError({f'expression {text!r} divides by zero'!r})")
+    code.append(f"e{len(code)} = {forms[kind].format(*xs)}")
+    return f"e{len(code) - 1}"
+
+
+def compiled(params: str, code: list, consts: dict, filename: str, namespace: dict | None = None):
+    """``def f(params): code`` as a function, ``consts`` bound by name in a closure (never printed
+    into the source) and other names read from ``namespace`` (this module's by default), compiled
+    the way ``dataclasses`` builds ``__init__``; no source is kept (no ``linecache`` entry)."""
+    source = (f"def make({', '.join(consts)}):\n    def f({params}):\n"
+              + "".join(f"        {line}\n" for line in code) + "    return f\n")
+    scope: dict = {}
+    exec(compile(source, filename, "exec"), globals() if namespace is None else namespace, scope)
+    return scope["make"](**consts)
 
 
 @functools.lru_cache(maxsize=256)
 def compile_expr(text: str) -> Callable[[Mapping[str, complex]], complex]:
-    """``evaluate_expr(text, ...)`` as a function of the bindings, compiled once per text."""
-    return _compile(parse_expr(text), text)
+    """``evaluate_expr(text, ...)``: a function of the bindings ``b`` generated once per text, a float where real."""
+    code, consts = [], {}
+    value = _emit(parse_expr(text), text, code, consts, {})
+    return compiled("b", [*code, f"return {value} if {value}.imag else {value}.real"], consts, "<expression>")
 
 
 def evaluate_expr(text: str, bindings: Mapping[str, complex]) -> complex:
@@ -592,12 +589,12 @@ def parse(text: str) -> CircuitDoc:
 
 def _check_expr_params(text: str, params: Sequence[str], line: int, col: int, evaluate=evaluate_expr):
     """Check what an expression reads; evaluate it if it reads no parameter."""
-    names = expr_variables(parse_expr(text, line, col))
+    names = expr_variables(node := parse_expr(text, line, col))
     for v in sorted(names):
         if v not in params:
             raise CircuitParseError(f"undeclared parameter {v!r} in expression", line, col)
-    if names:
-        return None
+    if names or node[0] == "num":  # a literal needs no generated function
+        return None if names else node[1]
     try:
         return evaluate(text, {})
     except (BindingError, ParameterError) as exc:

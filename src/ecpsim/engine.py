@@ -57,6 +57,7 @@ transmittances equal the previous round's repeats its result.
 
 from __future__ import annotations
 
+import cmath  # noqa: F401  (read by the generated photon code)
 import functools
 import itertools
 import math
@@ -65,10 +66,12 @@ from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
 from .dsl import (
+    BindingError,
     CircuitDoc,
     PbsMergeDecl,
     SourceDecl,
-    compile_expr,
+    _emit,
+    compiled,
     evaluate_real,
     expr_variables,
     parse_expr,
@@ -106,10 +109,11 @@ from .measurement import (
     herald_terms,
     qnd_class,
 )
-from .params import EntanglementParams, PolarizationParams, vbs_schedule
+from .params import EntanglementParams, ParameterError, PolarizationParams, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
+_EXACT = {n: EngineInfo("exact", n) for n in (1, 2)}  # per eta exponent (a layout has one or two arms)
 
 
 class ConfigError(ValueError):
@@ -148,12 +152,17 @@ _PLANNED = {"t1": 0, "t_plus": 0, "t2": 1, "t_minus": 1}  # which planned schedu
 # ---------------------------------------------------------------------------
 # states on the plan's pattern ids
 
-def _photon(tab: PatternTable, sources: list[SourceDecl]) -> tuple:
-    """``tab.photon`` of ``sources`` compiled: amplitude functions, ids (first seen), sources per id."""
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(sources):
-        groups.setdefault(tab.intern(((mode(s.mode, s.pol), 1),)), []).append(i)
-    return [compile_expr(s.amp) for s in sources], tuple(groups), tuple(map(tuple, groups.values()))
+class _Ids(tuple):
+    """Ids a generated function hands out for its usual outcome, interned per plan table
+    (``_interned``) and hashed by identity: a scorer lookup does not rehash them."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+
+def _interned(tab: PatternTable, ids: tuple) -> _Ids:
+    keys = tab.stage("score", "ids")
+    return keys.get(plain := tuple(ids)) or keys.setdefault(plain, _Ids(plain))
 
 
 def _real(x):
@@ -161,17 +170,8 @@ def _real(x):
     return x if x.imag else x.real
 
 
-def _terms(photon: tuple, bindings) -> dict[int, complex]:
-    """A compiled photon at ``bindings``: per id its amplitudes summed from 0j, pruned, and a float
-    where the sum's imaginary part is zero."""
-    fns, ids, groups = photon
-    amps = [f(bindings) for f in fns]
-    return {p: _real(a) for p, g in zip(ids, groups) if abs(a := sum(map(amps.__getitem__, g), 0j)) >= PRUNE_EPS}
-
-
-def _target(photon: tuple, bindings) -> tuple:
-    """``(ids, amplitudes, squared norm)`` of the normalized target."""
-    terms = _terms(photon, bindings)
+def _target(terms: dict) -> tuple:
+    """``(ids, amplitudes, squared norm)`` of the pruned photon ``terms`` normalized, then pruned."""
     n2 = terms_norm_sq(terms)
     if n2 <= NORM_TOL * NORM_TOL:
         raise DegenerateStateError("cannot normalize a (near-)zero state")
@@ -179,23 +179,86 @@ def _target(photon: tuple, bindings) -> tuple:
     return tuple(target), list(target.values()), terms_norm_sq(target)
 
 
-def _point(plan: Plan, pol: PolarizationParams | None) -> tuple:
-    """Signal and target photons for points with or without ``pol`` (a target without it kept
-    whole), and per arm the signal ids, after the split, that hold no photon in another arm's
-    signal mode: the input of the arm's branch chain."""
+def _prologue(plan: Plan, pol: PolarizationParams | None):
+    """``prologue(b) -> (signal, branches, target, auxes)``: a point's photons at the bindings ``b``,
+    generated once per plan and point kind (with or without ``pol``).  Each photon's amplitudes
+    are evaluated as ``dsl`` writes them (``_emit``), in source order, then summed per id from 0j,
+    pruned and handed out as floats where the sum's imaginary part is zero.  The target (per
+    output a V photon, or with ``pol`` ``gamma`` H and ``delta`` V) is ``(ids, amplitudes,
+    squared norm)`` normalized and pruned, its ids interned where none is pruned, and a near-zero
+    one raises; the signal goes through the split (a relabel) into the joint chain's input and,
+    per arm, the branch input of the ids holding no photon in another arm's signal mode; each
+    arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes, or the error
+    evaluating it raised, which the arm's chain raises where it reads the photon."""
     tab, points = plan.table, plan.table.stage("point")
-    key = "V" if pol is None else "HV"
-    if key not in points:
-        amps = {"V": "1"} if pol is None else {"H": "gamma", "V": "delta"}
-        target = _photon(tab, [SourceDecl(m, p, amps[p]) for m in plan.outputs for p in key])
-        signal = _photon(tab, plan.signal_sources)
-        ids = dict.fromkeys(signal[1], 1.0)  # one-photon ids: the split keeps each at 1.0
-        if plan.split is not None:
-            ids = split_terms(tab, ids, plan.split.inp, plan.split.out_h, plan.split.out_v)
-        branches = tuple(frozenset(p for p in ids if not any(
-            pattern_count(tab.patterns[p], a.signal_mode) for a in plan.arms if a is not arm)) for arm in plan.arms)
-        points[key] = signal, _target(target, {}) if pol is None else target, branches
-    return points[key]
+    kind = "V" if pol is None else "HV"
+    if kind in points:
+        return points[kind]
+    code, consts, loaded = [], {"NORM2": NORM_TOL * NORM_TOL}, {}
+
+    def const(value) -> str:
+        consts[name := f"k{len(consts)}"] = value
+        return name
+
+    def photon(sources: list, loaded: dict) -> list:
+        """Lines evaluating each source's amplitude, then each id's sum: ``[(id, sum)]``, first seen first."""
+        groups: dict[int, list[str]] = {}
+        for s, amp in [(s, _emit(parse_expr(s.amp), s.amp, code, consts, loaded)) for s in sources]:
+            groups.setdefault(tab.intern(((mode(s.mode, s.pol), 1),)), []).append(amp)
+        for p, amps in groups.items():
+            total = f"0j + {amps[0]}" if len(amps) == 1 else f"sum(({', '.join(amps)}), 0j)"
+            code.append(f"s{len(code)} = {total}")
+            groups[p] = f"s{len(code) - 1}"
+        return list(groups.items())
+
+    def real(s: str) -> str:
+        return f"({s} if {s}.imag else {s}.real)"
+
+    amps = {"V": "1"} if pol is None else {"H": "gamma", "V": "delta"}
+    terms = photon([SourceDecl(m, p, amps[p]) for m in plan.outputs for p in kind], loaded)
+    ids, sums = [p for p, _ in terms], [s for _, s in terms]
+    xs, ys = ([f"{c}{i}" for i in range(len(terms))] for c in "xy")
+    code += [f"if {_kept(sums)}:  # every target id survives", *[f"    {x} = {real(s)}" for x, s in zip(xs, sums)],
+             f"    n2 = sum([{', '.join(f'abs({x}) ** 2' for x in xs)}])",
+             "    if n2 <= NORM2: raise DegenerateStateError('cannot normalize a (near-)zero state')",
+             "    scale = 1.0 / math.sqrt(n2)", *[f"    {y} = {x} * scale" for x, y in zip(xs, ys)],
+             f"    target = ({const(_interned(tab, ids))}, [{', '.join(ys)}], sum([{', '.join(f'abs({y}) ** 2' for y in ys)}]))"
+             f" if {_kept(ys)} else _target(dict(zip({const(tuple(ids))}, [{', '.join(xs)}])))",
+             "else:", "    t = {}", *[f"    if abs({s}) >= PRUNE_EPS: t[{const(p)}] = {real(s)}" for p, s in terms],
+             "    target = _target(t)"]
+    signal = photon(plan.signal_sources, loaded)
+    moved = {p: (p, 1.0, 1.0) for p, _ in signal}  # each id's (new id, scale, divisor) through the split
+    if (split := plan.split) is not None:
+        split_terms(tab, dict.fromkeys(moved, 1.0), split.inp, split.out_h, split.out_v)
+        moved = {p: tab.stage("pbs split", split.inp, split.out_h, split.out_v)[p] for p in moved}
+    branches = {}  # the ids of each arm's input that is not the whole signal
+    for i, arm in enumerate(plan.arms):
+        ids = {q for q, *_ in moved.values() if not any(
+            pattern_count(tab.patterns[q], a.signal_mode) for a in plan.arms if a is not arm)}
+        branches.update({f"branch{i}": ids} if len(ids) < len(moved) else {})
+    code.append(f"signal, {''.join(f'{b}, ' for b in branches)}= {'{}, ' * (len(branches) + 1)}")
+    for p, s in signal:
+        q, scale, divisor = moved[p]
+        stores = "; ".join(f"{name}[{const(q)}] = x" for name in ["signal", *[b for b in branches if q in branches[b]]])
+        code += ([f"if abs({s}) >= PRUNE_EPS:", f"    x = {real(s)} * {const(scale)} / {const(divisor)}",
+                  f"    if abs(x) >= PRUNE_EPS: {stores}"] if split else [f"if abs({s}) >= PRUNE_EPS: x = {real(s)}; {stores}"])
+    for i, arm in enumerate(plan.arms):
+        code.append("try:")
+        start, terms = len(code), photon(arm.aux_sources, dict(loaded))
+        outputs = {p: tuple(tab.intern((((m, hv), 1),)) for m in (arm.vbs.reflect, arm.vbs.transmit))
+                   for p, _ in terms for [((_, hv), _)] in [tab.patterns[p]]}
+        sums = [s for _, s in terms]
+        code += [f"if {_kept(sums)}: aux{i} = {const(sum(outputs.values(), ()))}, [{', '.join(map(real, sums))}]",
+                 "else:", "    xs, amps = (), []",
+                 *[f"    if abs({s}) >= PRUNE_EPS: xs += {const(outputs[p])}; amps.append({real(s)})" for p, s in terms],
+                 f"    aux{i} = xs, amps"]
+        code[start:] = [f"    {line}" for line in code[start:]]
+        code += ["except (BindingError, ParameterError) as exc:  # raised where the arm's chain reads the photon",
+                 f"    aux{i} = exc"]
+    by_arm = "".join(f"{f'branch{i}' if f'branch{i}' in branches else 'signal'}, " for i in range(len(plan.arms)))
+    code.append(f"return signal, ({by_arm}), target, ({''.join(f'aux{i}, ' for i in range(len(plan.arms)))})")
+    points[kind] = compiled("b", code, consts, "<photons>", globals())
+    return points[kind]
 
 
 def _survivors(amps: list) -> tuple:
@@ -224,53 +287,41 @@ def _aligned(first: list, second: list) -> tuple:
     return tuple(i for i, _ in shared), tuple(j for _, j in shared)
 
 
-def _compiled(params: str, code: list, consts: dict, filename: str):
-    """``def f(params): code`` as a function, ``consts`` bound by name in a closure (never
-    printed into the source), compiled the way ``dataclasses`` builds ``__init__``; no source is
-    kept (no ``linecache`` entry)."""
-    source = (f"def make({', '.join(consts)}):\n    def f({params}):\n"
-              + "".join(f"        {line}\n" for line in code) + "    return f\n")
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace["make"](**consts)
-
-
 # ---------------------------------------------------------------------------
 # recycling chain
 
-def _chain(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None) -> tuple:
-    """``(couplers, setup, qnds, photons, ports, programs, formed)`` of a chain of ``arms``, once
-    per arm labels and merge (each variable coupler's ports checked then): per side its couplers'
-    ports, detector groups and flips; the nondemolition pairs; each arm's photon with its ids'
-    (reflected, transmitted) ids; merge ports; programs; per auxiliary ids, the coupler rules
-    and the round functions that form their products, by input ids."""
-    labels = tuple(a.label for a in arms)
-    ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
-    chains = tab.stage("chain")
-    if (labels, ports) not in chains:
+@dataclass(slots=True)
+class _Chain:
+    """A chain of arms as its points run it, bound once per plan, arm labels and coupler matrix."""
+
+    matrix: tuple  # the balanced-coupler matrix ``rules`` are at
+    rules: tuple  # per side its couplers' rules
+    setup: list  # per side its detector groups and flips
+    qnds: list  # the nondemolition pairs
+    ports: tuple  # the merge's ports, () without one
+    programs: dict  # the round programs, by shape
+    formed: dict  # per auxiliary output ids, the round functions that form the products, by input ids
+
+
+def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matrix: tuple) -> _Chain:
+    """The chain of ``arms``, bound once per arm labels and rebuilt under another coupler
+    ``matrix`` (each variable coupler's ports checked then): per side (heralding, then recycling
+    where every arm recycles) its couplers' rules, detector groups and flips; the nondemolition
+    pairs; the merge's ports; and the tables of round programs and functions."""
+    labels = tuple([a.label for a in arms])
+    chain = (chains := tab.stage("chain")).get(labels)
+    if chain is None or chain.matrix != matrix:
         for a in arms:
             vbs_ports(a.vbs.inp, a.vbs.reflect, a.vbs.transmit)
         sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
         if all(a.recycle_bs for a in arms):
             sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
-        couplers = tuple(tuple((bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side) for side in sides)
+        rules = tuple(tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side) for side in sides)
         setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
-        qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
-        photons = []
-        for a in arms:
-            photon, outputs = _photon(tab, a.aux_sources), {}
-            for x in photon[1]:
-                [((_, pol), _)] = tab.patterns[x]
-                outputs[x] = tuple(tab.intern((((m, pol), 1),)) for m in (a.vbs.reflect, a.vbs.transmit))
-            photons.append((photon, outputs))
-        chains[labels, ports] = (couplers, setup, qnds, photons, ports, tab.stage("round", labels, ports), {})
-    return chains[labels, ports]
-
-
-@functools.lru_cache(maxsize=64)
-def _rules(couplers: tuple, matrix: tuple) -> tuple:
-    """Each side's balanced couplers at the coupler ``matrix`` in force (``bs_rules`` reads it)."""
-    return tuple(tuple(bs_rules(*ports) for ports in side) for side in couplers)
+        ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
+        chain = chains[labels] = _Chain(matrix, rules, setup, [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None],
+                                        ports, tab.stage("round", labels, ports), {})
+    return chain
 
 
 def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup) -> tuple:
@@ -304,11 +355,11 @@ def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup)
     return route, outs
 
 
-def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: tuple) -> tuple:
+def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: _Chain) -> tuple:
     """``(products, slots, sides)`` of a round of product ``shape``: slot s (an output id) sums its
     ``(product index, coefficient)`` pairs ``slots[s]``; the slots run by side, signature (sorted)
     and first touch, ``sides`` listing each signature and its residual ids."""
-    _, setup, qnds, *_ = chain
+    setup, qnds = chain.setup, chain.qnds
     products = [(w,) for w in shape[0]]
     for xs, alive in shape[1:]:
         products = [k + (x,) for k in products for x in xs]
@@ -385,7 +436,8 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         for sig, qs in side:
             signatures[-1].append((sig, [(s, q) for s, q in enumerate(qs, at) if alive is None or alive[s]]))
             at += len(qs)
-    code.append("p_win, wins, amps, error = 0.0, [], [], None")
+    code.append("p_win, wins, amps, error, usual = 0.0, [], [], None, True")
+    usual = []  # each win's ids where every signature wins and none is pruned by the merge
     for sig, kept in signatures[0]:
         ids = tuple(q for _, q in kept)
         error = None
@@ -404,19 +456,23 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         code.append(f"    p_win += {w} * factor")
         if error:  # raised where every chain of the round has a win
             code += [f"    error = error or {const(error)}", "    wins.append(None)"]
+            usual.append(None)
         elif ports:  # the merge, then its prune
             us = "".join(f"u{s}, " for s, _ in kept)
-            merged = const(tuple(stage[q][0] for q in ids))
+            usual.append(tuple(stage[q][0] for q in ids))
+            merged = const(usual[-1])
             code += [f"    u{s} = (s{s} * {const(_real(stage[q][1]))}) / {const(_real(stage[q][2]))}" for s, q in kept]
             code += [f"    if {' and '.join(f'abs(u{s}) >= PRUNE_EPS' for s, _ in kept)}:",
                      f"        wins.append({merged})",
                      f"        amps += ({us})",
                      "    else:",
-                     f"        keep, win = _survivors([{us}])",
+                     f"        (keep, win), usual = _survivors([{us}]), False",
                      f"        wins.append(tuple(itertools.compress({merged}, keep)))",
                      "        amps += win"]
         else:
+            usual.append(ids)
             code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in kept)})"]
+        code += ["else:", "    usual = False"]
     again = []  # each recycle signature that can continue: its weight's name and surviving slots
     for sig, kept in signatures[1]:
         if not kept:
@@ -442,8 +498,9 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         for s, q in kept:
             code += [f"    x = s{s} * scale", f"    if abs(x) >= PRUNE_EPS: nxt[{const(q)}] = x"]
     code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]
-    code.append("return _ChainRound(p_win, p_rec, tuple(wins), amps, nxt, error)")
-    return _compiled("v, factor" if form is None else "v, factor, a, c", code, consts, "<round kernel>")
+    wins = "tuple(wins)" if None in usual else f"{const(_interned(tab, usual))} if usual else tuple(wins)"
+    code.append(f"return _ChainRound(p_win, p_rec, {wins}, amps, nxt, error)")
+    return compiled("v, factor" if form is None else "v, factor, a, c", code, consts, "<round kernel>", globals())
 
 
 def _products(ids: tuple, counts: tuple, mask: tuple) -> list:
@@ -487,58 +544,46 @@ def _mixture(sig: tuple) -> PolarizationMixtureError:
 
 def _run_chain(
     tab: PatternTable,
-    arms: list[Arm],
+    chain: _Chain,
     current: dict[int, complex],
-    schedules: list[list[float]],
-    bindings: dict[str, complex],
+    pairs,
+    auxes: list,
     model: DetectorModel,
-    merge: PbsMergeDecl | None,
 ) -> list[_ChainRound]:
-    """Run every round of ``arms`` together on the input ``current`` (by id).
+    """Run every round of ``chain`` on the input ``current`` (by id).
 
-    Each round attaches every arm's auxiliary photon at the arm's scheduled
-    transmittance, then splits by the nondemolition comparisons of the arms
-    that have one: class 1 on all of them goes on to the heralding couplers,
-    class 0 on all of them to the recycling couplers.  Success needs every
-    arm's group to click at once, and the heralded state then goes through
-    ``merge``; the combined recycle continuation is the next round's input.
-    A round whose input and transmittances equal the previous round's
-    repeats that round's result.
+    Each round attaches every arm's auxiliary photon (``auxes``, from the point's prologue) at
+    the arm's coupler pair ``(sqrt(1-t), sqrt(t))`` for the round (``pairs``, per round one per
+    arm), then splits by the nondemolition comparisons of the arms that have one: class 1 on all
+    of them goes on to the heralding couplers, class 0 on all of them to the recycling couplers.
+    Success needs every arm's group to click at once, and the heralded state then goes through
+    the merge; the combined recycle continuation is the next round's input.  A round whose
+    input and coupler pairs equal the previous round's repeats that round's result.
     """
-    chain = _chain(tab, arms, merge)
-    couplers, setup, _, photons, _, _, formed = chain
-    rules = _rules(couplers, bs_matrix())
-    factor = detection_factor(setup[0][0], model)
-    auxes = []  # each arm's photon: its output ids (reflected, transmitted per id) and amplitudes
-    for photon, outputs in photons:
-        terms = _terms(photon, bindings)
-        auxes.append((tuple(x for p in terms for x in outputs[p]), list(terms.values())))
-    key = tuple(xs for xs, _ in auxes)
-    if formed.get(key, (None,))[0] != rules:  # never serve another coupler matrix
-        formed[key] = (rules, {})
-    kernels, amps = formed[key][1], [a for _, aux in auxes for a in aux]
+    factor = detection_factor(chain.setup[0][0], model)
+    for aux in auxes:
+        if type(aux) is not tuple:  # the error evaluating the photon
+            raise aux
+    kernels = chain.formed.get(key := tuple([xs for xs, _ in auxes])) or chain.formed.setdefault(key, {})
+    amps = [a for _, aux in auxes for a in aux]
     results: list[_ChainRound] = []
-    last = None
-    for ts in zip(*schedules):
-        if last == (current, ts):  # a fixed point: the same round again
+    last = before = None
+    for c in pairs:
+        if c == before and current == last:  # a fixed point: the same round again
             results.append(results[-1])
             continue
-        last = (current, ts)
-        pairs = list(map(_pair, ts))
+        last, before = current, c
         kernel = kernels.get(tuple(current))
-        result = None if kernel is None else kernel(list(current.values()), factor, amps, pairs)
+        result = None if kernel is None else kernel(list(current.values()), factor, amps, c)
         if result is None:  # input ids or surviving factors not seen yet, or a pruned product
-            result = _masked(tab, chain, rules, kernels, current, auxes, pairs, factor)
+            result = _masked(tab, chain, kernels, current, auxes, c, factor)
         results.append(result)
         current = result.recycle_next
     return results
 
 
-_pair = functools.lru_cache(maxsize=256)(vbs_pair)  # a coupler pair once per transmittance
-
-
-def _masked(tab: PatternTable, chain: tuple, rules: tuple, kernels: dict, current: dict, auxes: list,
-            pairs: list, factor: float) -> _ChainRound:
+def _masked(tab: PatternTable, chain: _Chain, kernels: dict, current: dict, auxes: list, pairs: tuple,
+            factor: float) -> _ChainRound:
     """A round of ``current`` whose products are formed here, pruned after each factor; their
     shape (input ids, then per arm the surviving output ids and which products survive, None for
     all) keys the program, built from the products that survive.  Where every product survives,
@@ -552,16 +597,15 @@ def _masked(tab: PatternTable, chain: tuple, rules: tuple, kernels: dict, curren
         shape.append((xs, alive))
         mask += keep or (True,) * len(xs)
     shape = tuple(shape)
-    *_, ports, programs, _ = chain
-    program = programs.get(shape)
-    if program is None or program[0] != rules:  # never serve another coupler matrix
-        program = programs[shape] = (rules, *_slots(tab, shape, rules, chain), {})
+    program = chain.programs.get(shape)
+    if program is None or program[0] != chain.rules:  # never serve another coupler matrix
+        program = chain.programs[shape] = (chain.rules, *_slots(tab, shape, chain.rules, chain), {})
     if all(alive is None for _, alive in shape[1:]):
         form = kernels, shape[0], tuple(len(amps) for _, amps in auxes), mask
-        kernel = kernels[shape[0], mask] = _kernel(tab, program, None, ports, form)
+        kernel = kernels[shape[0], mask] = _kernel(tab, program, None, chain.ports, form)
         kernels.setdefault(shape[0], kernel)
         return kernel(list(current.values()), factor, [a for _, aux in auxes for a in aux], pairs)
-    return _round_kernel(tab, program, ports, None)(vals, factor)
+    return _round_kernel(tab, program, chain.ports, None)(vals, factor)
 
 
 def _scorer(table: dict, key: tuple, alive: tuple | None):
@@ -621,7 +665,7 @@ def _scoring(table: dict, key: tuple, alive: tuple | None):
         firsts, seconds = _aligned(state, targets)
         code.append(f"i{s} = 0.0{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}")
     code.append(f"return min(min([{', '.join(f'abs(i{s}) ** 2 / (n{s} * tnorm)' for s in range(len(states)))}]), 1.0)")
-    return _compiled("t, tnorm, a, b", code, {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}, "<round scorer>")
+    return compiled("t, tnorm, a, b", code, {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}, "<round scorer>", globals())
 
 
 def _rounds(
@@ -632,22 +676,23 @@ def _rounds(
 ) -> list[RoundResult]:
     """Round results summed over ``chains``.  Each distinct round's fidelity is the worst of its
     paired and pruned wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the
-    round's scorer (``_scorer``) in the plan table's ``score`` stage."""
+    round's scorer (``_scorer``) in the plan table's ``score`` stage, keyed on interned ids."""
     tids, tamps, tnorm = target
     table = tab.stage("score")
     rounds, last = [], None
-    for k, (t, books) in enumerate(zip(ts, zip(*chains))):
+    for k, (t, books) in enumerate(zip(ts, zip(*chains)), 1):
         if last is None or not all(map(is_, books, last)):  # not a repeated round
             last, fid = books, None
-            if all(b.wins for b in books):
+            if all([b.wins for b in books]):
                 for b in books:
                     if b.error:
                         raise b.error[0](b.error[1])
-                scorer = _scorer(table, (*[b.wins for b in books], tids), None)
+                scorers = table.get(key := (*[b.wins for b in books], tids))
+                scorer = scorers and scorers.get(None) or _scorer(table, tuple([_interned(tab, ids) for ids in key]), None)
                 fid = scorer(tamps, tnorm, books[0].amps, books[-1].amps)
             p_success = sum([b.p_success for b in books])
             p_recycle = sum([b.p_recycle for b in books])
-        rounds.append(RoundResult(k + 1, t, p_success, p_recycle, fid))
+        rounds.append(RoundResult(k, t, p_success, p_recycle, fid))
     return rounds
 
 
@@ -721,23 +766,17 @@ def execute(
     # schedule only feeds their transmittance parameters
     schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
-    tab = plan.table
-    signal, target, branches = _point(plan, pol)
-    target = target if pol is None else _target(target, bindings)
-    signal = _terms(signal, bindings)
-    if plan.split is not None:
-        signal = split_terms(tab, signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
+    tab, matrix, memo = plan.table, bs_matrix(), {}
+    signal, branches, target, auxes = _prologue(plan, pol)(bindings)
+    pairs = {label: [memo[t] if t in memo else memo.setdefault(t, vbs_pair(t)) for t in ts] for label, ts in schedule.items()}
     if accounting == "branch":
-        # each arm acts only on the component where the signal is not in
-        # the other arm
-        chains = []
-        for arm, ids in zip(plan.arms, branches):
-            inp = {p: a for p, a in signal.items() if p in ids}
-            chains.append(_run_chain(tab, [arm], inp, [schedule[arm.label]], bindings, model, plan.merge))
+        # each arm acts only on the component where the signal is not in the other arm
+        chains = [_run_chain(tab, _bound(tab, [arm], plan.merge, matrix), inp, zip(pairs[arm.label]), [aux], model)
+                  for arm, inp, aux in zip(plan.arms, branches, auxes)]
         eta_exponent = 1
     else:
-        schedules = [schedule[arm.label] for arm in plan.arms]
-        chains = [_run_chain(tab, plan.arms, signal, schedules, bindings, model, plan.merge)]
+        chains = [_run_chain(tab, _bound(tab, plan.arms, plan.merge, matrix), signal,
+                             zip(*[pairs[arm.label] for arm in plan.arms]), auxes, model)]
         eta_exponent = len(plan.arms)
     round_results = _rounds(tab, schedule["plus"], chains, target)
 
@@ -750,7 +789,7 @@ def execute(
         schedule=schedule,
         rounds=round_results,
         p_total=sum(r.p_success for r in round_results),
-        engine=EngineInfo("exact", eta_exponent),
+        engine=_EXACT[eta_exponent],
     )
     report.paper_comparison = _comparison(plan, report, pol, chains)
     return report

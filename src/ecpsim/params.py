@@ -25,7 +25,10 @@ class EntanglementParams:
     def __post_init__(self):
         if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):  # a NaN norm fails no test below
             raise ParameterError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        try:
+            n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        except OverflowError:  # a square past the float range: inf fails the norm test
+            n = math.inf
         if abs(n - 1.0) > NORM_TOL:
             raise ParameterError(f"|alpha|^2 + |beta|^2 = {n}, expected 1")
 
@@ -61,7 +64,10 @@ class PolarizationParams:
     def __post_init__(self):
         if not (cmath.isfinite(self.gamma) and cmath.isfinite(self.delta)):
             raise ParameterError(f"gamma and delta must be finite, got {self.gamma}, {self.delta}")
-        n = abs(self.gamma) ** 2 + abs(self.delta) ** 2
+        try:
+            n = abs(self.gamma) ** 2 + abs(self.delta) ** 2
+        except OverflowError:
+            n = math.inf
         if abs(n - 1.0) > NORM_TOL:
             raise ParameterError(f"|gamma|^2 + |delta|^2 = {n}, expected 1")
 

@@ -13,9 +13,9 @@ import pytest
 
 from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
 from ecpsim.cli import main
-from ecpsim.dsl import parse
-from ecpsim.elements import apply_pbs, apply_vbs
-from ecpsim.engine import _photon, _run_chain, _terms, analyze, execute, run_ecp1, run_ecp2
+from ecpsim.dsl import evaluate_expr, parse
+from ecpsim.elements import apply_pbs, apply_vbs, bs_matrix, vbs_pair
+from ecpsim.engine import _bound, _prologue, _run_chain, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.fock import fidelity, pattern_count, single_photon, tensor
 from ecpsim.formulas import round_success_series
 from ecpsim.measurement import DetectorModel, qnd_component
@@ -103,18 +103,22 @@ def test_criterion_02_heralded_fidelity():
     )
 
 
+def _photon(sources, bindings):
+    return single_photon([(s.mode, s.pol, evaluate_expr(s.amp, bindings)) for s in sources])
+
+
 def _class1_probability(ent, pol, t):
     plan = analyze(builtin_doc("ecp2"))
     arm = next(a for a in plan.arms if a.label == "plus")
     others = [a.signal_mode for a in plan.arms if a is not arm]
     bindings = _bindings(ent, pol)
     tab = plan.table
-    signal = tab.state(_terms(_photon(tab, plan.signal_sources), bindings))
+    signal = _photon(plan.signal_sources, bindings)
     signal = apply_pbs(signal, plan.split.inp, plan.split.out_h, plan.split.out_v)
     inp = signal.filtered(
         lambda p: all(pattern_count(p, m) == 0 for m in others)
     )
-    aux = tab.state(_terms(_photon(tab, arm.aux_sources), bindings))
+    aux = _photon(arm.aux_sources, bindings)
     aux = apply_vbs(aux, arm.vbs.inp, arm.vbs.reflect, arm.vbs.transmit, t)
     return qnd_component(tensor(inp, aux), arm.qnd.a, arm.qnd.b, 1).norm_sq()
 
@@ -155,8 +159,9 @@ def test_criterion_04_recycling_recursion():
                 lambda p: pattern_count(p, "b3") == 0
             )
             results = _run_chain(
-                plan.table, [arm], plan.table.of(inp), [list(vbs_schedule(ent, 5))],
-                _bindings(ent, pol), DetectorModel(), plan.merge,
+                plan.table, _bound(plan.table, [arm], plan.merge, bs_matrix()), plan.table.of(inp),
+                zip(map(vbs_pair, vbs_schedule(ent, 5))), _prologue(plan, pol)(_bindings(ent, pol))[3][:1],
+                DetectorModel(),
             )
             for k, res in enumerate(results, start=1):
                 a_scale = ent.alpha_sq ** (2**k / 2)

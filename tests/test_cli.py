@@ -301,22 +301,29 @@ def test_run_past_the_doubling_overflow(capsys):
 
 
 def test_exact_runs_do_not_import_numpy(tmp_path):
-    # nor does building the shipped circuits load the engine, or an exact run the oracle or
-    # the checks: each command imports only what it uses
+    # nor does building the shipped circuits load the engine or compile generated source (every
+    # fresh process pays for its set-up), or an exact run the oracle or the checks: each command
+    # imports only what it uses
     code = (
-        "import sys\n"
+        "import builtins, sys\n"
+        "generated, compile_ = [], builtins.compile\n"
+        "def compile(source, filename, *args, **kwargs):\n"
+        "    generated.extend([filename] if str(filename).startswith('<') else [])\n"
+        "    return compile_(source, filename, *args, **kwargs)\n"
+        "builtins.compile = compile\n"
         "import ecpsim\n"
         "docs = [ecpsim.builtin_doc(name) for name in ecpsim.BUILTIN_NAMES]\n"
-        "engine = 'ecpsim.engine' in sys.modules\n"
+        "engine, setup = 'ecpsim.engine' in sys.modules, list(generated)\n"
         "import ecpsim.cli\n"
         "after_import = 'numpy' in sys.modules\n"
         "rc = ecpsim.cli.main(['run', '--alpha-sq', '0.6'])\n"
         "checks = {'ecpsim.oracle', 'ecpsim.verify'} & sys.modules.keys()\n"
-        "print(after_import, 'numpy' in sys.modules, rc, engine, sorted(checks), file=sys.stderr)\n"
+        "print(after_import, 'numpy' in sys.modules, rc, engine, sorted(checks), setup, bool(generated), file=sys.stderr)\n"
     )
     proc = run_checkout(tmp_path, "-c", code)
     assert proc.returncode == 0
-    assert proc.stderr.split() == ["False", "False", "0", "False", "[]"]
+    # the run itself compiles its prologue and round functions
+    assert proc.stderr.split() == ["False", "False", "0", "False", "[]", "[]", "True"]
 
 
 def test_bad_flag_exits_3(tmp_path):

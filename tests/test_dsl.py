@@ -1,6 +1,12 @@
 """Circuit language: expressions, parsing, validation."""
 
+import cmath
+import dataclasses
+import functools
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecpsim.dsl import (
     BindingError,
@@ -10,6 +16,7 @@ from ecpsim.dsl import (
     OutputDecl,
     SourceDecl,
     VbsDecl,
+    compile_expr,
     evaluate_expr,
     evaluate_real,
     expr_variables,
@@ -17,6 +24,9 @@ from ecpsim.dsl import (
     parse_expr,
     validate,
 )
+from ecpsim.engine import _prologue, analyze
+from ecpsim.fock import PRUNE_EPS, mode
+from ecpsim.params import ParameterError
 
 SMALL = """\
 circuit demo
@@ -480,3 +490,102 @@ def test_detect_eta_field_round_trips():
     doc = parse(text)
     d = next(s for s in doc.statements if isinstance(s, DetectDecl))
     assert d.eta == 1.0
+
+
+# -- the generated evaluator against the closure walk it replaced ------------
+
+def _quotient(a, b, text):
+    if b == 0:
+        raise ParameterError(f"expression {text!r} divides by zero")
+    return a / b
+
+
+def _closures(node, text):
+    """The closure walk the generated evaluator replaced, kept as the reference: a function of
+    the bindings that does the evaluation's operations in its order and raises where it raises."""
+    kind, *args = node
+    if kind == "num":
+        value = complex(args[0])
+        return lambda bindings: value
+    if kind == "var":
+        [name] = args
+
+        def var(bindings):
+            if name not in bindings:
+                raise BindingError(f"parameter {name!r} has no bound value")
+            return complex(bindings[name])
+        return var
+    ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "sqrt": lambda v: complex(v.real**0.5) if v.imag == 0 and v.real >= 0 else cmath.sqrt(v)}
+    op = functools.partial(_quotient, text=text) if kind == "div" else ops[kind]
+    fs = [_closures(a, text) for a in args]
+    if len(fs) == 1:
+        [f] = fs
+        return lambda bindings: op(f(bindings))
+    left, right = fs
+    return lambda bindings: op(left(bindings), right(bindings))
+
+
+def _settled(call):
+    """``call()``'s type and repr, or its error's type and message."""
+    try:
+        value = call()
+    except (BindingError, ParameterError) as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def _real(value):
+    return value if value.imag else value.real
+
+
+_LEAVES = st.sampled_from(["0", "1", "2.5", ".5", "0.1", "3e2", "1e-300", "1e300", "alpha", "beta", "x", "y"])
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    kids.map(lambda a: f"-({a})"),
+    kids.map(lambda a: f"sqrt({a})"),
+    st.tuples(kids, st.sampled_from("+-*/"), kids).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+), max_leaves=6)
+_BINDINGS = st.sampled_from([
+    {"alpha": 0.6, "beta": 0.8, "x": 2.0, "y": 1e-8},  # real
+    {"alpha": 0.0, "beta": -0.0, "x": 0.0, "y": 0.0},  # zero
+    {"alpha": -0.6, "beta": -0.8, "x": -2.0, "y": -1e-300},  # negative
+    {"alpha": 0.6j, "beta": 0.8 - 0.1j, "x": complex(-0.0, 1.0), "y": complex(1e-300, -0.0)},  # complex
+    {"alpha": 0.6, "beta": 0.8, "x": 3},  # y unbound
+    {"alpha": 0.3 + 0.4j, "x": -1},  # beta and y unbound
+])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TREES, _TREES, _TREES, _BINDINGS)
+def test_generated_evaluator_matches_the_closure_walk(first, second, aux, bindings):
+    # compile_expr gives the closure walk's value, repr for repr, as a float where its imaginary
+    # part is zero, or its first error with its message; so does the engine's photon prologue,
+    # which sums each amplitude from 0j, prunes it and raises the signal's first error, keeping
+    # the auxiliary photon's for the chain that reads it
+    closures = {text: _closures(parse_expr(text), text) for text in (first, second, aux)}
+    for text, reference in closures.items():
+        assert _settled(lambda: compile_expr(text)(bindings)) == _settled(lambda: _real(reference(bindings)))
+    base = parse(SMALL)
+    amps = {"alpha": first, "beta": second, "1": aux}
+    doc = dataclasses.replace(base, statements=tuple(
+        dataclasses.replace(s, amp=amps[s.amp]) if isinstance(s, SourceDecl) else s for s in base.statements))
+    plan = analyze(doc)
+    tab = plan.table
+
+    def expected():
+        values = [closures[first](bindings), closures[second](bindings)]
+        ids = [tab.intern(((mode(m, "V"), 1),)) for m in ("a1", "b2")]
+        signal = {p: _real(0j + v) for p, v in zip(ids, values) if abs(0j + v) >= PRUNE_EPS}
+        try:
+            a = 0j + closures[aux](bindings)
+        except (BindingError, ParameterError) as exc:
+            return signal, (type(exc), str(exc))
+        ports = [tab.intern(((mode(m, "V"), 1),)) for m in ("b5", "b6")]
+        return signal, repr((tuple(ports), [_real(a)]) if abs(a) >= PRUNE_EPS else ((), []))
+
+    def got():
+        signal, [branch], _, [photon] = _prologue(plan, None)(bindings)
+        assert branch is signal  # one arm: its branch input is the whole signal
+        return signal, (type(photon), str(photon)) if isinstance(photon, Exception) else repr(photon)
+
+    assert _settled(got) == _settled(expected)  # the signal dict and the photon, repr for repr

@@ -10,6 +10,7 @@ import json
 import linecache
 import math
 import random
+import sys
 
 import pytest
 
@@ -20,17 +21,17 @@ import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, evaluate_expr, evaluate_real, parse
-from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_rules
+from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_pair, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
     _ChainRound,
+    _bound,
     _masked,
-    _photon,
+    _prologue,
     _round_kernel,
     _rounds,
     _run_chain,
-    _terms,
     analyze,
     execute,
     run_ecp1,
@@ -43,6 +44,7 @@ from ecpsim.fock import (
     CheckedRules,
     PatternTable,
     PolarizationMixtureError,
+    mode,
     pattern_count,
     prune,
     single_photon,
@@ -255,11 +257,11 @@ def test_detector_model_efficiency_scales_success():
 def test_prepare_initial_shapes():
     bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": POL.gamma, "delta": POL.delta}
     plan = analyze(builtin_doc("ecp1"))
-    polarized = _terms(_photon(plan.table, plan.signal_sources), bindings)
+    polarized, *_ = _prologue(plan, POL)(bindings)  # through the split
     assert len(polarized) == 4
     assert terms_norm_sq(polarized) == pytest.approx(1.0)
     plan = analyze(builtin_doc("ecp1_stripped"))
-    stripped = _terms(_photon(plan.table, plan.signal_sources), bindings)
+    stripped, *_ = _prologue(plan, None)(bindings)
     assert len(stripped) == 2
     assert {m for p in stripped for (m, _p), _n in plan.table.patterns[p]} == {"a1", "b2"}
 
@@ -337,6 +339,8 @@ def _table_keys(tab):
     keys = list(tab.ids)
 
     def walk(entry):
+        if isinstance(entry, ecpsim.engine._Chain):
+            entry = [getattr(entry, f.name) for f in dataclasses.fields(entry)]
         if isinstance(entry, dict) and not isinstance(entry, CheckedRules):
             keys.extend(entry)
             entry = list(entry.values())
@@ -355,8 +359,8 @@ def _kernels(tab):
     auxiliary ids and input ids the one that forms its products."""
     kernels = {(shape, alive): kernel for stage, table in tab.stages.items() if stage[0] == "round"
                for shape, program in table.items() for alive, kernel in program[-1].items()}
-    return kernels | {(chain, aux, ids): kernel for chain, entry in tab.stages.get(("chain",), {}).items()
-                      for aux, (_, formed) in entry[-1].items() for ids, kernel in formed.items()}
+    return kernels | {(labels, aux, ids): kernel for labels, chain in tab.stages.get(("chain",), {}).items()
+                      for aux, formed in chain.formed.items() for ids, kernel in formed.items()}
 
 
 def _scorers(tab):
@@ -401,8 +405,10 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     for (*wins, tids), alive in scorers:  # scorers are keyed on ids only
         assert all(type(q) is int for q in (*tids, *itertools.chain(*itertools.chain(*wins))))
         assert alive is None or all(type(x) is bool for x in alive)
-    assert not {"<round kernel>", "<round scorer>"} & linecache.cache.keys()  # no generated source is kept
+    assert not {"<round kernel>", "<round scorer>", "<photons>", "<expression>"} & linecache.cache.keys()  # no source kept
     assert not any(_holds_float(k) for k in warm)
+    prologues = tab.stages[("point",)]  # one generated prologue per point kind, keyed on the kind alone
+    assert set(prologues) == {"V" if name.endswith("_stripped") else "HV"} and all(map(callable, prologues.values()))
     assert {stage[0] for stage in tab.stages} <= {
         "chain", "round", "pbs split", "pbs merge", "point", "score"}
     # bounded by the layout's reachable patterns, not by the points run
@@ -422,13 +428,14 @@ def test_report_templates_are_keyed_on_structure_only(name):
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_a_warm_point_runs_no_transform(name, monkeypatch):
-    # after warm-up a point compiles nothing: the split and the merge are
-    # relabels, every round a stored program and generated function, sources and
-    # target compiled id lists, and no chain builds CheckedRules or
-    # DetectorGroups, walks an expression tree or scores through dicts
+    # after warm-up a point compiles nothing: the merge is a relabel, every round a stored program
+    # and generated function, the photons (sources, split and target) one generated prologue,
+    # and no chain builds CheckedRules or DetectorGroups, walks an expression tree, runs the
+    # split or an expression function of the parser module, or scores through dicts
     _run_batch(name, seed=1)
-    counts = dict.fromkeys(
-        ("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk", "kernel", "scoring"), 0)
+    counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk",
+                            "kernel", "scoring", "split", "prologue"), 0)
+    parser = set()  # the parser module's functions and generated expressions called
 
     def counted(key, original):
         def call(*args, **kwargs):
@@ -443,12 +450,57 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(ecpsim.elements, "merge_terms", counted("merge", ecpsim.elements.merge_terms))
     monkeypatch.setattr(ecpsim.fock, "terms_fidelity", counted("fidelity", ecpsim.fock.terms_fidelity))
     monkeypatch.setattr(PatternTable, "photon", counted("photon", PatternTable.photon))
-    monkeypatch.setattr(ecpsim.dsl, "_compile", counted("walk", ecpsim.dsl._compile))
+    monkeypatch.setattr(ecpsim.engine, "_emit", counted("walk", ecpsim.engine._emit))
     monkeypatch.setattr(ecpsim.engine, "_kernel", counted("kernel", ecpsim.engine._kernel))
     monkeypatch.setattr(ecpsim.engine, "_scoring", counted("scoring", ecpsim.engine._scoring))
+    monkeypatch.setattr(ecpsim.engine, "split_terms", counted("split", ecpsim.engine.split_terms))
+    monkeypatch.setattr(ecpsim.engine, "compiled", counted("prologue", ecpsim.engine.compiled))
     assert not {"merge_terms", "terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # none bound here
-    _run_batch(name, seed=2)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in (ecpsim.dsl.__file__, "<expression>"):
+            parser.add(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        _run_batch(name, seed=2)
+    finally:
+        sys.setprofile(None)
     assert counts == dict.fromkeys(counts, 0)
+    assert parser <= {"__hash__"}  # at most the plan cache's lookup of the document
+
+
+def _aux(tab, arm, bindings):
+    """An arm's auxiliary photon as a point's prologue hands it out: its ids' (reflected,
+    transmitted) ids and amplitudes, each id's summed from 0j, pruned, a float where real."""
+    terms = {}
+    for s in arm.aux_sources:
+        p = tab.intern(((mode(s.mode, s.pol), 1),))
+        terms[p] = terms.get(p, 0j) + evaluate_expr(s.amp, bindings)
+    terms = {p: a if a.imag else a.real for p, a in terms.items() if abs(a) >= PRUNE_EPS}
+    outputs = [tab.intern((((m, pol), 1),)) for p in terms for (((_, pol), _),) in [tab.patterns[p]]
+               for m in (arm.vbs.reflect, arm.vbs.transmit)]
+    return tuple(outputs), list(terms.values())
+
+
+def _run_old(tab, arms, current, schedules, bindings, model, merge):
+    """``_run_chain`` on the chain of ``arms`` bound as a point binds it, its auxiliary photons
+    at ``bindings`` and its coupler pairs from the per-arm transmittance lists ``schedules``."""
+    pairs = zip(*[[vbs_pair(t) for t in ts] for ts in schedules])
+    return _run_chain(tab, _bound(tab, arms, merge, bs_matrix()), current, pairs,
+                      [_aux(tab, arm, bindings) for arm in arms], model)
+
+
+def _chain_calls(name, ent, pol, rounds, accounting, model):
+    """``(tab, arms, input, schedules, bindings, model, merge)`` of each chain ``execute`` runs on
+    the shipped layout ``name``, its input from the point's prologue."""
+    plan = analyze(builtin_doc(name))
+    bindings = {"alpha": ent.alpha, "beta": ent.beta, **({"gamma": pol.gamma, "delta": pol.delta} if pol else {})}
+    ts = list(vbs_schedule(ent, rounds)) if plan.has_recycling else [ent.alpha_sq]
+    signal, branches, _, _ = _prologue(plan, pol)(bindings)
+    if accounting == "branch":
+        return [(plan.table, [arm], inp, [ts], bindings, model, plan.merge) for arm, inp in zip(plan.arms, branches)]
+    return [(plan.table, plan.arms, signal, [ts] * len(plan.arms), bindings, model, plan.merge)]
 
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
@@ -526,23 +578,15 @@ def _coefficients(arms, ts, bindings):
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch):
-    calls, pruned_outputs = [], []
-
-    def record(*args):
-        calls.append(args)
-        return _run_chain(*args)
+    pruned_outputs = []
 
     def kernel(tab, program, ports, alive):
         pruned_outputs.append(alive is not None)
         return _round_kernel(tab, program, ports, alive)
 
-    monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
     polarized = not name.endswith("_stripped")
-    execute(
-        builtin_doc(name), ENT, POL if polarized else None,
-        rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
-        model=DetectorModel(eta_p=0.8),
-    )
+    calls = _chain_calls(name, ENT, POL if polarized else None, 3 if name.startswith("ecp2") else 1, accounting,
+                         DetectorModel(eta_p=0.8))
     monkeypatch.setattr(ecpsim.engine, "_round_kernel", kernel)
     assert calls
     rng = random.Random(7)
@@ -551,7 +595,7 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
         couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
         ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) if m not in aux_ports for pol in "HV"]
-        rounds = _run_chain(tab, arms, current, schedules, bindings, model, merge)
+        rounds = _run_old(tab, arms, current, schedules, bindings, model, merge)
         for k in range(len(schedules[0])):
             ts = [s[k] for s in schedules]
             # the recorded ids reweighted; the same with the first id so small that
@@ -575,10 +619,10 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                 except PolarizationMixtureError:
                     # outputs that differ only in an absorbed photon's polarization
                     with pytest.raises(PolarizationMixtureError, match="click signature d"):
-                        _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
+                        _run_old(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
                     mixtures += 1
                     continue
-                [got] = _run_chain(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
+                [got] = _run_old(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
                 assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
                 assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
                 assert len(got.wins) == len(wins)
@@ -742,15 +786,12 @@ def _dict_round(tab, arms, current, ts, bindings, model, merge):
     """One round through the dict path on the engine's slot program of the round's shape:
     ``(outcome, whole, sides, slot values, factor, merge ports)``, the outcome as the result
     itself or the error's type and message, ``whole`` where no product is pruned."""
-    chain = ecpsim.engine._chain(tab, arms, merge)
-    auxes = []
-    for photon, outputs in chain[3]:
-        terms = _terms(photon, bindings)
-        auxes.append((tuple(x for p in terms for x in outputs[p]), list(terms.values())))
+    chain = _bound(tab, arms, merge, bs_matrix())
+    auxes = [_aux(tab, arm, bindings) for arm in arms]
     shape, products, whole = _dict_products(current, auxes, [(math.sqrt(1.0 - t), math.sqrt(t)) for t in ts])
-    _, slots, sides = ecpsim.engine._slots(tab, shape, ecpsim.engine._rules(chain[0], bs_matrix()), chain)
-    factor, values = detection_factor(chain[1][0][0], model), _dict_slots(slots, products)
-    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain[4]), _as_is), whole, sides, values, factor, chain[4]
+    _, slots, sides = ecpsim.engine._slots(tab, shape, chain.rules, chain)
+    factor, values = detection_factor(chain.setup[0][0], model), _dict_slots(slots, products)
+    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain.ports), _as_is), whole, sides, values, factor, chain.ports
 
 
 def _rescaled(chains, amps):
@@ -789,20 +830,20 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
     # Also under a miswired coupler (where the recycle agreement fails on both paths)
     calls, rounds, handed = [], [], []
 
-    def masked(tab, chain, rules, kernels, current, auxes, pairs, factor):
+    def masked(tab, chain, kernels, current, auxes, pairs, factor):
         # True: the round function of these input ids and surviving factors handed a pruned product over
         handed.append((tuple(current), _factor_mask(auxes, pairs)) in kernels)
-        return _masked(tab, chain, rules, kernels, current, auxes, pairs, factor)
+        return _masked(tab, chain, kernels, current, auxes, pairs, factor)
 
-    monkeypatch.setattr(ecpsim.engine, "_run_chain", lambda *a: calls.append(a) or _run_chain(*a))
     monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
     polarized = not name.endswith("_stripped")
     with corrupted_coupler() if corrupt else contextlib.nullcontext():
         for alpha_sq in (0.3, 0.6, 0.9):
+            ent, pol = EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None
+            options = dict(rounds=5 if name.startswith("ecp2") else 1, accounting=accounting, model=DetectorModel(eta_p=0.8))
+            calls += _chain_calls(name, ent, pol, *options.values())
             with contextlib.suppress(RuntimeError, DegenerateStateError):
-                execute(builtin_doc(name), EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None,
-                        rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
-                        model=DetectorModel(eta_p=0.8))
+                execute(builtin_doc(name), ent, pol, **options)
         assert calls and (rounds or corrupt)
         monkeypatch.setattr(ecpsim.engine, "_masked", masked)
         rng = random.Random(16)
@@ -816,7 +857,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                 for i, (terms, t) in enumerate(itertools.product(inputs, (ts, [(0.6 * PRUNE_EPS) ** 2, *ts[1:]]))):
                     want, whole, sides, values, factor, ports = _dict_round(tab, arms, terms, t, bindings, model, merge)
                     handed.clear()
-                    got = _book(lambda: _run_chain(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0], _as_is)
+                    got = _book(lambda: _run_old(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0], _as_is)
                     complex_input = all(type(a) is complex for a in terms.values())
                     assert repr(got) == repr(want if complex_input else _real_where(want, got))
                     outcomes["floats"] += repr(got) != repr(want)
@@ -835,7 +876,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                             assert repr(got) == repr(_real_where(want, got) if vals is not slots else want)
                             outcomes[got[0] if len(got) == 2 else "scored"] += 1
                 try:
-                    [book] = _run_chain(tab, arms, current, [[t] for t in ts], bindings, model, merge)
+                    [book] = _run_old(tab, arms, current, [[t] for t in ts], bindings, model, merge)
                 except (RuntimeError, ValueError):
                     break
                 current = book.recycle_next
@@ -954,7 +995,7 @@ def test_variable_coupler_ports_are_checked_once_per_chain():
     [arm] = plan.arms
     bad = dataclasses.replace(arm, label="bad", vbs=dataclasses.replace(arm.vbs, transmit=arm.vbs.inp))
     with pytest.raises(PortContractError) as err:
-        ecpsim.engine._chain(PatternTable(), [bad], None)
+        _bound(PatternTable(), [bad], None, bs_matrix())
     assert str(err.value) == f"vbs: ports must be distinct, {arm.vbs.inp!r} repeats"
 
 
@@ -1057,3 +1098,34 @@ def test_late_recycling_rounds_run_in_round_functions(monkeypatch):
     for *_, current, auxes, pairs, _ in masked:
         assert all(r > 0.0 for r, _ in pairs)  # not a round at t = 1
         assert min(abs(v) for v in current.values()) * min(r for r, _ in pairs) < PRUNE_EPS
+
+
+# -- pruned photon components ---------------------------------------------
+
+def _edge_outcomes():
+    """Polarized ecp1 and ecp2 (3 rounds) at gamma^2 0 and 1, where a signal and a target
+    component prune, under both accountings, alpha^2 0.3, 0.6 and 0.9 and eta 0.8, with and
+    without the miswired coupler: each report's bytes, or the error's type and message."""
+    texts = []
+    for corrupt, name, g2, accounting, a2 in itertools.product(
+            (False, True), ("ecp1", "ecp2"), (0.0, 1.0), ("branch", "joint"), (0.3, 0.6, 0.9)):
+        with corrupted_coupler() if corrupt else contextlib.nullcontext():
+            try:
+                texts.append(execute(builtin_doc(name), EntanglementParams.from_alpha_sq(a2),
+                                     PolarizationParams.from_gamma_sq(g2), rounds=3 if name == "ecp2" else 1,
+                                     accounting=accounting, model=DetectorModel(eta_p=0.8)).to_json())
+            except (RuntimeError, ValueError) as exc:
+                texts.append(f"{type(exc).__name__}: {exc}")
+    return texts
+
+
+def test_pruned_signal_and_target_components_give_the_pinned_reports():
+    # the digest of the same 48 outcomes before the photons were generated as one prologue
+    texts = _edge_outcomes()
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+        "6cbfc5d8291407d32d8210f2f9f53e33d186253263b78e9614dcbcf061722378")
+    for g2 in (0.0, 1.0):  # the prologue's pruned path: half the signal and target ids
+        pol = PolarizationParams.from_gamma_sq(g2)
+        bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": pol.gamma, "delta": pol.delta}
+        signal, _, (tids, tamps, _), _ = _prologue(analyze(builtin_doc("ecp2")), pol)(bindings)
+        assert len(signal) == 2 and len(tids) == len(tamps) == 2 and type(tids) is tuple

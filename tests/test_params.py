@@ -127,3 +127,11 @@ class TestSchedule:
         e = EntanglementParams.from_alpha_sq(0.6)
         with pytest.raises(ParameterError):
             vbs_schedule(e, 0)
+
+
+@pytest.mark.parametrize("cls", [EntanglementParams, PolarizationParams])
+@pytest.mark.parametrize("amplitude", [1e155, 1e200, -1e160, complex(1e200, 0)])
+def test_an_amplitude_whose_square_overflows_is_a_parameter_error(cls, amplitude):
+    # abs(x) ** 2 raises OverflowError past the float range; the norm is then inf and fails its test
+    with pytest.raises(ParameterError, match=r"\^2 = inf, expected 1"):
+        cls(amplitude, 0.0)
