@@ -171,7 +171,7 @@ def expr_variables(node: Expr) -> set[str]:
     return set().union(*map(expr_variables, node[1:]))
 
 
-def _emit(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> str:
+def emit_expr(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> str:
     """The one walk of an expression tree: appends to ``code`` the lines that evaluate it on the
     bindings ``b`` with the operations of the evaluation in its order, raising where it raises, and
     returns the name holding its complex value.  Numbers are bound by name in ``consts``, and
@@ -189,7 +189,7 @@ def _emit(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> str:
              "sqrt": "complex({0}.real ** 0.5) if {0}.imag == 0 and {0}.real >= 0 else cmath.sqrt({0})"}
     if kind not in forms:
         raise CircuitError(f"unknown expression node {kind!r}")
-    xs = [_emit(a, text, code, consts, loaded) for a in args]
+    xs = [emit_expr(a, text, code, consts, loaded) for a in args]
     if kind == "div":
         code.append(f"if {xs[1]} == 0: raise ParameterError({f'expression {text!r} divides by zero'!r})")
     code.append(f"e{len(code)} = {forms[kind].format(*xs)}")
@@ -211,7 +211,7 @@ def compiled(params: str, code: list, consts: dict, filename: str, namespace: di
 def compile_expr(text: str) -> Callable[[Mapping[str, complex]], complex]:
     """``evaluate_expr(text, ...)``: a function of the bindings ``b`` generated once per text, a float where real."""
     code, consts = [], {}
-    value = _emit(parse_expr(text), text, code, consts, {})
+    value = emit_expr(parse_expr(text), text, code, consts, {})
     return compiled("b", [*code, f"return {value} if {value}.imag else {value}.real"], consts, "<expression>")
 
 

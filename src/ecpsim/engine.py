@@ -26,8 +26,13 @@ Both go through one round loop, ``_run_chain``: branch accounting runs it
 once per arm, joint accounting once with all arms.  ``analyze`` is cached
 per document and adds one ``fock.PatternTable``, whose stage tables hold
 all that is compiled from pattern ids, ports and labels (never from alpha,
-gamma, t or a result): the sources, target and auxiliary photons as id
-lists, whose amplitudes a point evaluates; per round shape (input ids,
+gamma, t or a result): per point kind (with or without polarization) one
+generated prologue (``_prologue``) that evaluates every photon's amplitude
+expressions as ``dsl`` writes them and hands out each chain's input after
+the split and the branch restriction, the normalized target and each arm's
+auxiliary photon; per chain of arms, bound once per coupler matrix
+(``_bound``), its coupler rules, detector groups, flips and round tables;
+per round shape (input ids,
 auxiliary photon ids, surviving products) one slot program, kept beside
 the coupler rules it bakes in, each slot summing product amplitudes times
 the coefficients of the couplers, herald and flips; inside it, per set of
@@ -39,8 +44,11 @@ products from the input, auxiliary and coupler amplitudes, and is kept per
 chain by input ids and which auxiliary factors survive; a pruned product
 hands the round to the masked path (``_masked``).  Per round's win ids, one
 generated scorer (``_scoring``) pairs the wins, prunes, and scores them
-against the target.  A point computes only amplitudes, with the prunes,
-summation order and errors of the dict path these replace.
+against the target; a round function and the prologue hand out the ids of
+their usual outcome interned and hashed by identity (``_Ids``), so finding
+the scorer does not rehash them.  A point computes only amplitudes and its
+coupler pairs ``(sqrt(1-t), sqrt(t))``, with the prunes, summation order
+and errors of the dict path these replace.
 
 Amplitudes are floats wherever they are real, so a point at real parameters
 runs in float arithmetic; a complex parameter or coupler phase runs the same
@@ -51,27 +59,26 @@ probabilities.  Recycling rounds send the auxiliary photon through its
 coupler at the transmittance of the doubling schedule and continue on the
 corrected residual; the distinct recycle click patterns must agree after
 correction (an internal invariant, checked) so the rounds form a single
-chain rather than a branching tree.  A round whose input and
-transmittances equal the previous round's repeats its result.
+chain rather than a branching tree.  A round whose input and coupler
+pairs equal the previous round's repeats its result.
 """
 
 from __future__ import annotations
 
-import cmath  # noqa: F401  (read by the generated photon code)
+import cmath  # noqa: F401
 import functools
 import itertools
 import math
-from operator import is_
 from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
 from .dsl import (
-    BindingError,
+    BindingError,  # raised by the generated photon code, as ParameterError and cmath are read there
     CircuitDoc,
     PbsMergeDecl,
     SourceDecl,
-    _emit,
     compiled,
+    emit_expr,
     evaluate_real,
     expr_variables,
     parse_expr,
@@ -182,7 +189,7 @@ def _target(terms: dict) -> tuple:
 def _prologue(plan: Plan, pol: PolarizationParams | None):
     """``prologue(b) -> (signal, branches, target, auxes)``: a point's photons at the bindings ``b``,
     generated once per plan and point kind (with or without ``pol``).  Each photon's amplitudes
-    are evaluated as ``dsl`` writes them (``_emit``), in source order, then summed per id from 0j,
+    are evaluated as ``dsl`` writes them (``emit_expr``), in source order, then summed per id from 0j,
     pruned and handed out as floats where the sum's imaginary part is zero.  The target (per
     output a V photon, or with ``pol`` ``gamma`` H and ``delta`` V) is ``(ids, amplitudes,
     squared norm)`` normalized and pruned, its ids interned where none is pruned, and a near-zero
@@ -203,7 +210,7 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     def photon(sources: list, loaded: dict) -> list:
         """Lines evaluating each source's amplitude, then each id's sum: ``[(id, sum)]``, first seen first."""
         groups: dict[int, list[str]] = {}
-        for s, amp in [(s, _emit(parse_expr(s.amp), s.amp, code, consts, loaded)) for s in sources]:
+        for s, amp in [(s, emit_expr(parse_expr(s.amp), s.amp, code, consts, loaded)) for s in sources]:
             groups.setdefault(tab.intern(((mode(s.mode, s.pol), 1),)), []).append(amp)
         for p, amps in groups.items():
             total = f"0j + {amps[0]}" if len(amps) == 1 else f"sum(({', '.join(amps)}), 0j)"
@@ -542,14 +549,8 @@ def _mixture(sig: tuple) -> PolarizationMixtureError:
     return PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
 
 
-def _run_chain(
-    tab: PatternTable,
-    chain: _Chain,
-    current: dict[int, complex],
-    pairs,
-    auxes: list,
-    model: DetectorModel,
-) -> list[_ChainRound]:
+def _run_chain(tab: PatternTable, chain: _Chain, current: dict[int, complex], pairs, auxes: list,
+               model: DetectorModel) -> list[_ChainRound]:
     """Run every round of ``chain`` on the input ``current`` (by id).
 
     Each round attaches every arm's auxiliary photon (``auxes``, from the point's prologue) at
@@ -668,30 +669,24 @@ def _scoring(table: dict, key: tuple, alive: tuple | None):
     return compiled("t, tnorm, a, b", code, {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}, "<round scorer>", globals())
 
 
-def _rounds(
-    tab: PatternTable,
-    ts: list[float],
-    chains: list[list[_ChainRound]],
-    target: tuple,
-) -> list[RoundResult]:
-    """Round results summed over ``chains``.  Each distinct round's fidelity is the worst of its
-    paired and pruned wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the
-    round's scorer (``_scorer``) in the plan table's ``score`` stage, keyed on interned ids."""
+def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]], target: tuple) -> list[RoundResult]:
+    """Round results summed over ``chains`` (one or two).  Each distinct round's fidelity is the
+    worst of its paired and pruned wins' against ``target``, ``(ids, amplitudes, squared norm)``,
+    by the round's scorer (``_scorer``) in the plan table's ``score`` stage, keyed on interned ids."""
     tids, tamps, tnorm = target
-    table = tab.stage("score")
-    rounds, last = [], None
-    for k, (t, books) in enumerate(zip(ts, zip(*chains)), 1):
-        if last is None or not all(map(is_, books, last)):  # not a repeated round
-            last, fid = books, None
-            if all([b.wins for b in books]):
-                for b in books:
-                    if b.error:
-                        raise b.error[0](b.error[1])
-                scorers = table.get(key := (*[b.wins for b in books], tids))
+    table, rounds, last, other, one = tab.stage("score"), [], None, None, len(chains) == 1
+    for k, (t, first, second) in enumerate(zip(ts, chains[0], chains[-1]), 1):
+        if first is not last or second is not other:  # not a repeated round
+            last, other, fid = first, second, None
+            if first.wins and second.wins:
+                if error := first.error or second.error:
+                    raise error[0](error[1])
+                scorers = table.get(key := (first.wins, tids) if one else (first.wins, second.wins, tids))
                 scorer = scorers and scorers.get(None) or _scorer(table, tuple([_interned(tab, ids) for ids in key]), None)
-                fid = scorer(tamps, tnorm, books[0].amps, books[-1].amps)
-            p_success = sum([b.p_success for b in books])
-            p_recycle = sum([b.p_recycle for b in books])
+                fid = scorer(tamps, tnorm, first.amps, second.amps)
+            # sum() of one or two probabilities, none of them -0.0
+            p_success = first.p_success if one else first.p_success + second.p_success
+            p_recycle = first.p_recycle if one else first.p_recycle + second.p_recycle
         rounds.append(RoundResult(k, t, p_success, p_recycle, fid))
     return rounds
 
@@ -766,9 +761,10 @@ def execute(
     # schedule only feeds their transmittance parameters
     schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
-    tab, matrix, memo = plan.table, bs_matrix(), {}
+    tab, matrix, plus = plan.table, bs_matrix(), list(map(vbs_pair, schedule["plus"]))
     signal, branches, target, auxes = _prologue(plan, pol)(bindings)
-    pairs = {label: [memo[t] if t in memo else memo.setdefault(t, vbs_pair(t)) for t in ts] for label, ts in schedule.items()}
+    # each round's coupler pairs, shared by the arms where their schedules agree
+    pairs = {"plus": plus, "minus": plus if schedule["minus"] == schedule["plus"] else list(map(vbs_pair, schedule["minus"]))}
     if accounting == "branch":
         # each arm acts only on the component where the signal is not in the other arm
         chains = [_run_chain(tab, _bound(tab, [arm], plan.merge, matrix), inp, zip(pairs[arm.label]), [aux], model)
@@ -788,7 +784,7 @@ def execute(
         eta_p=model.eta_p,
         schedule=schedule,
         rounds=round_results,
-        p_total=sum(r.p_success for r in round_results),
+        p_total=sum([r.p_success for r in round_results]),
         engine=_EXACT[eta_exponent],
     )
     report.paper_comparison = _comparison(plan, report, pol, chains)

@@ -450,7 +450,7 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(ecpsim.elements, "merge_terms", counted("merge", ecpsim.elements.merge_terms))
     monkeypatch.setattr(ecpsim.fock, "terms_fidelity", counted("fidelity", ecpsim.fock.terms_fidelity))
     monkeypatch.setattr(PatternTable, "photon", counted("photon", PatternTable.photon))
-    monkeypatch.setattr(ecpsim.engine, "_emit", counted("walk", ecpsim.engine._emit))
+    monkeypatch.setattr(ecpsim.engine, "emit_expr", counted("walk", ecpsim.engine.emit_expr))
     monkeypatch.setattr(ecpsim.engine, "_kernel", counted("kernel", ecpsim.engine._kernel))
     monkeypatch.setattr(ecpsim.engine, "_scoring", counted("scoring", ecpsim.engine._scoring))
     monkeypatch.setattr(ecpsim.engine, "split_terms", counted("split", ecpsim.engine.split_terms))
