@@ -1102,30 +1102,35 @@ def test_late_recycling_rounds_run_in_round_functions(monkeypatch):
 
 # -- pruned photon components ---------------------------------------------
 
+# gamma^2 0 and 1, where a signal and a target component prune, and gamma or delta 1.2e-15, where
+# a target component survives the sum's prune but not the one after normalizing
+EDGES = [PolarizationParams.from_gamma_sq(0.0), PolarizationParams.from_gamma_sq(1.0),
+         PolarizationParams(1.2e-15, 1.0), PolarizationParams(1.0, 1.2e-15)]
+
+
 def _edge_outcomes():
-    """Polarized ecp1 and ecp2 (3 rounds) at gamma^2 0 and 1, where a signal and a target
-    component prune, under both accountings, alpha^2 0.3, 0.6 and 0.9 and eta 0.8, with and
-    without the miswired coupler: each report's bytes, or the error's type and message."""
+    """Polarized ecp1 and ecp2 (3 rounds) at the ``EDGES``, under both accountings, alpha^2 0.3,
+    0.6 and 0.9 and eta 0.8, with and without the miswired coupler: each report's bytes, or the
+    error's type and message."""
     texts = []
-    for corrupt, name, g2, accounting, a2 in itertools.product(
-            (False, True), ("ecp1", "ecp2"), (0.0, 1.0), ("branch", "joint"), (0.3, 0.6, 0.9)):
+    for corrupt, name, pol, accounting, a2 in itertools.product(
+            (False, True), ("ecp1", "ecp2"), EDGES, ("branch", "joint"), (0.3, 0.6, 0.9)):
         with corrupted_coupler() if corrupt else contextlib.nullcontext():
             try:
-                texts.append(execute(builtin_doc(name), EntanglementParams.from_alpha_sq(a2),
-                                     PolarizationParams.from_gamma_sq(g2), rounds=3 if name == "ecp2" else 1,
-                                     accounting=accounting, model=DetectorModel(eta_p=0.8)).to_json())
+                texts.append(execute(builtin_doc(name), EntanglementParams.from_alpha_sq(a2), pol,
+                                     rounds=3 if name == "ecp2" else 1, accounting=accounting,
+                                     model=DetectorModel(eta_p=0.8)).to_json())
             except (RuntimeError, ValueError) as exc:
                 texts.append(f"{type(exc).__name__}: {exc}")
     return texts
 
 
 def test_pruned_signal_and_target_components_give_the_pinned_reports():
-    # the digest of the same 48 outcomes before the photons were generated as one prologue
+    # the digest of the same 96 outcomes before the photons were generated as one prologue
     texts = _edge_outcomes()
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
-        "6cbfc5d8291407d32d8210f2f9f53e33d186253263b78e9614dcbcf061722378")
-    for g2 in (0.0, 1.0):  # the prologue's pruned path: half the signal and target ids
-        pol = PolarizationParams.from_gamma_sq(g2)
+        "5e42349423a8c46c8a679d37490569e5e5b210e4aa867129390432c65364d95f")
+    for pol in EDGES:  # the prologue's pruned paths: half the signal and target ids
         bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": pol.gamma, "delta": pol.delta}
         signal, _, (tids, tamps, _), _ = _prologue(analyze(builtin_doc("ecp2")), pol)(bindings)
         assert len(signal) == 2 and len(tids) == len(tamps) == 2 and type(tids) is tuple
