@@ -161,7 +161,8 @@ _PLANNED = {"t1": 0, "t_plus": 0, "t2": 1, "t_minus": 1}  # which planned schedu
 
 class _Ids(tuple):
     """Ids a generated function hands out for its usual outcome, interned per plan table
-    (``_interned``) and hashed by identity: a scorer lookup does not rehash them."""
+    (``_interned``) and hashed by identity, so a scorer lookup does not rehash them.  Equal to
+    the plain tuple of its ids, it is the only key of its ids in the tables that hold it."""
 
     __slots__ = ()
     __hash__ = object.__hash__
@@ -255,7 +256,7 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
         outputs = {p: tuple(tab.intern((((m, hv), 1),)) for m in (arm.vbs.reflect, arm.vbs.transmit))
                    for p, _ in terms for [((_, hv), _)] in [tab.patterns[p]]}
         sums = [s for _, s in terms]
-        code += [f"if {_kept(sums)}: aux{i} = {const(sum(outputs.values(), ()))}, [{', '.join(map(real, sums))}]",
+        code += [f"if {_kept(sums)}: aux{i} = {const(tuple(x for pair in outputs.values() for x in pair))}, [{', '.join(map(real, sums))}]",
                  "else:", "    xs, amps = (), []",
                  *[f"    if abs({s}) >= PRUNE_EPS: xs += {const(outputs[p])}; amps.append({real(s)})" for p, s in terms],
                  f"    aux{i} = xs, amps"]
@@ -387,7 +388,7 @@ def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: _Chain) -> tupl
 class _ChainRound:
     p_success: float
     p_recycle: float
-    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises)
+    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises), _Ids where usual
     amps: list  # their amplitudes, one state after the other
     recycle_next: dict[int, complex]  # the next round's input, by pattern id
     error: tuple | None  # (type, message) of the first win's merge error

@@ -483,7 +483,7 @@ def _aux(tab, arm, bindings):
     return tuple(outputs), list(terms.values())
 
 
-def _run_old(tab, arms, current, schedules, bindings, model, merge):
+def _run_arms(tab, arms, current, schedules, bindings, model, merge):
     """``_run_chain`` on the chain of ``arms`` bound as a point binds it, its auxiliary photons
     at ``bindings`` and its coupler pairs from the per-arm transmittance lists ``schedules``."""
     pairs = zip(*[[vbs_pair(t) for t in ts] for ts in schedules])
@@ -595,7 +595,7 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
         couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
         ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) if m not in aux_ports for pol in "HV"]
-        rounds = _run_old(tab, arms, current, schedules, bindings, model, merge)
+        rounds = _run_arms(tab, arms, current, schedules, bindings, model, merge)
         for k in range(len(schedules[0])):
             ts = [s[k] for s in schedules]
             # the recorded ids reweighted; the same with the first id so small that
@@ -619,10 +619,10 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                 except PolarizationMixtureError:
                     # outputs that differ only in an absorbed photon's polarization
                     with pytest.raises(PolarizationMixtureError, match="click signature d"):
-                        _run_old(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
+                        _run_arms(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
                     mixtures += 1
                     continue
-                [got] = _run_old(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
+                [got] = _run_arms(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
                 assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
                 assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
                 assert len(got.wins) == len(wins)
@@ -857,7 +857,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                 for i, (terms, t) in enumerate(itertools.product(inputs, (ts, [(0.6 * PRUNE_EPS) ** 2, *ts[1:]]))):
                     want, whole, sides, values, factor, ports = _dict_round(tab, arms, terms, t, bindings, model, merge)
                     handed.clear()
-                    got = _book(lambda: _run_old(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0], _as_is)
+                    got = _book(lambda: _run_arms(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0], _as_is)
                     complex_input = all(type(a) is complex for a in terms.values())
                     assert repr(got) == repr(want if complex_input else _real_where(want, got))
                     outcomes["floats"] += repr(got) != repr(want)
@@ -876,7 +876,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                             assert repr(got) == repr(_real_where(want, got) if vals is not slots else want)
                             outcomes[got[0] if len(got) == 2 else "scored"] += 1
                 try:
-                    [book] = _run_old(tab, arms, current, [[t] for t in ts], bindings, model, merge)
+                    [book] = _run_arms(tab, arms, current, [[t] for t in ts], bindings, model, merge)
                 except (RuntimeError, ValueError):
                     break
                 current = book.recycle_next
