@@ -298,17 +298,19 @@ def _aligned(first: list, second: list) -> tuple:
 # ---------------------------------------------------------------------------
 # recycling chain
 
-@dataclass(slots=True)
 class _Chain:
-    """A chain of arms as its points run it, bound once per plan, arm labels and coupler matrix."""
+    """A chain of arms as its points run it, bound once per plan, arm labels and coupler matrix:
+    the balanced-coupler ``matrix`` its ``rules`` (per side, its couplers' rules) are at, per side
+    its detector groups and flips (``setup``), the nondemolition pairs (``qnds``), the merge's
+    ``ports`` (() without one), the round ``programs`` by shape and, per auxiliary output ids, the
+    round functions that form the products, by input ids (``formed``).  A plain class: building a
+    dataclass costs every fresh interpreter about a millisecond."""
 
-    matrix: tuple  # the balanced-coupler matrix ``rules`` are at
-    rules: tuple  # per side its couplers' rules
-    setup: list  # per side its detector groups and flips
-    qnds: list  # the nondemolition pairs
-    ports: tuple  # the merge's ports, () without one
-    programs: dict  # the round programs, by shape
-    formed: dict  # per auxiliary output ids, the round functions that form the products, by input ids
+    __slots__ = ("matrix", "rules", "setup", "qnds", "ports", "programs", "formed")
+
+    def __init__(self, matrix: tuple, rules: tuple, setup: list, qnds: list, ports: tuple, programs: dict):
+        self.matrix, self.rules, self.setup, self.qnds, self.ports = matrix, rules, setup, qnds, ports
+        self.programs, self.formed = programs, {}
 
 
 def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matrix: tuple) -> _Chain:
@@ -328,7 +330,7 @@ def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matri
         setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
         ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
         chain = chains[labels] = _Chain(matrix, rules, setup, [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None],
-                                        ports, tab.stage("round", labels, ports), {})
+                                        ports, tab.stage("round", labels, ports))
     return chain
 
 
@@ -445,7 +447,7 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
             signatures[-1].append((sig, [(s, q) for s, q in enumerate(qs, at) if alive is None or alive[s]]))
             at += len(qs)
     code.append("p_win, wins, amps, error, usual = 0.0, [], [], None, True")
-    usual = []  # each win's ids where every signature wins and none is pruned by the merge
+    usual = []  # each win's ids where every signature wins (one entry each) and none is pruned by the merge
     for sig, kept in signatures[0]:
         ids = tuple(q for _, q in kept)
         error = None
@@ -480,7 +482,6 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         else:
             usual.append(ids)
             code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in kept)})"]
-        code += ["else:", "    usual = False"]
     again = []  # each recycle signature that can continue: its weight's name and surviving slots
     for sig, kept in signatures[1]:
         if not kept:
@@ -506,7 +507,7 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         for s, q in kept:
             code += [f"    x = s{s} * scale", f"    if abs(x) >= PRUNE_EPS: nxt[{const(q)}] = x"]
     code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]
-    wins = "tuple(wins)" if None in usual else f"{const(_interned(tab, usual))} if usual else tuple(wins)"
+    wins = "tuple(wins)" if None in usual else f"{const(_interned(tab, usual))} if len(wins) == {len(usual)} and usual else tuple(wins)"
     code.append(f"return _ChainRound(p_win, p_rec, {wins}, amps, nxt, error)")
     return compiled("v, factor" if form is None else "v, factor, a, c", code, consts, "<round kernel>", globals())
 

@@ -340,7 +340,7 @@ def _table_keys(tab):
 
     def walk(entry):
         if isinstance(entry, ecpsim.engine._Chain):
-            entry = [getattr(entry, f.name) for f in dataclasses.fields(entry)]
+            entry = [getattr(entry, name) for name in entry.__slots__]
         if isinstance(entry, dict) and not isinstance(entry, CheckedRules):
             keys.extend(entry)
             entry = list(entry.values())
