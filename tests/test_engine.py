@@ -434,7 +434,7 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     # split or an expression function of the parser module, or scores through dicts
     _run_batch(name, seed=1)
     counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk",
-                            "kernel", "scoring", "split", "prologue"), 0)
+                            "kernel", "scoring", "split", "compiled"), 0)
     parser = set()  # the parser module's functions and generated expressions called
 
     def counted(key, original):
@@ -454,7 +454,7 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(ecpsim.engine, "_kernel", counted("kernel", ecpsim.engine._kernel))
     monkeypatch.setattr(ecpsim.engine, "_scoring", counted("scoring", ecpsim.engine._scoring))
     monkeypatch.setattr(ecpsim.engine, "split_terms", counted("split", ecpsim.engine.split_terms))
-    monkeypatch.setattr(ecpsim.engine, "compiled", counted("prologue", ecpsim.engine.compiled))
+    monkeypatch.setattr(ecpsim.engine, "compiled", counted("compiled", ecpsim.engine.compiled))
     assert not {"merge_terms", "terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # none bound here
 
     def profile(frame, event, arg):
