@@ -223,8 +223,12 @@ def layout(doc: CircuitDoc) -> Layout:
         raise TopologyError("either every arm recycles or none does")
 
     with_qnd = sum(a.qnd is not None for a in arms)
-    protocol = "ecp1" if not with_qnd else "ecp2" if with_qnd == len(arms) else "custom"
-    return Layout(signal_sources, split, arms, merge, outputs, protocol, arms[0].recycle_bs is not None)
+    if with_qnd == 0:
+        protocol = "ecp1"
+    else:
+        protocol = "ecp2" if with_qnd == len(arms) else "custom"
+    has_recycling = any(a.recycle_bs for a in arms)
+    return Layout(signal_sources, split, arms, merge, outputs, protocol, has_recycling)
 
 
 def _group_for(detect_list: list[DetectDecl], bs: BsDecl, claimed: set[int]) -> DetectDecl:

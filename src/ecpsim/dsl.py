@@ -166,9 +166,15 @@ def parse_expr(text: str, line: int = 0, col: int = 1) -> Expr:
 
 
 def expr_variables(node: Expr) -> set[str]:
-    if node[0] in ("var", "num"):
-        return {node[1]} if node[0] == "var" else set()
-    return set().union(*map(expr_variables, node[1:]))
+    kind = node[0]
+    if kind == "var":
+        return {node[1]}
+    if kind == "num":
+        return set()
+    vars_: set[str] = set()
+    for child in node[1:]:
+        vars_ |= expr_variables(child)
+    return vars_
 
 
 def emit_expr(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> str:
@@ -181,10 +187,12 @@ def emit_expr(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> 
         consts[name := f"k{len(consts)}"] = complex(args[0])
         return name
     if kind == "var":
-        if args[0] not in loaded:
-            unbound, loaded[args[0]] = f"parameter {args[0]!r} has no bound value", f"e{len(code) + 1}"
-            code += [f"if {args[0]!r} not in b: raise BindingError({unbound!r})", f"e{len(code) + 1} = complex(b[{args[0]!r}])"]
-        return loaded[args[0]]
+        [name] = args
+        if name not in loaded:
+            code.append(f"if {name!r} not in b: raise BindingError({f'parameter {name!r} has no bound value'!r})")
+            code.append(f"e{len(code)} = complex(b[{name!r}])")
+            loaded[name] = f"e{len(code) - 1}"
+        return loaded[name]
     forms = {"neg": "-{0}", "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}", "div": "{0} / {1}",
              "sqrt": "complex({0}.real ** 0.5) if {0}.imag == 0 and {0}.real >= 0 else cmath.sqrt({0})"}
     if kind not in forms:
@@ -593,8 +601,10 @@ def _check_expr_params(text: str, params: Sequence[str], line: int, col: int, ev
     for v in sorted(names):
         if v not in params:
             raise CircuitParseError(f"undeclared parameter {v!r} in expression", line, col)
-    if names or node[0] == "num":  # a literal needs no generated function
-        return None if names else node[1]
+    if names:
+        return None
+    if node[0] == "num":  # a literal's value, without generating a function
+        return node[1]
     try:
         return evaluate(text, {})
     except (BindingError, ParameterError) as exc:

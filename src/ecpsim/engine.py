@@ -44,11 +44,9 @@ products from the input, auxiliary and coupler amplitudes, and is kept per
 chain by input ids and which auxiliary factors survive; a pruned product
 hands the round to the masked path (``_masked``).  Per round's win ids, one
 generated scorer (``_scoring``) pairs the wins, prunes, and scores them
-against the target; a round function and the prologue hand out the ids of
-their usual outcome interned and hashed by identity (``_Ids``), so finding
-the scorer does not rehash them.  A point computes only amplitudes and its
-coupler pairs ``(sqrt(1-t), sqrt(t))``, with the prunes, summation order
-and errors of the dict path these replace.
+against the target.  A point computes only amplitudes and its coupler
+pairs ``(sqrt(1-t), sqrt(t))``, with the prunes, summation order and errors
+of the dict path these replace.
 
 Amplitudes are floats wherever they are real, so a point at real parameters
 runs in float arithmetic; a complex parameter or coupler phase runs the same
@@ -120,7 +118,6 @@ from .params import EntanglementParams, ParameterError, PolarizationParams, vbs_
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
-_EXACT = {n: EngineInfo("exact", n) for n in (1, 2)}  # per eta exponent (a layout has one or two arms)
 
 
 class ConfigError(ValueError):
@@ -159,20 +156,6 @@ _PLANNED = {"t1": 0, "t_plus": 0, "t2": 1, "t_minus": 1}  # which planned schedu
 # ---------------------------------------------------------------------------
 # states on the plan's pattern ids
 
-class _Ids(tuple):
-    """Ids a generated function hands out for its usual outcome, interned per plan table
-    (``_interned``) and hashed by identity, so a scorer lookup does not rehash them.  Equal to
-    the plain tuple of its ids, it is the only key of its ids in the tables that hold it."""
-
-    __slots__ = ()
-    __hash__ = object.__hash__
-
-
-def _interned(tab: PatternTable, ids: tuple) -> _Ids:
-    keys = tab.stage("score", "ids")
-    return keys.get(plain := tuple(ids)) or keys.setdefault(plain, _Ids(plain))
-
-
 def _real(x):
     """``x`` as a float where its imaginary part is zero."""
     return x if x.imag else x.real
@@ -188,13 +171,12 @@ def _target(terms: dict) -> tuple:
 
 
 def _prologue(plan: Plan, pol: PolarizationParams | None):
-    """``prologue(b) -> (signal, branches, target, auxes)``: a point's photons at the bindings ``b``,
-    generated once per plan and point kind (with or without ``pol``).  Each photon's amplitudes
-    are evaluated as ``dsl`` writes them (``emit_expr``), in source order, then summed per id from 0j,
-    pruned and handed out as floats where the sum's imaginary part is zero.  The target (per
-    output a V photon, or with ``pol`` ``gamma`` H and ``delta`` V) is ``(ids, amplitudes,
-    squared norm)`` normalized and pruned, its ids interned where none is pruned, and a near-zero
-    one raises; the signal goes through the split (a relabel) into the joint chain's input and,
+    """``prologue(b) -> (signal, branches, target, auxes)``: a point's photons at the bindings
+    ``b``, generated once per plan and point kind (with or without ``pol``).  Each photon's
+    amplitudes are evaluated as ``dsl`` writes them (``emit_expr``), in source order, then summed
+    per id from 0j, pruned and handed out as floats where the sum's imaginary part is zero.  The
+    target (per output a V photon, or with ``pol`` ``gamma`` H and ``delta`` V) is normalized by
+    ``_target``; the signal goes through the split (a relabel) into the joint chain's input and,
     per arm, the branch input of the ids holding no photon in another arm's signal mode; each
     arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes, or the error
     evaluating it raised, which the arm's chain raises where it reads the photon."""
@@ -202,16 +184,18 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     kind = "V" if pol is None else "HV"
     if kind in points:
         return points[kind]
-    code, consts, loaded = [], {"NORM2": NORM_TOL * NORM_TOL}, {}
+    code, consts, loaded = [], {}, {}
 
     def const(value) -> str:
         consts[name := f"k{len(consts)}"] = value
         return name
 
     def photon(sources: list, loaded: dict) -> list:
-        """Lines evaluating each source's amplitude, then each id's sum: ``[(id, sum)]``, first seen first."""
+        """Lines evaluating each source's amplitude, then each id's sum: ``[(id, sum)]``, first
+        seen first."""
         groups: dict[int, list[str]] = {}
-        for s, amp in [(s, emit_expr(parse_expr(s.amp), s.amp, code, consts, loaded)) for s in sources]:
+        for s in sources:
+            amp = emit_expr(parse_expr(s.amp), s.amp, code, consts, loaded)
             groups.setdefault(tab.intern(((mode(s.mode, s.pol), 1),)), []).append(amp)
         for p, amps in groups.items():
             total = f"0j + {amps[0]}" if len(amps) == 1 else f"sum(({', '.join(amps)}), 0j)"
@@ -224,16 +208,10 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
 
     amps = {"V": "1"} if pol is None else {"H": "gamma", "V": "delta"}
     terms = photon([SourceDecl(m, p, amps[p]) for m in plan.outputs for p in kind], loaded)
-    ids, sums = [p for p, _ in terms], [s for _, s in terms]
-    xs, ys = ([f"{c}{i}" for i in range(len(terms))] for c in "xy")
-    code += [f"if {_kept(sums)}:  # every target id survives", *[f"    {x} = {real(s)}" for x, s in zip(xs, sums)],
-             f"    n2 = sum([{', '.join(f'abs({x}) ** 2' for x in xs)}])",
-             "    if n2 <= NORM2: raise DegenerateStateError('cannot normalize a (near-)zero state')",
-             "    scale = 1.0 / math.sqrt(n2)", *[f"    {y} = {x} * scale" for x, y in zip(xs, ys)],
-             f"    target = ({const(_interned(tab, ids))}, [{', '.join(ys)}], sum([{', '.join(f'abs({y}) ** 2' for y in ys)}]))"
-             f" if {_kept(ys)} else _target(dict(zip({const(tuple(ids))}, [{', '.join(xs)}])))",
-             "else:", "    t = {}", *[f"    if abs({s}) >= PRUNE_EPS: t[{const(p)}] = {real(s)}" for p, s in terms],
-             "    target = _target(t)"]
+    code.append("t = {}")
+    for p, s in terms:
+        code.append(f"if abs({s}) >= PRUNE_EPS: t[{const(p)}] = {real(s)}")
+    code.append("target = _target(t)")
     signal = photon(plan.signal_sources, loaded)
     moved = {p: (p, 1.0, 1.0) for p, _ in signal}  # each id's (new id, scale, divisor) through the split
     if (split := plan.split) is not None:
@@ -247,24 +225,30 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     code.append(f"signal, {''.join(f'{b}, ' for b in branches)}= {'{}, ' * (len(branches) + 1)}")
     for p, s in signal:
         q, scale, divisor = moved[p]
-        stores = "; ".join(f"{name}[{const(q)}] = x" for name in ["signal", *[b for b in branches if q in branches[b]]])
-        code += ([f"if abs({s}) >= PRUNE_EPS:", f"    x = {real(s)} * {const(scale)} / {const(divisor)}",
-                  f"    if abs(x) >= PRUNE_EPS: {stores}"] if split else [f"if abs({s}) >= PRUNE_EPS: x = {real(s)}; {stores}"])
+        inputs = ["signal", *[b for b in branches if q in branches[b]]]
+        stores = [f"{name}[{const(q)}] = x" for name in inputs]
+        code += [f"if abs({s}) >= PRUNE_EPS:", f"    x = {real(s)}"]
+        if split is not None:
+            code += [f"    x = x * {const(scale)} / {const(divisor)}", "    if abs(x) >= PRUNE_EPS:"]
+            stores = [f"    {line}" for line in stores]
+        code += [f"    {line}" for line in stores]
     for i, arm in enumerate(plan.arms):
         code.append("try:")
         start, terms = len(code), photon(arm.aux_sources, dict(loaded))
-        outputs = {p: tuple(tab.intern((((m, hv), 1),)) for m in (arm.vbs.reflect, arm.vbs.transmit))
-                   for p, _ in terms for [((_, hv), _)] in [tab.patterns[p]]}
-        sums = [s for _, s in terms]
-        code += [f"if {_kept(sums)}: aux{i} = {const(tuple(x for pair in outputs.values() for x in pair))}, [{', '.join(map(real, sums))}]",
-                 "else:", "    xs, amps = (), []",
-                 *[f"    if abs({s}) >= PRUNE_EPS: xs += {const(outputs[p])}; amps.append({real(s)})" for p, s in terms],
-                 f"    aux{i} = xs, amps"]
+        code.append("xs, amps = (), []")
+        for p, s in terms:
+            [((_, hv), _)] = tab.patterns[p]
+            outputs = tuple(tab.intern((((m, hv), 1),)) for m in (arm.vbs.reflect, arm.vbs.transmit))
+            code += [f"if abs({s}) >= PRUNE_EPS:",
+                     f"    xs += {const(outputs)}",
+                     f"    amps.append({real(s)})"]
+        code.append(f"aux{i} = xs, amps")
         code[start:] = [f"    {line}" for line in code[start:]]
-        code += ["except (BindingError, ParameterError) as exc:  # raised where the arm's chain reads the photon",
-                 f"    aux{i} = exc"]
-    by_arm = "".join(f"{f'branch{i}' if f'branch{i}' in branches else 'signal'}, " for i in range(len(plan.arms)))
-    code.append(f"return signal, ({by_arm}), target, ({''.join(f'aux{i}, ' for i in range(len(plan.arms)))})")
+        # raised where the arm's chain reads the photon
+        code += ["except (BindingError, ParameterError) as exc:", f"    aux{i} = exc"]
+    arms = range(len(plan.arms))
+    by_arm = "".join(f"{f'branch{i}' if f'branch{i}' in branches else 'signal'}, " for i in arms)
+    code.append(f"return signal, ({by_arm}), target, ({''.join(f'aux{i}, ' for i in arms)})")
     points[kind] = compiled("b", code, consts, "<photons>", globals())
     return points[kind]
 
@@ -329,8 +313,8 @@ def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matri
         rules = tuple(tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side) for side in sides)
         setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
         ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
-        chain = chains[labels] = _Chain(matrix, rules, setup, [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None],
-                                        ports, tab.stage("round", labels, ports))
+        qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
+        chain = chains[labels] = _Chain(matrix, rules, setup, qnds, ports, tab.stage("round", labels, ports))
     return chain
 
 
@@ -390,7 +374,7 @@ def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: _Chain) -> tupl
 class _ChainRound:
     p_success: float
     p_recycle: float
-    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises), _Ids where usual
+    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises)
     amps: list  # their amplitudes, one state after the other
     recycle_next: dict[int, complex]  # the next round's input, by pattern id
     error: tuple | None  # (type, message) of the first win's merge error
@@ -446,8 +430,7 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         for sig, qs in side:
             signatures[-1].append((sig, [(s, q) for s, q in enumerate(qs, at) if alive is None or alive[s]]))
             at += len(qs)
-    code.append("p_win, wins, amps, error, usual = 0.0, [], [], None, True")
-    usual = []  # each win's ids where every signature wins (one entry each) and none is pruned by the merge
+    code.append("p_win, wins, amps, error = 0.0, [], [], None")
     for sig, kept in signatures[0]:
         ids = tuple(q for _, q in kept)
         error = None
@@ -466,21 +449,18 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         code.append(f"    p_win += {w} * factor")
         if error:  # raised where every chain of the round has a win
             code += [f"    error = error or {const(error)}", "    wins.append(None)"]
-            usual.append(None)
         elif ports:  # the merge, then its prune
             us = "".join(f"u{s}, " for s, _ in kept)
-            usual.append(tuple(stage[q][0] for q in ids))
-            merged = const(usual[-1])
+            merged = const(tuple(stage[q][0] for q in ids))
             code += [f"    u{s} = (s{s} * {const(_real(stage[q][1]))}) / {const(_real(stage[q][2]))}" for s, q in kept]
             code += [f"    if {' and '.join(f'abs(u{s}) >= PRUNE_EPS' for s, _ in kept)}:",
                      f"        wins.append({merged})",
                      f"        amps += ({us})",
                      "    else:",
-                     f"        (keep, win), usual = _survivors([{us}]), False",
+                     f"        keep, win = _survivors([{us}])",
                      f"        wins.append(tuple(itertools.compress({merged}, keep)))",
                      "        amps += win"]
         else:
-            usual.append(ids)
             code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in kept)})"]
     again = []  # each recycle signature that can continue: its weight's name and surviving slots
     for sig, kept in signatures[1]:
@@ -507,9 +487,9 @@ def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple
         for s, q in kept:
             code += [f"    x = s{s} * scale", f"    if abs(x) >= PRUNE_EPS: nxt[{const(q)}] = x"]
     code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]
-    wins = "tuple(wins)" if None in usual else f"{const(_interned(tab, usual))} if len(wins) == {len(usual)} and usual else tuple(wins)"
-    code.append(f"return _ChainRound(p_win, p_rec, {wins}, amps, nxt, error)")
-    return compiled("v, factor" if form is None else "v, factor, a, c", code, consts, "<round kernel>", globals())
+    code.append("return _ChainRound(p_win, p_rec, tuple(wins), amps, nxt, error)")
+    params = "v, factor" if form is None else "v, factor, a, c"
+    return compiled(params, code, consts, "<round kernel>", globals())
 
 
 def _products(ids: tuple, counts: tuple, mask: tuple) -> list:
@@ -668,13 +648,19 @@ def _scoring(table: dict, key: tuple, alive: tuple | None):
         firsts, seconds = _aligned(state, targets)
         code.append(f"i{s} = 0.0{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}")
     code.append(f"return min(min([{', '.join(f'abs(i{s}) ** 2 / (n{s} * tnorm)' for s in range(len(states)))}]), 1.0)")
-    return compiled("t, tnorm, a, b", code, {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}, "<round scorer>", globals())
+    consts = {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}
+    return compiled("t, tnorm, a, b", code, consts, "<round scorer>", globals())
 
 
-def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]], target: tuple) -> list[RoundResult]:
+def _rounds(
+    tab: PatternTable,
+    ts: list[float],
+    chains: list[list[_ChainRound]],
+    target: tuple,
+) -> list[RoundResult]:
     """Round results summed over ``chains`` (one or two).  Each distinct round's fidelity is the
     worst of its paired and pruned wins' against ``target``, ``(ids, amplitudes, squared norm)``,
-    by the round's scorer (``_scorer``) in the plan table's ``score`` stage, keyed on interned ids."""
+    by the round's scorer (``_scorer``) in the plan table's ``score`` stage."""
     tids, tamps, tnorm = target
     table, rounds, last, other, one = tab.stage("score"), [], None, None, len(chains) == 1
     for k, (t, first, second) in enumerate(zip(ts, chains[0], chains[-1]), 1):
@@ -683,9 +669,8 @@ def _rounds(tab: PatternTable, ts: list[float], chains: list[list[_ChainRound]],
             if first.wins and second.wins:
                 if error := first.error or second.error:
                     raise error[0](error[1])
-                scorers = table.get(key := (first.wins, tids) if one else (first.wins, second.wins, tids))
-                scorer = scorers and scorers.get(None) or _scorer(table, tuple([_interned(tab, ids) for ids in key]), None)
-                fid = scorer(tamps, tnorm, first.amps, second.amps)
+                key = (first.wins, tids) if one else (first.wins, second.wins, tids)
+                fid = _scorer(table, key, None)(tamps, tnorm, first.amps, second.amps)
             # sum() of one or two probabilities, none of them -0.0
             p_success = first.p_success if one else first.p_success + second.p_success
             p_recycle = first.p_recycle if one else first.p_recycle + second.p_recycle
@@ -763,14 +748,17 @@ def execute(
     # schedule only feeds their transmittance parameters
     schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
-    tab, matrix, plus = plan.table, bs_matrix(), list(map(vbs_pair, schedule["plus"]))
+    tab, matrix = plan.table, bs_matrix()
     signal, branches, target, auxes = _prologue(plan, pol)(bindings)
     # each round's coupler pairs, shared by the arms where their schedules agree
-    pairs = {"plus": plus, "minus": plus if schedule["minus"] == schedule["plus"] else list(map(vbs_pair, schedule["minus"]))}
+    pairs = {"plus": list(map(vbs_pair, schedule["plus"]))}
+    pairs["minus"] = pairs["plus"] if schedule["minus"] == schedule["plus"] else list(map(vbs_pair, schedule["minus"]))
     if accounting == "branch":
         # each arm acts only on the component where the signal is not in the other arm
-        chains = [_run_chain(tab, _bound(tab, [arm], plan.merge, matrix), inp, zip(pairs[arm.label]), [aux], model)
-                  for arm, inp, aux in zip(plan.arms, branches, auxes)]
+        chains = []
+        for arm, inp, aux in zip(plan.arms, branches, auxes):
+            chain = _bound(tab, [arm], plan.merge, matrix)
+            chains.append(_run_chain(tab, chain, inp, zip(pairs[arm.label]), [aux], model))
         eta_exponent = 1
     else:
         chains = [_run_chain(tab, _bound(tab, plan.arms, plan.merge, matrix), signal,
@@ -786,8 +774,8 @@ def execute(
         eta_p=model.eta_p,
         schedule=schedule,
         rounds=round_results,
-        p_total=sum([r.p_success for r in round_results]),
-        engine=_EXACT[eta_exponent],
+        p_total=sum(r.p_success for r in round_results),
+        engine=EngineInfo("exact", eta_exponent),
     )
     report.paper_comparison = _comparison(plan, report, pol, chains)
     return report

@@ -44,7 +44,6 @@ from ecpsim.fock import (
     CheckedRules,
     PatternTable,
     PolarizationMixtureError,
-    mode,
     pattern_count,
     prune,
     single_photon,
@@ -470,37 +469,29 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     assert parser <= {"__hash__"}  # at most the plan cache's lookup of the document
 
 
-def _aux(tab, arm, bindings):
-    """An arm's auxiliary photon as a point's prologue hands it out: its ids' (reflected,
-    transmitted) ids and amplitudes, each id's summed from 0j, pruned, a float where real."""
-    terms = {}
-    for s in arm.aux_sources:
-        p = tab.intern(((mode(s.mode, s.pol), 1),))
-        terms[p] = terms.get(p, 0j) + evaluate_expr(s.amp, bindings)
-    terms = {p: a if a.imag else a.real for p, a in terms.items() if abs(a) >= PRUNE_EPS}
-    outputs = [tab.intern((((m, pol), 1),)) for p in terms for (((_, pol), _),) in [tab.patterns[p]]
-               for m in (arm.vbs.reflect, arm.vbs.transmit)]
-    return tuple(outputs), list(terms.values())
+def _record_chains(monkeypatch, calls):
+    """Record in ``calls`` each ``_run_chain`` call ``execute`` makes from now on, as its arguments
+    ``(tab, chain, input, pairs, auxes, model)``, the coupler pairs as a list, then what the staged
+    and dict paths read: ``(arms, schedules, bindings, merge)``, the chain's arms, their
+    transmittances per arm, the point's bindings and the merge.  Each call's pairs are checked
+    against the point's schedule."""
+    points, effective = [], ecpsim.engine._effective_schedule  # each point's plan, bindings, schedule
 
+    def schedule(plan, bindings, *args):
+        points.append((plan, bindings, effective(plan, bindings, *args)))
+        return points[-1][2]
 
-def _run_arms(tab, arms, current, schedules, bindings, model, merge):
-    """``_run_chain`` on the chain of ``arms`` bound as a point binds it, its auxiliary photons
-    at ``bindings`` and its coupler pairs from the per-arm transmittance lists ``schedules``."""
-    pairs = zip(*[[vbs_pair(t) for t in ts] for ts in schedules])
-    return _run_chain(tab, _bound(tab, arms, merge, bs_matrix()), current, pairs,
-                      [_aux(tab, arm, bindings) for arm in arms], model)
+    def record(tab, chain, current, pairs, auxes, model):
+        plan, bindings, planned = points[-1]
+        [labels] = [labels for labels, bound in tab.stage("chain").items() if bound is chain]
+        arms = [a for label in labels for a in plan.arms if a.label == label]
+        schedules, pairs = [planned[a.label] for a in arms], list(pairs)
+        assert pairs == list(zip(*[list(map(vbs_pair, ts)) for ts in schedules]))
+        calls.append(((tab, chain, current, pairs, auxes, model), (arms, schedules, bindings, plan.merge)))
+        return _run_chain(tab, chain, current, pairs, auxes, model)
 
-
-def _chain_calls(name, ent, pol, rounds, accounting, model):
-    """``(tab, arms, input, schedules, bindings, model, merge)`` of each chain ``execute`` runs on
-    the shipped layout ``name``, its input from the point's prologue."""
-    plan = analyze(builtin_doc(name))
-    bindings = {"alpha": ent.alpha, "beta": ent.beta, **({"gamma": pol.gamma, "delta": pol.delta} if pol else {})}
-    ts = list(vbs_schedule(ent, rounds)) if plan.has_recycling else [ent.alpha_sq]
-    signal, branches, _, _ = _prologue(plan, pol)(bindings)
-    if accounting == "branch":
-        return [(plan.table, [arm], inp, [ts], bindings, model, plan.merge) for arm, inp in zip(plan.arms, branches)]
-    return [(plan.table, plan.arms, signal, [ts] * len(plan.arms), bindings, model, plan.merge)]
+    monkeypatch.setattr(ecpsim.engine, "_effective_schedule", schedule)
+    monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
 
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
@@ -578,25 +569,29 @@ def _coefficients(arms, ts, bindings):
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch):
-    pruned_outputs = []
+    calls, pruned_outputs = [], []
 
     def kernel(tab, program, ports, alive):
         pruned_outputs.append(alive is not None)
         return _round_kernel(tab, program, ports, alive)
 
+    _record_chains(monkeypatch, calls)
     polarized = not name.endswith("_stripped")
-    calls = _chain_calls(name, ENT, POL if polarized else None, 3 if name.startswith("ecp2") else 1, accounting,
-                         DetectorModel(eta_p=0.8))
+    execute(
+        builtin_doc(name), ENT, POL if polarized else None,
+        rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
+        model=DetectorModel(eta_p=0.8),
+    )
     monkeypatch.setattr(ecpsim.engine, "_round_kernel", kernel)
     assert calls
     rng = random.Random(7)
     compared = mixtures = pruned_products = 0
-    for tab, arms, current, schedules, bindings, model, merge in calls:
+    for (tab, chain, current, pairs, auxes, model), (arms, schedules, bindings, merge) in calls:
         aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
         couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
         ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) if m not in aux_ports for pol in "HV"]
-        rounds = _run_arms(tab, arms, current, schedules, bindings, model, merge)
-        for k in range(len(schedules[0])):
+        rounds = _run_chain(tab, chain, current, pairs, auxes, model)
+        for k in range(len(pairs)):
             ts = [s[k] for s in schedules]
             # the recorded ids reweighted; the same with the first id so small that
             # only its largest product survives, then so small that its products
@@ -619,10 +614,10 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                 except PolarizationMixtureError:
                     # outputs that differ only in an absorbed photon's polarization
                     with pytest.raises(PolarizationMixtureError, match="click signature d"):
-                        _run_arms(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
+                        _run_chain(tab, chain, terms, pairs[k:k + 1], auxes, model)
                     mixtures += 1
                     continue
-                [got] = _run_arms(tab, arms, terms, [[t] for t in ts], bindings, model, merge)
+                [got] = _run_chain(tab, chain, terms, pairs[k:k + 1], auxes, model)
                 assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
                 assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
                 assert len(got.wins) == len(wins)
@@ -782,12 +777,10 @@ def _factor_mask(auxes, pairs):
     return tuple(abs(a * c) >= PRUNE_EPS for (_, amps), rs in zip(auxes, pairs) for a in amps for c in rs)
 
 
-def _dict_round(tab, arms, current, ts, bindings, model, merge):
-    """One round through the dict path on the engine's slot program of the round's shape:
-    ``(outcome, whole, sides, slot values, factor, merge ports)``, the outcome as the result
-    itself or the error's type and message, ``whole`` where no product is pruned."""
-    chain = _bound(tab, arms, merge, bs_matrix())
-    auxes = [_aux(tab, arm, bindings) for arm in arms]
+def _dict_round(tab, chain, auxes, current, ts, model):
+    """One round of ``chain`` through the dict path on the engine's slot program of the round's
+    shape: ``(outcome, whole, sides, slot values, factor, merge ports)``, the outcome as the
+    result itself or the error's type and message, ``whole`` where no product is pruned."""
     shape, products, whole = _dict_products(current, auxes, [(math.sqrt(1.0 - t), math.sqrt(t)) for t in ts])
     _, slots, sides = ecpsim.engine._slots(tab, shape, chain.rules, chain)
     factor, values = detection_factor(chain.setup[0][0], model), _dict_slots(slots, products)
@@ -835,29 +828,29 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
         handed.append((tuple(current), _factor_mask(auxes, pairs)) in kernels)
         return _masked(tab, chain, kernels, current, auxes, pairs, factor)
 
+    _record_chains(monkeypatch, calls)
     monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
     polarized = not name.endswith("_stripped")
     with corrupted_coupler() if corrupt else contextlib.nullcontext():
         for alpha_sq in (0.3, 0.6, 0.9):
-            ent, pol = EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None
-            options = dict(rounds=5 if name.startswith("ecp2") else 1, accounting=accounting, model=DetectorModel(eta_p=0.8))
-            calls += _chain_calls(name, ent, pol, *options.values())
             with contextlib.suppress(RuntimeError, DegenerateStateError):
-                execute(builtin_doc(name), ent, pol, **options)
+                execute(builtin_doc(name), EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None,
+                        rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
+                        model=DetectorModel(eta_p=0.8))
         assert calls and (rounds or corrupt)
         monkeypatch.setattr(ecpsim.engine, "_masked", masked)
         rng = random.Random(16)
         outcomes = collections.Counter()
-        for tab, arms, current, schedules, bindings, model, merge in calls:
-            for k in range(len(schedules[0])):
+        for (tab, chain, current, pairs, auxes, model), (_, schedules, _, _) in calls:
+            for k in range(len(pairs)):
                 ts = [s[k] for s in schedules]
                 inputs = [current] + [dict(zip(current, vals)) for vals in _reweighted(list(current.values()), rng)]
                 inputs.append({w: 4.0 * a / abs(a) for w, a in current.items()})  # 4 * 0.6 PRUNE_EPS survives a pruned factor
                 inputs += [{w: complex(a, 0.0) for w, a in terms.items()} for terms in (current, inputs[-1])]
                 for i, (terms, t) in enumerate(itertools.product(inputs, (ts, [(0.6 * PRUNE_EPS) ** 2, *ts[1:]]))):
-                    want, whole, sides, values, factor, ports = _dict_round(tab, arms, terms, t, bindings, model, merge)
+                    want, whole, sides, values, factor, ports = _dict_round(tab, chain, auxes, terms, t, model)
                     handed.clear()
-                    got = _book(lambda: _run_arms(tab, arms, terms, [[x] for x in t], bindings, model, merge)[0], _as_is)
+                    got = _book(lambda: _run_chain(tab, chain, terms, [tuple(map(vbs_pair, t))], auxes, model)[0], _as_is)
                     complex_input = all(type(a) is complex for a in terms.values())
                     assert repr(got) == repr(want if complex_input else _real_where(want, got))
                     outcomes["floats"] += repr(got) != repr(want)
@@ -876,7 +869,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                             assert repr(got) == repr(_real_where(want, got) if vals is not slots else want)
                             outcomes[got[0] if len(got) == 2 else "scored"] += 1
                 try:
-                    [book] = _run_arms(tab, arms, current, [[t] for t in ts], bindings, model, merge)
+                    [book] = _run_chain(tab, chain, current, pairs[k:k + 1], auxes, model)
                 except (RuntimeError, ValueError):
                     break
                 current = book.recycle_next
