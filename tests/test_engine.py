@@ -1123,7 +1123,7 @@ def test_pruned_signal_and_target_components_give_the_pinned_reports():
     texts = _edge_outcomes()
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
         "5e42349423a8c46c8a679d37490569e5e5b210e4aa867129390432c65364d95f")
-    for pol in EDGES:  # the prologue's pruned paths: half the signal and target ids
+    for pol in EDGES:  # the prologue prunes half the signal and target ids
         bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": pol.gamma, "delta": pol.delta}
         signal, _, (tids, tamps, _), _ = _prologue(analyze(builtin_doc("ecp2")), pol)(bindings)
         assert len(signal) == 2 and len(tids) == len(tamps) == 2 and type(tids) is tuple
