@@ -31,34 +31,38 @@ generated prologue (``_prologue``) that evaluates every photon's amplitude
 expressions as ``dsl`` writes them and hands out each chain's input after
 the split and the branch restriction, the normalized target and each arm's
 auxiliary photon; per chain of arms, bound once per coupler matrix
-(``_bound``), its coupler rules, detector groups, flips and round tables;
-per round shape (input ids,
-auxiliary photon ids, surviving products) one slot program, kept beside
-the coupler rules it bakes in, each slot summing product amplitudes times
-the coefficients of the couplers, herald and flips; inside it, per set of
-surviving slots, the whole round as one generated function (``_kernel``)
-that sums the slots, weighs each click signature, merges the wins and
-checks and rescales the recycle continuation as straight-line code on
-locals.  Where every product survives, the function first forms the
-products from the input, auxiliary and coupler amplitudes, and is kept per
-chain by input ids and which auxiliary factors survive; a pruned product
-hands the round to the masked path (``_masked``).  Per round's win ids, one
-generated scorer (``_scoring``) pairs the wins, prunes, and scores them
-against the target.  A point computes only amplitudes and its coupler
-pairs ``(sqrt(1-t), sqrt(t))``, with the prunes, summation order and errors
-of the dict path these replace.
+(``_bound``), its coupler rules, detector groups, flips and, per auxiliary
+and input ids, the whole round as one generated function (``_kernel``) that
+forms the products, sums each slot (an output id: product amplitudes times
+the coefficients of the couplers, herald and flips), weighs each click
+signature, merges the wins and checks and rescales the recycle continuation
+as straight-line code on locals; per round's win and target ids, one
+generated scorer (``_scoring``) that pairs the wins and scores them against
+the target.  Each is built on first touch.  A point computes only
+amplitudes and its coupler pairs ``(sqrt(1-t), sqrt(t))``; a recycling
+plan whose couplers read a bare planned parameter takes them from the
+log-odds (``params.vbs_pair_schedule``), free of the cancellation in 1 - t.
+
+No computed value is dropped: the prologue drops only exactly zero photon
+amplitudes, a round keeps every slot, and a signature counts where it
+weighs more than 0.  Only the compile step prunes, at ``fock.PRUNE_EPS``, the
+coefficient noise of the unit products it maps.  One underflow rule
+follows: a round whose probability underflows reports p 0 and fidelity
+null.
 
 Amplitudes are floats wherever they are real, so a point at real parameters
 runs in float arithmetic; a complex parameter or coupler phase runs the same
 functions in complex arithmetic, with the same real parts.
 
 States stay unnormalized throughout; squared norms are absolute
-probabilities.  Recycling rounds send the auxiliary photon through its
-coupler at the transmittance of the doubling schedule and continue on the
-corrected residual; the distinct recycle click patterns must agree after
-correction (an internal invariant, checked) so the rounds form a single
-chain rather than a branching tree.  A round whose input and coupler
-pairs equal the previous round's repeats its result.
+probabilities, written as products (``m * m``, never ``** 2``, whose
+platform ``pow`` is not correctly rounded everywhere).  Recycling rounds
+send the auxiliary photon through its coupler at the transmittance of the
+doubling schedule and continue on the corrected residual; the distinct
+recycle click patterns must agree after correction (an internal invariant,
+checked on the normalized states, at any scale) so the rounds form a single
+chain rather than a branching tree.  A round whose input and coupler pairs
+equal the previous round's repeats its result.
 """
 
 from __future__ import annotations
@@ -83,9 +87,7 @@ from .dsl import (
 )
 from .elements import PortContractError, bs_matrix, bs_rules, merge_relabels, split_terms, vbs_pair, vbs_ports
 from .fock import (
-    NORM_TOL,
     PHOTON_CAP,
-    PRUNE_EPS,
     RECYCLE_AGREEMENT_TOL,
     DegenerateStateError,
     ModeCollisionError,
@@ -95,7 +97,6 @@ from .fock import (
     make_pattern,
     mode,
     pattern_count,
-    prune,
     terms_norm_sq,
 )
 from .formulas import (
@@ -114,7 +115,7 @@ from .measurement import (
     herald_terms,
     qnd_class,
 )
-from .params import EntanglementParams, ParameterError, PolarizationParams, vbs_schedule
+from .params import EntanglementParams, ParameterError, PolarizationParams, vbs_pair_schedule, vbs_schedule
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
@@ -162,11 +163,10 @@ def _real(x):
 
 
 def _target(terms: dict) -> tuple:
-    """``(ids, amplitudes, squared norm)`` of the pruned photon ``terms`` normalized, then pruned."""
-    n2 = terms_norm_sq(terms)
-    if n2 <= NORM_TOL * NORM_TOL:
-        raise DegenerateStateError("cannot normalize a (near-)zero state")
-    target = prune({p: a * (1.0 / math.sqrt(n2)) for p, a in terms.items()})
+    """``(ids, amplitudes, squared norm)`` of the photon ``terms`` (a unit norm's within
+    ``NORM_TOL``, as ``PolarizationParams`` holds it) normalized."""
+    scale = 1.0 / math.sqrt(terms_norm_sq(terms))
+    target = {p: a * scale for p, a in terms.items()}
     return tuple(target), list(target.values()), terms_norm_sq(target)
 
 
@@ -174,9 +174,10 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     """``prologue(b) -> (signal, branches, target, auxes)``: a point's photons at the bindings
     ``b``, generated once per plan and point kind (with or without ``pol``).  Each photon's
     amplitudes are evaluated as ``dsl`` writes them (``emit_expr``), in source order, then summed
-    per id from 0j, pruned and handed out as floats where the sum's imaginary part is zero.  The
-    target (per output a V photon, or with ``pol`` ``gamma`` H and ``delta`` V) is normalized by
-    ``_target``; the signal goes through the split (a relabel) into the joint chain's input and,
+    per id from 0j, dropped where the sum is exactly zero and handed out as floats where its
+    imaginary part is zero.  The target (per output a V photon, or with ``pol`` ``gamma`` H and
+    ``delta`` V) is normalized by ``_target``; the signal goes through the split (a relabel of
+    single photons, at scale 1) into the joint chain's input and,
     per arm, the branch input of the ids holding no photon in another arm's signal mode; each
     arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes, or the error
     evaluating it raised, which the arm's chain raises where it reads the photon."""
@@ -210,28 +211,22 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     terms = photon([SourceDecl(m, p, amps[p]) for m in plan.outputs for p in kind], loaded)
     code.append("t = {}")
     for p, s in terms:
-        code.append(f"if abs({s}) >= PRUNE_EPS: t[{const(p)}] = {real(s)}")
+        code.append(f"if {s}: t[{const(p)}] = {real(s)}")
     code.append("target = _target(t)")
     signal = photon(plan.signal_sources, loaded)
-    moved = {p: (p, 1.0, 1.0) for p, _ in signal}  # each id's (new id, scale, divisor) through the split
+    moved = {p: p for p, _ in signal}  # each id's id after the split
     if (split := plan.split) is not None:
         split_terms(tab, dict.fromkeys(moved, 1.0), split.inp, split.out_h, split.out_v)
-        moved = {p: tab.stage("pbs split", split.inp, split.out_h, split.out_v)[p] for p in moved}
+        moved = {p: tab.stage("pbs split", split.inp, split.out_h, split.out_v)[p][0] for p in moved}
     branches = {}  # the ids of each arm's input that is not the whole signal
     for i, arm in enumerate(plan.arms):
-        ids = {q for q, *_ in moved.values() if not any(
+        ids = {q for q in moved.values() if not any(
             pattern_count(tab.patterns[q], a.signal_mode) for a in plan.arms if a is not arm)}
         branches.update({f"branch{i}": ids} if len(ids) < len(moved) else {})
     code.append(f"signal, {''.join(f'{b}, ' for b in branches)}= {'{}, ' * (len(branches) + 1)}")
     for p, s in signal:
-        q, scale, divisor = moved[p]
-        inputs = ["signal", *[b for b in branches if q in branches[b]]]
-        stores = [f"{name}[{const(q)}] = x" for name in inputs]
-        code += [f"if abs({s}) >= PRUNE_EPS:", f"    x = {real(s)}"]
-        if split is not None:
-            code += [f"    x = x * {const(scale)} / {const(divisor)}", "    if abs(x) >= PRUNE_EPS:"]
-            stores = [f"    {line}" for line in stores]
-        code += [f"    {line}" for line in stores]
+        inputs = ["signal", *[b for b in branches if moved[p] in branches[b]]]
+        code += [f"if {s}:", f"    x = {real(s)}", *[f"    {name}[{const(moved[p])}] = x" for name in inputs]]
     for i, arm in enumerate(plan.arms):
         code.append("try:")
         start, terms = len(code), photon(arm.aux_sources, dict(loaded))
@@ -239,7 +234,7 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
         for p, s in terms:
             [((_, hv), _)] = tab.patterns[p]
             outputs = tuple(tab.intern((((m, hv), 1),)) for m in (arm.vbs.reflect, arm.vbs.transmit))
-            code += [f"if abs({s}) >= PRUNE_EPS:",
+            code += [f"if {s}:",
                      f"    xs += {const(outputs)}",
                      f"    amps.append({real(s)})"]
         code.append(f"aux{i} = xs, amps")
@@ -251,23 +246,6 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     code.append(f"return signal, ({by_arm}), target, ({''.join(f'aux{i}, ' for i in arms)})")
     points[kind] = compiled("b", code, consts, "<photons>", globals())
     return points[kind]
-
-
-def _survivors(amps: list) -> tuple:
-    """``(alive, kept)``: which of ``amps`` the prune keeps (None for all of them) and those."""
-    if not amps or min(map(abs, amps)) >= PRUNE_EPS:
-        return None, amps
-    alive = tuple([abs(a) >= PRUNE_EPS for a in amps])
-    return alive, list(itertools.compress(amps, alive))
-
-
-def _kept(names: list, pruned: list = ()) -> str:
-    """Source of ``_survivors``' test that every one of ``names`` survives the prune and none of
-    ``pruned`` does (one of the two lists not empty)."""
-    def magnitude(extreme: str, xs: list) -> str:
-        return f"{extreme}({', '.join(f'abs({x})' for x in xs)})" if len(xs) > 1 else f"abs({xs[0]})"
-    below = [f"{magnitude('max', pruned)} <"] if pruned else []
-    return " ".join([*below, "PRUNE_EPS", *([f"<= {magnitude('min', names)}"] if names else [])])
 
 
 def _aligned(first: list, second: list) -> tuple:
@@ -286,22 +264,22 @@ class _Chain:
     """A chain of arms as its points run it, bound once per plan, arm labels and coupler matrix:
     the balanced-coupler ``matrix`` its ``rules`` (per side, its couplers' rules) are at, per side
     its detector groups and flips (``setup``), the nondemolition pairs (``qnds``), the merge's
-    ``ports`` (() without one), the round ``programs`` by shape and, per auxiliary output ids, the
-    round functions that form the products, by input ids (``formed``).  A plain class: building a
-    dataclass costs every fresh interpreter about a millisecond."""
+    ``ports`` (() without one) and, per auxiliary output ids, its round functions by input ids
+    (``formed``).  A plain class: building a dataclass costs every fresh interpreter about a
+    millisecond."""
 
-    __slots__ = ("matrix", "rules", "setup", "qnds", "ports", "programs", "formed")
+    __slots__ = ("matrix", "rules", "setup", "qnds", "ports", "formed")
 
-    def __init__(self, matrix: tuple, rules: tuple, setup: list, qnds: list, ports: tuple, programs: dict):
+    def __init__(self, matrix: tuple, rules: tuple, setup: list, qnds: list, ports: tuple):
         self.matrix, self.rules, self.setup, self.qnds, self.ports = matrix, rules, setup, qnds, ports
-        self.programs, self.formed = programs, {}
+        self.formed = {}
 
 
 def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matrix: tuple) -> _Chain:
     """The chain of ``arms``, bound once per arm labels and rebuilt under another coupler
     ``matrix`` (each variable coupler's ports checked then): per side (heralding, then recycling
     where every arm recycles) its couplers' rules, detector groups and flips; the nondemolition
-    pairs; the merge's ports; and the tables of round programs and functions."""
+    pairs; the merge's ports; and the table of round functions."""
     labels = tuple([a.label for a in arms])
     chain = (chains := tab.stage("chain")).get(labels)
     if chain is None or chain.matrix != matrix:
@@ -314,7 +292,7 @@ def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matri
         setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
         ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
         qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
-        chain = chains[labels] = _Chain(matrix, rules, setup, qnds, ports, tab.stage("round", labels, ports))
+        chain = chains[labels] = _Chain(matrix, rules, setup, qnds, ports)
     return chain
 
 
@@ -349,15 +327,15 @@ def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup)
     return route, outs
 
 
-def _slots(tab: PatternTable, shape: tuple, rules: tuple, chain: _Chain) -> tuple:
-    """``(products, slots, sides)`` of a round of product ``shape``: slot s (an output id) sums its
-    ``(product index, coefficient)`` pairs ``slots[s]``; the slots run by side, signature (sorted)
-    and first touch, ``sides`` listing each signature and its residual ids."""
-    setup, qnds = chain.setup, chain.qnds
+def _slots(tab: PatternTable, shape: tuple, chain: _Chain) -> tuple:
+    """``(products, slots, sides)`` of a round of product ``shape`` (input ids, then per arm its
+    auxiliary output ids), products input-major: slot s (an output id) sums its ``(product
+    index, coefficient)`` pairs ``slots[s]``; the slots run by side, signature (sorted) and first
+    touch, ``sides`` listing each signature and its residual ids."""
+    rules, setup, qnds = chain.rules, chain.setup, chain.qnds
     products = [(w,) for w in shape[0]]
-    for xs, alive in shape[1:]:
+    for xs in shape[1:]:
         products = [k + (x,) for k in products for x in xs]
-        products = products if alive is None else list(itertools.compress(products, alive))
     slots: dict[tuple, list] = {}  # (route, signature, output id, residual id) -> [(product index, coefficient)]
     for i, key in enumerate(products):
         route, outs = _outputs(tab, key, qnds, rules, setup)
@@ -380,145 +358,91 @@ class _ChainRound:
     error: tuple | None  # (type, message) of the first win's merge error
 
 
-def _round_kernel(tab: PatternTable, program: tuple, ports: tuple, alive: tuple | None):
-    """``program``'s round function for the slots that survive where ``alive`` (None: all of
-    them), generated (``_kernel``) once per program and key."""
-    kernels = program[-1]
-    kernel = kernels.get(alive)
-    if kernel is None:
-        kernel = kernels[alive] = _kernel(tab, program, alive, ports)
-    return kernel
-
-
-def _kernel(tab: PatternTable, program: tuple, alive: tuple | None, ports: tuple, form: tuple | None = None):
-    """``kernel(products, factor) -> _ChainRound``: ``program``'s round, its slots surviving where
-    ``alive``, written out as straight-line Python and compiled.  With ``form`` (for a round whose
-    products all survive: the chain's round functions by input ids and factors, then
-    ``_products``' arguments) it is ``kernel(inputs, factor, auxes, pairs)`` and forms the
-    products first, returning None where one is pruned.  Slot s is ``0.0 + p*c + ...`` in the
-    order of ``slots[s]``; with ``alive`` None a slot under PRUNE_EPS hands the products to the
-    function of the slots that survive.  Each signature weighs its surviving squares; one that
-    weighs more than PRUNE_EPS**2 raises if two of its slots share a residual id (a mixture),
-    else a win adds ``weight * factor`` and its state, merged by ``ports`` as ``(a * N) / n`` and
-    pruned, or keeps the merge's ``(type, message)``; the first recycle signature that weighs
-    enough, once each later one agrees with it after correction (``_aligned``), is rescaled to
-    their summed weight and pruned: the next round's input.  Coefficients, scales and ids are
-    bound by name, a coefficient or scale as a float where its imaginary part is zero."""
-    _, products, slots, sides, _ = program
-    consts = {"TAB": tab, "PROGRAM": program, "PORTS": ports, "EPS2": PRUNE_EPS**2,
-              "NORM2": NORM_TOL**2, "AGREE": 1.0 - RECYCLE_AGREEMENT_TOL}
+def _kernel(tab: PatternTable, program: tuple, ports: tuple, inputs: int, counts: tuple):
+    """``kernel(v, factor, a, c) -> _ChainRound``: the round of slot ``program`` ``(products,
+    slots, sides)``, written out as straight-line Python and compiled.  It forms the products
+    (``_products``) from ``v``, the ``inputs`` input amplitudes, ``a`` and ``c``, the auxiliary
+    amplitudes (``counts`` per arm) and coupler pairs; with no arm the products are the input
+    amplitudes.  Slot s is ``0.0 + p*c + ...`` in the order of ``slots[s]``.  Each signature
+    weighs its squares; one that weighs more than 0 raises if two of its slots share a residual id
+    (a mixture), else a win adds ``weight * factor`` and its state, merged by ``ports`` as
+    ``(a * N) / n``, or keeps the merge's ``(type, message)``; the first recycle signature that
+    weighs more than 0, once each later one agrees with it after correction (``_aligned``), is
+    rescaled to their summed weight: the next round's input.  No value is dropped.  Coefficients,
+    scales and ids are bound by name, a coefficient or scale as a float where its imaginary part
+    is zero."""
+    _, slots, sides = program
+    consts = {"AGREE": 1.0 - RECYCLE_AGREEMENT_TOL}
 
     def const(value) -> str:
         consts[name := f"k{len(consts)}"] = value
         return name
 
-    live = [s for s in range(len(slots)) if alive is None or alive[s]]
-    if form is None:
-        code, handed = [f"{''.join(f'p{i}, ' for i in range(products))}= v"] if products else [], "v"
-    else:
-        consts["FORMED"], consts["IDS"] = form[:2]
-        code, handed = _products(*form[1:]), f"({''.join(f'p{i}, ' for i in range(products))})"
-    for s in live:
-        code += [f"s{s} = 0.0{''.join(f' + p{i} * {const(_real(c))}' for i, c in slots[s])}", f"m{s} = abs(s{s})"]
-    if alive is None and live:
-        code += [f"if {' or '.join(f'm{s} < PRUNE_EPS' for s in live)}:  # the prune after the last coupler",
-                 f"    alive = tuple([m >= PRUNE_EPS for m in ({''.join(f'm{s}, ' for s in live)})])",
-                 f"    return _round_kernel(TAB, PROGRAM, PORTS, alive)({handed}, factor)"]
-    signatures, at = [], 0  # per side, each signature's (signature, [(slot, residual id)] surviving)
-    for side in sides:
-        signatures.append([])
-        for sig, qs in side:
-            signatures[-1].append((sig, [(s, q) for s, q in enumerate(qs, at) if alive is None or alive[s]]))
-            at += len(qs)
+    code = _products(inputs, counts)
+    for s, terms in enumerate(slots):
+        code += [f"s{s} = 0.0{''.join(f' + p{i} * {const(_real(c))}' for i, c in terms)}", f"m{s} = abs(s{s})"]
+    slot = itertools.count()  # the slots run side by side, signature by signature
     code.append("p_win, wins, amps, error = 0.0, [], [], None")
-    for sig, kept in signatures[0]:
-        ids = tuple(q for _, q in kept)
-        error = None
-        if ports:
-            try:
-                stage = merge_relabels(tab, ids, *ports)
-            except (PortContractError, ModeCollisionError) as exc:
-                error = (type(exc), str(exc))
-        if not kept:
-            continue
-        w = f"w{kept[0][0]}"
-        code += [f"{w} = {' + '.join(f'm{s}**2' for s, _ in kept)}", f"if {w} > EPS2:"]
+    for sig, qs in sides[0]:
+        run = [(next(slot), q) for q in qs]  # the signature's (slot, residual id) pairs
+        w, ids = f"w{run[0][0]}", tuple(qs)
+        code += [f"{w} = {' + '.join(f'm{s} * m{s}' for s, _ in run)}", f"if {w} > 0.0:"]
         if len(set(ids)) < len(ids):
             code.append(f"    raise _mixture({const(sig)})")
             continue
         code.append(f"    p_win += {w} * factor")
-        if error:  # raised where every chain of the round has a win
-            code += [f"    error = error or {const(error)}", "    wins.append(None)"]
-        elif ports:  # the merge, then its prune
-            us = "".join(f"u{s}, " for s, _ in kept)
-            merged = const(tuple(stage[q][0] for q in ids))
-            code += [f"    u{s} = (s{s} * {const(_real(stage[q][1]))}) / {const(_real(stage[q][2]))}" for s, q in kept]
-            code += [f"    if {' and '.join(f'abs(u{s}) >= PRUNE_EPS' for s, _ in kept)}:",
-                     f"        wins.append({merged})",
-                     f"        amps += ({us})",
-                     "    else:",
-                     f"        keep, win = _survivors([{us}])",
-                     f"        wins.append(tuple(itertools.compress({merged}, keep)))",
-                     "        amps += win"]
-        else:
-            code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in kept)})"]
-    again = []  # each recycle signature that can continue: its weight's name and surviving slots
-    for sig, kept in signatures[1]:
-        if not kept:
+        try:
+            stage = merge_relabels(tab, ids, *ports) if ports else None
+        except (PortContractError, ModeCollisionError) as exc:  # raised where every chain of the round has a win
+            code += [f"    error = error or {const((type(exc), str(exc)))}", "    wins.append(None)"]
             continue
-        r = f"r{kept[0][0]}"
-        code.append(f"{r} = {' + '.join(f'm{s}**2' for s, _ in kept)}")
-        if len({q for _, q in kept}) < len(kept):
-            code.append(f"if {r} > EPS2: raise _mixture({const(sig)})")
+        if stage is None:
+            code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in run)})"]
+        else:  # the merge
+            code += [f"    wins.append({const(tuple(stage[q][0] for q in ids))})", "    amps += ("
+                     + "".join(f"(s{s} * {const(_real(stage[q][1]))}) / {const(_real(stage[q][2]))}, " for s, q in run) + ")"]
+    again = []  # each recycle signature that can continue: its weight's name and slots
+    for sig, qs in sides[1]:
+        run = [(next(slot), q) for q in qs]
+        r = f"r{run[0][0]}"
+        code.append(f"{r} = {' + '.join(f'm{s} * m{s}' for s, _ in run)}")
+        if len(set(qs)) < len(qs):
+            code.append(f"if {r} > 0.0: raise _mixture({const(sig)})")
         else:
-            again.append((r, kept))
-    for i, (r, kept) in enumerate(again):  # the first that weighs enough continues
-        code += [f"{'elif' if i else 'if'} {r} > EPS2:", f"    p_rec = 0.0 + {r}"]
-        for other, other_kept in again[i + 1:]:
-            firsts, seconds = _aligned(kept, other_kept)
-            code += [f"    if {other} > EPS2:",
+            again.append((r, run))
+    for i, (r, run) in enumerate(again):  # the first that weighs more than 0 continues
+        code += [f"{'elif' if i else 'if'} {r} > 0.0:", f"    p_rec = 0.0 + {r}"]
+        for other, other_run in again[i + 1:]:
+            firsts, seconds = _aligned(run, other_run)
+            code += [f"    if {other} > 0.0:",
                      f"        p_rec += {other}",
-                     f"        if {r} <= NORM2 or {other} <= NORM2:",
-                     "            raise DegenerateStateError('fidelity of a (near-)zero state is undefined')",
                      f"        inner = 0.0{''.join(f' + s{a}.conjugate() * s{b}' for a, b in zip(firsts, seconds))}",
-                     f"        if min(abs(inner) ** 2 / ({r} * {other}), 1.0) < AGREE:",
+                     f"        x = abs(inner) / math.sqrt({r}) / math.sqrt({other})",
+                     "        if x * x < AGREE:",
                      "            raise RuntimeError(_DISAGREE)"]
-        code += [f"    scale = math.sqrt(p_rec / {r})", "    nxt = {}"]
-        for s, q in kept:
-            code += [f"    x = s{s} * scale", f"    if abs(x) >= PRUNE_EPS: nxt[{const(q)}] = x"]
+        code += [f"    scale = math.sqrt(p_rec / {r})",
+                 f"    nxt = {{{', '.join(f'{const(q)}: s{s} * scale' for s, q in run)}}}"]
     code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]
     code.append("return _ChainRound(p_win, p_rec, tuple(wins), amps, nxt, error)")
-    params = "v, factor" if form is None else "v, factor, a, c"
-    return compiled(params, code, consts, "<round kernel>", globals())
+    return compiled("v, factor, a, c", code, consts, "<round kernel>", globals())
 
 
-def _products(ids: tuple, counts: tuple, mask: tuple) -> list:
-    """Lines that form a round's products from ``v`` (the amplitudes of input ``ids``), ``a``
-    (every arm's auxiliary amplitudes, ``counts`` per arm) and ``c`` (each arm's coupler pair
-    ``(sqrt(1-t), sqrt(t))``), as the masked path (``_masked``) forms them: per arm its factors
-    ``aux * r`` and ``aux * s``, of which those ``mask`` marks survive the prune, then the
-    products of those input-major, ``(v * f1) * f2``.  Where other factors survive, the function
-    hands over to the one of their mask (``FORMED``, by ``IDS`` and mask), or returns None where
-    there is none yet; where a product's ``_survivors`` test fails, it returns None."""
-    code = [f"{''.join(f'v{i}, ' for i in range(len(ids)))}= v"] if ids else []
+def _products(inputs: int, counts: tuple) -> list:
+    """Lines that form a round's products ``p0, p1, ...`` from ``v`` (the ``inputs`` input
+    amplitudes), ``a`` (every arm's auxiliary amplitudes, ``counts`` per arm) and ``c`` (each
+    arm's coupler pair ``(sqrt(1-t), sqrt(t))``): per arm its factors ``aux * r`` and ``aux * s``,
+    then the products input-major, ``(v * f1) * f2``."""
+    level = [f"{'v' if counts else 'p'}{i}" for i in range(inputs)]
+    code = [f"{''.join(f'{x}, ' for x in level)}= v"] if level else []
     code += [f"{''.join(f'a{j}, ' for j in range(sum(counts)))}= a"] if sum(counts) else []
-    code.append(f"{''.join(f'(r{i}, s{i}), ' for i in range(len(counts)))}= c")
-    factors, at = [f"f{x}" for x in range(len(mask))], 0
+    code += [f"{''.join(f'(r{i}, s{i}), ' for i in range(len(counts)))}= c"] if counts else []
+    at = 0
     for i, n in enumerate(counts):
-        code += [f"f{x} = a{x // 2} * {'rs'[x % 2]}{i}" for x in range(2 * at, 2 * (at + n))]
-        at += n
-    if factors:
-        kept, pruned = ([f for f, m in zip(factors, mask) if m == keep] for keep in (True, False))
-        code += [f"if not {_kept(kept, pruned)}:  # other factors survive",
-                 f"    kernel = FORMED.get((IDS, tuple([abs(f) >= PRUNE_EPS for f in ({''.join(f'{f}, ' for f in factors)})])))",
-                 "    return None if kernel is None else kernel(v, factor, a, c)"]
-    level, at = [f"v{i}" for i in range(len(ids))], 0
-    for i, n in enumerate(counts):
-        fs = [f"f{x}" for x in range(2 * at, 2 * (at + n)) if mask[x]]
+        fs = [f"f{x}" for x in range(2 * at, 2 * (at + n))]
+        code += [f"{f} = a{at + j // 2} * {'rs'[j % 2]}{i}" for j, f in enumerate(fs)]
         at += n
         names = [f"p{x}" if i == len(counts) - 1 else f"q{i}_{x}" for x in range(len(level) * len(fs))]
         code += [f"{x} = {u} * {f}" for x, (u, f) in zip(names, itertools.product(level, fs))]
-        code += [f"if not {_kept(names)}: return None"] if names else []
         level = names
     return code
 
@@ -540,14 +464,17 @@ def _run_chain(tab: PatternTable, chain: _Chain, current: dict[int, complex], pa
     arm), then splits by the nondemolition comparisons of the arms that have one: class 1 on all
     of them goes on to the heralding couplers, class 0 on all of them to the recycling couplers.
     Success needs every arm's group to click at once, and the heralded state then goes through
-    the merge; the combined recycle continuation is the next round's input.  A round whose
-    input and coupler pairs equal the previous round's repeats that round's result.
+    the merge; the combined recycle continuation is the next round's input.  The round runs in
+    the chain's round function of its auxiliary and input ids, generated (``_kernel``) on first
+    touch.  A round whose input and coupler pairs equal the previous round's repeats that
+    round's result.
     """
     factor = detection_factor(chain.setup[0][0], model)
     for aux in auxes:
         if type(aux) is not tuple:  # the error evaluating the photon
             raise aux
-    kernels = chain.formed.get(key := tuple([xs for xs, _ in auxes])) or chain.formed.setdefault(key, {})
+    xs = tuple([xs for xs, _ in auxes])
+    kernels = chain.formed.get(xs) or chain.formed.setdefault(xs, {})
     amps = [a for _, aux in auxes for a in aux]
     results: list[_ChainRound] = []
     last = before = None
@@ -556,62 +483,25 @@ def _run_chain(tab: PatternTable, chain: _Chain, current: dict[int, complex], pa
             results.append(results[-1])
             continue
         last, before = current, c
-        kernel = kernels.get(tuple(current))
-        result = None if kernel is None else kernel(list(current.values()), factor, amps, c)
-        if result is None:  # input ids or surviving factors not seen yet, or a pruned product
-            result = _masked(tab, chain, kernels, current, auxes, c, factor)
-        results.append(result)
+        kernel = kernels.get(ids := tuple(current))
+        if kernel is None:
+            program = _slots(tab, (ids, *xs), chain)
+            kernel = kernels[ids] = _kernel(tab, program, chain.ports, len(ids), tuple(len(a) for _, a in auxes))
+        results.append(result := kernel(list(current.values()), factor, amps, c))
         current = result.recycle_next
     return results
 
 
-def _masked(tab: PatternTable, chain: _Chain, kernels: dict, current: dict, auxes: list, pairs: tuple,
-            factor: float) -> _ChainRound:
-    """A round of ``current`` whose products are formed here, pruned after each factor; their
-    shape (input ids, then per arm the surviving output ids and which products survive, None for
-    all) keys the program, built from the products that survive.  Where every product survives,
-    the round function that forms them itself is generated and kept in ``kernels`` by input ids
-    and which factors survive, and by input ids alone where it is the first for them."""
-    shape, vals, mask = [tuple(current)], list(current.values()), ()
-    for (xs, amps), rs in zip(auxes, pairs):
-        keep, cs = _survivors([a * c for a in amps for c in rs])
-        xs = xs if keep is None else tuple(itertools.compress(xs, keep))
-        alive, vals = _survivors([a * c for a in vals for c in cs])
-        shape.append((xs, alive))
-        mask += keep or (True,) * len(xs)
-    shape = tuple(shape)
-    program = chain.programs.get(shape)
-    if program is None or program[0] != chain.rules:  # never serve another coupler matrix
-        program = chain.programs[shape] = (chain.rules, *_slots(tab, shape, chain.rules, chain), {})
-    if all(alive is None for _, alive in shape[1:]):
-        form = kernels, shape[0], tuple(len(amps) for _, amps in auxes), mask
-        kernel = kernels[shape[0], mask] = _kernel(tab, program, None, chain.ports, form)
-        kernels.setdefault(shape[0], kernel)
-        return kernel(list(current.values()), factor, [a for _, aux in auxes for a in aux], pairs)
-    return _round_kernel(tab, program, chain.ports, None)(vals, factor)
-
-
-def _scorer(table: dict, key: tuple, alive: tuple | None):
-    """The scorer of a round whose chains' wins and target hold the ids ``key``, for the paired
-    values that survive where ``alive`` (None: all of them), generated (``_scoring``) once per key
-    and ``alive`` and kept in ``table``."""
-    scorers = table.get(key) or table.setdefault(key, {})
-    scorer = scorers.get(alive)
-    if scorer is None:
-        scorer = scorers[alive] = _scoring(table, key, alive)
-    return scorer
-
-
-def _scoring(table: dict, key: tuple, alive: tuple | None):
+def _scoring(key: tuple):
     """``scorer(target, tnorm, a, b) -> worst fidelity``, written out as straight-line Python and
     compiled, of a round whose chains' wins hold the ids ``key[:-1]`` (amplitudes ``a`` and, with
     two chains, ``b``) against the target ids ``key[-1]``.  With one chain its wins are the states;
     with two every plus win is paired with every minus one, plus ids first, shared ids averaged as
-    ``0.5 * (plus + minus)`` (both arms carry the signal-at-home component, counted once), and
-    with ``alive`` None a paired value under PRUNE_EPS hands the amplitudes to the scorer of
-    those that survive.  A state's squared norm is ``sum`` of its squares, a (near-)zero one
-    raises, and its fidelity is ``|0.0 + conj(x) * y + ...|**2 / (norm * tnorm)`` over the ids it
-    shares with the target (``_aligned``); the worst, at most 1.0, is returned."""
+    ``0.5 * (plus + minus)`` (both arms carry the signal-at-home component, counted once).  A
+    state's norm is ``math.hypot`` of its moduli (no square underflows), an exactly zero one
+    raises, and its fidelity is ``(|0.0 + conj(x) * y + ...| / norm)^2 / tnorm`` over the ids it
+    shares with the target (``_aligned``), normalized before it is squared, so a round whose p is
+    subnormal still scores its state; the worst, at most 1.0, is returned."""
     *books, tids = key
     code, wins = [], []  # per chain, each win's (value name, id) pairs
     for c, book in enumerate(books):
@@ -621,35 +511,25 @@ def _scoring(table: dict, key: tuple, alive: tuple | None):
         code += [f"{''.join(f'{x}, ' for x in flat)}= {'ab'[c]}"] if flat else []
     states = wins[0]
     if len(books) == 2:
-        states, values = [], []
+        states, values = [], itertools.count()
         for plus in wins[0]:
             for minus in wins[1]:
                 pair = {q: x for x, q in plus}
                 for y, q in minus:
                     pair[q] = f"0.5 * ({pair[q]} + {y})" if q in pair else y
-                states.append([])
-                for q, value in pair.items():
-                    if alive is None or alive[len(values)]:
-                        code.append(f"x{len(values)} = {value}")
-                        states[-1].append((f"x{len(values)}", q))
-                    values.append(f"x{len(values)}")
-        if alive is None and values:
-            code += [f"if not {_kept(values)}:  # the prune after the pairing",
-                     f"    alive = tuple([abs(x) >= PRUNE_EPS for x in ({''.join(f'{x}, ' for x in values)})])",
-                     "    return _scorer(TABLE, KEY, alive)(t, tnorm, a, b)"]
+                states.append([(f"x{next(values)}", q) for q in pair])
+                code += [f"{x} = {pair[q]}" for x, q in states[-1]]
     targets = [(f"t{n}", q) for n, q in enumerate(tids)]
     code += [f"{''.join(f'{x}, ' for x, _ in targets)}= t"] if targets else []
     norms = [f"n{s}" for s in range(len(states))]
-    code += [f"n{s} = sum(({''.join(f'abs({x}) ** 2, ' for x, _ in state)}))" for s, state in enumerate(states)]
+    code += [f"n{s} = math.hypot({', '.join(f'abs({x})' for x, _ in state)})" for s, state in enumerate(states)]
     least = norms[0] if len(norms) == 1 else f"min({', '.join(norms)})"
-    code += [f"if {least} <= NORM2 or tnorm <= NORM2:",
-             "    raise DegenerateStateError('fidelity of a (near-)zero state is undefined')"]
+    code += [f"if not {least}:", "    raise DegenerateStateError('fidelity of a zero state is undefined')"]
     for s, state in enumerate(states):
         firsts, seconds = _aligned(state, targets)
-        code.append(f"i{s} = 0.0{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}")
-    code.append(f"return min(min([{', '.join(f'abs(i{s}) ** 2 / (n{s} * tnorm)' for s in range(len(states)))}]), 1.0)")
-    consts = {"TABLE": table, "KEY": key, "NORM2": NORM_TOL**2}
-    return compiled("t, tnorm, a, b", code, consts, "<round scorer>", globals())
+        code.append(f"f{s} = abs(0.0{''.join(f' + {x}.conjugate() * {y}' for x, y in zip(firsts, seconds))}) / n{s}")
+    code.append(f"return min(min([{', '.join(f'f{s} * f{s} / tnorm' for s in range(len(states)))}]), 1.0)")
+    return compiled("t, tnorm, a, b", code, {}, "<round scorer>", globals())
 
 
 def _rounds(
@@ -659,8 +539,9 @@ def _rounds(
     target: tuple,
 ) -> list[RoundResult]:
     """Round results summed over ``chains`` (one or two).  Each distinct round's fidelity is the
-    worst of its paired and pruned wins' against ``target``, ``(ids, amplitudes, squared norm)``,
-    by the round's scorer (``_scorer``) in the plan table's ``score`` stage."""
+    worst of its paired wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the
+    scorer of its win and target ids (``_scoring``), generated on first touch and kept in the plan
+    table's ``score`` stage."""
     tids, tamps, tnorm = target
     table, rounds, last, other, one = tab.stage("score"), [], None, None, len(chains) == 1
     for k, (t, first, second) in enumerate(zip(ts, chains[0], chains[-1]), 1):
@@ -670,7 +551,8 @@ def _rounds(
                 if error := first.error or second.error:
                     raise error[0](error[1])
                 key = (first.wins, tids) if one else (first.wins, second.wins, tids)
-                fid = _scorer(table, key, None)(tamps, tnorm, first.amps, second.amps)
+                scorer = table.get(key) or table.setdefault(key, _scoring(key))
+                fid = scorer(tamps, tnorm, first.amps, second.amps)
             # sum() of one or two probabilities, none of them -0.0
             p_success = first.p_success if one else first.p_success + second.p_success
             p_recycle = first.p_recycle if one else first.p_recycle + second.p_recycle
@@ -750,9 +632,11 @@ def execute(
 
     tab, matrix = plan.table, bs_matrix()
     signal, branches, target, auxes = _prologue(plan, pol)(bindings)
-    # each round's coupler pairs, shared by the arms where their schedules agree
-    pairs = {"plus": list(map(vbs_pair, schedule["plus"]))}
-    pairs["minus"] = pairs["plus"] if schedule["minus"] == schedule["plus"] else list(map(vbs_pair, schedule["minus"]))
+    # each round's coupler pairs: a recycling plan's bare planned parameter takes them from the
+    # log-odds, free of the cancellation in 1 - t; any other coupler from its transmittance
+    odds = vbs_pair_schedule(ent, rounds) if plan.has_recycling else None
+    pairs = {arm.label: odds if odds and planned is not None else list(map(vbs_pair, schedule[arm.label]))
+             for arm, planned in zip(plan.arms, plan.planned)}
     if accounting == "branch":
         # each arm acts only on the component where the signal is not in the other arm
         chains = []

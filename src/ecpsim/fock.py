@@ -29,11 +29,13 @@ unnormalized so that squared norms compose into branch probabilities.
 The kernels (mode transforms here, heralding in ``measurement``) run on a
 ``PatternTable``: patterns interned to ids, states as ``{id: amplitude}``
 dicts, and stage tables that callers fill with what they compile from ids
-(the polarizing-splitter relabels, the engine's round programs); ``State``
-operations use a throwaway table, the engine one per plan.  Kernels read
-coefficients when they run.  Results are pruned where built: ``State(...)``
-and ``PatternTable.admit`` (prune, photon cap, accumulate, prune), ``prune``
-for every other kernel; compiled rounds prune where their kernels did.
+(the polarizing-splitter relabels, the engine's chains and scorers);
+``State`` operations use a throwaway table, the engine one per plan.
+Kernels read coefficients when they run.  Results are pruned where built:
+``State(...)`` and ``PatternTable.admit`` (prune, photon cap, accumulate,
+prune), ``prune`` for every other kernel.  The engine runs the kernels only
+to compile its rounds, on unit products, where the prune drops coefficient
+noise; its compiled rounds drop no value.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-PRUNE_EPS = 1e-15  # smallest amplitude magnitude a stored term keeps (absolute)
+PRUNE_EPS = 1e-15  # smallest amplitude magnitude a State term or compiled coefficient keeps (absolute)
 NORM_TOL = 1e-12  # a norm at or below it is (numerically) zero; also a unit norm's slack
 ISOMETRY_TOL = 1e-12  # largest deviation of a transform's column overlaps from the identity
 RECYCLE_AGREEMENT_TOL = 1e-9  # largest infidelity between two recycle click patterns' states
@@ -215,7 +217,7 @@ def _admit(items: Iterable[tuple], photons: Callable) -> dict:
 
 # plain ``{key: amplitude}`` dicts: states over patterns or pattern ids
 def terms_norm_sq(terms: Mapping) -> float:
-    return sum([abs(a) ** 2 for a in terms.values()])
+    return sum([(m := abs(a)) * m for a in terms.values()])
 
 
 def terms_inner(a: Mapping, b: Mapping) -> complex:
@@ -230,7 +232,8 @@ def terms_fidelity(a: Mapping, b: Mapping, na: float | None = None, nb: float | 
     nb = terms_norm_sq(b) if nb is None else nb
     if na <= NORM_TOL**2 or nb <= NORM_TOL**2:
         raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
-    val = abs(terms_inner(a, b)) ** 2 / (na * nb)
+    m = abs(terms_inner(a, b))
+    val = m * m / (na * nb)
     return min(val, 1.0)
 
 

@@ -196,10 +196,6 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{literal_t}", "--alpha-sq", "0.6", "--t1", "0.3"), 3),
         (("run", "--alpha-sq", "1.0"), 3),
         (("run", "--alpha-sq", "0.0"), 3),
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--gamma-sq", "0.3",
-          "--accounting", "joint", "--rounds", "8"), 3),
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.999999", "--rounds", "3"), 3),
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.5", "--rounds", "100000"), 3),
         (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "100001"), 3),
         (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--engine", "monte_carlo",
           "--trials", str(10**15 + 1)), 3),
@@ -223,9 +219,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
         "sweep-no-trials", "qnd-select-0", "sources-only", "stripped-gamma",
-        "literal-t-t1", "alpha-sq-1", "alpha-sq-0", "joint-degenerate-state",
-        "alpha-sq-near-1-degenerate-state", "rounds-100000-balanced",
-        "rounds-over-bound", "run-trials-over-bound", "sweep-trials-over-bound",
+        "literal-t-t1", "alpha-sq-1", "alpha-sq-0", "rounds-over-bound",
+        "run-trials-over-bound", "sweep-trials-over-bound",
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
         "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
@@ -266,6 +261,30 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--protocol", "ecp2", "--alpha-sq", "0.6", "--gamma-sq", "0.3", "--accounting", "joint", "--rounds", "8"),
+        ("--protocol", "ecp2", "--alpha-sq", "0.999999", "--rounds", "3"),
+        ("--protocol", "ecp2", "--alpha-sq", "0.5", "--rounds", "100000"),
+        ("--alpha-sq", "1e-300"),
+    ],
+    ids=["joint-rounds-8", "alpha-sq-near-1", "rounds-100000-balanced", "alpha-sq-1e-300"],
+)
+def test_deep_and_extreme_inputs_give_exact_reports(capsys, argv):
+    # deep chains and amplitudes near the float range's ends: a report, fidelity 1 in every
+    # round with p > 0, and a heralded total that meets its closed form at alpha^2 1e-300
+    code, out, err = run_cli(capsys, "run", *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    for r in payload["rounds"]:
+        assert r["p_success"] == 0.0 or r["heralded_fidelity"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["p_total"] > 0.0
+    if argv[-1] == "1e-300":
+        claimed = payload["paper_comparison"]["claimed_total"]["paper_value"]
+        assert payload["p_total"] == pytest.approx(claimed, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -416,7 +435,7 @@ def test_verify_reports_an_oracle_failure_as_a_failed_check(capsys):
         "FAIL oracle_agreement: oracle could not evaluate this point: "
         "fidelity of an empty amplitude vector"
     ) in out.splitlines()
-    assert out.endswith("6 passed, 2 failed\n")
+    assert out.endswith("7 passed, 1 failed\n")
 
 
 def test_console_script_entry_point(tmp_path):

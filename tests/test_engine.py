@@ -4,6 +4,7 @@ import cmath
 import collections
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -21,15 +22,14 @@ import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, evaluate_expr, evaluate_real, parse
-from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_pair, vbs_rules
+from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_relabels, merge_terms, vbs_pair, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
     _ChainRound,
     _bound,
-    _masked,
+    _kernel,
     _prologue,
-    _round_kernel,
     _rounds,
     _run_chain,
     analyze,
@@ -45,14 +45,14 @@ from ecpsim.fock import (
     PatternTable,
     PolarizationMixtureError,
     pattern_count,
-    prune,
     single_photon,
     tensor,
     terms_fidelity,
+    terms_inner,
     terms_norm_sq,
 )
 from ecpsim.measurement import MIXTURE, DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
-from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams, vbs_schedule
+from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams, vbs_pair_schedule, vbs_schedule
 from ecpsim.verify import corrupted_coupler
 
 ENT = EntanglementParams.from_alpha_sq(0.6)
@@ -325,16 +325,16 @@ def test_reports_of_240_seeded_points_are_pinned():
                 out = f"{type(exc).__name__}: {exc}"
                 raised += 1
             digest.update(out.encode())
-    assert raised == 20
-    assert digest.hexdigest() == "029f109b120dc82c8775c1eb25dd1e38347a2c56e812ca407e06f7fb13ea6759"
+    assert raised == 0
+    assert digest.hexdigest() == "3db7df1261f6e715424dbd68d56f6a9b3050a16f8823e02a6510f18665abaf22"
 
 
 # -- compiled stage tables ------------------------------------------------
 
 def _table_keys(tab):
     """Every key of a plan's pattern table: interned patterns, stages, and every key of a
-    table inside a stage entry (round programs, their round functions by surviving slots,
-    pairings), at any depth; the coupler rules a program keeps are keyed on modes and not walked."""
+    table inside a stage entry (a chain's round functions by auxiliary and input ids, scorers),
+    at any depth; the coupler rules a chain keeps are keyed on modes and not walked."""
     keys = list(tab.ids)
 
     def walk(entry):
@@ -354,18 +354,14 @@ def _table_keys(tab):
 
 
 def _kernels(tab):
-    """Each generated round function: per round program and surviving-slot key, and per chain,
-    auxiliary ids and input ids the one that forms its products."""
-    kernels = {(shape, alive): kernel for stage, table in tab.stages.items() if stage[0] == "round"
-               for shape, program in table.items() for alive, kernel in program[-1].items()}
-    return kernels | {(labels, aux, ids): kernel for labels, chain in tab.stages.get(("chain",), {}).items()
-                      for aux, formed in chain.formed.items() for ids, kernel in formed.items()}
+    """Each generated round function, by chain, auxiliary ids and input ids."""
+    return {(labels, aux, ids): kernel for labels, chain in tab.stages.get(("chain",), {}).items()
+            for aux, formed in chain.formed.items() for ids, kernel in formed.items()}
 
 
 def _scorers(tab):
-    """Each generated scorer, by its round's win and target ids and surviving paired values."""
-    return {(key, alive): scorer for key, scorers in tab.stages.get(("score",), {}).items()
-            for alive, scorer in scorers.items()}
+    """Each generated scorer, by its round's win and target ids."""
+    return dict(tab.stages.get(("score",), {}))
 
 
 def _holds_float(key):
@@ -399,17 +395,18 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     kernels, scorers = _kernels(tab), _scorers(tab)
     _run_batch(name, seed=2)
     assert _table_keys(tab) == warm  # new parameter values add no entry
-    assert _kernels(tab) == kernels and any(len(key) == 3 for key in kernels)  # nor a round function
+    assert _kernels(tab) == kernels and kernels  # nor a round function
     assert _scorers(tab) == scorers and scorers  # nor a scorer
-    for (*wins, tids), alive in scorers:  # scorers are keyed on ids only
+    for labels, aux, ids in kernels:  # round functions are keyed on ids only
+        assert all(type(q) is int for q in (*ids, *itertools.chain(*aux)))
+    for *wins, tids in scorers:  # and so are scorers
         assert all(type(q) is int for q in (*tids, *itertools.chain(*itertools.chain(*wins))))
-        assert alive is None or all(type(x) is bool for x in alive)
     assert not {"<round kernel>", "<round scorer>", "<photons>", "<expression>"} & linecache.cache.keys()  # no source kept
     assert not any(_holds_float(k) for k in warm)
     prologues = tab.stages[("point",)]  # one generated prologue per point kind, keyed on the kind alone
     assert set(prologues) == {"V" if name.endswith("_stripped") else "HV"} and all(map(callable, prologues.values()))
     assert {stage[0] for stage in tab.stages} <= {
-        "chain", "round", "pbs split", "pbs merge", "point", "score"}
+        "chain", "pbs split", "pbs merge", "point", "score"}
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
 
@@ -469,12 +466,36 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     assert parser <= {"__hash__"}  # at most the plan cache's lookup of the document
 
 
+def test_generated_sources_hold_no_power_and_no_threshold(monkeypatch):
+    # every source the engine hands to dsl.compiled for the four shipped plans, on fresh plan
+    # tables: squares are products (``** 2`` goes through the platform's ``pow``, which is not
+    # correctly rounded everywhere), and no absolute threshold is read
+    sources = collections.defaultdict(list)
+
+    def capture(params, code, consts, filename, namespace=None):
+        sources[filename].extend(code)
+        return ecpsim.dsl.compiled(params, code, consts, filename, namespace)
+
+    monkeypatch.setattr(ecpsim.engine, "analyze", functools.lru_cache(ecpsim.engine.analyze.__wrapped__))
+    monkeypatch.setattr(ecpsim.engine, "compiled", capture)
+    for name in SHIPPED:
+        _run_batch(name, seed=1)
+        if name.startswith("ecp2"):
+            for accounting in ("branch", "joint"):
+                execute(builtin_doc(name), EntanglementParams.from_alpha_sq(0.9),
+                        None if name.endswith("_stripped") else POL, rounds=12, accounting=accounting)
+    assert set(sources) == {"<photons>", "<round kernel>", "<round scorer>"}
+    for word in ("**", "PRUNE_EPS", "EPS2", "NORM2"):
+        assert not [line for code in sources.values() for line in code if word in line], word
+
+
 def _record_chains(monkeypatch, calls):
     """Record in ``calls`` each ``_run_chain`` call ``execute`` makes from now on, as its arguments
     ``(tab, chain, input, pairs, auxes, model)``, the coupler pairs as a list, then what the staged
     and dict paths read: ``(arms, schedules, bindings, merge)``, the chain's arms, their
     transmittances per arm, the point's bindings and the merge.  Each call's pairs are checked
-    against the point's schedule."""
+    against the point's schedule: a recycling plan's bare planned parameter takes
+    ``vbs_pair_schedule``, any other coupler ``vbs_pair`` of its transmittance."""
     points, effective = [], ecpsim.engine._effective_schedule  # each point's plan, bindings, schedule
 
     def schedule(plan, bindings, *args):
@@ -486,7 +507,9 @@ def _record_chains(monkeypatch, calls):
         [labels] = [labels for labels, bound in tab.stage("chain").items() if bound is chain]
         arms = [a for label in labels for a in plan.arms if a.label == label]
         schedules, pairs = [planned[a.label] for a in arms], list(pairs)
-        assert pairs == list(zip(*[list(map(vbs_pair, ts)) for ts in schedules]))
+        odds = vbs_pair_schedule(EntanglementParams(bindings["alpha"], bindings["beta"]), len(pairs))
+        assert pairs == list(zip(*[odds if plan.has_recycling and plan.planned[plan.arms.index(a)] is not None
+                                   else list(map(vbs_pair, ts)) for a, ts in zip(arms, schedules)]))
         calls.append(((tab, chain, current, pairs, auxes, model), (arms, schedules, bindings, plan.merge)))
         return _run_chain(tab, chain, current, pairs, auxes, model)
 
@@ -496,7 +519,8 @@ def _record_chains(monkeypatch, calls):
 
 def _staged_successes(tab, terms, couplers, groups, flips, factor):
     """A round's couplers, herald, normalized residual, phase flips, rescaled
-    by ``sqrt(weight)``, one stage at a time: ``(weight, probability, raw)``."""
+    by ``sqrt(weight)``, one stage at a time: ``(weight, probability, raw)``.
+    The stage kernels drop amplitudes under PRUNE_EPS; nothing else is dropped."""
     for bs in couplers:
         terms = tab.transform(terms, bs_rules(bs.in1, bs.in2, bs.out1, bs.out2))
     wins = []
@@ -506,7 +530,7 @@ def _staged_successes(tab, terms, couplers, groups, flips, factor):
             for q, a in residual(component, weight).items():
                 odd = sum(pattern_count(tab.patterns[q], m) for m in corr) % 2
                 raw[q] = (-a if odd else a) * math.sqrt(weight)
-            wins.append((weight, weight * factor, prune(raw)))
+            wins.append((weight, weight * factor, raw))
     return wins
 
 
@@ -540,7 +564,7 @@ def _staged_round(tab, arms, current, ts, bindings, model):
         for _, _, other in again[1:]:
             assert terms_fidelity(first, other) == pytest.approx(1.0, abs=1e-9)
         scale = math.sqrt(sum(w for w, _, _ in again) / terms_norm_sq(first))
-        nxt = prune({q: a * scale for q, a in first.items()})
+        nxt = {q: a * scale for q, a in first.items()}
     return sum(p for _, p, _ in wins), sum(w for w, _, _ in again), [raw for _, _, raw in wins], nxt
 
 
@@ -551,9 +575,12 @@ def _states(book):
 
 
 def _assert_terms_close(got, want):
-    assert got.keys() == want.keys()
+    """Each amplitude of ``want`` within 1e-14 of its norm; an id only ``got`` holds is one the
+    stage kernels dropped under PRUNE_EPS (rescaled by at most sqrt(2)), the round functions none."""
     scale = math.sqrt(terms_norm_sq(want))
+    assert want.keys() <= got.keys()
     assert all(abs(got[q] - want[q]) <= 1e-14 * scale for q in want)
+    assert all(abs(got[q]) < 2 * PRUNE_EPS for q in got.keys() - want.keys())
 
 
 def _coefficients(arms, ts, bindings):
@@ -561,7 +588,7 @@ def _coefficients(arms, ts, bindings):
     products = [1.0]
     for arm, t in zip(arms, ts):
         aux = [abs(evaluate_expr(s.amp, bindings)) for s in arm.aux_sources]
-        photon = [a * c for a in aux for c in (math.sqrt(1 - t), math.sqrt(t)) if a * c >= PRUNE_EPS]
+        photon = [a * c for a in aux for c in (math.sqrt(1 - t), math.sqrt(t)) if a * c]
         products = [p * c for p in products for c in photon]
     return products
 
@@ -569,12 +596,7 @@ def _coefficients(arms, ts, bindings):
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch):
-    calls, pruned_outputs = [], []
-
-    def kernel(tab, program, ports, alive):
-        pruned_outputs.append(alive is not None)
-        return _round_kernel(tab, program, ports, alive)
-
+    calls = []
     _record_chains(monkeypatch, calls)
     polarized = not name.endswith("_stripped")
     execute(
@@ -582,7 +604,6 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         rounds=3 if name.startswith("ecp2") else 1, accounting=accounting,
         model=DetectorModel(eta_p=0.8),
     )
-    monkeypatch.setattr(ecpsim.engine, "_round_kernel", kernel)
     assert calls
     rng = random.Random(7)
     compared = mixtures = pruned_products = 0
@@ -593,10 +614,11 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
         rounds = _run_chain(tab, chain, current, pairs, auxes, model)
         for k in range(len(pairs)):
             ts = [s[k] for s in schedules]
-            # the recorded ids reweighted; the same with the first id so small that
-            # only its largest product survives, then so small that its products
-            # survive but their coupler outputs do not; and one photon over every
-            # coupler input that no auxiliary photon occupies, in H, in V and in both
+            # the recorded ids reweighted; the same with the first id so small that the
+            # stage kernels keep only its largest product, then so small that they keep
+            # its products but not their coupler outputs (the round functions keep them
+            # all); and one photon over every coupler input that no auxiliary photon
+            # occupies, in H, in V and in both
             recorded = rounds[k - 1].recycle_next if k else current
             inputs = [{w: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for w in recorded} for _ in range(5)]
             coefs = _coefficients(arms, ts, bindings)
@@ -625,8 +647,7 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                     _assert_terms_close(state, raw if merge is None else merge_terms(tab, raw, merge.in_h, merge.in_v, merge.out))
                 _assert_terms_close(got.recycle_next, nxt)
                 compared += 1
-    assert compared and mixtures
-    assert pruned_products and any(pruned_outputs)
+    assert compared and mixtures and pruned_products
 
 
 # the dict path the compiled scoring replaced: merge_terms -> pair -> terms_fidelity per round,
@@ -634,20 +655,19 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
 
 
 def _dict_wins(sides, values, factor):
-    """Per side, each signature's ``(weight, probability, raw)`` when it weighs more than
-    PRUNE_EPS**2, its slots pruned, relabeled to residual ids, and checked for a mixture."""
+    """Per side, each signature's ``(weight, probability, raw)`` when it weighs more than 0, its
+    slots relabeled to residual ids and checked for a mixture; no value is dropped."""
     mags, at, out = list(map(abs, values)), 0, []
     for route, side in enumerate(sides):
         wins = []
         for sig, qs in side:
             squares, raw = [], {}
             for s, q in enumerate(qs, at):
-                if mags[s] >= PRUNE_EPS:
-                    squares.append(mags[s] ** 2)
-                    raw[q] = values[s]
+                squares.append(mags[s] * mags[s])
+                raw[q] = values[s]
             at += len(qs)
             weight = sum(squares)
-            if weight > PRUNE_EPS**2:
+            if weight > 0.0:
                 if len(raw) < len(squares):
                     raise PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
                 wins.append((weight, weight * (1.0 if route else factor), raw))
@@ -659,17 +679,24 @@ def _dict_combine_recycle(again, weight):
     if not again:
         return {}
     (n0, _, first), *rest = again
-    for n, _, other in rest:
-        if terms_fidelity(first, other, n0, n) < 1.0 - RECYCLE_AGREEMENT_TOL:
+    for n, _, other in rest:  # the agreement of the normalized states, at any scale
+        x = abs(terms_inner(first, other)) / math.sqrt(n0) / math.sqrt(n)
+        if x * x < 1.0 - RECYCLE_AGREEMENT_TOL:
             raise RuntimeError("recycle click patterns disagree after correction; "
                                "feed-forward rules are inconsistent with the coupler convention")
     scale = math.sqrt(weight / n0)
-    return prune({p: a * scale for p, a in first.items()})
+    return {p: a * scale for p, a in first.items()}
+
+
+def _dict_merge(tab, raw, ports):
+    """``merge_terms`` without its prune: each id relabeled and scaled as ``(a * N) / n``."""
+    stage = merge_relabels(tab, tuple(raw), *ports)
+    return {stage[q][0]: (a * stage[q][1]) / stage[q][2] for q, a in raw.items()}
 
 
 def _dict_score(tab, sides, values, factor, ports):
     wins, again = _dict_wins(sides, values, factor)
-    merged = [raw if not ports else merge_terms(tab, raw, *ports) for _, _, raw in wins]
+    merged = [raw if not ports else _dict_merge(tab, raw, ports) for _, _, raw in wins]
     p_rec = sum((w for w, _, _ in again), 0.0)
     return sum((p for _, p, _ in wins), 0.0), merged, p_rec, _dict_combine_recycle(again, p_rec)
 
@@ -678,7 +705,17 @@ def _dict_pair(plus, minus):
     combined = dict(plus)
     for p, amp in minus.items():
         combined[p] = 0.5 * (combined[p] + amp) if p in combined else amp
-    return prune(combined)
+    return combined
+
+
+def _dict_fidelity(state, target):
+    """``terms_fidelity`` with the state normalized before the ratio is squared (its norm by
+    ``math.hypot``), raising only on an exactly zero norm."""
+    n = math.hypot(*map(abs, state.values()))
+    if not n:
+        raise DegenerateStateError("fidelity of a zero state is undefined")
+    f = abs(terms_inner(state, target)) / n
+    return min(f * f / terms_norm_sq(target), 1.0)
 
 
 def _dict_rounds(ts, chains, target):
@@ -690,7 +727,7 @@ def _dict_rounds(ts, chains, target):
             if all(b.wins for b in books):
                 merged = [_states(b) for b in books]
                 states = merged[0] if len(merged) == 1 else [_dict_pair(a, b) for a in merged[0] for b in merged[1]]
-                fid = min([terms_fidelity(st, tdict, nb=terms_norm_sq(tdict)) for st in states])
+                fid = min([_dict_fidelity(st, tdict) for st in states])
         out.append((k + 1, t, sum(b.p_success for b in books), sum(b.p_recycle for b in books), fid))
     return out
 
@@ -709,7 +746,7 @@ def _as_is(value):
 
 def _reweighted(values, rng):
     """Slot values (or products) reweighted at random, then with one per five at 1.01 PRUNE_EPS and
-    one at 0.99 PRUNE_EPS (pruned), then every fourth at 0.6 PRUNE_EPS (a signature weighing too little)."""
+    one at 0.99 PRUNE_EPS, then every fourth at 0.6 PRUNE_EPS: values the staged kernels drop."""
     out = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) * abs(v) for v in values] for _ in range(3)]
     for scale, step in ((1.01, 5), (0.99, 5), (0.6, 4)):
         out.append([v / abs(v) * scale * PRUNE_EPS if abs(v) and i % step == 0 else v for i, v in enumerate(values)])
@@ -724,13 +761,19 @@ def _dict_slots(slots, products):
 
 def _identity(sides, count):
     """A program of ``sides`` whose slot s is product s (times 1.0)."""
-    return (None, count, tuple(((s, 1.0),) for s in range(count)), sides, {})
+    return count, tuple(((s, 1.0),) for s in range(count)), sides
+
+
+def _armless(tab, program, ports=()):
+    """``program``'s round function with no arm: its products are the amplitudes it is given."""
+    kernel = _kernel(tab, program, ports, program[0], ())
+    return lambda products, factor: kernel(products, factor, [], ())
 
 
 def _scored(tab, program, products, factor, ports, show=repr):
     """The round function's result as ``_outcome(_dict_score)`` gives it: a repr, or the error's
     type and message, where a merge error is kept in the round rather than raised."""
-    return _book(lambda: _round_kernel(tab, program, ports, None)(products, factor), show)
+    return _book(lambda: _armless(tab, program, ports)(products, factor), show)
 
 
 def _book(call, show=repr):
@@ -759,32 +802,22 @@ def _real_where(value, like):
 
 def _dict_products(current, auxes, pairs):
     """The product stage the round functions replaced: per arm the factors ``aux * r`` and
-    ``aux * s``, pruned, then every product input-major, pruned; the shape of what survives,
-    and whether every product of the surviving factors does."""
-    shape, products, whole = [tuple(current)], list(current.values()), True
+    ``aux * s``, then every product input-major; the round's shape and its products."""
+    shape, products = [tuple(current)], list(current.values())
     for (xs, amps), rs in zip(auxes, pairs):
-        factors = [(x, f) for x, f in zip(xs, [a * c for a in amps for c in rs]) if abs(f) >= PRUNE_EPS]
-        products = [v * f for v in products for _, f in factors]
-        alive = tuple(abs(p) >= PRUNE_EPS for p in products)
-        products = [p for p, kept in zip(products, alive) if kept]
-        shape.append((tuple(x for x, _ in factors), alive))
-        whole = whole and all(alive)
-    return tuple(shape), products, whole
+        products = [v * f for v in products for f in [a * c for a in amps for c in rs]]
+        shape.append(xs)
+    return tuple(shape), products
 
 
-def _factor_mask(auxes, pairs):
-    """Which of every arm's factors ``aux * r``, ``aux * s`` survive the prune, arm after arm."""
-    return tuple(abs(a * c) >= PRUNE_EPS for (_, amps), rs in zip(auxes, pairs) for a in amps for c in rs)
-
-
-def _dict_round(tab, chain, auxes, current, ts, model):
-    """One round of ``chain`` through the dict path on the engine's slot program of the round's
-    shape: ``(outcome, whole, sides, slot values, factor, merge ports)``, the outcome as the
-    result itself or the error's type and message, ``whole`` where no product is pruned."""
-    shape, products, whole = _dict_products(current, auxes, [(math.sqrt(1.0 - t), math.sqrt(t)) for t in ts])
-    _, slots, sides = ecpsim.engine._slots(tab, shape, chain.rules, chain)
+def _dict_round(tab, chain, auxes, current, pairs, model):
+    """One round of ``chain`` at the coupler ``pairs`` through the dict path on the engine's slot
+    program of the round's shape: ``(outcome, sides, slot values, factor, merge ports)``, the
+    outcome as the result itself or the error's type and message."""
+    shape, products = _dict_products(current, auxes, pairs)
+    _, slots, sides = ecpsim.engine._slots(tab, shape, chain)
     factor, values = detection_factor(chain.setup[0][0], model), _dict_slots(slots, products)
-    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain.ports), _as_is), whole, sides, values, factor, chain.ports
+    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain.ports), _as_is), sides, values, factor, chain.ports
 
 
 def _rescaled(chains, amps):
@@ -811,23 +844,16 @@ def _cancelling(chains):
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monkeypatch):
-    # every round against the product stage, slot gather and dict path it replaced, bit for bit:
-    # on the recorded inputs, reweighted at random, with entries at 1.01, 0.99 and 0.6 PRUNE_EPS
-    # and with every entry at magnitude 4, each also with the first arm's transmitted factor at
-    # 0.6 PRUNE_EPS (so the round function of the surviving factors runs, or hands over to the
-    # masked path where a product is pruned); through a program
-    # of the same signatures whose slot s is product s, on the slot values and their reweightings;
-    # and every scorer against the dict pairing and fidelities.  The dict path sums from 0j: where
-    # the round holds a float it is that sum's real part, repr for repr, its imaginary part 0;
-    # fed the recorded inputs as complex(x, 0.0), the round is the dict path's, repr for repr.
-    # Also under a miswired coupler (where the recycle agreement fails on both paths)
-    calls, rounds, handed = [], [], []
-
-    def masked(tab, chain, kernels, current, auxes, pairs, factor):
-        # True: the round function of these input ids and surviving factors handed a pruned product over
-        handed.append((tuple(current), _factor_mask(auxes, pairs)) in kernels)
-        return _masked(tab, chain, kernels, current, auxes, pairs, factor)
-
+    # every round against the product stage, slot gather and dict path it replaced, bit for bit,
+    # none of them dropping a value: on the recorded inputs, reweighted at random, with entries at
+    # 1.01, 0.99 and 0.6 PRUNE_EPS and with every entry at magnitude 4, each at the recorded
+    # coupler pairs and with the first arm's transmitted factor at 0.6 PRUNE_EPS; through a
+    # program of the same signatures whose slot s is product s, on the slot values and their
+    # reweightings; and every scorer against the dict pairing and fidelities.  The dict path sums
+    # from 0j: where the round holds a float it is that sum's real part, repr for repr, its
+    # imaginary part 0; fed the recorded inputs as complex(x, 0.0), the round is the dict path's,
+    # repr for repr.  Also under a miswired coupler (where the recycle agreement fails on both paths)
+    calls, rounds = [], []
     _record_chains(monkeypatch, calls)
     monkeypatch.setattr(ecpsim.engine, "_rounds", lambda *a: rounds.append(a) or _rounds(*a))
     polarized = not name.endswith("_stripped")
@@ -838,25 +864,20 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                         rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
                         model=DetectorModel(eta_p=0.8))
         assert calls and (rounds or corrupt)
-        monkeypatch.setattr(ecpsim.engine, "_masked", masked)
         rng = random.Random(16)
         outcomes = collections.Counter()
-        for (tab, chain, current, pairs, auxes, model), (_, schedules, _, _) in calls:
+        for (tab, chain, current, pairs, auxes, model), _ in calls:
             for k in range(len(pairs)):
-                ts = [s[k] for s in schedules]
                 inputs = [current] + [dict(zip(current, vals)) for vals in _reweighted(list(current.values()), rng)]
-                inputs.append({w: 4.0 * a / abs(a) for w, a in current.items()})  # 4 * 0.6 PRUNE_EPS survives a pruned factor
+                inputs.append({w: 4.0 * a / abs(a) for w, a in current.items()})
                 inputs += [{w: complex(a, 0.0) for w, a in terms.items()} for terms in (current, inputs[-1])]
-                for i, (terms, t) in enumerate(itertools.product(inputs, (ts, [(0.6 * PRUNE_EPS) ** 2, *ts[1:]]))):
-                    want, whole, sides, values, factor, ports = _dict_round(tab, chain, auxes, terms, t, model)
-                    handed.clear()
-                    got = _book(lambda: _run_chain(tab, chain, terms, [tuple(map(vbs_pair, t))], auxes, model)[0], _as_is)
+                small = (vbs_pair((0.6 * PRUNE_EPS) ** 2), *pairs[k][1:])
+                for i, (terms, c) in enumerate(itertools.product(inputs, (pairs[k], small))):
+                    want, sides, values, factor, ports = _dict_round(tab, chain, auxes, terms, c, model)
+                    got = _book(lambda: _run_chain(tab, chain, terms, [c], auxes, model)[0], _as_is)
                     complex_input = all(type(a) is complex for a in terms.values())
                     assert repr(got) == repr(want if complex_input else _real_where(want, got))
                     outcomes["floats"] += repr(got) != repr(want)
-                    assert handed in ([False], [] if whole else [True])  # new input ids or factors, or the masked path
-                    outcomes["handed"] += handed == [True]
-                    outcomes["pruned factor, generated"] += handed == [] and t[0] != ts[0]
                     outcomes[want[0] if len(want) == 2 else "scored"] += 1
                     if i == 0:
                         identity = _identity(sides, len(values))
@@ -874,12 +895,11 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                     break
                 current = book.recycle_next
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
-    assert outcomes["handed"] and outcomes["pruned factor, generated"] and (outcomes["floats"] or corrupt)
-    pruned = 0
+    assert outcomes["floats"] or corrupt
     for tab, ts, chains, target in rounds:
         # the recorded wins; reweighted; with shared plus and minus ids near cancelling, or one
-        # pair at 0.6 PRUNE_EPS; at random; every amplitude at 0.6 PRUNE_EPS, no state surviving;
-        # and as complex(x, 0.0)
+        # pair at 0.6 PRUNE_EPS; at random; every amplitude at 0.6 PRUNE_EPS; every amplitude 0,
+        # a zero state; and as complex(x, 0.0)
         weights = {id(b): _reweighted(b.amps, rng) for chain in chains for b in chain}
         variants = [chains, *[_rescaled(chains, lambda i, b: weights[id(b)][r]) for r in range(6)]]
         for scale in (1.0, -1.0 + 1.01 * PRUNE_EPS):
@@ -887,20 +907,19 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
         variants += [_cancelling(chains)] if len(chains) == 2 else []
         variants.append(_rescaled(chains, lambda i, b: [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps]))
         variants.append(_rescaled(chains, lambda i, b: [a / abs(a) * 0.6 * PRUNE_EPS for a in b.amps]))
+        variants.append(_rescaled(chains, lambda i, b: [0.0 * a for a in b.amps]))
         variants.append(_rescaled(chains, lambda i, b: [complex(a, 0.0) for a in b.amps]))
         for chains in variants:
             got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(tab, ts, chains, target)])
             assert got == _outcome(lambda: _dict_rounds(ts, chains, target))
             outcomes[got[0] if isinstance(got, tuple) else "rounds"] += 1
-            pruned += len(chains) == 2 and len(chains[0][0].wins) and any(
-                len(_dict_pair(a, b)) < len(a | b) for a in _states(chains[0][0]) for b in _states(chains[1][0]))
-    assert pruned or accounting == "joint" or not polarized or corrupt
     assert outcomes["DegenerateStateError"] or corrupt
 
 
-def test_the_merge_scale_and_its_prune_match_merge_terms():
-    # two photons in the merged mode: the merge scales by sqrt(N_out!) / sqrt(n_in!) and prunes;
-    # V on the merge's H input is the merge error, kept in the round
+def test_the_merge_scale_matches_merge_terms():
+    # two photons in the merged mode: the merge scales by sqrt(N_out!) / sqrt(n_in!), as merge_terms
+    # does, and keeps an amplitude merge_terms prunes; V on the merge's H input is the merge error,
+    # kept in the round
     tab = PatternTable()
     pair = tab.intern(((("b9", "H"), 2),))
     mixed = tab.intern(((("b6", "V"), 1), (("b9", "H"), 1)))
@@ -909,29 +928,34 @@ def test_the_merge_scale_and_its_prune_match_merge_terms():
     ports = ("b9", "b6", "b10")
     rng = random.Random(5)
     near = (cmath.rect(PRUNE_EPS * (1 + rng.randrange(64) * 2.0**-52), rng.uniform(0, 2 * math.pi)) for _ in range(10**5))
-    edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # pruned once merged
+    edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # merge_terms prunes it
     sizes = []
     for values in ([0.3 + 0.4j, -0.5j], [edge, 0.6 + 0.0j], [0.7 + 0.1j, edge]):
         program = _identity((won[:1], ()), 2)
-        assert _scored(tab, program, values, 0.8, ports) == _outcome(lambda: _dict_score(tab, program[3], values, 0.8, ports))
-        sizes.append(len(_states(_round_kernel(tab, program, ports, None)(values, 0.8))[0]))
+        assert _scored(tab, program, values, 0.8, ports) == _outcome(lambda: _dict_score(tab, program[2], values, 0.8, ports))
+        [state] = _states(_armless(tab, program, ports)(values, 0.8))
+        pruned = merge_terms(tab, dict(zip((pair, mixed), values)), *ports)
+        assert all(state[q] == a for q, a in pruned.items())
+        sizes.append((len(state), len(pruned)))
         program = _identity((won, ()), 3)
         got = _scored(tab, program, [*values, 0.1j], 0.8, ports)
-        assert got == _outcome(lambda: _dict_score(tab, program[3], [*values, 0.1j], 0.8, ports))
+        assert got == _outcome(lambda: _dict_score(tab, program[2], [*values, 0.1j], 0.8, ports))
         assert got == ("PortContractError", "pbs merge: input 'b9' carries V amplitude")
-    assert sizes == [2, 1, 2]  # the merge prune drops the edge amplitude on the two-photon id only
+    assert sizes == [(2, 2), (2, 1), (2, 2)]  # merge_terms drops the edge amplitude on the two-photon id only
 
 
-def test_a_signature_weighing_prune_eps_squared_is_dropped():
-    # a slot at exactly PRUNE_EPS survives the prune, but alone it weighs PRUNE_EPS**2: too little
+def test_a_signature_counts_where_it_weighs_more_than_0():
+    # a slot at PRUNE_EPS weighs PRUNE_EPS**2 alone and counts; a signature of exact zeros does not
     tab = PatternTable()
     ids = tuple(tab.intern(((("b1", pol), 1),)) for pol in "HV")
     won, recycled = (((("d1", 1),), ids[:1]),), (((("d2", 1),), ids[1:]),)
     program = _identity((won, recycled), 2)
-    for values in ([PRUNE_EPS + 0j, 0.6 + 0j], [0.6 + 0j, PRUNE_EPS + 0j], [PRUNE_EPS + 0j] * 2):
-        got = _scored(tab, program, values, 0.8, ())
-        assert got == _outcome(lambda: _dict_score(tab, program[3], values, 0.8, ()))
-        assert "e-15" not in got and "e-30" not in got
+    for values in ([PRUNE_EPS + 0j, 0.6 + 0j], [0.6 + 0j, PRUNE_EPS + 0j], [PRUNE_EPS + 0j] * 2, [0j, 0.6 + 0j]):
+        got = _scored(tab, program, values, 0.8, (), _as_is)
+        assert repr(got) == repr(_outcome(lambda: _dict_score(tab, program[2], values, 0.8, ()), _as_is))
+        p_win, states, p_rec, nxt = got
+        assert (p_win > 0.0, len(states)) == ((True, 1) if values[0] else (False, 0))
+        assert p_rec > 0.0 and nxt
 
 
 def test_a_slot_sums_its_products_from_0j_in_order():
@@ -941,13 +965,13 @@ def test_a_slot_sums_its_products_from_0j_in_order():
     ids = tuple(tab.intern(((("b1", pol), 1),)) for pol in "HV")
     rng = random.Random(17)
     slots = (((0, 1.0), (1, 1.0), (2, 1.0)), tuple((i, rng.uniform(-2.0, 2.0)) for i in (4, 3, 0, 1)))
-    program = (None, 5, slots, ((((("d1", 1),), ids),), ()), {})
+    kernel = _armless(tab, (5, slots, ((((("d1", 1),), ids),), ())))
     cases = [[1e16 + 1e16j, 3 + 5j, -1e16 - 1e16j, 0.1 + 0j, 0.2j]]
     cases += [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(5)] for _ in range(20)]
     for products in cases:
-        book = _round_kernel(tab, program, (), None)(products, 1.0)
+        book = kernel(products, 1.0)
         assert repr(book.amps) == repr(_dict_slots(slots, products))
-    assert _round_kernel(tab, program, (), None)(cases[0], 1.0).amps[0] not in (3 + 5j, 0j)  # the order shows
+    assert kernel(cases[0], 1.0).amps[0] not in (3 + 5j, 0j)  # the order shows
 
 
 def test_split_and_merge_run_on_the_plan_table():
@@ -1073,30 +1097,27 @@ def test_a_bare_schedule_parameter_reads_the_planned_list():
     assert report.schedule == {"plus": planned, "minus": planned}
 
 
-def test_late_recycling_rounds_run_in_round_functions(monkeypatch):
-    # at alpha^2 0.9 the schedule reaches t = 1 in round 6, pruning the reflected factor
-    # sqrt(1 - t) of every auxiliary photon; the products of the factors that survive all
-    # survive, so a warm chain runs that round in a round function too, keyed on those factors.
-    # Round 5 (1 - t = 4e-16) still goes through the masked path: its products v * sqrt(1 - t)
-    # fall under PRUNE_EPS
+def test_late_recycling_rounds_run_in_the_warm_round_functions(monkeypatch):
+    # at alpha^2 0.9 the reflected factor sqrt(1 - t) of every auxiliary photon falls from 2e-8 in
+    # round 5 toward 0 (t rounds to 1 from round 6); every round still runs in the round function
+    # of its auxiliary and input ids, so a warm chain compiles none, and every round down to the
+    # underflow keeps its mass
     ent = EntanglementParams.from_alpha_sq(0.9)
     for accounting in ("branch", "joint"):
-        run_ecp2(ent, POL, rounds=8, accounting=accounting)
-    masked = []
-    monkeypatch.setattr(ecpsim.engine, "_masked", lambda *args: masked.append(args) or _masked(*args))
+        run_ecp2(ent, POL, rounds=12, accounting=accounting)
+    built = []
+    monkeypatch.setattr(ecpsim.engine, "_kernel", lambda *args: built.append(args) or _kernel(*args))
     for accounting in ("branch", "joint"):
-        report = run_ecp2(ent, POL, rounds=8, accounting=accounting)
+        report = run_ecp2(ent, POL, rounds=12, accounting=accounting)
         assert max(report.schedule["plus"][:5]) < 1.0 == min(report.schedule["plus"][5:])
-    assert masked
-    for *_, current, auxes, pairs, _ in masked:
-        assert all(r > 0.0 for r, _ in pairs)  # not a round at t = 1
-        assert min(abs(v) for v in current.values()) * min(r for r, _ in pairs) < PRUNE_EPS
+        assert all(r.p_success > 0.0 for r in report.rounds[:8])
+    assert not built
 
 
 # -- pruned photon components ---------------------------------------------
 
-# gamma^2 0 and 1, where a signal and a target component prune, and gamma or delta 1.2e-15, where
-# a target component survives the sum's prune but not the one after normalizing
+# gamma^2 0 and 1, where a signal and a target component are exactly zero and dropped, and gamma
+# or delta 1.2e-15, where they are tiny and kept
 EDGES = [PolarizationParams.from_gamma_sq(0.0), PolarizationParams.from_gamma_sq(1.0),
          PolarizationParams(1.2e-15, 1.0), PolarizationParams(1.0, 1.2e-15)]
 
@@ -1118,12 +1139,12 @@ def _edge_outcomes():
     return texts
 
 
-def test_pruned_signal_and_target_components_give_the_pinned_reports():
-    # the digest of the same 96 outcomes before the photons were generated as one prologue
+def test_zero_and_tiny_signal_and_target_components_give_the_pinned_reports():
     texts = _edge_outcomes()
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
-        "5e42349423a8c46c8a679d37490569e5e5b210e4aa867129390432c65364d95f")
-    for pol in EDGES:  # the prologue prunes half the signal and target ids
+        "8a867a5c77b1b9a9201d5b464d732b2c2e675c6b4e3f9f3798290e8a43dca349")
+    for pol in EDGES:  # the prologue drops half the signal and target ids where they are exactly zero
         bindings = {"alpha": ENT.alpha, "beta": ENT.beta, "gamma": pol.gamma, "delta": pol.delta}
         signal, _, (tids, tamps, _), _ = _prologue(analyze(builtin_doc("ecp2")), pol)(bindings)
-        assert len(signal) == 2 and len(tids) == len(tamps) == 2 and type(tids) is tuple
+        ids = 2 if 0.0 in (pol.gamma, pol.delta) else 4
+        assert len(signal) == len(tids) == len(tamps) == ids and type(tids) is tuple

@@ -5,9 +5,11 @@ Each entry of ``tests/data/cli_corpus.json`` holds an argv for
 exception it raised) and the sha256 of everything it wrote to stdout.  A
 refactor that claims to change no number must leave every entry as stored.
 
-The deep-round entries (``--rounds 8``) pin the current numbers, known
-wrong where late rounds lose mass to absolute pruning; a change that mends
-them regenerates the corpus and says so.  Regenerate with
+The deep-round entries (``--rounds 8``, ``--rounds 1000``) pin every round
+down to the underflow, where a round reports p 0 and fidelity null.  A
+change that moves a number regenerates the corpus and says which entries
+moved; the writer prints each entry whose outcome or bytes changed.
+Regenerate with
 
     PYTHONPATH=src python tests/test_golden_corpus.py --write
 
@@ -126,6 +128,15 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_corpus.py --write")
     CORPUS.parent.mkdir(exist_ok=True)
+    stored = {json.dumps(e["argv"]): e for e in json.loads(CORPUS.read_text())} if CORPUS.exists() else {}
     entries = [replay(argv) for argv in corpus_argvs()]
+    moved = 0
+    for entry in entries:  # each entry whose outcome or bytes differ from the stored corpus
+        old = stored.get(json.dumps(entry["argv"]))
+        if old != entry:
+            moved += 1
+            was = "new" if old is None else f"exit {old['exit']} raises {old['raises']}"
+            what = "bytes" if old and old["exit"] == entry["exit"] and old["raises"] == entry["raises"] else "outcome"
+            print(f"{what}: {was} -> exit {entry['exit']} raises {entry['raises']}: {' '.join(entry['argv'])}")
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
-    print(f"wrote {len(entries)} entries to {CORPUS}")
+    print(f"wrote {len(entries)} entries to {CORPUS}, {moved} changed")

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
+from ecpsim.elements import vbs_pair
 from ecpsim.params import (
     EntanglementParams,
     ParameterError,
     PolarizationParams,
+    vbs_pair_schedule,
     vbs_schedule,
 )
 
@@ -59,7 +61,7 @@ def test_nan_and_infinite_amplitudes_are_rejected(cls, amps):
 
 
 def test_a_nan_polarization_is_not_run_as_a_zero():
-    # the engine prunes a NaN term as it prunes a zero one, so a NaN gamma once ran as gamma = 0
+    # a NaN gamma is a parameter error before the engine runs, never a term a round carries
     from ecpsim.engine import run_ecp2
 
     with pytest.raises(ParameterError, match="gamma and delta must be finite"):
@@ -119,6 +121,22 @@ class TestSchedule:
         assert set(ts[40:]) == {ts[39]}
         assert ts[-1] in (0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("a2", [1e-300, 0.3, 0.5, 0.6, 0.9, 0.999999])
+    def test_pairs_follow_the_log_odds_without_cancellation(self, a2):
+        # each pair is (sqrt(1 - t_k), sqrt(t_k)) against 50 digits to a few ulp times |x_k| (the
+        # log-ratio's rounding, doubled each round), also where t_k rounds to 1 and 1 - t_k would
+        # cancel, and without overflow at alpha^2 1e-300
+        mpmath = pytest.importorskip("mpmath")
+        e = EntanglementParams.from_alpha_sq(a2)
+        pairs = vbs_pair_schedule(e, 40)
+        assert len(pairs) == 40 and pairs[0] == pytest.approx(vbs_pair(a2), rel=1e-13, abs=0.0)
+        with mpmath.workdps(50):
+            log_ratio = mpmath.log(abs(e.beta)) - mpmath.log(abs(e.alpha))
+            for k, (r, s) in enumerate(pairs, 1):
+                x = mpmath.ldexp(log_ratio, k)
+                for got, want in ((r, 1 / mpmath.sqrt(1 + mpmath.exp(-x))), (s, 1 / mpmath.sqrt(1 + mpmath.exp(x)))):
+                    assert abs(got - want) <= (2 + abs(x)) * 2.3e-16 * want or (got == 0.0 and want < 1e-323)
+
     def test_degenerate_rejected(self):
         with pytest.raises(ParameterError):
             vbs_schedule(EntanglementParams.from_alpha_sq(0.0), 3)
@@ -132,6 +150,7 @@ class TestSchedule:
 @pytest.mark.parametrize("cls", [EntanglementParams, PolarizationParams])
 @pytest.mark.parametrize("amplitude", [1e155, 1e200, -1e160, complex(1e200, 0)])
 def test_an_amplitude_whose_square_overflows_is_a_parameter_error(cls, amplitude):
-    # abs(x) ** 2 raises OverflowError past the float range; the norm is then inf and fails its test
+    # a square past the float range is inf (a complex modulus past it raises OverflowError,
+    # read as inf): the norm is inf and fails its test
     with pytest.raises(ParameterError, match=r"\^2 = inf, expected 1"):
         cls(amplitude, 0.0)

@@ -100,6 +100,36 @@ def test_series_with_detector_loss():
         assert got.p_success == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("accounting", ("branch", "joint"))
+@pytest.mark.parametrize("a2", (0.3, 0.6, 0.9))
+def test_deep_stripped_rounds_match_the_series_relatively(a2, accounting):
+    # every round whose P_k is above the 1e-300 floor, to 1e-12 relative: late rounds are far
+    # below any absolute tolerance, and t_k nears 1 for alpha^2 > 1/2
+    r = run_ecp2(EntanglementParams.from_alpha_sq(a2), rounds=12, accounting=accounting)
+    series = round_success_series(a2, 1.0, 12)
+    deep = [(got, want) for got, want in zip(r.rounds, series) if want > 1e-300]
+    assert len(deep) >= 9
+    for got, want in deep:
+        assert got.p_success == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got.heralded_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("accounting", ("branch", "joint"))
+@pytest.mark.parametrize("a2,g2", ((0.3, 0.3), (0.6, 0.3), (0.9, 0.3), (0.9429106913262245, 0.3238295395038886)))
+def test_deep_polarized_rounds_keep_unit_fidelity(a2, g2, accounting):
+    # nothing raises, every round with p > 0 has fidelity 1 (in the last case round 8 of the
+    # joint chain has a subnormal p, 2.7e-312), and a round whose p underflows reports p 0 and
+    # fidelity null
+    r = run_ecp2(EntanglementParams.from_alpha_sq(a2), PolarizationParams.from_gamma_sq(g2),
+                 rounds=12, accounting=accounting)
+    assert sum(x.p_success > 0.0 for x in r.rounds) >= 8
+    for x in r.rounds:
+        if x.p_success > 0.0:
+            assert x.heralded_fidelity == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert (x.p_success, x.heralded_fidelity) == (0.0, None)
+
+
 def test_recycle_weights_shrink_with_rounds():
     r = run_ecp2(ENT, rounds=4)
     weights = [x.p_fail_recyclable for x in r.rounds]
