@@ -115,11 +115,12 @@ def test_deep_stripped_rounds_match_the_series_relatively(a2, accounting):
 
 
 @pytest.mark.parametrize("accounting", ("branch", "joint"))
-@pytest.mark.parametrize("a2,g2", ((0.3, 0.3), (0.6, 0.3), (0.9, 0.3), (0.9429106913262245, 0.3238295395038886)))
-def test_deep_polarized_rounds_keep_unit_fidelity(a2, g2, accounting):
-    # nothing raises, every round with p > 0 has fidelity 1 (in the last case round 8 of the
-    # joint chain has a subnormal p, 2.7e-312), and a round whose p underflows reports p 0 and
-    # fidelity null
+@pytest.mark.parametrize("a2,g2", ((A2, 0.5), (0.3, 0.3), (0.6, 0.3), (0.9, 0.3),
+                                   (0.9429106913262245, 0.3238295395038886)))
+def test_recycling_fidelity_every_round(a2, g2, accounting):
+    # 12 rounds: nothing raises, every round with p > 0 has fidelity 1 (in the last case round 8
+    # of the joint chain has a subnormal p, 2.7e-312), and a round whose p underflows reports p 0
+    # and fidelity null
     r = run_ecp2(EntanglementParams.from_alpha_sq(a2), PolarizationParams.from_gamma_sq(g2),
                  rounds=12, accounting=accounting)
     assert sum(x.p_success > 0.0 for x in r.rounds) >= 8
@@ -135,12 +136,6 @@ def test_recycle_weights_shrink_with_rounds():
     weights = [x.p_fail_recyclable for x in r.rounds]
     assert all(b < a for a, b in zip(weights, weights[1:]))
     assert weights[0] == pytest.approx(A2**2 + (1 - A2) ** 2, abs=1e-12)
-
-
-def test_recycling_fidelity_every_round():
-    r = run_ecp2(ENT, POL, rounds=4)
-    for x in r.rounds:
-        assert x.heralded_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_recycled_residual_tracks_the_squared_ratio():
