@@ -20,7 +20,7 @@ _EXPORTS = {
     "fock": ("DegenerateStateError FockError H IsometryError ModeCollisionError PHOTON_CAP PhotonBudgetError "
              "State V apply_mode_transform fidelity inner mode single_photon tensor"),
     "elements": "PortContractError apply_bs apply_pbs apply_pbs_merge apply_phase_flip apply_vbs",
-    "measurement": "DetectorGroup DetectorModel HeraldOutcome IDEAL_DETECTORS herald qnd_component",
+    "measurement": "DetectorModel HeraldOutcome IDEAL_DETECTORS herald qnd_component",
     "params": "EntanglementParams ParameterError PolarizationParams vbs_schedule",
     "formulas": ("branch_success_minus branch_success_plus claimed_total joint_total_one_round "
                  "qnd_round_success round_success_series"),

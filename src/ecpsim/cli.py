@@ -184,9 +184,9 @@ def _cmd_run(args) -> int:
             t2=args.t2,
         )
     text = report.to_json()
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first, so that a failed write leaves stdout empty
         _write_text(args.out, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -251,8 +251,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ParameterError, DegenerateStateError) as exc:
-        # a state that fades to zero over the rounds is, for now, an input
-        # the engine cannot carry: reported like a bad argument
+        # a heralded state whose norm is exactly zero has no fidelity: an
+        # input the engine cannot score, reported like a bad argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CircuitError, FockError, PortContractError) as exc:

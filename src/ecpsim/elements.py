@@ -18,22 +18,22 @@ correction downstream):
 
 All elements are polarization-preserving except the PBS, which routes on
 polarization but never rotates it.  Both PBS orientations move every photon
-to one mode at coefficient 1, so on a ``PatternTable`` they run as a per-id
-relabel (``split_terms``, ``merge_terms``), compiled once per id from the
-transform's own program; the couplers run as transforms.
+of a mode to one mode at coefficient 1 and keep every occupation count, so
+on a ``PatternTable`` they run as a relabel of ids that leaves amplitudes
+unchanged (``split_terms``, ``merge_terms``); the couplers run as transforms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Mapping
 
 from .fock import (
+    COLLISION,
     ISOMETRY_TOL,
-    PRUNE_EPS,
     IsometryError,
     Mode,
+    ModeCollisionError,
     PatternTable,
     State,
     POLARIZATIONS,
@@ -56,7 +56,6 @@ class PortContractError(ValueError):
     """An element was wired in a way its port contract forbids."""
 
 
-@functools.lru_cache(maxsize=256)  # once per port tuple
 def _require_distinct(kind: str, **ports: str) -> None:
     seen: set[str] = set()
     for spatial in ports.values():
@@ -65,32 +64,29 @@ def _require_distinct(kind: str, **ports: str) -> None:
         seen.add(spatial)
 
 
-# The fixed transforms are built and isometry-checked once per port tuple
-# (and coupler matrix); the variable coupler's column norm depends on ``t`` and
-# is checked on every call.  The ``*_rules`` builders also check the ports.
-@functools.lru_cache(maxsize=256)
-def _pbs_rules(h_in: str, h_out: str, v_in: str, v_out: str) -> CheckedRules:
-    """H photons of ``h_in`` to ``h_out``, V photons of ``v_in`` to ``v_out``."""
-    return CheckedRules(
-        {(h_in, "H"): [((h_out, "H"), 1.0)], (v_in, "V"): [((v_out, "V"), 1.0)]}
-    )
-
-
-def _relabel(tab: PatternTable, terms: Mapping[int, complex], stage: dict, rules: CheckedRules):
-    """``tab.transform(terms, rules)`` for ``rules`` that send each moved mode to one mode at
-    coefficient 1, as a per-id relabel: each id's ``(new id, sqrt(N_out!), sqrt(n_in!))``
-    is taken from its program when first seen and kept in ``stage``."""
-    for p in terms:
-        if p not in stage:
-            layers, finals, norm_in = tab._program(tab.patterns[p], rules)
-            stage[p] = (finals, 1.0, 1.0) if layers is None else (*finals[0][1:], norm_in)
-    return {r[0]: v for p, a in terms.items() if abs(v := a * (r := stage[p])[1] / r[2]) >= PRUNE_EPS}
+def _relabel(tab: PatternTable, terms: Mapping[int, complex], moves: dict[Mode, Mode]) -> dict[int, complex]:
+    """``terms`` with each mode of ``moves`` renamed, amplitudes unchanged: the transform of
+    ``moves`` at coefficient 1, whose ``sqrt(N_out!) / sqrt(n_in!)`` is 1 on every id.  One to
+    one, so the ids keep their order; an occupied mode that ``moves`` also targets raises the
+    transform's ModeCollisionError."""
+    targets = set(moves.values())
+    out = {}
+    for p, a in terms.items():
+        counts = []
+        for m, n in tab.patterns[p]:
+            if m in moves:
+                m = moves[m]
+            elif m in targets:
+                raise ModeCollisionError(COLLISION)
+            counts.append((m, n))
+        out[tab.intern(tuple(sorted(counts)))] = a
+    return out
 
 
 def split_terms(tab: PatternTable, terms: Mapping[int, complex], inp: str, out_h: str, out_v: str):
     """``apply_pbs`` on ``tab``'s ids, as a relabel."""
     _require_distinct("pbs", inp=inp, out_h=out_h, out_v=out_v)
-    return _relabel(tab, terms, tab.stage("pbs split", inp, out_h, out_v), _pbs_rules(inp, out_h, inp, out_v))
+    return _relabel(tab, terms, {(inp, "H"): (out_h, "H"), (inp, "V"): (out_v, "V")})
 
 
 def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
@@ -99,23 +95,14 @@ def apply_pbs(state: State, inp: str, out_h: str, out_v: str) -> State:
     return tab.state(split_terms(tab, tab.of(state), inp, out_h, out_v))
 
 
-def merge_relabels(tab: PatternTable, ids, in_h: str, in_v: str, out: str) -> dict:
-    """The ``pbs merge`` stage, holding the relabel of each of ``ids``; raises as ``merge_terms``
-    raises on a state over ``ids``, an id's ports checked when first seen."""
-    _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
-    stage = tab.stage("pbs merge", in_h, in_v, out)
-    for p in ids:
-        if p not in stage:
-            for (sp, pol), _n in tab.patterns[p]:
-                if (sp, pol) in ((in_h, "V"), (in_v, "H")):
-                    raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
-    _relabel(tab, dict.fromkeys(ids, 0j), stage, _pbs_rules(in_h, out, in_v, out))
-    return stage
-
-
 def merge_terms(tab: PatternTable, terms: Mapping[int, complex], in_h: str, in_v: str, out: str):
-    """``apply_pbs_merge`` on ``tab``'s ids, as a relabel."""
-    return _relabel(tab, terms, merge_relabels(tab, terms, in_h, in_v, out), _pbs_rules(in_h, out, in_v, out))
+    """``apply_pbs_merge`` on ``tab``'s ids, as a relabel, once every id passes the port check."""
+    _require_distinct("pbs merge", in_h=in_h, in_v=in_v, out=out)
+    for p in terms:
+        for (sp, pol), _n in tab.patterns[p]:
+            if (sp, pol) in ((in_h, "V"), (in_v, "H")):
+                raise PortContractError(f"pbs merge: input {sp!r} carries {pol} amplitude")
+    return _relabel(tab, terms, {(in_h, "H"): (out, "H"), (in_v, "V"): (out, "V")})
 
 
 def apply_pbs_merge(state: State, in_h: str, in_v: str, out: str) -> State:
@@ -137,21 +124,16 @@ def bs_matrix() -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _bs_rules(in1: str, in2: str, out1: str, out2: str, matrix) -> CheckedRules:
+def bs_rules(in1: str, in2: str, out1: str, out2: str) -> CheckedRules:
+    """The balanced coupler at the matrix in force now (see ``BS_IN2_PHASE``)."""
     if in1 == in2 or out1 == out2:
         raise PortContractError("bs: input ports and output ports must each be distinct")
-    (r11, r12), (r21, r22) = matrix
+    (r11, r12), (r21, r22) = bs_matrix()
     rules: dict[Mode, list[tuple[Mode, complex]]] = {}
     for pol in POLARIZATIONS:
         rules[(in1, pol)] = [((out1, pol), r11), ((out2, pol), r12)]
         rules[(in2, pol)] = [((out1, pol), r21), ((out2, pol), r22)]
     return CheckedRules(rules)
-
-
-def bs_rules(in1: str, in2: str, out1: str, out2: str) -> CheckedRules:
-    """The balanced coupler at the matrix in force now (see ``BS_IN2_PHASE``)."""
-    return _bs_rules(in1, in2, out1, out2, bs_matrix())
 
 
 def apply_bs(state: State, in1: str, in2: str, out1: str, out2: str) -> State:
@@ -175,15 +157,9 @@ def vbs_ports(inp: str, reflect: str, transmit: str) -> None:
     _require_distinct("vbs", inp=inp, reflect=reflect, transmit=transmit)
 
 
-def vbs_coefficients(inp: str, reflect: str, transmit: str, t: float) -> tuple[float, float]:
-    """``vbs_pair(t)`` once the ports pass ``vbs_ports`` too."""
-    pair = vbs_pair(t)
-    vbs_ports(inp, reflect, transmit)
-    return pair
-
-
 def vbs_rules(inp: str, reflect: str, transmit: str, t: float) -> CheckedRules:
-    r, s = vbs_coefficients(inp, reflect, transmit, t)
+    r, s = vbs_pair(t)
+    vbs_ports(inp, reflect, transmit)
     rules = {(inp, pol): [((reflect, pol), r), ((transmit, pol), s)] for pol in POLARIZATIONS}
     return CheckedRules(rules)
 

@@ -85,7 +85,7 @@ from .dsl import (
     expr_variables,
     parse_expr,
 )
-from .elements import PortContractError, bs_matrix, bs_rules, merge_relabels, split_terms, vbs_pair, vbs_ports
+from .elements import PortContractError, bs_matrix, bs_rules, merge_terms, split_terms, vbs_pair, vbs_ports
 from .fock import (
     PHOTON_CAP,
     RECYCLE_AGREEMENT_TOL,
@@ -176,8 +176,8 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     amplitudes are evaluated as ``dsl`` writes them (``emit_expr``), in source order, then summed
     per id from 0j, dropped where the sum is exactly zero and handed out as floats where its
     imaginary part is zero.  The target (per output a V photon, or with ``pol`` ``gamma`` H and
-    ``delta`` V) is normalized by ``_target``; the signal goes through the split (a relabel of
-    single photons, at scale 1) into the joint chain's input and,
+    ``delta`` V) is normalized by ``_target``; the signal's ids go through the split
+    (``split_terms``, a relabel) into the joint chain's input and,
     per arm, the branch input of the ids holding no photon in another arm's signal mode; each
     arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes, or the error
     evaluating it raised, which the arm's chain raises where it reads the photon."""
@@ -214,10 +214,9 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
         code.append(f"if {s}: t[{const(p)}] = {real(s)}")
     code.append("target = _target(t)")
     signal = photon(plan.signal_sources, loaded)
-    moved = {p: p for p, _ in signal}  # each id's id after the split
+    moved = {p: p for p, _ in signal}  # each id's id after the split, a one-to-one relabel
     if (split := plan.split) is not None:
-        split_terms(tab, dict.fromkeys(moved, 1.0), split.inp, split.out_h, split.out_v)
-        moved = {p: tab.stage("pbs split", split.inp, split.out_h, split.out_v)[p][0] for p in moved}
+        moved = dict(zip(moved, split_terms(tab, dict.fromkeys(moved), split.inp, split.out_h, split.out_v)))
     branches = {}  # the ids of each arm's input that is not the whole signal
     for i, arm in enumerate(plan.arms):
         ids = {q for q in moved.values() if not any(
@@ -365,8 +364,8 @@ def _kernel(tab: PatternTable, program: tuple, ports: tuple, inputs: int, counts
     amplitudes (``counts`` per arm) and coupler pairs; with no arm the products are the input
     amplitudes.  Slot s is ``0.0 + p*c + ...`` in the order of ``slots[s]``.  Each signature
     weighs its squares; one that weighs more than 0 raises if two of its slots share a residual id
-    (a mixture), else a win adds ``weight * factor`` and its state, merged by ``ports`` as
-    ``(a * N) / n``, or keeps the merge's ``(type, message)``; the first recycle signature that
+    (a mixture), else a win adds ``weight * factor`` and its state, its ids merged by ``ports``
+    (``merge_terms``), or keeps the merge's ``(type, message)``; the first recycle signature that
     weighs more than 0, once each later one agrees with it after correction (``_aligned``), is
     rescaled to their summed weight: the next round's input.  No value is dropped.  Coefficients,
     scales and ids are bound by name, a coefficient or scale as a float where its imaginary part
@@ -391,16 +390,12 @@ def _kernel(tab: PatternTable, program: tuple, ports: tuple, inputs: int, counts
             code.append(f"    raise _mixture({const(sig)})")
             continue
         code.append(f"    p_win += {w} * factor")
-        try:
-            stage = merge_relabels(tab, ids, *ports) if ports else None
+        try:  # the merge relabels the ids one to one and leaves the amplitudes as they are
+            merged = tuple(merge_terms(tab, dict.fromkeys(ids), *ports)) if ports else ids
         except (PortContractError, ModeCollisionError) as exc:  # raised where every chain of the round has a win
             code += [f"    error = error or {const((type(exc), str(exc)))}", "    wins.append(None)"]
             continue
-        if stage is None:
-            code += [f"    wins.append({const(ids)})", f"    amps += ({''.join(f's{s}, ' for s, _ in run)})"]
-        else:  # the merge
-            code += [f"    wins.append({const(tuple(stage[q][0] for q in ids))})", "    amps += ("
-                     + "".join(f"(s{s} * {const(_real(stage[q][1]))}) / {const(_real(stage[q][2]))}, " for s, q in run) + ")"]
+        code += [f"    wins.append({const(merged)})", f"    amps += ({''.join(f's{s}, ' for s, _ in run)})"]
     again = []  # each recycle signature that can continue: its weight's name and slots
     for sig, qs in sides[1]:
         run = [(next(slot), q) for q in qs]

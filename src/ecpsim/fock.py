@@ -26,16 +26,16 @@ Conventions used throughout:
 Norms are not enforced: intermediate protocol states are deliberately kept
 unnormalized so that squared norms compose into branch probabilities.
 
-The kernels (mode transforms here, heralding in ``measurement``) run on a
-``PatternTable``: patterns interned to ids, states as ``{id: amplitude}``
-dicts, and stage tables that callers fill with what they compile from ids
-(the polarizing-splitter relabels, the engine's chains and scorers);
-``State`` operations use a throwaway table, the engine one per plan.
-Kernels read coefficients when they run.  Results are pruned where built:
-``State(...)`` and ``PatternTable.admit`` (prune, photon cap, accumulate,
-prune), ``prune`` for every other kernel.  The engine runs the kernels only
-to compile its rounds, on unit products, where the prune drops coefficient
-noise; its compiled rounds drop no value.
+The kernels (mode transforms here, the polarizing-splitter relabels in
+``elements``, heralding in ``measurement``) run on a ``PatternTable``:
+patterns interned to ids, states as ``{id: amplitude}`` dicts, and stage
+tables that the engine fills with what it compiles from ids (its prologues,
+chains and scorers); ``State`` operations use a throwaway table, the engine
+one per plan.  Results are pruned where built: ``State(...)`` and
+``PatternTable.admit`` (prune, photon cap, accumulate, prune), ``prune`` for
+the transform.  The engine runs the kernels only to compile its rounds, on
+unit products, where the prune drops coefficient noise; its compiled rounds
+drop no value.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ PHOTON_CAP = 6
 Mode = tuple[str, str]
 Pattern = tuple[tuple[Mode, int], ...]
 
-_FACTORIALS = tuple(math.factorial(n) for n in range(32))
+COLLISION = "transform output mode already occupied by an untouched photon"
 
 
 class FockError(ValueError):
@@ -265,17 +265,14 @@ def _check_isometry(rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]) -> Non
 
 class CheckedRules(dict):
     """Transform rules checked once; ``apply_mode_transform`` reuses them unchecked.
-
-    ``coef`` maps each input mode to its coefficients in expansion order.
     Raises IsometryError when the coefficient matrix is not an isometry."""
 
-    __slots__ = ("out_modes", "coef")
+    __slots__ = ("out_modes",)
 
     def __init__(self, rules: Mapping[Mode, Sequence[tuple[Mode, complex]]]):
         _check_isometry(rules)
         super().__init__(rules)
         self.out_modes = frozenset(mo for expansion in rules.values() for mo, _ in expansion)
-        self.coef = {m: [c for _, c in expansion] for m, expansion in rules.items()}
 
 
 class PatternTable:
@@ -317,69 +314,40 @@ class PatternTable:
         return self.admit(terms)
 
     def transform(self, terms: Mapping[int, complex], rules: CheckedRules):
-        """``apply_mode_transform`` on ids."""
+        """``apply_mode_transform`` on ids: each term expanded photon by photon, each output
+        multiset of modes summed from 0j in first-touch order, then scaled by
+        ``sqrt(prod N_out!) / sqrt(prod n_in!)``."""
         out: dict[int, complex] = {}
         for p, amp in terms.items():
-            layers, finals, sqrt_norm_in = self._program(self.patterns[p], rules)
-            if layers is None:  # no photon of this term moves
-                out[finals] = out.get(finals, 0j) + amp
+            base, moving, norm_in = {}, [], 1
+            for m, n in self.patterns[p]:
+                norm_in *= math.factorial(n)
+                if m in rules:
+                    moving += [m] * n
+                elif m in rules.out_modes:
+                    raise ModeCollisionError(COLLISION)
+                else:
+                    base[m] = n
+            if not moving:
+                out[p] = out.get(p, 0j) + amp
                 continue
-            vals = [amp]
-            for m, ops, size in layers:
-                cs = rules.coef[m]
-                grown = [0j] * size
-                for src, j, dst in ops:
-                    grown[dst] += vals[src] * cs[j]
-                vals = grown
-            for slot, key, sqrt_norm_out in finals:
-                c = vals[slot]
+            level: dict[tuple[Mode, ...], complex] = {(): amp}
+            for m in moving:
+                grown: dict[tuple[Mode, ...], complex] = {}
+                for key, v in level.items():
+                    for mo, c in rules[m]:
+                        k = tuple(sorted(key + (mo,)))
+                        grown[k] = grown.get(k, 0j) + v * c
+                level = grown
+            for key, c in level.items():
+                counts = dict(base)
+                for mo in key:
+                    counts[mo] = counts.get(mo, 0) + 1
+                q = self.intern(tuple(sorted(counts.items())))
                 if c:
-                    out[key] = out.get(key, 0j) + c * sqrt_norm_out / sqrt_norm_in
+                    norm_out = math.prod(map(math.factorial, counts.values()))
+                    out[q] = out.get(q, 0j) + c * math.sqrt(norm_out) / math.sqrt(norm_in)
         return prune(out)
-
-    def _program(self, pattern: Pattern, rules: CheckedRules):
-        """``(layers, finals, sqrt(prod n_in!))`` of one term under ``rules``, any coefficients:
-        layer ``(m, ops, size)`` moves a photon of mode ``m`` by ``(src, j, dst)``
-        slot moves (``j`` indexes ``rules[m]``), ``finals`` holds ``(slot, output
-        id, sqrt(prod N_out!))``.  An unmoved term is ``(None, its id, None)``."""
-        moving = []
-        base = {}
-        norm_in = 1
-        for m, n in pattern:
-            norm_in *= _FACTORIALS[n]
-            if m in rules:
-                moving.append((m, n))
-            elif m in rules.out_modes:
-                raise ModeCollisionError(
-                    "transform output mode already occupied by an untouched photon"
-                )
-            else:
-                base[m] = n
-        if not moving:
-            return None, self.intern(pattern), None
-        # multisets of output modes, one photon at a time
-        slots: dict[tuple[Mode, ...], int] = {(): 0}
-        layers = []
-        for m, n in moving:
-            outs = [mo for mo, _ in rules[m]]
-            for _ in range(n):
-                grown: dict[tuple[Mode, ...], int] = {}
-                ops = []
-                for key, src in slots.items():
-                    for j, mo in enumerate(outs):
-                        ops.append((src, j, grown.setdefault(tuple(sorted(key + (mo,))), len(grown))))
-                layers.append((m, tuple(ops), len(grown)))
-                slots = grown
-        finals = []
-        for key, slot in slots.items():
-            counts = dict(base)
-            for mo in key:
-                counts[mo] = counts.get(mo, 0) + 1
-            norm_out = 1
-            for n in counts.values():
-                norm_out *= _FACTORIALS[n]
-            finals.append((slot, self.intern(tuple(sorted(counts.items()))), math.sqrt(norm_out)))
-        return tuple(layers), tuple(finals), math.sqrt(norm_in)
 
 
 def tensor(a: State, b: State) -> State:

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .dsl import DetectDecl
 from .fock import PRUNE_EPS, Pattern, PatternTable, PolarizationMixtureError, State, prune
 
 MIXTURE = "outputs that differ only in an absorbed photon's polarization leave a mixture, not a state"
@@ -49,24 +50,6 @@ IDEAL_DETECTORS = DetectorModel(eta_p=1.0)
 
 
 @dataclass(frozen=True)
-class DetectorGroup:
-    """A named set of detectors that succeeds on exactly one click.
-
-    ``eta`` overrides the run-level detector efficiency for this group when
-    set (the recycling detectors of the nondemolition protocol are modeled
-    as ideal, for instance).
-    """
-
-    name: str
-    modes: tuple[str, ...]
-    eta: float | None = None
-
-    def __post_init__(self):
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError(f"detector group {self.name!r} repeats a mode")
-
-
-@dataclass(frozen=True)
 class HeraldOutcome:
     """One detector click pattern and what it leaves behind.
 
@@ -87,7 +70,7 @@ class HeraldOutcome:
     residual: State = field(default_factory=State)
 
 
-def detection_factor(groups: Sequence[DetectorGroup], model: DetectorModel) -> float:
+def detection_factor(groups: Sequence[DetectDecl], model: DetectorModel) -> float:
     """The efficiency factor of a success: one per group that must click."""
     factor = 1.0
     for g in groups:
@@ -115,8 +98,8 @@ def herald_terms(tab: PatternTable, terms, groups, corrections) -> list[tuple]:
     outcomes = []
     for sig in sorted(buckets):
         component = buckets[sig]
-        weight = sum(abs(a) ** 2 for _, a in component)
-        if weight <= PRUNE_EPS**2:
+        weight = sum([(m := abs(a)) * m for _, a in component])
+        if weight <= PRUNE_EPS * PRUNE_EPS:
             continue
         counts = dict(sig)
         success = all(sum(counts.get(d, 0) for d in g.modes) == 1 for g in groups)
@@ -137,7 +120,7 @@ def residual(component: list[tuple[int, complex]], weight: float) -> dict[int, c
 
 def herald(
     state: State,
-    groups: Sequence[DetectorGroup],
+    groups: Sequence[DetectDecl],
     model: DetectorModel = IDEAL_DETECTORS,
     corrections: Mapping[str, str] | None = None,
 ) -> list[HeraldOutcome]:
@@ -147,7 +130,11 @@ def herald(
     click.  ``corrections`` maps a detector mode to the spatial mode
     that needs a phase flip when that detector fires.  Outcomes are sorted
     by click signature; their weights partition the input's squared norm.
+    Raises ValueError if a group repeats a mode.
     """
+    for g in groups:
+        if len(set(g.modes)) != len(g.modes):
+            raise ValueError(f"detector group {g.group!r} repeats a mode")
     factor = detection_factor(groups, model)
     tab = PatternTable()
     return [

@@ -215,6 +215,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{mixture}", "--alpha-sq", "0.6"), 2),
         (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t1", "1.5"), 3),
         (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "-0.5"), 3),
+        (("run", "--alpha-sq", "0.6", "--out", "{missing_dir}"), 4),
+        (("sweep", "--alpha-sq-list", "0.5", "--trials", "100", "--out", "{missing_dir}"), 4),
     ],
     ids=[
         "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
@@ -224,7 +226,8 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
         "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
-        "polarization-mixture", "t1-over-1", "t2-below-0",
+        "polarization-mixture", "t1-over-1", "t2-below-0", "run-out-missing-dir",
+        "sweep-out-missing-dir",
     ],
 )
 def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
@@ -256,6 +259,7 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.ecp"
         paths[name].write_text(text, encoding="utf-8")
+    paths["missing_dir"] = tmp_path / "missing" / "out"
     got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert got == code
     assert out == ""

@@ -15,7 +15,7 @@ from ecpsim.elements import (
     merge_terms,
     split_terms,
 )
-from ecpsim.fock import ModeCollisionError, PatternTable, State, make_pattern, single_photon, tensor
+from ecpsim.fock import CheckedRules, ModeCollisionError, PatternTable, State, make_pattern, single_photon, tensor
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -67,7 +67,7 @@ class TestPbs:
         expect = single_photon([("y", "H", 0.6), ("y", "V", 0.8j)])
         assert back == expect
 
-    def test_split_and_merge_on_one_table_keep_their_own_programs(self):
+    def test_split_and_merge_on_one_table_keep_their_own_ports(self):
         # a split x -> (y, z) and a merge (x, y) -> z name the same ports
         tab = PatternTable()
         s = single_photon([("x", "H", 0.6), ("x", "V", 0.8)])
@@ -82,9 +82,11 @@ class TestPbs:
         (("h", "y", "v", "y"), ("a", "V")),  # merge: H of h and V of v to y
     ])
     def test_relabels_equal_the_transform(self, ports, bystander):
-        # keys, order and values on multi-photon terms, cold and warm; an
-        # occupied output raises the transform's error
+        # keys, order and the collision message equal the transform's on multi-photon terms, cold
+        # and warm; each amplitude comes back exactly as it went in, which is the transform's
+        # value on the terms of one photon per mode; an occupied output raises the transform's error
         h_in, h_out, v_in, v_out = ports
+        rules = CheckedRules({(h_in, "H"): [((h_out, "H"), 1.0)], (v_in, "V"): [((v_out, "V"), 1.0)]})
 
         def relabel(tab, terms):
             if h_in == v_in:
@@ -101,12 +103,16 @@ class TestPbs:
         ]
         tab = PatternTable()
         terms = tab.of(State({make_pattern(c): complex(*rng.normal(size=2)) for c in patterns}))
-        want = list(tab.transform(terms, elements._pbs_rules(*ports)).items())
-        assert list(relabel(tab, terms).items()) == want
-        assert list(relabel(tab, terms).items()) == want
+        want = tab.transform(terms, rules)
+        got = relabel(tab, terms)
+        assert list(got) == list(want)
+        assert list(relabel(tab, terms).items()) == list(got.items())
+        assert list(got.values()) == list(terms.values())
+        single = [q for p, q in zip(terms, got) if all(n == 1 for _, n in tab.patterns[p])]
+        assert len(single) == 2 and all(got[q] == want[q] for q in single)
         occupied = tab.of(State({make_pattern({(h_in, "H"): 1, (h_out, "H"): 1}): 1.0}))
         with pytest.raises(ModeCollisionError) as by_transform:
-            tab.transform(occupied, elements._pbs_rules(*ports))
+            tab.transform(occupied, rules)
         with pytest.raises(ModeCollisionError) as by_relabel:
             relabel(tab, occupied)
         assert str(by_relabel.value) == str(by_transform.value)

@@ -22,7 +22,7 @@ import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, evaluate_expr, evaluate_real, parse
-from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_relabels, merge_terms, vbs_pair, vbs_rules
+from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_pair, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
@@ -51,7 +51,7 @@ from ecpsim.fock import (
     terms_inner,
     terms_norm_sq,
 )
-from ecpsim.measurement import MIXTURE, DetectorGroup, DetectorModel, detection_factor, herald_terms, qnd_class, residual
+from ecpsim.measurement import MIXTURE, DetectorModel, detection_factor, herald_terms, qnd_class, residual
 from ecpsim.params import EntanglementParams, ParameterError, PolarizationParams, vbs_pair_schedule, vbs_schedule
 from ecpsim.verify import corrupted_coupler
 
@@ -405,8 +405,7 @@ def test_stage_tables_are_keyed_on_structure_only(name):
     assert not any(_holds_float(k) for k in warm)
     prologues = tab.stages[("point",)]  # one generated prologue per point kind, keyed on the kind alone
     assert set(prologues) == {"V" if name.endswith("_stripped") else "HV"} and all(map(callable, prologues.values()))
-    assert {stage[0] for stage in tab.stages} <= {
-        "chain", "pbs split", "pbs merge", "point", "score"}
+    assert {stage[0] for stage in tab.stages} <= {"chain", "point", "score"}
     # bounded by the layout's reachable patterns, not by the points run
     assert len(tab.patterns) <= 128 and len(warm) <= 512
 
@@ -424,12 +423,13 @@ def test_report_templates_are_keyed_on_structure_only(name):
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
 def test_a_warm_point_runs_no_transform(name, monkeypatch):
-    # after warm-up a point compiles nothing: the merge is a relabel, every round a stored program
-    # and generated function, the photons (sources, split and target) one generated prologue,
-    # and no chain builds CheckedRules or DetectorGroups, walks an expression tree, runs the
-    # split or an expression function of the parser module, or scores through dicts
-    _run_batch(name, seed=1)
-    counts = dict.fromkeys(("transform", "program", "rules", "groups", "merge", "fidelity", "photon", "walk",
+    # after warm-up a point compiles nothing: every round is a generated function, the photons
+    # (sources, split and target) one generated prologue, and no point runs a transform, a
+    # herald or a polarizing-splitter relabel, builds CheckedRules, walks an expression tree,
+    # runs the split or an expression function of the parser module, or scores through dicts.
+    # The counters count: a cold plan table's first batch runs the transform, the herald and,
+    # where the layout has a polarizing splitter, the relabel
+    counts = dict.fromkeys(("transform", "herald", "relabel", "rules", "merge", "fidelity", "photon", "walk",
                             "kernel", "scoring", "split", "compiled"), 0)
     parser = set()  # the parser module's functions and generated expressions called
 
@@ -440,10 +440,10 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
         return call
 
     monkeypatch.setattr(PatternTable, "transform", counted("transform", PatternTable.transform))
-    monkeypatch.setattr(PatternTable, "_program", counted("program", PatternTable._program))
+    monkeypatch.setattr(ecpsim.engine, "herald_terms", counted("herald", ecpsim.engine.herald_terms))
+    monkeypatch.setattr(ecpsim.elements, "_relabel", counted("relabel", ecpsim.elements._relabel))
     monkeypatch.setattr(CheckedRules, "__init__", counted("rules", CheckedRules.__init__))
-    monkeypatch.setattr(DetectorGroup, "__post_init__", counted("groups", DetectorGroup.__post_init__))
-    monkeypatch.setattr(ecpsim.elements, "merge_terms", counted("merge", ecpsim.elements.merge_terms))
+    monkeypatch.setattr(ecpsim.engine, "merge_terms", counted("merge", ecpsim.engine.merge_terms))
     monkeypatch.setattr(ecpsim.fock, "terms_fidelity", counted("fidelity", ecpsim.fock.terms_fidelity))
     monkeypatch.setattr(PatternTable, "photon", counted("photon", PatternTable.photon))
     monkeypatch.setattr(ecpsim.engine, "emit_expr", counted("walk", ecpsim.engine.emit_expr))
@@ -451,7 +451,11 @@ def test_a_warm_point_runs_no_transform(name, monkeypatch):
     monkeypatch.setattr(ecpsim.engine, "_scoring", counted("scoring", ecpsim.engine._scoring))
     monkeypatch.setattr(ecpsim.engine, "split_terms", counted("split", ecpsim.engine.split_terms))
     monkeypatch.setattr(ecpsim.engine, "compiled", counted("compiled", ecpsim.engine.compiled))
-    assert not {"merge_terms", "terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # none bound here
+    assert not {"terms_fidelity", "evaluate_expr"} & vars(ecpsim.engine).keys()  # neither bound here
+    monkeypatch.setattr(ecpsim.engine, "analyze", functools.lru_cache(ecpsim.engine.analyze.__wrapped__))
+    _run_batch(name, seed=1)
+    assert counts["transform"] and counts["herald"] and bool(counts["relabel"]) != name.endswith("_stripped")
+    counts.update(dict.fromkeys(counts, 0))
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename in (ecpsim.dsl.__file__, "<expression>"):
@@ -545,7 +549,7 @@ def _staged_round(tab, arms, current, ts, bindings, model):
         aux = tab.transform(aux, vbs_rules(v.inp, v.reflect, v.transmit, t))
         work = tab.of(tensor(tab.state(work), tab.state(aux)))
     classes = {p: {qnd_class(tab.patterns[p], a.qnd.a, a.qnd.b) for a in arms if a.qnd} for p in work}
-    groups = [DetectorGroup(a.success_group.group, a.success_group.modes, a.success_group.eta) for a in arms]
+    groups = [a.success_group for a in arms]
     wins = _staged_successes(
         tab, {p: a for p, a in work.items() if classes[p] <= {1}},
         [a.success_bs for a in arms], groups, {d: m for a in arms for d, m in a.flips.items()},
@@ -553,7 +557,7 @@ def _staged_round(tab, arms, current, ts, bindings, model):
     )
     again, nxt = [], {}
     if all(a.recycle_bs for a in arms):
-        recycle = [DetectorGroup(a.recycle_group.group, a.recycle_group.modes, a.recycle_group.eta) for a in arms]
+        recycle = [a.recycle_group for a in arms]
         again = _staged_successes(
             tab, {p: a for p, a in work.items() if classes[p] <= {0}},
             [a.recycle_bs for a in arms], recycle,
@@ -688,15 +692,9 @@ def _dict_combine_recycle(again, weight):
     return {p: a * scale for p, a in first.items()}
 
 
-def _dict_merge(tab, raw, ports):
-    """``merge_terms`` without its prune: each id relabeled and scaled as ``(a * N) / n``."""
-    stage = merge_relabels(tab, tuple(raw), *ports)
-    return {stage[q][0]: (a * stage[q][1]) / stage[q][2] for q, a in raw.items()}
-
-
 def _dict_score(tab, sides, values, factor, ports):
     wins, again = _dict_wins(sides, values, factor)
-    merged = [raw if not ports else _dict_merge(tab, raw, ports) for _, _, raw in wins]
+    merged = [raw if not ports else merge_terms(tab, raw, *ports) for _, _, raw in wins]
     p_rec = sum((w for w, _, _ in again), 0.0)
     return sum((p for _, p, _ in wins), 0.0), merged, p_rec, _dict_combine_recycle(again, p_rec)
 
@@ -916,32 +914,28 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
     assert outcomes["DegenerateStateError"] or corrupt
 
 
-def test_the_merge_scale_matches_merge_terms():
-    # two photons in the merged mode: the merge scales by sqrt(N_out!) / sqrt(n_in!), as merge_terms
-    # does, and keeps an amplitude merge_terms prunes; V on the merge's H input is the merge error,
-    # kept in the round
+def test_the_merge_matches_merge_terms():
+    # two photons in the merged mode: the merge relabels each id one to one, as merge_terms does,
+    # and leaves every amplitude as it is (a polarizing merge keeps every occupation count, so
+    # sqrt(N_out!) / sqrt(n_in!) is 1); V on the merge's H input is the merge error, kept in the round
     tab = PatternTable()
     pair = tab.intern(((("b9", "H"), 2),))
     mixed = tab.intern(((("b6", "V"), 1), (("b9", "H"), 1)))
     wrong = tab.intern(((("b9", "V"), 1),))
     won = (((("d1", 1),), (pair, mixed)), ((("d2", 1),), (wrong,)))
     ports = ("b9", "b6", "b10")
-    rng = random.Random(5)
-    near = (cmath.rect(PRUNE_EPS * (1 + rng.randrange(64) * 2.0**-52), rng.uniform(0, 2 * math.pi)) for _ in range(10**5))
-    edge = next(a for a in near if abs(a) >= PRUNE_EPS > abs((a * math.sqrt(2)) / math.sqrt(2)))  # merge_terms prunes it
-    sizes = []
-    for values in ([0.3 + 0.4j, -0.5j], [edge, 0.6 + 0.0j], [0.7 + 0.1j, edge]):
+    for values in ([0.3 + 0.4j, -0.5j], [0.6 + 0.0j, 0.7 + 0.1j]):
         program = _identity((won[:1], ()), 2)
-        assert _scored(tab, program, values, 0.8, ports) == _outcome(lambda: _dict_score(tab, program[2], values, 0.8, ports))
+        slots = _dict_slots(program[1], values)  # summed from 0j, as the round sums its slots
+        assert _scored(tab, program, values, 0.8, ports) == _outcome(lambda: _dict_score(tab, program[2], slots, 0.8, ports))
         [state] = _states(_armless(tab, program, ports)(values, 0.8))
-        pruned = merge_terms(tab, dict(zip((pair, mixed), values)), *ports)
-        assert all(state[q] == a for q, a in pruned.items())
-        sizes.append((len(state), len(pruned)))
+        merged = merge_terms(tab, dict(zip((pair, mixed), slots)), *ports)
+        assert repr(list(state.items())) == repr(list(merged.items())) and list(merged.values()) == slots
+        assert [tab.patterns[q] for q in merged] == [((("b10", "H"), 2),), ((("b10", "H"), 1), (("b10", "V"), 1))]
         program = _identity((won, ()), 3)
         got = _scored(tab, program, [*values, 0.1j], 0.8, ports)
         assert got == _outcome(lambda: _dict_score(tab, program[2], [*values, 0.1j], 0.8, ports))
         assert got == ("PortContractError", "pbs merge: input 'b9' carries V amplitude")
-    assert sizes == [(2, 2), (2, 1), (2, 2)]  # merge_terms drops the edge amplitude on the two-photon id only
 
 
 def test_a_signature_counts_where_it_weighs_more_than_0():
@@ -974,11 +968,23 @@ def test_a_slot_sums_its_products_from_0j_in_order():
     assert kernel(cases[0], 1.0).amps[0] not in (3 + 5j, 0j)  # the order shows
 
 
-def test_split_and_merge_run_on_the_plan_table():
-    tab = analyze(builtin_doc("ecp1")).table
+def test_split_and_merge_run_on_the_plan_table(monkeypatch):
+    # the prologue's signal holds the split's ids and the heralded states the merge's ids, each
+    # interned in the plan's table
+    plan = analyze(builtin_doc("ecp1"))
+    tab, wins, rounds = plan.table, set(), ecpsim.engine._rounds
+
+    def record(tab, ts, chains, target):
+        wins.update(q for chain in chains for book in chain for ids in book.wins if ids for q in ids)
+        return rounds(tab, ts, chains, target)
+
+    monkeypatch.setattr(ecpsim.engine, "_rounds", record)
     _run_batch("ecp1", seed=3)
-    assert tab.stages[("pbs split", "b1", "b3", "b2")]
-    assert tab.stages[("pbs merge", "b9", "b6", "b10")]
+    split = {tab.ids[(((sp, pol), 1),)] for sp, pol in (("b3", "H"), ("b2", "V"))}
+    merged = {tab.ids[((("b10", pol), 1),)] for pol in "HV"}
+    signal = _prologue(plan, POL)({"alpha": ENT.alpha, "beta": ENT.beta, "gamma": POL.gamma, "delta": POL.delta})[0]
+    assert split <= signal.keys() and not any(pattern_count(tab.patterns[q], "b1") for q in signal)
+    assert merged <= wins and not any(pattern_count(tab.patterns[q], m) for q in wins for m in ("b6", "b9"))
 
 
 def test_plans_and_their_tables_are_cached_per_document():

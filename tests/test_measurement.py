@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ecpsim.dsl import DetectDecl
 from ecpsim.elements import apply_bs, apply_phase_flip, apply_vbs
 from ecpsim.fock import PolarizationMixtureError, State, make_pattern, single_photon, tensor
 from ecpsim.measurement import (
-    DetectorGroup,
     DetectorModel,
     herald,
     qnd_component,
@@ -78,7 +78,7 @@ class TestHerald:
     def test_outcome_partition_and_order(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = herald(after, [DetectorGroup("g", ("d1", "d2"))])
+        outs = herald(after, [DetectDecl("g", ("d1", "d2"))])
         assert sum(o.weight for o in outs) == pytest.approx(after.norm_sq(), abs=1e-12)
         sigs = [o.clicks for o in outs]
         assert sigs == sorted(sigs)
@@ -86,7 +86,7 @@ class TestHerald:
     def test_success_tagging(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = herald(after, [DetectorGroup("g", ("d1", "d2"))])
+        outs = herald(after, [DetectDecl("g", ("d1", "d2"))])
         by_clicks = {o.clicks: o for o in outs}
         assert by_clicks[(("d1", 1),)].success
         assert by_clicks[(("d2", 1),)].success
@@ -99,14 +99,14 @@ class TestHerald:
     def test_single_click_probability(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = successes(herald(after, [DetectorGroup("g", ("d1", "d2"))]))
+        outs = successes(herald(after, [DetectDecl("g", ("d1", "d2"))]))
         assert sum(o.probability for o in outs) == pytest.approx(0.36, abs=1e-12)
 
     def test_correction_restores_minus_outcome(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
         outs = successes(
-            herald(after, [DetectorGroup("g", ("d1", "d2"))], corrections={"d2": "b6"})
+            herald(after, [DetectDecl("g", ("d1", "d2"))], corrections={"d2": "b6"})
         )
         by_clicks = {o.clicks: o for o in outs}
         d1 = by_clicks[(("d1", 1),)]
@@ -120,7 +120,7 @@ class TestHerald:
     def test_residual_strips_detected_photons(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
-        outs = herald(after, [DetectorGroup("g", ("d1", "d2"))])
+        outs = herald(after, [DetectDecl("g", ("d1", "d2"))])
         for o in outs:
             assert not ({"d1", "d2"} & o.residual.spatial_modes())
 
@@ -128,7 +128,7 @@ class TestHerald:
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
         model = DetectorModel(eta_p=0.8)
-        outs = herald(after, [DetectorGroup("g", ("d1", "d2"))], model=model)
+        outs = herald(after, [DetectDecl("g", ("d1", "d2"))], model=model)
         succ = [o for o in outs if o.success]
         fail = [o for o in outs if not o.success]
         assert sum(o.probability for o in succ) == pytest.approx(0.36 * 0.8, abs=1e-12)
@@ -140,7 +140,7 @@ class TestHerald:
         after = apply_bs(s, "b2", "b5", "d1", "d2")
         model = DetectorModel(eta_p=0.8)
         outs = successes(
-            herald(after, [DetectorGroup("g", ("d1", "d2"), eta=1.0)], model=model)
+            herald(after, [DetectDecl("g", ("d1", "d2"), eta=1.0)], model=model)
         )
         assert sum(o.probability for o in outs) == pytest.approx(0.36, abs=1e-12)
 
@@ -151,7 +151,7 @@ class TestHerald:
         model = DetectorModel(eta_p=0.8)
         outs = herald(
             s,
-            [DetectorGroup("g1", ("d1", "d2")), DetectorGroup("g2", ("d3", "d4"))],
+            [DetectDecl("g1", ("d1", "d2")), DetectDecl("g2", ("d3", "d4"))],
             model=model,
         )
         assert len(outs) == 1
@@ -161,21 +161,21 @@ class TestHerald:
     def test_joint_requirement_fails_if_one_group_empty(self):
         s = single_photon([("d1", "V", 1.0)])
         outs = herald(
-            s, [DetectorGroup("g1", ("d1", "d2")), DetectorGroup("g2", ("d3", "d4"))]
+            s, [DetectDecl("g1", ("d1", "d2")), DetectDecl("g2", ("d3", "d4"))]
         )
         assert len(outs) == 1
         assert not outs[0].success
 
     def test_vacuum_residual(self):
         s = single_photon([("d1", "V", 1.0)])
-        outs = herald(s, [DetectorGroup("g", ("d1", "d2"))])
+        outs = herald(s, [DetectDecl("g", ("d1", "d2"))])
         assert outs[0].residual == State({(): 1.0})
 
     def test_corrected_raw_keeps_weight(self):
         s = plus_arm_state(0.6, 0.5)
         after = apply_bs(s, "b2", "b5", "d1", "d2")
         outs = successes(
-            herald(after, [DetectorGroup("g", ("d1", "d2"))], corrections={"d2": "b6"})
+            herald(after, [DetectDecl("g", ("d1", "d2"))], corrections={"d2": "b6"})
         )
         for o in outs:
             raw = corrected(o).scaled(math.sqrt(o.weight))
@@ -190,8 +190,8 @@ class TestDetectorModel:
             DetectorModel(eta_p=-0.1)
 
     def test_group_validation(self):
-        with pytest.raises(ValueError):
-            DetectorGroup("g", ("d1", "d1"))
+        with pytest.raises(ValueError, match="detector group 'g' repeats a mode"):
+            herald(single_photon([("d1", "V", 1.0)]), [DetectDecl("g", ("d1", "d1"))])
 
 
 def test_outcomes_that_differ_only_in_an_absorbed_polarization_are_a_mixture():
@@ -199,8 +199,8 @@ def test_outcomes_that_differ_only_in_an_absorbed_polarization_are_a_mixture():
     # detector cannot tell them apart, so the two outputs do not add coherently
     state = apply_bs(single_photon([("b2", "H", 0.6), ("b5", "V", 0.8)]), "b2", "b5", "d1", "d2")
     with pytest.raises(PolarizationMixtureError):
-        herald(state, [DetectorGroup("g", ("d1", "d2"))])
+        herald(state, [DetectDecl("g", ("d1", "d2"))])
     # one polarization per path still heralds normalized residuals
     state = apply_bs(single_photon([("b2", "V", 0.6), ("b5", "V", 0.8)]), "b2", "b5", "d1", "d2")
-    outcomes = herald(state, [DetectorGroup("g", ("d1", "d2"))])
+    outcomes = herald(state, [DetectDecl("g", ("d1", "d2"))])
     assert [o.residual.norm_sq() for o in outcomes] == pytest.approx([1.0, 1.0])
