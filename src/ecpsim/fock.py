@@ -51,8 +51,9 @@ PRUNE_EPS = 1e-15  # smallest amplitude magnitude a State term or compiled coeff
 NORM_TOL = 1e-12  # a norm at or below it is (numerically) zero; also a unit norm's slack
 ISOMETRY_TOL = 1e-12  # largest deviation of a transform's column overlaps from the identity
 RECYCLE_AGREEMENT_TOL = 1e-9  # largest infidelity between two recycle click patterns' states
-EXACT_TOL = 1e-12  # verify: absolute error of an exact probability or fidelity check
-ORACLE_TOL = 1e-9  # verify: largest absolute engine-oracle difference of a probability or fidelity
+EXACT_TOL = 1e-12  # verify: relative error of an exact probability or fidelity check
+ORACLE_TOL = 1e-9  # verify: largest relative engine-oracle difference of a probability or fidelity
+UNDERFLOW_FLOOR = 1e-300  # verify: a probability at or below it is compared as 0 (it may have underflowed)
 PHOTON_CAP = 6
 
 Mode = tuple[str, str]
@@ -178,9 +179,9 @@ class State:
     def scaled(self, factor: complex) -> "State":
         return State._trusted({p: a * factor for p, a in self._terms.items()})
 
-    def normalized(self, tol: float = NORM_TOL) -> "State":
+    def normalized(self) -> "State":
         n2 = self.norm_sq()
-        if n2 <= tol * tol:
+        if n2 <= NORM_TOL * NORM_TOL:
             raise DegenerateStateError("cannot normalize a (near-)zero state")
         return self.scaled(1.0 / math.sqrt(n2))
 
@@ -226,10 +227,9 @@ def terms_inner(a: Mapping, b: Mapping) -> complex:
     return sum([aa.conjugate() * ab for p, aa in a.items() if (ab := b.get(p, 0j))], 0j)
 
 
-def terms_fidelity(a: Mapping, b: Mapping, na: float | None = None, nb: float | None = None) -> float:
-    """``fidelity``; ``na``/``nb`` are the squared norms when the caller holds them."""
-    na = terms_norm_sq(a) if na is None else na
-    nb = terms_norm_sq(b) if nb is None else nb
+def terms_fidelity(a: Mapping, b: Mapping) -> float:
+    """``fidelity`` of two ``{key: amplitude}`` dicts."""
+    na, nb = terms_norm_sq(a), terms_norm_sq(b)
     if na <= NORM_TOL**2 or nb <= NORM_TOL**2:
         raise DegenerateStateError("fidelity of a (near-)zero state is undefined")
     m = abs(terms_inner(a, b))

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 
 from .circuits import Arm, builtin_doc, layout
-from .dsl import CircuitDoc, PbsMergeDecl, evaluate_real
+from .dsl import CircuitDoc, PbsMergeDecl, evaluate_real, parse_expr
 
 _R = 0.7071067811865476  # 1 / sqrt(2)
 
@@ -102,37 +102,51 @@ def _split_final(final, detectors):
 
 
 def _vec_norm_sq(vec: dict) -> float:
-    return sum(abs(a) ** 2 for a in vec.values())
+    return sum((m := abs(a)) * m for a in vec.values())
+
+
+def _vec_norm(vec: dict) -> float:
+    return math.hypot(*(abs(a) for a in vec.values()))
 
 
 def _vec_fidelity(vec: dict, target: dict) -> float:
-    n1 = _vec_norm_sq(vec)
-    n2 = _vec_norm_sq(target)
-    if n1 * n2 <= 0.0:  # the product underflows long before either norm
+    """|<target|vec>|^2 of the normalized vectors, each amplitude normalized before it is
+    multiplied, so that no product underflows."""
+    n1, n2 = _vec_norm(vec), _vec_norm(target)
+    if not n1 or not n2:
         raise ValueError("fidelity of an empty amplitude vector")
-    ip = sum(target[k].conjugate() * a for k, a in vec.items() if k in target)
-    return min(abs(ip) ** 2 / (n1 * n2), 1.0)
+    m = abs(sum((target[k] / n2).conjugate() * (a / n1) for k, a in vec.items() if k in target))
+    return min(m * m, 1.0)
 
 
 def _flip(vec: dict, spatial: str) -> dict:
     return {(m, p): (-a if m == spatial else a) for (m, p), a in vec.items()}
 
 
-def _schedule(alpha_sq: float, rounds: int) -> list[float]:
-    ratio = (1.0 - alpha_sq) / alpha_sq
+def _schedule(alpha_sq: float, rounds: int) -> list[tuple[float, float]]:
+    """Round k's coupler pair (sqrt(1 - t), sqrt(t)) = (1/sqrt(1 + e^-x), 1/sqrt(1 + e^x)), from the
+    log-odds x = 2^(k-1) ln((1 - alpha^2) / alpha^2) without forming 1 - t; the smaller entry is
+    e^(-|x|/2) / sqrt(1 + e^-|x|), so that no exponential overflows."""
+    x = math.log(1.0 - alpha_sq) - math.log(alpha_sq)
     out = []
     for _ in range(rounds):
-        out.append(1.0 / (1.0 + ratio))
-        ratio = ratio * ratio
+        e = math.exp(-abs(x))
+        large, small = 1.0 / math.sqrt(1.0 + e), math.exp(-0.5 * abs(x)) / math.sqrt(1.0 + e)
+        out.append((large, small) if x >= 0.0 else (small, large))
+        x += x
     return out
 
 
-def _aux_photon(arm: Arm, t: float, bindings) -> list:
+def _pair(t: float) -> tuple[float, float]:
+    return math.sqrt(1.0 - t), math.sqrt(t)
+
+
+def _aux_photon(arm: Arm, pair: tuple[float, float], bindings) -> list:
+    """The arm's auxiliary photon behind its coupler, of pair (sqrt(1 - t), sqrt(t))."""
     out = []
     for s in arm.aux_sources:
         amp = evaluate_real(s.amp, bindings)
-        out.append((amp * math.sqrt(1.0 - t), arm.vbs.reflect, s.pol))
-        out.append((amp * math.sqrt(t), arm.vbs.transmit, s.pol))
+        out += [(amp * pair[0], arm.vbs.reflect, s.pol), (amp * pair[1], arm.vbs.transmit, s.pol)]
     return out
 
 
@@ -192,6 +206,8 @@ def _collect_heralded(buckets, detectors, want_classes, group_sets, flips):
         vec[residual[0]] = vec.get(residual[0], 0j) + amp
     corrected = {}
     for clicks, vec in residuals.items():
+        if not _vec_norm_sq(vec):  # the one underflow rule: a weight that squares to 0 is no click
+            continue
         for (d, _n) in clicks:
             if d in flips:
                 vec = _flip(vec, flips[d])
@@ -206,9 +222,9 @@ def _combine_recycle(per_click: dict):
     for v in vecs[1:]:
         if _vec_fidelity(vecs[0], v) < 1.0 - 1e-9:
             raise AssertionError("recycle continuations disagree after correction")
-    weight = sum(_vec_norm_sq(v) for v in vecs)
-    scale = math.sqrt(weight / _vec_norm_sq(vecs[0]))
-    return {k: a * scale for k, a in vecs[0].items()}, weight
+    norms = [_vec_norm(v) for v in vecs]
+    scale = math.hypot(*norms) / norms[0]
+    return {k: a * scale for k, a in vecs[0].items()}, sum(map(_vec_norm_sq, vecs))
 
 
 def _herald(arms, photons, couplers, want: int, flips: dict) -> dict:
@@ -222,9 +238,7 @@ def _herald(arms, photons, couplers, want: int, flips: dict) -> dict:
     paths = [_propagate(p, stages) for p in photons]
     buckets = _buckets(paths, [(i, a, b) for i, (_q, a, b) in enumerate(qnd)])
     groups = [{b.out1, b.out2} for b in couplers]
-    return _collect_heralded(
-        buckets, set().union(*groups), tuple(want for _ in qnd), groups, flips
-    )
+    return _collect_heralded(buckets, set().union(*groups), tuple(want for _ in qnd), groups, flips)
 
 
 def _run_round(arms, photons, eta: float, flips: dict):
@@ -239,7 +253,7 @@ def _run_round(arms, photons, eta: float, flips: dict):
     corrected = _herald(arms, photons, [a.success_bs for a in arms], 1, flips)
     etas = [a.success_group.eta for a in arms]
     factor = eta ** etas.count(None) * math.prod(e for e in etas if e is not None)
-    p_success = sum(_vec_norm_sq(v) for v in corrected.values()) * factor
+    p_success = sum(_vec_norm_sq(v) * factor for v in corrected.values())
     if arms[0].recycle_bs is None:
         return corrected, p_success, None, 0.0
     per_click = _herald(arms, photons, [a.recycle_bs for a in arms], 0, flips)
@@ -247,8 +261,9 @@ def _run_round(arms, photons, eta: float, flips: dict):
 
 
 def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings, pol):
-    """Rounds of ``doc``; each coupler reads its ``t=`` with ``t1``/``t_plus`` and
-    ``t2``/``t_minus`` bound to ``schedules[0]`` and ``schedules[-1]``.
+    """Rounds of ``doc`` over the coupler pairs ``schedules[0]`` (of ``t1``/``t_plus``) and
+    ``schedules[-1]`` (of ``t2``/``t_minus``): a bare ``t=`` parameter takes its pair, any other
+    ``t=`` is evaluated with each parameter bound to its pair's sqrt(t) squared.
 
     Branch accounting runs one chain per arm, on the signal components not
     in another arm; joint accounting one chain with every arm.  ``pol`` is
@@ -270,16 +285,19 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
         ]
     else:
         chains, currents = [arms], [signal]
+    bare = {a.vbs.t: node[1] for a in arms if (node := parse_expr(a.vbs.t))[0] == "var"}
     out = []
-    for k in range(len(schedules[0])):
-        plus, minus = schedules[0][k], schedules[-1][k]
-        round_bindings = {**bindings, "t1": plus, "t_plus": plus, "t2": minus, "t_minus": minus}
+    for plus, minus in zip(schedules[0], schedules[-1]):
+        pairs = {"t1": plus, "t_plus": plus, "t2": minus, "t_minus": minus}
+        round_bindings = {**bindings, **{name: s * s for name, (_c, s) in pairs.items()}}
+        arm_pairs = {a.vbs.t: pairs.get(bare.get(a.vbs.t)) or _pair(evaluate_real(a.vbs.t, round_bindings))
+                     for a in arms}
         per_chain, p_round, p_rec_round, books = {}, 0.0, 0.0, []
         for i, chain_arms in enumerate(chains):
             label = chain_arms[0].signal_mode if accounting == "branch" else None
             rv, p, pr, corrected = None, 0.0, 0.0, {}
             if currents[i]:
-                aux = [_aux_photon(a, evaluate_real(a.vbs.t, round_bindings), bindings) for a in chain_arms]
+                aux = [_aux_photon(a, arm_pairs[a.vbs.t], bindings) for a in chain_arms]
                 corrected, p, rv, pr = _run_round(chain_arms, [currents[i]] + aux, eta, flips)
                 p_round += p
                 p_rec_round += pr
@@ -318,16 +336,12 @@ def oracle_ecp1(
     eta: float = 1.0,
 ) -> dict:
     suffix, bindings, pol = _point(alpha_sq, gamma_sq)
-    schedules = [[alpha_sq if t1 is None else t1], [alpha_sq if t2 is None else t2]]
+    schedules = [[_pair(alpha_sq if t1 is None else t1)], [_pair(alpha_sq if t2 is None else t2)]]
     [(per_chain, book)] = _run_chain(
         builtin_doc("ecp1" + suffix), schedules, accounting, eta, bindings, pol
     )
     if accounting == "branch":
-        return {
-            "p_total": sum(per_chain.values()),
-            "per_arm": per_chain,
-            "fidelity": book["fidelity"],
-        }
+        return {"p_total": sum(per_chain.values()), "per_arm": per_chain, "fidelity": book["fidelity"]}
     return {"p_total": book["p_success"], "fidelity": book["fidelity"]}
 
 

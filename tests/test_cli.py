@@ -430,8 +430,12 @@ def test_verify_catches_the_planted_fault(capsys):
     assert "FAIL" in out
 
 
-def test_verify_reports_an_oracle_failure_as_a_failed_check(capsys):
-    # deep rounds at alpha^2 = 0.9 leave the oracle no amplitude to compare
+def test_verify_reports_an_oracle_failure_as_a_failed_check(capsys, monkeypatch):
+    # no accepted input makes the oracle raise any more, so one is planted
+    def empty(*args, **kwargs):
+        raise ValueError("fidelity of an empty amplitude vector")
+
+    monkeypatch.setattr("ecpsim.verify.oracle_ecp2", empty)
     code, out, err = run_cli(capsys, "verify", "--rounds", "8", "--alpha-sq", "0.9")
     assert code == 1
     assert err == ""

@@ -15,7 +15,7 @@ from ecpsim.dsl import parse
 from ecpsim.engine import TopologyError, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.oracle import _schedule, oracle_ecp1, oracle_ecp2
-from ecpsim.params import EntanglementParams, PolarizationParams
+from ecpsim.params import EntanglementParams, PolarizationParams, vbs_pair_schedule
 
 GRID_A2 = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_G2 = (None, 0.0, 0.3, 0.5, 1.0)
@@ -35,11 +35,17 @@ def test_oracle_anchors_stand_alone():
 
 
 def test_oracle_schedule_doubles_the_ratio():
-    ts = _schedule(0.6, 3)
-    assert ts[0] == pytest.approx(0.6, abs=1e-15)
-    assert ts[1] == pytest.approx(9 / 13, abs=1e-15)
-    r = (0.4 / 0.6) ** 4
-    assert ts[2] == pytest.approx(1 / (1 + r), abs=1e-15)
+    # the pairs (sqrt(1 - t), sqrt(t)) of t = 1 / (1 + r^(2^(k-1))), r = beta^2 / alpha^2
+    r = 0.4 / 0.6
+    for (c, s), t in zip(_schedule(0.6, 3), (0.6, 9 / 13, 1 / (1 + r**4))):
+        assert (c * c, s * s) == pytest.approx((1 - t, t), abs=1e-15)
+    # derived by the oracle alone, they are the engine's log-odds pairs to rounding
+    for a2 in (0.3, 0.6, 0.9):
+        got = [x for pair in _schedule(a2, 8) for x in pair]
+        want = [x for pair in vbs_pair_schedule(EntanglementParams.from_alpha_sq(a2), 8) for x in pair]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # no 1 - t is formed: at alpha^2 0.9, t rounds to 1 in round 6, but sqrt(1 - t) is not 0
+    assert 0.0 < _schedule(0.9, 6)[5][0] < 1e-15
 
 
 @pytest.mark.parametrize("a2", GRID_A2)
@@ -167,7 +173,7 @@ def test_oracle_rejects_a_document_the_engine_rejects():
         analyze(doc)
     _suffix, bindings, pol = oracle._point(0.6, None)
     with pytest.raises(TopologyError, match=message):
-        oracle._run_chain(doc, [[0.6]], "branch", 1.0, bindings, pol)
+        oracle._run_chain(doc, [[oracle._pair(0.6)]], "branch", 1.0, bindings, pol)
 
 
 @pytest.mark.parametrize("accounting", ("branch", "joint"))
@@ -178,11 +184,11 @@ def test_oracle_rejects_a_herald_blind_to_an_absorbed_polarization(accounting):
 
     _suffix, bindings, pol = oracle._point(0.6, None)
     with pytest.raises(ValueError, match=r"^click signature \(\('d1', 1\),\): "):
-        oracle._run_chain(parse(MIXTURE_LAYOUT), [[0.6]], accounting, 1.0, bindings, pol)
+        oracle._run_chain(parse(MIXTURE_LAYOUT), [[oracle._pair(0.6)]], accounting, 1.0, bindings, pol)
     # with its H component at amplitude 0 the b2 photon leaves a state again
     text = MIXTURE_LAYOUT.replace("pol=H amp=beta/sqrt(2)", "pol=H amp=0")
     doc = parse(text.replace("beta/sqrt(2)", "beta"))
-    [(_per_chain, book)] = oracle._run_chain(doc, [[0.6]], accounting, 1.0, bindings, pol)
+    [(_per_chain, book)] = oracle._run_chain(doc, [[oracle._pair(0.6)]], accounting, 1.0, bindings, pol)
     assert book["p_success"] == pytest.approx(0.48, rel=1e-12)
     assert book["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
@@ -252,6 +258,7 @@ def test_oracle_counts_a_heralding_group_efficiency():
     doc = parse(text)
     report = execute(doc, EntanglementParams.from_alpha_sq(0.6), model=DetectorModel(eta_p=0.8))
     _suffix, bindings, pol = oracle._point(0.6, None)
-    [(per_chain, _book)] = oracle._run_chain(doc, [[0.6], [0.6]], "branch", 0.8, bindings, pol)
+    pairs = [oracle._pair(0.6)]
+    [(per_chain, _book)] = oracle._run_chain(doc, [pairs, pairs], "branch", 0.8, bindings, pol)
     assert report.p_total == pytest.approx(0.24, rel=1e-12)
     assert sum(per_chain.values()) == pytest.approx(0.24, rel=1e-12)

@@ -7,11 +7,16 @@ message of what it raised.  A change that claims to move no oracle number
 must leave every entry as stored.  Regenerate with
 
     PYTHONPATH=src python tests/test_oracle_corpus.py --write
+
+which prints each outcome that moved, with the largest relative move of its
+numbers, or both texts where its shape changed.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +31,9 @@ VARIANTS = (
     ("oracle_ecp1", {"t1": 0.3, "t2": 0.7}),
     *(("oracle_ecp2", {"rounds": r}) for r in (1, 3, 8, 12)),
 )
+
+
+NUMBER = re.compile(r"(?<![\w.])-?\d+\.?\d*(?:e[-+]?\d+)?")  # a float or int literal in a repr
 
 
 def grid() -> list[tuple[float, float | None, str, float]]:
@@ -69,10 +77,27 @@ def test_corpus_replays_repr_for_repr():
     assert not changed, f"{len(changed)} of {len(stored)} points changed: {changed[:5]}"
 
 
+def move(old: str, new: str) -> str:
+    """How ``new`` differs from ``old``: the largest relative move of their numbers where the two
+    texts differ only in numbers, else both texts."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return f"{old} -> {new}"
+    pairs = zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new)))
+    rel = max(abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf) for a, b in pairs)
+    return f"largest relative move {rel:.3e}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_oracle_corpus.py --write")
     CORPUS.parent.mkdir(exist_ok=True)
+    stored = {e["point"]: e["outcomes"] for e in json.loads(CORPUS.read_text())} if CORPUS.exists() else {}
     entries = [replay(p) for p in grid()]
+    moved = 0
+    for entry in entries:
+        for (name, extra), new, old in zip(VARIANTS, entry["outcomes"], stored.get(entry["point"], [])):
+            if new != old:
+                moved += 1
+                print(f"{entry['point']} {name} {extra}: {move(old, new)}")
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
-    print(f"wrote {len(entries)} points to {CORPUS}")
+    print(f"wrote {len(entries)} points to {CORPUS}, {moved} outcomes moved")
