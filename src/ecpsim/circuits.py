@@ -190,10 +190,13 @@ def layout(doc: CircuitDoc) -> Layout:
                 )
             claimed_bs.add(rj)
             arm.recycle_bs = rbs
-            arm.recycle_group = _group_for(detect_list, rbs, claimed_detect)
-            arm.recycle_flips = {
-                f.when: f.mode for f in flip_list if f.when in arm.recycle_group.modes
-            }
+            group = arm.recycle_group = _group_for(detect_list, rbs, claimed_detect)
+            if group.eta not in (None, 1.0):  # a recycle detection is ideal by convention
+                raise TopologyError(
+                    f"recycling detector group {group.group!r} sets eta={group.eta}; "
+                    "recycle detectors are ideal (eta=1.0)"
+                )
+            arm.recycle_flips = {f.when: f.mode for f in flip_list if f.when in group.modes}
         arms.append(arm)
 
     if len(claimed_bs) != len(bs_list):

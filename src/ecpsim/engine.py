@@ -24,31 +24,31 @@ Two accounting conventions are supported:
 
 Both go through one round loop, ``_run_chain``: branch accounting runs it
 once per arm, joint accounting once with all arms.  ``analyze`` is cached
-per document and adds one ``fock.PatternTable``, whose stage tables hold
-all that is compiled from pattern ids, ports and labels (never from alpha,
-gamma, t or a result): per point kind (with or without polarization) one
-generated prologue (``_prologue``) that evaluates every photon's amplitude
-expressions as ``dsl`` writes them and hands out each chain's input after
-the split and the branch restriction, the normalized target and each arm's
-auxiliary photon; per chain of arms, bound once per coupler matrix
-(``_bound``), its coupler rules, detector groups, flips and, per auxiliary
-and input ids, the whole round as one generated function (``_kernel``) that
-forms the products, sums each slot (an output id: product amplitudes times
-the coefficients of the couplers, herald and flips), weighs each click
-signature, merges the wins and checks and rescales the recycle continuation
-as straight-line code on locals; per round's win and target ids, one
-generated scorer (``_scoring``) that pairs the wins and scores them against
-the target.  Each is built on first touch.  A point computes only
-amplitudes and its coupler pairs ``(sqrt(1-t), sqrt(t))``; a recycling
-plan whose couplers read a bare planned parameter takes them from the
-log-odds (``params.vbs_pair_schedule``), free of the cancellation in 1 - t.
+per document and adds one ``fock.PatternTable``; the plan keeps all that is
+compiled from its pattern ids, ports and labels (never from alpha, gamma, t
+or a result): per point kind (with or without polarization) one generated
+prologue (``_prologue``) that evaluates every photon's amplitude expressions
+as ``dsl`` writes them and hands out each chain's input after the split and
+the branch restriction, the normalized target and each arm's auxiliary
+photon; per chain of arms and its auxiliary and input ids, the whole round
+as one generated function (``_slots``, ``_kernel``, compiled afresh under
+another coupler matrix) that forms the products, sums each slot (an output
+id: product amplitudes times the coefficients of the couplers, herald and
+flips), weighs each click signature, merges the wins and checks and
+rescales the recycle continuation as straight-line code on locals; per
+round's win and target ids, one generated scorer (``_scoring``) that pairs
+the wins and scores them against the target.  Each is built on first
+touch.  A point computes only amplitudes and its coupler pairs
+``(sqrt(1-t), sqrt(t))``; a recycling plan whose couplers read a bare
+planned parameter takes them from the log-odds
+(``params.vbs_pair_schedule``), free of the cancellation in 1 - t.
 
 No computed value is dropped: the prologue drops only exactly zero photon
 amplitudes, a round keeps every slot, and a signature counts where it
 weighs more than 0.  Only the compile step prunes, at ``fock.PRUNE_EPS``, the
-coefficient noise of the unit products it maps.  One underflow rule
-follows: a round whose probability underflows reports p 0 and fidelity
-null.
+coefficient noise of the unit products it maps.  A round whose probability
+is 0 (it underflows, or its detectors have efficiency 0) cannot succeed: it
+reports p 0 and fidelity null.
 
 Amplitudes are floats wherever they are real, so a point at real parameters
 runs in float arithmetic; a complex parameter or coupler phase runs the same
@@ -77,7 +77,6 @@ from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # Topolog
 from .dsl import (
     BindingError,  # raised by the generated photon code, as ParameterError and cmath are read there
     CircuitDoc,
-    PbsMergeDecl,
     SourceDecl,
     compiled,
     emit_expr,
@@ -127,13 +126,17 @@ class ConfigError(ValueError):
 
 @dataclass
 class Plan(Layout):
-    """A recognized layout, the parameters its expressions read, and the
-    ``PatternTable`` its runs share."""
+    """A recognized layout, the parameters its expressions read, the ``PatternTable`` its runs
+    share, and what its runs compile on that table's ids, each built on first touch."""
 
     coupler_reads: set[str] = field(default_factory=set)
     reads: set[str] = field(default_factory=set)  # by couplers and sources
     planned: tuple = field(kw_only=True)  # per arm, 0 where its t is t1/t_plus, 1 where t2/t_minus, else None
     table: PatternTable = field(default_factory=PatternTable, compare=False, repr=False)
+    prologues: dict = field(default_factory=dict, compare=False, repr=False)  # by point kind
+    # by arm labels: (the coupler matrix compiled at, {auxiliary ids: {input ids: round function}})
+    chains: dict = field(default_factory=dict, compare=False, repr=False)
+    scorers: dict = field(default_factory=dict, compare=False, repr=False)  # by win and target ids
 
 
 @functools.lru_cache(maxsize=32)
@@ -181,10 +184,10 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     per arm, the branch input of the ids holding no photon in another arm's signal mode; each
     arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes, or the error
     evaluating it raised, which the arm's chain raises where it reads the photon."""
-    tab, points = plan.table, plan.table.stage("point")
+    tab, prologues = plan.table, plan.prologues
     kind = "V" if pol is None else "HV"
-    if kind in points:
-        return points[kind]
+    if kind in prologues:
+        return prologues[kind]
     code, consts, loaded = [], {}, {}
 
     def const(value) -> str:
@@ -243,8 +246,8 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     arms = range(len(plan.arms))
     by_arm = "".join(f"{f'branch{i}' if f'branch{i}' in branches else 'signal'}, " for i in arms)
     code.append(f"return signal, ({by_arm}), target, ({''.join(f'aux{i}, ' for i in arms)})")
-    points[kind] = compiled("b", code, consts, "<photons>", globals())
-    return points[kind]
+    prologues[kind] = compiled("b", code, consts, "<photons>", globals())
+    return prologues[kind]
 
 
 def _aligned(first: list, second: list) -> tuple:
@@ -259,47 +262,11 @@ def _aligned(first: list, second: list) -> tuple:
 # ---------------------------------------------------------------------------
 # recycling chain
 
-class _Chain:
-    """A chain of arms as its points run it, bound once per plan, arm labels and coupler matrix:
-    the balanced-coupler ``matrix`` its ``rules`` (per side, its couplers' rules) are at, per side
-    its detector groups and flips (``setup``), the nondemolition pairs (``qnds``), the merge's
-    ``ports`` (() without one) and, per auxiliary output ids, its round functions by input ids
-    (``formed``).  A plain class: building a dataclass costs every fresh interpreter about a
-    millisecond."""
-
-    __slots__ = ("matrix", "rules", "setup", "qnds", "ports", "formed")
-
-    def __init__(self, matrix: tuple, rules: tuple, setup: list, qnds: list, ports: tuple):
-        self.matrix, self.rules, self.setup, self.qnds, self.ports = matrix, rules, setup, qnds, ports
-        self.formed = {}
-
-
-def _bound(tab: PatternTable, arms: list[Arm], merge: PbsMergeDecl | None, matrix: tuple) -> _Chain:
-    """The chain of ``arms``, bound once per arm labels and rebuilt under another coupler
-    ``matrix`` (each variable coupler's ports checked then): per side (heralding, then recycling
-    where every arm recycles) its couplers' rules, detector groups and flips; the nondemolition
-    pairs; the merge's ports; and the table of round functions."""
-    labels = tuple([a.label for a in arms])
-    chain = (chains := tab.stage("chain")).get(labels)
-    if chain is None or chain.matrix != matrix:
-        for a in arms:
-            vbs_ports(a.vbs.inp, a.vbs.reflect, a.vbs.transmit)
-        sides = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
-        if all(a.recycle_bs for a in arms):
-            sides.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
-        rules = tuple(tuple(bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side) for side in sides)
-        setup = [([g for _, g, _ in side], {d: m for _, _, f in side for d, m in f.items()}) for side in sides]
-        ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
-        qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
-        chain = chains[labels] = _Chain(matrix, rules, setup, qnds, ports)
-    return chain
-
-
-def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup) -> tuple:
+def _outputs(tab: PatternTable, key: tuple[int, ...], qnds: list, routes: list) -> tuple:
     """``(route, outputs)`` of input id ``key[0]`` with auxiliary photon ids ``key[1:]``: their
     product's nondemolition route (0 heralds, 1 recycles, None neither) and the route's side
-    (couplers, herald, flips) on the unit product, ``(signature, output id, residual id,
-    flipped coefficient)`` per success output."""
+    (``routes[route]``: coupler rules, detector groups, flips) on the unit product,
+    ``(signature, output id, residual id, flipped coefficient)`` per success output."""
     counts = dict(tab.patterns[key[0]])
     for x in key[1:]:
         shared = counts.keys() & {m for m, _ in tab.patterns[x]}
@@ -310,12 +277,12 @@ def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup)
     if tab.photons[pid] > PHOTON_CAP:
         raise PhotonBudgetError(f"pattern holds {tab.photons[pid]} photons, cap is {PHOTON_CAP}")
     cs = {qnd_class(tab.patterns[pid], qa, qb) for qa, qb in qnds}
-    route = 0 if cs <= {1} else 1 if cs <= {0} and len(setup) == 2 else None
+    route = 0 if cs <= {1} else 1 if cs <= {0} and len(routes) == 2 else None
     if route is None:
         return None, []
-    groups, flips = setup[route]
+    rules, groups, flips = routes[route]
     terms = {pid: 1.0}
-    for r in rules[route]:
+    for r in rules:
         terms = tab.transform(terms, r)
     outs = []
     for p, c in terms.items():
@@ -326,18 +293,28 @@ def _outputs(tab: PatternTable, key: tuple[int, ...], qnds, rules: tuple, setup)
     return route, outs
 
 
-def _slots(tab: PatternTable, shape: tuple, chain: _Chain) -> tuple:
-    """``(products, slots, sides)`` of a round of product ``shape`` (input ids, then per arm its
-    auxiliary output ids), products input-major: slot s (an output id) sums its ``(product
-    index, coefficient)`` pairs ``slots[s]``; the slots run by side, signature (sorted) and first
-    touch, ``sides`` listing each signature and its residual ids."""
-    rules, setup, qnds = chain.rules, chain.setup, chain.qnds
+def _slots(plan: Plan, arms: list[Arm], shape: tuple) -> tuple:
+    """``(products, slots, sides)`` of a round of ``arms`` of product ``shape`` (input ids, then
+    per arm its auxiliary output ids), products input-major: slot s (an output id) sums its
+    ``(product index, coefficient)`` pairs ``slots[s]``; the slots run by side, signature (sorted)
+    and first touch, ``sides`` listing each signature and its residual ids.  Each side (heralding,
+    then recycling where every arm recycles) takes its couplers' rules at the matrix in force
+    (``bs_rules``), its detector groups and flips from the arms, whose variable-coupler ports are
+    checked here."""
+    for a in arms:
+        vbs_ports(a.vbs.inp, a.vbs.reflect, a.vbs.transmit)
+    wiring = [[(a.success_bs, a.success_group, a.flips) for a in arms]]
+    if all(a.recycle_bs for a in arms):
+        wiring.append([(a.recycle_bs, a.recycle_group, a.recycle_flips) for a in arms])
+    routes = [([bs_rules(bs.in1, bs.in2, bs.out1, bs.out2) for bs, _, _ in side], [g for _, g, _ in side],
+               {d: m for _, _, f in side for d, m in f.items()}) for side in wiring]
+    qnds = [(a.qnd.a, a.qnd.b) for a in arms if a.qnd is not None]
     products = [(w,) for w in shape[0]]
     for xs in shape[1:]:
         products = [k + (x,) for k in products for x in xs]
     slots: dict[tuple, list] = {}  # (route, signature, output id, residual id) -> [(product index, coefficient)]
     for i, key in enumerate(products):
-        route, outs = _outputs(tab, key, qnds, rules, setup)
+        route, outs = _outputs(plan.table, key, qnds, routes)
         for sig, p, q, c in outs:
             slots.setdefault((route, sig, p, q), []).append((i, c))
     order = sorted(slots, key=lambda slot: slot[:2])
@@ -357,20 +334,22 @@ class _ChainRound:
     error: tuple | None  # (type, message) of the first win's merge error
 
 
-def _kernel(tab: PatternTable, program: tuple, ports: tuple, inputs: int, counts: tuple):
+def _kernel(plan: Plan, program: tuple, inputs: int, counts: tuple):
     """``kernel(v, factor, a, c) -> _ChainRound``: the round of slot ``program`` ``(products,
     slots, sides)``, written out as straight-line Python and compiled.  It forms the products
     (``_products``) from ``v``, the ``inputs`` input amplitudes, ``a`` and ``c``, the auxiliary
     amplitudes (``counts`` per arm) and coupler pairs; with no arm the products are the input
     amplitudes.  Slot s is ``0.0 + p*c + ...`` in the order of ``slots[s]``.  Each signature
     weighs its squares; one that weighs more than 0 raises if two of its slots share a residual id
-    (a mixture), else a win adds ``weight * factor`` and its state, its ids merged by ``ports``
-    (``merge_terms``), or keeps the merge's ``(type, message)``; the first recycle signature that
+    (a mixture), else a win adds ``weight * factor`` and its state, its ids merged by the plan's
+    merge (``merge_terms``), or keeps the merge's ``(type, message)``; the first recycle signature that
     weighs more than 0, once each later one agrees with it after correction (``_aligned``), is
     rescaled to their summed weight: the next round's input.  No value is dropped.  Coefficients,
     scales and ids are bound by name, a coefficient or scale as a float where its imaginary part
     is zero."""
     _, slots, sides = program
+    tab, merge = plan.table, plan.merge
+    ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
     consts = {"AGREE": 1.0 - RECYCLE_AGREEMENT_TOL}
 
     def const(value) -> str:
@@ -450,9 +429,9 @@ def _mixture(sig: tuple) -> PolarizationMixtureError:
     return PolarizationMixtureError(f"click signature {' '.join(f'{d}:{n}' for d, n in sig)}: {MIXTURE}")
 
 
-def _run_chain(tab: PatternTable, chain: _Chain, current: dict[int, complex], pairs, auxes: list,
+def _run_chain(plan: Plan, arms: list[Arm], current: dict[int, complex], pairs, auxes: list,
                model: DetectorModel) -> list[_ChainRound]:
-    """Run every round of ``chain`` on the input ``current`` (by id).
+    """Run every round of the chain of ``arms`` on the input ``current`` (by id).
 
     Each round attaches every arm's auxiliary photon (``auxes``, from the point's prologue) at
     the arm's coupler pair ``(sqrt(1-t), sqrt(t))`` for the round (``pairs``, per round one per
@@ -460,16 +439,21 @@ def _run_chain(tab: PatternTable, chain: _Chain, current: dict[int, complex], pa
     of them goes on to the heralding couplers, class 0 on all of them to the recycling couplers.
     Success needs every arm's group to click at once, and the heralded state then goes through
     the merge; the combined recycle continuation is the next round's input.  The round runs in
-    the chain's round function of its auxiliary and input ids, generated (``_kernel``) on first
-    touch.  A round whose input and coupler pairs equal the previous round's repeats that
-    round's result.
+    the chain's round function of its auxiliary and input ids, generated (``_slots``,
+    ``_kernel``) on first touch and kept in ``plan.chains``, whose entry starts afresh under
+    another coupler matrix.  A round whose input and coupler pairs equal the previous round's
+    repeats that round's result.
     """
-    factor = detection_factor(chain.setup[0][0], model)
+    factor = detection_factor([a.success_group for a in arms], model)
     for aux in auxes:
         if type(aux) is not tuple:  # the error evaluating the photon
             raise aux
+    labels, matrix = tuple([a.label for a in arms]), bs_matrix()
+    chain = plan.chains.get(labels)
+    if chain is None or chain[0] != matrix:
+        chain = plan.chains[labels] = (matrix, {})
     xs = tuple([xs for xs, _ in auxes])
-    kernels = chain.formed.get(xs) or chain.formed.setdefault(xs, {})
+    kernels = chain[1].get(xs) or chain[1].setdefault(xs, {})
     amps = [a for _, aux in auxes for a in aux]
     results: list[_ChainRound] = []
     last = before = None
@@ -480,8 +464,8 @@ def _run_chain(tab: PatternTable, chain: _Chain, current: dict[int, complex], pa
         last, before = current, c
         kernel = kernels.get(ids := tuple(current))
         if kernel is None:
-            program = _slots(tab, (ids, *xs), chain)
-            kernel = kernels[ids] = _kernel(tab, program, chain.ports, len(ids), tuple(len(a) for _, a in auxes))
+            program = _slots(plan, arms, (ids, *xs))
+            kernel = kernels[ids] = _kernel(plan, program, len(ids), tuple(len(a) for _, a in auxes))
         results.append(result := kernel(list(current.values()), factor, amps, c))
         current = result.recycle_next
     return results
@@ -528,29 +512,30 @@ def _scoring(key: tuple):
 
 
 def _rounds(
-    tab: PatternTable,
+    plan: Plan,
     ts: list[float],
     chains: list[list[_ChainRound]],
     target: tuple,
 ) -> list[RoundResult]:
-    """Round results summed over ``chains`` (one or two).  Each distinct round's fidelity is the
-    worst of its paired wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the
-    scorer of its win and target ids (``_scoring``), generated on first touch and kept in the plan
-    table's ``score`` stage."""
+    """Round results summed over ``chains`` (one or two).  A distinct round whose summed
+    ``p_success`` is above 0 raises its merge error, if any, and its fidelity is the worst of its
+    paired wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the scorer of its win
+    and target ids (``_scoring``), generated on first touch and kept in ``plan.scorers``; any other
+    round cannot succeed, and its fidelity is null."""
     tids, tamps, tnorm = target
-    table, rounds, last, other, one = tab.stage("score"), [], None, None, len(chains) == 1
+    rounds, last, other, one = [], None, None, len(chains) == 1
     for k, (t, first, second) in enumerate(zip(ts, chains[0], chains[-1]), 1):
         if first is not last or second is not other:  # not a repeated round
             last, other, fid = first, second, None
-            if first.wins and second.wins:
-                if error := first.error or second.error:
-                    raise error[0](error[1])
-                key = (first.wins, tids) if one else (first.wins, second.wins, tids)
-                scorer = table.get(key) or table.setdefault(key, _scoring(key))
-                fid = scorer(tamps, tnorm, first.amps, second.amps)
             # sum() of one or two probabilities, none of them -0.0
             p_success = first.p_success if one else first.p_success + second.p_success
             p_recycle = first.p_recycle if one else first.p_recycle + second.p_recycle
+            if p_success > 0.0 and first.wins and second.wins:
+                if error := first.error or second.error:
+                    raise error[0](error[1])
+                key = (first.wins, tids) if one else (first.wins, second.wins, tids)
+                scorer = plan.scorers.get(key) or plan.scorers.setdefault(key, _scoring(key))
+                fid = scorer(tamps, tnorm, first.amps, second.amps)
         rounds.append(RoundResult(k, t, p_success, p_recycle, fid))
     return rounds
 
@@ -625,7 +610,6 @@ def execute(
     # schedule only feeds their transmittance parameters
     schedule = _effective_schedule(plan, bindings, ts_plus, ts_minus)
 
-    tab, matrix = plan.table, bs_matrix()
     signal, branches, target, auxes = _prologue(plan, pol)(bindings)
     # each round's coupler pairs: a recycling plan's bare planned parameter takes them from the
     # log-odds, free of the cancellation in 1 - t; any other coupler from its transmittance
@@ -634,16 +618,13 @@ def execute(
              for arm, planned in zip(plan.arms, plan.planned)}
     if accounting == "branch":
         # each arm acts only on the component where the signal is not in the other arm
-        chains = []
-        for arm, inp, aux in zip(plan.arms, branches, auxes):
-            chain = _bound(tab, [arm], plan.merge, matrix)
-            chains.append(_run_chain(tab, chain, inp, zip(pairs[arm.label]), [aux], model))
+        chains = [_run_chain(plan, [arm], inp, zip(pairs[arm.label]), [aux], model)
+                  for arm, inp, aux in zip(plan.arms, branches, auxes)]
         eta_exponent = 1
     else:
-        chains = [_run_chain(tab, _bound(tab, plan.arms, plan.merge, matrix), signal,
-                             zip(*[pairs[arm.label] for arm in plan.arms]), auxes, model)]
+        chains = [_run_chain(plan, plan.arms, signal, zip(*[pairs[arm.label] for arm in plan.arms]), auxes, model)]
         eta_exponent = len(plan.arms)
-    round_results = _rounds(tab, schedule["plus"], chains, target)
+    round_results = _rounds(plan, schedule["plus"], chains, target)
 
     report = ProtocolReport(
         protocol=plan.protocol,
@@ -710,7 +691,7 @@ def _comparison(
     if report.protocol == "custom":
         return out
     a2 = report.alpha_sq
-    factor = report.eta_p**report.engine.eta_exponent
+    factor = math.prod([report.eta_p] * report.engine.eta_exponent)
     ecp2 = report.protocol == "ecp2"
     if ecp2 and pol is None and len(plan.arms) == 1:
         series = round_success_series(a2, report.eta_p, len(report.rounds))

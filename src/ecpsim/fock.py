@@ -28,10 +28,8 @@ unnormalized so that squared norms compose into branch probabilities.
 
 The kernels (mode transforms here, the polarizing-splitter relabels in
 ``elements``, heralding in ``measurement``) run on a ``PatternTable``:
-patterns interned to ids, states as ``{id: amplitude}`` dicts, and stage
-tables that the engine fills with what it compiles from ids (its prologues,
-chains and scorers); ``State`` operations use a throwaway table, the engine
-one per plan.  Results are pruned where built: ``State(...)`` and
+patterns interned to ids, and states as ``{id: amplitude}`` dicts;
+``State`` operations use a throwaway table, the engine one per plan.  Results are pruned where built: ``State(...)`` and
 ``PatternTable.admit`` (prune, photon cap, accumulate, prune), ``prune`` for
 the transform.  The engine runs the kernels only to compile its rounds, on
 unit products, where the prune drops coefficient noise; its compiled rounds
@@ -276,14 +274,12 @@ class CheckedRules(dict):
 
 
 class PatternTable:
-    """Interned patterns, the kernels on their ids, and ``stage`` tables:
-    lazily filled by their callers, keyed on ids or labels."""
+    """Interned patterns and the kernels on their ids."""
 
     def __init__(self):
         self.patterns: list[Pattern] = []
         self.photons: list[int] = []
         self.ids: dict[Pattern, int] = {}
-        self.stages: dict[tuple, dict] = {}
 
     def intern(self, pattern: Pattern) -> int:
         pid = self.ids.get(pattern)
@@ -298,9 +294,6 @@ class PatternTable:
 
     def state(self, terms: Mapping[int, complex]) -> State:
         return State._trusted({self.patterns[p]: a for p, a in terms.items()})
-
-    def stage(self, *key) -> dict:
-        return self.stages.get(key) or self.stages.setdefault(key, {})
 
     def admit(self, terms: Mapping[int, complex]) -> dict[int, complex]:
         return _admit(terms.items(), self.photons.__getitem__)

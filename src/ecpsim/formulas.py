@@ -47,7 +47,7 @@ def joint_total_one_round(alpha_sq: float) -> float:
     Requiring one click in each arm's detector pair leaves 2|alpha|^2|beta|^4,
     not the published per-branch sum; recorded for comparison.
     """
-    return 2.0 * alpha_sq * (1.0 - alpha_sq) ** 2
+    return 2.0 * alpha_sq * ((1.0 - alpha_sq) * (1.0 - alpha_sq))
 
 
 def qnd_round_success(alpha_sq: float, delta_sq: float, t: float) -> float:

@@ -56,7 +56,7 @@ class ChainTables:
             prev = wr
 
     def analytic_total(self, eta_p: float) -> float:
-        return sum(self.w_success) * eta_p**self.detected_photons
+        return sum(self.w_success) * math.prod([eta_p] * self.detected_photons)
 
 
 def tables_from_report(report: ProtocolReport) -> ChainTables:

@@ -308,7 +308,7 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
             vecs = [_merge_arm_pair(vp, vm, merge) for vp in books[0] for vm in books[1]]
         else:
             vecs = [v if merge is None else _merged(v, merge) for v in books[0]]
-        fids = [_vec_fidelity(v, target) for v in vecs]
+        fids = [_vec_fidelity(v, target) for v in vecs] if p_round > 0.0 else []  # a round that cannot succeed
         out.append((per_chain, {
             "p_success": p_round,
             "p_recycle": p_rec_round,

@@ -22,7 +22,7 @@ class RoundResult:
     ``p_fail_recyclable`` are absolute probabilities, summed over arms in
     per-branch accounting.  ``heralded_fidelity`` is the worst fidelity of
     the corrected output over the round's successful click patterns, or
-    None when the round cannot succeed at all.
+    None when the round cannot succeed at all (its ``p_success`` is 0).
     """
 
     k: int

@@ -14,8 +14,8 @@ import pytest
 from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
 from ecpsim.cli import main
 from ecpsim.dsl import evaluate_expr, parse
-from ecpsim.elements import apply_pbs, apply_vbs, bs_matrix, vbs_pair
-from ecpsim.engine import _bound, _prologue, _run_chain, analyze, execute, run_ecp1, run_ecp2
+from ecpsim.elements import apply_pbs, apply_vbs, vbs_pair
+from ecpsim.engine import _prologue, _run_chain, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.fock import fidelity, pattern_count, single_photon, tensor
 from ecpsim.formulas import round_success_series
 from ecpsim.measurement import DetectorModel, qnd_component
@@ -159,7 +159,7 @@ def test_criterion_04_recycling_recursion():
                 lambda p: pattern_count(p, "b3") == 0
             )
             results = _run_chain(
-                plan.table, _bound(plan.table, [arm], plan.merge, bs_matrix()), plan.table.of(inp),
+                plan, [arm], plan.table.of(inp),
                 zip(map(vbs_pair, vbs_schedule(ent, 5))), _prologue(plan, pol)(_bindings(ent, pol))[3][:1],
                 DetectorModel(),
             )

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ecpsim.circuits import BUILTIN_NAMES, builtin_doc, builtin_text
+from ecpsim.circuits import BUILTIN_NAMES, TopologyError, builtin_doc, builtin_text, layout
 from ecpsim.dsl import DetectDecl, QndDecl, parse, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -58,6 +58,21 @@ def test_stripped_structure(name):
     assert doc.output_modes() == ("a1", "b6")
     sources = [s for s in doc.statements if type(s).__name__ == "SourceDecl"]
     assert all(s.pol == "V" for s in sources)
+
+
+@pytest.mark.parametrize("name", ("ecp2", "ecp2_stripped"))
+def test_a_recycling_group_sets_no_efficiency_but_1(name):
+    # recycle detections are ideal in the engine, the oracle and the sampler, so any other
+    # eta= on a recycling group is refused rather than ignored
+    text = builtin_text(name)
+    for eta in ("0.1", "0", "0.999999"):
+        with pytest.raises(TopologyError) as err:
+            layout(parse(text.replace("modes=d3,d4 eta=1.0", f"modes=d3,d4 eta={eta}")))
+        assert str(err.value) == (
+            f"recycling detector group 'v_recycle' sets eta={float(eta)}; recycle detectors are ideal (eta=1.0)"
+        )
+    for ideal in ("modes=d3,d4 eta=1", "modes=d3,d4"):
+        assert layout(parse(text.replace("modes=d3,d4 eta=1.0", ideal))).has_recycling
 
 
 def test_builtin_doc_is_parsed_once():

@@ -215,6 +215,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         (("run", "--circuit", "{mixture}", "--alpha-sq", "0.6"), 2),
         (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t1", "1.5"), 3),
         (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "-0.5"), 3),
+        (("run", "--circuit", "{recycle_eta}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
         (("run", "--alpha-sq", "0.6", "--out", "{missing_dir}"), 4),
         (("sweep", "--alpha-sq-list", "0.5", "--trials", "100", "--out", "{missing_dir}"), 4),
     ],
@@ -226,7 +227,7 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
         "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
-        "polarization-mixture", "t1-over-1", "t2-below-0", "run-out-missing-dir",
+        "polarization-mixture", "t1-over-1", "t2-below-0", "recycle-eta", "run-out-missing-dir",
         "sweep-out-missing-dir",
     ],
 )
@@ -254,6 +255,8 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
             "bs in1=b3 in2=b8", "bs in1=b2 in2=b8"
         ),
         "mixture": MIXTURE_LAYOUT,
+        # a recycle detection is ideal, so a recycling group's efficiency is refused, not ignored
+        "recycle_eta": builtin_text("ecp2_stripped").replace("modes=d3,d4 eta=1.0", "modes=d3,d4 eta=0.1"),
     }
     paths = {}
     for name, text in files.items():
@@ -422,6 +425,13 @@ def test_verify_passes_clean(capsys):
     assert "PASS" in out
     assert "INFO" in out
     assert "0 failed" in out
+
+
+def test_verify_passes_at_zero_efficiency(capsys):
+    # no round can succeed, so every check reads p 0 and a null fidelity
+    code, out, _ = run_cli(capsys, "verify", "--eta", "0")
+    assert code == 0
+    assert out.endswith("8 passed, 0 failed\n")
 
 
 def test_verify_catches_the_planted_fault(capsys):

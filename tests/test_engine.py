@@ -12,6 +12,7 @@ import linecache
 import math
 import random
 import sys
+import types
 
 import pytest
 
@@ -21,13 +22,12 @@ import ecpsim.engine
 import ecpsim.fock
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
-from ecpsim.dsl import DetectDecl, evaluate_expr, evaluate_real, parse
-from ecpsim.elements import PortContractError, bs_matrix, bs_rules, merge_terms, vbs_pair, vbs_rules
+from ecpsim.dsl import DetectDecl, PbsMergeDecl, evaluate_expr, evaluate_real, parse
+from ecpsim.elements import PortContractError, bs_rules, merge_terms, vbs_pair, vbs_rules
 from ecpsim.engine import (
     ConfigError,
     TopologyError,
     _ChainRound,
-    _bound,
     _kernel,
     _prologue,
     _rounds,
@@ -211,6 +211,13 @@ def test_one_arm_merge_applies_under_both_accountings():
         assert report.rounds[0].heralded_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_the_closed_forms_take_the_joint_efficiency_as_a_product():
+    # two groups must click: eta * eta, where the platform's pow rounds eta**2 one ulp away
+    eta = 0.5874183784430576
+    report = run_ecp1(ENT, POL, accounting="joint", model=DetectorModel(eta_p=eta))
+    assert report.paper_comparison["claimed_total"]["paper_value"] == 0.48 * (eta * eta)
+
+
 def test_closed_forms_are_scored_only_on_the_arms_they_describe():
     # the round series describes one arm and the per-arm entries two: ecp2.ecp with its
     # polarization fixed in the sources has two heralding groups, so it is not scored
@@ -329,39 +336,36 @@ def test_reports_of_240_seeded_points_are_pinned():
     assert digest.hexdigest() == "3db7df1261f6e715424dbd68d56f6a9b3050a16f8823e02a6510f18665abaf22"
 
 
-# -- compiled stage tables ------------------------------------------------
+# -- the plan's compiled tables ------------------------------------------
 
-def _table_keys(tab):
-    """Every key of a plan's pattern table: interned patterns, stages, and every key of a
-    table inside a stage entry (a chain's round functions by auxiliary and input ids, scorers),
-    at any depth; the coupler rules a chain keeps are keyed on modes and not walked."""
-    keys = list(tab.ids)
+def _table_keys(plan):
+    """Every key a plan keeps: its table's interned patterns, and every key of its prologues,
+    chains and scorers and of a table inside an entry (a chain's round functions by auxiliary
+    and input ids), at any depth."""
+    keys = list(plan.table.ids)
 
     def walk(entry):
-        if isinstance(entry, ecpsim.engine._Chain):
-            entry = [getattr(entry, name) for name in entry.__slots__]
-        if isinstance(entry, dict) and not isinstance(entry, CheckedRules):
+        if isinstance(entry, dict):
             keys.extend(entry)
             entry = list(entry.values())
         if isinstance(entry, (tuple, list)):
             for item in entry:
                 walk(item)
 
-    for stage, table in tab.stages.items():
-        keys.append(stage)
+    for table in (plan.prologues, plan.chains, plan.scorers):
         walk(table)
     return keys
 
 
-def _kernels(tab):
+def _kernels(plan):
     """Each generated round function, by chain, auxiliary ids and input ids."""
-    return {(labels, aux, ids): kernel for labels, chain in tab.stages.get(("chain",), {}).items()
-            for aux, formed in chain.formed.items() for ids, kernel in formed.items()}
+    return {(labels, aux, ids): kernel for labels, (_, formed) in plan.chains.items()
+            for aux, by_ids in formed.items() for ids, kernel in by_ids.items()}
 
 
-def _scorers(tab):
+def _scorers(plan):
     """Each generated scorer, by its round's win and target ids."""
-    return dict(tab.stages.get(("score",), {}))
+    return dict(plan.scorers)
 
 
 def _holds_float(key):
@@ -388,26 +392,26 @@ def _run_batch(name, seed):
 
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
-def test_stage_tables_are_keyed_on_structure_only(name):
-    tab = analyze(builtin_doc(name)).table
+def test_plan_tables_are_keyed_on_structure_only(name):
+    plan = analyze(builtin_doc(name))
     _run_batch(name, seed=1)
-    warm = _table_keys(tab)
-    kernels, scorers = _kernels(tab), _scorers(tab)
+    warm = _table_keys(plan)
+    kernels, scorers = _kernels(plan), _scorers(plan)
     _run_batch(name, seed=2)
-    assert _table_keys(tab) == warm  # new parameter values add no entry
-    assert _kernels(tab) == kernels and kernels  # nor a round function
-    assert _scorers(tab) == scorers and scorers  # nor a scorer
+    assert _table_keys(plan) == warm  # new parameter values add no entry
+    assert _kernels(plan) == kernels and kernels  # nor a round function
+    assert _scorers(plan) == scorers and scorers  # nor a scorer
     for labels, aux, ids in kernels:  # round functions are keyed on ids only
         assert all(type(q) is int for q in (*ids, *itertools.chain(*aux)))
     for *wins, tids in scorers:  # and so are scorers
         assert all(type(q) is int for q in (*tids, *itertools.chain(*itertools.chain(*wins))))
     assert not {"<round kernel>", "<round scorer>", "<photons>", "<expression>"} & linecache.cache.keys()  # no source kept
     assert not any(_holds_float(k) for k in warm)
-    prologues = tab.stages[("point",)]  # one generated prologue per point kind, keyed on the kind alone
+    prologues = plan.prologues  # one generated prologue per point kind, keyed on the kind alone
     assert set(prologues) == {"V" if name.endswith("_stripped") else "HV"} and all(map(callable, prologues.values()))
-    assert {stage[0] for stage in tab.stages} <= {"chain", "point", "score"}
+    assert vars(plan.table).keys() == {"patterns", "photons", "ids"}  # the pattern table holds patterns only
     # bounded by the layout's reachable patterns, not by the points run
-    assert len(tab.patterns) <= 128 and len(warm) <= 512
+    assert len(plan.table.patterns) <= 128 and len(warm) <= 512
 
 
 @pytest.mark.parametrize("name", ["ecp1", "ecp2", "ecp1_stripped", "ecp2_stripped"])
@@ -495,9 +499,9 @@ def test_generated_sources_hold_no_power_and_no_threshold(monkeypatch):
 
 def _record_chains(monkeypatch, calls):
     """Record in ``calls`` each ``_run_chain`` call ``execute`` makes from now on, as its arguments
-    ``(tab, chain, input, pairs, auxes, model)``, the coupler pairs as a list, then what the staged
-    and dict paths read: ``(arms, schedules, bindings, merge)``, the chain's arms, their
-    transmittances per arm, the point's bindings and the merge.  Each call's pairs are checked
+    ``(plan, arms, input, pairs, auxes, model)``, the coupler pairs as a list, then what the staged
+    and dict paths read: ``(schedules, bindings)``, the arms' transmittances per arm and the
+    point's bindings.  Each call's pairs are checked
     against the point's schedule: a recycling plan's bare planned parameter takes
     ``vbs_pair_schedule``, any other coupler ``vbs_pair`` of its transmittance."""
     points, effective = [], ecpsim.engine._effective_schedule  # each point's plan, bindings, schedule
@@ -506,16 +510,14 @@ def _record_chains(monkeypatch, calls):
         points.append((plan, bindings, effective(plan, bindings, *args)))
         return points[-1][2]
 
-    def record(tab, chain, current, pairs, auxes, model):
-        plan, bindings, planned = points[-1]
-        [labels] = [labels for labels, bound in tab.stage("chain").items() if bound is chain]
-        arms = [a for label in labels for a in plan.arms if a.label == label]
+    def record(plan, arms, current, pairs, auxes, model):
+        _, bindings, planned = points[-1]
         schedules, pairs = [planned[a.label] for a in arms], list(pairs)
         odds = vbs_pair_schedule(EntanglementParams(bindings["alpha"], bindings["beta"]), len(pairs))
         assert pairs == list(zip(*[odds if plan.has_recycling and plan.planned[plan.arms.index(a)] is not None
                                    else list(map(vbs_pair, ts)) for a, ts in zip(arms, schedules)]))
-        calls.append(((tab, chain, current, pairs, auxes, model), (arms, schedules, bindings, plan.merge)))
-        return _run_chain(tab, chain, current, pairs, auxes, model)
+        calls.append(((plan, arms, current, pairs, auxes, model), (schedules, bindings)))
+        return _run_chain(plan, arms, current, pairs, auxes, model)
 
     monkeypatch.setattr(ecpsim.engine, "_effective_schedule", schedule)
     monkeypatch.setattr(ecpsim.engine, "_run_chain", record)
@@ -611,11 +613,12 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
     assert calls
     rng = random.Random(7)
     compared = mixtures = pruned_products = 0
-    for (tab, chain, current, pairs, auxes, model), (arms, schedules, bindings, merge) in calls:
+    for (plan, arms, current, pairs, auxes, model), (schedules, bindings) in calls:
+        tab, merge = plan.table, plan.merge
         aux_ports = {m for a in arms for m in (a.vbs.reflect, a.vbs.transmit)}
         couplers = [bs for a in arms for bs in (a.success_bs, a.recycle_bs) if bs]
         ports = [(m, pol) for bs in couplers for m in (bs.in1, bs.in2) if m not in aux_ports for pol in "HV"]
-        rounds = _run_chain(tab, chain, current, pairs, auxes, model)
+        rounds = _run_chain(plan, arms, current, pairs, auxes, model)
         for k in range(len(pairs)):
             ts = [s[k] for s in schedules]
             # the recorded ids reweighted; the same with the first id so small that the
@@ -640,10 +643,10 @@ def test_compiled_round_matches_the_staged_kernels(name, accounting, monkeypatch
                 except PolarizationMixtureError:
                     # outputs that differ only in an absorbed photon's polarization
                     with pytest.raises(PolarizationMixtureError, match="click signature d"):
-                        _run_chain(tab, chain, terms, pairs[k:k + 1], auxes, model)
+                        _run_chain(plan, arms, terms, pairs[k:k + 1], auxes, model)
                     mixtures += 1
                     continue
-                [got] = _run_chain(tab, chain, terms, pairs[k:k + 1], auxes, model)
+                [got] = _run_chain(plan, arms, terms, pairs[k:k + 1], auxes, model)
                 assert got.p_success == pytest.approx(p_win, rel=1e-14, abs=0.0)
                 assert got.p_recycle == pytest.approx(p_rec, rel=1e-14, abs=0.0)
                 assert len(got.wins) == len(wins)
@@ -763,8 +766,10 @@ def _identity(sides, count):
 
 
 def _armless(tab, program, ports=()):
-    """``program``'s round function with no arm: its products are the amplitudes it is given."""
-    kernel = _kernel(tab, program, ports, program[0], ())
+    """``program``'s round function with no arm, on ``tab`` and merged by ``ports`` (none by
+    default): its products are the amplitudes it is given."""
+    plan = types.SimpleNamespace(table=tab, merge=PbsMergeDecl(*ports) if ports else None)
+    kernel = _kernel(plan, program, program[0], ())
     return lambda products, factor: kernel(products, factor, [], ())
 
 
@@ -808,14 +813,16 @@ def _dict_products(current, auxes, pairs):
     return tuple(shape), products
 
 
-def _dict_round(tab, chain, auxes, current, pairs, model):
-    """One round of ``chain`` at the coupler ``pairs`` through the dict path on the engine's slot
-    program of the round's shape: ``(outcome, sides, slot values, factor, merge ports)``, the
-    outcome as the result itself or the error's type and message."""
+def _dict_round(plan, arms, auxes, current, pairs, model):
+    """One round of the chain of ``arms`` at the coupler ``pairs`` through the dict path on the
+    engine's slot program of the round's shape: ``(outcome, sides, slot values, factor, merge
+    ports)``, the outcome as the result itself or the error's type and message."""
     shape, products = _dict_products(current, auxes, pairs)
-    _, slots, sides = ecpsim.engine._slots(tab, shape, chain)
-    factor, values = detection_factor(chain.setup[0][0], model), _dict_slots(slots, products)
-    return _outcome(lambda: _dict_score(tab, sides, values, factor, chain.ports), _as_is), sides, values, factor, chain.ports
+    _, slots, sides = ecpsim.engine._slots(plan, arms, shape)
+    factor = detection_factor([a.success_group for a in arms], model)
+    values, merge = _dict_slots(slots, products), plan.merge
+    ports = () if merge is None else (merge.in_h, merge.in_v, merge.out)
+    return _outcome(lambda: _dict_score(plan.table, sides, values, factor, ports), _as_is), sides, values, factor, ports
 
 
 def _rescaled(chains, amps):
@@ -864,15 +871,15 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
         assert calls and (rounds or corrupt)
         rng = random.Random(16)
         outcomes = collections.Counter()
-        for (tab, chain, current, pairs, auxes, model), _ in calls:
+        for (plan, arms, current, pairs, auxes, model), _ in calls:
             for k in range(len(pairs)):
                 inputs = [current] + [dict(zip(current, vals)) for vals in _reweighted(list(current.values()), rng)]
                 inputs.append({w: 4.0 * a / abs(a) for w, a in current.items()})
                 inputs += [{w: complex(a, 0.0) for w, a in terms.items()} for terms in (current, inputs[-1])]
                 small = (vbs_pair((0.6 * PRUNE_EPS) ** 2), *pairs[k][1:])
                 for i, (terms, c) in enumerate(itertools.product(inputs, (pairs[k], small))):
-                    want, sides, values, factor, ports = _dict_round(tab, chain, auxes, terms, c, model)
-                    got = _book(lambda: _run_chain(tab, chain, terms, [c], auxes, model)[0], _as_is)
+                    want, sides, values, factor, ports = _dict_round(plan, arms, auxes, terms, c, model)
+                    got = _book(lambda: _run_chain(plan, arms, terms, [c], auxes, model)[0], _as_is)
                     complex_input = all(type(a) is complex for a in terms.values())
                     assert repr(got) == repr(want if complex_input else _real_where(want, got))
                     outcomes["floats"] += repr(got) != repr(want)
@@ -883,18 +890,18 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                         if not any(v.imag for v in values):  # the slot values as floats
                             cases.append(([v.real for v in values], values))
                         for vals, slots in cases:
-                            got = _scored(tab, identity, vals, factor, ports, _as_is)
-                            want = _outcome(lambda: _dict_score(tab, sides, slots, factor, ports), _as_is)
+                            got = _scored(plan.table, identity, vals, factor, ports, _as_is)
+                            want = _outcome(lambda: _dict_score(plan.table, sides, slots, factor, ports), _as_is)
                             assert repr(got) == repr(_real_where(want, got) if vals is not slots else want)
                             outcomes[got[0] if len(got) == 2 else "scored"] += 1
                 try:
-                    [book] = _run_chain(tab, chain, current, pairs[k:k + 1], auxes, model)
+                    [book] = _run_chain(plan, arms, current, pairs[k:k + 1], auxes, model)
                 except (RuntimeError, ValueError):
                     break
                 current = book.recycle_next
     assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
     assert outcomes["floats"] or corrupt
-    for tab, ts, chains, target in rounds:
+    for plan, ts, chains, target in rounds:
         # the recorded wins; reweighted; with shared plus and minus ids near cancelling, or one
         # pair at 0.6 PRUNE_EPS; at random; every amplitude at 0.6 PRUNE_EPS; every amplitude 0,
         # a zero state; and as complex(x, 0.0)
@@ -908,7 +915,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
         variants.append(_rescaled(chains, lambda i, b: [0.0 * a for a in b.amps]))
         variants.append(_rescaled(chains, lambda i, b: [complex(a, 0.0) for a in b.amps]))
         for chains in variants:
-            got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(tab, ts, chains, target)])
+            got = _outcome(lambda: [tuple(vars(r).values()) for r in _rounds(plan, ts, chains, target)])
             assert got == _outcome(lambda: _dict_rounds(ts, chains, target))
             outcomes[got[0] if isinstance(got, tuple) else "rounds"] += 1
     assert outcomes["DegenerateStateError"] or corrupt
@@ -974,9 +981,9 @@ def test_split_and_merge_run_on_the_plan_table(monkeypatch):
     plan = analyze(builtin_doc("ecp1"))
     tab, wins, rounds = plan.table, set(), ecpsim.engine._rounds
 
-    def record(tab, ts, chains, target):
+    def record(plan, ts, chains, target):
         wins.update(q for chain in chains for book in chain for ids in book.wins if ids for q in ids)
-        return rounds(tab, ts, chains, target)
+        return rounds(plan, ts, chains, target)
 
     monkeypatch.setattr(ecpsim.engine, "_rounds", record)
     _run_batch("ecp1", seed=3)
@@ -1012,14 +1019,21 @@ def test_a_deep_chain_does_round_work_only_until_its_fixed_point(monkeypatch):
     assert vars(report.rounds[len(calls)]) | {"k": last.k} == vars(last)
 
 
-def test_variable_coupler_ports_are_checked_once_per_chain():
-    # the parser rejects a repeated port, so only a hand-built arm reaches the engine's check
-    plan = analyze(builtin_doc("ecp2_stripped"))
+def test_variable_coupler_ports_are_checked_where_a_round_is_compiled():
+    # the parser rejects a repeated port, so only a hand-built arm reaches the engine's check,
+    # made before the round function of the arm's chain is compiled (a fresh plan, as it keeps it)
+    plan = analyze.__wrapped__(builtin_doc("ecp2_stripped"))
     [arm] = plan.arms
     bad = dataclasses.replace(arm, label="bad", vbs=dataclasses.replace(arm.vbs, transmit=arm.vbs.inp))
+    signal, _, _, auxes = _prologue(plan, None)({"alpha": ENT.alpha, "beta": ENT.beta})
+    message = f"vbs: ports must be distinct, {arm.vbs.inp!r} repeats"
     with pytest.raises(PortContractError) as err:
-        _bound(PatternTable(), [bad], None, bs_matrix())
-    assert str(err.value) == f"vbs: ports must be distinct, {arm.vbs.inp!r} repeats"
+        ecpsim.engine._slots(plan, [bad], (tuple(signal), auxes[0][0]))
+    assert str(err.value) == message
+    with pytest.raises(PortContractError) as err:
+        _run_chain(plan, [bad], signal, [(vbs_pair(0.5),)], auxes, DetectorModel())
+    assert str(err.value) == message
+    assert not _kernels(plan)
 
 
 # -- real amplitudes as floats --------------------------------------------

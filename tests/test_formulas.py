@@ -71,6 +71,12 @@ class TestBranchForms:
         assert joint_total_one_round(0.5) == pytest.approx(0.25)
         assert joint_total_one_round(0.6) == pytest.approx(2 * 0.6 * 0.16)
 
+    def test_joint_total_squares_as_a_product(self):
+        # |beta|^4 = (1 - alpha^2)^2 as one rounded product: the platform's pow is not
+        # correctly rounded everywhere, and at this x its square is one ulp off
+        x = 0.6459969762434069
+        assert joint_total_one_round(1.0 - x) == 2.0 * (1.0 - x) * (x * x)
+
     def test_qnd_round_success(self):
         assert qnd_round_success(0.6, 0.5, 0.6) == pytest.approx(0.36)
         # fully reflecting coupler keeps only the signal-at-home component

@@ -91,6 +91,12 @@ def corpus_argvs() -> list[list[str]]:
     # deep chains, past the rounds where the mass runs out
     for pol in ([], ["--gamma-sq", "0.3"]):
         argvs.append(["run", "--protocol", "ecp2", "--alpha-sq", "0.6", *pol, "--rounds", "1000"])
+    # detectors of efficiency 0, where no round can succeed: p 0 and fidelity null
+    argvs.append(["verify", "--eta", "0"])
+    argvs.append([
+        "run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--gamma-sq", "0.3",
+        "--accounting", "joint", "--rounds", "3", "--eta", "0",
+    ])
     return argvs
 
 

@@ -131,6 +131,12 @@ def test_rounds_after_the_mass_is_gone_are_zero():
     assert (succ[2], rec[2]) == (0, 0)
 
 
+def test_the_analytic_total_squares_the_efficiency_as_a_product():
+    # at this efficiency the platform's pow rounds eta**2 one ulp away from eta * eta
+    eta = 0.5874183784430576
+    assert ChainTables((0.25,), (0.0,), 2).analytic_total(eta) == 0.25 * (eta * eta)
+
+
 def test_estimates_track_the_analytic_total():
     for k in (1, 3, 5):
         est, err, exact = estimate_series_total(

@@ -89,6 +89,20 @@ def test_detector_efficiency_agreement():
     assert r.p_total == pytest.approx(0.192 * 0.49, abs=1e-12)
 
 
+@pytest.mark.parametrize("g2", (None, 0.5))
+@pytest.mark.parametrize("accounting", ("branch", "joint"))
+def test_no_round_succeeds_at_zero_efficiency(g2, accounting):
+    # with eta 0 a round cannot succeed: p 0 and a null fidelity, in the engine and the oracle
+    ent, model = EntanglementParams.from_alpha_sq(0.6), DetectorModel(eta_p=0.0)
+    pol = PolarizationParams.from_gamma_sq(g2) if g2 is not None else None
+    rounds = [*run_ecp1(ent, pol, accounting=accounting, model=model).rounds,
+              *run_ecp2(ent, pol, rounds=3, accounting=accounting, model=model).rounds]
+    assert [(r.p_success, r.heralded_fidelity) for r in rounds] == [(0.0, None)] * 4
+    one = oracle_ecp1(0.6, g2, accounting=accounting, eta=0.0)
+    books = oracle_ecp2(0.6, g2, rounds=3, accounting=accounting, eta=0.0)["rounds"]
+    assert [(one["p_total"], one["fidelity"])] + [(b["p_success"], b["fidelity"]) for b in books] == [(0.0, None)] * 4
+
+
 def test_oracle_catches_a_corrupted_coupler():
     from ecpsim.verify import corrupted_coupler
 

@@ -3,8 +3,8 @@
 import pytest
 
 from ecpsim.circuits import builtin_doc
-from ecpsim.elements import bs_matrix, vbs_pair
-from ecpsim.engine import _bound, _prologue, _run_chain, analyze, run_ecp1, run_ecp2
+from ecpsim.elements import vbs_pair
+from ecpsim.engine import _prologue, _run_chain, analyze, run_ecp1, run_ecp2
 from ecpsim.fock import fidelity, pattern_count, single_photon
 from ecpsim.formulas import (
     branch_success_minus,
@@ -159,7 +159,7 @@ def test_recycled_residual_tracks_the_squared_ratio():
     arm = plan.arms[0]
     arm_input = split.filtered(lambda p: pattern_count(p, "b3") == 0)
     ts = list(vbs_schedule(ent, 5))
-    results = _run_chain(plan.table, _bound(plan.table, [arm], plan.merge, bs_matrix()), plan.table.of(arm_input),
+    results = _run_chain(plan, [arm], plan.table.of(arm_input),
                          zip(map(vbs_pair, ts)), _prologue(plan, pol)(bindings)[3][:1], DetectorModel())
     for k, res in enumerate(results, start=1):
         scale = ent.alpha_sq ** (2 ** k / 2)  # alpha to the 2^k
