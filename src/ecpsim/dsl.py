@@ -11,18 +11,20 @@ Statement forms:
     detect group=<name> modes=<id,...> [require=exactly_one] [eta=<float>]
     output <id,...>
 
-The element statements ``pbs``, ``vbs``, ``bs``, ``qnd`` and ``flip`` take
-exactly the keyword fields their row of ``_ELEMENTS`` lists.  ``pbs`` has two
-rows: ``in outH outV`` splits by polarization and ``inH inV out`` merges.
-The ``vbs`` field ``t`` is an expression; the ``flip`` field ``when`` names a
-detector mode.  ``select=1`` (keep the one-photon difference class) and
-``require=exactly_one`` (one click per group) are the only values accepted,
-because the engine implements no other.  ``photon=`` tags group source lines
-describing components of one photon (a superposed input spans several
-spatial modes); untagged sources each stand alone.  Expressions are
-whitespace-free arithmetic over declared parameters: numbers, identifiers,
-``+ - * /``, parentheses and ``sqrt(...)``; declarations keep their text as
-written.
+Every keyword statement (``source``, the elements ``pbs``, ``vbs``, ``bs``,
+``qnd`` and ``flip``, and ``detect``) takes exactly the fields its row of
+``_STATEMENTS`` lists, and ``_field`` checks each field by the kind its name
+gives: ``t`` and ``amp`` are expressions, ``modes`` (and the ``output`` list)
+declared modes, ``photon`` and ``group`` identifiers, ``eta`` a float in
+[0, 1], and any other field a declared mode.  ``pol``, ``select=1`` (keep the
+one-photon difference class) and ``require=exactly_one`` (one click per
+group) take fixed values, because the engine implements no other.  ``pbs``
+has two rows: ``in outH outV`` splits by polarization and ``inH inV out``
+merges.  ``photon=`` tags group source lines describing components of one
+photon (a superposed input spans several spatial modes); untagged sources
+each stand alone.  Expressions are whitespace-free arithmetic over declared
+parameters: numbers, identifiers, ``+ - * /``, parentheses and
+``sqrt(...)``; declarations keep their text as written.
 
 Statement order is execution order.  Documents are validated on parse:
 modes must be declared before use, a mode list names each mode once, each
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
@@ -63,7 +66,8 @@ class BindingError(CircuitError):
 # ---------------------------------------------------------------------------
 # expressions
 
-_TOKEN_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/]")
+# the last alternative takes any other character, so a bad one is a token of its own
+_TOKEN_RE = re.compile(r"\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/]|(?P<bad>.)", re.S)
 
 Expr = tuple
 
@@ -76,20 +80,12 @@ class _ExprParser:
         self.line = line
         self.col0 = col0
         self.tokens: list[tuple[str, int]] = []
-        pos = 0
         for m in _TOKEN_RE.finditer(text):
-            if m.start() != pos:
+            if m.lastgroup == "bad":
                 raise CircuitParseError(
-                    f"bad character {text[pos]!r} in expression",
-                    line,
-                    col0 + pos,
+                    f"bad character {m.group(0)!r} in expression", line, col0 + m.start()
                 )
             self.tokens.append((m.group(0), m.start()))
-            pos = m.end()
-        if pos != len(text):
-            raise CircuitParseError(
-                f"bad character {text[pos]!r} in expression", line, col0 + pos
-            )
         self.i = 0
 
     def _fail(self, message: str):
@@ -128,6 +124,15 @@ class _ExprParser:
             node = ("mul" if op == "*" else "div", node, self.factor())
         return node
 
+    def group(self) -> Expr:
+        """``( expr )``, the opening bracket next."""
+        self.take()
+        node = self.expr()
+        if self.peek() != ")":
+            self._fail("expected ')'")
+        self.take()
+        return node
+
     def factor(self) -> Expr:
         tok = self.peek()
         if tok is None:
@@ -136,26 +141,16 @@ class _ExprParser:
             self.take()
             return ("neg", self.factor())
         if tok == "(":
-            self.take()
-            node = self.expr()
-            if self.peek() != ")":
-                self._fail("expected ')'")
-            self.take()
-            return node
+            return self.group()
         self.take()
         if tok[0].isdigit() or tok[0] == ".":
             return ("num", float(tok))
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
+        if not tok.isidentifier():  # the other tokens are ASCII names and operators
             self._fail(f"unexpected token {tok!r}")
         if self.peek() == "(":
             if tok != "sqrt":
                 self._fail(f"unknown function {tok!r}")
-            self.take()
-            node = self.expr()
-            if self.peek() != ")":
-                self._fail("expected ')'")
-            self.take()
-            return ("sqrt", node)
+            return ("sqrt", self.group())
         return ("var", tok)
 
 
@@ -193,8 +188,9 @@ def emit_expr(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> 
             code.append(f"e{len(code)} = complex(b[{name!r}])")
             loaded[name] = f"e{len(code) - 1}"
         return loaded[name]
+    # a real x >= 0 takes the correctly rounded math.sqrt, and + 0.0 keeps sqrt(-0.0) at 0.0
     forms = {"neg": "-{0}", "add": "{0} + {1}", "sub": "{0} - {1}", "mul": "{0} * {1}", "div": "{0} / {1}",
-             "sqrt": "complex({0}.real ** 0.5) if {0}.imag == 0 and {0}.real >= 0 else cmath.sqrt({0})"}
+             "sqrt": "complex(math.sqrt({0}.real) + 0.0) if {0}.imag == 0 and {0}.real >= 0 else cmath.sqrt({0})"}
     if kind not in forms:
         raise CircuitError(f"unknown expression node {kind!r}")
     xs = [emit_expr(a, text, code, consts, loaded) for a in args]
@@ -351,17 +347,27 @@ class CircuitDoc:
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-# Element statements, keyed by the label their field errors carry: the
-# declaration they build, the mode fields in check order, the other fields,
-# and the mode fields the element produces.  Both pbs rows have the keyword
-# ``pbs``; a line with any merge field is a merge.
-_ELEMENTS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+# Keyword statements, keyed by the label their field errors carry: the
+# declaration they build, the required fields in check order, the optional
+# fields, and the mode fields the statement produces.  Both pbs rows have the
+# keyword ``pbs``; a line with any merge field is a merge.  A ``source`` also
+# takes the mode it targets as its one positional argument, checked first.
+_STATEMENTS: dict[str, tuple[type, tuple[str, ...], tuple[str, ...], tuple[str, ...]]] = {
+    "source": (SourceDecl, ("pol",), ("amp", "photon"), ()),
     "pbs (split)": (PbsSplitDecl, ("in", "outH", "outV"), (), ("outH", "outV")),
     "pbs (merge)": (PbsMergeDecl, ("inH", "inV", "out"), (), ("out",)),
-    "vbs": (VbsDecl, ("in", "reflect", "transmit"), ("t",), ("reflect", "transmit")),
+    "vbs": (VbsDecl, ("in", "reflect", "transmit", "t"), (), ("reflect", "transmit")),
     "bs": (BsDecl, ("in1", "in2", "out1", "out2"), (), ("out1", "out2")),
-    "qnd": (QndDecl, ("a", "b"), ("select",), ()),
+    "qnd": (QndDecl, ("a", "b", "select"), (), ()),
     "flip": (FlipDecl, ("mode", "when"), (), ()),
+    "detect": (DetectDecl, ("group", "modes"), ("require", "eta"), ()),
+}
+
+# fields that take one fixed value: the values accepted and the message otherwise
+_FIXED = {
+    "pol": (("H", "V"), "pol must be H or V, got {!r}"),
+    "select": (("1",), "select must be 1, got {!r}"),
+    "require": (("exactly_one",), "unsupported requirement {!r}"),
 }
 
 
@@ -387,45 +393,59 @@ def _split_fields(
     return positional, fields
 
 
-def _need(
-    fields: dict[str, tuple[int, str]],
-    names: Sequence[str],
-    line: int,
-    col: int,
-    kind: str,
-    optional: Sequence[str] = (),
-) -> None:
-    for n in names:
-        if n not in fields:
-            raise CircuitParseError(f"{kind}: missing field {n!r}", line, col)
-    for k, (c, _) in fields.items():
-        if k not in names and k not in optional:
-            raise CircuitParseError(f"{kind}: unknown field {k!r}", line, c)
-
-
 def _ident(value: str, line: int, col: int, what: str) -> str:
     if not _IDENT_RE.fullmatch(value):
         raise CircuitParseError(f"{what} must be an identifier, got {value!r}", line, col)
     return value
 
 
-def _declared(name: str, line: int, col: int, declared: set[str]) -> str:
-    if name not in declared:
-        raise CircuitParseError(f"undeclared mode {name!r}", line, col)
-    return name
-
-
-def _mode_list(value: str, line: int, col: int) -> tuple[str, ...]:
-    names = value.split(",")
-    out = []
-    for n in names:
-        if not _IDENT_RE.fullmatch(n):
-            raise CircuitParseError(f"bad mode name {n!r} in list", line, col)
-        if n in out:
-            at = col + sum(len(m) + 1 for m in out)
-            raise CircuitParseError(f"mode {n!r} repeats in list", line, at)
-        out.append(n)
-    return tuple(out)
+def _field(key: str, value: str, line: int, col: int, params: Sequence[str], declared: set[str]):
+    """Check one field by the kind its name gives; returns the value its declaration holds."""
+    if key in ("t", "amp"):  # an expression over declared parameters, evaluated if it reads none
+        names = expr_variables(node := parse_expr(value, line, col))
+        for v in sorted(names):
+            if v not in params:
+                raise CircuitParseError(f"undeclared parameter {v!r} in expression", line, col)
+        if names:
+            return value
+        try:  # a literal's value without generating a function
+            v = node[1] if node[0] == "num" else (evaluate_real if key == "t" else evaluate_expr)(value, {})
+        except (BindingError, ParameterError) as exc:
+            raise CircuitParseError(str(exc), line, col) from None
+        if key == "t" and not 0.0 <= v <= 1.0:
+            raise CircuitParseError(f"transmittance t={v} outside [0, 1]", line, col)
+        return value
+    if key in ("modes", "output"):  # declared modes, each once
+        names = value.split(",")
+        for i, n in enumerate(names):
+            if not _IDENT_RE.fullmatch(n):
+                raise CircuitParseError(f"bad mode name {n!r} in list", line, col)
+            if n in names[:i]:
+                at = col + sum(len(m) + 1 for m in names[:i])
+                raise CircuitParseError(f"mode {n!r} repeats in list", line, at)
+        for n in names:
+            _field("mode", n, line, col, params, declared)
+        return tuple(names)
+    if key in ("photon", "group"):
+        return _ident(value, line, col, "photon tag" if key == "photon" else "group name")
+    if key in _FIXED:
+        allowed, message = _FIXED[key]
+        if value not in allowed:
+            raise CircuitParseError(message.format(value), line, col)
+        return value
+    if key == "eta":
+        try:
+            eta = float(value)
+        except ValueError:
+            raise CircuitParseError(f"bad eta {value!r}", line, col) from None
+        if not 0.0 <= eta <= 1.0:
+            raise CircuitParseError(
+                f"eta={eta} outside [0, 1]", line, col
+            )
+        return eta
+    if value not in declared:
+        raise CircuitParseError(f"undeclared mode {value!r}", line, col)
+    return value
 
 
 def parse(text: str) -> CircuitDoc:
@@ -435,20 +455,20 @@ def parse(text: str) -> CircuitDoc:
     params: list[str] = []
     statements: list[Statement] = []
     declared: set[str] = set()
-    produced: set[str] = set()
-    source_modes: set[str] = set()
+    roles: dict[str, str] = {}  # mode -> "source target" or "element output"
     meaningful = 0
 
-    def claim_output(m: str, lineno: int, col: int) -> None:
-        if m in produced:
+    def claim(m: str, role: str, lineno: int, col: int) -> None:
+        prior = roles.get(m)
+        if prior == role == "element output":
             raise CircuitParseError(
                 f"mode {m!r} produced by more than one element", lineno, col
             )
-        if m in source_modes:
+        if prior not in (None, role):
             raise CircuitParseError(
                 f"mode {m!r} is both a source target and an element output", lineno, col
             )
-        produced.add(m)
+        roles[m] = role
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -494,98 +514,44 @@ def parse(text: str) -> CircuitDoc:
             declared.add(mname)
             statements.append(ModeDecl(mname))
 
-        elif kw == "source":
-            if len(positional) != 1:
-                raise CircuitParseError("source takes one positional mode", lineno, col0)
-            _need(fields, ("pol",), lineno, col0, "source", optional=("amp", "photon"))
-            mcol, mname = positional[0]
-            _declared(mname, lineno, mcol, declared)
-            if mname in produced:
-                raise CircuitParseError(
-                    f"mode {mname!r} is both a source target and an element output",
-                    lineno,
-                    mcol,
-                )
-            source_modes.add(mname)
-            pcol, pol = fields["pol"]
-            if pol not in ("H", "V"):
-                raise CircuitParseError(f"pol must be H or V, got {pol!r}", lineno, pcol)
-            amp = "1"
-            if "amp" in fields:
-                acol, amp = fields["amp"]
-                _check_expr_params(amp, params, lineno, acol)
-            photon = None
-            if "photon" in fields:
-                tcol, tag = fields["photon"]
-                photon = _ident(tag, lineno, tcol, "photon tag")
-            statements.append(SourceDecl(mname, pol, amp, photon))
-
-        elif kw == "pbs" or kw in _ELEMENTS:
-            if positional:
-                raise CircuitParseError(f"{kw} takes keyword fields only", lineno, col0)
-            label = kw
-            if kw == "pbs":
-                merge = fields.keys() & set(_ELEMENTS["pbs (merge)"][1])
-                label = "pbs (merge)" if merge else "pbs (split)"
-            decl, mode_keys, extra_keys, out_keys = _ELEMENTS[label]
-            _need(fields, mode_keys + extra_keys, lineno, col0, label)
-            args = [
-                _declared(fields[k][1], lineno, fields[k][0], declared) for k in mode_keys
-            ]
-            for key in extra_keys:
-                fcol, value = fields[key]
-                if key == "t":
-                    t = _check_expr_params(value, params, lineno, fcol, evaluate_real)
-                    if t is not None and not 0.0 <= t <= 1.0:
-                        raise CircuitParseError(
-                            f"transmittance t={t} outside [0, 1]", lineno, fcol
-                        )
-                    args.append(value)
-                elif value != "1":
-                    raise CircuitParseError(f"select must be 1, got {value!r}", lineno, fcol)
-            for k in out_keys:
-                claim_output(fields[k][1], lineno, fields[k][0])
-            statements.append(decl(*args))
-
-        elif kw == "detect":
-            if positional:
-                raise CircuitParseError("detect takes keyword fields only", lineno, col0)
-            _need(fields, ("group", "modes"), lineno, col0, "detect", optional=("require", "eta"))
-            gcol, gname = fields["group"]
-            _ident(gname, lineno, gcol, "group name")
-            mcol, modes_text = fields["modes"]
-            modes = _mode_list(modes_text, lineno, mcol)
-            for m in modes:
-                _declared(m, lineno, mcol, declared)
-            if "require" in fields:
-                rcol, require = fields["require"]
-                if require != "exactly_one":
-                    raise CircuitParseError(
-                        f"unsupported requirement {require!r}", lineno, rcol
-                    )
-            eta = None
-            if "eta" in fields:
-                ecol, eta_text = fields["eta"]
-                try:
-                    eta = float(eta_text)
-                except ValueError:
-                    raise CircuitParseError(f"bad eta {eta_text!r}", lineno, ecol)
-                if not 0.0 <= eta <= 1.0:
-                    raise CircuitParseError(
-                        f"eta={eta} outside [0, 1]", lineno, ecol
-                    )
-            statements.append(DetectDecl(gname, modes, eta))
-
         elif kw == "output":
             if len(positional) != 1 or fields:
                 raise CircuitParseError(
                     "output takes one comma-separated mode list", lineno, col0
                 )
             mcol, modes_text = positional[0]
-            modes = _mode_list(modes_text, lineno, mcol)
-            for m in modes:
-                _declared(m, lineno, mcol, declared)
-            statements.append(OutputDecl(modes))
+            statements.append(OutputDecl(_field("output", modes_text, lineno, mcol, params, declared)))
+
+        elif kw == "pbs" or kw in _STATEMENTS:
+            if len(positional) != (kw == "source"):
+                raise CircuitParseError(
+                    "source takes one positional mode" if kw == "source" else f"{kw} takes keyword fields only",
+                    lineno,
+                    col0,
+                )
+            label = kw
+            if kw == "pbs":
+                merge = fields.keys() & set(_STATEMENTS["pbs (merge)"][1])
+                label = "pbs (merge)" if merge else "pbs (split)"
+            decl, required, optional, produces = _STATEMENTS[label]
+            for n in required:
+                if n not in fields:
+                    raise CircuitParseError(f"{label}: missing field {n!r}", lineno, col0)
+            for k, (c, _) in fields.items():
+                if k not in required and k not in optional:
+                    raise CircuitParseError(f"{label}: unknown field {k!r}", lineno, c)
+            if positional:  # a source's target mode, claimed first: no element produces an undeclared mode
+                claim(positional[0][1], "source target", lineno, positional[0][0])
+                fields = {"mode": positional[0], **fields}
+                required = ("mode", *required)
+            values = {k: _field(k, fields[k][1], lineno, fields[k][0], params, declared)
+                      for k in (*required, *optional) if k in fields}
+            for k in produces:
+                claim(fields[k][1], "element output", lineno, fields[k][0])
+            # required fields fill the declaration in order, optional ones by name; select and
+            # require, which take one value, fill none
+            statements.append(decl(*(values[k] for k in required if k != "select"),
+                                   **{k: values[k] for k in optional if k in values and k != "require"}))
 
         else:
             raise CircuitParseError(f"unknown statement kind {kw!r}", lineno, col0)
@@ -593,22 +559,6 @@ def parse(text: str) -> CircuitDoc:
     doc = CircuitDoc(name, tuple(params), tuple(statements))
     validate(doc)
     return doc
-
-
-def _check_expr_params(text: str, params: Sequence[str], line: int, col: int, evaluate=evaluate_expr):
-    """Check what an expression reads; evaluate it if it reads no parameter."""
-    names = expr_variables(node := parse_expr(text, line, col))
-    for v in sorted(names):
-        if v not in params:
-            raise CircuitParseError(f"undeclared parameter {v!r} in expression", line, col)
-    if names:
-        return None
-    if node[0] == "num":  # a literal's value, without generating a function
-        return node[1]
-    try:
-        return evaluate(text, {})
-    except (BindingError, ParameterError) as exc:
-        raise CircuitParseError(str(exc), line, col) from None
 
 
 def validate(doc: CircuitDoc) -> None:

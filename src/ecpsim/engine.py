@@ -45,8 +45,8 @@ planned parameter takes them from the log-odds
 
 No computed value is dropped: the prologue drops only exactly zero photon
 amplitudes, a round keeps every slot, and a signature counts where it
-weighs more than 0.  Only the compile step prunes, at ``fock.PRUNE_EPS``, the
-coefficient noise of the unit products it maps.  A round whose probability
+weighs more than 0.  Nor does the compile step prune: it keeps every
+coefficient of the unit products it maps.  A round whose probability
 is 0 (it underflows, or its detectors have efficiency 0) cannot succeed: it
 reports p 0 and fidelity null.
 

@@ -29,11 +29,13 @@ unnormalized so that squared norms compose into branch probabilities.
 The kernels (mode transforms here, the polarizing-splitter relabels in
 ``elements``, heralding in ``measurement``) run on a ``PatternTable``:
 patterns interned to ids, and states as ``{id: amplitude}`` dicts;
-``State`` operations use a throwaway table, the engine one per plan.  Results are pruned where built: ``State(...)`` and
-``PatternTable.admit`` (prune, photon cap, accumulate, prune), ``prune`` for
-the transform.  The engine runs the kernels only to compile its rounds, on
-unit products, where the prune drops coefficient noise; its compiled rounds
-drop no value.
+``State`` operations use a throwaway table, the engine one per plan.  The
+``State`` layer prunes where it builds: ``State(...)`` and
+``PatternTable.admit`` (prune, photon cap, accumulate, prune), and
+``State._trusted`` for every other result.  The transform, the relabels and
+``herald_terms`` prune nothing: the engine runs them only to compile its
+rounds, on unit products, and neither its compile step nor its compiled
+rounds drop a value.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-PRUNE_EPS = 1e-15  # smallest amplitude magnitude a State term or compiled coefficient keeps (absolute)
+PRUNE_EPS = 1e-15  # smallest amplitude magnitude a State term keeps (absolute)
 NORM_TOL = 1e-12  # a norm at or below it is (numerically) zero; also a unit norm's slack
 ISOMETRY_TOL = 1e-12  # largest deviation of a transform's column overlaps from the identity
 RECYCLE_AGREEMENT_TOL = 1e-9  # largest infidelity between two recycle click patterns' states
@@ -340,7 +342,7 @@ class PatternTable:
                 if c:
                     norm_out = math.prod(map(math.factorial, counts.values()))
                     out[q] = out.get(q, 0j) + c * math.sqrt(norm_out) / math.sqrt(norm_in)
-        return prune(out)
+        return out
 
 
 def tensor(a: State, b: State) -> State:

@@ -80,7 +80,8 @@ def detection_factor(groups: Sequence[DetectDecl], model: DetectorModel) -> floa
 
 def herald_terms(tab: PatternTable, terms, groups, corrections) -> list[tuple]:
     """``herald`` on ``tab``'s ids: ``(clicks, weight, success, correction, component)``
-    per signature, in order, ``component`` listing ``(residual id, amplitude)``."""
+    per signature, in order, ``component`` listing ``(residual id, amplitude)``; every signature
+    counts, where ``herald`` drops those of weight at most ``PRUNE_EPS``²."""
     detectors = [d for g in groups for d in g.modes]
     index = {d: i for i, d in enumerate(detectors)}
     buckets: dict[tuple[tuple[str, int], ...], list[tuple[int, complex]]] = {}
@@ -99,8 +100,6 @@ def herald_terms(tab: PatternTable, terms, groups, corrections) -> list[tuple]:
     for sig in sorted(buckets):
         component = buckets[sig]
         weight = sum([(m := abs(a)) * m for _, a in component])
-        if weight <= PRUNE_EPS * PRUNE_EPS:
-            continue
         counts = dict(sig)
         success = all(sum(counts.get(d, 0) for d in g.modes) == 1 for g in groups)
         corr = sorted(corrections[d] for d, _ in sig if d in corrections) if success else ()
@@ -140,6 +139,7 @@ def herald(
     return [
         HeraldOutcome(sig, w, w * (factor if ok else 1.0), ok, corr, tab.state(residual(comp, w)))
         for sig, w, ok, corr, comp in herald_terms(tab, tab.of(state), groups, corrections or {})
+        if w > PRUNE_EPS * PRUNE_EPS
     ]
 
 

@@ -21,7 +21,7 @@ error, not something to paper over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .circuits import builtin_doc
@@ -164,19 +164,16 @@ def run_monte_carlo(
         )
         for r, s, c in zip(exact.rounds, succ_counts, rec_counts)
     ]
-    return ProtocolReport(
-        protocol=exact.protocol,
-        accounting=accounting,
-        alpha_sq=exact.alpha_sq,
-        gamma_sq=exact.gamma_sq,
+    return replace(
+        exact,
         eta_p=eta_p,
-        schedule=exact.schedule,
         rounds=mc_rounds,
         p_total=p_hat,
         engine=EngineInfo("monte_carlo", tables.detected_photons),
         seed=seed,
         trials=trials,
         stderr=stderr,
+        paper_comparison={},
     )
 
 

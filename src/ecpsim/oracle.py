@@ -251,8 +251,7 @@ def _run_round(arms, photons, eta: float, flips: dict):
     ideal.
     """
     corrected = _herald(arms, photons, [a.success_bs for a in arms], 1, flips)
-    etas = [a.success_group.eta for a in arms]
-    factor = eta ** etas.count(None) * math.prod(e for e in etas if e is not None)
+    factor = math.prod(eta if a.success_group.eta is None else a.success_group.eta for a in arms)
     p_success = sum(_vec_norm_sq(v) * factor for v in corrected.values())
     if arms[0].recycle_bs is None:
         return corrected, p_success, None, 0.0

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import functools
+import math
 import operator
 
 import pytest
@@ -57,6 +58,10 @@ def test_expr_precedence_and_sqrt():
     assert evaluate_expr("(1+2)*3", {}) == 9
     assert evaluate_expr("sqrt(2)/2", {}) == pytest.approx(0.7071067811865476)
     assert evaluate_expr("-alpha+1", {"alpha": 0.25}) == pytest.approx(0.75)
+    # the correctly rounded square root; x ** 0.5 goes through the platform's pow, which can be
+    # one ulp off (0.9710545923444074 under glibc 2.36 on x86-64)
+    assert evaluate_expr("sqrt(x)", {"x": 0.9429470213131631}) == 0.9710545923444073
+    assert repr(evaluate_expr("sqrt(x)", {"x": -0.0})) == "0.0"
 
 
 def test_expr_variables_and_binding_error():
@@ -516,7 +521,7 @@ def _closures(node, text):
             return complex(bindings[name])
         return var
     ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "sqrt": lambda v: complex(v.real**0.5) if v.imag == 0 and v.real >= 0 else cmath.sqrt(v)}
+           "sqrt": lambda v: complex(math.sqrt(v.real) + 0.0) if v.imag == 0 and v.real >= 0 else cmath.sqrt(v)}
     op = functools.partial(_quotient, text=text) if kind == "div" else ops[kind]
     fs = [_closures(a, text) for a in args]
     if len(fs) == 1:

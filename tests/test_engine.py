@@ -20,6 +20,7 @@ import ecpsim.dsl
 import ecpsim.elements
 import ecpsim.engine
 import ecpsim.fock
+import ecpsim.measurement
 import ecpsim.report
 from ecpsim.circuits import builtin_doc, builtin_text
 from ecpsim.dsl import DetectDecl, PbsMergeDecl, evaluate_expr, evaluate_real, parse
@@ -495,6 +496,22 @@ def test_generated_sources_hold_no_power_and_no_threshold(monkeypatch):
     assert set(sources) == {"<photons>", "<round kernel>", "<round scorer>"}
     for word in ("**", "PRUNE_EPS", "EPS2", "NORM2"):
         assert not [line for code in sources.values() for line in code if word in line], word
+
+
+def test_the_compile_step_prunes_nothing(monkeypatch):
+    # with the prune floor above the balanced couplers' 0.5 coefficients, a compile step that
+    # pruned would drop them: the reports stay byte for byte those of the unpatched plans
+    def reports():
+        ent = EntanglementParams.from_alpha_sq(0.6)
+        return [run(ent, pol, accounting=accounting, **kw).to_json()
+                for run, kw in ((run_ecp1, {}), (run_ecp2, {"rounds": 4}))
+                for pol in (POL, None) for accounting in ("branch", "joint")]
+
+    want = reports()
+    monkeypatch.setattr(ecpsim.fock, "PRUNE_EPS", 0.6)
+    monkeypatch.setattr(ecpsim.measurement, "PRUNE_EPS", 0.6)
+    monkeypatch.setattr(ecpsim.engine, "analyze", functools.lru_cache(ecpsim.engine.analyze.__wrapped__))
+    assert reports() == want
 
 
 def _record_chains(monkeypatch, calls):

@@ -276,3 +276,11 @@ def test_oracle_counts_a_heralding_group_efficiency():
     [(per_chain, _book)] = oracle._run_chain(doc, [pairs, pairs], "branch", 0.8, bindings, pol)
     assert report.p_total == pytest.approx(0.24, rel=1e-12)
     assert sum(per_chain.values()) == pytest.approx(0.24, rel=1e-12)
+
+
+def test_the_detector_factor_is_a_product_of_the_group_efficiencies():
+    # eta per heralding group, multiplied as the engine multiplies it; eta ** 2 goes through the
+    # platform's pow, which can be one ulp off (0.0662515874558729 under glibc 2.36 on x86-64)
+    assert oracle_ecp1(0.6, 0.5, accounting="joint", eta=0.5874183784430576)["p_total"] == 0.06625158745587291
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Pow)]
