@@ -136,11 +136,9 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_run(args) -> int:
     _check_eta(args.eta)
     seed = _seed(args)
-    ent = (
-        EntanglementParams.from_alpha_sq(args.alpha_sq)
-        if args.alpha_sq is not None
-        else None
-    )
+    if args.alpha_sq is None:
+        raise ConfigError("--alpha-sq is required")
+    ent = EntanglementParams.from_alpha_sq(args.alpha_sq)
     pol = (
         PolarizationParams.from_gamma_sq(args.gamma_sq)
         if args.gamma_sq is not None
@@ -151,8 +149,6 @@ def _cmd_run(args) -> int:
 
         if args.circuit:
             raise ConfigError("sampled runs use the built-in layouts")
-        if ent is None:
-            raise ConfigError("--alpha-sq is required for sampled runs")
         report = run_monte_carlo(
             args.protocol,
             ent,

@@ -131,7 +131,6 @@ class Plan(Layout):
 
     coupler_reads: set[str] = field(default_factory=set)
     reads: set[str] = field(default_factory=set)  # by couplers and sources
-    planned: tuple = field(kw_only=True)  # per arm, 0 where its t is t1/t_plus, 1 where t2/t_minus, else None
     table: PatternTable = field(default_factory=PatternTable, compare=False, repr=False)
     prologues: dict = field(default_factory=dict, compare=False, repr=False)  # by point kind
     # by arm labels: (the coupler matrix compiled at, {auxiliary ids: {input ids: round function}})
@@ -149,12 +148,7 @@ def analyze(doc: CircuitDoc) -> Plan:
     lay = layout(doc)
     couplers = _reads(arm.vbs.t for arm in lay.arms)
     sources = _reads(s.amp for s in doc.statements if isinstance(s, SourceDecl))
-    planned = tuple(_PLANNED.get(node[1]) if (node := parse_expr(arm.vbs.t))[0] == "var" else None
-                    for arm in lay.arms)
-    return Plan(**vars(lay), coupler_reads=couplers, reads=couplers | sources, planned=planned)
-
-
-_PLANNED = {"t1": 0, "t_plus": 0, "t2": 1, "t_minus": 1}  # which planned schedule a parameter is
+    return Plan(**vars(lay), coupler_reads=couplers, reads=couplers | sources)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +539,7 @@ def _rounds(
 
 def execute(
     doc: CircuitDoc,
-    ent: EntanglementParams | None = None,
+    ent: EntanglementParams,
     pol: PolarizationParams | None = None,
     *,
     rounds: int = 1,
@@ -572,8 +566,6 @@ def execute(
         raise ConfigError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
     model = model or IDEAL_DETECTORS
     plan = analyze(doc)
-    if ent is None:
-        raise ConfigError("entanglement parameters are required for this circuit")
     ent.require_nondegenerate()
 
     bindings: dict[str, complex] = {"alpha": ent.alpha, "beta": ent.beta}
@@ -614,8 +606,8 @@ def execute(
     # each round's coupler pairs: a recycling plan's bare planned parameter takes them from the
     # log-odds, free of the cancellation in 1 - t; any other coupler from its transmittance
     odds = vbs_pair_schedule(ent, rounds) if plan.has_recycling else None
-    pairs = {arm.label: odds if odds and planned is not None else list(map(vbs_pair, schedule[arm.label]))
-             for arm, planned in zip(plan.arms, plan.planned)}
+    pairs = {arm.label: odds if odds and arm.planned is not None else list(map(vbs_pair, schedule[arm.label]))
+             for arm in plan.arms}
     if accounting == "branch":
         # each arm acts only on the component where the signal is not in the other arm
         chains = [_run_chain(plan, [arm], inp, zip(pairs[arm.label]), [aux], model)
@@ -637,7 +629,7 @@ def execute(
         p_total=sum(r.p_success for r in round_results),
         engine=EngineInfo("exact", eta_exponent),
     )
-    report.paper_comparison = _comparison(plan, report, pol, chains)
+    report.paper_comparison = _comparison(plan, report, pol, chains, model)
     return report
 
 
@@ -658,11 +650,11 @@ def _effective_schedule(
     as floats (``evaluate_real`` gives ``float(t)``), already checked to lie in [0, 1]."""
     eff: dict[str, list[float]] = {"plus": [], "minus": []}
     arms = []  # the couplers whose expressions are evaluated round by round
-    for arm, planned in zip(plan.arms, plan.planned):
-        if planned is None:
+    for arm in plan.arms:
+        if arm.planned is None:
             arms.append(arm)
         else:
-            eff[arm.label] = list(map(float, (ts_plus, ts_minus)[planned]))
+            eff[arm.label] = list(map(float, (ts_plus, ts_minus)[arm.planned]))
     round_bindings = dict(bindings)
     for k, (plus, minus) in enumerate(zip(ts_plus, ts_minus) if arms else ()):
         if k and plus == ts_plus[k - 1] and minus == ts_minus[k - 1]:
@@ -683,18 +675,26 @@ def _comparison(
     report: ProtocolReport,
     pol: PolarizationParams | None,
     chains: list[list[_ChainRound]],
+    model: DetectorModel,
 ) -> dict[str, dict[str, float]]:
     """The published closed forms against the simulated values.  Two facts decide the entries: a
     one-arm ecp2 run without polarization is scored only against its round series, and a
-    two-arm polarized branch run adds the per-arm entries of its protocol (one chain per arm)."""
+    two-arm polarized branch run adds the per-arm entries of its protocol (one chain per arm).
+    Each paper value takes the detection factor the run applied: a per-arm entry its arm's, any
+    other the product over the arms under joint accounting, else the arms' one factor; a branch
+    run whose arms' factors differ has no such entry."""
     out: dict[str, dict[str, float]] = {}
     if report.protocol == "custom":
         return out
     a2 = report.alpha_sq
-    factor = math.prod([report.eta_p] * report.engine.eta_exponent)
+    factors = [detection_factor([a.success_group], model) for a in plan.arms]
+    if report.accounting == "joint":
+        factor = detection_factor([a.success_group for a in plan.arms], model)
+    else:
+        factor = factors[0] if len(set(factors)) == 1 else None
     ecp2 = report.protocol == "ecp2"
     if ecp2 and pol is None and len(plan.arms) == 1:
-        series = round_success_series(a2, report.eta_p, len(report.rounds))
+        series = round_success_series(a2, factor, len(report.rounds))
         for k, (pk, r) in enumerate(zip(series, report.rounds), start=1):
             out[f"series_round_{k}"] = comparison_entry(pk, r.p_success)
         out["series_total"] = comparison_entry(sum(series), report.p_total)
@@ -707,11 +707,12 @@ def _comparison(
         else:
             arms = {"claimed_success_plus": branch_success_plus(a2, pol.delta_sq),
                     "claimed_success_minus": branch_success_minus(a2, pol.gamma_sq)}
-        per_arm = {a.label: c[0].p_success for a, c in zip(plan.arms, chains)}
-        for (name, claimed), label in zip(arms.items(), ("plus", "minus")):
-            out[name] = comparison_entry(claimed * factor, per_arm.get(label, 0.0))
-        if not ecp2:
+        for (name, claimed), arm_factor, chain in zip(arms.items(), factors, chains):
+            out[name] = comparison_entry(claimed * arm_factor, chain[0].p_success)
+        if not ecp2 and factor is not None:
             out["claimed_branch_sum"] = comparison_entry(3.0 * a2 * (1.0 - a2) * factor, report.p_total)
+    if factor is None:
+        return out
     out["claimed_total"] = comparison_entry(claimed_total(a2) * factor, report.p_total)
     if ecp2:
         out["stripped_series_total"] = comparison_entry(

@@ -26,7 +26,7 @@ import math
 from collections import Counter
 
 from .circuits import Arm, builtin_doc, layout
-from .dsl import CircuitDoc, PbsMergeDecl, evaluate_real, parse_expr
+from .dsl import CircuitDoc, PbsMergeDecl, evaluate_real
 
 _R = 0.7071067811865476  # 1 / sqrt(2)
 
@@ -261,8 +261,9 @@ def _run_round(arms, photons, eta: float, flips: dict):
 
 def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings, pol):
     """Rounds of ``doc`` over the coupler pairs ``schedules[0]`` (of ``t1``/``t_plus``) and
-    ``schedules[-1]`` (of ``t2``/``t_minus``): a bare ``t=`` parameter takes its pair, any other
-    ``t=`` is evaluated with each parameter bound to its pair's sqrt(t) squared.
+    ``schedules[-1]`` (of ``t2``/``t_minus``): an arm whose ``t=`` reads one bare takes its pair
+    (``Arm.planned``), any other ``t=`` is evaluated with each parameter bound to its pair's
+    sqrt(t) squared.
 
     Branch accounting runs one chain per arm, on the signal components not
     in another arm; joint accounting one chain with every arm.  ``pol`` is
@@ -284,13 +285,12 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
         ]
     else:
         chains, currents = [arms], [signal]
-    bare = {a.vbs.t: node[1] for a in arms if (node := parse_expr(a.vbs.t))[0] == "var"}
     out = []
     for plus, minus in zip(schedules[0], schedules[-1]):
         pairs = {"t1": plus, "t_plus": plus, "t2": minus, "t_minus": minus}
         round_bindings = {**bindings, **{name: s * s for name, (_c, s) in pairs.items()}}
-        arm_pairs = {a.vbs.t: pairs.get(bare.get(a.vbs.t)) or _pair(evaluate_real(a.vbs.t, round_bindings))
-                     for a in arms}
+        arm_pairs = {a.vbs.t: (plus, minus)[a.planned] if a.planned is not None
+                     else _pair(evaluate_real(a.vbs.t, round_bindings)) for a in arms}
         per_chain, p_round, p_rec_round, books = {}, 0.0, 0.0, []
         for i, chain_arms in enumerate(chains):
             label = chain_arms[0].signal_mode if accounting == "branch" else None

@@ -180,6 +180,42 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--protocol", "ecp2"), "--alpha-sq is required"),
+        (("run", "--engine", "monte_carlo"), "--alpha-sq is required"),
+        (("run", "--circuit", "{divide_aux}", "--alpha-sq", "0.6"), "expression '1/(alpha-alpha)' divides by zero"),
+        (("run", "--circuit", "{double_t}", "--alpha-sq", "0.6"),
+         "coupler expression '2*t_plus' gives 1.2000000000000002, outside [0, 1]"),
+        (("run", "--circuit", "{literal_minus}", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "0.3"),
+         "t2 is given but no coupler expression reads t2 or t_minus"),
+        (("run", "--engine", "monte_carlo", "--circuit", "{double_t}", "--alpha-sq", "0.6"),
+         "sampled runs use the built-in layouts"),
+        (("sweep", "--alpha-sq-list", "x"), "bad entanglement grid 'x'"),
+        (("sweep", "--alpha-sq-list", ","), "empty entanglement grid"),
+    ],
+    ids=["no-alpha-sq", "no-alpha-sq-sampled", "divide-aux", "double-t", "literal-minus-t2",
+         "sampled-circuit", "sweep-bad-grid", "sweep-empty-grid"],
+)
+def test_a_configuration_error_exits_3_naming_its_cause(tmp_path, capsys, argv, message):
+    # the auxiliary photon's error is raised where its arm's chain reads it; a missing --alpha-sq
+    # is one error for both engines
+    from ecpsim.circuits import builtin_text
+
+    files = {
+        "divide_aux": builtin_text("ecp1_stripped").replace("amp=1", "amp=1/(alpha-alpha)"),
+        "double_t": builtin_text("ecp2_stripped").replace("t=t_plus", "t=2*t_plus"),
+        "literal_minus": builtin_text("ecp1").replace("t=t2", "t=1/2"),
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.ecp"
+        paths[name].write_text(text, encoding="utf-8")
+    got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (got, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv,code",
     [
         (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2",

@@ -112,11 +112,12 @@ def test_unmatched_coupler_is_a_topology_error():
     lines.insert(-1, "mode x1")
     lines.insert(-1, "mode x2")
     lines.insert(-1, "mode x3")
-    lines.insert(-1, "source x1 pol=H amp=1")
+    lines.insert(-1, "source x1 pol=H amp=1 photon=signal")
     lines.insert(-1, "bs in1=x1 in2=a1 out1=x2 out2=x3")
     bad = "\n".join(lines) + "\n"
-    with pytest.raises(TopologyError):
+    with pytest.raises(TopologyError) as err:
         analyze(parse(bad.replace("output a1,b6", "output b6")))
+    assert str(err.value) == "coupler not attached to any arm"
 
 
 def test_vbs_without_dedicated_photon_is_rejected():
@@ -161,11 +162,6 @@ def test_bad_accounting_rejected():
 def test_degenerate_entanglement_rejected():
     with pytest.raises(ParameterError):
         run_ecp1(EntanglementParams.from_alpha_sq(1.0), POL)
-
-
-def test_missing_entanglement_parameters():
-    with pytest.raises(ConfigError):
-        execute(builtin_doc("ecp1_stripped"))
 
 
 def test_literal_transmittance_is_authoritative():
@@ -233,6 +229,31 @@ def test_closed_forms_are_scored_only_on_the_arms_they_describe():
     report = execute(parse(one_arm.replace("source b1 pol=V amp=beta", "source b1 pol=V amp=beta*gamma")), ENT, POL)
     assert report.protocol == "ecp1" and list(report.paper_comparison) == ["claimed_total"]
     assert "claimed_success_minus" in run_ecp1(ENT, POL).paper_comparison
+
+
+def test_a_heralding_groups_eta_scales_the_paper_values():
+    # each paper value takes the detection factor the run applied: a group's own eta= in place of
+    # eta_p, which stays the --eta value
+    lossy = parse(builtin_text("ecp1_stripped").replace("modes=d1,d2", "modes=d1,d2 eta=0.5"))
+    for model in (None, DetectorModel(eta_p=0.8)):
+        report = execute(lossy, ENT, model=model)
+        assert report.eta_p == (model or DetectorModel()).eta_p
+        entry = report.paper_comparison["claimed_total"]
+        assert entry["paper_value"] == 0.24 and entry["simulated_value"] == pytest.approx(0.24, rel=1e-15)
+
+
+def test_branch_arms_of_different_efficiencies_drop_the_one_factor_totals():
+    # a per-arm entry takes its arm's factor; under branch accounting no one factor scales a total
+    # of two arms whose factors differ, and under joint accounting the factor is their product
+    lossy = parse(builtin_text("ecp1").replace("modes=d1,d2", "modes=d1,d2 eta=0.5"))
+    pol = PolarizationParams.from_gamma_sq(0.3)
+    branch = execute(lossy, ENT, pol).paper_comparison
+    assert list(branch) == ["claimed_success_plus", "claimed_success_minus"]
+    assert branch["claimed_success_plus"]["paper_value"] == pytest.approx(0.204, rel=1e-15)
+    assert branch["claimed_success_minus"]["paper_value"] == pytest.approx(0.312, rel=1e-15)
+    joint = execute(lossy, ENT, pol, accounting="joint").paper_comparison["predicted_joint_total"]
+    assert joint["paper_value"] == pytest.approx(0.096, rel=1e-15)
+    assert joint["simulated_value"] == pytest.approx(0.096, rel=1e-14)
 
 
 @pytest.mark.parametrize("accounting", ["branch", "joint"])
@@ -531,7 +552,7 @@ def _record_chains(monkeypatch, calls):
         _, bindings, planned = points[-1]
         schedules, pairs = [planned[a.label] for a in arms], list(pairs)
         odds = vbs_pair_schedule(EntanglementParams(bindings["alpha"], bindings["beta"]), len(pairs))
-        assert pairs == list(zip(*[odds if plan.has_recycling and plan.planned[plan.arms.index(a)] is not None
+        assert pairs == list(zip(*[odds if plan.has_recycling and a.planned is not None
                                    else list(map(vbs_pair, ts)) for a, ts in zip(arms, schedules)]))
         calls.append(((plan, arms, current, pairs, auxes, model), (schedules, bindings)))
         return _run_chain(plan, arms, current, pairs, auxes, model)
@@ -1132,6 +1153,18 @@ def test_a_bare_schedule_parameter_reads_the_planned_list():
     report = run_ecp2(ent, PolarizationParams.from_gamma_sq(0.3), rounds=8, accounting="joint")
     planned = [evaluate_real("t_plus", {"t_plus": t}) for t in vbs_schedule(ent, 8)]
     assert report.schedule == {"plus": planned, "minus": planned}
+
+
+def test_an_evaluated_coupler_repeats_its_value_over_repeated_rounds(monkeypatch):
+    # at alpha^2 0.5 the doubling schedule stays at t 0.5, so each later round's bindings equal
+    # the first's and the coupler expression is evaluated once
+    texts = []
+    evaluate = ecpsim.engine.evaluate_real
+    monkeypatch.setattr(ecpsim.engine, "evaluate_real", lambda text, b: texts.append(text) or evaluate(text, b))
+    ent = EntanglementParams.from_alpha_sq(0.5)
+    evaluated = execute(parse(builtin_text("ecp2_stripped").replace("t=t_plus", "t=t_plus*1")), ent, rounds=6)
+    assert texts == ["t_plus*1"]
+    assert evaluated.schedule == run_ecp2(ent, rounds=6).schedule == {"plus": [0.5] * 6, "minus": []}
 
 
 def test_late_recycling_rounds_run_in_the_warm_round_functions(monkeypatch):

@@ -2,16 +2,17 @@
 
 The corpora pin bytes, and the oracle reads the circuit wiring the way the
 engine does, so a defect both share passes them.  These relations hold for
-any correct simulation of the recycling protocol (ecp2), whatever its wiring
-code.  Each draws its points, runs 10 rounds and compares the rounds whose
-expected success probability is above ``FLOOR`` (deeper ones may underflow).
+any correct simulation of the protocols, whatever its wiring code.  Each
+draws its points, runs 10 rounds of ecp2 (one of ecp1) and compares the
+rounds whose expected success probability is above ``FLOOR`` (deeper ones
+may underflow).
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from ecpsim.engine import run_ecp2
+from ecpsim.engine import run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.params import EntanglementParams, PolarizationParams
 
@@ -69,3 +70,20 @@ def test_stripped_chain_is_symmetric_in_the_amplitudes(alpha_sq, accounting):
     got, _ = _successes(alpha_sq, None, accounting)
     want, _ = _successes(1.0 - alpha_sq, None, accounting)
     _assert_close(got, want, 1e-12)
+
+
+@SETTINGS
+@given(ALPHA_SQ, GAMMA_SQ, st.sampled_from(["ecp1", "ecp2"]))
+def test_swapping_gamma_and_delta_swaps_the_branch_arms(alpha_sq, gamma_sq, protocol):
+    # the plus arm heralds the signal's V share (delta) and the minus arm its H share (gamma)
+    # through mirror-image wiring, so (delta, gamma) in place of (gamma, delta) runs each arm's
+    # arithmetic on the other's numbers: the per-arm values swap and every round's sum stays, bit
+    # for bit
+    ent, pol = EntanglementParams.from_alpha_sq(alpha_sq), PolarizationParams.from_gamma_sq(gamma_sq)
+    reports = [run_ecp1(ent, p) if protocol == "ecp1" else run_ecp2(ent, p, rounds=ROUNDS)
+               for p in (pol, PolarizationParams(pol.delta, pol.gamma))]
+    plain, swapped = ([r.p_success for r in report.rounds] for report in reports)
+    assert swapped == plain
+    names = [f"claimed_{'success' if protocol == 'ecp1' else 'round1'}_{arm}" for arm in ("plus", "minus")]
+    arms = [[report.paper_comparison[name]["simulated_value"] for name in names] for report in reports]
+    assert arms[1] == arms[0][::-1]
