@@ -59,10 +59,10 @@ probabilities, written as products (``m * m``, never ``** 2``, whose
 platform ``pow`` is not correctly rounded everywhere).  Recycling rounds
 send the auxiliary photon through its coupler at the transmittance of the
 doubling schedule and continue on the corrected residual; the distinct
-recycle click patterns must agree after correction (an internal invariant,
-checked on the normalized states, at any scale) so the rounds form a single
-chain rather than a branching tree.  A round whose input and coupler pairs
-equal the previous round's repeats its result.
+recycle click patterns must agree after correction (checked on the
+normalized states, at any scale; miswired flips are a ``TopologyError``)
+so the rounds form a single chain rather than a branching tree.  A round
+whose input and coupler pairs equal the previous round's repeats its result.
 """
 
 from __future__ import annotations
@@ -387,7 +387,7 @@ def _kernel(plan: Plan, program: tuple, inputs: int, counts: tuple):
                      f"        inner = 0.0{''.join(f' + s{a}.conjugate() * s{b}' for a, b in zip(firsts, seconds))}",
                      f"        x = abs(inner) / math.sqrt({r}) / math.sqrt({other})",
                      "        if x * x < AGREE:",
-                     "            raise RuntimeError(_DISAGREE)"]
+                     "            raise TopologyError(_DISAGREE)"]
         code += [f"    scale = math.sqrt(p_rec / {r})",
                  f"    nxt = {{{', '.join(f'{const(q)}: s{s} * scale' for s, q in run)}}}"]
     code += ["else:", "    p_rec, nxt = 0.0, {}"] if again else ["p_rec, nxt = 0.0, {}"]

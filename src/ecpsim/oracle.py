@@ -21,84 +21,55 @@ it per arm, joint accounting once with every arm.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-from collections import Counter
+import operator
 
 from .circuits import Arm, builtin_doc, layout
-from .dsl import CircuitDoc, PbsMergeDecl, evaluate_real
+from .dsl import BindingError, CircuitDoc, ParameterError, PbsMergeDecl, parse_expr
 
 _R = 0.7071067811865476  # 1 / sqrt(2)
+_OPS = {"neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
-# photon path alternative: (amplitude, spatial_mode, polarization)
-# propagation stage: ("map", {(mode, pol): ((amp, mode, pol), ...)})
-#                 or ("qnd", mode_a, mode_b)
+# photon path alternative: (amplitude, spatial_mode, polarization), and once routed its start mode
 
 
-def _coupler_rules(in1: str, in2: str, out1: str, out2: str) -> dict:
+def _value(node, text: str, bindings) -> complex:
+    """``node`` of ``dsl.parse_expr(text)`` on ``bindings``, in the complex operations of
+    ``dsl.evaluate_real``, so that infinities and signed zeros come out as there."""
+    kind, *args = node
+    if kind == "num":
+        return complex(args[0])
+    if kind == "var":
+        if args[0] not in bindings:
+            raise BindingError(f"parameter {args[0]!r} has no bound value")
+        return complex(bindings[args[0]])
+    xs = [_value(a, text, bindings) for a in args]
+    if kind == "div" and xs[1] == 0:
+        raise ParameterError(f"expression {text!r} divides by zero")
+    if kind == "sqrt":
+        [x] = xs
+        return complex(math.sqrt(x.real) + 0.0) if x.imag == 0 and x.real >= 0 else cmath.sqrt(x)
+    return _OPS[kind](*xs)
+
+
+def _real(text: str, bindings) -> float:
+    v = _value(parse_expr(text), text, bindings)
+    if abs(v.imag) > 1e-12:
+        raise BindingError(f"expression {text!r} evaluated to a complex value {v}")
+    return v.real
+
+
+def _coupler_rules(couplers) -> dict:
+    """One side's couplers as one map ``(mode, pol) -> alternatives``: in a recognized layout
+    no coupler output feeds another coupler, so applying them in turn is applying this map."""
     rules = {}
-    for pol in ("H", "V"):
-        rules[(in1, pol)] = ((_R, out1, pol), (-_R, out2, pol))
-        rules[(in2, pol)] = ((_R, out1, pol), (_R, out2, pol))
+    for b in couplers:
+        for pol in ("H", "V"):
+            rules[(b.in1, pol)] = ((_R, b.out1, pol), (-_R, b.out2, pol))
+            rules[(b.in2, pol)] = ((_R, b.out1, pol), (_R, b.out2, pol))
     return rules
-
-
-def _propagate(alternatives, stages):
-    paths = [(a, m, p, ()) for (a, m, p) in alternatives]
-    for si, stage in enumerate(stages):
-        new = []
-        for (a, m, p, marks) in paths:
-            if stage[0] == "map":
-                rules = stage[1]
-                if (m, p) in rules:
-                    for (w, m2, p2) in rules[(m, p)]:
-                        new.append((a * w, m2, p2, marks))
-                else:
-                    new.append((a, m, p, marks))
-            else:
-                new.append((a, m, p, marks + ((si, m),)))
-        paths = new
-    return paths
-
-
-def _buckets(photon_paths, qnd_indices):
-    """Joint Fock amplitudes keyed by (qnd classes, landing multiset).
-
-    The sum over path combinations times the square root of the repeated
-    landing factor is the standard multi-photon interference amplitude for
-    photons that start in distinct modes.
-    """
-    out: dict = {}
-    for combo in itertools.product(*photon_paths):
-        amp = 1.0 + 0j
-        for c in combo:
-            amp *= c[0]
-        classes = []
-        for (si, a, b) in qnd_indices:
-            at_a = sum(1 for c in combo if (si, a) in c[3])
-            at_b = sum(1 for c in combo if (si, b) in c[3])
-            classes.append(abs(at_a - at_b))
-        final = tuple(sorted((c[1], c[2]) for c in combo))
-        key = (tuple(classes), final)
-        out[key] = out.get(key, 0j) + amp
-    result = {}
-    for (classes, final), amp in out.items():
-        f = 1.0
-        for n in Counter(final).values():
-            f *= math.factorial(n)
-        result[(classes, final)] = amp * math.sqrt(f)
-    return result
-
-
-def _split_final(final, detectors):
-    clicks: dict = {}
-    residual = []
-    for (m, p) in final:
-        if m in detectors:
-            clicks[m] = clicks.get(m, 0) + 1
-        else:
-            residual.append((m, p))
-    return tuple(sorted(clicks.items())), tuple(residual)
 
 
 def _vec_norm_sq(vec: dict) -> float:
@@ -145,7 +116,7 @@ def _aux_photon(arm: Arm, pair: tuple[float, float], bindings) -> list:
     """The arm's auxiliary photon behind its coupler, of pair (sqrt(1 - t), sqrt(t))."""
     out = []
     for s in arm.aux_sources:
-        amp = evaluate_real(s.amp, bindings)
+        amp = _real(s.amp, bindings)
         out += [(amp * pair[0], arm.vbs.reflect, s.pol), (amp * pair[1], arm.vbs.transmit, s.pol)]
     return out
 
@@ -156,7 +127,7 @@ def _signal_photon(sources, split, bindings) -> list:
         mode = s.mode
         if split is not None and mode == split.inp:
             mode = split.out_h if s.pol == "H" else split.out_v
-        out.append((evaluate_real(s.amp, bindings), mode, s.pol))
+        out.append((_real(s.amp, bindings), mode, s.pol))
     return out
 
 
@@ -184,22 +155,51 @@ def _merge_arm_pair(vec_plus: dict, vec_minus: dict, merge: PbsMergeDecl) -> dic
     return out
 
 
-def _collect_heralded(buckets, detectors, want_classes, group_sets, flips):
-    """Corrected residual vector per click signature, one click per group; raises
-    ValueError when nonzero finals whose detector landings differ in polarization
-    reach one signature and residual (a mixture over the absorbed polarization)."""
+def _combine_recycle(per_click: dict):
+    vecs = list(per_click.values())
+    if not vecs:
+        return None, 0.0
+    for v in vecs[1:]:
+        if _vec_fidelity(vecs[0], v) < 1.0 - 1e-9:
+            raise ValueError("recycle continuations disagree after correction")
+    norms = [_vec_norm(v) for v in vecs]
+    scale = math.hypot(*norms) / norms[0]
+    return {k: a * scale for k, a in vecs[0].items()}, sum(map(_vec_norm_sq, vecs))
+
+
+def _herald(arms, photons, couplers, want: int, flips: dict) -> dict:
+    """Corrected residual vectors by click signature, one click per coupler's two outputs.
+
+    The QND stages come before the couplers, so a path's QND class is fixed where its photons
+    start: |starts at the signal mode - starts at the reflected mode| on each arm with a QND, and
+    ``want`` is the class kept (1 on the success side, 0 on the recycle side).  A final's amplitude
+    is its sum over the kept combinations times the root of its repeated landing factor; raises
+    ValueError where finals whose absorbed photons differ in polarization leave one residual.
+    """
+    qnd = [(a.signal_mode, a.vbs.reflect) for a in arms if a.qnd is not None]
+    rules = _coupler_rules(couplers)  # an alternative no coupler takes keeps its amplitude (None)
+    paths = [[(amp if w is None else amp * w, m2, p2, m) for (amp, m, p) in photon
+              for (w, m2, p2) in rules.get((m, p), ((None, m, p),))] for photon in photons]
+    sums: dict = {}
+    for combo in itertools.product(*paths):
+        if any(abs(sum((c[3] == a) - (c[3] == b) for c in combo)) != want for a, b in qnd):
+            continue
+        amp = 1.0 + 0j
+        for c in combo:
+            amp *= c[0]
+        final = tuple(sorted((c[1], c[2]) for c in combo))
+        sums[final] = sums.get(final, 0j) + amp
+    groups = [(b.out1, b.out2) for b in couplers]
+    detectors = {m for g in groups for m in g}
     residuals: dict = {}
     landings: dict = {}
-    for (classes, final), amp in buckets.items():
-        if classes != want_classes:
+    for final, amp in sums.items():
+        landing = [x for x in final if x[0] in detectors]
+        if any(sum(m in g for m, _p in landing) != 1 for g in groups):
             continue
-        clicks, residual = _split_final(final, detectors)
-        counts = dict(clicks)
-        if not all(
-            sum(counts.get(m, 0) for m in group) == 1 for group in group_sets
-        ):
-            continue
-        landing = [f for f in final if f[0] in detectors]
+        clicks = tuple((m, 1) for m, _p in landing)  # sorted, as ``final`` is
+        residual = tuple(x for x in final if x[0] not in detectors)
+        amp *= math.sqrt(math.prod(math.factorial(final.count(x)) for x in set(final)))
         if amp and landings.setdefault((clicks, residual), landing) != landing:
             raise ValueError(f"click signature {clicks}: absorbed photons of either polarization leave a mixture")
         vec = residuals.setdefault(clicks, {})
@@ -213,32 +213,6 @@ def _collect_heralded(buckets, detectors, want_classes, group_sets, flips):
                 vec = _flip(vec, flips[d])
         corrected[clicks] = vec
     return corrected
-
-
-def _combine_recycle(per_click: dict):
-    vecs = list(per_click.values())
-    if not vecs:
-        return None, 0.0
-    for v in vecs[1:]:
-        if _vec_fidelity(vecs[0], v) < 1.0 - 1e-9:
-            raise AssertionError("recycle continuations disagree after correction")
-    norms = [_vec_norm(v) for v in vecs]
-    scale = math.hypot(*norms) / norms[0]
-    return {k: a * scale for k, a in vecs[0].items()}, sum(map(_vec_norm_sq, vecs))
-
-
-def _herald(arms, photons, couplers, want: int, flips: dict) -> dict:
-    """The arms' QND stages, then ``couplers``; corrected residuals by clicks.
-
-    ``want`` is the QND class kept: 1 on the success side, 0 on the recycle
-    side.  Each coupler's two outputs form one detector group.
-    """
-    qnd = [("qnd", a.signal_mode, a.vbs.reflect) for a in arms if a.qnd is not None]
-    stages = qnd + [("map", _coupler_rules(b.in1, b.in2, b.out1, b.out2)) for b in couplers]
-    paths = [_propagate(p, stages) for p in photons]
-    buckets = _buckets(paths, [(i, a, b) for i, (_q, a, b) in enumerate(qnd)])
-    groups = [{b.out1, b.out2} for b in couplers]
-    return _collect_heralded(buckets, set().union(*groups), tuple(want for _ in qnd), groups, flips)
 
 
 def _run_round(arms, photons, eta: float, flips: dict):
@@ -290,7 +264,7 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
         pairs = {"t1": plus, "t_plus": plus, "t2": minus, "t_minus": minus}
         round_bindings = {**bindings, **{name: s * s for name, (_c, s) in pairs.items()}}
         arm_pairs = {a.vbs.t: (plus, minus)[a.planned] if a.planned is not None
-                     else _pair(evaluate_real(a.vbs.t, round_bindings)) for a in arms}
+                     else _pair(_real(a.vbs.t, round_bindings)) for a in arms}
         per_chain, p_round, p_rec_round, books = {}, 0.0, 0.0, []
         for i, chain_arms in enumerate(chains):
             label = chain_arms[0].signal_mode if accounting == "branch" else None

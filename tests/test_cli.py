@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -252,6 +253,7 @@ def test_a_configuration_error_exits_3_naming_its_cause(tmp_path, capsys, argv, 
         (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t1", "1.5"), 3),
         (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "-0.5"), 3),
         (("run", "--circuit", "{recycle_eta}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
+        (("run", "--circuit", "{recycle_unflipped}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
         (("run", "--alpha-sq", "0.6", "--out", "{missing_dir}"), 4),
         (("sweep", "--alpha-sq-list", "0.5", "--trials", "100", "--out", "{missing_dir}"), 4),
     ],
@@ -263,7 +265,8 @@ def test_a_configuration_error_exits_3_naming_its_cause(tmp_path, capsys, argv, 
         "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
         "repeated-detector", "repeated-output", "run-negative-seed",
         "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
-        "polarization-mixture", "t1-over-1", "t2-below-0", "recycle-eta", "run-out-missing-dir",
+        "polarization-mixture", "t1-over-1", "t2-below-0", "recycle-eta", "recycle-unflipped",
+        "run-out-missing-dir",
         "sweep-out-missing-dir",
     ],
 )
@@ -293,6 +296,8 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
         "mixture": MIXTURE_LAYOUT,
         # a recycle detection is ideal, so a recycling group's efficiency is refused, not ignored
         "recycle_eta": builtin_text("ecp2_stripped").replace("modes=d3,d4 eta=1.0", "modes=d3,d4 eta=0.1"),
+        # without the d4 flip the two recycle click patterns leave states that disagree
+        "recycle_unflipped": builtin_text("ecp2_stripped").replace("flip mode=b2 when=d4\n", ""),
     }
     paths = {}
     for name, text in files.items():
@@ -304,6 +309,54 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def _mutated_shipped_documents():
+    """``(name, text)`` of every one-line deletion of a shipped document (but of a ``circuit``,
+    ``param`` or ``mode`` line), and of every ``flip`` retargeted to each other mode of
+    a1 b2 b3 b6 b9 b10."""
+    from ecpsim.circuits import BUILTIN_NAMES, builtin_text
+
+    out = []
+    for name in BUILTIN_NAMES:
+        lines = builtin_text(name).splitlines(keepends=True)
+        for i, line in enumerate(lines):
+            if not line.startswith(("circuit ", "param ", "mode ")):
+                out.append((name, "".join(lines[:i] + lines[i + 1:])))
+            if line.startswith("flip "):
+                target = line.split()[1]
+                out += [(name, "".join([*lines[:i], line.replace(target, f"mode={m}"), *lines[i + 1:]]))
+                        for m in ("a1", "b2", "b3", "b6", "b9", "b10") if f"mode={m}" != target]
+    return out
+
+
+def test_no_exception_escapes_a_mutated_shipped_layout(tmp_path, capsys):
+    # each run is a report or one error line (exit 2 or 3), and the oracle on each document that
+    # parses raises only a document or value error
+    from ecpsim import oracle
+    from ecpsim.dsl import CircuitError, parse
+
+    path = tmp_path / "mutated.ecp"
+    codes = set()
+    for name, text in _mutated_shipped_documents():
+        path.write_text(text, encoding="utf-8")
+        polarized, rounds = not name.endswith("_stripped"), 3 if name.startswith("ecp2") else 1
+        argv = ["run", "--circuit", str(path), "--alpha-sq", "0.6", "--rounds", str(rounds)]
+        argv += ["--gamma-sq", "0.3"] if polarized else []
+        for accounting in ("branch", "joint"):
+            code, _out, err = run_cli(capsys, *argv, "--accounting", accounting)
+            assert code in (0, 2, 3) and len(err.splitlines()) == (code != 0), (text, accounting, err)
+            codes.add(code)
+        try:
+            doc = parse(text)
+        except CircuitError:
+            continue
+        _suffix, bindings, pol = oracle._point(0.6, 0.3 if polarized else None)
+        ts = oracle._schedule(0.6, rounds)
+        for accounting in ("branch", "joint"):
+            with contextlib.suppress(CircuitError, ValueError):
+                oracle._run_chain(doc, [ts, ts], accounting, 1.0, bindings, pol)
+    assert {0, 2} <= codes
 
 
 @pytest.mark.parametrize(

@@ -727,8 +727,8 @@ def _dict_combine_recycle(again, weight):
     for n, _, other in rest:  # the agreement of the normalized states, at any scale
         x = abs(terms_inner(first, other)) / math.sqrt(n0) / math.sqrt(n)
         if x * x < 1.0 - RECYCLE_AGREEMENT_TOL:
-            raise RuntimeError("recycle click patterns disagree after correction; "
-                               "feed-forward rules are inconsistent with the coupler convention")
+            raise TopologyError("recycle click patterns disagree after correction; "
+                                "feed-forward rules are inconsistent with the coupler convention")
     scale = math.sqrt(weight / n0)
     return {p: a * scale for p, a in first.items()}
 
@@ -775,7 +775,7 @@ def _outcome(call, show=repr):
     """``show`` of its result (its repr by default), or its exception's type and message."""
     try:
         return show(call())
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, TopologyError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -820,7 +820,7 @@ def _scored(tab, program, products, factor, ports, show=repr):
 def _book(call, show=repr):
     try:
         book = call()
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, TopologyError) as exc:
         return type(exc).__name__, str(exc)
     if book.error:
         return book.error[0].__name__, book.error[1]
@@ -902,7 +902,7 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
     polarized = not name.endswith("_stripped")
     with corrupted_coupler() if corrupt else contextlib.nullcontext():
         for alpha_sq in (0.3, 0.6, 0.9):
-            with contextlib.suppress(RuntimeError, DegenerateStateError):
+            with contextlib.suppress(TopologyError, DegenerateStateError):
                 execute(builtin_doc(name), EntanglementParams.from_alpha_sq(alpha_sq), POL if polarized else None,
                         rounds=5 if name.startswith("ecp2") else 1, accounting=accounting,
                         model=DetectorModel(eta_p=0.8))
@@ -934,10 +934,10 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
                             outcomes[got[0] if len(got) == 2 else "scored"] += 1
                 try:
                     [book] = _run_chain(plan, arms, current, pairs[k:k + 1], auxes, model)
-                except (RuntimeError, ValueError):
+                except (TopologyError, ValueError):
                     break
                 current = book.recycle_next
-    assert outcomes["scored"] and (outcomes["RuntimeError"] or not name.startswith("ecp2"))
+    assert outcomes["scored"] and (outcomes["TopologyError"] or not name.startswith("ecp2"))
     assert outcomes["floats"] or corrupt
     for plan, ts, chains, target in rounds:
         # the recorded wins; reweighted; with shared plus and minus ids near cancelling, or one
@@ -1100,7 +1100,7 @@ def test_real_points_hold_floats_and_a_miswired_coupler_complex(monkeypatch):
     books.clear()
     with corrupted_coupler():
         for name in SHIPPED:
-            with contextlib.suppress(RuntimeError, DegenerateStateError):
+            with contextlib.suppress(TopologyError, DegenerateStateError):
                 _run_batch(name, seed=4)
     assert any(type(a) is complex for a in _chain_values(books))
 
@@ -1125,7 +1125,7 @@ def test_complex_inputs_under_a_global_phase_agree_with_the_real_run(name, accou
                        model=DetectorModel(eta_p=(1.0, 0.8)[i % 2]))
         try:
             real = execute(builtin_doc(name), ent, pol, **options)
-        except (RuntimeError, ValueError) as exc:
+        except (TopologyError, ValueError) as exc:
             with pytest.raises(type(exc)):
                 execute(builtin_doc(name), *phased, **options)
             continue
@@ -1204,7 +1204,7 @@ def _edge_outcomes():
                 texts.append(execute(builtin_doc(name), EntanglementParams.from_alpha_sq(a2), pol,
                                      rounds=3 if name == "ecp2" else 1, accounting=accounting,
                                      model=DetectorModel(eta_p=0.8)).to_json())
-            except (RuntimeError, ValueError) as exc:
+            except (TopologyError, ValueError) as exc:
                 texts.append(f"{type(exc).__name__}: {exc}")
     return texts
 

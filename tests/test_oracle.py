@@ -8,14 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from ecpsim import circuits, oracle
+from ecpsim import circuits, dsl, oracle
 from ecpsim.circuits import BUILTIN_NAMES, builtin_text
-from ecpsim.dsl import parse
+from ecpsim.dsl import evaluate_real, parse
 from ecpsim.engine import TopologyError, analyze, execute, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.oracle import _schedule, oracle_ecp1, oracle_ecp2
 from ecpsim.params import EntanglementParams, PolarizationParams, vbs_pair_schedule
+from test_dsl import _BINDINGS, _TREES
 
 GRID_A2 = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_G2 = (None, 0.0, 0.3, 0.5, 1.0)
@@ -175,6 +177,53 @@ def test_oracle_imports_only_the_parser_and_the_documents():
             ("from ecpsim import fock", "ecpsim"),
         ):
             assert _foreign_imports(source + "\n" + planted + "\n", allowed) == [name]
+    # nor does the oracle run the parser's evaluators or generated code: it walks the tree itself
+    source = Path(oracle.__file__).read_text(encoding="utf-8")
+    assert _evaluators(source) == []
+    for planted, name in (
+        ("from .dsl import evaluate_real", "evaluate_real"),
+        ("from . import dsl\nf = dsl.compile_expr", "compile_expr"),
+        ("x = evaluate_expr", "evaluate_expr"),
+        ("from .dsl import emit_expr as walk", "emit_expr"),
+        ("from .dsl import compiled", "compiled"),
+    ):
+        assert _evaluators(source + "\n" + planted + "\n") == [name]
+
+
+def _evaluators(source: str) -> list[str]:
+    """The parser's evaluators and code generators that ``source`` names."""
+    banned = {"evaluate_real", "evaluate_expr", "compile_expr", "emit_expr", "compiled"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else []
+        names += [node.id] if isinstance(node, ast.Name) else []
+        names += [node.attr] if isinstance(node, ast.Attribute) else []
+        found += [n for n in names if n in banned]
+    return found
+
+
+def _settled(call):
+    """``call()``'s repr, or its error's type and message."""
+    try:
+        return repr(call())
+    except (dsl.CircuitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_TREES, _BINDINGS)
+def test_oracle_evaluates_an_expression_as_the_parser_does(text, bindings):
+    # the oracle's own walk gives evaluate_real's value, repr for repr, or its error and message
+    # (unbound parameter, division by zero, complex value)
+    assert _settled(lambda: oracle._real(text, bindings)) == _settled(lambda: evaluate_real(text, bindings))
+
+
+def test_verify_generates_no_expression_function():
+    from ecpsim.verify import run_checks
+
+    dsl.compile_expr.cache_clear()
+    run_checks(trials=2000)
+    assert dsl.compile_expr.cache_info().currsize == 0
 
 
 def test_oracle_rejects_a_document_the_engine_rejects():
