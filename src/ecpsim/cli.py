@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -55,12 +56,12 @@ def _seed(args) -> int:
     return seed
 
 
-def _check_eta(eta: float) -> float:
+def _check_eta(eta: float) -> None:
     if not 0.0 <= eta <= 1.0:
         raise ConfigError(f"detector efficiency must lie in [0, 1], got {eta}")
-    return eta
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="ecpsim",
@@ -96,7 +97,6 @@ def build_parser() -> _ArgumentParser:
     run.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", metavar="FILE", help="also write the report here")
-    run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(
         "sweep", help="sampled chain versus closed-form series over a grid"
@@ -111,7 +111,6 @@ def build_parser() -> _ArgumentParser:
     sweep.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
-    sweep.set_defaults(func=_cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the claim-verification checks")
     verify.add_argument("--alpha-sq", type=float, default=0.6)
@@ -124,18 +123,10 @@ def build_parser() -> _ArgumentParser:
         "--inject", action="store_true",
         help="plant a coupler phase fault to demonstrate the checks catch it",
     )
-    verify.set_defaults(func=_cmd_verify)
     return parser
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _cmd_run(args) -> int:
-    _check_eta(args.eta)
-    seed = _seed(args)
     if args.alpha_sq is None:
         raise ConfigError("--alpha-sq is required")
     ent = EntanglementParams.from_alpha_sq(args.alpha_sq)
@@ -157,7 +148,7 @@ def _cmd_run(args) -> int:
             accounting=args.accounting,
             eta_p=args.eta,
             trials=args.trials,
-            seed=seed,
+            seed=args.seed,
             t1=args.t1,
             t2=args.t2,
         )
@@ -181,14 +172,13 @@ def _cmd_run(args) -> int:
         )
     text = report.to_json()
     if args.out:  # first, so that a failed write leaves stdout empty
-        _write_text(args.out, text)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     sys.stdout.write(text)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    _check_eta(args.eta)
-    seed = _seed(args)
     try:
         values = [float(x) for x in args.alpha_sq_list.split(",") if x.strip()]
     except ValueError:
@@ -199,7 +189,7 @@ def _cmd_sweep(args) -> int:
 
     from .montecarlo import estimate_series_total
 
-    children = np.random.SeedSequence(seed).spawn(len(values))
+    children = np.random.SeedSequence(args.seed).spawn(len(values))
     rows = []
     for a2, child in zip(values, children):
         p_sim, stderr, _ = estimate_series_total(
@@ -226,15 +216,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import all_passed, run_checks, summary
 
-    _check_eta(args.eta)
-    seed = _seed(args)
     results = run_checks(
         alpha_sq=args.alpha_sq,
         gamma_sq=args.gamma_sq,
         eta_p=args.eta,
         rounds=args.rounds,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         inject_fault=args.inject,
     )
     print(summary(results))
@@ -242,10 +230,11 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # every subcommand takes --eta and --seed
+        _check_eta(args.eta)
+        args.seed = _seed(args)
+        return {"run": _cmd_run, "sweep": _cmd_sweep, "verify": _cmd_verify}[args.command](args)
     except (ConfigError, ParameterError, DegenerateStateError) as exc:
         # a heralded state whose norm is exactly zero has no fidelity: an
         # input the engine cannot score, reported like a bad argument

@@ -176,8 +176,9 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
     ``delta`` V) is normalized by ``_target``; the signal's ids go through the split
     (``split_terms``, a relabel) into the joint chain's input and,
     per arm, the branch input of the ids holding no photon in another arm's signal mode; each
-    arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes, or the error
-    evaluating it raised, which the arm's chain raises where it reads the photon."""
+    arm's auxiliary photon is its ids' (reflected, transmitted) ids and amplitudes.  An amplitude
+    that cannot be evaluated raises its ``BindingError`` or ``ParameterError`` from the call,
+    before any chain runs."""
     tab, prologues = plan.table, plan.prologues
     kind = "V" if pol is None else "HV"
     if kind in prologues:
@@ -188,7 +189,7 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
         consts[name := f"k{len(consts)}"] = value
         return name
 
-    def photon(sources: list, loaded: dict) -> list:
+    def photon(sources: list) -> list:
         """Lines evaluating each source's amplitude, then each id's sum: ``[(id, sum)]``, first
         seen first."""
         groups: dict[int, list[str]] = {}
@@ -205,12 +206,12 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
         return f"({s} if {s}.imag else {s}.real)"
 
     amps = {"V": "1"} if pol is None else {"H": "gamma", "V": "delta"}
-    terms = photon([SourceDecl(m, p, amps[p]) for m in plan.outputs for p in kind], loaded)
+    terms = photon([SourceDecl(m, p, amps[p]) for m in plan.outputs for p in kind])
     code.append("t = {}")
     for p, s in terms:
         code.append(f"if {s}: t[{const(p)}] = {real(s)}")
     code.append("target = _target(t)")
-    signal = photon(plan.signal_sources, loaded)
+    signal = photon(plan.signal_sources)
     moved = {p: p for p, _ in signal}  # each id's id after the split, a one-to-one relabel
     if (split := plan.split) is not None:
         moved = dict(zip(moved, split_terms(tab, dict.fromkeys(moved), split.inp, split.out_h, split.out_v)))
@@ -224,19 +225,14 @@ def _prologue(plan: Plan, pol: PolarizationParams | None):
         inputs = ["signal", *[b for b in branches if moved[p] in branches[b]]]
         code += [f"if {s}:", f"    x = {real(s)}", *[f"    {name}[{const(moved[p])}] = x" for name in inputs]]
     for i, arm in enumerate(plan.arms):
-        code.append("try:")
-        start, terms = len(code), photon(arm.aux_sources, dict(loaded))
         code.append("xs, amps = (), []")
-        for p, s in terms:
+        for p, s in photon(arm.aux_sources):
             [((_, hv), _)] = tab.patterns[p]
             outputs = tuple(tab.intern((((m, hv), 1),)) for m in (arm.vbs.reflect, arm.vbs.transmit))
             code += [f"if {s}:",
                      f"    xs += {const(outputs)}",
                      f"    amps.append({real(s)})"]
         code.append(f"aux{i} = xs, amps")
-        code[start:] = [f"    {line}" for line in code[start:]]
-        # raised where the arm's chain reads the photon
-        code += ["except (BindingError, ParameterError) as exc:", f"    aux{i} = exc"]
     arms = range(len(plan.arms))
     by_arm = "".join(f"{f'branch{i}' if f'branch{i}' in branches else 'signal'}, " for i in arms)
     code.append(f"return signal, ({by_arm}), target, ({''.join(f'aux{i}, ' for i in arms)})")
@@ -439,9 +435,6 @@ def _run_chain(plan: Plan, arms: list[Arm], current: dict[int, complex], pairs, 
     repeats that round's result.
     """
     factor = detection_factor([a.success_group for a in arms], model)
-    for aux in auxes:
-        if type(aux) is not tuple:  # the error evaluating the photon
-            raise aux
     labels, matrix = tuple([a.label for a in arms]), bs_matrix()
     chain = plan.chains.get(labels)
     if chain is None or chain[0] != matrix:

@@ -178,17 +178,17 @@ def test_every_rejection_of_the_recognizer_is_pinned(message, doc):
     assert str(err.value) == message
 
 
-def _unpinned(source: str) -> list[str]:
-    """The ``TopologyError(...)`` messages in ``source`` that no row of ``REJECTIONS`` matches,
-    each as its pattern: literal text, with ``.+`` for each formatted field."""
+def unpinned(source: str, error: str, messages) -> list[str]:
+    """The ``error(...)`` messages in ``source`` that none of ``messages`` matches, each as its
+    pattern: literal text, with ``.+`` for each formatted field."""
     missing = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TopologyError":
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == error:
             [arg] = node.args
             parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
             assert all(isinstance(p, (ast.Constant, ast.FormattedValue)) for p in parts), ast.unparse(arg)
             pattern = "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
-            if not any(re.fullmatch(pattern, m) for m, _ in REJECTIONS):
+            if not any(re.fullmatch(pattern, m) for m in messages):
                 missing.append(pattern)
     return missing
 
@@ -196,6 +196,7 @@ def _unpinned(source: str) -> list[str]:
 def test_every_rejection_in_the_recognizer_has_a_pinned_row():
     # a new rejection lands with its row in REJECTIONS
     source = Path(ecpsim.circuits.__file__).read_text(encoding="utf-8")
-    assert _unpinned(source) == []
+    messages = [m for m, _ in REJECTIONS]
+    assert unpinned(source, "TopologyError", messages) == []
     planted = source + '\n\ndef _planted(n):\n    raise TopologyError(f"{n} arms are too many")\n'
-    assert _unpinned(planted) == [".+\\ arms\\ are\\ too\\ many"]
+    assert unpinned(planted, "TopologyError", messages) == [".+\\ arms\\ are\\ too\\ many"]

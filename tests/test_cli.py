@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from ecpsim import cli
+from ecpsim import cli, engine, montecarlo
 from ecpsim.cli import main
 from ecpsim.elements import PortContractError
+from ecpsim.engine import ConfigError, run_ecp2
 from ecpsim.fock import (
     DegenerateStateError,
     FockError,
@@ -19,6 +20,10 @@ from ecpsim.fock import (
     ModeCollisionError,
     PhotonBudgetError,
 )
+from ecpsim.measurement import DetectorModel
+from ecpsim.montecarlo import run_monte_carlo, tables_from_report
+from ecpsim.params import EntanglementParams
+from test_circuits import unpinned
 
 CSV_HEADER = "alpha,alpha_sq,eta,k,p_total_formula,p_total_sim,stderr"
 
@@ -180,100 +185,15 @@ SOURCES_ONLY = "".join(f"mode m{i}\n" for i in range(7)) + "".join(
 ) + "output m0\n"
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("run", "--protocol", "ecp2"), "--alpha-sq is required"),
-        (("run", "--engine", "monte_carlo"), "--alpha-sq is required"),
-        (("run", "--circuit", "{divide_aux}", "--alpha-sq", "0.6"), "expression '1/(alpha-alpha)' divides by zero"),
-        (("run", "--circuit", "{double_t}", "--alpha-sq", "0.6"),
-         "coupler expression '2*t_plus' gives 1.2000000000000002, outside [0, 1]"),
-        (("run", "--circuit", "{literal_minus}", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "0.3"),
-         "t2 is given but no coupler expression reads t2 or t_minus"),
-        (("run", "--engine", "monte_carlo", "--circuit", "{double_t}", "--alpha-sq", "0.6"),
-         "sampled runs use the built-in layouts"),
-        (("sweep", "--alpha-sq-list", "x"), "bad entanglement grid 'x'"),
-        (("sweep", "--alpha-sq-list", ","), "empty entanglement grid"),
-    ],
-    ids=["no-alpha-sq", "no-alpha-sq-sampled", "divide-aux", "double-t", "literal-minus-t2",
-         "sampled-circuit", "sweep-bad-grid", "sweep-empty-grid"],
-)
-def test_a_configuration_error_exits_3_naming_its_cause(tmp_path, capsys, argv, message):
-    # the auxiliary photon's error is raised where its arm's chain reads it; a missing --alpha-sq
-    # is one error for both engines
+def _documents(tmp_path) -> dict:
+    """``{name: path}`` of the documents that the rejection tables name, written under
+    ``tmp_path``, and of an output file in a missing directory."""
     from ecpsim.circuits import builtin_text
 
-    files = {
+    texts = {
         "divide_aux": builtin_text("ecp1_stripped").replace("amp=1", "amp=1/(alpha-alpha)"),
         "double_t": builtin_text("ecp2_stripped").replace("t=t_plus", "t=2*t_plus"),
         "literal_minus": builtin_text("ecp1").replace("t=t2", "t=1/2"),
-    }
-    paths = {}
-    for name, text in files.items():
-        paths[name] = tmp_path / f"{name}.ecp"
-        paths[name].write_text(text, encoding="utf-8")
-    got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
-    assert (got, out, err) == (3, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "argv,code",
-    [
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2",
-          "--t1", "0.3"), 3),
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2",
-          "--t1", "0.3", "--engine", "monte_carlo", "--trials", "1000"), 3),
-        (("run", "--protocol", "ecp1", "--alpha-sq", "0.6", "--t2", "0.3"), 3),
-        (("run", "--protocol", "ecp1", "--alpha-sq", "0.6", "--rounds", "3",
-          "--engine", "monte_carlo", "--trials", "1000"), 3),
-        (("sweep", "--alpha-sq-list", "0.5", "--trials", "0"), 3),
-        (("run", "--circuit", "{select0}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{sources_only}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{stripped}", "--alpha-sq", "0.6", "--gamma-sq", "0.5"), 3),
-        (("run", "--circuit", "{literal_t}", "--alpha-sq", "0.6", "--t1", "0.3"), 3),
-        (("run", "--alpha-sq", "1.0"), 3),
-        (("run", "--alpha-sq", "0.0"), 3),
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "100001"), 3),
-        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--engine", "monte_carlo",
-          "--trials", str(10**15 + 1)), 3),
-        (("sweep", "--alpha-sq-list", "0.5", "--trials", str(10**20)), 3),
-        (("run", "--circuit", "{negative_t}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{product_t}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{divide_t}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{divide_amp}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{divide_at_run}", "--alpha-sq", "0.6"), 3),
-        (("run", "--circuit", "{repeated_detector}", "--alpha-sq", "0.6"), 2),
-        (("run", "--circuit", "{repeated_output}", "--alpha-sq", "0.6"), 2),
-        (("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--seed", "-1"), 3),
-        (("sweep", "--seed", "-1"), 3),
-        (("verify", "--seed", "-1"), 3),
-        (("run", "--circuit", "{shared_split_output}", "--alpha-sq", "0.6",
-          "--gamma-sq", "0.5"), 2),
-        (("run", "--circuit", "{mixture}", "--alpha-sq", "0.6"), 2),
-        (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t1", "1.5"), 3),
-        (("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "-0.5"), 3),
-        (("run", "--circuit", "{recycle_eta}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
-        (("run", "--circuit", "{recycle_unflipped}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
-        (("run", "--alpha-sq", "0.6", "--out", "{missing_dir}"), 4),
-        (("sweep", "--alpha-sq-list", "0.5", "--trials", "100", "--out", "{missing_dir}"), 4),
-    ],
-    ids=[
-        "ecp2-t1", "ecp2-t1-sampled", "one-arm-t2", "ecp1-sampled-rounds",
-        "sweep-no-trials", "qnd-select-0", "sources-only", "stripped-gamma",
-        "literal-t-t1", "alpha-sq-1", "alpha-sq-0", "rounds-over-bound",
-        "run-trials-over-bound", "sweep-trials-over-bound",
-        "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
-        "repeated-detector", "repeated-output", "run-negative-seed",
-        "sweep-negative-seed", "verify-negative-seed", "shared-split-output",
-        "polarization-mixture", "t1-over-1", "t2-below-0", "recycle-eta", "recycle-unflipped",
-        "run-out-missing-dir",
-        "sweep-out-missing-dir",
-    ],
-)
-def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
-    from ecpsim.circuits import builtin_text
-
-    files = {
         "select0": builtin_text("ecp2_stripped").replace("select=1", "select=0"),
         "sources_only": SOURCES_ONLY,
         "stripped": builtin_text("ecp1_stripped"),
@@ -283,28 +203,205 @@ def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, argv, code):
         "divide_t": builtin_text("ecp1_stripped").replace("t=t1", "t=1/0"),
         "divide_amp": builtin_text("ecp1_stripped").replace("amp=1", "amp=1/0"),
         "divide_at_run": builtin_text("ecp1_stripped").replace("t=t1", "t=t1/(t1-t1)"),
-        "repeated_detector": builtin_text("ecp1_stripped").replace(
-            "modes=d1,d2", "modes=d1,d2,d1"
-        ),
-        "repeated_output": builtin_text("ecp1_stripped").replace(
-            "output a1,b6", "output a1,b6,a1"
-        ),
+        "repeated_detector": builtin_text("ecp1_stripped").replace("modes=d1,d2", "modes=d1,d2,d1"),
+        "repeated_output": builtin_text("ecp1_stripped").replace("output a1,b6", "output a1,b6,a1"),
+        "extra_group": builtin_text("ecp1_stripped") + "detect group=extra modes=d2\n",
         # both heralding couplers on the split's V output
-        "shared_split_output": builtin_text("ecp1").replace(
-            "bs in1=b3 in2=b8", "bs in1=b2 in2=b8"
-        ),
+        "shared_split_output": builtin_text("ecp1").replace("bs in1=b3 in2=b8", "bs in1=b2 in2=b8"),
+        # the merge's inputs swapped, so the plus arm's V photon reaches the H input
+        "swapped_merge": builtin_text("ecp1").replace("pbs inH=b9 inV=b6", "pbs inH=b6 inV=b9"),
         "mixture": MIXTURE_LAYOUT,
         # a recycle detection is ideal, so a recycling group's efficiency is refused, not ignored
         "recycle_eta": builtin_text("ecp2_stripped").replace("modes=d3,d4 eta=1.0", "modes=d3,d4 eta=0.1"),
         # without the d4 flip the two recycle click patterns leave states that disagree
         "recycle_unflipped": builtin_text("ecp2_stripped").replace("flip mode=b2 when=d4\n", ""),
     }
-    paths = {}
-    for name, text in files.items():
-        paths[name] = tmp_path / f"{name}.ecp"
+    paths = {name: tmp_path / f"{name}.ecp" for name in texts}
+    for name, text in texts.items():
         paths[name].write_text(text, encoding="utf-8")
-    paths["missing_dir"] = tmp_path / "missing" / "out"
-    got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    return {**paths, "missing_dir": tmp_path / "missing" / "out"}
+
+
+def _run_row(tmp_path, capsys, monkeypatch, argv):
+    """``run_cli`` on a table row's ``argv``: leading ``NAME=value`` items set the environment,
+    and ``{name}`` in an argument is the path of that document of ``_documents``."""
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
+    paths = _documents(tmp_path)
+    return run_cli(capsys, *(a.format(**paths) for a in argv))
+
+
+# (id, argv, message) of every error line a run prints with exit code 3; each ConfigError that
+# engine.py, montecarlo.py or cli.py raises has a row here or in API_REJECTIONS
+CONFIG_REJECTIONS = [
+    ("no-alpha-sq", ("run", "--protocol", "ecp2"), "--alpha-sq is required"),
+    ("no-alpha-sq-sampled", ("run", "--engine", "monte_carlo"), "--alpha-sq is required"),
+    ("divide-aux", ("run", "--circuit", "{divide_aux}", "--alpha-sq", "0.6"),
+     "expression '1/(alpha-alpha)' divides by zero"),
+    ("double-t", ("run", "--circuit", "{double_t}", "--alpha-sq", "0.6"),
+     "coupler expression '2*t_plus' gives 1.2000000000000002, outside [0, 1]"),
+    ("literal-minus-t2",
+     ("run", "--circuit", "{literal_minus}", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "0.3"),
+     "t2 is given but no coupler expression reads t2 or t_minus"),
+    ("sampled-circuit", ("run", "--engine", "monte_carlo", "--circuit", "{double_t}", "--alpha-sq", "0.6"),
+     "sampled runs use the built-in layouts"),
+    ("sweep-bad-grid", ("sweep", "--alpha-sq-list", "x"), "bad entanglement grid 'x'"),
+    ("sweep-empty-grid", ("sweep", "--alpha-sq-list", ","), "empty entanglement grid"),
+    ("rounds-0", ("run", "--alpha-sq", "0.6", "--rounds", "0"), "rounds must be >= 1, got 0"),
+    ("rounds-over-bound", ("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "100001"),
+     "rounds must be at most 100000, got 100001"),
+    ("stripped-gamma", ("run", "--circuit", "{stripped}", "--alpha-sq", "0.6", "--gamma-sq", "0.5"),
+     "polarization is given but no expression in the circuit reads gamma or delta"),
+    ("ecp2-t1", ("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2", "--t1", "0.3"),
+     "t1 and t2 do not apply to a recycling layout; its couplers follow the doubling schedule"),
+    ("no-recycling-rounds", ("run", "--alpha-sq", "0.6", "--rounds", "2"),
+     "circuit has no recycling path; rounds must be 1"),
+    ("one-arm-t2", ("run", "--protocol", "ecp1", "--alpha-sq", "0.6", "--t2", "0.3"),
+     "t2 sets the second arm's coupler; this circuit has one arm"),
+    ("literal-t-t1", ("run", "--circuit", "{literal_t}", "--alpha-sq", "0.6", "--t1", "0.3"),
+     "t1 is given but no coupler expression reads t1 or t_plus"),
+    ("t1-over-1", ("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t1", "1.5"),
+     "transmittance 1.5 outside [0, 1]"),
+    ("t2-below-0", ("run", "--alpha-sq", "0.6", "--gamma-sq", "0.5", "--t2", "-0.5"),
+     "transmittance -0.5 outside [0, 1]"),
+    ("gamma-sq-over-1", ("run", "--alpha-sq", "0.6", "--gamma-sq", "1.5"),
+     "gamma_sq must lie in [0, 1], got 1.5"),
+    # branch accounting is not one chain of trials: its arms' weights add up to more than 1
+    ("sampled-branch-weights",
+     ("run", "--protocol", "ecp2", "--alpha-sq", "0.5", "--gamma-sq", "0.3", "--rounds", "3",
+      "--engine", "monte_carlo", "--accounting", "branch", "--trials", "1000"),
+     "round 1 weights exceed the surviving probability mass; "
+     "this accounting is not a physical trial distribution"),
+    ("sweep-no-trials", ("sweep", "--alpha-sq-list", "0.5", "--trials", "0"),
+     "trials must be positive, got 0"),
+    ("run-trials-over-bound",
+     ("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--engine", "monte_carlo",
+      "--trials", str(10**15 + 1)),
+     "trials must be at most 1000000000000000, got 1000000000000001"),
+    ("env-seed-not-integer", ("ECPSIM_SEED=not-a-number", "verify"),
+     "ECPSIM_SEED must be an integer, got 'not-a-number'"),
+    ("run-negative-seed", ("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--seed", "-1"),
+     "seed must be a non-negative integer, got -1"),
+    ("sweep-negative-seed", ("sweep", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    ("verify-negative-seed", ("verify", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    ("env-seed-negative", ("ECPSIM_SEED=-5", "sweep"), "seed must be a non-negative integer, got -5"),
+    # --eta, then --seed, are checked before any subcommand looks at its own arguments
+    ("run-eta-first", ("run", "--eta", "1.5", "--seed", "-1"),
+     "detector efficiency must lie in [0, 1], got 1.5"),
+    ("run-seed-before-alpha-sq", ("run", "--seed", "-1"), "seed must be a non-negative integer, got -1"),
+    ("sweep-eta-first", ("sweep", "--eta", "-0.5", "--alpha-sq-list", "x"),
+     "detector efficiency must lie in [0, 1], got -0.5"),
+    ("verify-eta", ("verify", "--eta", "2"), "detector efficiency must lie in [0, 1], got 2.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [r[1:] for r in CONFIG_REJECTIONS], ids=[r[0] for r in CONFIG_REJECTIONS]
+)
+def test_a_configuration_error_exits_3_naming_its_cause(tmp_path, capsys, monkeypatch, argv, message):
+    # the auxiliary photon's error is raised by its point's prologue, before any chain runs; a
+    # missing --alpha-sq is one error for both engines
+    assert _run_row(tmp_path, capsys, monkeypatch, argv) == (3, "", f"error: {message}\n")
+
+
+# (id, argv, message) of error lines a run prints with exit code 2 that no other table pins
+DOCUMENT_REJECTIONS = [
+    ("merge-carries-v", ("run", "--circuit", "{swapped_merge}", "--alpha-sq", "0.6", "--gamma-sq", "0.3"),
+     "pbs merge: input 'b6' carries V amplitude"),
+    ("detector-in-two-groups", ("run", "--circuit", "{extra_group}", "--alpha-sq", "0.6"),
+     "detector modes ['d2'] appear in two groups"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", [r[1:] for r in DOCUMENT_REJECTIONS], ids=[r[0] for r in DOCUMENT_REJECTIONS]
+)
+def test_a_document_error_exits_2_naming_its_cause(tmp_path, capsys, monkeypatch, argv, message):
+    assert _run_row(tmp_path, capsys, monkeypatch, argv) == (2, "", f"error: {message}\n")
+
+
+def test_a_round_that_cannot_succeed_raises_no_merge_error(tmp_path, capsys):
+    # the swapped merge is refused only where a round heralds with p > 0
+    path = str(_documents(tmp_path)["swapped_merge"])
+    argv = ("run", "--circuit", path, "--alpha-sq", "0.6", "--gamma-sq", "0.3", "--eta", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["p_total"] == 0.0
+    assert [(r["p_success"], r["heralded_fidelity"]) for r in payload["rounds"]] == [(0.0, None)]
+
+
+def _ent():
+    return EntanglementParams.from_alpha_sq(0.6)
+
+
+# (message, call) of the rejections that only a Python caller can reach: the CLI offers choices
+# for the accounting and the protocol, and samples only from an ideal-detector run
+API_REJECTIONS = [
+    ("unknown accounting mode 'both'", lambda: run_ecp2(_ent(), accounting="both")),
+    ("unknown protocol 'ecp3'", lambda: run_monte_carlo("ecp3", _ent())),
+    ("chain tables need an ideal-detector exact run",
+     lambda: tables_from_report(run_ecp2(_ent(), model=DetectorModel(eta_p=0.5)))),
+]
+
+
+@pytest.mark.parametrize("message, call", API_REJECTIONS, ids=[m for m, _ in API_REJECTIONS])
+def test_an_api_only_rejection_names_its_cause(message, call):
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_every_configuration_error_has_a_pinned_row():
+    # a new rejection in the engine, the sampler or the CLI lands with its row
+    pinned = [m for _, _, m in CONFIG_REJECTIONS] + [m for m, _ in API_REJECTIONS]
+    sources = [Path(m.__file__).read_text(encoding="utf-8") for m in (engine, montecarlo, cli)]
+    assert [unpinned(s, "ConfigError", pinned) for s in sources] == [[], [], []]
+    planted = sources[2] + '\n\ndef _planted(n):\n    raise ConfigError(f"{n} subcommands are too many")\n'
+    assert unpinned(planted, "ConfigError", pinned) == [".+\\ subcommands\\ are\\ too\\ many"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--rounds", "2",
+          "--t1", "0.3", "--engine", "monte_carlo", "--trials", "1000"), 3),
+        (("run", "--protocol", "ecp1", "--alpha-sq", "0.6", "--rounds", "3",
+          "--engine", "monte_carlo", "--trials", "1000"), 3),
+        (("run", "--circuit", "{select0}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{sources_only}", "--alpha-sq", "0.6"), 2),
+        (("run", "--alpha-sq", "1.0"), 3),
+        (("run", "--alpha-sq", "0.0"), 3),
+        (("sweep", "--alpha-sq-list", "0.5", "--trials", str(10**20)), 3),
+        (("run", "--circuit", "{negative_t}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{product_t}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{divide_t}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{divide_amp}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{divide_at_run}", "--alpha-sq", "0.6"), 3),
+        (("run", "--circuit", "{repeated_detector}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{repeated_output}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{shared_split_output}", "--alpha-sq", "0.6",
+          "--gamma-sq", "0.5"), 2),
+        (("run", "--circuit", "{mixture}", "--alpha-sq", "0.6"), 2),
+        (("run", "--circuit", "{recycle_eta}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
+        (("run", "--circuit", "{recycle_unflipped}", "--alpha-sq", "0.6", "--rounds", "3"), 2),
+        (("run", "--alpha-sq", "0.6", "--out", "{missing_dir}"), 4),
+        (("sweep", "--alpha-sq-list", "0.5", "--trials", "100", "--out", "{missing_dir}"), 4),
+    ],
+    ids=[
+        "ecp2-t1-sampled", "ecp1-sampled-rounds", "qnd-select-0", "sources-only",
+        "alpha-sq-1", "alpha-sq-0", "sweep-trials-over-bound",
+        "negative-t", "product-t", "divide-t", "divide-amp", "divide-at-run",
+        "repeated-detector", "repeated-output", "shared-split-output",
+        "polarization-mixture", "recycle-eta", "recycle-unflipped",
+        "run-out-missing-dir",
+        "sweep-out-missing-dir",
+    ],
+)
+def test_rejected_input_exits_with_one_error_line(tmp_path, capsys, monkeypatch, argv, code):
+    # the inputs whose full error line no table above pins
+    got, out, err = _run_row(tmp_path, capsys, monkeypatch, argv)
     assert got == code
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -446,6 +543,27 @@ def test_bad_flag_exits_3(tmp_path):
     assert proc.returncode == 3
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the parser is built once per process, while the subcommand functions (and what they call)
+    # are looked up when main runs
+    built = []
+
+    class Counting(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.extend([self] if self.prog == "ecpsim" else [])
+
+    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+    cli.build_parser.cache_clear()
+    try:
+        assert [run_cli(capsys, "run", "--alpha-sq", "0.6")[0] for _ in range(2)] == [0, 0]
+        monkeypatch.setattr(cli, "_cmd_run", lambda args: 7)
+        assert main(["run"]) == 7
+    finally:
+        cli.build_parser.cache_clear()  # the next call builds the parser of the real class
+    assert len(built) == 1
+
+
 def test_missing_circuit_file_exits_4(capsys):
     code, _, err = run_cli(
         capsys, "run", "--circuit", "/nonexistent/x.ecp", "--alpha-sq", "0.6"
@@ -497,15 +615,7 @@ def test_env_seed_is_the_default(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ECPSIM_SEED")
     _, via_flag, _ = run_cli(capsys, *args, "--seed", "21")
     assert via_env == via_flag
-    assert json.loads(via_env)["seed"] == 21
-    monkeypatch.setenv("ECPSIM_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 3
-    assert "ECPSIM_SEED" in err
-    monkeypatch.setenv("ECPSIM_SEED", "-5")
-    code, out, err = run_cli(capsys, "sweep")
-    assert (code, out) == (3, "")
-    assert err == "error: seed must be a non-negative integer, got -5\n"
+    assert json.loads(via_env)["seed"] == 21  # a bad ECPSIM_SEED has rows in CONFIG_REJECTIONS
 
 
 def test_verify_passes_clean(capsys):
