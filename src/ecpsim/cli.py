@@ -26,7 +26,7 @@ from .elements import PortContractError
 from .engine import ConfigError, execute
 from .fock import DegenerateStateError, FockError
 from .formulas import round_success_series
-from .measurement import DetectorModel
+from .measurement import IDEAL_DETECTORS, DetectorModel
 from .params import DEFAULT_TRIALS, EntanglementParams, ParameterError, PolarizationParams
 
 EXIT_OK = 0
@@ -135,41 +135,29 @@ def _cmd_run(args) -> int:
         if args.gamma_sq is not None
         else None
     )
-    if args.engine == "monte_carlo":
-        from .montecarlo import run_monte_carlo  # the sampler loads only for sampled runs
-
-        if args.circuit:
-            raise ConfigError("sampled runs use the built-in layouts")
-        report = run_monte_carlo(
-            args.protocol,
-            ent,
-            pol,
-            rounds=args.rounds,
-            accounting=args.accounting,
-            eta_p=args.eta,
-            trials=args.trials,
-            seed=args.seed,
-            t1=args.t1,
-            t2=args.t2,
-        )
+    sampled = args.engine == "monte_carlo"
+    if sampled and args.circuit:
+        raise ConfigError("sampled runs use the built-in layouts")
+    if args.circuit:
+        with open(args.circuit, "r", encoding="utf-8") as fh:
+            doc = parse(fh.read())
     else:
-        if args.circuit:
-            with open(args.circuit, "r", encoding="utf-8") as fh:
-                doc = parse(fh.read())
-        else:
-            doc = builtin_doc(
-                args.protocol if pol is not None else args.protocol + "_stripped"
-            )
-        report = execute(
-            doc,
-            ent,
-            pol,
-            rounds=args.rounds,
-            accounting=args.accounting,
-            model=DetectorModel(eta_p=args.eta),
-            t1=args.t1,
-            t2=args.t2,
-        )
+        doc = builtin_doc(args.protocol if pol is not None else args.protocol + "_stripped")
+    # a sampled run samples the exact ideal-detector run of its document
+    report = execute(
+        doc,
+        ent,
+        pol,
+        rounds=args.rounds,
+        accounting=args.accounting,
+        model=IDEAL_DETECTORS if sampled else DetectorModel(eta_p=args.eta),
+        t1=args.t1,
+        t2=args.t2,
+    )
+    if sampled:
+        from .montecarlo import sample_report  # the sampler loads only for sampled runs
+
+        report = sample_report(report, args.eta, args.trials, args.seed)
     text = report.to_json()
     if args.out:  # first, so that a failed write leaves stdout empty
         with open(args.out, "w", encoding="utf-8") as fh:

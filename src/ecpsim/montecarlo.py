@@ -1,21 +1,21 @@
 """Sampled validation of the analytic detector-efficiency factors.
 
 The exact engine multiplies heralded weights by the detector efficiency
-analytically.  This module checks that shortcut the long way: it samples
-protocol runs as a Markov chain over recycling rounds and compares the
-success frequency with the closed form.  Each round splits the surviving
-trials into success, recycle and drop with binomial count draws (together
-the multinomial over the three outcomes), then thins the heralded count
-photon by photon, one binomial draw per success-detector photon, instead of
-assuming the eta^m factor.  Time and memory are O(rounds), whatever the
-trial count.  Physical weights come from an ideal-detector engine run, so
-the chain and the analytic factor are exercised against each other rather
-than both trusting the same arithmetic.
+analytically.  This module checks that shortcut the long way: a sampled run
+is the exact ideal-detector run of its document, then sampled by
+``sample_report`` as a Markov chain over recycling rounds.  Each round
+splits the surviving trials into success, recycle and drop with binomial
+count draws (together the multinomial over the three outcomes), then thins
+the heralded count photon by photon, one binomial draw per success-detector
+photon, instead of assuming the eta^m factor.  Time and memory are
+O(rounds), whatever the trial count.  The chain and the analytic factor are
+thus exercised against each other rather than both trusting the same
+arithmetic.
 
 Only physically normalizable chains can be sampled.  Per-branch accounting
-on the two-arm layout counts the shared component once per arm and its
-round probabilities can exceed one; asking for trials on such a chain is an
-error, not something to paper over.
+on the two-arm layout counts the shared component once per arm, so it is no
+distribution of trials; asking for trials on it is an error, whatever its
+round weights add up to, not something to paper over.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class ChainTables:
                 )
             prev = wr
 
-    def analytic_total(self, eta_p: float) -> float:
-        return sum(self.w_success) * math.prod([eta_p] * self.detected_photons)
-
 
 def tables_from_report(report: ProtocolReport) -> ChainTables:
     if report.eta_p != 1.0:
@@ -68,6 +65,11 @@ def tables_from_report(report: ProtocolReport) -> ChainTables:
         detected_photons=report.engine.eta_exponent,
     )
     t.validate()
+    if report.accounting == "branch" and report.schedule["minus"]:
+        raise ConfigError(
+            "per-branch accounting on two arms is not a trial distribution; "
+            "sample it under joint accounting"
+        )
     return t
 
 
@@ -100,15 +102,20 @@ def sample_chain(
     return succ_counts, rec_counts
 
 
-def _estimate(
-    tables: ChainTables,
+def sample_report(
+    exact: ProtocolReport,
     eta_p: float,
     trials: int,
     seed: int | np.random.SeedSequence,
-) -> tuple[list[int], list[int], float, float]:
-    """Sampled per-round counts, the success estimate and its standard error."""
+) -> ProtocolReport:
+    """``exact``, an ideal-detector report, with its rounds sampled at ``eta_p``.
+
+    Heralded fidelities are not estimated by sampling and stay null.  The
+    report keeps ``seed`` as given: ``sweep`` passes a ``SeedSequence`` per
+    grid point, and reads that report without writing it."""
     import numpy as np
 
+    tables = tables_from_report(exact)
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     if trials > MAX_TRIALS:
@@ -117,43 +124,6 @@ def _estimate(
         tables, eta_p, trials, np.random.default_rng(seed)
     )
     p_hat = sum(succ_counts) / trials
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-    return succ_counts, rec_counts, p_hat, stderr
-
-
-def run_monte_carlo(
-    protocol: str,
-    ent: EntanglementParams,
-    pol: PolarizationParams | None = None,
-    *,
-    rounds: int = 1,
-    accounting: str = "branch",
-    eta_p: float = 1.0,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    t1: float | None = None,
-    t2: float | None = None,
-) -> ProtocolReport:
-    """Full protocol report with sampled round statistics.
-
-    The schedule, per-round herald weights, and chain structure come from
-    an exact ideal-detector run of the builtin layout, checked exactly as
-    ``execute`` checks it; detection is then sampled as per-round counts.
-    Heralded fidelities are not estimated by sampling and stay null.
-    """
-    if protocol not in ("ecp1", "ecp2"):
-        raise ConfigError(f"unknown protocol {protocol!r}")
-    exact = execute(
-        builtin_doc(protocol if pol is not None else protocol + "_stripped"),
-        ent,
-        pol,
-        rounds=rounds,
-        accounting=accounting,
-        t1=t1,
-        t2=t2,
-    )
-    tables = tables_from_report(exact)
-    succ_counts, rec_counts, p_hat, stderr = _estimate(tables, eta_p, trials, seed)
     mc_rounds = [
         RoundResult(
             k=r.k,
@@ -172,9 +142,31 @@ def run_monte_carlo(
         engine=EngineInfo("monte_carlo", tables.detected_photons),
         seed=seed,
         trials=trials,
-        stderr=stderr,
+        stderr=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials),
         paper_comparison={},
     )
+
+
+def run_monte_carlo(
+    protocol: str,
+    ent: EntanglementParams,
+    pol: PolarizationParams | None = None,
+    *,
+    rounds: int = 1,
+    accounting: str = "branch",
+    eta_p: float = 1.0,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 0,
+    t1: float | None = None,
+    t2: float | None = None,
+) -> ProtocolReport:
+    """``sample_report`` of the exact ideal-detector run of the builtin layout,
+    checked exactly as ``execute`` checks it."""
+    if protocol not in ("ecp1", "ecp2"):
+        raise ConfigError(f"unknown protocol {protocol!r}")
+    doc = builtin_doc(protocol if pol is not None else protocol + "_stripped")
+    exact = execute(doc, ent, pol, rounds=rounds, accounting=accounting, t1=t1, t2=t2)
+    return sample_report(exact, eta_p, trials, seed)
 
 
 def estimate_series_total(
@@ -184,8 +176,8 @@ def estimate_series_total(
     trials: int = DEFAULT_TRIALS,
     seed: int | np.random.SeedSequence = 0,
 ) -> tuple[float, float, float]:
-    """(estimate, stderr, analytic) for the single-arm recycling chain."""
+    """(estimate, stderr, analytic) for the single-arm recycling chain, whose
+    one heralding group gives the analytic total ``p_total * eta_p``."""
     exact = run_ecp2(EntanglementParams.from_alpha_sq(alpha_sq), rounds=rounds)
-    tables = tables_from_report(exact)
-    _, _, p_hat, stderr = _estimate(tables, eta_p, trials, seed)
-    return p_hat, stderr, tables.analytic_total(eta_p)
+    sampled = sample_report(exact, eta_p, trials, seed)
+    return sampled.p_total, sampled.stderr, exact.p_total * eta_p

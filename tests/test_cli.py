@@ -273,6 +273,11 @@ CONFIG_REJECTIONS = [
       "--engine", "monte_carlo", "--accounting", "branch", "--trials", "1000"),
      "round 1 weights exceed the surviving probability mass; "
      "this accounting is not a physical trial distribution"),
+    # where they add up to less, the shared component is still counted once per arm
+    ("sampled-branch-two-arms",
+     ("run", "--engine", "monte_carlo", "--protocol", "ecp1", "--alpha-sq", "0.6", "--gamma-sq", "0.5",
+      "--trials", "1000"),
+     "per-branch accounting on two arms is not a trial distribution; sample it under joint accounting"),
     ("sweep-no-trials", ("sweep", "--alpha-sq-list", "0.5", "--trials", "0"),
      "trials must be positive, got 0"),
     ("run-trials-over-bound",

@@ -7,7 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ecpsim.engine import ConfigError, run_ecp1, run_ecp2
+from ecpsim.circuits import builtin_doc
+from ecpsim.cli import main
+from ecpsim.engine import ConfigError, execute, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.montecarlo import (
     MAX_TRIALS,
@@ -15,6 +17,7 @@ from ecpsim.montecarlo import (
     estimate_series_total,
     run_monte_carlo,
     sample_chain,
+    sample_report,
     tables_from_report,
 )
 from ecpsim.params import EntanglementParams, PolarizationParams
@@ -29,12 +32,10 @@ def test_tables_capture_the_exact_chain():
     assert tables.w_success[0] == pytest.approx(0.48, abs=1e-12)
     assert tables.w_recycle[0] == pytest.approx(0.52, abs=1e-12)
     assert tables.detected_photons == 1
-    assert tables.analytic_total(1.0) == pytest.approx(
-        sum(tables.w_success), abs=1e-15
-    )
-    assert tables.analytic_total(0.8) == pytest.approx(
-        0.8 * sum(tables.w_success), abs=1e-15
-    )
+    # the one heralding group of the single-arm chain takes the efficiency once
+    for eta in (1.0, 0.8):
+        analytic = estimate_series_total(0.6, 3, eta, trials=1000, seed=1)[2]
+        assert analytic == _ideal_report().p_total * eta
 
 
 def test_tables_reject_a_lossy_report():
@@ -67,8 +68,27 @@ def test_joint_accounting_on_two_arms_is_sampleable():
     )
     tables = tables_from_report(report)
     assert tables.detected_photons == 2
-    assert tables.analytic_total(0.8) == pytest.approx(
-        0.64 * sum(tables.w_success), abs=1e-15
+    # both heralding groups take the efficiency
+    mc = sample_report(report, 0.8, 10**6, 9)
+    assert abs(mc.p_total - 0.64 * report.p_total) <= 5.0 * mc.stderr
+
+
+def test_branch_accounting_on_two_arms_is_refused_whatever_its_mass():
+    # ecp1's two arms at these weights add up to less than 1 in the round, yet count the
+    # shared component twice
+    report = run_ecp1(
+        EntanglementParams.from_alpha_sq(0.6), PolarizationParams.from_gamma_sq(0.5)
+    )
+    ChainTables(
+        tuple(r.p_success for r in report.rounds),
+        tuple(r.p_fail_recyclable for r in report.rounds),
+        1,
+    ).validate()
+    with pytest.raises(ConfigError) as err:
+        tables_from_report(report)
+    assert str(err.value) == (
+        "per-branch accounting on two arms is not a trial distribution; "
+        "sample it under joint accounting"
     )
 
 
@@ -131,12 +151,6 @@ def test_rounds_after_the_mass_is_gone_are_zero():
     assert (succ[2], rec[2]) == (0, 0)
 
 
-def test_the_analytic_total_squares_the_efficiency_as_a_product():
-    # at this efficiency the platform's pow rounds eta**2 one ulp away from eta * eta
-    eta = 0.5874183784430576
-    assert ChainTables((0.25,), (0.0,), 2).analytic_total(eta) == 0.25 * (eta * eta)
-
-
 def test_estimates_track_the_analytic_total():
     for k in (1, 3, 5):
         est, err, exact = estimate_series_total(
@@ -178,6 +192,39 @@ def test_trial_count_must_be_positive():
         run_monte_carlo("ecp2", ent, rounds=2, eta_p=0.8, trials=MAX_TRIALS + 1, seed=1)
     at_bound = run_monte_carlo("ecp2", ent, rounds=2, eta_p=0.8, trials=MAX_TRIALS, seed=1)
     assert at_bound.trials == MAX_TRIALS
+
+
+# (protocol, polarized, accounting, rounds) of the chains that can be sampled
+SAMPLEABLE = (
+    [("ecp2", False, "branch", r) for r in (1, 3, 5, 8)]
+    + [("ecp2", True, "joint", r) for r in (1, 3, 5, 8)]
+    + [("ecp1", True, "joint", 1)]
+)
+
+
+@pytest.mark.parametrize("protocol, polarized, accounting, rounds", SAMPLEABLE)
+def test_a_sampled_run_is_the_exact_run_of_its_document_then_sampled(
+    capsys, protocol, polarized, accounting, rounds
+):
+    ent = EntanglementParams.from_alpha_sq(0.35)
+    pol = PolarizationParams.from_gamma_sq(0.7) if polarized else None
+    settings = dict(rounds=rounds, accounting=accounting)
+    doc = builtin_doc(protocol if polarized else protocol + "_stripped")
+    sampled = sample_report(execute(doc, ent, pol, **settings), 0.8, 10**6, rounds)
+    mc = run_monte_carlo(protocol, ent, pol, **settings, eta_p=0.8, trials=10**6, seed=rounds)
+    assert mc.to_json() == sampled.to_json()
+    argv = ["run", "--engine", "monte_carlo", "--protocol", protocol, "--alpha-sq", "0.35"]
+    argv += ["--gamma-sq", "0.7"] if polarized else []
+    argv += ["--rounds", str(rounds), "--accounting", accounting, "--eta", "0.8"]
+    assert main([*argv, "--trials", str(10**6), "--seed", str(rounds)]) == 0
+    assert capsys.readouterr() == (sampled.to_json(), "")
+
+
+def test_sample_report_needs_an_ideal_detector_run():
+    lossy = run_ecp2(EntanglementParams.from_alpha_sq(0.6), model=DetectorModel(eta_p=0.5))
+    with pytest.raises(ConfigError) as err:
+        sample_report(lossy, 0.5, 1000, 0)
+    assert str(err.value) == "chain tables need an ideal-detector exact run"
 
 
 def test_validate_rejects_inconsistent_tables():
