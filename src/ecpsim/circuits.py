@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .dsl import (
@@ -43,6 +42,7 @@ from .dsl import (
     PbsMergeDecl,
     PbsSplitDecl,
     QndDecl,
+    Record,
     SourceDecl,
     VbsDecl,
     parse,
@@ -72,31 +72,29 @@ class TopologyError(CircuitError):
     """The document does not describe a supported concentration layout."""
 
 
-@dataclass
-class Arm:
-    label: str
-    signal_mode: str
-    aux_sources: list[SourceDecl]
-    vbs: VbsDecl
-    qnd: QndDecl | None
-    success_bs: BsDecl
-    success_group: DetectDecl
-    flips: dict[str, str]
-    planned: int | None  # 0 where the coupler reads t1/t_plus bare, 1 where t2/t_minus, else None
-    recycle_bs: BsDecl | None = None
-    recycle_group: DetectDecl | None = None
-    recycle_flips: dict[str, str] = field(default_factory=dict)
+class Arm(Record):
+    """One coupler arm as ``layout`` wires it; an arm without a recycling coupler keeps
+    ``recycle_bs`` and ``recycle_group`` None and no recycle flips.  ``planned`` is 0 where the
+    coupler reads t1/t_plus bare, 1 where t2/t_minus, else None."""
+
+    def __init__(self, label: str, signal_mode: str, aux_sources: list[SourceDecl], vbs: VbsDecl,
+                 qnd: QndDecl | None, success_bs: BsDecl, success_group: DetectDecl, flips: dict[str, str],
+                 planned: int | None, recycle_bs: BsDecl | None = None, recycle_group: DetectDecl | None = None,
+                 recycle_flips: dict[str, str] | None = None):
+        self.label, self.signal_mode, self.aux_sources, self.vbs, self.qnd = label, signal_mode, aux_sources, vbs, qnd
+        self.success_bs, self.success_group, self.flips, self.planned = success_bs, success_group, flips, planned
+        self.recycle_bs, self.recycle_group = recycle_bs, recycle_group
+        self.recycle_flips = {} if recycle_flips is None else recycle_flips
 
 
-@dataclass
-class Layout:
-    signal_sources: list[SourceDecl]
-    split: PbsSplitDecl | None
-    arms: list[Arm]  # the plus arm first
-    merge: PbsMergeDecl | None
-    outputs: tuple[str, ...]
-    protocol: str  # ecp1 where no arm has a nondemolition comparison, ecp2 where all do, else custom
-    has_recycling: bool
+class Layout(Record):
+    """A recognized concentration layout, its arms the plus arm first; ``protocol`` is ecp1 where
+    no arm has a nondemolition comparison, ecp2 where all do, else custom."""
+
+    def __init__(self, signal_sources: list[SourceDecl], split: PbsSplitDecl | None, arms: list[Arm],
+                 merge: PbsMergeDecl | None, outputs: tuple[str, ...], protocol: str, has_recycling: bool):
+        self.signal_sources, self.split, self.arms, self.merge = signal_sources, split, arms, merge
+        self.outputs, self.protocol, self.has_recycling = outputs, protocol, has_recycling
 
 
 def layout(doc: CircuitDoc) -> Layout:

@@ -14,7 +14,6 @@ output is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import os
@@ -130,11 +129,7 @@ def _cmd_run(args) -> int:
     if args.alpha_sq is None:
         raise ConfigError("--alpha-sq is required")
     ent = EntanglementParams.from_alpha_sq(args.alpha_sq)
-    pol = (
-        PolarizationParams.from_gamma_sq(args.gamma_sq)
-        if args.gamma_sq is not None
-        else None
-    )
+    pol = PolarizationParams.from_gamma_sq(args.gamma_sq) if args.gamma_sq is not None else None
     sampled = args.engine == "monte_carlo"
     if sampled and args.circuit:
         raise ConfigError("sampled runs use the built-in layouts")
@@ -187,14 +182,13 @@ def _cmd_sweep(args) -> int:
         rows.append(
             [math.sqrt(a2), a2, args.eta, args.rounds, p_formula, p_sim, stderr]
         )
+    import csv  # only the sweep writes CSV
+
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(out)
-        writer.writerow(
-            ["alpha", "alpha_sq", "eta", "k", "p_total_formula", "p_total_sim", "stderr"]
-        )
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(["alpha", "alpha_sq", "eta", "k", "p_total_formula", "p_total_sim", "stderr"])
+        writer.writerows(rows)
     finally:
         if out is not sys.stdout:
             out.close()

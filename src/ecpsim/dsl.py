@@ -38,10 +38,10 @@ import cmath
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
 from .params import ParameterError
+from .record import Frozen, Record  # noqa: F401  (circuits, which imports only the parser, takes Record from here)
 
 
 class CircuitError(Exception):
@@ -82,9 +82,7 @@ class _ExprParser:
         self.tokens: list[tuple[str, int]] = []
         for m in _TOKEN_RE.finditer(text):
             if m.lastgroup == "bad":
-                raise CircuitParseError(
-                    f"bad character {m.group(0)!r} in expression", line, col0 + m.start()
-                )
+                raise CircuitParseError(f"bad character {m.group(0)!r} in expression", line, col0 + m.start())
             self.tokens.append((m.group(0), m.start()))
         self.i = 0
 
@@ -202,8 +200,9 @@ def emit_expr(node: Expr, text: str, code: list, consts: dict, loaded: dict) -> 
 
 def compiled(params: str, code: list, consts: dict, filename: str, namespace: dict | None = None):
     """``def f(params): code`` as a function, ``consts`` bound by name in a closure (never printed
-    into the source) and other names read from ``namespace`` (this module's by default), compiled
-    the way ``dataclasses`` builds ``__init__``; no source is kept (no ``linecache`` entry)."""
+    into the source) and other names read from ``namespace`` (this module's by default): the source
+    is compiled under ``filename`` and run once to define ``f``, and is then dropped (no
+    ``linecache`` entry, so a traceback through ``f`` names the file but prints no line)."""
     source = (f"def make({', '.join(consts)}):\n    def f({params}):\n"
               + "".join(f"        {line}\n" for line in code) + "    return f\n")
     scope: dict = {}
@@ -233,96 +232,87 @@ def evaluate_real(text: str, bindings: Mapping[str, complex]) -> float:
 # ---------------------------------------------------------------------------
 # statements
 
-@dataclass(frozen=True)
-class ModeDecl:
-    name: str
+class ModeDecl(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._set(name)
 
 
-@dataclass(frozen=True)
-class SourceDecl:
-    mode: str
-    pol: str
-    amp: str = "1"
-    photon: str | None = None
+class SourceDecl(Frozen):
+    __slots__ = ("mode", "pol", "amp", "photon")
+
+    def __init__(self, mode: str, pol: str, amp: str = "1", photon: str | None = None):
+        self._set(mode, pol, amp, photon)
 
 
-@dataclass(frozen=True)
-class PbsSplitDecl:
-    inp: str
-    out_h: str
-    out_v: str
+class PbsSplitDecl(Frozen):
+    __slots__ = ("inp", "out_h", "out_v")
+
+    def __init__(self, inp: str, out_h: str, out_v: str):
+        self._set(inp, out_h, out_v)
 
 
-@dataclass(frozen=True)
-class PbsMergeDecl:
-    in_h: str
-    in_v: str
-    out: str
+class PbsMergeDecl(Frozen):
+    __slots__ = ("in_h", "in_v", "out")
+
+    def __init__(self, in_h: str, in_v: str, out: str):
+        self._set(in_h, in_v, out)
 
 
-@dataclass(frozen=True)
-class VbsDecl:
-    inp: str
-    reflect: str
-    transmit: str
-    t: str
+class VbsDecl(Frozen):
+    __slots__ = ("inp", "reflect", "transmit", "t")
+
+    def __init__(self, inp: str, reflect: str, transmit: str, t: str):
+        self._set(inp, reflect, transmit, t)
 
 
-@dataclass(frozen=True)
-class BsDecl:
-    in1: str
-    in2: str
-    out1: str
-    out2: str
+class BsDecl(Frozen):
+    __slots__ = ("in1", "in2", "out1", "out2")
+
+    def __init__(self, in1: str, in2: str, out1: str, out2: str):
+        self._set(in1, in2, out1, out2)
 
 
-@dataclass(frozen=True)
-class QndDecl:
-    a: str
-    b: str
+class QndDecl(Frozen):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: str, b: str):
+        self._set(a, b)
 
 
-@dataclass(frozen=True)
-class FlipDecl:
-    mode: str
-    when: str
+class FlipDecl(Frozen):
+    __slots__ = ("mode", "when")
+
+    def __init__(self, mode: str, when: str):
+        self._set(mode, when)
 
 
-@dataclass(frozen=True)
-class DetectDecl:
-    group: str
-    modes: tuple[str, ...]
-    eta: float | None = None
+class DetectDecl(Frozen):
+    __slots__ = ("group", "modes", "eta")
+
+    def __init__(self, group: str, modes: tuple[str, ...], eta: float | None = None):
+        self._set(group, modes, eta)
 
 
-@dataclass(frozen=True)
-class OutputDecl:
-    modes: tuple[str, ...]
+class OutputDecl(Frozen):
+    __slots__ = ("modes",)
+
+    def __init__(self, modes: tuple[str, ...]):
+        self._set(modes)
 
 
-Statement = Union[
-    ModeDecl,
-    SourceDecl,
-    PbsSplitDecl,
-    PbsMergeDecl,
-    VbsDecl,
-    BsDecl,
-    QndDecl,
-    FlipDecl,
-    DetectDecl,
-    OutputDecl,
-]
+Statement = Union[ModeDecl, SourceDecl, PbsSplitDecl, PbsMergeDecl, VbsDecl, BsDecl, QndDecl, FlipDecl, DetectDecl,
+                  OutputDecl]
 
 
-@dataclass(frozen=True)
-class CircuitDoc:
-    name: str = "unnamed"
-    params: tuple[str, ...] = ()
-    statements: tuple[Statement, ...] = ()
+class CircuitDoc(Frozen):
+    """A parsed document.  It is ``engine.analyze``'s cache key, so its hash is taken once."""
 
-    @functools.cached_property
-    def _hash(self) -> int:  # ``engine.analyze`` hashes the document on every run
-        return hash((self.name, self.params, self.statements))
+    __slots__ = ("name", "params", "statements", "_hash")
+
+    def __init__(self, name: str = "unnamed", params: tuple[str, ...] = (), statements: tuple[Statement, ...] = ()):
+        self._set(name, params, statements, hash((name, params, statements)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -386,9 +376,7 @@ def _split_fields(
             fields[key] = (col + len(key) + 1, value)
         else:
             if fields:
-                raise CircuitParseError(
-                    f"positional argument {tok!r} after keyword fields", line, col
-                )
+                raise CircuitParseError(f"positional argument {tok!r} after keyword fields", line, col)
             positional.append((col, tok))
     return positional, fields
 
@@ -439,9 +427,7 @@ def _field(key: str, value: str, line: int, col: int, params: Sequence[str], dec
         except ValueError:
             raise CircuitParseError(f"bad eta {value!r}", line, col) from None
         if not 0.0 <= eta <= 1.0:
-            raise CircuitParseError(
-                f"eta={eta} outside [0, 1]", line, col
-            )
+            raise CircuitParseError(f"eta={eta} outside [0, 1]", line, col)
         return eta
     if value not in declared:
         raise CircuitParseError(f"undeclared mode {value!r}", line, col)
@@ -461,13 +447,9 @@ def parse(text: str) -> CircuitDoc:
     def claim(m: str, role: str, lineno: int, col: int) -> None:
         prior = roles.get(m)
         if prior == role == "element output":
-            raise CircuitParseError(
-                f"mode {m!r} produced by more than one element", lineno, col
-            )
+            raise CircuitParseError(f"mode {m!r} produced by more than one element", lineno, col)
         if prior not in (None, role):
-            raise CircuitParseError(
-                f"mode {m!r} is both a source target and an element output", lineno, col
-            )
+            raise CircuitParseError(f"mode {m!r} is both a source target and an element output", lineno, col)
         roles[m] = role
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -483,9 +465,7 @@ def parse(text: str) -> CircuitDoc:
             if saw_circuit:
                 raise CircuitParseError("duplicate circuit statement", lineno, col0)
             if meaningful != 1:
-                raise CircuitParseError(
-                    "circuit statement must come first", lineno, col0
-                )
+                raise CircuitParseError("circuit statement must come first", lineno, col0)
             if len(rest) != 1:
                 raise CircuitParseError("circuit takes exactly one name", lineno, col0)
             name = _ident(rest[0][1], lineno, rest[0][0], "circuit name")
@@ -516,9 +496,7 @@ def parse(text: str) -> CircuitDoc:
 
         elif kw == "output":
             if len(positional) != 1 or fields:
-                raise CircuitParseError(
-                    "output takes one comma-separated mode list", lineno, col0
-                )
+                raise CircuitParseError("output takes one comma-separated mode list", lineno, col0)
             mcol, modes_text = positional[0]
             statements.append(OutputDecl(_field("output", modes_text, lineno, mcol, params, declared)))
 
@@ -584,6 +562,4 @@ def validate(doc: CircuitDoc) -> None:
         seen_det |= set(g.modes)
     for st in doc.statements:
         if isinstance(st, FlipDecl) and st.when not in detectors:
-            raise CircuitError(
-                f"flip condition {st.when!r} is not a detector mode"
-            )
+            raise CircuitError(f"flip condition {st.when!r} is not a detector mode")

@@ -71,7 +71,6 @@ import cmath  # noqa: F401
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .circuits import Arm, Layout, TopologyError, builtin_doc, layout  # TopologyError re-exported
 from .dsl import (
@@ -115,6 +114,7 @@ from .measurement import (
     qnd_class,
 )
 from .params import EntanglementParams, ParameterError, PolarizationParams, vbs_pair_schedule, vbs_schedule
+from .record import Record
 from .report import EngineInfo, ProtocolReport, RoundResult, comparison_entry
 
 MAX_ROUNDS = 100_000  # deepest recycling chain a run may ask for
@@ -124,18 +124,17 @@ class ConfigError(ValueError):
     """Run configuration inconsistent with the circuit (rounds, couplers)."""
 
 
-@dataclass
 class Plan(Layout):
-    """A recognized layout, the parameters its expressions read, the ``PatternTable`` its runs
-    share, and what its runs compile on that table's ids, each built on first touch."""
+    """A recognized layout, the parameters its couplers read (``coupler_reads``) and its couplers and
+    sources read (``reads``), the ``PatternTable`` its runs share, and what its runs compile on that
+    table's ids, each built on first touch: ``prologues`` by point kind, ``chains`` by arm labels
+    (the coupler matrix compiled at, {auxiliary ids: {input ids: round function}}) and ``scorers``
+    by win and target ids."""
 
-    coupler_reads: set[str] = field(default_factory=set)
-    reads: set[str] = field(default_factory=set)  # by couplers and sources
-    table: PatternTable = field(default_factory=PatternTable, compare=False, repr=False)
-    prologues: dict = field(default_factory=dict, compare=False, repr=False)  # by point kind
-    # by arm labels: (the coupler matrix compiled at, {auxiliary ids: {input ids: round function}})
-    chains: dict = field(default_factory=dict, compare=False, repr=False)
-    scorers: dict = field(default_factory=dict, compare=False, repr=False)  # by win and target ids
+    def __init__(self, coupler_reads: set[str], reads: set[str], **layout):
+        super().__init__(**layout)
+        self.coupler_reads, self.reads, self.table = coupler_reads, reads, PatternTable()
+        self.prologues, self.chains, self.scorers = {}, {}, {}
 
 
 @functools.lru_cache(maxsize=32)
@@ -314,14 +313,16 @@ def _slots(plan: Plan, arms: list[Arm], shape: tuple) -> tuple:
     return len(products), tuple(tuple(slots[slot]) for slot in order), tuple(map(tuple, sides))
 
 
-@dataclass(slots=True)
-class _ChainRound:
-    p_success: float
-    p_recycle: float
-    wins: tuple  # each corrected heralded state's ids through the merge (None where it raises)
-    amps: list  # their amplitudes, one state after the other
-    recycle_next: dict[int, complex]  # the next round's input, by pattern id
-    error: tuple | None  # (type, message) of the first win's merge error
+class _ChainRound(Record):
+    """``wins``: each corrected heralded state's ids through the merge (None where it raises);
+    ``amps``: their amplitudes, one state after the other; ``recycle_next``: the next round's input,
+    by pattern id; ``error``: (type, message) of the first win's merge error, or None."""
+
+    __slots__ = ("p_success", "p_recycle", "wins", "amps", "recycle_next", "error")
+
+    def __init__(self, p_success: float, p_recycle: float, wins: tuple, amps: list, recycle_next: dict, error):
+        self.p_success, self.p_recycle, self.wins, self.amps, self.recycle_next, self.error = (
+            p_success, p_recycle, wins, amps, recycle_next, error)
 
 
 def _kernel(plan: Plan, program: tuple, inputs: int, counts: tuple):
@@ -498,17 +499,13 @@ def _scoring(key: tuple):
     return compiled("t, tnorm, a, b", code, {}, "<round scorer>", globals())
 
 
-def _rounds(
-    plan: Plan,
-    ts: list[float],
-    chains: list[list[_ChainRound]],
-    target: tuple,
-) -> list[RoundResult]:
+def _rounds(plan: Plan, ts: list[float], chains: list[list[_ChainRound]], target: tuple) -> list[RoundResult]:
     """Round results summed over ``chains`` (one or two).  A distinct round whose summed
     ``p_success`` is above 0 raises its merge error, if any, and its fidelity is the worst of its
-    paired wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the scorer of its win
-    and target ids (``_scoring``), generated on first touch and kept in ``plan.scorers``; any other
-    round cannot succeed, and its fidelity is null."""
+    wins' against ``target``, ``(ids, amplitudes, squared norm)``, by the scorer of its win and
+    target ids (``_scoring``), generated on first touch and kept in ``plan.scorers``: the wins of
+    two chains paired where both herald, else those of the one that does, scored alone as a
+    one-chain round's.  Any other round cannot succeed, and its fidelity is null."""
     tids, tamps, tnorm = target
     rounds, last, other, one = [], None, None, len(chains) == 1
     for k, (t, first, second) in enumerate(zip(ts, chains[0], chains[-1]), 1):
@@ -517,10 +514,12 @@ def _rounds(
             # sum() of one or two probabilities, none of them -0.0
             p_success = first.p_success if one else first.p_success + second.p_success
             p_recycle = first.p_recycle if one else first.p_recycle + second.p_recycle
-            if p_success > 0.0 and first.wins and second.wins:
+            if p_success > 0.0 and (first.wins or second.wins):
                 if error := first.error or second.error:
                     raise error[0](error[1])
-                key = (first.wins, tids) if one else (first.wins, second.wins, tids)
+                if not (first.wins and second.wins):  # one of two chains heralds: its wins are scored alone
+                    first = second = first if first.wins else second
+                key = (first.wins, tids) if first is second else (first.wins, second.wins, tids)
                 scorer = plan.scorers.get(key) or plan.scorers.setdefault(key, _scoring(key))
                 fid = scorer(tamps, tnorm, first.amps, second.amps)
         rounds.append(RoundResult(k, t, p_success, p_recycle, fid))

@@ -22,35 +22,32 @@ superposition survives untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .dsl import DetectDecl
 from .fock import PRUNE_EPS, Pattern, PatternTable, PolarizationMixtureError, State, prune
+from .record import Frozen
 
 MIXTURE = "outputs that differ only in an absorbed photon's polarization leave a mixture, not a state"
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(Frozen):
     """Per-photon detection efficiency ``eta_p``.
 
     Heralding multiplies success probabilities by ``eta_p`` once per
     detector group that must click (a group's own ``eta`` replaces it).
     """
 
-    eta_p: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta_p <= 1.0:
-            raise ValueError(f"eta_p must lie in [0, 1], got {self.eta_p}")
+    def __init__(self, eta_p: float = 1.0):
+        if not 0.0 <= eta_p <= 1.0:
+            raise ValueError(f"eta_p must lie in [0, 1], got {eta_p}")
+        self.__dict__["eta_p"] = eta_p
 
 
 IDEAL_DETECTORS = DetectorModel(eta_p=1.0)
 
 
-@dataclass(frozen=True)
-class HeraldOutcome:
+class HeraldOutcome(Frozen):
     """One detector click pattern and what it leaves behind.
 
     ``clicks`` maps detector modes to photon counts (zero counts omitted).
@@ -62,12 +59,11 @@ class HeraldOutcome:
     not yet applied.
     """
 
-    clicks: tuple[tuple[str, int], ...]
-    weight: float
-    probability: float
-    success: bool
-    correction: tuple[str, ...] = ()
-    residual: State = field(default_factory=State)
+    __slots__ = ("clicks", "weight", "probability", "success", "correction", "residual")
+
+    def __init__(self, clicks: tuple[tuple[str, int], ...], weight: float, probability: float, success: bool,
+                 correction: tuple[str, ...] = (), residual: State | None = None):
+        self._set(clicks, weight, probability, success, correction, State() if residual is None else residual)
 
 
 def detection_factor(groups: Sequence[DetectDecl], model: DetectorModel) -> float:

@@ -21,12 +21,12 @@ round weights add up to, not something to paper over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .circuits import builtin_doc
 from .engine import ConfigError, execute, run_ecp2
 from .params import DEFAULT_TRIALS, EntanglementParams, PolarizationParams
+from .record import Frozen
 from .report import EngineInfo, ProtocolReport, RoundResult
 
 if TYPE_CHECKING:
@@ -35,13 +35,13 @@ if TYPE_CHECKING:
 MAX_TRIALS = 10**15  # keeps every count well inside numpy's int64 binomial
 
 
-@dataclass(frozen=True)
-class ChainTables:
-    """Raw herald weights per round, before any detector efficiency."""
+class ChainTables(Frozen):
+    """Raw herald weights per round, before any detector efficiency, and the success-detector
+    photons per heralded event."""
 
-    w_success: tuple[float, ...]
-    w_recycle: tuple[float, ...]
-    detected_photons: int  # success-detector photons per heralded event
+    def __init__(self, w_success: tuple[float, ...], w_recycle: tuple[float, ...], detected_photons: int):
+        fields = self.__dict__  # written directly: one is built per sampled run
+        fields["w_success"], fields["w_recycle"], fields["detected_photons"] = w_success, w_recycle, detected_photons
 
     def validate(self) -> None:
         prev = 1.0
@@ -134,8 +134,7 @@ def sample_report(
         )
         for r, s, c in zip(exact.rounds, succ_counts, rec_counts)
     ]
-    return replace(
-        exact,
+    return exact.replace(
         eta_p=eta_p,
         rounds=mc_rounds,
         p_total=p_hat,

@@ -277,10 +277,10 @@ def _run_chain(doc: CircuitDoc, schedules, accounting: str, eta: float, bindings
             per_chain[label] = p
             books.append(list(corrected.values()))
             currents[i] = [(amp, *key) for key, amp in (rv or {}).items()]
-        if len(books) == 2:
+        if all(books) and len(books) == 2:
             vecs = [_merge_arm_pair(vp, vm, merge) for vp in books[0] for vm in books[1]]
-        else:
-            vecs = [v if merge is None else _merged(v, merge) for v in books[0]]
+        else:  # one chain, or the one of two that heralds, alone
+            vecs = [v if merge is None else _merged(v, merge) for book in books for v in book]
         fids = [_vec_fidelity(v, target) for v in vecs] if p_round > 0.0 else []  # a round that cannot succeed
         out.append((per_chain, {
             "p_success": p_round,

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .fock import NORM_TOL
+from .record import Frozen
 
 DEFAULT_TRIALS = 100_000  # sampled trials per run when none are given
 
@@ -21,22 +21,20 @@ def _abs_sq(z: complex) -> float:
     return m * m
 
 
-@dataclass(frozen=True)
-class EntanglementParams:
+class EntanglementParams(Frozen):
     """Amplitudes (alpha, beta) of the shared single photon, |a|^2+|b|^2 = 1."""
 
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.alpha) and cmath.isfinite(self.beta)):  # a NaN norm fails no test below
-            raise ParameterError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
+    def __init__(self, alpha: complex, beta: complex):
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):  # a NaN norm fails no test below
+            raise ParameterError(f"alpha and beta must be finite, got {alpha}, {beta}")
         try:
-            n = _abs_sq(self.alpha) + _abs_sq(self.beta)
+            n = _abs_sq(alpha) + _abs_sq(beta)
         except OverflowError:  # a complex modulus past the float range: inf fails the norm test
             n = math.inf
         if abs(n - 1.0) > NORM_TOL:
             raise ParameterError(f"|alpha|^2 + |beta|^2 = {n}, expected 1")
+        fields = self.__dict__  # written directly: one is built per point
+        fields["alpha"], fields["beta"] = alpha, beta
 
     @classmethod
     def from_alpha_sq(cls, alpha_sq: float) -> "EntanglementParams":
@@ -55,27 +53,23 @@ class EntanglementParams:
     def require_nondegenerate(self) -> None:
         """Concentration needs both amplitudes strictly nonzero."""
         if self.alpha == 0 or self.beta == 0:
-            raise ParameterError(
-                "degenerate input (alpha or beta exactly zero) cannot be concentrated"
-            )
+            raise ParameterError("degenerate input (alpha or beta exactly zero) cannot be concentrated")
 
 
-@dataclass(frozen=True)
-class PolarizationParams:
+class PolarizationParams(Frozen):
     """Amplitudes (gamma, delta) of the polarization qubit; either may be 0."""
 
-    gamma: complex
-    delta: complex
-
-    def __post_init__(self):
-        if not (cmath.isfinite(self.gamma) and cmath.isfinite(self.delta)):
-            raise ParameterError(f"gamma and delta must be finite, got {self.gamma}, {self.delta}")
+    def __init__(self, gamma: complex, delta: complex):
+        if not (cmath.isfinite(gamma) and cmath.isfinite(delta)):
+            raise ParameterError(f"gamma and delta must be finite, got {gamma}, {delta}")
         try:
-            n = _abs_sq(self.gamma) + _abs_sq(self.delta)
+            n = _abs_sq(gamma) + _abs_sq(delta)
         except OverflowError:
             n = math.inf
         if abs(n - 1.0) > NORM_TOL:
             raise ParameterError(f"|gamma|^2 + |delta|^2 = {n}, expected 1")
+        fields = self.__dict__  # written directly: one is built per point
+        fields["gamma"], fields["delta"] = gamma, delta
 
     @classmethod
     def from_gamma_sq(cls, gamma_sq: float) -> "PolarizationParams":

@@ -7,14 +7,18 @@ shape (strings, keys, lengths) and fills in the numbers: ``json.dumps`` bytes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import index
 
+try:  # the C function json.encoder uses; importing json.encoder would load the decoder too
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
-@dataclass(frozen=True, init=False)
-class RoundResult:
+from .record import Frozen, Record
+
+
+class RoundResult(Frozen):
     """One recycling round (k counts from 1).
 
     ``t`` is the V-routed arm's coupler transmittance for the round (the
@@ -22,25 +26,19 @@ class RoundResult:
     ``p_fail_recyclable`` are absolute probabilities, summed over arms in
     per-branch accounting.  ``heralded_fidelity`` is the worst fidelity of
     the corrected output over the round's successful click patterns, or
-    None when the round cannot succeed at all (its ``p_success`` is 0).
+    None when the round cannot succeed at all (its ``p_success`` is 0).  In
+    two-arm branch accounting each output pairs a plus win with a minus
+    one; where only one arm heralds, its wins are scored alone.
     """
 
-    k: int
-    t: float | None
-    p_success: float
-    p_fail_recyclable: float
-    heralded_fidelity: float | None
-
-    def __init__(self, k, t, p_success, p_fail_recyclable, heralded_fidelity):
-        # the fields go straight into the instance dict, in field order, without the frozen
-        # class's object.__setattr__ per field
-        fields = self.__dict__
+    def __init__(self, k: int, t: float | None, p_success: float, p_fail_recyclable: float,
+                 heralded_fidelity: float | None):
+        fields = self.__dict__  # in field order, the JSON key order
         fields["k"], fields["t"], fields["p_success"] = k, t, p_success
         fields["p_fail_recyclable"], fields["heralded_fidelity"] = p_fail_recyclable, heralded_fidelity
 
 
-@dataclass(frozen=True)
-class EngineInfo:
+class EngineInfo(Frozen):
     """Provenance: which evaluation path produced the numbers.
 
     ``eta_exponent`` is the power of the detector efficiency applied to each
@@ -48,12 +46,11 @@ class EngineInfo:
     one per arm heralding, recycle detections are ideal by convention).
     """
 
-    kind: str
-    eta_exponent: int
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "monte_carlo"):
-            raise ValueError(f"unknown engine kind {self.kind!r}")
+    def __init__(self, kind: str, eta_exponent: int):
+        if kind not in ("exact", "monte_carlo"):
+            raise ValueError(f"unknown engine kind {kind!r}")
+        fields = self.__dict__
+        fields["kind"], fields["eta_exponent"] = kind, eta_exponent
 
 
 def comparison_entry(paper_value: float, simulated_value: float) -> dict[str, float]:
@@ -71,22 +68,16 @@ _TEMPLATES: dict[tuple, list] = {}  # report shape -> JSON text pieces, None whe
 
 
 # The field order of ProtocolReport, RoundResult and EngineInfo is the JSON
-# key order of the report: ``to_json`` writes each object's fields as declared.
-@dataclass
-class ProtocolReport:
-    protocol: str
-    accounting: str
-    alpha_sq: float | None
-    gamma_sq: float | None
-    eta_p: float
-    schedule: dict[str, list[float]]
-    rounds: list[RoundResult]
-    p_total: float
-    engine: EngineInfo
-    seed: int | None = None
-    trials: int | None = None
-    stderr: float | None = None
-    paper_comparison: dict[str, dict[str, float]] = field(default_factory=dict)
+# key order of the report: ``to_json`` writes each object's fields as stored.
+class ProtocolReport(Record):
+    def __init__(self, protocol: str, accounting: str, alpha_sq: float | None, gamma_sq: float | None,
+                 eta_p: float, schedule: dict[str, list[float]], rounds: list[RoundResult], p_total: float,
+                 engine: EngineInfo, seed: int | None = None, trials: int | None = None,
+                 stderr: float | None = None, paper_comparison: dict[str, dict[str, float]] | None = None):
+        self.protocol, self.accounting, self.alpha_sq, self.gamma_sq = protocol, accounting, alpha_sq, gamma_sq
+        self.eta_p, self.schedule, self.rounds, self.p_total, self.engine = eta_p, schedule, rounds, p_total, engine
+        self.seed, self.trials, self.stderr = seed, trials, stderr
+        self.paper_comparison = {} if paper_comparison is None else paper_comparison
 
     def to_json(self) -> str:
         """``json.dumps(self, indent=2, default=vars)`` and a newline: the template of the
@@ -128,7 +119,7 @@ def _layout(obj, newline: str) -> str:
         return "\0"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if not isinstance(obj, (dict, list)):  # the report dataclasses
+    if not isinstance(obj, (dict, list)):  # the report records
         obj = vars(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"

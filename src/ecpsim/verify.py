@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 
 from . import elements
 from .engine import run_ecp1, run_ecp2
@@ -30,17 +29,18 @@ from .measurement import DetectorModel
 from .montecarlo import estimate_series_total
 from .oracle import oracle_ecp1, oracle_ecp2
 from .params import EntanglementParams, PolarizationParams
+from .record import Frozen
 
 MC_SIGMAS = 5.0
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     """One verification line; ``passed`` is None for informational entries."""
 
-    name: str
-    passed: bool | None
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool | None, detail: str):
+        self._set(name, passed, detail)
 
     @property
     def status(self) -> str:

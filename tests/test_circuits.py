@@ -2,7 +2,6 @@
 rejection of the layout recognizer."""
 
 import ast
-import dataclasses
 import re
 from pathlib import Path
 
@@ -106,7 +105,7 @@ def _built(name: str, old, *new):
     doc = builtin_doc(name)
     assert old in doc.statements
     statements = tuple(t for s in doc.statements for t in (new if s == old else (s,)))
-    return dataclasses.replace(doc, statements=statements)
+    return doc.replace(statements=statements)
 
 
 _THIRD_ARM = (

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifacts, determinism."""
 
+import ast
 import contextlib
 import json
 import os
@@ -541,6 +542,51 @@ def test_exact_runs_do_not_import_numpy(tmp_path):
     assert proc.returncode == 0
     # the run itself compiles its prologue and round functions
     assert proc.stderr.split() == ["False", "False", "0", "False", "[]", "[]", "True"]
+
+
+def _imported(tmp_path, *argv) -> set[str]:
+    """The modules a fresh ``python -X importtime *argv`` on this checkout imports beyond those a
+    bare interpreter does."""
+    found = []
+    for args in (("-c", "pass"), argv):
+        proc = run_checkout(tmp_path, "-X", "importtime", *args)
+        assert proc.returncode == 0, proc.stderr
+        found.append({line.split("|")[2].strip() for line in proc.stderr.splitlines()
+                      if line.startswith("import time:") and line.count("|") == 2})
+    return found[1] - found[0]
+
+
+@pytest.mark.parametrize("argv, absent", (
+    (("run", "--alpha-sq", "0.6"), {"dataclasses", "inspect", "csv", "numpy"}),
+    (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--gamma-sq", "0.3", "--rounds", "3"),
+     {"dataclasses", "inspect", "csv", "numpy"}),
+    (("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--trials", "100"), {"dataclasses"}),
+    (("sweep", "--alpha-sq-list", "0.6", "--trials", "100"), {"dataclasses"}),
+    (("verify", "--rounds", "1", "--trials", "200"), {"dataclasses"}),
+))
+def test_a_fresh_command_imports_only_what_it_runs(tmp_path, argv, absent):
+    # cold start: an exact run loads no dataclass machinery, CSV writer or numpy, and no command
+    # builds a dataclass (the records are plain classes)
+    imported = _imported(tmp_path, "-m", "ecpsim.cli", *argv)
+    assert "ecpsim.engine" in imported
+    assert not imported & absent
+
+
+def test_no_module_imports_dataclasses():
+    # the guard itself sees an import of dataclasses, however spelled
+    def banned(source: str) -> list[str]:
+        found = []
+        for node in ast.walk(ast.parse(source)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [n for n in names if n.split(".")[0] == "dataclasses"]
+        return found
+
+    for planted in ("import dataclasses", "from dataclasses import dataclass", "import os, dataclasses as dc",
+                    "def f():\n    from dataclasses import replace"):
+        assert banned(planted), planted
+    for path in sorted((ROOT / "src" / "ecpsim").glob("*.py")):
+        assert banned(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_bad_flag_exits_3(tmp_path):

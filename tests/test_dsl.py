@@ -1,7 +1,6 @@
 """Circuit language: expressions, parsing, validation."""
 
 import cmath
-import dataclasses
 import functools
 import math
 import operator
@@ -9,12 +8,16 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecpsim.circuits import builtin_doc
 from ecpsim.dsl import (
     BindingError,
+    BsDecl,
     CircuitError,
     CircuitParseError,
     DetectDecl,
     OutputDecl,
+    PbsMergeDecl,
+    PbsSplitDecl,
     SourceDecl,
     VbsDecl,
     compile_expr,
@@ -25,7 +28,7 @@ from ecpsim.dsl import (
     parse_expr,
     validate,
 )
-from ecpsim.engine import _prologue, analyze
+from ecpsim.engine import TopologyError, _prologue, analyze
 from ecpsim.fock import mode
 from ecpsim.params import ParameterError
 
@@ -488,6 +491,32 @@ def test_validate_runs_on_programmatic_documents():
         validate(broken)
 
 
+@pytest.mark.parametrize("name, kind, fields, other", (
+    ("ecp1", PbsMergeDecl, ("in_h", "in_v", "out"), PbsSplitDecl),
+    ("ecp1", PbsSplitDecl, ("inp", "out_h", "out_v"), PbsMergeDecl),
+    ("ecp1", VbsDecl, ("inp", "reflect", "transmit", "t"), BsDecl),
+    ("ecp2", BsDecl, ("in1", "in2", "out1", "out2"), VbsDecl),
+))
+def test_a_statement_kind_is_part_of_the_statement(name, kind, fields, other):
+    # two statements of different kinds with equal field values differ (a split from a merge, a
+    # variable coupler from a balanced one), as do documents differing only in such a statement:
+    # engine.analyze, cached by document, refuses the swapped one after planning the shipped one
+    assert PbsSplitDecl("a", "b", "c") != PbsMergeDecl("a", "b", "c")
+    assert VbsDecl("a", "b", "c", "d") != BsDecl("a", "b", "c", "d")
+    doc = builtin_doc(name)
+    old = next(s for s in doc.statements if type(s) is kind)
+    new = other(*(getattr(old, f) for f in fields))
+    assert new != old and old != new and len({old, new}) == 2
+    swapped = doc.replace(statements=tuple(new if s is old else s for s in doc.statements))
+    assert swapped != doc and doc != swapped
+    plan = analyze(doc)
+    with pytest.raises(TopologyError) as fresh:
+        analyze.__wrapped__(swapped)
+    with pytest.raises(TopologyError) as cached:  # not the plan cached for ``doc``
+        analyze(swapped)
+    assert str(cached.value) == str(fresh.value)
+    assert analyze(doc) is plan
+
 def test_detect_eta_field_round_trips():
     text = SMALL.replace(
         "detect group=arm modes=d1,d2", "detect group=arm modes=d1,d2 eta=1.0"
@@ -572,8 +601,8 @@ def test_generated_evaluator_matches_the_closure_walk(first, second, aux, bindin
         assert _settled(lambda: compile_expr(text)(bindings)) == _settled(lambda: _real(reference(bindings)))
     base = parse(SMALL)
     amps = {"alpha": first, "beta": second, "1": aux}
-    doc = dataclasses.replace(base, statements=tuple(
-        dataclasses.replace(s, amp=amps[s.amp]) if isinstance(s, SourceDecl) else s for s in base.statements))
+    doc = base.replace(statements=tuple(
+        s.replace(amp=amps[s.amp]) if isinstance(s, SourceDecl) else s for s in base.statements))
     plan = analyze(doc)
     tab = plan.table
 

@@ -3,7 +3,6 @@
 import cmath
 import collections
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -140,11 +139,11 @@ def test_a_detector_group_repeating_a_mode_is_a_topology_error():
     # code meets it in the recognizer, before any run
     doc = builtin_doc("ecp1_stripped")
     statements = tuple(
-        dataclasses.replace(s, modes=s.modes + s.modes[:1]) if isinstance(s, DetectDecl) else s
+        s.replace(modes=s.modes + s.modes[:1]) if isinstance(s, DetectDecl) else s
         for s in doc.statements
     )
     with pytest.raises(TopologyError, match="detector group 'v_arm' repeats a mode"):
-        analyze(dataclasses.replace(doc, statements=statements))
+        analyze(doc.replace(statements=statements))
 
 
 # -- execution semantics --------------------------------------------------
@@ -762,9 +761,9 @@ def _dict_rounds(ts, chains, target):
     out = []
     for k, (t, books) in enumerate(zip(ts, zip(*chains))):
         if not k or any(b is not c[k - 1] for b, c in zip(books, chains)):
-            fid = None
-            if all(b.wins for b in books):
-                merged = [_states(b) for b in books]
+            fid, heralding = None, [b for b in books if b.wins]  # one arm heralding is scored alone
+            if heralding:
+                merged = [_states(b) for b in heralding]
                 states = merged[0] if len(merged) == 1 else [_dict_pair(a, b) for a in merged[0] for b in merged[1]]
                 fid = min([_dict_fidelity(st, tdict) for st in states])
         out.append((k + 1, t, sum(b.p_success for b in books), sum(b.p_recycle for b in books), fid))
@@ -865,7 +864,7 @@ def _dict_round(plan, arms, auxes, current, pairs, model):
 
 def _rescaled(chains, amps):
     """``chains`` with each round's amplitudes replaced by ``amps(chain index, round)``."""
-    return [[dataclasses.replace(b, amps=amps(i, b)) for b in chain] for i, chain in enumerate(chains)]
+    return [[b.replace(amps=amps(i, b)) for b in chain] for i, chain in enumerate(chains)]
 
 
 def _cancelling(chains):
@@ -879,7 +878,7 @@ def _cancelling(chains):
         if shared:
             a, j = shared[0]
             amps[j] = -a + 1.2 * PRUNE_EPS * a / abs(a)
-        rounds.append(dataclasses.replace(minus, amps=amps))
+        rounds.append(minus.replace(amps=amps))
     return [chains[0], rounds]
 
 
@@ -941,13 +940,16 @@ def test_compiled_scoring_matches_the_dict_path(name, accounting, corrupt, monke
     assert outcomes["floats"] or corrupt
     for plan, ts, chains, target in rounds:
         # the recorded wins; reweighted; with shared plus and minus ids near cancelling, or one
-        # pair at 0.6 PRUNE_EPS; at random; every amplitude at 0.6 PRUNE_EPS; every amplitude 0,
-        # a zero state; and as complex(x, 0.0)
+        # pair at 0.6 PRUNE_EPS; with either arm's wins removed; at random; every amplitude at 0.6
+        # PRUNE_EPS; every amplitude 0, a zero state; and as complex(x, 0.0)
         weights = {id(b): _reweighted(b.amps, rng) for chain in chains for b in chain}
         variants = [chains, *[_rescaled(chains, lambda i, b: weights[id(b)][r]) for r in range(6)]]
         for scale in (1.0, -1.0 + 1.01 * PRUNE_EPS):
             variants.append(_rescaled(chains, lambda i, b: [a * scale if i else a for a in b.amps]))
         variants += [_cancelling(chains)] if len(chains) == 2 else []
+        for i in range(len(chains) if len(chains) == 2 else 0):  # one arm heralding: the other has no wins
+            variants.append([[b.replace(wins=(), amps=[], error=None) for b in c] if j == i else c
+                             for j, c in enumerate(chains)])
         variants.append(_rescaled(chains, lambda i, b: [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in b.amps]))
         variants.append(_rescaled(chains, lambda i, b: [a / abs(a) * 0.6 * PRUNE_EPS for a in b.amps]))
         variants.append(_rescaled(chains, lambda i, b: [0.0 * a for a in b.amps]))
@@ -1062,7 +1064,7 @@ def test_variable_coupler_ports_are_checked_where_a_round_is_compiled():
     # made before the round function of the arm's chain is compiled (a fresh plan, as it keeps it)
     plan = analyze.__wrapped__(builtin_doc("ecp2_stripped"))
     [arm] = plan.arms
-    bad = dataclasses.replace(arm, label="bad", vbs=dataclasses.replace(arm.vbs, transmit=arm.vbs.inp))
+    bad = arm.replace(label="bad", vbs=arm.vbs.replace(transmit=arm.vbs.inp))
     signal, _, _, auxes = _prologue(plan, None)({"alpha": ENT.alpha, "beta": ENT.beta})
     message = f"vbs: ports must be distinct, {arm.vbs.inp!r} repeats"
     with pytest.raises(PortContractError) as err:

@@ -1,6 +1,7 @@
 """Path-sum oracle: self-contained anchors and engine agreement."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from ecpsim import circuits, dsl, oracle
+from ecpsim import circuits, cli, dsl, oracle
 from ecpsim.circuits import BUILTIN_NAMES, builtin_text
 from ecpsim.dsl import evaluate_real, parse
 from ecpsim.engine import TopologyError, analyze, execute, run_ecp1, run_ecp2
@@ -325,6 +326,30 @@ def test_oracle_counts_a_heralding_group_efficiency():
     [(per_chain, _book)] = oracle._run_chain(doc, [pairs, pairs], "branch", 0.8, bindings, pol)
     assert report.p_total == pytest.approx(0.24, rel=1e-12)
     assert sum(per_chain.values()) == pytest.approx(0.24, rel=1e-12)
+
+
+@pytest.mark.parametrize("source, p", (("source b7 pol=H amp=1", 0.408), ("source b4 pol=V amp=1", 0.312)))
+def test_a_branch_round_where_one_arm_heralds_scores_that_arm_alone(tmp_path, capsys, source, p):
+    # with one arm's auxiliary photon at amplitude 0 that arm never heralds, while the other one
+    # does: the round's fidelity is the heralding arm's wins scored alone, in engine and oracle
+    # alike (it was null with p 0.408 when every win was paired across the arms); under joint
+    # accounting both arms must click, so the round cannot succeed
+    path = tmp_path / "one_sided.ecp"
+    path.write_text(builtin_text("ecp1").replace(source, source.replace("amp=1", "amp=0")), encoding="utf-8")
+    _suffix, bindings, pol = oracle._point(0.6, 0.3)
+    for accounting in ("branch", "joint"):
+        assert cli.main(["run", "--circuit", str(path), "--alpha-sq", "0.6", "--gamma-sq", "0.3",
+                         "--accounting", accounting]) == 0
+        [got] = json.loads(capsys.readouterr().out)["rounds"]
+        [(_, want)] = oracle._run_chain(parse(path.read_text(encoding="utf-8")), [[oracle._pair(0.6)]] * 2,
+                                        accounting, 1.0, bindings, pol)
+        assert got["p_success"] == pytest.approx(want["p_success"], rel=1e-12)
+        if accounting == "joint":
+            assert (got["p_success"], got["heralded_fidelity"], want["fidelity"]) == (0.0, None, None)
+            continue
+        assert got["p_success"] == pytest.approx(p, rel=1e-12)
+        assert 0.0 < got["heralded_fidelity"] <= 1.0
+        assert got["heralded_fidelity"] == pytest.approx(want["fidelity"], rel=1e-12)
 
 
 def test_the_detector_factor_is_a_product_of_the_group_efficiencies():
