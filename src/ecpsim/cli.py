@@ -44,7 +44,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``ECPSIM_SEED``, else 0; numpy takes no negative seed."""
+    """``--seed``, else ``ECPSIM_SEED``, else 0: a non-negative int, as a ``SeedSequence`` entropy is."""
     raw = os.environ.get("ECPSIM_SEED", "0") if args.seed is None else args.seed
     try:
         seed = int(raw)
@@ -168,13 +168,14 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad entanglement grid {args.alpha_sq_list!r}")
     if not values:
         raise ConfigError("empty entanglement grid")
-    import numpy as np  # only the sampler needs numpy; exact runs skip its import
+    from types import SimpleNamespace
 
     from .montecarlo import estimate_series_total
 
-    children = np.random.SeedSequence(args.seed).spawn(len(values))
     rows = []
-    for a2, child in zip(values, children):
+    for i, a2 in enumerate(values):
+        # point i samples the stream of numpy's SeedSequence(seed).spawn(len(values))[i]
+        child = SimpleNamespace(entropy=args.seed, spawn_key=(i,))
         p_sim, stderr, _ = estimate_series_total(
             a2, args.rounds, args.eta, trials=args.trials, seed=child
         )

@@ -560,30 +560,35 @@ def _imported(tmp_path, *argv) -> set[str]:
     (("run", "--alpha-sq", "0.6"), {"dataclasses", "inspect", "csv", "numpy"}),
     (("run", "--protocol", "ecp2", "--alpha-sq", "0.6", "--gamma-sq", "0.3", "--rounds", "3"),
      {"dataclasses", "inspect", "csv", "numpy"}),
-    (("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--trials", "100"), {"dataclasses"}),
-    (("sweep", "--alpha-sq-list", "0.6", "--trials", "100"), {"dataclasses"}),
-    (("verify", "--rounds", "1", "--trials", "200"), {"dataclasses"}),
+    (("run", "--engine", "monte_carlo", "--alpha-sq", "0.6", "--trials", "100"), {"dataclasses", "numpy"}),
+    (("sweep", "--alpha-sq-list", "0.6", "--trials", "100"), {"dataclasses", "numpy"}),
+    (("verify", "--rounds", "1", "--trials", "200"), {"dataclasses", "numpy"}),
 ))
 def test_a_fresh_command_imports_only_what_it_runs(tmp_path, argv, absent):
-    # cold start: an exact run loads no dataclass machinery, CSV writer or numpy, and no command
-    # builds a dataclass (the records are plain classes)
+    # cold start: an exact run loads no dataclass machinery or CSV writer, no command builds a
+    # dataclass (the records are plain classes), and none imports numpy: the sampler draws
+    # numpy's stream itself
     imported = _imported(tmp_path, "-m", "ecpsim.cli", *argv)
     assert "ecpsim.engine" in imported
     assert not imported & absent
 
 
 def test_no_module_imports_dataclasses():
-    # the guard itself sees an import of dataclasses, however spelled
+    # nor numpy, which only the tests import; the guard itself sees an import of either, however
+    # spelled
     def banned(source: str) -> list[str]:
         found = []
         for node in ast.walk(ast.parse(source)):
             names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
             names += [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-            found += [n for n in names if n.split(".")[0] == "dataclasses"]
+            found += [n for n in names if n.split(".")[0] in ("dataclasses", "numpy")]
         return found
 
     for planted in ("import dataclasses", "from dataclasses import dataclass", "import os, dataclasses as dc",
-                    "def f():\n    from dataclasses import replace"):
+                    "def f():\n    from dataclasses import replace",
+                    "import numpy", "import numpy as np", "import numpy.random", "from numpy.random import default_rng",
+                    "import os, numpy as np", "if TYPE_CHECKING:\n    import numpy as np",
+                    "def f():\n    from numpy import random"):
         assert banned(planted), planted
     for path in sorted((ROOT / "src" / "ecpsim").glob("*.py")):
         assert banned(path.read_text(encoding="utf-8")) == [], path.name

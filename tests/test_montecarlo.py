@@ -1,11 +1,14 @@
-"""Sampled detector-loss chains: tables, determinism, statistics."""
+"""Sampled detector-loss chains: tables, determinism, statistics, and the
+sampler's stream against numpy's, its reference."""
 
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecpsim.circuits import builtin_doc
 from ecpsim.cli import main
@@ -13,6 +16,7 @@ from ecpsim.engine import ConfigError, execute, run_ecp1, run_ecp2
 from ecpsim.measurement import DetectorModel
 from ecpsim.montecarlo import (
     MAX_TRIALS,
+    BinomialStream,
     ChainTables,
     estimate_series_total,
     run_monte_carlo,
@@ -231,3 +235,79 @@ def test_validate_rejects_inconsistent_tables():
     bad = ChainTables(w_success=(0.7,), w_recycle=(0.5,), detected_photons=2)
     with pytest.raises(ConfigError):
         bad.validate()
+
+
+# numpy's Generator.binomial is the reference: BinomialStream reproduces
+# default_rng(SeedSequence(entropy, spawn_key=key)).binomial(n, p) draw for draw
+SEEDS = (0, 2**32 - 1, 2**64, 2**200)
+SPAWN_KEYS = st.one_of(
+    st.just(()),
+    st.tuples(st.integers(0, 2**40)),
+    st.tuples(st.integers(0, 9), st.integers(0, 2**70)),
+)
+EDGE_P = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+COUNTS = st.integers(0, MAX_TRIALS)
+DRAWS = st.one_of(
+    st.tuples(COUNTS | st.integers(0, 100), st.sampled_from(EDGE_P)),
+    st.tuples(COUNTS | st.integers(0, 100), st.floats(0.0, 1.0)),
+    st.tuples(COUNTS, st.floats(0.5, 1.0, exclude_min=True)),  # the reflection
+    # n * p = 30 exactly, where inversion gives way to BTPE, for p and for 1 - p
+    st.integers(1, 44).flatmap(lambda k: st.sampled_from([(30 * 2**k, 2.0**-k), (30 * 2**k, 1.0 - 2.0**-k)])),
+    # just either side of the switch
+    st.integers(31, MAX_TRIALS).flatmap(
+        lambda n: st.sampled_from([math.nextafter(30.0 / n, 0.0), math.nextafter(30.0 / n, 1.0)]).map(lambda p: (n, p))
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(SEEDS) | st.integers(0, 2**130), SPAWN_KEYS, st.lists(DRAWS, min_size=1, max_size=25))
+def test_the_stream_is_numpys_draw_for_draw(seed, key, draws):
+    reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    stream = BinomialStream(seed, key)
+    assert [stream.binomial(n, p) for n, p in draws] == [int(reference.binomial(n, p)) for n, p in draws]
+
+
+@pytest.mark.parametrize("protocol, polarized, accounting, rounds", SAMPLEABLE)
+def test_every_sampleable_chain_draws_numpys_counts(protocol, polarized, accounting, rounds):
+    ent = EntanglementParams.from_alpha_sq(0.35)
+    pol = PolarizationParams.from_gamma_sq(0.7) if polarized else None
+    doc = builtin_doc(protocol if polarized else protocol + "_stripped")
+    tables = tables_from_report(execute(doc, ent, pol, rounds=rounds, accounting=accounting))
+    for seed in (0, rounds, 2**64 + 7):
+        for eta, trials in ((0.8, 10**6), (1.0, 1000), (0.3, MAX_TRIALS)):
+            counts = sample_chain(tables, eta, trials, BinomialStream(seed))
+            assert counts == sample_chain(tables, eta, trials, np.random.default_rng(seed))
+
+
+def test_a_sweep_point_draws_its_spawned_childs_stream():
+    # sweep's point i samples SeedSequence(seed).spawn(points)[i], named by its spawn key (i,)
+    draws = [(10**6, 0.48), (520_000, 0.3), (40, 0.25), (250_000, 0.8)]
+    for seed in (0, 1, 2**40):
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
+            reference = np.random.default_rng(child)
+            stream = BinomialStream(seed, (i,))
+            assert [stream.binomial(n, p) for n, p in draws] == [int(reference.binomial(n, p)) for n, p in draws]
+    # and a seed is read through its entropy and spawn key, whether numpy's or not
+    exact = _ideal_report(rounds=3)
+    child = np.random.SeedSequence(5).spawn(3)[2]
+    by_numpy = sample_report(exact, 0.8, 10**6, child)
+    by_key = sample_report(exact, 0.8, 10**6, SimpleNamespace(entropy=5, spawn_key=(2,)))
+    assert by_numpy.rounds == by_key.rounds
+    assert by_numpy.rounds != sample_report(exact, 0.8, 10**6, 5).rounds
+
+
+def test_the_stream_refuses_what_numpy_refuses():
+    for n, p in ((-1, 0.5), (10, -0.1), (10, 1.5), (10, math.nan)):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).binomial(n, p)
+        with pytest.raises(ValueError):
+            BinomialStream(0).binomial(n, p)
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError):
+        BinomialStream(-1)
+    with pytest.raises(TypeError):
+        np.random.SeedSequence(1.5)
+    with pytest.raises(TypeError):
+        BinomialStream(1.5)

@@ -1,6 +1,9 @@
-"""Report JSON: ``to_json`` writes exactly what ``json.dumps`` would."""
+"""Report JSON: ``to_json`` writes exactly what ``json.dumps`` would, and a
+report keeps the contracts its fields state."""
 
 import json
+import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
@@ -8,6 +11,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecpsim.circuits import BUILTIN_NAMES, builtin_text
 from ecpsim.cli import main
 from ecpsim.report import EngineInfo, ProtocolReport, RoundResult
 from test_golden_corpus import CIRCUITS, CORPUS
@@ -113,3 +117,74 @@ def test_round_results_are_frozen_hashable_rows_in_field_order(fields):
             delattr(row, name)
     with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
         row.extra = 0
+
+
+def _contract_documents() -> list:
+    """``(name, shipped, text)`` of each shipped document and of its literal mutations, one
+    line at a time: an arm's auxiliary photon at ``amp=0``, a detector group at ``eta=0``,
+    and an arm's coupler at ``t=0`` and ``t=1``."""
+    docs = []
+    for name in BUILTIN_NAMES:
+        text = builtin_text(name)
+        docs.append(pytest.param(name, True, text, id=name))
+        for line in text.splitlines():
+            if line.startswith("source ") and line.endswith(" amp=1"):
+                mutated = [line[: -len("1")] + "0"]
+            elif line.startswith("detect "):
+                mutated = [re.sub(r" eta=\S+$", "", line) + " eta=0"]
+            elif line.startswith("vbs "):
+                mutated = [re.sub(r" t=\S+", f" t={t}", line) for t in (0, 1)]
+            else:
+                continue
+            docs += [pytest.param(name, False, text.replace(line + "\n", m + "\n"), id=f"{name}: {m}")
+                     for m in mutated]
+    return docs
+
+
+def _check_contracts(report: dict, shipped_joint: bool) -> None:
+    """The contracts ``RoundResult``, ``ProtocolReport`` and ``comparison_entry`` state."""
+    rounds = report["rounds"]
+    for r in rounds:
+        # the fidelity is null exactly where the round cannot succeed
+        assert (r["heralded_fidelity"] is None) == (r["p_success"] == 0.0), r
+        assert r["heralded_fidelity"] is None or 0.0 <= r["heralded_fidelity"] <= 1.0, r
+    entries = report["paper_comparison"].values()
+    probabilities = [report["p_total"], *(r[k] for r in rounds for k in ("p_success", "p_fail_recyclable"))]
+    probabilities += [e[k] for e in entries for k in ("paper_value", "simulated_value")]
+    assert all(math.isfinite(p) and p >= 0.0 for p in probabilities), probabilities
+    for entry in entries:
+        assert entry["delta"] == entry["simulated_value"] - entry["paper_value"], entry
+    if shipped_joint:  # every trial succeeds once, or is still recyclable after the last round
+        assert sum(r["p_success"] for r in rounds) + rounds[-1]["p_fail_recyclable"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("name, shipped, text", _contract_documents())
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(1, 4),
+    st.sampled_from(["branch", "joint"]),
+)
+def test_reports_keep_their_stated_contracts(tmp_path_factory, name, shipped, text, by_protocol, alpha_sq,
+                                             gamma_sq, eta, rounds, accounting):
+    # over the shipped protocols (by --protocol or as a document) and one-line mutations of
+    # their documents, at any weights, efficiency and round count: every run exits 0, 2, 3 or 4,
+    # and every report keeps its contracts
+    polarized, rounds = not name.endswith("_stripped"), rounds if name.startswith("ecp2") else 1
+    if shipped and by_protocol:
+        argv = ["run", "--protocol", name.split("_")[0]]
+    else:
+        path = tmp_path_factory.getbasetemp() / "contract.ecp"
+        path.write_text(text, encoding="utf-8")
+        argv = ["run", "--circuit", str(path)]
+    argv += ["--alpha-sq", repr(alpha_sq), "--eta", repr(eta), "--rounds", str(rounds), "--accounting", accounting]
+    argv += ["--gamma-sq", repr(gamma_sq)] if polarized else []
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code == 0:
+        _check_contracts(json.loads(out.getvalue()), shipped and accounting == "joint")
